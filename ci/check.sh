@@ -222,6 +222,17 @@ for seed in "${CI_SEEDS[@]}"; do
 done
 
 # ---------------------------------------------------------------------------
+step "lmr-gc replay: incremental collector vs full sweep across fixed seeds"
+# Replays the LMR garbage-collection property (worklist collector against a
+# full sweep and a from-scratch anchor model after every step of arbitrary
+# publication streams; DESIGN.md §7.4) under the same pinned seeds.
+for seed in "${CI_SEEDS[@]}"; do
+  MDV_PROP_SEED="$seed" MDV_PROP_CASES=200 \
+    cargo test -q --offline -p mdv-system --test lmr_gc >/dev/null
+  echo "ok: lmr_gc @ MDV_PROP_SEED=$seed"
+done
+
+# ---------------------------------------------------------------------------
 step "parallel-filter determinism: publications invariant across thread counts"
 # The parallel batch filter must emit byte-identical publications, traces,
 # and stats for every thread count (DESIGN.md §5); the fault matrix above
@@ -280,6 +291,16 @@ if [[ "$QUICK" == "0" ]]; then
   echo "ok: paper_walkthrough"
   cargo run --offline --release --example placement_routing >/dev/null
   echo "ok: placement_routing"
+
+  # -------------------------------------------------------------------------
+  step "mdvbench smoke pass (all five workloads, a tenth of the sizes)"
+  # The end-to-end benchmark doubles as a correctness gate: every operation
+  # of every workload is checked against the generator's oracle, and the
+  # exit code is non-zero when one fails. Timings of a smoke run mean
+  # nothing; BENCHMARK.json names the real command.
+  cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --smoke >/dev/null
+  echo "ok: mdvbench --smoke"
 
   # -------------------------------------------------------------------------
   step "bench harness smoke pass (MDV_BENCH_ITERS=1)"

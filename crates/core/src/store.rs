@@ -187,6 +187,45 @@ impl BaseStore {
         Ok(())
     }
 
+    /// Whether the base tables already hold exactly what
+    /// [`BaseStore::insert_resource`] would write for `res`: its registry
+    /// row and, as a multiset (row order is not semantic), its atoms.
+    pub fn holds_resource(db: &Database, res: &Resource, document_uri: &str) -> Result<bool> {
+        let key = vec![Value::from(res.uri().as_str())];
+        let registry = db.table(T_RESOURCES)?;
+        let Some(&rid) = registry.index(IDX_RES_URI)?.probe(&key).first() else {
+            return Ok(false);
+        };
+        let row = registry.get(rid)?;
+        if row[1].as_str() != Some(res.class()) || row[2].as_str() != Some(document_uri) {
+            return Ok(false);
+        }
+        let statements = db.table(T_STATEMENTS)?;
+        let rids = statements.index(IDX_STMT_URI)?.probe(&key);
+        if rids.len() != res.properties().len() + 1 {
+            return Ok(false);
+        }
+        let mut stored = Vec::with_capacity(rids.len());
+        for rid in rids {
+            let row = statements.get(rid)?;
+            stored.push((row[1].as_str(), row[2].as_str(), row[3].as_str()));
+        }
+        let atoms = Atom::from_resource(res);
+        let mut fresh: Vec<_> = atoms
+            .iter()
+            .map(|a| {
+                (
+                    Some(a.class.as_str()),
+                    Some(a.property.as_str()),
+                    Some(a.value.as_str()),
+                )
+            })
+            .collect();
+        stored.sort_unstable();
+        fresh.sort_unstable();
+        Ok(stored == fresh)
+    }
+
     /// Removes a resource's atoms and registry row; a no-op when absent.
     pub fn remove_resource<S: StorageEngine>(db: &mut S, uri: &str) -> Result<()> {
         let key = vec![Value::from(uri)];
@@ -463,6 +502,33 @@ mod tests {
         let mut of_class = BaseStore::resources_of_class(&db, "CycleProvider").unwrap();
         of_class.sort();
         assert_eq!(of_class, vec!["doc.rdf#host".to_owned()]);
+    }
+
+    #[test]
+    fn holds_resource_compares_registry_row_and_atom_multiset() {
+        let db = db_with_sample();
+        let stored = sample_resource();
+        assert!(BaseStore::holds_resource(&db, &stored, "doc.rdf").unwrap());
+        assert!(!BaseStore::holds_resource(&db, &stored, "other.rdf").unwrap());
+        let reordered = Resource::new(UriRef::new("doc.rdf", "host"), "CycleProvider")
+            .with("serverPort", Term::literal("5874"))
+            .with(
+                "serverInformation",
+                Term::resource(UriRef::new("doc.rdf", "info")),
+            )
+            .with("serverHost", Term::literal("pirates.uni-passau.de"));
+        assert!(BaseStore::holds_resource(&db, &reordered, "doc.rdf").unwrap());
+        let changed = reordered.clone().with("serverPort", Term::literal("5874"));
+        assert!(
+            !BaseStore::holds_resource(&db, &changed, "doc.rdf").unwrap(),
+            "a repeated value is a different multiset"
+        );
+        let other_class = Resource::new(UriRef::new("doc.rdf", "info"), "CycleProvider")
+            .with("memory", Term::literal("92"))
+            .with("cpu", Term::literal("600"));
+        assert!(!BaseStore::holds_resource(&db, &other_class, "doc.rdf").unwrap());
+        let absent = Resource::new(UriRef::new("doc.rdf", "nope"), "CycleProvider");
+        assert!(!BaseStore::holds_resource(&db, &absent, "doc.rdf").unwrap());
     }
 
     #[test]

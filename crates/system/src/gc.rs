@@ -62,15 +62,22 @@ impl RefTracker {
         }
     }
 
-    /// Removes all match anchors of one rule (unsubscribe). Returns the
-    /// affected URIs.
-    pub fn remove_rule(&mut self, rule: u64) -> Vec<String> {
-        let affected: Vec<String> = self
+    /// URIs currently anchored by a match of `rule`, sorted.
+    pub fn matched_by(&self, rule: u64) -> Vec<String> {
+        let mut uris: Vec<String> = self
             .matches
             .iter()
             .filter(|(_, rules)| rules.contains(&rule))
             .map(|(uri, _)| uri.clone())
             .collect();
+        uris.sort_unstable();
+        uris
+    }
+
+    /// Removes all match anchors of one rule (unsubscribe). Returns the
+    /// affected URIs, sorted.
+    pub fn remove_rule(&mut self, rule: u64) -> Vec<String> {
+        let affected = self.matched_by(rule);
         for uri in &affected {
             self.remove_match(uri, rule);
         }
@@ -163,8 +170,8 @@ mod tests {
         t.add_match("a", 1);
         t.add_match("b", 1);
         t.add_match("b", 2);
-        let mut affected = t.remove_rule(1);
-        affected.sort();
+        assert_eq!(t.matched_by(1), vec!["a".to_owned(), "b".to_owned()]);
+        let affected = t.remove_rule(1);
         assert_eq!(affected, vec!["a".to_owned(), "b".to_owned()]);
         assert!(!t.is_anchored("a"));
         assert!(t.is_anchored("b"));

@@ -6,7 +6,7 @@
 //! metadata that is never forwarded to the backbone, and answers queries
 //! from local clients against the cache only.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use mdv_filter::{query_eval, store::create_base_tables, BaseStore};
 use mdv_rdf::{parse_document, write_document, Document, RdfSchema, RefKind, Resource};
@@ -650,9 +650,9 @@ impl<S: StorageEngine> Lmr<S> {
             )));
         }
         self.with_group(|this| {
-            this.tracker.remove_rule(rule);
+            let unmatched = this.tracker.remove_rule(rule);
             this.mirror_rule_delete(rule)?;
-            this.collect_garbage()?;
+            this.collect_from(unmatched)?;
             this.sub_retry.remove(&rule);
             this.dead_rules.insert(rule);
             net.send(
@@ -687,7 +687,9 @@ impl<S: StorageEngine> Lmr<S> {
         }
         self.with_group(|this| {
             for res in doc.resources() {
-                this.upsert_resource(res)?;
+                // nothing to collect: the URIs are new (checked above), so
+                // no edge is dropped, and local marks anchor them
+                this.upsert_resource(res, &mut Vec::new())?;
                 this.tracker.mark_local(res.uri().as_str());
             }
             if this.mirror {
@@ -1106,101 +1108,125 @@ impl<S: StorageEngine> Lmr<S> {
     fn apply_snapshot(&mut self, msg: PublishMsg) -> Result<()> {
         let rule = msg.lmr_rule;
         let listed: HashSet<&str> = msg.matched.iter().map(|r| r.uri().as_str()).collect();
-        let stale: Vec<String> = self
-            .cached_uris()
-            .into_iter()
-            .filter(|u| {
-                self.tracker.matching_rules(u).contains(&rule) && !listed.contains(u.as_str())
-            })
-            .collect();
-        for uri in stale {
-            self.tracker.remove_match(&uri, rule);
-            self.mirror_match_remove(&uri, rule)?;
+        let mut stale = self.tracker.matched_by(rule);
+        stale.retain(|u| !listed.contains(u.as_str()));
+        for uri in &stale {
+            self.tracker.remove_match(uri, rule);
+            self.mirror_match_remove(uri, rule)?;
         }
-        self.apply_publish(msg)
+        self.apply_publish(msg)?;
+        // after the apply: a stale match the snapshot still ships as a
+        // companion is anchored again by then
+        self.collect_from(stale)?;
+        Ok(())
     }
 
     /// Applies a publication: inserts matched resources and their closure
     /// companions, replaces updated ones, removes match anchors, and runs
-    /// the garbage collector.
+    /// the garbage collector over the URIs whose anchoring this touched.
     fn apply_publish(&mut self, msg: PublishMsg) -> Result<()> {
+        let mut candidates = Vec::new();
         for res in &msg.matched {
-            self.upsert_resource(res)?;
+            self.upsert_resource(res, &mut candidates)?;
             self.tracker.add_match(res.uri().as_str(), msg.lmr_rule);
             self.mirror_match_add(res.uri().as_str(), msg.lmr_rule)?;
         }
-        for res in &msg.companions {
-            self.upsert_resource(res)?;
+        for res in msg.companions.iter().chain(&msg.updated) {
+            self.upsert_resource(res, &mut candidates)?;
         }
-        for res in &msg.updated {
-            self.upsert_resource(res)?;
+        for uri in msg.removed {
+            self.tracker.remove_match(&uri, msg.lmr_rule);
+            self.mirror_match_remove(&uri, msg.lmr_rule)?;
+            candidates.push(uri);
         }
-        for uri in &msg.removed {
-            self.tracker.remove_match(uri, msg.lmr_rule);
-            self.mirror_match_remove(uri, msg.lmr_rule)?;
-        }
-        self.collect_garbage()?;
+        self.collect_from(candidates)?;
         Ok(())
     }
 
     /// Inserts or replaces a resource in the cache, maintaining the strong
-    /// reference counts of its targets.
-    fn upsert_resource(&mut self, res: &Resource) -> Result<()> {
+    /// reference counts of its targets. Pushes onto `candidates` every URI
+    /// whose anchoring this may have left at zero: the resource itself (it
+    /// may arrive with no anchor) and the targets of the edges a replaced
+    /// copy held.
+    fn upsert_resource(&mut self, res: &Resource, candidates: &mut Vec<String>) -> Result<()> {
         let uri = res.uri().as_str();
+        let doc_uri = res.uri().document_uri();
+        candidates.push(uri.to_owned());
+        // One document operation ships the same resource once per matched
+        // rule. Strong counts are a function of the stored rows, so equal
+        // rows need neither the rewrite (and its WAL ops) nor the tracker.
+        if BaseStore::holds_resource(self.cache.database(), res, doc_uri)? {
+            return Ok(());
+        }
         if self.is_cached(uri) {
-            self.drop_edges(uri)?;
+            candidates.extend(self.drop_edges(uri)?);
             BaseStore::remove_resource(&mut self.cache, uri)?;
         }
-        BaseStore::insert_resource(&mut self.cache, res, res.uri().document_uri())?;
-        for (prop, target) in res.references() {
+        BaseStore::insert_resource(&mut self.cache, res, doc_uri)?;
+        // counted by stored value, like `drop_edges` and `rebuild_tracker`
+        // read it back — not by term kind, which depends on whether the
+        // target existed at the MDP when this copy was built
+        for (prop, term) in res.properties() {
             if self.schema.ref_kind(res.class(), prop) == Some(RefKind::Strong) {
-                self.tracker.add_edge(target.as_str());
+                self.tracker.add_edge(term.lexical());
             }
         }
         Ok(())
     }
 
-    /// Removes the strong-reference counts contributed by a cached resource.
-    fn drop_edges(&mut self, uri: &str) -> Result<()> {
+    /// Removes the strong-reference counts contributed by a cached resource
+    /// and returns their targets.
+    fn drop_edges(&mut self, uri: &str) -> Result<Vec<String>> {
         let Some(class) = BaseStore::resource_class(self.cache.database(), uri)? else {
-            return Ok(());
+            return Ok(Vec::new());
         };
+        let mut targets = Vec::new();
         for (prop, value) in BaseStore::statements_of(self.cache.database(), uri)? {
             if self.schema.ref_kind(&class, &prop) == Some(RefKind::Strong) {
                 self.tracker.remove_edge(&value);
+                targets.push(value);
             }
         }
-        Ok(())
+        Ok(targets)
     }
 
-    /// The reference-counting garbage collector (paper §2.4): removes cached
-    /// resources that match no rule, are not strongly referenced, and are
-    /// not local — cascading, since removing a resource drops its outgoing
-    /// references.
+    /// The reference-counting garbage collector (paper §2.4) as a full
+    /// sweep: every cached URI is a candidate. Handlers keep the cache
+    /// collected on their own (DESIGN.md §7.4),
+    /// so on a live node this evicts nothing; it is the maintenance entry
+    /// point and the oracle the incremental seeding is tested against.
     pub fn collect_garbage(&mut self) -> Result<usize> {
         // Its own commit group, so a GC wave invoked outside a node
         // operation (e.g. by a maintenance sweep) is still one atomic,
         // WAL-logged batch of deletions on a durable backend.
         self.with_group(|this| {
-            let mut collected = 0;
-            loop {
-                let garbage: Vec<String> = this
-                    .cached_uris()
-                    .into_iter()
-                    .filter(|u| !this.tracker.is_anchored(u))
-                    .collect();
-                if garbage.is_empty() {
-                    return Ok(collected);
-                }
-                for uri in garbage {
-                    this.drop_edges(&uri)?;
-                    BaseStore::remove_resource(&mut this.cache, &uri)?;
-                    this.tracker.forget(&uri);
-                    this.mirror_match_forget(&uri)?;
-                    collected += 1;
-                }
-            }
+            let all = this.cached_uris();
+            this.collect_from(all)
         })
+    }
+
+    /// The collector proper: evicts every candidate that is cached but
+    /// matches no rule, is not strongly referenced, and is not local —
+    /// cascading, since evicting a resource drops its outgoing references
+    /// and makes their targets candidates. Returns how many it evicted.
+    ///
+    /// A URI can only lose its last anchor by losing a match or an incoming
+    /// edge, so a caller that passes every URI it did that to (plus every
+    /// URI it inserted) leaves the cache exactly as a full sweep would.
+    fn collect_from(&mut self, candidates: Vec<String>) -> Result<usize> {
+        let mut worklist = VecDeque::from(candidates);
+        let mut collected = 0;
+        while let Some(uri) = worklist.pop_front() {
+            if self.tracker.is_anchored(&uri) || !self.is_cached(&uri) {
+                continue;
+            }
+            worklist.extend(self.drop_edges(&uri)?);
+            BaseStore::remove_resource(&mut self.cache, &uri)?;
+            self.tracker.forget(&uri);
+            self.mirror_match_forget(&uri)?;
+            collected += 1;
+        }
+        Ok(collected)
     }
 
     /// Test/diagnostic access to the tracker.
@@ -1365,6 +1391,31 @@ mod tests {
         };
         l.apply_publish(msg).unwrap();
         assert!(!l.is_cached("s.rdf#i"));
+    }
+
+    #[test]
+    fn unchanged_copy_is_not_rewritten_and_keeps_its_edges() {
+        let mut l = lmr();
+        let (host, info) = provider(1, "a.org", 92);
+        // the MDP built this copy before doc1.rdf#info existed there, so
+        // the strong reference arrives as a literal (`BaseStore::resource`)
+        let early = Resource::new(host.uri().clone(), "CycleProvider")
+            .with("serverHost", Term::literal("a.org"))
+            .with("serverInformation", Term::literal("doc1.rdf#info"));
+        l.apply_publish(publish(0, vec![early], vec![])).unwrap();
+        assert_eq!(l.tracker().strong_count("doc1.rdf#info"), 1);
+        let row_of = |l: &Lmr| {
+            let table = l.cache.table("Resources").unwrap();
+            table.iter().map(|(rid, _)| rid).collect::<Vec<_>>()
+        };
+        let rows = row_of(&l);
+
+        // a second rule ships the same rows, now with the companion
+        l.apply_publish(publish(1, vec![host], vec![info])).unwrap();
+        assert_eq!(row_of(&l)[0], rows[0], "host row kept, not reinserted");
+        assert_eq!(l.tracker().strong_count("doc1.rdf#info"), 1);
+        assert!(l.is_cached("doc1.rdf#info"), "anchored by the kept copy");
+        assert_eq!(l.collect_garbage().unwrap(), 0);
     }
 
     #[test]

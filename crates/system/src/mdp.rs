@@ -43,6 +43,56 @@ struct Outgoing {
     backoff_ms: u64,
 }
 
+/// What building the publications of one document operation has looked up
+/// in the engine so far. A document that fires many rules ships the same
+/// resources and the same companions once per rule; the base data does not
+/// change between the publications of one call, so each URI is resolved and
+/// each distinct seed list closed over once, and the messages take clones.
+#[derive(Default)]
+pub(crate) struct PublishMemo {
+    resources: HashMap<String, Resource>,
+    /// Shipped URIs (added, then updated) → their companions.
+    companions: HashMap<Vec<String>, Vec<Resource>>,
+}
+
+impl PublishMemo {
+    fn resolve<S: StorageEngine + Send + Sync>(
+        &mut self,
+        engine: &ShardedFilterEngine<S>,
+        uri: &str,
+    ) -> Result<Resource> {
+        if let Some(res) = self.resources.get(uri) {
+            return Ok(res.clone());
+        }
+        let res = engine
+            .resource(uri)?
+            .ok_or_else(|| Error::Topology(format!("published resource '{uri}' vanished")))?;
+        self.resources.insert(uri.to_owned(), res.clone());
+        Ok(res)
+    }
+
+    /// The strong closure of everything shipped, minus the shipped
+    /// resources themselves.
+    fn companions<S: StorageEngine + Send + Sync>(
+        &mut self,
+        engine: &ShardedFilterEngine<S>,
+        shipped: Vec<String>,
+    ) -> Result<Vec<Resource>> {
+        if let Some(companions) = self.companions.get(&shipped) {
+            return Ok(companions.clone());
+        }
+        let shipped_set: HashSet<&String> = shipped.iter().collect();
+        let companions: Vec<Resource> = engine
+            .strong_closure(&shipped)?
+            .into_iter()
+            .filter(|u| !shipped_set.contains(u))
+            .map(|u| self.resolve(engine, &u))
+            .collect::<Result<_>>()?;
+        self.companions.insert(shipped, companions.clone());
+        Ok(companions)
+    }
+}
+
 /// Per-URI replication metadata: a monotone version plus a tombstone flag.
 /// Together with the content hash it forms the total order `(version,
 /// deleted, hash)` that makes replicated applies commute (DESIGN.md §7).
@@ -1303,7 +1353,13 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         // owner ships its own share)
                         let initial = self.primary_matches(initial);
                         if !initial.is_empty() {
-                            let msg = self.build_publish(lmr_rule, &initial, &[], &[])?;
+                            let msg = self.build_publish(
+                                &mut PublishMemo::default(),
+                                lmr_rule,
+                                &initial,
+                                &[],
+                                &[],
+                            )?;
                             self.send_publication(&env.from, msg, net)?;
                         }
                         Ok(())
@@ -1723,7 +1779,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             this.mirror_sub_insert(lmr, lmr_rule, rule_text)?;
             let initial = this.primary_matches(initial);
             if !initial.is_empty() {
-                let msg = this.build_publish(lmr_rule, &initial, &[], &[])?;
+                let msg =
+                    this.build_publish(&mut PublishMemo::default(), lmr_rule, &initial, &[], &[])?;
                 this.send_publication(lmr, msg, net)?;
             }
             Ok(())
@@ -1795,7 +1852,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 }
                 net.send(&self.name, lmr, ack(None))?;
                 let initial = self.primary_matches(initial);
-                let mut msg = self.build_publish(lmr_rule, &initial, &[], &[])?;
+                let mut msg =
+                    self.build_publish(&mut PublishMemo::default(), lmr_rule, &initial, &[], &[])?;
                 // sent even when empty: the subscriber drops stale anchors
                 // that the snapshot no longer lists
                 msg.snapshot = true;
@@ -1808,13 +1866,14 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// full resources and computing the strong-reference closure) and sends
     /// them to the subscribed LMRs.
     fn publish(&mut self, pubs: Vec<Publication>, net: &Network) -> Result<()> {
+        let mut memo = PublishMemo::default();
         for p in pubs {
             let Some((lmr, lmr_rule)) = self.subscribers.get(&p.subscription).cloned() else {
                 // subscription without a live subscriber (e.g. engine-level
                 // tests); nothing to ship
                 continue;
             };
-            let msg = self.build_publish(lmr_rule, &p.added, &p.updated, &p.removed)?;
+            let msg = self.build_publish(&mut memo, lmr_rule, &p.added, &p.updated, &p.removed)?;
             if !msg.is_empty() {
                 self.send_publication(&lmr, msg, net)?;
             }
@@ -1908,37 +1967,19 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     }
 
     pub(crate) fn build_publish(
-        &mut self,
+        &self,
+        memo: &mut PublishMemo,
         lmr_rule: u64,
         added: &[String],
         updated: &[String],
         removed: &[String],
     ) -> Result<PublishMsg> {
-        let resolve = |engine: &ShardedFilterEngine<S>, uri: &String| -> Result<Resource> {
-            engine
-                .resource(uri)?
-                .ok_or_else(|| Error::Topology(format!("published resource '{uri}' vanished")))
+        let mut resolve_all = |uris: &[String]| -> Result<Vec<Resource>> {
+            uris.iter().map(|u| memo.resolve(&self.engine, u)).collect()
         };
-        let matched: Vec<Resource> = added
-            .iter()
-            .map(|u| resolve(&self.engine, u))
-            .collect::<Result<_>>()?;
-        let updated_res: Vec<Resource> = updated
-            .iter()
-            .map(|u| resolve(&self.engine, u))
-            .collect::<Result<_>>()?;
-        // companions: the strong closure of everything shipped, minus the
-        // shipped resources themselves
-        let mut seeds: Vec<String> = added.to_vec();
-        seeds.extend(updated.iter().cloned());
-        let shipped: BTreeSet<&String> = added.iter().chain(updated.iter()).collect();
-        let companions: Vec<Resource> = self
-            .engine
-            .strong_closure(&seeds)?
-            .into_iter()
-            .filter(|u| !shipped.contains(u))
-            .map(|u| resolve(&self.engine, &u))
-            .collect::<Result<_>>()?;
+        let matched = resolve_all(added)?;
+        let updated_res = resolve_all(updated)?;
+        let companions = memo.companions(&self.engine, [added, updated].concat())?;
         Ok(PublishMsg {
             // assigned on send by `send_publication`
             seq: 0,
@@ -2020,6 +2061,55 @@ mod tests {
         let log = net.log();
         let publish = log.iter().find(|r| r.kind == "publish").unwrap();
         assert_eq!(publish.to, "lmr1");
+    }
+
+    #[test]
+    fn one_document_operation_resolves_each_resource_once() {
+        let net = Network::new(NetConfig::default());
+        let rx = net.register("lmr1").unwrap();
+        let mut mdp = Mdp::new("mdp1", schema());
+        let rules = 5;
+        for rule in 0..rules {
+            let mut env = subscribe_env(&format!(
+                "search CycleProvider c register c where c.serverInformation.memory > {}",
+                60 + rule
+            ));
+            if let Message::Subscribe { lmr_rule, .. } = &mut env.message {
+                *lmr_rule = rule;
+            }
+            mdp.handle(env, &net).unwrap();
+        }
+        // every rule matches the document: one publication per rule
+        mdp.register_document(&doc(1, "a.org", 128), &net, false)
+            .unwrap();
+        let shipped: Vec<PublishMsg> = rx
+            .try_iter()
+            .filter_map(|env| match env.message {
+                Message::Publish(msg) => Some(msg),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(shipped.len(), rules as usize);
+
+        // what went out is what building each publication on its own gives
+        let host = ["doc1.rdf#host".to_owned()];
+        let mut memo = PublishMemo::default();
+        for (seq, msg) in shipped.iter().enumerate() {
+            let rule = seq as u64;
+            let mut alone = mdp
+                .build_publish(&mut PublishMemo::default(), rule, &host, &[], &[])
+                .unwrap();
+            alone.seq = rule;
+            assert_eq!(*msg, alone);
+            assert_eq!(msg.companions.len(), 1, "the strong-reference companion");
+            let mut shared = mdp.build_publish(&mut memo, rule, &host, &[], &[]).unwrap();
+            shared.seq = rule;
+            assert_eq!(*msg, shared);
+        }
+        // ... and the shared memo went to the engine once per resource and
+        // once for the closure, not once per rule
+        assert_eq!(memo.resources.len(), 2);
+        assert_eq!(memo.companions.len(), 1);
     }
 
     #[test]

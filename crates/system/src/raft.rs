@@ -26,7 +26,7 @@ use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
 use mdv_runtime::rng::Prng;
 
 use crate::error::{Error, Result};
-use crate::mdp::{fnv1a64, Mdp};
+use crate::mdp::{fnv1a64, Mdp, PublishMemo};
 use crate::message::{escape, unescape, Message};
 use crate::mirror::{self, i, s};
 use crate::transport::Network;
@@ -1169,11 +1169,20 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                                 },
                             )?;
                         }
-                        if !initial.is_empty() {
-                            let msg = self.build_publish(*lmr_rule, &initial, &[], &[])?;
-                            self.raft_emit(lmr, msg, is_leader, net)?;
+                        if initial.is_empty() {
+                            Ok(())
+                        } else if is_leader {
+                            let msg = self.build_publish(
+                                &mut PublishMemo::default(),
+                                *lmr_rule,
+                                &initial,
+                                &[],
+                                &[],
+                            )?;
+                            self.send_publication(lmr, msg, net)
+                        } else {
+                            self.raft_number(lmr)
                         }
-                        Ok(())
                     }
                     // a rejected rule changes no state on any voter; the
                     // leader carries the error back
@@ -1255,11 +1264,20 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                                 },
                             )?;
                         }
-                        let mut msg = self.build_publish(*lmr_rule, &initial, &[], &[])?;
                         // the reconciling snapshot ships (and numbers) even
                         // when empty, exactly like the LWW failover path
+                        if !is_leader {
+                            return self.raft_number(lmr);
+                        }
+                        let mut msg = self.build_publish(
+                            &mut PublishMemo::default(),
+                            *lmr_rule,
+                            &initial,
+                            &[],
+                            &[],
+                        )?;
                         msg.snapshot = true;
-                        self.raft_emit_always(lmr, msg, is_leader, net)
+                        self.send_publication(lmr, msg, net)
                     }
                 }
             }
@@ -1296,47 +1314,39 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         }
     }
 
-    /// Converts filter publications into publish messages; the leader
-    /// ships them, every other voter just advances the counters.
+    /// Converts filter publications into publish messages and ships them
+    /// (leader); every other voter just numbers, without building them,
+    /// exactly the publications the leader ships: the non-empty ones.
     fn raft_publish(
         &mut self,
         pubs: Vec<mdv_filter::Publication>,
         is_leader: bool,
         net: &Network,
     ) -> Result<()> {
+        let mut memo = PublishMemo::default();
         for p in pubs {
             let Some((lmr, lmr_rule)) = self.subscribers.get(&p.subscription).cloned() else {
                 continue;
             };
-            let msg = self.build_publish(lmr_rule, &p.added, &p.updated, &p.removed)?;
+            if !is_leader {
+                // companions come from `added`/`updated`, so the message
+                // the leader builds is empty iff all three lists are
+                if !(p.added.is_empty() && p.updated.is_empty() && p.removed.is_empty()) {
+                    self.raft_number(&lmr)?;
+                }
+                continue;
+            }
+            let msg = self.build_publish(&mut memo, lmr_rule, &p.added, &p.updated, &p.removed)?;
             if !msg.is_empty() {
-                self.raft_emit(&lmr, msg, is_leader, net)?;
+                self.send_publication(&lmr, msg, net)?;
             }
         }
         Ok(())
     }
 
-    fn raft_emit(
-        &mut self,
-        lmr: &str,
-        msg: crate::message::PublishMsg,
-        is_leader: bool,
-        net: &Network,
-    ) -> Result<()> {
-        self.raft_emit_always(lmr, msg, is_leader, net)
-    }
-
-    /// Ships (leader) or silently numbers (follower) one publication.
-    fn raft_emit_always(
-        &mut self,
-        lmr: &str,
-        msg: crate::message::PublishMsg,
-        is_leader: bool,
-        net: &Network,
-    ) -> Result<()> {
-        if is_leader {
-            return self.send_publication(lmr, msg, net);
-        }
+    /// A follower's share of a publication: it takes the next sequence
+    /// number of the LMR's stream, so numbering survives leader changes.
+    fn raft_number(&mut self, lmr: &str) -> Result<()> {
         let seq = self.next_pub_seq.entry(lmr.to_owned()).or_insert(0);
         *seq += 1;
         let next = *seq;

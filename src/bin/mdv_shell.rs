@@ -360,7 +360,12 @@ mod tests {
     }
 
     fn with_schema_file(f: impl FnOnce(&str)) {
-        let dir = std::env::temp_dir().join(format!("mdv-shell-test-{}", std::process::id()));
+        // tests run on parallel threads of one process: a directory per call,
+        // or one test's cleanup removes the schema another is about to read
+        static CALL: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("mdv-shell-test-{}-{call}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("schema.mdv");
         std::fs::write(
