@@ -131,6 +131,17 @@ while read -r name; do
   fi
 done < <(grep -oE 'BENCH_[a-z_]+\.json' EXPERIMENTS.md | sort -u)
 echo "ok: BENCH_*.json files and EXPERIMENTS.md agree ($BENCH_COUNT files)"
+# Removed mechanisms stay removed from the docs: the filter-shard tier and
+# the matching knobs (PR 18) may be named only where their removal is
+# recorded — DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling'
+if grep -nE "$REMOVED" README.md \
+    || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
+    || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
+  echo "ERROR: the docs name a removed mechanism outside its tombstone (see above)." >&2
+  exit 1
+fi
+echo "ok: no removed mechanism named outside DESIGN.md §8 / EXPERIMENTS.md \"Removed studies\""
 
 # ---------------------------------------------------------------------------
 step "cargo fmt --check"
@@ -242,24 +253,12 @@ MDV_PROP_SEED=20020226 MDV_PROP_CASES=50 \
 echo "ok: parallel_determinism @ MDV_PROP_SEED=20020226"
 
 # ---------------------------------------------------------------------------
-step "sharded-filter determinism: publications invariant across shard counts"
-# The sharded filter (DESIGN.md §8) must emit byte-identical publications
-# and canonical traces for every shard count 1/2/4/8 × thread count, with
-# the shards=1 wrapper verbatim-identical to the bare engine. Every seeded
-# scenario above relies on this invariance, so it gets the full seed matrix.
-for seed in "${CI_SEEDS[@]}"; do
-  MDV_PROP_SEED="$seed" MDV_PROP_CASES=25 \
-    cargo test -q --offline -p mdv-filter --test shard_determinism >/dev/null
-  echo "ok: shard_determinism @ MDV_PROP_SEED=$seed"
-done
-
-# ---------------------------------------------------------------------------
-step "matching-equivalence replay: index/subsumption routes vs scan across fixed seeds"
-# Replays the matching-equivalence properties (all four
-# use_trigger_index × use_subsumption combinations emit byte-identical
-# publications and traces vs the table-scan reference, under covering
-# churn and composed with threads and the update/delete protocol;
-# DESIGN.md §10) under the pinned seed matrix.
+step "matching-equivalence replay: indexed trigger routes vs table scan across fixed seeds"
+# Replays the matching-equivalence property (the postings and
+# threshold-chain routes return exactly what the relational scan
+# `matching_triggers` returns, for every atom, under subscription churn
+# and the update/delete protocol; DESIGN.md §10) under the pinned seed
+# matrix.
 for seed in "${CI_SEEDS[@]}"; do
   MDV_PROP_SEED="$seed" MDV_PROP_CASES=25 \
     cargo test -q --offline -p mdv-filter --test matching_equivalence >/dev/null
@@ -370,37 +369,6 @@ if [[ "$QUICK" == "0" ]]; then
     backbone-consensus >/dev/null)
   rm -rf "$SMOKE_DIR"
   echo "ok: figures backbone-consensus"
-
-  # -------------------------------------------------------------------------
-  step "figures smoke pass: shard-scaling (quick mode, scratch CWD)"
-  # Exercises the sharded sweep path end to end, including its internal
-  # byte-identity gate against the shards=1 reference. Runs from a scratch
-  # CWD so the quick-mode run never clobbers the checked-in
-  # BENCH_shard_scaling.json (regenerate that with `figures shard-scaling
-  # --full`).
-  ROOT="$PWD"
-  SMOKE_DIR="$(mktemp -d)"
-  (cd "$SMOKE_DIR" && cargo run --offline --release \
-    --manifest-path "$ROOT/Cargo.toml" -p mdv-bench --bin figures -- \
-    shard-scaling >/dev/null)
-  rm -rf "$SMOKE_DIR"
-  echo "ok: figures shard-scaling"
-
-  # -------------------------------------------------------------------------
-  step "figures smoke pass: matching-scaling (quick mode, scratch CWD)"
-  # Exercises the trigger-matching ablation end to end, including its
-  # internal byte-identity gates (publications and Figure-9 traces of the
-  # index/subsumption routes vs the scan reference) and the frontier-shape
-  # asserts. Runs from a scratch CWD so the quick-mode run never clobbers
-  # the checked-in BENCH_matching_scaling.json (regenerate that with
-  # `figures matching-scaling --full`).
-  ROOT="$PWD"
-  SMOKE_DIR="$(mktemp -d)"
-  (cd "$SMOKE_DIR" && cargo run --offline --release \
-    --manifest-path "$ROOT/Cargo.toml" -p mdv-bench --bin figures -- \
-    matching-scaling >/dev/null)
-  rm -rf "$SMOKE_DIR"
-  echo "ok: figures matching-scaling"
 
   # -------------------------------------------------------------------------
   step "figures smoke pass: placement-scaling (quick mode, scratch CWD)"

@@ -9,7 +9,7 @@
 //!
 //! Subcommands: `fig11` `fig12` `fig13` `fig14` `fig15`
 //! `ablation-naive` `ablation-groups` `ablation-updates` `thread-scaling`
-//! `shard-scaling` `matching-scaling` `wal-overhead` `recovery-torture`
+//! `wal-overhead` `recovery-torture`
 //! `backbone-repair` `backbone-consensus` `placement-scaling` `all`.
 //! `--full` runs the paper-sized rule bases (up to 100,000 rules); the
 //! default sizes finish in a few minutes on a laptop. `--threads N` runs
@@ -20,13 +20,8 @@
 //! fsync on the measured path; single-threaded, smaller rule bases).
 //! `thread-scaling` sweeps N itself (1/2/4/8) on the Figure-12 PATH
 //! workload and writes machine-readable results to
-//! `BENCH_filter_scaling.json`; `shard-scaling` sweeps the filter shard
-//! count (1/2/4/8, DESIGN.md §8) on the same workload and writes
-//! `BENCH_shard_scaling.json`; `matching-scaling` compares scan,
-//! inverted-index, and index+subsumption trigger matching on the full-text
-//! `contains` workload at varying overlap ratios (DESIGN.md §10), asserts
-//! the three paths publish byte-identically, and writes
-//! `BENCH_matching_scaling.json`; `wal-overhead` compares the two backends on
+//! `BENCH_filter_scaling.json`, each record stamped with the machine's
+//! `available_parallelism`; `wal-overhead` compares the two backends on
 //! the Figure-11/12 workloads and writes `BENCH_wal_overhead.json`;
 //! `recovery-torture` drives the durable engine over a seeded
 //! fault-injecting VFS (DESIGN.md §12) at increasing disk-fault
@@ -177,8 +172,6 @@ fn main() {
         "ablation-groups" => run_ablation_groups(&config),
         "ablation-updates" => run_ablation_updates(&config),
         "thread-scaling" => run_thread_scaling(&config),
-        "shard-scaling" => run_shard_scaling(&config),
-        "matching-scaling" => run_matching_scaling(&config),
         "wal-overhead" => run_wal_overhead(&config),
         "recovery-torture" => run_recovery_torture(&config),
         "backbone-repair" => run_backbone_repair(&config),
@@ -194,8 +187,6 @@ fn main() {
             run_ablation_groups(&config);
             run_ablation_updates(&config);
             run_thread_scaling(&config);
-            run_shard_scaling(&config);
-            run_matching_scaling(&config);
             run_wal_overhead(&config);
             run_recovery_torture(&config);
             run_backbone_repair(&config);
@@ -206,8 +197,8 @@ fn main() {
             eprintln!("unknown command '{other}'");
             eprintln!(
                 "usage: figures [fig11|fig12|fig13|fig14|fig15|ablation-naive|\
-                 ablation-groups|ablation-updates|thread-scaling|shard-scaling|\
-                 matching-scaling|wal-overhead|recovery-torture|backbone-repair|\
+                 ablation-groups|ablation-updates|thread-scaling|wal-overhead|\
+                 recovery-torture|backbone-repair|\
                  backbone-consensus|placement-scaling|all] [--full] [--threads N] \
                  [--backend mem|durable]"
             );
@@ -405,7 +396,9 @@ fn run_ablation_updates(config: &Config) {
 /// Thread scaling: batch registration of the Figure-12 PATH workload on
 /// 1/2/4/8 pool workers. Publications are asserted byte-identical across
 /// thread counts before anything is timed; results go to stdout and, as
-/// testkit bench-runner JSON lines, to `BENCH_filter_scaling.json`.
+/// testkit bench-runner JSON lines stamped with the machine's
+/// `available_parallelism` (a speed-up means nothing without it), to
+/// `BENCH_filter_scaling.json`.
 fn run_thread_scaling(config: &Config) {
     use mdv_bench::build_engine;
     use mdv_workload::{benchmark_documents, BenchParams};
@@ -416,6 +409,7 @@ fn run_thread_scaling(config: &Config) {
         (&[1_000, 10_000], 100)
     };
     let thread_counts = [1usize, 2, 4, 8];
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     banner(
         "Thread scaling: PATH rules, parallel batch registration",
         "expected shape: total batch time falls with the worker count up to \
@@ -434,6 +428,7 @@ fn run_thread_scaling(config: &Config) {
     };
 
     let mut json_lines: Vec<String> = Vec::new();
+    println!("available_parallelism: {cpus}");
     println!("rule_count,batch,threads,median_ms,ms_per_doc,speedup_vs_1thread");
     for &rc in rule_counts {
         let base = build_engine(RuleType::Path, rc);
@@ -482,7 +477,9 @@ fn run_thread_scaling(config: &Config) {
                 stats.median_ns as f64 / 1e6 / batch as f64,
                 baseline_ns as f64 / stats.median_ns as f64
             );
-            json_lines.push(json_line(&group, &format!("threads_{threads}"), &stats));
+            let line = json_line(&group, &format!("threads_{threads}"), &stats);
+            let open = line.strip_suffix('}').expect("json_line closes its object");
+            json_lines.push(format!("{open},\"available_parallelism\":{cpus}}}"));
         }
     }
 
@@ -491,232 +488,6 @@ fn run_thread_scaling(config: &Config) {
         std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
     for line in &json_lines {
         writeln!(file, "{line}").expect("write scaling results");
-    }
-    println!("wrote {} results to {path}", json_lines.len());
-}
-
-/// Shard scaling: batch registration of the Figure-12 PATH workload with
-/// the filter partitioned across 1/2/4/8 shards (DESIGN.md §8), each shard
-/// running the read-heavy phases on its own scoped thread. Publications are
-/// asserted byte-identical against the shards=1 reference before anything
-/// is timed; results go to stdout and, as testkit bench-runner JSON lines,
-/// to `BENCH_shard_scaling.json`. `--threads` sets the *per-shard* pool
-/// width (default 1: shard parallelism only).
-fn run_shard_scaling(config: &Config) {
-    use mdv_bench::build_sharded_engine;
-    use mdv_workload::{benchmark_documents, BenchParams};
-
-    let (rule_counts, batch): (&[u64], u64) = if config.full {
-        (&[10_000, 100_000], 1000)
-    } else {
-        (&[1_000, 10_000], 100)
-    };
-    let shard_counts = [1usize, 2, 4, 8];
-    banner(
-        "Shard scaling: PATH rules, sharded batch registration",
-        "expected shape: total batch time falls with the shard count up to \
-         the machine's core count (flat on single-CPU hosts), publications \
-         identical at every point",
-    );
-    let opts = if std::env::var_os("MDV_BENCH_ITERS").is_some() {
-        BenchOptions::from_env()
-    } else {
-        BenchOptions {
-            warmup_iters: 1,
-            iters: if config.full { 3 } else { 5 },
-        }
-    };
-
-    let mut json_lines: Vec<String> = Vec::new();
-    println!("rule_count,batch,shards,median_ms,ms_per_doc,speedup_vs_1shard");
-    for &rc in rule_counts {
-        let params = BenchParams {
-            rule_count: rc,
-            comp_match_fraction: 0.1,
-        };
-        let docs = benchmark_documents(0..batch, &params);
-        let reference = {
-            let mut engine = build_sharded_engine(RuleType::Path, rc, 1, 1);
-            engine.register_batch(&docs).expect("reference registers")
-        };
-        let group = format!("shard_scaling_path_{rc}rules_batch{batch}");
-        let mut baseline_ns = 0u64;
-        for &shards in &shard_counts {
-            // the shard count is fixed at construction, so each point
-            // prepares its own rule base
-            let base = build_sharded_engine(RuleType::Path, rc, shards, config.threads);
-            {
-                let mut engine = base.clone();
-                let pubs = engine.register_batch(&docs).expect("scaling registers");
-                assert_eq!(
-                    pubs, reference,
-                    "publications diverged at shards={shards} (rules={rc})"
-                );
-            }
-            let stats = measure(
-                opts,
-                || base.clone(),
-                |mut engine| {
-                    engine.register_batch(&docs).expect("scaling registers");
-                },
-            );
-            if shards == 1 {
-                baseline_ns = stats.median_ns;
-            }
-            println!(
-                "{},{},{},{:.3},{:.5},{:.2}x",
-                rc,
-                batch,
-                shards,
-                stats.median_ns as f64 / 1e6,
-                stats.median_ns as f64 / 1e6 / batch as f64,
-                baseline_ns as f64 / stats.median_ns as f64
-            );
-            json_lines.push(json_line(&group, &format!("shards_{shards}"), &stats));
-        }
-    }
-
-    let path = "BENCH_shard_scaling.json";
-    let mut file =
-        std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-    for line in &json_lines {
-        writeln!(file, "{line}").expect("write shard-scaling results");
-    }
-    println!("wrote {} results to {path}", json_lines.len());
-}
-
-/// Matching scaling (DESIGN.md §10): batch registration of the full-text
-/// `contains` workload under the three trigger-matching strategies —
-/// per-partition scan, inverted token postings, and postings plus the
-/// subscription-subsumption frontier — across rule-base sizes and
-/// covering-overlap ratios. Publications *and* Figure-9 traces are
-/// asserted byte-identical against the scan reference before anything is
-/// timed (the same gate pattern as `shard-scaling`); results go to stdout
-/// and, as testkit bench-runner JSON lines, to
-/// `BENCH_matching_scaling.json`.
-fn run_matching_scaling(config: &Config) {
-    use mdv_bench::build_contains_engine;
-    use mdv_filter::FilterConfig;
-    use mdv_workload::{contains_documents, contains_families};
-
-    let (rule_counts, batch): (&[u64], u64) = if config.full {
-        (&[10_000, 100_000], 200)
-    } else {
-        (&[1_000, 5_000], 100)
-    };
-    let overlaps = [0.0f64, 0.5, 0.9];
-    let variants: &[(&str, bool, bool)] = &[
-        ("scan", false, false),
-        ("subsumption", false, true),
-        ("index", true, false),
-        ("index_subsumption", true, true),
-    ];
-    banner(
-        "Matching scaling: contains rules, scan vs inverted index vs subsumption",
-        "expected shape: scan cost grows linearly with the rule count while \
-         the index paths stay near-flat; subsumption shaves the cascade down \
-         to the covering frontier as overlap rises; publications identical \
-         at every point",
-    );
-    let opts = if std::env::var_os("MDV_BENCH_ITERS").is_some() {
-        BenchOptions::from_env()
-    } else {
-        BenchOptions {
-            warmup_iters: 1,
-            iters: if config.full { 3 } else { 5 },
-        }
-    };
-
-    let mut json_lines: Vec<String> = Vec::new();
-    println!(
-        "rule_count,overlap,frontier,variant,median_ms,ms_per_doc,trigger_evals,speedup_vs_scan"
-    );
-    for &rc in rule_counts {
-        for &overlap in &overlaps {
-            let families = contains_families(rc, overlap);
-            // the tail of the index range holds the refinement rules, so
-            // the batch exercises base-pattern and refinement matches alike
-            let docs = contains_documents((rc - batch)..rc, families);
-            let base = build_contains_engine(
-                rc,
-                overlap,
-                FilterConfig {
-                    use_trigger_index: false,
-                    use_subsumption: false,
-                    threads: config.threads,
-                    ..FilterConfig::default()
-                },
-            );
-            let (frontier, covered) = base
-                .trigger_index()
-                .contains_frontier("CycleProvider", "serverHost");
-            assert_eq!(frontier as u64, families, "frontier = covering families");
-            assert_eq!(covered as u64, rc - families, "refinements are covered");
-            let (ref_pubs, ref_run) = {
-                let mut engine = base.clone();
-                engine
-                    .register_batch_traced(&docs)
-                    .expect("reference registers")
-            };
-            let group = format!(
-                "matching_scaling_{rc}rules_ov{}_batch{batch}",
-                (overlap * 100.0) as u64
-            );
-            let mut baseline_ns = 0u64;
-            for &(name, index, subsumption) in variants {
-                // byte-identity gate: publications and the iteration trace
-                // must match the scan reference before timing
-                let evals = {
-                    let mut engine = base.clone();
-                    engine.set_matching(index, subsumption);
-                    let (pubs, run) = engine
-                        .register_batch_traced(&docs)
-                        .expect("variant registers");
-                    assert_eq!(
-                        pubs, ref_pubs,
-                        "publications diverged at {name} (rules={rc}, overlap={overlap})"
-                    );
-                    assert_eq!(
-                        run, ref_run,
-                        "trace diverged at {name} (rules={rc}, overlap={overlap})"
-                    );
-                    engine.stats().trigger_evals
-                };
-                let stats = measure(
-                    opts,
-                    || {
-                        let mut engine = base.clone();
-                        engine.set_matching(index, subsumption);
-                        engine
-                    },
-                    |mut engine| {
-                        engine.register_batch(&docs).expect("variant registers");
-                    },
-                );
-                if name == "scan" {
-                    baseline_ns = stats.median_ns;
-                }
-                println!(
-                    "{},{},{},{},{:.3},{:.5},{},{:.2}x",
-                    rc,
-                    overlap,
-                    frontier,
-                    name,
-                    stats.median_ns as f64 / 1e6,
-                    stats.median_ns as f64 / 1e6 / batch as f64,
-                    evals,
-                    baseline_ns as f64 / stats.median_ns as f64
-                );
-                json_lines.push(json_line(&group, name, &stats));
-            }
-        }
-    }
-
-    let path = "BENCH_matching_scaling.json";
-    let mut file =
-        std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-    for line in &json_lines {
-        writeln!(file, "{line}").expect("write matching-scaling results");
     }
     println!("wrote {} results to {path}", json_lines.len());
 }

@@ -20,7 +20,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use mdv_filter::{FilterConfig, FilterEngine, NaiveEngine, ShardedFilterEngine};
+use mdv_filter::{FilterConfig, FilterEngine, NaiveEngine};
 use mdv_relstore::{DurableEngine, StorageEngine};
 use mdv_workload::{benchmark_documents, benchmark_rules, benchmark_schema, BenchParams, RuleType};
 
@@ -62,21 +62,6 @@ pub fn build_engine_with_config(
         engine
             .register_subscription(&rule)
             .expect("benchmark rules are valid");
-    }
-    engine
-}
-
-/// Builds an engine loaded with the full-text `contains` workload
-/// ([`mdv_workload::contains_rules`]): `rule_count` rules split into
-/// covering families per the overlap ratio. Used by the matching-scaling
-/// study (DESIGN.md §10); callers flip the matching strategy afterwards
-/// via [`FilterEngine::set_matching`].
-pub fn build_contains_engine(rule_count: u64, overlap: f64, config: FilterConfig) -> FilterEngine {
-    let mut engine = FilterEngine::with_config(benchmark_schema(), config);
-    for rule in mdv_workload::contains_rules(rule_count, overlap) {
-        engine
-            .register_subscription(&rule)
-            .expect("contains rules are valid");
     }
     engine
 }
@@ -276,99 +261,6 @@ pub fn thread_scaling_point(
                     min_elapsed_ms,
                     threads,
                 ),
-            )
-        })
-        .collect()
-}
-
-/// Builds a sharded engine pre-loaded with `rule_count` rules of one type
-/// (DESIGN.md §8). The shard count is fixed at construction, so — unlike
-/// the thread-scaling study — every shard count needs its own prepared base.
-pub fn build_sharded_engine(
-    rule_type: RuleType,
-    rule_count: u64,
-    shards: usize,
-    threads: usize,
-) -> ShardedFilterEngine {
-    let mut engine = ShardedFilterEngine::with_config(
-        benchmark_schema(),
-        FilterConfig {
-            shards,
-            threads,
-            ..FilterConfig::default()
-        },
-    );
-    for rule in benchmark_rules(rule_type, rule_count) {
-        engine
-            .register_subscription(&rule)
-            .expect("benchmark rules are valid");
-    }
-    engine
-}
-
-/// One shard-scaling point: registers the same batch at every requested
-/// shard count on fresh clones of per-shard-count prepared engines,
-/// asserting byte-identical publications against the shards=1 reference
-/// (determinism is part of the measured contract, not just the tests).
-/// Returns one measurement per shard count, in `shard_counts` order.
-pub fn shard_scaling_point(
-    rule_type: RuleType,
-    rule_count: u64,
-    batch_size: u64,
-    shard_counts: &[usize],
-    threads: usize,
-    min_elapsed_ms: f64,
-) -> Vec<(usize, Measurement)> {
-    let params = BenchParams {
-        rule_count,
-        comp_match_fraction: 0.1,
-    };
-    let docs = benchmark_documents(0..batch_size, &params);
-    let reference = {
-        let mut engine = build_sharded_engine(rule_type, rule_count, 1, 1);
-        engine.register_batch(&docs).expect("reference registers")
-    };
-    shard_counts
-        .iter()
-        .map(|&shards| {
-            let base = build_sharded_engine(rule_type, rule_count, shards, threads);
-            // determinism gate first: this shard count must publish the
-            // same bytes before any of its timings count
-            {
-                let mut engine = base.clone();
-                let pubs = engine
-                    .register_batch(&docs)
-                    .expect("scaling batch registers");
-                assert_eq!(
-                    pubs, reference,
-                    "publications diverged at shards={shards} (rules={rule_count}, batch={batch_size})"
-                );
-            }
-            let mut total_ms = 0.0;
-            let mut reps = 0u32;
-            let mut matches = 0u64;
-            while reps == 0 || (total_ms < min_elapsed_ms && reps < 50) {
-                let mut engine = base.clone();
-                let start = Instant::now();
-                let pubs = engine
-                    .register_batch(&docs)
-                    .expect("scaling batch registers");
-                total_ms += start.elapsed().as_secs_f64() * 1e3;
-                matches = pubs.iter().map(|p| p.added.len() as u64).sum();
-                reps += 1;
-            }
-            let per_batch = total_ms / reps as f64;
-            (
-                shards,
-                Measurement {
-                    rule_type,
-                    rule_count,
-                    batch_size,
-                    fraction: 0.0,
-                    total_ms: per_batch,
-                    avg_ms_per_doc: per_batch / batch_size as f64,
-                    matches,
-                },
             )
         })
         .collect()
@@ -726,18 +618,6 @@ mod tests {
             vec![1, 2, 4]
         );
         // 1:1 matching holds at every thread count
-        assert!(rows.iter().all(|(_, m)| m.matches == 10));
-    }
-
-    #[test]
-    fn shard_scaling_point_is_deterministic_and_complete() {
-        let rows = shard_scaling_point(RuleType::Path, 50, 10, &[1, 2, 4], 2, 1.0);
-        assert_eq!(
-            rows.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![1, 2, 4]
-        );
-        // 1:1 matching holds at every shard count (the internal gate
-        // already asserted byte-identical publications)
         assert!(rows.iter().all(|(_, m)| m.matches == 10));
     }
 

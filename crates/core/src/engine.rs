@@ -38,27 +38,13 @@ pub struct FilterConfig {
     /// Worker threads for the read-only filter phases: document validation
     /// and atomization, trigger matching, counterpart probes, and join-rule
     /// candidate evaluation. `1` (the default) runs everything on the
-    /// calling thread — bit-for-bit the pre-parallel engine. Any value
-    /// yields byte-identical publications and stats; only wall-clock time
-    /// changes (DESIGN.md §5, "Parallel filter execution").
+    /// calling thread with the classic join loop, which measured 6–7 %
+    /// faster at batch size 1; any larger value runs the phased join body
+    /// on a pool, which measured 27 % faster at batch size 100 on one
+    /// thread already. Any value yields byte-identical publications and
+    /// stats; only wall-clock time changes (DESIGN.md §5, "Parallel filter
+    /// execution").
     pub threads: usize,
-    /// Independent filter shards inside one MDP (DESIGN.md §8). `1` (the
-    /// default) is today's exact monolithic engine; honored by
-    /// [`crate::ShardedFilterEngine`], ignored by a bare [`FilterEngine`].
-    /// Publications are byte-identical for every value.
-    pub shards: usize,
-    /// Consult the inverted token postings for `contains` trigger matching
-    /// (DESIGN.md §10) instead of scanning every rule of the
-    /// `(class, property)` partition. On (the default) or off, publications
-    /// and traces are byte-identical; only
-    /// [`FilterStats::trigger_evals`](crate::FilterStats) and wall-clock
-    /// time change.
-    pub use_trigger_index: bool,
-    /// Evaluate only the subscription-subsumption frontier for `contains`
-    /// and the ordered numeric operators (`<`, `<=`, `>`, `>=`), fanning
-    /// matches out to covered rules (DESIGN.md §10). Output is
-    /// byte-identical on (the default) or off.
-    pub use_subsumption: bool,
 }
 
 impl Default for FilterConfig {
@@ -66,9 +52,6 @@ impl Default for FilterConfig {
         FilterConfig {
             use_rule_groups: true,
             threads: 1,
-            shards: 1,
-            use_trigger_index: true,
-            use_subsumption: true,
         }
     }
 }
@@ -112,15 +95,14 @@ pub struct FilterEngine<S: StorageEngine = Database> {
     next_sub: u64,
     pub(crate) stats: FilterStats,
     config: FilterConfig,
-    /// Incremental matching index (inverted `contains` postings, cover
-    /// forest, ordered-op chains). Always maintained; consulted per the
-    /// `use_trigger_index` / `use_subsumption` config knobs.
+    /// Incremental matching index (inverted `contains` postings,
+    /// ordered-op threshold chains), maintained on subscribe/unsubscribe.
     triggers: TriggerIndex,
 }
 
 impl FilterEngine<Database> {
     /// Builds an engine on a fresh in-memory database with the default
-    /// [`FilterConfig`] (rule groups on, one thread, indexed matching).
+    /// [`FilterConfig`] (rule groups on, one thread).
     pub fn new(schema: RdfSchema) -> Self {
         Self::with_config(schema, FilterConfig::default())
     }
@@ -205,6 +187,15 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         &self.store
     }
 
+    /// The storage backend as a one-element iterator. Kept only because the
+    /// frozen `benchmark/src/run.rs` reads an MDP's WAL commit counts
+    /// through this name (an MDP used to own one store per filter shard);
+    /// the next `benchmark` PR switches it to [`FilterEngine::storage`] and
+    /// removes this.
+    pub fn shard_storages(&self) -> impl Iterator<Item = &S> {
+        std::iter::once(&self.store)
+    }
+
     /// Mutable access to the storage backend. The system tier uses this to
     /// keep its own durable tables (subscription/document mirrors) in the
     /// same WAL as the filter tables; callers must not touch the filter's
@@ -241,20 +232,9 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         self.config.threads = threads.max(1);
     }
 
-    /// Sets the trigger-matching strategy for subsequent filter runs
-    /// (DESIGN.md §10). Safe to flip at any time — the index structures
-    /// are maintained on every subscribe/unsubscribe regardless of the
-    /// knobs; the knobs only govern whether matching consults them.
-    /// Publications and traces are byte-identical for every combination;
-    /// the matching-scaling benchmark flips these to compare the paths.
-    pub fn set_matching(&mut self, use_trigger_index: bool, use_subsumption: bool) {
-        self.config.use_trigger_index = use_trigger_index;
-        self.config.use_subsumption = use_subsumption;
-    }
-
-    /// Read access to the trigger-matching index (postings, subsumption
-    /// frontier, threshold chains) — introspection for tests and the
-    /// matching-scaling study.
+    /// Read access to the trigger-matching index (postings, threshold
+    /// chains) — `tests/matching_equivalence.rs` compares it against
+    /// [`matching_triggers`].
     pub fn trigger_index(&self) -> &TriggerIndex {
         &self.triggers
     }
@@ -479,8 +459,7 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
     /// Publications come back sorted by subscription id with sorted,
     /// deduplicated URI lists — the canonical order every determinism
     /// property in this crate pins. The order is independent of
-    /// [`FilterConfig`]: threads, shards, and the matching knobs only
-    /// change wall-clock time.
+    /// [`FilterConfig`]: the thread count only changes wall-clock time.
     ///
     /// ```
     /// use mdv_filter::FilterEngine;
@@ -664,13 +643,12 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
     /// the matches plus the number of constant predicates evaluated.
     ///
     /// Per operator, the probe routes through the cheapest exact structure
-    /// the config allows (DESIGN.md §10): string equality always uses the
-    /// hash index on `(class, property, value)`; `contains` consults the
-    /// inverted token postings and/or the subsumption frontier; the ordered
-    /// numeric operators walk the sorted threshold chain; everything else
-    /// scans its `(class, property)` partition. All paths emit matches in
-    /// ascending rule-id order — the scan's order — so the choice is
-    /// invisible in publications and traces.
+    /// (DESIGN.md §10): string equality uses the hash index on
+    /// `(class, property, value)`; `contains` verifies the candidates of
+    /// the inverted token postings; the ordered numeric operators walk the
+    /// sorted threshold chain; everything else scans its
+    /// `(class, property)` partition. All routes emit matches in ascending
+    /// rule-id order, the order a scan of the partition would produce.
     fn match_triggers(&self, atoms: &[Atom]) -> Result<(Vec<(String, RuleId)>, u64)> {
         // probe only operator tables that currently hold rules
         let active_ops: Vec<TriggerOp> = TRIGGER_OPS
@@ -693,7 +671,6 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         // identical to the sequential result for any thread count. Eval
         // counts come back per atom and are summed in input order so the
         // stats are thread-deterministic too.
-        let cfg = self.config;
         let per_atom = self.par_map(atoms, |atom| -> Result<(Vec<(String, RuleId)>, u64)> {
             let mut out = Vec::new();
             let mut evals = 0u64;
@@ -705,21 +682,13 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
                 }
                 for op in &active_ops {
                     let (hits, n) = match *op {
-                        TriggerOp::Contains if cfg.use_trigger_index || cfg.use_subsumption => {
-                            self.triggers.match_contains(
-                                class,
-                                &atom.property,
-                                &atom.value,
-                                cfg.use_trigger_index,
-                                cfg.use_subsumption,
-                            )
-                        }
-                        TriggerOp::Lt | TriggerOp::Le | TriggerOp::Gt | TriggerOp::Ge
-                            if cfg.use_subsumption =>
-                        {
+                        TriggerOp::Contains => {
                             self.triggers
-                                .match_ordered(*op, class, &atom.property, &atom.value)
+                                .match_contains(class, &atom.property, &atom.value)
                         }
+                        TriggerOp::Lt | TriggerOp::Le | TriggerOp::Gt | TriggerOp::Ge => self
+                            .triggers
+                            .match_ordered(*op, class, &atom.property, &atom.value),
                         _ => matching_triggers(self.db(), *op, class, &atom.property, &atom.value)?,
                     };
                     evals += n;
@@ -782,12 +751,18 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
             }
         }
 
-        // With no pool configured, the classic single-pass loop wins: it
-        // probes lazily and keeps no lookup/probe side tables, which is
-        // measurably cheaper than the enumerate/probe/evaluate phases
-        // below run on one thread. The two bodies must stay
-        // result-identical — `tests/parallel_determinism.rs` diffs them
-        // (publications, traces, stats) over randomized workloads.
+        // Two bodies, because each wins on one batch size (mdvbench at
+        // 331d2bc, interleaved pairs, phased body forced on one thread):
+        // the classic loop is 6–7 % faster at batch size 1
+        // (`replicated-churn` 249 vs 234 ops/s, `placement-r2` 651 vs 604),
+        // the phased body 27 % faster at batch size 100 (`join-batch` 495
+        // vs 388). The fork on `threads > 1` stays until one body wins
+        // both. Where to look: the classic loop clones the shared
+        // counterpart list and its `(Side, String)` key on every lookup;
+        // the phased body clones `pred` / `other_class` per task. The two
+        // must stay result-identical — `tests/parallel_determinism.rs`
+        // diffs them (publications, traces, stats) over randomized
+        // workloads.
         let candidates = if self.config.threads > 1 {
             self.join_candidates_parallel(&delta, &groups)?
         } else {

@@ -66,16 +66,13 @@
 //!
 //! Batch filtering can run its read-only phases on a thread pool
 //! ([`FilterConfig::threads`]) with byte-identical publications at any
-//! thread count — see `DESIGN.md` §5, "Parallel filter execution". One
-//! MDP can further partition its rule base across independent filter
-//! shards ([`ShardedFilterEngine`], [`FilterConfig::shards`]) with
-//! byte-identical publications at any shard count — `DESIGN.md` §8.
-//! Trigger matching itself is index-accelerated: `contains` rules sit in
-//! an inverted token-postings index and a subscription-subsumption
-//! frontier ([`TriggerIndex`], [`FilterConfig::use_trigger_index`],
-//! [`FilterConfig::use_subsumption`]) with byte-identical output either
-//! way — `DESIGN.md` §10. `DESIGN.md` §4 holds the workspace-wide module
-//! map locating this crate's files.
+//! thread count — see `DESIGN.md` §5, "Parallel filter execution".
+//! Trigger matching is index-accelerated: `contains` rules sit in an
+//! inverted token-postings index and the ordered operators in sorted
+//! threshold chains ([`TriggerIndex`]), checked against the relational
+//! scan in [`rule_tables::matching_triggers`] — `DESIGN.md` §10.
+//! `DESIGN.md` §4 holds the workspace-wide module map locating this
+//! crate's files.
 
 pub mod atoms;
 pub mod decompose;
@@ -88,7 +85,6 @@ pub mod naive;
 pub mod query_eval;
 pub mod registry;
 pub mod rule_tables;
-pub mod sharded;
 pub mod sql_translate;
 pub mod store;
 pub mod trace;
@@ -105,7 +101,6 @@ pub use engine::{FilterConfig, FilterEngine};
 pub use error::{Error, Result};
 pub use naive::NaiveEngine;
 pub use registry::{Publication, Subscription, SubscriptionId};
-pub use sharded::ShardedFilterEngine;
 pub use store::{Atom, BaseStore};
 pub use trace::{FilterRun, FilterStats};
 pub use trigger_index::TriggerIndex;

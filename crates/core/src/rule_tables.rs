@@ -316,7 +316,9 @@ pub fn class_triggers(db: &Database, class: &str) -> Result<Vec<RuleId>> {
 /// plus the number of per-rule comparisons evaluated.
 /// EqStr probes `(class, property, value)` hash-exactly (zero comparisons);
 /// other operators probe `(class, property)` and evaluate the comparison
-/// per candidate rule — the scan baseline the trigger index replaces
+/// per candidate rule. The engine calls this for the equality and
+/// inequality operators; for `contains` and the ordered operators it asks
+/// the trigger index instead and this scan is the test oracle
 /// (DESIGN.md §10). Matches come back in rule-insertion order, which is
 /// ascending rule-id order because ids are assigned monotonically.
 pub fn matching_triggers(

@@ -55,11 +55,9 @@ pub struct FilterStats {
     /// Tuples produced by trigger matching (iteration 0).
     pub trigger_matches: u64,
     /// Constant predicates evaluated during trigger matching: partition-scan
-    /// rows, inverted-index candidate verifications, and subsumption
-    /// frontier/cascade steps (DESIGN.md §10). String-equality hash probes
-    /// and class-trigger probes count zero. Unlike the other counters this
-    /// one legitimately varies with the [`crate::FilterConfig`] matching
-    /// knobs — it is how the ablation benchmarks measure the work saved.
+    /// rows, inverted-index candidate verifications, and threshold-chain
+    /// steps (DESIGN.md §10). String-equality hash probes and class-trigger
+    /// probes count zero.
     pub trigger_evals: u64,
     /// Join-rule evaluations (member × delta resource).
     pub join_evaluations: u64,

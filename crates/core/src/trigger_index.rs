@@ -1,12 +1,11 @@
 //! Index structures that accelerate trigger matching (DESIGN.md §10).
 //!
-//! The scan baseline in [`crate::rule_tables::matching_triggers`] walks every
-//! rule registered for a `(class, property)` partition and evaluates its
-//! predicate against the document value — O(rules) per atom. At 100k+ rules
-//! this dominates the filter pass (ROADMAP item 4). This module keeps two
-//! additional structures, maintained incrementally on subscribe/unsubscribe
-//! and consulted instead of the scan when [`crate::FilterConfig`] enables
-//! them:
+//! [`crate::rule_tables::matching_triggers`] walks every rule registered
+//! for a `(class, property)` partition and evaluates its predicate against
+//! the document value — O(rules) per atom, which at 100k+ rules dominates
+//! the filter pass. This module keeps two structures, maintained
+//! incrementally on subscribe/unsubscribe, that the engine consults
+//! instead for the operators they cover:
 //!
 //! * **Inverted token postings for `contains`** ([`TriggerOp::Contains`]):
 //!   every pattern is anchored on its longest *interior* token (a maximal
@@ -17,21 +16,14 @@
 //!   tokens plus the (rare) patterns with no interior token. Candidates are
 //!   then verified with a real `contains` check, so the result is exact.
 //!
-//! * **A subsumption (covering) frontier**: pattern A *covers* pattern B
-//!   when B contains A as a substring — every value matching B also matches
-//!   A, so B never needs independent trigger evaluation while A is absent
-//!   from the value. Covered rules are kept in a single-parent forest;
-//!   matching evaluates only the frontier (roots) and cascades into children
-//!   of matching rules. Unsubscribing a coverer promotes its children to its
-//!   own parent (or to the frontier). The ordered numeric operators
-//!   (`<`, `<=`, `>`, `>=`) get the same treatment for free via a sorted
-//!   threshold chain: the frontier is the weakest threshold and matching
-//!   walks the chain only as far as the document value reaches.
+//! * **A sorted threshold chain per ordered numeric operator** (`<`, `<=`,
+//!   `>`, `>=`): the weakest threshold comes first and matching walks the
+//!   chain only as far as the document value reaches.
 //!
-//! Exactness and byte-identity with the scan path are pinned by
-//! `tests/matching_equivalence.rs`: all index paths emit candidates in
-//! ascending [`RuleId`] order, which equals the scan's emission order
-//! (row buckets preserve insertion order and rule ids grow monotonically).
+//! `tests/matching_equivalence.rs` pins both against `matching_triggers`
+//! — same rule ids in the same (ascending [`RuleId`]) order, which is the
+//! table's emission order because row buckets preserve insertion order and
+//! rule ids grow monotonically.
 //!
 //! # Example
 //!
@@ -47,17 +39,12 @@
 //! };
 //! idx.insert(RuleId(0), "CycleProvider", &pred(".uni-passau.de"));
 //! idx.insert(RuleId(1), "CycleProvider", &pred("host1.uni-passau.de"));
+//! idx.insert(RuleId(2), "CycleProvider", &pred(".tum.de"));
 //!
-//! // rule 1's pattern contains rule 0's → rule 0 covers rule 1, and the
-//! // frontier holds only rule 0.
-//! let (hits, _evals) = idx.match_contains(
-//!     "CycleProvider",
-//!     "serverHost",
-//!     "host1.uni-passau.de",
-//!     true,
-//!     true,
-//! );
+//! let (hits, evals) =
+//!     idx.match_contains("CycleProvider", "serverHost", "host1.uni-passau.de");
 //! assert_eq!(hits, vec![RuleId(0), RuleId(1)]);
+//! assert_eq!(evals, 2); // rule 2 is anchored on "tum" and never checked
 //! ```
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -115,23 +102,15 @@ fn sorted_remove<T: Ord>(v: &mut Vec<T>, x: &T) {
     }
 }
 
-/// Postings and cover forest for the `contains` rules of one
-/// `(class, property)` partition.
+/// Postings for the `contains` rules of one `(class, property)` partition.
 #[derive(Debug, Clone, Default)]
 struct ConPartition {
-    /// Every rule's pattern, keyed by id (iteration order = scan order).
+    /// Every rule's pattern, keyed by id.
     patterns: BTreeMap<RuleId, String>,
     /// Anchor token → rules anchored on it (sorted by id).
     postings: HashMap<String, Vec<RuleId>>,
     /// Rules whose pattern has no interior token; always candidates.
     unanchored: Vec<RuleId>,
-    /// Every maximal token of every pattern → rules containing it (sorted).
-    /// Used to find existing rules that a newly inserted rule covers.
-    pattern_tokens: HashMap<String, Vec<RuleId>>,
-    /// Covered rule → the rule that covers it (single parent).
-    parent: HashMap<RuleId, RuleId>,
-    /// Coverer → directly covered rules (sorted by id).
-    children: HashMap<RuleId, Vec<RuleId>>,
 }
 
 impl ConPartition {
@@ -148,45 +127,9 @@ impl ConPartition {
     }
 
     fn insert(&mut self, id: RuleId, pattern: &str) {
-        // Find the rule's coverer before self-insertion: every existing
-        // pattern that `pattern` contains is a coverer; parent = the
-        // longest (strongest) of them, ties towards the smallest id.
-        let parent = self
-            .candidates(pattern)
-            .into_iter()
-            .filter(|c| pattern.contains(self.patterns[c].as_str()))
-            .max_by_key(|c| (self.patterns[c].len(), std::cmp::Reverse(*c)));
-        if let Some(p) = parent {
-            self.parent.insert(id, p);
-            sorted_insert(self.children.entry(p).or_default(), id);
-        }
-        // Existing *roots* whose pattern contains `pattern` are now covered
-        // by the new rule. Any such pattern contains the new rule's anchor
-        // as a full token, so `pattern_tokens[anchor]` enumerates every
-        // candidate. (An unanchored new rule skips this — still exact,
-        // the frontier is merely a little wider than it could be.)
-        if let Some(anchor) = anchor_token(pattern) {
-            if let Some(cands) = self.pattern_tokens.get(anchor) {
-                for c in cands.clone() {
-                    // `c` may be the parent just chosen above when two
-                    // callers insert byte-identical patterns (the engine
-                    // dedups those away); skip it to keep the forest acyclic.
-                    if self.parent.get(&id) == Some(&c) {
-                        continue;
-                    }
-                    if !self.parent.contains_key(&c) && self.patterns[&c].contains(pattern) {
-                        self.parent.insert(c, id);
-                        sorted_insert(self.children.entry(id).or_default(), c);
-                    }
-                }
-            }
-        }
         match anchor_token(pattern) {
             Some(anchor) => sorted_insert(self.postings.entry(anchor.to_owned()).or_default(), id),
             None => sorted_insert(&mut self.unanchored, id),
-        }
-        for tok in full_tokens(pattern) {
-            sorted_insert(self.pattern_tokens.entry(tok.to_owned()).or_default(), id);
         }
         self.patterns.insert(id, pattern.to_owned());
     }
@@ -206,38 +149,10 @@ impl ConPartition {
             }
             None => sorted_remove(&mut self.unanchored, &id),
         }
-        for tok in full_tokens(&pattern) {
-            if let Some(list) = self.pattern_tokens.get_mut(tok) {
-                sorted_remove(list, &id);
-                if list.is_empty() {
-                    self.pattern_tokens.remove(tok);
-                }
-            }
-        }
-        // Promote covered children to the departing rule's own coverer, or
-        // to the frontier. Covering is transitive (substring-of-substring),
-        // so the promoted edges stay valid.
-        let grandparent = self.parent.remove(&id);
-        if let Some(p) = grandparent {
-            if let Some(siblings) = self.children.get_mut(&p) {
-                sorted_remove(siblings, &id);
-            }
-        }
-        for child in self.children.remove(&id).unwrap_or_default() {
-            match grandparent {
-                Some(p) => {
-                    self.parent.insert(child, p);
-                    sorted_insert(self.children.entry(p).or_default(), child);
-                }
-                None => {
-                    self.parent.remove(&child);
-                }
-            }
-        }
     }
 
-    /// Index-only matching: verify each candidate, no cover cascade.
-    fn match_plain(&self, value: &str) -> (Vec<RuleId>, u64) {
+    /// Verifies each candidate with a real containment check.
+    fn matches(&self, value: &str) -> (Vec<RuleId>, u64) {
         let cands = self.candidates(value);
         let evals = cands.len() as u64;
         let hits = cands
@@ -246,50 +161,12 @@ impl ConPartition {
             .collect();
         (hits, evals)
     }
-
-    /// Frontier matching: evaluate roots only, cascade into children of
-    /// matching rules. `use_postings` narrows the roots via the inverted
-    /// index; otherwise every root is evaluated.
-    fn match_frontier(&self, value: &str, use_postings: bool) -> (Vec<RuleId>, u64) {
-        let mut evals = 0u64;
-        let mut matched = BTreeSet::new();
-        let roots: Vec<RuleId> = if use_postings {
-            self.candidates(value)
-                .into_iter()
-                .filter(|c| !self.parent.contains_key(c))
-                .collect()
-        } else {
-            self.patterns
-                .keys()
-                .filter(|c| !self.parent.contains_key(c))
-                .copied()
-                .collect()
-        };
-        let mut stack = roots;
-        while let Some(c) = stack.pop() {
-            evals += 1;
-            if value.contains(self.patterns[&c].as_str()) {
-                matched.insert(c);
-                if let Some(kids) = self.children.get(&c) {
-                    stack.extend(kids.iter().copied());
-                }
-            }
-        }
-        (matched.into_iter().collect(), evals)
-    }
-
-    /// (frontier size, covered rule count) — introspection for tests/docs.
-    fn frontier_stats(&self) -> (usize, usize) {
-        let covered = self.parent.len();
-        (self.patterns.len() - covered, covered)
-    }
 }
 
 /// Sorted threshold chain for one ordered numeric operator of one
-/// `(class, property)` partition. The chain *is* the cover frontier for a
-/// totally ordered predicate: for `>` the weakest threshold covers all
-/// stronger ones, and matching walks the chain only while thresholds keep
-/// matching. Rules whose constant does not parse as a (non-NaN) number can
+/// `(class, property)` partition. The first threshold a value fails rules
+/// out every stronger one, so matching walks the chain from its weak end
+/// only while thresholds keep matching. Rules whose constant does not parse as a (non-NaN) number can
 /// never match (`TriggerOp::matches` is false on parse failure) and are
 /// left out of the chain entirely.
 #[derive(Debug, Clone, Default)]
@@ -355,12 +232,8 @@ fn parse_num(value: &str) -> Option<f64> {
     value.trim().parse::<f64>().ok().filter(|v| !v.is_nan())
 }
 
-/// Incremental trigger-matching index: inverted token postings + cover
-/// forest for `contains`, sorted threshold chains for the ordered numeric
-/// operators. Maintained unconditionally on subscribe/unsubscribe (the
-/// [`crate::FilterConfig`] knobs only govern whether matching *consults*
-/// it, so the knobs can flip safely at any time), and owned per shard by
-/// the sharded engine so the merge stays shard-invariant.
+/// Incremental trigger-matching index: inverted token postings for
+/// `contains`, sorted threshold chains for the ordered numeric operators.
 #[derive(Debug, Clone, Default)]
 pub struct TriggerIndex {
     con: HashMap<(String, String), ConPartition>,
@@ -418,31 +291,18 @@ impl TriggerIndex {
     }
 
     /// All `contains` rules of `(class, property)` matching `value`,
-    /// ascending by id, plus the number of containment checks performed.
-    /// `use_postings` narrows candidates via the inverted index;
-    /// `use_frontier` evaluates only the cover frontier and cascades.
-    /// Both paths produce exactly the scan result.
-    pub fn match_contains(
-        &self,
-        class: &str,
-        property: &str,
-        value: &str,
-        use_postings: bool,
-        use_frontier: bool,
-    ) -> (Vec<RuleId>, u64) {
-        let Some(part) = self.con.get(&(class.to_owned(), property.to_owned())) else {
-            return (Vec::new(), 0);
-        };
-        if use_frontier {
-            part.match_frontier(value, use_postings)
-        } else {
-            part.match_plain(value)
+    /// ascending by id, plus the number of containment checks performed
+    /// (one per postings candidate).
+    pub fn match_contains(&self, class: &str, property: &str, value: &str) -> (Vec<RuleId>, u64) {
+        match self.con.get(&(class.to_owned(), property.to_owned())) {
+            Some(part) => part.matches(value),
+            None => (Vec::new(), 0),
         }
     }
 
     /// All ordered-operator rules of `(class, property, op)` matching
     /// `value`, ascending by id, plus the number of thresholds visited.
-    /// A non-numeric document value matches nothing (as in the scan).
+    /// A non-numeric document value matches nothing.
     pub fn match_ordered(
         &self,
         op: TriggerOp,
@@ -460,15 +320,6 @@ impl TriggerIndex {
             return (Vec::new(), 0);
         };
         chain.matches(op, d)
-    }
-
-    /// `(frontier size, covered count)` of a `contains` partition —
-    /// introspection used by tests and the matching-scaling study.
-    pub fn contains_frontier(&self, class: &str, property: &str) -> (usize, usize) {
-        self.con
-            .get(&(class.to_owned(), property.to_owned()))
-            .map(|p| p.frontier_stats())
-            .unwrap_or((0, 0))
     }
 }
 
@@ -514,7 +365,7 @@ mod tests {
     }
 
     #[test]
-    fn plain_and_frontier_match_equal_scan() {
+    fn postings_match_equals_scan_through_unsubscribe() {
         let patterns = [
             ".uni-passau.de",
             "host1.uni-passau.de",
@@ -523,63 +374,39 @@ mod tests {
             "xyz",
             "1.uni",
         ];
-        let idx = con_index(&patterns);
-        for value in [
+        let values = [
             "host1.uni-passau.de",
             "host2.uni-passau.de",
             "a.b.c",
             "",
             "xyzhost",
-        ] {
-            let expected = scan(&patterns, value);
-            for (postings, frontier) in [(true, false), (false, true), (true, true)] {
-                let (hits, _) = idx.match_contains("C", "serverHost", value, postings, frontier);
-                assert_eq!(
-                    hits, expected,
-                    "value={value:?} cfg=({postings},{frontier})"
-                );
-            }
+        ];
+        let mut idx = con_index(&patterns);
+        for value in values {
+            let (hits, _) = idx.match_contains("C", "serverHost", value);
+            assert_eq!(hits, scan(&patterns, value), "value={value:?}");
+        }
+        // an anchored and an unanchored rule leave; the rest still match
+        idx.remove(RuleId(0), "C", &pred(TriggerOp::Contains, patterns[0]));
+        idx.remove(RuleId(2), "C", &pred(TriggerOp::Contains, patterns[2]));
+        for value in values {
+            let (hits, _) = idx.match_contains("C", "serverHost", value);
+            let expected: Vec<RuleId> = scan(&patterns, value)
+                .into_iter()
+                .filter(|r| ![RuleId(0), RuleId(2)].contains(r))
+                .collect();
+            assert_eq!(hits, expected, "value={value:?} after removal");
         }
     }
 
     #[test]
-    fn frontier_shrinks_under_covering_and_recovers_on_unsubscribe() {
-        let mut idx = con_index(&[".r1.grid", "n1.r1.grid", "n2.r1.grid"]);
-        // rule 0 covers rules 1 and 2
-        assert_eq!(idx.contains_frontier("C", "serverHost"), (1, 2));
-        let (hits, evals) = idx.match_contains("C", "serverHost", "n1.r1.grid.org", true, true);
-        assert_eq!(hits, vec![RuleId(0), RuleId(1)]);
-        // frontier eval + two children cascaded
+    fn postings_skip_rules_anchored_on_absent_tokens() {
+        let idx = con_index(&[".r1.grid", "n1.r1.grid", ".r2.grid", "grid"]);
+        let (hits, evals) = idx.match_contains("C", "serverHost", "n1.r1.grid.org");
+        assert_eq!(hits, vec![RuleId(0), RuleId(1), RuleId(3)]);
+        // two rules anchored on "r1" plus the unanchored one; ".r2.grid"
+        // is never checked
         assert_eq!(evals, 3);
-        // unsubscribing the coverer promotes its children to the frontier
-        idx.remove(RuleId(0), "C", &pred(TriggerOp::Contains, ".r1.grid"));
-        assert_eq!(idx.contains_frontier("C", "serverHost"), (2, 0));
-        let (hits, _) = idx.match_contains("C", "serverHost", "n1.r1.grid.org", true, true);
-        assert_eq!(hits, vec![RuleId(1)]);
-    }
-
-    #[test]
-    fn late_coverer_adopts_existing_roots() {
-        let mut idx = con_index(&["n1.r1.grid", "n2.r1.grid"]);
-        assert_eq!(idx.contains_frontier("C", "serverHost"), (2, 0));
-        // the base pattern arrives last and still becomes the single root
-        idx.insert(RuleId(9), "C", &pred(TriggerOp::Contains, ".r1.grid"));
-        assert_eq!(idx.contains_frontier("C", "serverHost"), (1, 2));
-        let (hits, _) = idx.match_contains("C", "serverHost", "x.n2.r1.grid.org", true, true);
-        assert_eq!(hits, vec![RuleId(1), RuleId(9)]);
-    }
-
-    #[test]
-    fn removing_mid_chain_coverer_reparents_to_grandparent() {
-        let mut idx = con_index(&[".grid", "r1.grid", "n1xr1.grid"]);
-        // 0 covers 1 covers... 2's pattern contains both ".grid" and "r1.grid"
-        // → parent is the longest coverer, rule 1.
-        assert_eq!(idx.contains_frontier("C", "serverHost"), (1, 2));
-        idx.remove(RuleId(1), "C", &pred(TriggerOp::Contains, "r1.grid"));
-        // rule 2 is promoted under rule 0, not to the frontier
-        assert_eq!(idx.contains_frontier("C", "serverHost"), (1, 1));
-        let (hits, _) = idx.match_contains("C", "serverHost", "a.n1xr1.grid", true, true);
-        assert_eq!(hits, vec![RuleId(0), RuleId(2)]);
     }
 
     #[test]

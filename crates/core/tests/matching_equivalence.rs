@@ -1,19 +1,40 @@
-//! Exactness of the index-accelerated matching paths (DESIGN.md §10): for
-//! the same rule base and workload, every combination of
-//! `FilterConfig::use_trigger_index` / `use_subsumption` must produce the
-//! same publications and the same Figure-9 iteration trace as the scan
-//! baseline — byte for byte, including under subscription churn that
-//! promotes and demotes subsumption-frontier members.
+//! Exactness of the indexed trigger routes (DESIGN.md §10). The engine
+//! answers `contains` from inverted token postings and `<`, `<=`, `>`, `>=`
+//! from sorted threshold chains, both kept in memory beside the
+//! `FilterRules*` tables. The relational scan
+//! [`matching_triggers`] over those tables is the oracle: after every
+//! subscribe, unsubscribe, registration, update and delete, for every atom
+//! the workload has produced, the index must return the same rule ids in
+//! the same order.
 //!
-//! Replayed by `ci/check.sh` under seeds 1 / 31337 / 20020226.
+//! Replayed by `ci/check.sh` under seeds 1 / 31337 / 20020226. The
+//! end-to-end oracle (engine vs naive evaluator) is `filter_equals_naive`
+//! in `properties.rs`.
 //!
-//! The workload generators are hand-rolled here (mirroring the covering
-//! families the matching-scaling benchmark sweeps) because `mdv-workload`
-//! dev-depends on this crate.
+//! The generators are hand-rolled here because `mdv-workload` dev-depends
+//! on this crate.
 
-use mdv_filter::{FilterConfig, FilterEngine, Publication, SubscriptionId};
+use mdv_filter::rule_tables::{insert_atomic, matching_triggers, remove_atomic};
+use mdv_filter::{
+    Atom, AtomicRule, AtomicRuleKind, FilterEngine, RuleId, SubscriptionId, TriggerIndex,
+    TriggerOp, TriggerPred,
+};
 use mdv_rdf::{Document, RdfSchema, Resource, Term, UriRef};
+use mdv_relstore::Database;
 use mdv_testkit::{prop_assert_eq, property, Source};
+
+const CLASSES: [&str; 2] = ["CycleProvider", "ServerInformation"];
+const INDEXED_OPS: [TriggerOp; 5] = [
+    TriggerOp::Contains,
+    TriggerOp::Lt,
+    TriggerOp::Le,
+    TriggerOp::Gt,
+    TriggerOp::Ge,
+];
+
+/// Constants the rule language cannot produce for these operators.
+const RAW_THRESHOLDS: [&str; 8] = ["abc", "NaN", " 3 ", "", "1e1", "inf", "-0", "3"];
+const RAW_PATTERNS: [&str; 4] = ["", "grid", ".r1.grid", "-"];
 
 fn schema() -> RdfSchema {
     RdfSchema::builder()
@@ -27,8 +48,21 @@ fn schema() -> RdfSchema {
         .unwrap()
 }
 
-fn make_doc(i: usize, host: &str, memory: i64, cpu: i64) -> Document {
+/// Hosts shaped `[x]n{j}.r{k}.grid.{org,de}[x]` — the token families the
+/// `contains` patterns anchor on, so postings buckets get real collisions
+/// and real misses; the optional `x` fuses with a pattern's first or last
+/// token, which is why only interior tokens may anchor. Memory and cpu
+/// land on and around the rule thresholds.
+fn arb_doc(src: &mut Source, i: usize) -> Document {
     let uri = format!("doc{i}.rdf");
+    let host = format!(
+        "{}n{}.r{}.grid.{}{}",
+        src.choose(&["", "x"]),
+        src.usize_in(0..6),
+        src.usize_in(0..4),
+        src.choose(&["org", "de"]),
+        src.choose(&["", "x"])
+    );
     Document::new(uri.clone())
         .with_resource(
             Resource::new(UriRef::new(&uri, "host"), "CycleProvider")
@@ -41,54 +75,32 @@ fn make_doc(i: usize, host: &str, memory: i64, cpu: i64) -> Document {
         )
         .with_resource(
             Resource::new(UriRef::new(&uri, "info"), "ServerInformation")
-                .with("memory", Term::literal(memory.to_string()))
-                .with("cpu", Term::literal(cpu.to_string())),
+                .with("memory", Term::literal(src.i64_in(-2..12).to_string()))
+                .with("cpu", Term::literal(src.i64_in(0..1000).to_string())),
         )
 }
 
-/// Hosts shaped `n{j}.r{k}.grid.{org,de}` — the same token families the
-/// `contains` patterns below anchor on, so postings buckets get real
-/// collisions and real misses.
-fn arb_docs(src: &mut Source, base: usize, max: usize) -> Vec<Document> {
-    let n = src.usize_in(1..max);
-    (0..n)
-        .map(|i| {
-            let host = format!(
-                "n{}.r{}.grid.{}",
-                src.usize_in(0..6),
-                src.usize_in(0..4),
-                src.choose(&["org", "de"])
-            );
-            make_doc(base + i, &host, src.i64_in(0..100), src.i64_in(0..1000))
-        })
-        .collect()
-}
-
-/// A rule base heavy on `contains` with constructed covering pairs — for
-/// each family `k`, the base pattern `.r{k}.grid` covers every refinement
-/// `n{j}.r{k}.grid` — plus ordered numeric rules (the threshold-chain
-/// path), string/numeric equality, and a join shape, so all trigger routes
-/// run in one pass.
-fn arb_rules(src: &mut Source, max: usize) -> Vec<String> {
-    let con = |pat: &str| {
+/// Covering `contains` families (every refinement `n{j}.r{k}.grid` contains
+/// its base `.r{k}.grid`), patterns with no interior token (always
+/// candidates), ordered thresholds in integer, negative and fractional
+/// spellings, plus equality and join shapes so the unindexed operators and
+/// the join cascade churn the rule tables too.
+fn arb_rule(src: &mut Source) -> String {
+    let con = |pat: String| {
         format!("search CycleProvider c register c where c.serverHost contains '{pat}'")
     };
-    src.vec(2..max, |src| match src.usize_in(0..8) {
-        0 => con(&format!(".r{}.grid", src.usize_in(0..4))),
-        1 | 2 => con(&format!(
+    match src.usize_in(0..8) {
+        0 => con(format!(".r{}.grid", src.usize_in(0..4))),
+        1 | 2 => con(format!(
             "n{}.r{}.grid",
             src.usize_in(0..6),
             src.usize_in(0..4)
         )),
-        3 => con(src.choose(&[".org", ".de", "grid", "n1"]).to_owned()),
-        4 => format!(
+        3 => con((*src.choose(&[".org", ".grid.de", "grid", "n1", "r2.g", "."])).to_owned()),
+        4 | 5 => format!(
             "search ServerInformation s register s where s.memory {} {}",
             src.choose(&[">", ">=", "<", "<="]),
-            src.i64_in(0..100)
-        ),
-        5 => format!(
-            "search CycleProvider c register c where c.serverInformation.cpu > {}",
-            src.i64_in(0..1000)
+            src.choose(&["0", "-1", "3", "3.0", "3.5", "7", "10", "-0.5"])
         ),
         6 => format!(
             "search CycleProvider c register c where c = 'doc{}.rdf#host'",
@@ -97,163 +109,159 @@ fn arb_rules(src: &mut Source, max: usize) -> Vec<String> {
         _ => format!(
             "search CycleProvider c register c \
              where c.serverHost contains '.r{}.grid' \
-             and c.serverInformation.memory >= {}",
+             and c.serverInformation.cpu >= {}",
             src.usize_in(0..4),
-            src.i64_in(0..100)
+            src.i64_in(0..1000)
         ),
-    })
+    }
 }
 
-const CONFIGS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
-
-fn engine_with(rules: &[String], index: bool, subsumption: bool) -> FilterEngine {
-    let mut e = FilterEngine::with_config(
-        schema(),
-        FilterConfig {
-            use_trigger_index: index,
-            use_subsumption: subsumption,
-            ..FilterConfig::default()
-        },
-    );
-    for r in rules {
-        e.register_subscription(r).unwrap();
-    }
-    e
-}
-
-property! {
-    /// One registration pass: publications and the Figure-9 trace agree
-    /// across all four (index, subsumption) combinations, and stats that
-    /// are not eval counters agree too.
-    fn index_and_subsumption_match_scan(src) {
-        let rules = arb_rules(src, 12);
-        let docs = arb_docs(src, 0, 12);
-
-        let mut reference = engine_with(&rules, false, false);
-        let (ref_pubs, ref_run) = reference.register_batch_traced(&docs).unwrap();
-
-        for (index, subsumption) in CONFIGS {
-            let mut e = engine_with(&rules, index, subsumption);
-            let (pubs, run) = e.register_batch_traced(&docs).unwrap();
-            prop_assert_eq!(
-                &pubs, &ref_pubs,
-                "publications diverged at index={} subsumption={}", index, subsumption
-            );
-            prop_assert_eq!(
-                &run, &ref_run,
-                "trace diverged at index={} subsumption={}", index, subsumption
-            );
-            prop_assert_eq!(e.stats().trigger_matches, reference.stats().trigger_matches);
-        }
-    }
-
-    /// Subscription churn: unsubscribing in an adversarial order (coverers
-    /// first promotes covered rules to the frontier; covered first shrinks
-    /// cover sets) and re-subscribing afterwards must leave every config
-    /// publishing identically at each step.
-    fn matching_survives_frontier_churn(src) {
-        let rules = arb_rules(src, 10);
-        let docs1 = arb_docs(src, 0, 8);
-        let docs2 = arb_docs(src, 100, 8);
-        let docs3 = arb_docs(src, 200, 8);
-
-        // which subscriptions to drop, and in which order: ascending
-        // registration order kills base (covering) patterns before their
-        // refinements; descending does the reverse
-        let drop_count = src.usize_in(1..rules.len());
-        let ascending = src.bool();
-        let resub = src.bool();
-
-        type Outcome = (Vec<Publication>, Vec<Publication>, Vec<Vec<String>>, Vec<Publication>);
-        let run = |index: bool, subsumption: bool| -> Outcome {
-            let mut e = FilterEngine::with_config(
-                schema(),
-                FilterConfig {
-                    use_trigger_index: index,
-                    use_subsumption: subsumption,
-                    ..FilterConfig::default()
-                },
-            );
-            let mut subs = Vec::new();
-            for r in &rules {
-                subs.push(e.register_subscription(r).unwrap().0);
-            }
-            let p1 = e.register_batch(&docs1).unwrap();
-            let dropped: Vec<SubscriptionId> = if ascending {
-                subs.iter().take(drop_count).copied().collect()
-            } else {
-                subs.iter().rev().take(drop_count).copied().collect()
-            };
-            for id in &dropped {
-                e.unregister_subscription(*id).unwrap();
-            }
-            let p2 = e.register_batch(&docs2).unwrap();
-            let mut initial = Vec::new();
-            if resub {
-                // re-register the dropped rule texts; initial matches are
-                // computed against the existing base data
-                let texts: Vec<&String> = if ascending {
-                    rules.iter().take(drop_count).collect()
-                } else {
-                    rules.iter().rev().take(drop_count).collect()
+/// Index vs scan for every probe atom, under every class, for every
+/// indexed operator: same rule ids, same order.
+fn check(index: &TriggerIndex, db: &Database, probes: &[Atom], when: &str) -> Result<(), String> {
+    for atom in probes {
+        for class in CLASSES {
+            for op in INDEXED_OPS {
+                let (scan, _) = matching_triggers(db, op, class, &atom.property, &atom.value)
+                    .map_err(|e| e.to_string())?;
+                let (indexed, _) = match op {
+                    TriggerOp::Contains => index.match_contains(class, &atom.property, &atom.value),
+                    _ => index.match_ordered(op, class, &atom.property, &atom.value),
                 };
-                for t in texts {
-                    initial.push(e.register_subscription(t).unwrap().1);
-                }
-            }
-            let p3 = e.register_batch(&docs3).unwrap();
-            (p1, p2, initial, p3)
-        };
-
-        let baseline = run(false, false);
-        for (index, subsumption) in CONFIGS {
-            let got = run(index, subsumption);
-            prop_assert_eq!(
-                &got, &baseline,
-                "churn outcome diverged at index={} subsumption={}", index, subsumption
-            );
-        }
-    }
-
-    /// The index paths compose with the parallel filter and the update/
-    /// delete passes: threads × config sweeps stay byte-identical.
-    fn index_is_thread_and_update_invariant(src) {
-        let rules = arb_rules(src, 8);
-        let docs = arb_docs(src, 0, 6);
-        let bump = src.i64_in(0..100);
-        let delete_idx = src.usize_in(0..docs.len());
-
-        let run = |index: bool, subsumption: bool, threads: usize| {
-            let mut e = FilterEngine::with_config(
-                schema(),
-                FilterConfig {
-                    use_trigger_index: index,
-                    use_subsumption: subsumption,
-                    threads,
-                    ..FilterConfig::default()
-                },
-            );
-            for r in &rules {
-                e.register_subscription(r).unwrap();
-            }
-            let reg = e.register_batch(&docs).unwrap();
-            let upd = e
-                .update_document(&make_doc(0, "n1.r1.grid.org", bump, 600))
-                .unwrap();
-            let del = e.delete_document(docs[delete_idx].uri()).unwrap();
-            (reg, upd, del)
-        };
-
-        let baseline = run(false, false, 1);
-        for (index, subsumption) in CONFIGS {
-            for threads in [1usize, 4] {
-                let got = run(index, subsumption, threads);
                 prop_assert_eq!(
-                    &got, &baseline,
-                    "diverged at index={} subsumption={} threads={}",
-                    index, subsumption, threads
+                    indexed,
+                    scan,
+                    "{}: {}.{} {} {:?}",
+                    when,
+                    class,
+                    atom.property,
+                    op,
+                    atom.value
                 );
             }
         }
+    }
+    Ok(())
+}
+
+/// A triggering rule as the tables take it, plus its predicate as the index
+/// takes it (class = `rule.type_class`).
+fn raw_rule(
+    id: u64,
+    class: &str,
+    property: &str,
+    op: TriggerOp,
+    value: &str,
+) -> (AtomicRule, TriggerPred) {
+    let pred = TriggerPred {
+        property: property.to_owned(),
+        op,
+        value: value.to_owned(),
+    };
+    let rule = AtomicRule {
+        id: RuleId(id),
+        type_class: class.to_owned(),
+        kind: AtomicRuleKind::Trigger {
+            class: class.to_owned(),
+            pred: Some(pred.clone()),
+        },
+        group: None,
+    };
+    (rule, pred)
+}
+
+property! {
+    fn indexed_routes_equal_the_table_scan(src) {
+        let mut engine = FilterEngine::new(schema());
+        let mut subs: Vec<SubscriptionId> = Vec::new();
+        let mut live: Vec<usize> = Vec::new(); // registered document numbers
+        let mut next_doc = 0usize;
+        // every atom any document version has carried; all are probed after
+        // every step, whether or not the document is still registered
+        let mut probes: Vec<Atom> = Vec::new();
+
+        for _ in 0..src.usize_in(2..8) {
+            subs.push(engine.register_subscription(&arb_rule(src)).unwrap().0);
+        }
+        for step in 0..src.usize_in(4..14) {
+            let when = match src.usize_in(0..6) {
+                0 | 1 => {
+                    subs.push(engine.register_subscription(&arb_rule(src)).unwrap().0);
+                    "subscribe"
+                }
+                2 if !subs.is_empty() => {
+                    let id = subs.swap_remove(src.usize_in(0..subs.len()));
+                    engine.unregister_subscription(id).unwrap();
+                    "unsubscribe"
+                }
+                3 if !live.is_empty() => {
+                    let i = *src.choose(&live);
+                    let doc = arb_doc(src, i);
+                    probes.extend(Atom::from_document(&doc));
+                    engine.update_document(&doc).unwrap();
+                    "update"
+                }
+                4 if !live.is_empty() => {
+                    let i = live.swap_remove(src.usize_in(0..live.len()));
+                    engine.delete_document(&format!("doc{i}.rdf")).unwrap();
+                    "delete"
+                }
+                _ => {
+                    let docs: Vec<Document> = (0..src.usize_in(1..4))
+                        .map(|k| arb_doc(src, next_doc + k))
+                        .collect();
+                    for doc in &docs {
+                        probes.extend(Atom::from_document(doc));
+                    }
+                    live.extend(next_doc..next_doc + docs.len());
+                    next_doc += docs.len();
+                    engine.register_batch(&docs).unwrap();
+                    "register"
+                }
+            };
+            check(
+                engine.trigger_index(),
+                engine.db(),
+                &probes,
+                &format!("step {step} ({when})"),
+            )?;
+        }
+
+        // The rule language only lets numeric constants reach an ordered
+        // operator and never produces an empty pattern; the tables and the
+        // index accept any string. Add such rules to copies of both, beside
+        // whatever the churn above left behind, and probe with non-numeric
+        // document values as well.
+        let mut db = engine.db().clone();
+        let mut index = engine.trigger_index().clone();
+        let mut raw: Vec<(AtomicRule, TriggerPred)> = Vec::new();
+        for k in 0..src.usize_in(3..10) {
+            let id = 1_000_000 + k as u64;
+            let (rule, pred) = if src.bool() {
+                let op = *src.choose(&INDEXED_OPS[1..]);
+                let value = *src.choose(&RAW_THRESHOLDS);
+                raw_rule(id, "ServerInformation", "memory", op, value)
+            } else {
+                let pattern = *src.choose(&RAW_PATTERNS);
+                raw_rule(id, "CycleProvider", "serverHost", TriggerOp::Contains, pattern)
+            };
+            insert_atomic(&mut db, &rule, &AtomicRule::canonical_text(&rule.kind)).unwrap();
+            index.insert(rule.id, &rule.type_class, &pred);
+            raw.push((rule, pred));
+        }
+        for value in ["abc", "NaN", " 7 ", "", "0", "1e1", "inf"] {
+            probes.push(Atom {
+                uri: "probe.rdf#x".into(),
+                class: "ServerInformation".into(),
+                property: "memory".into(),
+                value: value.into(),
+            });
+        }
+        check(&index, &db, &probes, "raw constants added")?;
+        for (rule, pred) in raw.iter().filter(|_| src.bool()) {
+            remove_atomic(&mut db, rule, false).unwrap();
+            index.remove(rule.id, &rule.type_class, pred);
+        }
+        check(&index, &db, &probes, "raw constants removed")?;
     }
 }

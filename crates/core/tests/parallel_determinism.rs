@@ -103,7 +103,6 @@ fn engine_with(rules: &[String], threads: usize, use_rule_groups: bool) -> Filte
         FilterConfig {
             use_rule_groups,
             threads,
-            ..FilterConfig::default()
         },
     );
     for r in rules {

@@ -210,8 +210,9 @@ mod tests {
 
     #[test]
     fn backends_are_send_and_sync() {
-        // `ShardedFilterEngine` fans a batch out across per-shard stores on
-        // scoped threads, so both backends must stay thread-portable.
+        // The filter's `par_map` reads the store from scoped pool workers
+        // (`FilterConfig::threads`), so both backends must stay
+        // thread-portable.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Database>();
         assert_send_sync::<crate::wal::DurableEngine>();

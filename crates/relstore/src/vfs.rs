@@ -56,8 +56,8 @@ pub trait VfsFile: Send + Sync {
 }
 
 /// The filesystem surface the durable engine needs. Implementations are
-/// cheap-clone handles: every filter shard's engine of one node shares the
-/// same underlying (real or simulated) disk.
+/// cheap-clone handles: every engine opened through clones of one handle
+/// shares the same underlying (real or simulated) disk.
 pub trait Vfs {
     type File: VfsFile;
 

@@ -141,7 +141,7 @@ impl Drop for ThreadPool {
 /// results in input order. Panics in `f` propagate to the caller.
 ///
 /// Empty and single-item inputs (and `threads <= 1`) run inline on the
-/// caller's thread, spawning zero workers — an empty filter shard must cost
+/// caller's thread, spawning zero workers — an empty batch must cost
 /// nothing, not a worker that wakes up to find no work.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where

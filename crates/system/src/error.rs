@@ -18,9 +18,8 @@ pub enum Error {
     /// cannot reach a quorum of voters). The operation may be retried once
     /// connectivity is restored; it has not taken effect.
     Unavailable(String),
-    /// A deployment-level configuration request was rejected (e.g. changing
-    /// the filter shard count after nodes exist, or combining placement
-    /// with an incompatible mode).
+    /// A deployment-level configuration request was rejected (e.g.
+    /// combining placement with an incompatible mode).
     Config(String),
     /// A durability fault from the storage backend (I/O error, torn write,
     /// detected corruption, wedged engine) — the disk misbehaved, not the

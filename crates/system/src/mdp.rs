@@ -1,6 +1,6 @@
 //! Metadata Providers (paper §2.2): the backbone nodes.
 //!
-//! An MDP owns a [`ShardedFilterEngine`], accepts metadata administration
+//! An MDP owns a [`FilterEngine`], accepts metadata administration
 //! (register / update / delete documents), evaluates subscriptions through
 //! the filter, ships publications to subscribed LMRs (with the
 //! strong-reference closure of transmitted resources, §2.4), and replicates
@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use mdv_filter::{BaseStore, FilterConfig, Publication, ShardedFilterEngine, SubscriptionId};
+use mdv_filter::{BaseStore, FilterConfig, FilterEngine, Publication, SubscriptionId};
 use mdv_rdf::{parse_document, write_document, Document, RdfSchema, Resource};
 use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
 
@@ -58,7 +58,7 @@ pub(crate) struct PublishMemo {
 impl PublishMemo {
     fn resolve<S: StorageEngine + Send + Sync>(
         &mut self,
-        engine: &ShardedFilterEngine<S>,
+        engine: &FilterEngine<S>,
         uri: &str,
     ) -> Result<Resource> {
         if let Some(res) = self.resources.get(uri) {
@@ -75,7 +75,7 @@ impl PublishMemo {
     /// resources themselves.
     fn companions<S: StorageEngine + Send + Sync>(
         &mut self,
-        engine: &ShardedFilterEngine<S>,
+        engine: &FilterEngine<S>,
         shipped: Vec<String>,
     ) -> Result<Vec<Resource>> {
         if let Some(companions) = self.companions.get(&shipped) {
@@ -222,7 +222,7 @@ pub(crate) fn doc_uri_of(resource_uri: &str) -> &str {
 #[derive(Debug)]
 pub struct Mdp<S: StorageEngine = Database> {
     pub(crate) name: String,
-    pub(crate) engine: ShardedFilterEngine<S>,
+    pub(crate) engine: FilterEngine<S>,
     /// Mirror node state into the `Sys*` tables. Set only by
     /// [`Mdp::with_storage`]; the memory path never creates the tables, so
     /// its databases stay byte-identical to the pre-storage-engine layout.
@@ -273,18 +273,13 @@ impl Mdp {
         Self::with_filter_config(name, schema, FilterConfig::default())
     }
 
-    /// Like [`Mdp::new`] with an explicit filter configuration — the knobs
+    /// Like [`Mdp::new`] with an explicit filter configuration — the knob
     /// the system tier exposes for parallel batch filtering
-    /// (`FilterConfig::threads`) and sharded filtering
-    /// (`FilterConfig::shards`). Publications do not depend on the
-    /// configuration (DESIGN.md §5 and §8), so mixed-config deployments
-    /// stay consistent.
+    /// (`FilterConfig::threads`). Publications do not depend on the
+    /// configuration (DESIGN.md §5), so mixed-config deployments stay
+    /// consistent.
     pub fn with_filter_config(name: &str, schema: RdfSchema, config: FilterConfig) -> Self {
-        Self::from_engine(
-            name,
-            ShardedFilterEngine::with_config(schema, config),
-            false,
-        )
+        Self::from_engine(name, FilterEngine::with_config(schema, config), false)
     }
 }
 
@@ -299,20 +294,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         schema: RdfSchema,
         config: FilterConfig,
     ) -> Result<Self> {
-        Self::with_storages(name, vec![store], schema, config)
-    }
-
-    /// Like [`Mdp::with_storage`] with one backend per filter shard
-    /// (DESIGN.md §8): the shard count is `stores.len()`, each shard owns
-    /// its store (and WAL, under a durable backend), and the `Sys*` mirror
-    /// tables live in shard 0's store.
-    pub fn with_storages(
-        name: &str,
-        stores: Vec<S>,
-        schema: RdfSchema,
-        config: FilterConfig,
-    ) -> Result<Self> {
-        let mut engine = ShardedFilterEngine::try_with_storages(stores, schema, config)?;
+        let mut engine = FilterEngine::try_with_storage(store, schema, config)?;
         let store = engine.storage_mut();
         store.begin();
         mirror::create_table(
@@ -406,7 +388,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         Ok(Self::from_engine(name, engine, true))
     }
 
-    fn from_engine(name: &str, engine: ShardedFilterEngine<S>, mirror: bool) -> Self {
+    fn from_engine(name: &str, engine: FilterEngine<S>, mirror: bool) -> Self {
         Mdp {
             name: name.to_owned(),
             engine,
@@ -428,15 +410,18 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         }
     }
 
-    /// Runs `body` inside one storage commit group spanning *every* filter
-    /// shard's backend, so the engine mutations and mirror writes of a
-    /// whole node operation become durable atomically. Commits even when
-    /// the body fails — the memory path keeps partial state on error, and
-    /// the durable path must agree with it.
+    /// Runs `body` inside one storage commit group (depth-counted; see
+    /// `StorageEngine::begin`), so the engine mutations and mirror writes
+    /// of a whole node operation become durable atomically. Commits even
+    /// when the body fails — the memory path keeps partial state on error,
+    /// and the durable path must agree with it.
     pub(crate) fn with_group<T>(&mut self, body: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
-        self.engine.begin_group();
+        self.engine.storage_mut().begin();
         let out = body(self);
-        self.engine.commit_group()?;
+        self.engine
+            .storage_mut()
+            .commit()
+            .map_err(mirror::store_err)?;
         out
     }
 
@@ -666,24 +651,23 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         &self.name
     }
 
-    pub fn engine(&self) -> &ShardedFilterEngine<S> {
+    pub fn engine(&self) -> &FilterEngine<S> {
         &self.engine
     }
 
-    /// Mutable access to the sharded filter engine, for storage-level
-    /// tuning (e.g. checkpoint thresholds) on a live node.
-    pub fn engine_mut(&mut self) -> &mut ShardedFilterEngine<S> {
+    /// Mutable access to the filter engine, for storage-level tuning
+    /// (e.g. checkpoint thresholds) on a live node.
+    pub fn engine_mut(&mut self) -> &mut FilterEngine<S> {
         &mut self.engine
     }
 
-    /// Snapshot-as-compaction: checkpoints every shard's storage backend —
-    /// writes a fresh snapshot (GC'd of every deleted row) and truncates
-    /// each shard's WAL.
+    /// Snapshot-as-compaction: checkpoints the storage backend — writes a
+    /// fresh snapshot (GC'd of every deleted row) and truncates the WAL.
     pub fn compact(&mut self) -> Result<()> {
-        for store in self.engine.shard_storages_mut() {
-            store.checkpoint().map_err(mirror::store_err)?;
-        }
-        Ok(())
+        self.engine
+            .storage_mut()
+            .checkpoint()
+            .map_err(mirror::store_err)
     }
 
     pub fn set_peers(&mut self, peers: Vec<String>) {

@@ -4,11 +4,11 @@
 //! The backbone's default replication is *full*: every document reaches
 //! every MDP. That caps aggregate capacity at one node's capacity. The
 //! placement table turns the backbone into partitioned-with-replicas: the
-//! document URI space is hashed into a fixed shard space (FNV-1a, the same
-//! hash the intra-node `ShardedFilterEngine` uses), and each shard is
-//! assigned to `R` MDPs by rendezvous (highest-random-weight) hashing over
-//! the *live* MDP set. The first assignee is the shard's **primary** — it
-//! takes the writes and publishes the matches; the rest are replicas.
+//! document URI space is hashed into a fixed shard space (FNV-1a), and
+//! each shard is assigned to `R` MDPs by rendezvous
+//! (highest-random-weight) hashing over the *live* MDP set. The first
+//! assignee is the shard's **primary** — it takes the writes and publishes
+//! the matches; the rest are replicas.
 //!
 //! The table is a pure function of `(mdp set, shard count, R, epoch)`:
 //! every node that knows those four values computes byte-identical

@@ -324,7 +324,7 @@ pub struct RaftProbe {
 
 impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// Switches this node into Raft mode. On a mirror-enabled backend the
-    /// Raft tables are created here — never in `with_storages` — so LWW
+    /// Raft tables are created here — never in `with_storage` — so LWW
     /// durable layouts stay byte-identical to the pre-Raft format.
     pub(crate) fn raft_enable(&mut self, seed: u64, now_ms: u64) -> Result<()> {
         if self.mirror {

@@ -135,27 +135,15 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
     }
 
     /// Adds an MDP persisting to `dir` (created fresh; must not hold an
-    /// existing store). With `filter_config.shards = N > 1` (see
-    /// [`MdvSystem::set_filter_shards`]) the node gets one store — and one
-    /// WAL — per filter shard: shard 0 at `dir` itself, shard k at the
-    /// `<dir>-s<k>` sibling. All shards persist through clones of `vfs`,
-    /// i.e. one failure domain per node.
+    /// existing store) through `vfs`.
     pub fn add_mdp_durable_on(
         &mut self,
         name: &str,
         dir: impl Into<PathBuf>,
         vfs: V,
     ) -> Result<()> {
-        let dir = dir.into();
-        let shards = self.filter_config.shards.max(1);
-        let mut stores = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            stores.push(
-                DurableEngine::create_with(vfs.clone(), shard_dir(&dir, shard))
-                    .map_err(mirror::store_err)?,
-            );
-        }
-        let mdp = Mdp::with_storages(name, stores, self.schema.clone(), self.filter_config)?;
+        let store = DurableEngine::create_with(vfs, dir).map_err(mirror::store_err)?;
+        let mdp = Mdp::with_storage(name, store, self.schema.clone(), self.filter_config)?;
         self.install_mdp(name, mdp)
     }
 
@@ -179,9 +167,7 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
     /// to force compaction windows into its fault schedules.
     pub fn set_checkpoint_every(&mut self, every: Option<u64>) {
         for mdp in self.mdps.values_mut() {
-            for store in mdp.engine_mut().shard_storages_mut() {
-                store.set_checkpoint_every(every);
-            }
+            mdp.engine_mut().storage_mut().set_checkpoint_every(every);
         }
         for lmr in self.lmrs.values_mut() {
             lmr.storage_mut().set_checkpoint_every(every);
@@ -191,84 +177,61 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
     /// Crashes an MDP — dropping every byte of in-memory state and any mail
     /// in its inbox — and restarts it from its durable store alone.
     ///
-    /// Recovery is checked twice over: *every* filter shard's snapshot+WAL
-    /// replay must reproduce that shard's pre-crash database byte-for-byte
-    /// (the node is assumed quiescent, i.e. no commit group open), and the
-    /// node rebuilt from the `Sys*` mirror tables (shard 0's store) must
-    /// carry logically identical base tables in every shard. Because
-    /// re-registration reassigns rule and row ids, the rebuilt node starts
-    /// *fresh* sibling stores (`<dir>-r1`, `-r2`, …, plus their `-s<k>`
-    /// shard siblings) instead of appending to the recovered logs. The
-    /// restarted node keeps the shard count it crashed with, and the
-    /// rule-text hash re-routes every subscription to the shard that owned
-    /// it before the crash. Batch mode resets to immediate filtering, like
-    /// a freshly added node.
+    /// Recovery is checked twice over: the snapshot+WAL replay must
+    /// reproduce the pre-crash database byte-for-byte (the node is assumed
+    /// quiescent, i.e. no commit group open), and the node rebuilt from the
+    /// `Sys*` mirror tables must carry logically identical base tables.
+    /// Because re-registration reassigns rule and row ids, the rebuilt node
+    /// starts a *fresh* sibling store (`<dir>-r1`, `-r2`, …) instead of
+    /// appending to the recovered log. Batch mode resets to immediate
+    /// filtering, like a freshly added node.
     pub fn crash_and_restart_mdp(&mut self, name: &str) -> Result<()> {
         let old = self
             .mdps
             .remove(name)
             .ok_or_else(|| Error::Topology(format!("unknown MDP '{name}'")))?;
-        let vfs = old.engine().shard(0).storage().vfs().clone();
-        let dirs: Vec<PathBuf> = old
-            .engine()
-            .shard_storages()
-            .map(|s| s.dir().to_path_buf())
-            .collect();
+        let store = old.engine().storage();
+        let vfs = store.vfs().clone();
+        let dir = store.dir().to_path_buf();
         // a degraded (wedged) engine's in-memory state may be ahead of its
-        // durable state, so the byte-compare oracle only applies to shards
-        // whose every acked write actually reached the disk
-        let references: Vec<Option<String>> = old
-            .engine()
-            .shard_storages()
-            .map(|s| (!s.is_degraded()).then(|| write_database(s.database())))
-            .collect();
+        // durable state, so the byte-compare oracle only applies when every
+        // acked write actually reached the disk
+        let reference = (!store.is_degraded()).then(|| write_database(store.database()));
         drop(old); // the crash: all volatile state gone
         self.drain_mailbox(name);
 
-        let mut recovered = Vec::with_capacity(dirs.len());
-        for (shard, (dir, reference)) in dirs.iter().zip(&references).enumerate() {
-            let store = DurableEngine::open_with(vfs.clone(), dir).map_err(mirror::store_err)?;
-            if let Some(reference) = reference {
-                if write_database(store.database()) != *reference {
-                    return Err(Error::Topology(format!(
-                        "MDP '{name}': recovered shard {shard} diverges from pre-crash state"
-                    )));
-                }
+        let recovered = DurableEngine::open_with(vfs.clone(), &dir).map_err(mirror::store_err)?;
+        if let Some(reference) = reference {
+            if write_database(recovered.database()) != reference {
+                return Err(Error::Topology(format!(
+                    "MDP '{name}': recovered database diverges from pre-crash state"
+                )));
             }
-            recovered.push(store);
         }
 
-        let base = sibling_dir_on(&vfs, &dirs[0]);
-        let mut fresh = Vec::with_capacity(dirs.len());
-        for shard in 0..dirs.len() {
-            fresh.push(
-                DurableEngine::create_with(vfs.clone(), shard_dir(&base, shard))
-                    .map_err(mirror::store_err)?,
-            );
-        }
-        let mut mdp = Mdp::with_storages(name, fresh, self.schema.clone(), self.filter_config)?;
+        let fresh = DurableEngine::create_with(vfs.clone(), sibling_dir_on(&vfs, &dir))
+            .map_err(mirror::store_err)?;
+        let mut mdp = Mdp::with_storage(name, fresh, self.schema.clone(), self.filter_config)?;
         let retry_ms = self.network.config().retry_initial_ms;
-        mdp.rebuild_from_tables(recovered[0].database(), retry_ms)?;
+        mdp.rebuild_from_tables(recovered.database(), retry_ms)?;
         if self.mode == ReplicationMode::Raft {
             mdp.raft_enable(self.raft_seed, self.network.now_ms())?;
             mdp.raft_set_compact_threshold(self.raft_compact_threshold);
             // the persisted term/vote/led-terms/log come back exactly, so a
             // restarted voter cannot double-vote in a term it already voted in
             mdp.raft_restore_from_tables(
-                recovered[0].database(),
+                recovered.database(),
                 self.raft_seed,
                 self.network.now_ms(),
             )?;
         }
-        for (shard, store) in recovered.iter().enumerate() {
-            for table in ["Resources", "Statements"] {
-                let want = logical_rows(store.database(), table);
-                let got = logical_rows(mdp.engine().shard(shard).storage().database(), table);
-                if want != got {
-                    return Err(Error::Topology(format!(
-                        "MDP '{name}': rebuilt {table} table diverges from recovered shard {shard}"
-                    )));
-                }
+        for table in ["Resources", "Statements"] {
+            let want = logical_rows(recovered.database(), table);
+            let got = logical_rows(mdp.engine().db(), table);
+            if want != got {
+                return Err(Error::Topology(format!(
+                    "MDP '{name}': rebuilt {table} table diverges from the recovered store"
+                )));
             }
         }
         self.mdps.insert(name.to_owned(), mdp);
@@ -324,17 +287,6 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
         lmr.rearm_after_recovery(&self.network)?;
         self.lmrs.insert(name.to_owned(), lmr);
         Ok(())
-    }
-}
-
-/// Shard `k`'s store directory: shard 0 owns `dir` itself (single-shard
-/// layouts are byte-identical to the unsharded on-disk layout), shard
-/// k ≥ 1 the `<dir>-s<k>` sibling.
-fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
-    if shard == 0 {
-        dir.to_path_buf()
-    } else {
-        PathBuf::from(format!("{}-s{shard}", dir.as_os_str().to_string_lossy()))
     }
 }
 
@@ -489,25 +441,6 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
         for mdp in self.mdps.values_mut() {
             mdp.set_filter_threads(threads);
         }
-    }
-
-    /// Sets the filter shard count MDPs are built with (DESIGN.md §8).
-    /// A node's shard topology — and, on the durable backend, its
-    /// one-WAL-per-shard layout — is fixed when the node is built, so this
-    /// must be called before the first MDP is added; a mid-run change is
-    /// rejected with [`Error::Config`] (it would silently leave the
-    /// deployment mixed and make crash-recovered nodes rebuild under a
-    /// different topology than they were created with).
-    pub fn set_filter_shards(&mut self, shards: usize) -> Result<()> {
-        if !self.mdps.is_empty() {
-            return Err(Error::Config(format!(
-                "filter shard count is fixed once MDPs exist ({} registered); \
-                 call set_filter_shards before add_mdp",
-                self.mdps.len()
-            )));
-        }
-        self.filter_config.shards = shards.max(1);
-        Ok(())
     }
 
     pub fn schema(&self) -> &RdfSchema {

@@ -10,10 +10,7 @@
 //! * [`rules`] — the four benchmark rule types of Figure 10 (OID, COMP,
 //!   PATH, JOIN) with the paper's matching discipline: OID/PATH/JOIN rules
 //!   match exactly one document and vice versa; COMP rules match a
-//!   configurable percentage of the rule base per document. Beyond the
-//!   paper, [`rules::contains_rules`] generates the full-text `contains`
-//!   base with a tunable covering-overlap profile that the
-//!   matching-scaling study sweeps (DESIGN.md §10),
+//!   configurable percentage of the rule base per document,
 //! * [`scenario`] — the ObjectGlobe marketplace generator used by examples
 //!   (data, function, and cycle providers).
 //!
@@ -26,5 +23,5 @@ pub mod scenario;
 pub mod schema;
 
 pub use documents::{benchmark_document, benchmark_documents, BenchParams};
-pub use rules::{benchmark_rules, contains_documents, contains_families, contains_rules, RuleType};
+pub use rules::{benchmark_rules, RuleType};
 pub use schema::{benchmark_schema, objectglobe_schema};

@@ -82,76 +82,6 @@ pub fn benchmark_rules(rule_type: RuleType, count: u64) -> Vec<String> {
     (0..count).map(|i| benchmark_rule(rule_type, i)).collect()
 }
 
-/// Number of covering families in a `contains` rule base of `count` rules
-/// at the given overlap ratio: `overlap = 0.0` makes every rule its own
-/// family (no covering at all), `overlap → 1.0` collapses the base onto
-/// ever fewer shared base patterns.
-pub fn contains_families(count: u64, overlap: f64) -> u64 {
-    ((count as f64) * (1.0 - overlap.clamp(0.0, 1.0)))
-        .ceil()
-        .max(1.0) as u64
-}
-
-/// A full-text (`contains`) rule base with a tunable overlap profile, the
-/// workload of the matching-scaling study (DESIGN.md §10).
-///
-/// The base splits into [`contains_families`]`(count, overlap)` families.
-/// Family `f`'s *base pattern* `.region{f}.grid` is rule `f`; the remaining
-/// rules are *refinements* `node{j}.region{f}.grid` dealt round-robin over
-/// the families. Every refinement contains its family's base pattern as a
-/// substring, so the base rule covers it: the subsumption frontier holds
-/// exactly the family bases, and the inverted index buckets each family
-/// under its `region{f}` anchor token.
-pub fn contains_rules(count: u64, overlap: f64) -> Vec<String> {
-    let families = contains_families(count, overlap);
-    (0..count)
-        .map(|i| {
-            let pattern = if i < families {
-                format!(".region{i}.grid")
-            } else {
-                format!("node{}.region{}.grid", i, i % families)
-            };
-            format!("search CycleProvider c register c where c.serverHost contains '{pattern}'")
-        })
-        .collect()
-}
-
-/// Documents for [`contains_rules`]: document `i`'s CycleProvider lives at
-/// host `node{i}.region{i % families}.grid.org`, so it matches its family's
-/// base pattern plus (when `i` is a refinement rule index) exactly that one
-/// refinement.
-pub fn contains_documents(range: std::ops::Range<u64>, families: u64) -> Vec<mdv_rdf::Document> {
-    use mdv_rdf::{Document, Resource, Term, UriRef};
-    range
-        .map(|i| {
-            let uri = crate::documents::document_uri(i);
-            Document::new(uri.clone())
-                .with_resource(
-                    Resource::new(UriRef::new(&uri, "host"), "CycleProvider")
-                        .with(
-                            "serverHost",
-                            Term::literal(format!(
-                                "node{}.region{}.grid.org",
-                                i,
-                                i % families.max(1)
-                            )),
-                        )
-                        .with("serverPort", Term::literal((5000 + (i % 1000)).to_string()))
-                        .with("synthValue", Term::literal("0"))
-                        .with(
-                            "serverInformation",
-                            Term::resource(UriRef::new(&uri, "info")),
-                        ),
-                )
-                .with_resource(
-                    Resource::new(UriRef::new(&uri, "info"), "ServerInformation")
-                        .with("memory", Term::literal(i.to_string()))
-                        .with("cpu", Term::literal("600")),
-                )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,41 +150,6 @@ mod tests {
             matched.dedup();
             assert_eq!(matched.len(), 10);
         }
-    }
-
-    #[test]
-    fn contains_workload_matching_discipline() {
-        let schema = benchmark_schema();
-        // overlap 0.5 over 8 rules → 4 families: rules 0..4 are base
-        // patterns, rules 4..8 refinements dealt round-robin
-        let rules = contains_rules(8, 0.5);
-        assert_eq!(contains_families(8, 0.5), 4);
-        assert!(rules[0].contains("contains '.region0.grid'"));
-        assert!(rules[4].contains("contains 'node4.region0.grid'"));
-        let mut e = FilterEngine::new(schema.clone());
-        for r in &rules {
-            e.register_subscription(r).unwrap();
-        }
-        let docs = contains_documents(0..8, 4);
-        for d in &docs {
-            schema.validate(d).unwrap();
-        }
-        let pubs = e.register_batch(&docs).unwrap();
-        // every doc matches its family base; docs 4..8 also match their own
-        // refinement → base rules fire for 2 docs each, refinements for 1
-        assert_eq!(pubs.len(), 8);
-        for p in &pubs {
-            let expected = if p.subscription.0 < 4 { 2 } else { 1 };
-            assert_eq!(p.added.len(), expected, "sub {}", p.subscription);
-        }
-        // zero overlap → no covering: every doc matches exactly one rule
-        let mut e = FilterEngine::new(schema);
-        for r in contains_rules(6, 0.0) {
-            e.register_subscription(&r).unwrap();
-        }
-        let pubs = e.register_batch(&contains_documents(0..6, 6)).unwrap();
-        assert_eq!(pubs.len(), 6);
-        assert!(pubs.iter().all(|p| p.added.len() == 1));
     }
 
     #[test]

@@ -203,10 +203,22 @@ fn mdp_crash_restart_preserves_documents_and_subscriptions() {
         .unwrap();
     sys.register_document("mdp", &provider(2, "b.edge.org", 32, 500))
         .unwrap();
+    // a partial batch is volatile state: doc7 is queued, not yet filtered,
+    // and must vanish in the crash
+    sys.set_batch_size("mdp", Some(100)).unwrap();
+    sys.register_document("mdp", &provider(7, "b.hub.org", 128, 700))
+        .unwrap();
+    assert_eq!(sys.mdp("mdp").unwrap().pending_documents(), 1);
 
     sys.crash_and_restart_mdp("mdp").unwrap();
     sys.run_to_quiescence().unwrap();
 
+    let mdp = sys.mdp("mdp").unwrap();
+    assert_eq!(mdp.pending_documents(), 0, "pending batch is volatile");
+    assert!(
+        mdp.engine().document("doc7.rdf").is_none(),
+        "unflushed batch must not resurrect"
+    );
     // documents survived into the rebuilt engine
     assert!(sys
         .mdp("mdp")
@@ -234,66 +246,6 @@ fn mdp_crash_restart_preserves_documents_and_subscriptions() {
         &RULES[..1],
         "after post-restart traffic",
     );
-    cleanup(&root);
-}
-
-#[test]
-fn sharded_mdp_recovers_every_shard_wal_after_crash_mid_batch() {
-    let root = scratch("sharded");
-    let mut sys = MdvSystem::durable_with_net_config(schema(), NetConfig::default());
-    sys.set_filter_shards(4).unwrap();
-    sys.add_mdp_durable("mdp", root.join("mdp")).unwrap();
-    sys.add_lmr_durable("lmr", "mdp", root.join("lmr")).unwrap();
-
-    // one store — and one WAL — per filter shard (DESIGN.md §8): shard 0
-    // owns the base directory, shards 1..4 its -s<k> siblings
-    for shard_dir in ["mdp", "mdp-s1", "mdp-s2", "mdp-s3"] {
-        assert!(
-            root.join(shard_dir).is_dir(),
-            "missing shard store {shard_dir}"
-        );
-    }
-
-    for r in RULES {
-        sys.subscribe("lmr", r).unwrap();
-    }
-    for i in 0..4 {
-        sys.register_document("mdp", &provider(i, "a.hub.org", 128, 700))
-            .unwrap();
-    }
-
-    // a partial batch is volatile state: doc7 is queued, not yet filtered,
-    // and must vanish in the crash exactly like in the unsharded scenario
-    sys.set_batch_size("mdp", Some(100)).unwrap();
-    sys.register_document("mdp", &provider(7, "b.hub.org", 128, 700))
-        .unwrap();
-    assert_eq!(sys.mdp("mdp").unwrap().pending_documents(), 1);
-
-    // crash_and_restart_mdp internally byte-verifies that *each* shard's
-    // snapshot+WAL replay reproduces that shard's pre-crash database
-    sys.crash_and_restart_mdp("mdp").unwrap();
-    sys.run_to_quiescence().unwrap();
-
-    let mdp = sys.mdp("mdp").unwrap();
-    assert_eq!(mdp.engine().shard_count(), 4, "shard topology survives");
-    assert_eq!(mdp.pending_documents(), 0, "pending batch is volatile");
-    assert!(
-        mdp.engine().document("doc7.rdf").is_none(),
-        "unflushed batch must not resurrect"
-    );
-    for i in 0..4 {
-        assert!(
-            mdp.engine().document(&format!("doc{i}.rdf")).is_some(),
-            "flushed doc{i} lost in recovery"
-        );
-    }
-    assert_consistent(&sys, "lmr", "mdp", &RULES, "after sharded restart");
-
-    // post-crash traffic still routes through re-registered subscriptions
-    sys.register_document("mdp", &provider(9, "c.hub.org", 256, 800))
-        .unwrap();
-    assert!(sys.lmr("lmr").unwrap().is_cached("doc9.rdf#host"));
-    assert_consistent(&sys, "lmr", "mdp", &RULES, "after post-restart traffic");
     cleanup(&root);
 }
 

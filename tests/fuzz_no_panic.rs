@@ -165,10 +165,6 @@ property! {
         }
 
         let mut sys = MdvSystem::with_net_config(common::schema(), config);
-        // random shard topology (DESIGN.md §8): publications are shard-count
-        // invariant, so any layout must survive the same fault schedule
-        sys.set_filter_shards(*src.choose(&[1usize, 2, 4, 8]))
-            .unwrap();
         sys.add_mdp("m1").unwrap();
         sys.add_mdp("m2").unwrap(); // reliable MDP↔MDP replication
         sys.add_lmr("l1", "m1").unwrap();
@@ -264,9 +260,6 @@ property! {
         };
         let mut sys: MdvSystem<DurableEngine> =
             MdvSystem::durable_with_net_config(common::schema(), config);
-        // random shard topology: crash-restarts must recover every shard's
-        // WAL, whatever the layout (DESIGN.md §8)
-        sys.set_filter_shards(*src.choose(&[1usize, 2, 4])).unwrap();
         sys.add_mdp_durable("m1", root.join("m1")).unwrap();
         sys.add_mdp_durable("m2", root.join("m2")).unwrap();
         sys.add_lmr_durable("l1", "m1", root.join("l1")).unwrap();
@@ -356,7 +349,6 @@ property! {
         disk.arm(false); // the stores must at least finish creating
         let mut sys: MdvSystem<DurableEngine<FaultVfs>> =
             MdvSystem::durable_on(common::schema(), config);
-        sys.set_filter_shards(*src.choose(&[1usize, 2])).unwrap();
         sys.add_mdp_durable_on("m1", "/m1", disk.clone()).unwrap();
         sys.add_lmr_durable_on("l1", "m1", "/l1", disk.clone()).unwrap();
         disk.set_plan(DiskFaultPlan {

@@ -119,19 +119,6 @@ fn assert_exact_copies<S: StorageEngine + Send + Sync>(
 // ---------------------------------------------------------------------------
 
 #[test]
-fn filter_shard_count_is_rejected_once_mdps_exist() {
-    let mut sys = Mdv::new(schema());
-    sys.set_filter_shards(4).unwrap(); // before any MDP: fine
-    sys.add_mdp("m1").unwrap();
-    let err = sys.set_filter_shards(8).unwrap_err();
-    assert!(
-        matches!(err, Error::Config(_)),
-        "mid-run shard change must be a typed configuration error, got: {err}"
-    );
-    assert!(err.to_string().contains("configuration error"), "{err}");
-}
-
-#[test]
 fn placement_configuration_errors_are_typed() {
     let mut sys = Mdv::new(schema());
     assert!(matches!(

@@ -12,7 +12,7 @@
 //!    replayed as a crash image under all [`CRASH_MODES`], and recovery
 //!    must land on an acked-or-later committed state — zero committed-write
 //!    loss, no invented state, at the relstore tier and through real MDP
-//!    traffic (including the sharded `-s<k>` store layout).
+//!    traffic.
 //! 2. **Randomized fault plans** (`faulty_disk_is_detected_or_consistent`):
 //!    write errors, short writes, failed syncs and silent bit rot are
 //!    injected from one seeded stream; whatever happens, recovery yields a
@@ -453,16 +453,9 @@ fn stdfs_wal_layout_matches_pre_vfs_golden_bytes() {
 
 // ---- system tier: end-to-end schedules on the simulated disk --------------
 
-fn faulty_two_tier(
-    mdp_vfs: &FaultVfs,
-    lmr_vfs: &FaultVfs,
-    shards: usize,
-) -> MdvSystem<DurableEngine<FaultVfs>> {
+fn faulty_two_tier(mdp_vfs: &FaultVfs, lmr_vfs: &FaultVfs) -> MdvSystem<DurableEngine<FaultVfs>> {
     let mut sys: MdvSystem<DurableEngine<FaultVfs>> =
         MdvSystem::durable_on(schema(), NetConfig::default());
-    if shards > 1 {
-        sys.set_filter_shards(shards).unwrap();
-    }
     sys.add_mdp_durable_on("mdp", "/m", mdp_vfs.clone())
         .unwrap();
     sys.add_lmr_durable_on("lmr", "mdp", "/l", lmr_vfs.clone())
@@ -486,18 +479,17 @@ fn doc_uris(db: &Database) -> BTreeSet<String> {
     }
 }
 
-/// Exhaustive crash-point exploration of a real, sharded MDP schedule: every
-/// durability boundary the node's two shard stores cross — including the
-/// epoch bumps of auto-checkpoints — is crashed under every mode, and the
+/// Exhaustive crash-point exploration of a real MDP schedule: every
+/// durability boundary the node's store crosses — including the epoch
+/// bumps of auto-checkpoints — is crashed under every mode, and the
 /// recovered document set must be the acked set at that boundary or an
-/// atomically newer one. This is the ISSUE's acceptance schedule: zero
-/// committed-write loss across the whole sweep.
+/// atomically newer one: zero committed-write loss across the whole sweep.
 #[test]
-fn end_to_end_sharded_schedule_survives_every_recorded_boundary() {
+fn end_to_end_schedule_survives_every_recorded_boundary() {
     let vfs = FaultVfs::new(0x5EED);
     vfs.set_recording(true); // record from store creation onwards
     let lvfs = FaultVfs::new(2); // the LMR persists off the recorded disk
-    let mut sys = faulty_two_tier(&vfs, &lvfs, 2);
+    let mut sys = faulty_two_tier(&vfs, &lvfs);
     sys.set_checkpoint_every(Some(4));
 
     // expected[k] = acked document set after k acked system operations
@@ -529,28 +521,26 @@ fn end_to_end_sharded_schedule_survives_every_recorded_boundary() {
 
     let n = vfs.boundary_count();
     assert!(n >= 30, "expected a rich boundary set, got only {n}");
+    assert!(
+        !vfs.dump().contains_key(Path::new("/m/wal-0")),
+        "the schedule must cross an auto-checkpoint epoch bump"
+    );
 
     for i in 0..n {
         let (op, marker) = vfs.boundary_info(i);
         let m = marker as usize;
         for mode in CRASH_MODES {
-            let image = vfs.crash_image(i, mode);
-            let mut uris = BTreeSet::new();
-            let mut failure = None;
-            for d in ["/m", "/m-s1"] {
-                match DurableEngine::open_with(image.clone(), d) {
-                    Ok(rec) => uris.extend(doc_uris(rec.database())),
-                    Err(e) => failure = Some(e),
+            let uris = match DurableEngine::open_with(vfs.crash_image(i, mode), "/m") {
+                Ok(rec) => doc_uris(rec.database()),
+                Err(e) => {
+                    assert_eq!(
+                        m, 0,
+                        "boundary {i} ({op}, {mode:?}): store unopenable \
+                         after acked traffic: {e}"
+                    );
+                    continue;
                 }
-            }
-            if let Some(e) = failure {
-                assert_eq!(
-                    m, 0,
-                    "boundary {i} ({op}, {mode:?}): shard store unopenable \
-                     after acked traffic: {e}"
-                );
-                continue;
-            }
+            };
             assert!(
                 expected[m..].contains(&uris),
                 "boundary {i} ({op}, {mode:?}): recovered documents {uris:?} \
@@ -564,7 +554,7 @@ fn end_to_end_sharded_schedule_survives_every_recorded_boundary() {
 fn two_tier_deployment_reconverges_after_every_crash_mode() {
     for mode in CRASH_MODES {
         let vfs = FaultVfs::new(7);
-        let mut sys = faulty_two_tier(&vfs, &vfs, 1);
+        let mut sys = faulty_two_tier(&vfs, &vfs);
         sys.subscribe("lmr", RULES[0]).unwrap();
         for i in 0..3 {
             sys.register_document("mdp", &provider(i, "a.hub.org", 128, 700))
@@ -603,46 +593,11 @@ fn two_tier_deployment_reconverges_after_every_crash_mode() {
 }
 
 #[test]
-fn sharded_mdp_on_one_simulated_disk_recovers_every_shard() {
-    let vfs = FaultVfs::new(11);
-    let mut sys = faulty_two_tier(&vfs, &vfs, 3);
-    for r in RULES {
-        sys.subscribe("lmr", r).unwrap();
-    }
-    for i in 0..6 {
-        sys.register_document("mdp", &provider(i, "a.hub.org", 128, 700))
-            .unwrap();
-    }
-    // all three shard stores share the one simulated failure domain
-    let dump = vfs.dump();
-    for d in ["/m", "/m-s1", "/m-s2"] {
-        assert!(
-            dump.keys().any(|p| p.starts_with(d)),
-            "no files under shard store {d}"
-        );
-    }
-
-    vfs.crash(CrashMode::DurableOnly);
-    sys.crash_and_restart_mdp("mdp").unwrap();
-    sys.run_to_quiescence().unwrap();
-
-    let mdp = sys.mdp("mdp").unwrap();
-    assert_eq!(mdp.engine().shard_count(), 3, "shard topology survives");
-    for i in 0..6 {
-        assert!(
-            mdp.engine().document(&format!("doc{i}.rdf")).is_some(),
-            "doc{i} lost in sharded recovery"
-        );
-    }
-    assert_consistent(&sys, "lmr", "mdp", &RULES, "after sharded disk crash");
-}
-
-#[test]
 fn a_wedged_mdp_recovers_its_acked_prefix_after_reopen() {
     let vfs = FaultVfs::new(23);
     vfs.arm(false);
     let lvfs = FaultVfs::new(24);
-    let mut sys = faulty_two_tier(&vfs, &lvfs, 1);
+    let mut sys = faulty_two_tier(&vfs, &lvfs);
     sys.subscribe("lmr", RULES[0]).unwrap();
     for i in 0..2 {
         sys.register_document("mdp", &provider(i, "a.hub.org", 128, 700))
