@@ -132,9 +132,10 @@ while read -r name; do
 done < <(grep -oE 'BENCH_[a-z_]+\.json' EXPERIMENTS.md | sort -u)
 echo "ok: BENCH_*.json files and EXPERIMENTS.md agree ($BENCH_COUNT files)"
 # Removed mechanisms stay removed from the docs: the filter-shard tier and
-# the matching knobs (PR 18) may be named only where their removal is
-# recorded — DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling'
+# the matching knobs (PR 18) and the second grouped join body (PR 19) may
+# be named only where their removal is recorded — DESIGN.md §8 and
+# EXPERIMENTS.md "Removed studies".
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -266,6 +267,21 @@ for seed in "${CI_SEEDS[@]}"; do
 done
 
 # ---------------------------------------------------------------------------
+step "grouped-join replay: input-pair index vs per-member reference across fixed seeds"
+# Replays the rule-group transparency property (the grouped join body
+# against the per-member evaluation of `use_rule_groups = false`, same
+# publications and Figure-9 trace rows in the same order under subscribe /
+# unsubscribe / register / update / delete, and the DepGraph join index
+# equal to a recomputation from the rules; DESIGN.md §5) under the pinned
+# seed matrix.
+for seed in "${CI_SEEDS[@]}"; do
+  MDV_PROP_SEED="$seed" MDV_PROP_CASES=25 \
+    cargo test -q --offline -p mdv-filter --test properties \
+    rule_groups_are_transparent >/dev/null
+  echo "ok: rule_groups_are_transparent @ MDV_PROP_SEED=$seed"
+done
+
+# ---------------------------------------------------------------------------
 step "cargo doc: public filter API (mdv-filter, -D warnings)"
 # The filter crate is the paper's contribution and its public API is the
 # documented surface (rustdoc'd module docs + runnable examples); gate it
@@ -300,6 +316,28 @@ if [[ "$QUICK" == "0" ]]; then
   cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
     --smoke >/dev/null
   echo "ok: mdvbench --smoke"
+
+  # -------------------------------------------------------------------------
+  step "mdvbench exact counts: join-batch filters in O(matches)"
+  # The filter's work per document must not depend on the rule base
+  # (DESIGN.md §5 item 3, §10.2): on join-batch every document matches
+  # exactly one of the PATH+JOIN rules, so a handful of join look-ups and
+  # trigger evaluations find it. Counts, not timings — they repeat exactly
+  # for a seed. (Per-member evaluation and the numeric-= scan measured
+  # 900.3 and 602 here at smoke size; the indexed routes 3.3 and 2.2.)
+  cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload join-batch --smoke --trace 1 --seconds 1 2>/dev/null \
+    | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read().splitlines()[-1])
+if not result["correct"]:
+    sys.exit("ERROR: join-batch smoke run is not correct")
+for name in ("core.join_evals_per_doc", "core.trigger_evals_per_doc"):
+    value = result["metrics"][name]["value"]
+    if value > 10:
+        sys.exit(f"ERROR: {name} = {value} > 10: filtering is not O(matches)")
+    print(f"ok: {name} = {value:.1f} (<= 10)")
+'
 
   # -------------------------------------------------------------------------
   step "bench harness smoke pass (MDV_BENCH_ITERS=1)"

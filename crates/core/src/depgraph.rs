@@ -10,7 +10,9 @@
 
 use std::collections::HashMap;
 
-use crate::atoms::{AtomicRule, AtomicRuleKind, GroupId, GroupKey, InputRef, JoinSpec, RuleId};
+use crate::atoms::{
+    AtomicRule, AtomicRuleKind, GroupId, GroupKey, InputRef, JoinSpec, RuleId, Side,
+};
 use crate::decompose::{ProtoRule, ProtoRules};
 
 /// Outcome of merging one decomposed rule into the graph.
@@ -38,8 +40,25 @@ pub struct DepGraph {
     groups: HashMap<GroupKey, GroupId>,
     group_members: HashMap<GroupId, Vec<RuleId>>,
     group_keys: HashMap<GroupId, GroupKey>,
+    /// `(input rule, side)` → the groups holding a member that takes the
+    /// rule on that side, ascending by group id, each with the number of
+    /// such members. Derived from `rules`, like `group_members`.
+    fed_groups: HashMap<(RuleId, Side), Vec<(GroupId, u32)>>,
+    /// `(group, left input, right input)` → the member. A group fixes
+    /// classes, predicate and register side, so the input pair determines
+    /// the member. Flat on purpose: nesting by group and counterpart rule
+    /// cost +20 % peak memory at 6k join rules.
+    member_by_inputs: HashMap<(GroupId, RuleId, RuleId), RuleId>,
     next_rule: u64,
     next_group: u64,
+}
+
+/// Counts one more member of `gid` in a list kept ascending by group id.
+fn count_member(fed: &mut Vec<(GroupId, u32)>, gid: GroupId) {
+    match fed.binary_search_by_key(&gid, |(g, _)| *g) {
+        Ok(pos) => fed[pos].1 += 1,
+        Err(pos) => fed.insert(pos, (gid, 1)),
+    }
 }
 
 impl DepGraph {
@@ -74,6 +93,57 @@ impl DepGraph {
 
     pub fn group_key(&self, group: GroupId) -> Option<&GroupKey> {
         self.group_keys.get(&group)
+    }
+
+    /// The groups with at least one member whose `side` input is `input`,
+    /// ascending by group id — where a delta on `input` has to be looked up
+    /// (paper §3.3.3).
+    pub fn fed_groups(&self, input: RuleId, side: Side) -> impl Iterator<Item = GroupId> + '_ {
+        self.fed_groups
+            .get(&(input, side))
+            .into_iter()
+            .flatten()
+            .map(|&(gid, _)| gid)
+    }
+
+    /// The member of `group` joining `left` with `right`, if registered.
+    pub fn member(&self, group: GroupId, left: RuleId, right: RuleId) -> Option<RuleId> {
+        self.member_by_inputs.get(&(group, left, right)).copied()
+    }
+
+    /// Recomputes the join index (`fed_groups`, `member`) from the rules
+    /// and reports the first difference — the tests' invariant check.
+    #[doc(hidden)]
+    pub fn check_join_index(&self) -> Result<(), String> {
+        let mut fed: HashMap<(RuleId, Side), Vec<(GroupId, u32)>> = HashMap::new();
+        let mut members = HashMap::new();
+        for rule in self.rules_sorted() {
+            let (AtomicRuleKind::Join(spec), Some(gid)) = (&rule.kind, rule.group) else {
+                continue;
+            };
+            for side in [Side::Left, Side::Right] {
+                count_member(fed.entry((spec.input(side).rule, side)).or_default(), gid);
+            }
+            if let Some(twin) = members.insert((gid, spec.left.rule, spec.right.rule), rule.id) {
+                return Err(format!(
+                    "rules {twin} and {} share group and inputs",
+                    rule.id
+                ));
+            }
+        }
+        if fed != self.fed_groups {
+            return Err(format!(
+                "fed_groups is {:?}, the rules give {fed:?}",
+                self.fed_groups
+            ));
+        }
+        if members != self.member_by_inputs {
+            return Err(format!(
+                "member_by_inputs is {:?}, the rules give {members:?}",
+                self.member_by_inputs
+            ));
+        }
+        Ok(())
     }
 
     /// All rules, sorted by id (deterministic iteration for tests/rendering).
@@ -172,6 +242,17 @@ impl DepGraph {
                     }
                 };
                 self.group_members.entry(gid).or_default().push(id);
+                for side in [Side::Left, Side::Right] {
+                    let key = (spec.input(side).rule, side);
+                    count_member(self.fed_groups.entry(key).or_default(), gid);
+                }
+                let twin = self
+                    .member_by_inputs
+                    .insert((gid, spec.left.rule, spec.right.rule), id);
+                assert!(
+                    twin.is_none(),
+                    "group {gid} and inputs determine the member, yet {twin:?} and {id} share them"
+                );
                 (spec.register_input().class.clone(), Some(gid))
             }
         };
@@ -224,6 +305,22 @@ impl DepGraph {
                     let key = self.group_keys.remove(&gid).expect("group key exists");
                     self.groups.remove(&key);
                 }
+                for side in [Side::Left, Side::Right] {
+                    let key = (spec.input(side).rule, side);
+                    if let Some(fed) = self.fed_groups.get_mut(&key) {
+                        if let Ok(pos) = fed.binary_search_by_key(&gid, |(g, _)| *g) {
+                            fed[pos].1 -= 1;
+                            if fed[pos].1 == 0 {
+                                fed.remove(pos);
+                            }
+                        }
+                        if fed.is_empty() {
+                            self.fed_groups.remove(&key);
+                        }
+                    }
+                }
+                self.member_by_inputs
+                    .remove(&(gid, spec.left.rule, spec.right.rule));
             }
             let inputs = [spec.left.rule, spec.right.rule];
             for input in inputs {

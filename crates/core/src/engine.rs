@@ -16,7 +16,9 @@ use mdv_relstore::{Database, StorageEngine};
 use mdv_rulelang::{normalize, parse_rule, split_or, typecheck, RuleOp};
 use mdv_runtime::pool::parallel_map;
 
-use crate::atoms::{AtomicRuleKind, GroupId, JoinPred, JoinSpec, RuleId, Side, TriggerOp};
+use crate::atoms::{
+    AtomicRuleKind, GroupId, GroupKey, JoinPred, JoinSpec, RuleId, Side, TriggerOp,
+};
 use crate::decompose::decompose;
 use crate::depgraph::DepGraph;
 use crate::error::{Error, Result};
@@ -35,15 +37,15 @@ pub struct FilterConfig {
     /// Share counterpart probes across the join rules of a rule group
     /// (paper §3.3.3). Disabling evaluates every join rule individually.
     pub use_rule_groups: bool,
-    /// Worker threads for the read-only filter phases: document validation
-    /// and atomization, trigger matching, counterpart probes, and join-rule
-    /// candidate evaluation. `1` (the default) runs everything on the
-    /// calling thread with the classic join loop, which measured 6–7 %
-    /// faster at batch size 1; any larger value runs the phased join body
-    /// on a pool, which measured 27 % faster at batch size 100 on one
-    /// thread already. Any value yields byte-identical publications and
-    /// stats; only wall-clock time changes (DESIGN.md §5, "Parallel filter
-    /// execution").
+    /// Worker threads for the read-only filter phases that fan out:
+    /// document validation and atomization, trigger matching, the distinct
+    /// counterpart probes of a join iteration, and rebuilding the candidate
+    /// atoms of update pass 2. Matching counterparts to group members and
+    /// writing materializations run on the calling thread, and with
+    /// `use_rule_groups` off the whole join iteration does. `1` (the
+    /// default) runs everything on the calling thread. Any value yields
+    /// byte-identical publications and stats; only wall-clock time changes
+    /// (DESIGN.md §5, "Parallel filter execution").
     pub threads: usize,
 }
 
@@ -645,10 +647,11 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
     /// Per operator, the probe routes through the cheapest exact structure
     /// (DESIGN.md §10): string equality uses the hash index on
     /// `(class, property, value)`; `contains` verifies the candidates of
-    /// the inverted token postings; the ordered numeric operators walk the
-    /// sorted threshold chain; everything else scans its
-    /// `(class, property)` partition. All routes emit matches in ascending
-    /// rule-id order, the order a scan of the partition would produce.
+    /// the inverted token postings; numeric equality and the ordered
+    /// numeric operators go through the sorted threshold chain; the two
+    /// inequalities scan their `(class, property)` partition. All routes
+    /// emit matches in ascending rule-id order, the order a scan of the
+    /// partition would produce.
     fn match_triggers(&self, atoms: &[Atom]) -> Result<(Vec<(String, RuleId)>, u64)> {
         // probe only operator tables that currently hold rules
         let active_ops: Vec<TriggerOp> = TRIGGER_OPS
@@ -686,9 +689,14 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
                             self.triggers
                                 .match_contains(class, &atom.property, &atom.value)
                         }
-                        TriggerOp::Lt | TriggerOp::Le | TriggerOp::Gt | TriggerOp::Ge => self
-                            .triggers
-                            .match_ordered(*op, class, &atom.property, &atom.value),
+                        TriggerOp::EqNum
+                        | TriggerOp::Lt
+                        | TriggerOp::Le
+                        | TriggerOp::Gt
+                        | TriggerOp::Ge => {
+                            self.triggers
+                                .match_ordered(*op, class, &atom.property, &atom.value)
+                        }
                         _ => matching_triggers(self.db(), *op, class, &atom.property, &atom.value)?,
                     };
                     evals += n;
@@ -709,24 +717,10 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         Ok((out, evals))
     }
 
-    /// One iteration of join-rule evaluation: all join rules depending on
-    /// the current results are evaluated, grouped by rule group so that
-    /// counterpart probes are shared (paper §3.3.3).
-    ///
-    /// The iteration runs in four phases so the read-heavy middle two can
-    /// fan out across the pool while the result stays byte-identical to
-    /// the sequential engine for any `config.threads` (DESIGN.md §5):
-    ///
-    /// 1. **enumerate** (sequential, cheap) one task per `(member, side)`
-    ///    with delta input, in canonical order — group id, member id,
-    ///    side — and dedup the counterpart probes the group shares;
-    /// 2. **probe** (parallel) each distinct probe exactly once against
-    ///    the shared read-only store;
-    /// 3. **evaluate** (parallel) every task read-only against the shared
-    ///    probe results; the per-task candidate vectors concatenate in
-    ///    task order, reproducing the sequential candidate order exactly;
-    /// 4. **offer** (sequential) the deduped candidates, writing
-    ///    materializations — the only mutating step.
+    /// One iteration of join-rule evaluation: every join rule an input of
+    /// which is in the current results is evaluated; the candidates are
+    /// then deduplicated and offered, which writes materializations — the
+    /// only mutating step.
     fn eval_join_iteration(
         &mut self,
         current: &[(String, RuleId)],
@@ -734,42 +728,15 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         seen: &mut HashSet<(RuleId, String)>,
     ) -> Result<Vec<(String, RuleId)>> {
         // delta keyed by producing rule
-        let mut delta: HashMap<RuleId, Vec<String>> = HashMap::new();
+        let mut delta: BTreeMap<RuleId, Vec<String>> = BTreeMap::new();
         for (uri, rule) in current {
             delta.entry(*rule).or_default().push(uri.clone());
         }
-        // affected join rules, grouped
-        let mut groups: BTreeMap<GroupId, BTreeSet<RuleId>> = BTreeMap::new();
-        for rule in delta.keys() {
-            for dep in self.graph.dependents_of(*rule) {
-                let gid = self
-                    .graph
-                    .rule(*dep)
-                    .and_then(|r| r.group)
-                    .expect("dependents are join rules with groups");
-                groups.entry(gid).or_default().insert(*dep);
-            }
-        }
-
-        // Two bodies, because each wins on one batch size (mdvbench at
-        // 331d2bc, interleaved pairs, phased body forced on one thread):
-        // the classic loop is 6–7 % faster at batch size 1
-        // (`replicated-churn` 249 vs 234 ops/s, `placement-r2` 651 vs 604),
-        // the phased body 27 % faster at batch size 100 (`join-batch` 495
-        // vs 388). The fork on `threads > 1` stays until one body wins
-        // both. Where to look: the classic loop clones the shared
-        // counterpart list and its `(Side, String)` key on every lookup;
-        // the phased body clones `pred` / `other_class` per task. The two
-        // must stay result-identical — `tests/parallel_determinism.rs`
-        // diffs them (publications, traces, stats) over randomized
-        // workloads.
-        let candidates = if self.config.threads > 1 {
-            self.join_candidates_parallel(&delta, &groups)?
+        let candidates = if self.config.use_rule_groups {
+            self.join_candidates_grouped(&delta)?
         } else {
-            self.join_candidates_sequential(&delta, &groups)?
+            self.join_candidates_per_member(&delta)?
         };
-
-        // dedup and write materializations (sequential in both modes)
         let mut next = Vec::new();
         for (uri, rule) in candidates {
             if seen.insert((rule, uri.clone())) && self.offer(rule, &uri, mode)? {
@@ -779,207 +746,153 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         Ok(next)
     }
 
-    /// Join-candidate enumeration exactly as the pre-parallel engine ran
-    /// it: one pass over the affected groups, probing lazily through a
-    /// per-group probe cache (paper §3.3.3).
-    fn join_candidates_sequential(
+    /// Join candidates in time proportional to the matches, not to the
+    /// rule base (paper §3.3.3; DESIGN.md §5): a delta resource is looked
+    /// up once per rule group its rule feeds, each distinct
+    /// `(group, side, resource)` probe runs once (across the pool), and a
+    /// counterpart names the members it completes through the rules whose
+    /// results hold it — `(group, delta rule, holder)` is a member or it is
+    /// not. Sorting the candidates by `(group, member, side, delta
+    /// position, counterpart position)` yields exactly the order in which
+    /// [`FilterEngine::join_candidates_per_member`] emits them.
+    fn join_candidates_grouped(
         &mut self,
-        delta: &HashMap<RuleId, Vec<String>>,
-        groups: &BTreeMap<GroupId, BTreeSet<RuleId>>,
+        delta: &BTreeMap<RuleId, Vec<String>>,
     ) -> Result<Vec<(String, RuleId)>> {
-        let mut candidates: Vec<(String, RuleId)> = Vec::new();
-        for members in groups.values() {
-            // probe cache shared across the group's members: the probe
-            // depends only on (side, uri) because all members share the
-            // predicate shape and classes
-            let mut cache: HashMap<(Side, String), Vec<String>> = HashMap::new();
-            for member in members {
-                let spec = match &self.graph.rule(*member).expect("member exists").kind {
-                    AtomicRuleKind::Join(spec) => spec.clone(),
-                    AtomicRuleKind::Trigger { .. } => unreachable!("dependents are join rules"),
-                };
-                for side in [Side::Left, Side::Right] {
-                    let input = spec.input(side);
-                    let Some(uris) = delta.get(&input.rule) else {
-                        continue;
-                    };
-                    let other_rule = spec.input(side.other()).rule;
-                    let other_class = spec.input(side.other()).class.clone();
-                    for uri in uris {
-                        self.stats.join_evaluations += 1;
-                        let counterparts: Vec<String> = if self.config.use_rule_groups {
-                            match cache.get(&(side, uri.clone())) {
-                                Some(hit) => {
-                                    self.stats.probe_cache_hits += 1;
-                                    hit.clone()
-                                }
-                                None => {
-                                    let fresh = self.probe_counterparts(
-                                        &spec.pred,
-                                        side,
-                                        uri,
-                                        &other_class,
-                                    )?;
-                                    cache.insert((side, uri.clone()), fresh.clone());
-                                    fresh
-                                }
-                            }
-                        } else {
-                            self.probe_counterparts(&spec.pred, side, uri, &other_class)?
-                        };
-                        for cu in counterparts {
-                            if BaseStore::result_contains(self.db(), other_rule, &cu)? {
-                                let reg = if spec.register == side {
-                                    uri.clone()
-                                } else {
-                                    cu.clone()
-                                };
-                                candidates.push((reg, *member));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(candidates)
-    }
-
-    /// The three read-heavy phases of the parallel join evaluation
-    /// (DESIGN.md §5): enumerate one *task* per (member, side) with delta
-    /// input — sequentially, in canonical order — plus the distinct
-    /// counterpart probes the group shares; run each distinct probe once
-    /// across the pool; then evaluate the tasks in parallel. Task results
-    /// concatenate in task order and each task walks its delta slice in
-    /// order, reproducing the sequential candidate order exactly.
-    ///
-    /// Tasks — not individual (member, side, uri) lookups — are the unit
-    /// of parallelism on purpose: shared triggers can fan a group out to
-    /// `members × delta` lookups (10⁸ at the 100k-rule benchmark), and
-    /// materializing per-lookup state costs more than the lookups. Per
-    /// task the only state is a borrow of the delta slice; stats come out
-    /// of the enumeration arithmetic (hits = lookups − distinct probes,
-    /// exactly the sequential cache accounting).
-    fn join_candidates_parallel(
-        &mut self,
-        delta: &HashMap<RuleId, Vec<String>>,
-        groups: &BTreeMap<GroupId, BTreeSet<RuleId>>,
-    ) -> Result<Vec<(String, RuleId)>> {
-        // phase 1: enumerate tasks and the distinct probes they share
-        struct Task<'a> {
-            member: RuleId,
-            register: Side,
-            side: Side,
+        struct Feed<'a> {
             gid: GroupId,
+            key: &'a GroupKey,
+            side: Side,
+            rule: RuleId,
             uris: &'a [String],
-            other_rule: RuleId,
-            pred: JoinPred,
-            other_class: String,
+            /// Index into `probes`, per delta resource.
+            probe_of: Vec<usize>,
         }
-        let mut tasks: Vec<Task> = Vec::new();
-        let mut probes: Vec<(JoinPred, Side, String, String)> = Vec::new();
-        // (group, side) → uri → index into `probes`
-        let mut probe_index: HashMap<(GroupId, Side), HashMap<&str, usize>> = HashMap::new();
-        // (group, side) → input rules whose delta is already in the probe
-        // set; members sharing an input contribute no new probes
-        let mut merged: HashMap<(GroupId, Side), HashSet<RuleId>> = HashMap::new();
-        for (gid, members) in groups {
-            for member in members {
-                let spec = match &self.graph.rule(*member).expect("member exists").kind {
-                    AtomicRuleKind::Join(spec) => spec.clone(),
-                    AtomicRuleKind::Trigger { .. } => unreachable!("dependents are join rules"),
-                };
-                for side in [Side::Left, Side::Right] {
-                    let input = spec.input(side);
-                    let Some(uris) = delta.get(&input.rule) else {
+        let mut feeds: Vec<Feed> = Vec::new();
+        let mut probes: Vec<(&GroupKey, Side, &str)> = Vec::new();
+        let mut probe_index: HashMap<(GroupId, Side, &str), usize> = HashMap::new();
+        let mut lookups = 0u64;
+        for (rule, uris) in delta {
+            for side in [Side::Left, Side::Right] {
+                for gid in self.graph.fed_groups(*rule, side) {
+                    let Some(key) = self.graph.group_key(gid) else {
                         continue;
                     };
-                    let other_rule = spec.input(side.other()).rule;
-                    let other_class = spec.input(side.other()).class.clone();
-                    self.stats.join_evaluations += uris.len() as u64;
-                    if self.config.use_rule_groups {
-                        // the probe depends only on (side, uri) within a
-                        // group: all members share the predicate shape and
-                        // classes. Every lookup beyond the first of its
-                        // (side, uri) is a cache hit, as in the sequential
-                        // per-group cache.
-                        if merged.entry((*gid, side)).or_default().insert(input.rule) {
-                            let index = probe_index.entry((*gid, side)).or_default();
-                            for uri in uris {
-                                if index.contains_key(uri.as_str()) {
-                                    self.stats.probe_cache_hits += 1;
-                                } else {
-                                    probes.push((
-                                        spec.pred.clone(),
-                                        side,
-                                        uri.clone(),
-                                        other_class.clone(),
-                                    ));
-                                    index.insert(uri.as_str(), probes.len() - 1);
-                                }
-                            }
-                        } else {
-                            self.stats.probe_cache_hits += uris.len() as u64;
-                        }
-                    } else {
-                        // ungrouped mode probes once per lookup (no cache);
-                        // the tasks execute those probes inline below
-                        self.stats.probes_executed += uris.len() as u64;
-                    }
-                    tasks.push(Task {
-                        member: *member,
-                        register: spec.register,
+                    lookups += uris.len() as u64;
+                    let probe_of = uris
+                        .iter()
+                        .map(|uri| {
+                            *probe_index
+                                .entry((gid, side, uri.as_str()))
+                                .or_insert_with(|| {
+                                    probes.push((key, side, uri.as_str()));
+                                    probes.len() - 1
+                                })
+                        })
+                        .collect();
+                    feeds.push(Feed {
+                        gid,
+                        key,
                         side,
-                        gid: *gid,
+                        rule: *rule,
                         uris,
-                        other_rule,
-                        pred: spec.pred.clone(),
-                        other_class,
+                        probe_of,
                     });
                 }
             }
         }
-        self.stats.probes_executed += probes.len() as u64;
 
-        // phase 2: run each distinct probe once (read-only, parallel)
-        let probed = self.par_map(&probes, |(pred, side, uri, other_class)| {
-            self.probe_counterparts_ro(pred, *side, uri, other_class)
+        let probed = self.par_map(&probes, |(key, side, uri)| {
+            let other_class = match side {
+                Side::Left => &key.right_class,
+                Side::Right => &key.left_class,
+            };
+            self.probe_counterparts_ro(&key.pred, *side, uri, other_class)
         });
         let mut counterparts: Vec<Vec<String>> = Vec::with_capacity(probed.len());
         for p in probed {
             counterparts.push(p?);
         }
 
-        // phase 3: evaluate every task (read-only, parallel)
-        let use_groups = self.config.use_rule_groups;
-        let candidate_parts = self.par_map(&tasks, |t| -> Result<Vec<(String, RuleId)>> {
-            let mut part = Vec::new();
-            let index = probe_index.get(&(t.gid, t.side));
-            for uri in t.uris {
-                let inline_probe;
-                let cps: &[String] = if use_groups {
-                    let idx = index.expect("task's probes were enumerated")[uri.as_str()];
-                    &counterparts[idx]
-                } else {
-                    inline_probe =
-                        self.probe_counterparts_ro(&t.pred, t.side, uri, &t.other_class)?;
-                    &inline_probe
-                };
-                for cu in cps {
-                    if BaseStore::result_contains(self.db(), t.other_rule, cu)? {
-                        let reg = if t.register == t.side {
-                            uri.clone()
-                        } else {
-                            cu.clone()
+        // (sort key, resource to register); the key is (group, member,
+        // right side?, delta position, counterpart position)
+        let mut found = Vec::new();
+        for feed in &feeds {
+            for (pos, uri) in feed.uris.iter().enumerate() {
+                for (cpos, cu) in counterparts[feed.probe_of[pos]].iter().enumerate() {
+                    for holder in BaseStore::rules_containing(self.db(), cu)? {
+                        let member = match feed.side {
+                            Side::Left => self.graph.member(feed.gid, feed.rule, holder),
+                            Side::Right => self.graph.member(feed.gid, holder, feed.rule),
                         };
-                        part.push((reg, t.member));
+                        if let Some(member) = member {
+                            let reg = if feed.key.register == feed.side {
+                                uri
+                            } else {
+                                cu
+                            };
+                            let order = (feed.gid, member, feed.side == Side::Right, pos, cpos);
+                            found.push((order, reg));
+                        }
                     }
                 }
             }
-            Ok(part)
-        });
+        }
+        found.sort_unstable_by_key(|(order, _)| *order);
+        let candidates = found
+            .into_iter()
+            .map(|((_, member, ..), reg)| (reg.clone(), member))
+            .collect();
+
+        let distinct = probes.len() as u64;
+        self.stats.join_evaluations += lookups;
+        self.stats.probes_executed += distinct;
+        self.stats.probe_cache_hits += lookups - distinct;
+        Ok(candidates)
+    }
+
+    /// Join candidates the way the paper's filter finds them without rule
+    /// groups (Ablation B): every affected join rule probes for itself.
+    /// Sequential at every thread count, and the reference
+    /// [`FilterEngine::join_candidates_grouped`] is tested against.
+    fn join_candidates_per_member(
+        &mut self,
+        delta: &BTreeMap<RuleId, Vec<String>>,
+    ) -> Result<Vec<(String, RuleId)>> {
+        // affected join rules, in canonical order: group id, member id
+        let mut members: BTreeSet<(GroupId, RuleId)> = BTreeSet::new();
+        for rule in delta.keys() {
+            for dep in self.graph.dependents_of(*rule) {
+                if let Some(gid) = self.graph.rule(*dep).and_then(|r| r.group) {
+                    members.insert((gid, *dep));
+                }
+            }
+        }
         let mut candidates: Vec<(String, RuleId)> = Vec::new();
-        for part in candidate_parts {
-            candidates.extend(part?);
+        for (_, member) in members {
+            let Some(AtomicRuleKind::Join(spec)) = self.graph.rule(member).map(|r| r.kind.clone())
+            else {
+                continue;
+            };
+            for side in [Side::Left, Side::Right] {
+                let Some(uris) = delta.get(&spec.input(side).rule) else {
+                    continue;
+                };
+                let other = spec.input(side.other());
+                for uri in uris {
+                    self.stats.join_evaluations += 1;
+                    for cu in self.probe_counterparts(&spec.pred, side, uri, &other.class)? {
+                        if BaseStore::result_contains(self.db(), other.rule, &cu)? {
+                            let reg = if spec.register == side {
+                                uri.clone()
+                            } else {
+                                cu
+                            };
+                            candidates.push((reg, member));
+                        }
+                    }
+                }
+            }
         }
         Ok(candidates)
     }
@@ -1618,10 +1531,21 @@ mod tests {
         let pubs_b = ungrouped.register_batch(&docs).unwrap();
         // identical results ...
         assert_eq!(pubs_a, pubs_b);
-        // ... but the grouped engine shared probes
-        assert!(grouped.stats().probe_cache_hits > 0);
-        assert_eq!(ungrouped.stats().probe_cache_hits, 0);
-        assert!(grouped.stats().probes_executed < ungrouped.stats().probes_executed);
+        // ... but the grouped engine shared probes: the two joins are one
+        // group, fed on the left by the shared CycleProvider trigger (20
+        // look-ups) and on the right by the two ServerInformation triggers
+        // (20 each, the second 20 sharing the first 20's probes)
+        let g = grouped.stats();
+        assert_eq!(
+            (g.join_evaluations, g.probes_executed, g.probe_cache_hits),
+            (60, 40, 20)
+        );
+        // ungrouped: each of the two joins looks up and probes for itself
+        let u = ungrouped.stats();
+        assert_eq!(
+            (u.join_evaluations, u.probes_executed, u.probe_cache_hits),
+            (80, 80, 0)
+        );
     }
 
     #[test]

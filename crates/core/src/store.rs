@@ -67,6 +67,7 @@ pub const IDX_RES_CLASS: &str = "Resources_by_class";
 pub const IDX_RES_DOC: &str = "Resources_by_document";
 pub const IDX_RR_RULE: &str = "RuleResults_by_rule";
 pub const IDX_RR_PAIR: &str = "RuleResults_by_rule_uri";
+pub const IDX_RR_URI: &str = "RuleResults_by_uri";
 
 /// Creates the base tables in `db`.
 pub fn create_base_tables<S: StorageEngine>(db: &mut S) -> Result<()> {
@@ -151,6 +152,13 @@ pub fn create_base_tables<S: StorageEngine>(db: &mut S) -> Result<()> {
         IndexKind::Hash,
         &["rule_id", "uri_reference"],
         true,
+    )?;
+    db.create_index(
+        T_RULE_RESULTS,
+        IDX_RR_URI,
+        IndexKind::Hash,
+        &["uri_reference"],
+        false,
     )?;
     Ok(())
 }
@@ -370,6 +378,21 @@ impl BaseStore {
             .is_empty())
     }
 
+    /// The rules whose materialized results hold `uri` — the grouped join
+    /// evaluation asks this once per counterpart instead of asking
+    /// [`BaseStore::result_contains`] once per group member.
+    pub fn rules_containing(db: &Database, uri: &str) -> Result<Vec<RuleId>> {
+        let t = db.table(T_RULE_RESULTS)?;
+        let rows = t.index(IDX_RR_URI)?.probe(&vec![Value::from(uri)]);
+        let mut out = Vec::with_capacity(rows.len());
+        for rid in rows {
+            if let Some(rule) = t.get(rid)?[0].as_int() {
+                out.push(RuleId(rule as u64));
+            }
+        }
+        Ok(out)
+    }
+
     /// Inserts a result tuple; returns false when it was already present.
     pub fn result_insert<S: StorageEngine>(db: &mut S, rule: RuleId, uri: &str) -> Result<bool> {
         if Self::result_contains(db.database(), rule, uri)? {
@@ -584,6 +607,12 @@ mod tests {
         );
         assert!(BaseStore::result_insert(&mut db, r, "a#2").unwrap());
         assert!(BaseStore::result_contains(&db, r, "a#1").unwrap());
+        assert!(BaseStore::result_insert(&mut db, RuleId(9), "a#1").unwrap());
+        let mut holders = BaseStore::rules_containing(&db, "a#1").unwrap();
+        holders.sort();
+        assert_eq!(holders, vec![r, RuleId(9)]);
+        assert!(BaseStore::rules_containing(&db, "a#3").unwrap().is_empty());
+        assert_eq!(BaseStore::results_drop_rule(&mut db, RuleId(9)).unwrap(), 1);
         let mut all = BaseStore::results_of(&db, r).unwrap();
         all.sort();
         assert_eq!(all, vec!["a#1".to_owned(), "a#2".to_owned()]);

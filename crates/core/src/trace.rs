@@ -55,13 +55,18 @@ pub struct FilterStats {
     /// Tuples produced by trigger matching (iteration 0).
     pub trigger_matches: u64,
     /// Constant predicates evaluated during trigger matching: partition-scan
-    /// rows, inverted-index candidate verifications, and threshold-chain
-    /// steps (DESIGN.md §10). String-equality hash probes and class-trigger
+    /// rows (the two inequalities), inverted-index candidate verifications,
+    /// threshold-chain steps, and for numeric `=` the constants of the equal
+    /// run (DESIGN.md §10). String-equality hash probes and class-trigger
     /// probes count zero.
     pub trigger_evals: u64,
-    /// Join-rule evaluations (member × delta resource).
+    /// Join look-ups: one per `(rule group, side, delta resource)` a delta
+    /// rule feeds, however many members the group has. With rule groups off
+    /// (Ablation B), one per `(member, side, delta resource)`.
     pub join_evaluations: u64,
-    /// Counterpart probes answered from the rule-group probe cache.
+    /// Look-ups that shared another look-up's counterpart probe: join
+    /// look-ups minus distinct `(group, side, resource)` probes. Zero with
+    /// rule groups off.
     pub probe_cache_hits: u64,
     /// Counterpart probes actually executed against the store.
     pub probes_executed: u64,

@@ -18,7 +18,9 @@
 //!
 //! * **A sorted threshold chain per ordered numeric operator** (`<`, `<=`,
 //!   `>`, `>=`): the weakest threshold comes first and matching walks the
-//!   chain only as far as the document value reaches.
+//!   chain only as far as the document value reaches. Numeric `=` keeps
+//!   the same chain and answers with the run of constants equal to the
+//!   document value, found by two binary searches.
 //!
 //! `tests/matching_equivalence.rs` pins both against `matching_triggers`
 //! — same rule ids in the same (ascending [`RuleId`]) order, which is the
@@ -163,12 +165,13 @@ impl ConPartition {
     }
 }
 
-/// Sorted threshold chain for one ordered numeric operator of one
-/// `(class, property)` partition. The first threshold a value fails rules
-/// out every stronger one, so matching walks the chain from its weak end
-/// only while thresholds keep matching. Rules whose constant does not parse as a (non-NaN) number can
-/// never match (`TriggerOp::matches` is false on parse failure) and are
-/// left out of the chain entirely.
+/// Sorted threshold chain for one chained numeric operator (`=`, `<`,
+/// `<=`, `>`, `>=`) of one `(class, property)` partition. The first
+/// threshold a value fails rules out every stronger one, so matching walks
+/// the chain from its weak end only while thresholds keep matching; `=`
+/// matches one contiguous run of it. Rules whose constant does not parse
+/// as a (non-NaN) number can never match (`TriggerOp::matches` is false on
+/// parse failure) and are left out of the chain entirely.
 #[derive(Debug, Clone, Default)]
 struct Chain {
     /// `(threshold, rule)` ascending by `(f64::total_cmp, RuleId)`.
@@ -221,7 +224,15 @@ impl Chain {
                     hits.push(id);
                 }
             }
-            _ => unreachable!("chains only hold ordered operators"),
+            TriggerOp::EqNum => {
+                // numeric comparisons, not `total_cmp`: the run of
+                // thresholds equal to `d` spans `-0.0` and `0.0`
+                let lo = self.entries.partition_point(|&(t, _)| t < d);
+                let hi = self.entries.partition_point(|&(t, _)| t <= d);
+                hits.extend(self.entries[lo..hi].iter().map(|&(_, id)| id));
+                evals = hits.len() as u64;
+            }
+            _ => unreachable!("chains only hold numeric = and the ordered operators"),
         }
         hits.sort_unstable();
         (hits, evals)
@@ -233,7 +244,8 @@ fn parse_num(value: &str) -> Option<f64> {
 }
 
 /// Incremental trigger-matching index: inverted token postings for
-/// `contains`, sorted threshold chains for the ordered numeric operators.
+/// `contains`, sorted threshold chains for numeric `=` and the ordered
+/// numeric operators.
 #[derive(Debug, Clone, Default)]
 pub struct TriggerIndex {
     con: HashMap<(String, String), ConPartition>,
@@ -243,7 +255,7 @@ pub struct TriggerIndex {
 impl TriggerIndex {
     /// Registers an atomic trigger rule's predicate. Called for every
     /// created trigger rule; predicates the index has no structure for
-    /// (equality, inequality) are ignored.
+    /// (string equality, the inequalities) are ignored.
     pub fn insert(&mut self, id: RuleId, class: &str, pred: &TriggerPred) {
         match pred.op {
             TriggerOp::Contains => self
@@ -251,7 +263,7 @@ impl TriggerIndex {
                 .entry((class.to_owned(), pred.property.clone()))
                 .or_default()
                 .insert(id, &pred.value),
-            TriggerOp::Lt | TriggerOp::Le | TriggerOp::Gt | TriggerOp::Ge => {
+            TriggerOp::EqNum | TriggerOp::Lt | TriggerOp::Le | TriggerOp::Gt | TriggerOp::Ge => {
                 if let Some(t) = parse_num(&pred.value) {
                     self.chains
                         .entry((class.to_owned(), pred.property.clone(), pred.op))
@@ -275,7 +287,7 @@ impl TriggerIndex {
                     }
                 }
             }
-            TriggerOp::Lt | TriggerOp::Le | TriggerOp::Gt | TriggerOp::Ge => {
+            TriggerOp::EqNum | TriggerOp::Lt | TriggerOp::Le | TriggerOp::Gt | TriggerOp::Ge => {
                 if let Some(t) = parse_num(&pred.value) {
                     let key = (class.to_owned(), pred.property.clone(), pred.op);
                     if let Some(chain) = self.chains.get_mut(&key) {
@@ -300,9 +312,10 @@ impl TriggerIndex {
         }
     }
 
-    /// All ordered-operator rules of `(class, property, op)` matching
-    /// `value`, ascending by id, plus the number of thresholds visited.
-    /// A non-numeric document value matches nothing.
+    /// All rules of `(class, property, op)` matching `value`, for numeric
+    /// `=` and the ordered operators, ascending by id, plus the number of
+    /// thresholds visited (for `=`, the length of the equal run). A
+    /// non-numeric document value matches nothing.
     pub fn match_ordered(
         &self,
         op: TriggerOp,
@@ -432,6 +445,35 @@ mod tests {
         idx.remove(RuleId(0), "C", &pred(TriggerOp::Gt, "10"));
         let (hits, _) = idx.match_ordered(TriggerOp::Gt, "C", "serverHost", "20");
         assert_eq!(hits, vec![RuleId(2)]);
+    }
+
+    #[test]
+    fn numeric_equality_is_the_equal_run_of_the_chain() {
+        let mut idx = TriggerIndex::default();
+        let values = [
+            "0", "-0.0", "7", "7.0", "1e3", "1000", " 42 ", "inf", "NaN", "abc", "",
+        ];
+        for (i, v) in values.iter().enumerate() {
+            idx.insert(RuleId(i as u64), "C", &pred(TriggerOp::EqNum, v));
+        }
+        for d in values.iter().copied().chain(["-7", "8", "-inf"]) {
+            let expected: Vec<RuleId> = values
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| TriggerOp::EqNum.matches(d, v))
+                .map(|(i, _)| RuleId(i as u64))
+                .collect();
+            let (hits, evals) = idx.match_ordered(TriggerOp::EqNum, "C", "serverHost", d);
+            assert_eq!(hits, expected, "doc value {d:?}");
+            assert_eq!(
+                evals,
+                expected.len() as u64,
+                "only the equal run is visited"
+            );
+        }
+        idx.remove(RuleId(2), "C", &pred(TriggerOp::EqNum, "7"));
+        let (hits, _) = idx.match_ordered(TriggerOp::EqNum, "C", "serverHost", "7");
+        assert_eq!(hits, vec![RuleId(3)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Exactness of the indexed trigger routes (DESIGN.md §10). The engine
-//! answers `contains` from inverted token postings and `<`, `<=`, `>`, `>=`
-//! from sorted threshold chains, both kept in memory beside the
-//! `FilterRules*` tables. The relational scan
+//! answers `contains` from inverted token postings and numeric `=`, `<`,
+//! `<=`, `>`, `>=` from sorted threshold chains, both kept in memory beside
+//! the `FilterRules*` tables. The relational scan
 //! [`matching_triggers`] over those tables is the oracle: after every
 //! subscribe, unsubscribe, registration, update and delete, for every atom
 //! the workload has produced, the index must return the same rule ids in
@@ -24,21 +24,33 @@ use mdv_relstore::Database;
 use mdv_testkit::{prop_assert_eq, property, Source};
 
 const CLASSES: [&str; 2] = ["CycleProvider", "ServerInformation"];
-const INDEXED_OPS: [TriggerOp; 5] = [
+const INDEXED_OPS: [TriggerOp; 6] = [
     TriggerOp::Contains,
+    TriggerOp::EqNum,
     TriggerOp::Lt,
     TriggerOp::Le,
     TriggerOp::Gt,
     TriggerOp::Ge,
 ];
 
-/// Constants the rule language cannot produce for these operators.
-const RAW_THRESHOLDS: [&str; 8] = ["abc", "NaN", " 3 ", "", "1e1", "inf", "-0", "3"];
+/// Numeric spellings that compare equal without being the same string
+/// (`-0.0`/`0`, `7`/`7.0`, `1e3`/`1000`), padding, the infinities' and NaN's
+/// spellings, and two strings that are no number at all. Constants of raw
+/// rules and values of probe atoms are drawn from here; documents carry the
+/// ones a `float` property accepts.
+const NUMERIC_SPELLINGS: [&str; 11] = [
+    "0", "-0.0", "7", "7.0", "1e3", "1000", " 42 ", "inf", "NaN", "abc", "",
+];
+const FLOAT_SPELLINGS: usize = 9;
+/// Further constants the rule language cannot produce for these operators.
+const RAW_THRESHOLDS: [&str; 4] = [" 3 ", "1e1", "-0", "3"];
 const RAW_PATTERNS: [&str; 4] = ["", "grid", ".r1.grid", "-"];
 
 fn schema() -> RdfSchema {
     RdfSchema::builder()
-        .class("ServerInformation", |c| c.int("memory").int("cpu"))
+        .class("ServerInformation", |c| {
+            c.int("memory").int("cpu").float("load")
+        })
         .class("CycleProvider", |c| {
             c.str("serverHost")
                 .int("serverPort")
@@ -52,7 +64,8 @@ fn schema() -> RdfSchema {
 /// `contains` patterns anchor on, so postings buckets get real collisions
 /// and real misses; the optional `x` fuses with a pattern's first or last
 /// token, which is why only interior tokens may anchor. Memory and cpu
-/// land on and around the rule thresholds.
+/// land on and around the rule thresholds; load takes every spelling of
+/// [`NUMERIC_SPELLINGS`] that is a float.
 fn arb_doc(src: &mut Source, i: usize) -> Document {
     let uri = format!("doc{i}.rdf");
     let host = format!(
@@ -76,20 +89,26 @@ fn arb_doc(src: &mut Source, i: usize) -> Document {
         .with_resource(
             Resource::new(UriRef::new(&uri, "info"), "ServerInformation")
                 .with("memory", Term::literal(src.i64_in(-2..12).to_string()))
-                .with("cpu", Term::literal(src.i64_in(0..1000).to_string())),
+                .with("cpu", Term::literal(src.i64_in(0..1000).to_string()))
+                .with(
+                    "load",
+                    Term::literal(*src.choose(&NUMERIC_SPELLINGS[..FLOAT_SPELLINGS])),
+                ),
         )
 }
 
 /// Covering `contains` families (every refinement `n{j}.r{k}.grid` contains
 /// its base `.r{k}.grid`), patterns with no interior token (always
 /// candidates), ordered thresholds in integer, negative and fractional
-/// spellings, plus equality and join shapes so the unindexed operators and
-/// the join cascade churn the rule tables too.
+/// spellings, numeric equality on both numeric properties (the language
+/// renders `7.0` as `7` and `-0.0` as `-0`; other spellings enter as raw
+/// rules below), plus string equality and join shapes so the unindexed
+/// operators and the join cascade churn the rule tables too.
 fn arb_rule(src: &mut Source) -> String {
     let con = |pat: String| {
         format!("search CycleProvider c register c where c.serverHost contains '{pat}'")
     };
-    match src.usize_in(0..8) {
+    match src.usize_in(0..10) {
         0 => con(format!(".r{}.grid", src.usize_in(0..4))),
         1 | 2 => con(format!(
             "n{}.r{}.grid",
@@ -106,12 +125,20 @@ fn arb_rule(src: &mut Source) -> String {
             "search CycleProvider c register c where c = 'doc{}.rdf#host'",
             src.usize_in(0..20)
         ),
-        _ => format!(
+        7 => format!(
             "search CycleProvider c register c \
              where c.serverHost contains '.r{}.grid' \
              and c.serverInformation.cpu >= {}",
             src.usize_in(0..4),
             src.i64_in(0..1000)
+        ),
+        8 => format!(
+            "search ServerInformation s register s where s.load = {}",
+            src.choose(&["0", "-0.0", "7", "7.0", "1000", "42", "3.5"])
+        ),
+        _ => format!(
+            "search ServerInformation s register s where s.memory = {}",
+            src.i64_in(-2..12)
         ),
     }
 }
@@ -124,7 +151,7 @@ fn check(index: &TriggerIndex, db: &Database, probes: &[Atom], when: &str) -> Re
             for op in INDEXED_OPS {
                 let (scan, _) = matching_triggers(db, op, class, &atom.property, &atom.value)
                     .map_err(|e| e.to_string())?;
-                let (indexed, _) = match op {
+                let (indexed, evals) = match op {
                     TriggerOp::Contains => index.match_contains(class, &atom.property, &atom.value),
                     _ => index.match_ordered(op, class, &atom.property, &atom.value),
                 };
@@ -138,6 +165,10 @@ fn check(index: &TriggerIndex, db: &Database, probes: &[Atom], when: &str) -> Re
                     op,
                     atom.value
                 );
+                if op == TriggerOp::EqNum {
+                    // the equal run and nothing else is visited
+                    prop_assert_eq!(evals, scan.len() as u64, "{}: = {:?}", when, atom.value);
+                }
             }
         }
     }
@@ -179,6 +210,17 @@ property! {
         // every atom any document version has carried; all are probed after
         // every step, whether or not the document is still registered
         let mut probes: Vec<Atom> = Vec::new();
+        // values no document may carry for an int property, or at all
+        for property in ["memory", "load"] {
+            for value in NUMERIC_SPELLINGS.into_iter().chain(["1e1"]) {
+                probes.push(Atom {
+                    uri: "probe.rdf#x".into(),
+                    class: "ServerInformation".into(),
+                    property: property.into(),
+                    value: value.into(),
+                });
+            }
+        }
 
         for _ in 0..src.usize_in(2..8) {
             subs.push(engine.register_subscription(&arb_rule(src)).unwrap().0);
@@ -227,41 +269,41 @@ property! {
             )?;
         }
 
-        // The rule language only lets numeric constants reach an ordered
-        // operator and never produces an empty pattern; the tables and the
-        // index accept any string. Add such rules to copies of both, beside
-        // whatever the churn above left behind, and probe with non-numeric
-        // document values as well.
+        // The rule language only lets numeric constants reach a numeric
+        // operator, in its own rendering, and never produces an empty
+        // pattern; the tables and the index accept any string. Churn such
+        // rules through copies of both, beside whatever the steps above
+        // left behind.
         let mut db = engine.db().clone();
         let mut index = engine.trigger_index().clone();
         let mut raw: Vec<(AtomicRule, TriggerPred)> = Vec::new();
-        for k in 0..src.usize_in(3..10) {
-            let id = 1_000_000 + k as u64;
-            let (rule, pred) = if src.bool() {
-                let op = *src.choose(&INDEXED_OPS[1..]);
-                let value = *src.choose(&RAW_THRESHOLDS);
-                raw_rule(id, "ServerInformation", "memory", op, value)
+        for k in 0..src.usize_in(4..14) {
+            let when = if raw.is_empty() || src.usize_in(0..3) > 0 {
+                let id = 1_000_000 + k as u64;
+                let (rule, pred) = if src.usize_in(0..4) > 0 {
+                    let op = *src.choose(&INDEXED_OPS[1..]);
+                    let value = if src.usize_in(0..4) > 0 {
+                        *src.choose(&NUMERIC_SPELLINGS)
+                    } else {
+                        *src.choose(&RAW_THRESHOLDS)
+                    };
+                    let property = *src.choose(&["memory", "load"]);
+                    raw_rule(id, "ServerInformation", property, op, value)
+                } else {
+                    let pattern = *src.choose(&RAW_PATTERNS);
+                    raw_rule(id, "CycleProvider", "serverHost", TriggerOp::Contains, pattern)
+                };
+                insert_atomic(&mut db, &rule, &AtomicRule::canonical_text(&rule.kind)).unwrap();
+                index.insert(rule.id, &rule.type_class, &pred);
+                raw.push((rule, pred));
+                "added"
             } else {
-                let pattern = *src.choose(&RAW_PATTERNS);
-                raw_rule(id, "CycleProvider", "serverHost", TriggerOp::Contains, pattern)
+                let (rule, pred) = raw.swap_remove(src.usize_in(0..raw.len()));
+                remove_atomic(&mut db, &rule, false).unwrap();
+                index.remove(rule.id, &rule.type_class, &pred);
+                "removed"
             };
-            insert_atomic(&mut db, &rule, &AtomicRule::canonical_text(&rule.kind)).unwrap();
-            index.insert(rule.id, &rule.type_class, &pred);
-            raw.push((rule, pred));
+            check(&index, &db, &probes, &format!("raw constant {k} {when}"))?;
         }
-        for value in ["abc", "NaN", " 7 ", "", "0", "1e1", "inf"] {
-            probes.push(Atom {
-                uri: "probe.rdf#x".into(),
-                class: "ServerInformation".into(),
-                property: "memory".into(),
-                value: value.into(),
-            });
-        }
-        check(&index, &db, &probes, "raw constants added")?;
-        for (rule, pred) in raw.iter().filter(|_| src.bool()) {
-            remove_atomic(&mut db, rule, false).unwrap();
-            index.remove(rule.id, &rule.type_class, pred);
-        }
-        check(&index, &db, &probes, "raw constants removed")?;
     }
 }

@@ -126,6 +126,118 @@ fn arb_docs(src: &mut Source, max: usize) -> Vec<Document> {
         .collect()
 }
 
+/// The schema of `rule_groups_are_transparent`: [`schema`] with a
+/// superclass, so rules on `Provider` are matched by instances of both
+/// classes and rules on `CycleProvider` by one.
+fn oracle_schema() -> RdfSchema {
+    RdfSchema::builder()
+        .class("ServerInformation", |c| c.int("memory").int("cpu"))
+        .class("Provider", |c| {
+            c.str("serverHost")
+                .int("serverPort")
+                .strong_ref("serverInformation", "ServerInformation")
+        })
+        .class("CycleProvider", |c| c.extends("Provider"))
+        .build()
+        .unwrap()
+}
+
+/// A provider of either class and its `ServerInformation`; a third of the
+/// providers reference the information of *another* document, registered
+/// or not, so joins complete across documents and batches. Values are
+/// drawn narrowly: every `memory` hits one of the 55 shared-trigger rules,
+/// and ports land on both sides of `cpu` and `memory`.
+fn oracle_doc(src: &mut Source, i: usize) -> Document {
+    let uri = format!("doc{i}.rdf");
+    let info_doc = if src.usize_in(0..3) == 0 {
+        format!("doc{}.rdf", src.usize_in(0..12))
+    } else {
+        uri.clone()
+    };
+    let host = format!(
+        "{}.{}",
+        src.string_of("ab", 1..3),
+        src.choose(&["org", "de"])
+    );
+    Document::new(uri.clone())
+        .with_resource(
+            Resource::new(
+                UriRef::new(&uri, "host"),
+                *src.choose(&["Provider", "CycleProvider"]),
+            )
+            .with("serverHost", Term::literal(host))
+            .with("serverPort", Term::literal(src.i64_in(1..10).to_string()))
+            .with(
+                "serverInformation",
+                Term::resource(UriRef::new(&info_doc, "info")),
+            ),
+        )
+        .with_resource(
+            Resource::new(UriRef::new(&uri, "info"), "ServerInformation")
+                .with("memory", Term::literal(src.i64_in(0..55).to_string()))
+                .with("cpu", Term::literal(src.i64_in(0..12).to_string())),
+        )
+}
+
+/// Join shapes beyond Figure 10: identity self-joins whose two inputs are
+/// one rule, value joins by equality and by order, either register side,
+/// rules on the subclass, and the PATH / JOIN / or shapes of [`arb_rule`].
+fn oracle_rule(src: &mut Source) -> String {
+    let k = src.i64_in(0..10);
+    match src.usize_in(0..10) {
+        0 => format!(
+            "search Provider a, Provider b register a \
+             where a.serverPort > {k} and b.serverPort > {k} and a = b"
+        ),
+        1 => "search CycleProvider a, CycleProvider b register a where a = b".to_owned(),
+        2 => "search Provider c, ServerInformation s register c \
+              where c.serverPort < s.memory"
+            .to_owned(),
+        3 => format!(
+            "search Provider c, ServerInformation s register s \
+             where c.serverPort >= s.cpu and s.memory > {}",
+            5 * k
+        ),
+        4 => {
+            "search Provider a, Provider b register a where a.serverHost = b.serverHost".to_owned()
+        }
+        5 => format!(
+            "search Provider c register c where c.serverInformation.memory > {}",
+            5 * k
+        ),
+        6 => format!("search CycleProvider c register c where c.serverInformation.cpu < {k}"),
+        7 => format!(
+            "search Provider c register c where c.serverHost contains '.org' \
+             and c.serverInformation.memory >= {} and c.serverInformation.cpu < {k}",
+            5 * k
+        ),
+        8 => format!(
+            "search ServerInformation s register s where s.memory <= {}",
+            5 * k
+        ),
+        _ => format!(
+            "search Provider c register c \
+             where c.serverInformation.memory > {} or c.serverInformation.cpu > {k}",
+            5 * k
+        ),
+    }
+}
+
+/// Subscribes `rule` at both engines of `rule_groups_are_transparent`:
+/// same id and initial matches, and the grouped engine's join index still
+/// equal to a recomputation from its rules.
+fn subscribe_both(
+    grouped: &mut FilterEngine,
+    reference: &mut FilterEngine,
+    rule: &str,
+) -> Result<mdv_filter::SubscriptionId, String> {
+    let a = grouped.register_subscription(rule).unwrap();
+    let b = reference.register_subscription(rule).unwrap();
+    prop_assert_eq!(&a, &b, "subscribe {}", rule);
+    grouped.graph().check_join_index()?;
+    Ok(a.0)
+}
+
 fn added_matches(pubs: &[mdv_filter::Publication]) -> Vec<(u64, String)> {
     let mut out: Vec<(u64, String)> = pubs
         .iter()
@@ -153,26 +265,66 @@ property! {
         prop_assert_eq!(added_matches(&a), added_matches(&b));
     }
 
-    /// Rule groups are a pure optimization: identical output with groups
-    /// disabled.
+    /// Rule groups are a pure optimization. The grouped engine finds join
+    /// candidates through the input-pair index (DESIGN.md §5), the
+    /// ungrouped one evaluates every affected join rule by itself — the
+    /// reference. Fed the same stream of subscribe / unsubscribe / register
+    /// / update / delete, both must return the same initial matches, the
+    /// same publications and the same Figure-9 trace, row order included;
+    /// and after every change to the rule base the grouped engine's join
+    /// index must equal a recomputation from its rules.
     fn rule_groups_are_transparent(src) {
-        let rules = arb_rules(src, 6);
-        let docs = arb_docs(src, 8);
-        let mut grouped = FilterEngine::new(schema());
-        let mut ungrouped = FilterEngine::with_config(
-            schema(),
-            FilterConfig {
-                use_rule_groups: false,
-                ..FilterConfig::default()
-            },
-        );
-        for r in &rules {
-            grouped.register_subscription(r).unwrap();
-            ungrouped.register_subscription(r).unwrap();
+        let config = FilterConfig { use_rule_groups: false, ..FilterConfig::default() };
+        let mut grouped = FilterEngine::new(oracle_schema());
+        let mut reference = FilterEngine::with_config(oracle_schema(), config);
+        let mut subs = Vec::new();
+        // one trigger (`Provider`) shared by 55 members of one rule group
+        for k in 0..55 {
+            let rule =
+                format!("search Provider c register c where c.serverInformation.memory = {k}");
+            subs.push(subscribe_both(&mut grouped, &mut reference, &rule)?);
         }
-        let a = grouped.register_batch(&docs).unwrap();
-        let b = ungrouped.register_batch(&docs).unwrap();
-        prop_assert_eq!(added_matches(&a), added_matches(&b));
+        let mut live: Vec<usize> = Vec::new();
+        let mut next_doc = 0usize;
+        for step in 0..src.usize_in(6..16) {
+            match src.usize_in(0..8) {
+                0..=2 => {
+                    let rule = oracle_rule(src);
+                    subs.push(subscribe_both(&mut grouped, &mut reference, &rule)?);
+                }
+                3 if !subs.is_empty() => {
+                    let id = subs.swap_remove(src.usize_in(0..subs.len()));
+                    grouped.unregister_subscription(id).unwrap();
+                    reference.unregister_subscription(id).unwrap();
+                    grouped.graph().check_join_index()?;
+                }
+                4 if !live.is_empty() => {
+                    let i = *src.choose(&live);
+                    let doc = oracle_doc(src, i);
+                    let a = grouped.update_document(&doc).unwrap();
+                    let b = reference.update_document(&doc).unwrap();
+                    prop_assert_eq!(a, b, "step {}: update {}", step, doc.uri());
+                }
+                5 if !live.is_empty() => {
+                    let uri = format!("doc{}.rdf", live.swap_remove(src.usize_in(0..live.len())));
+                    let a = grouped.delete_document(&uri).unwrap();
+                    let b = reference.delete_document(&uri).unwrap();
+                    prop_assert_eq!(a, b, "step {}: delete {}", step, uri);
+                }
+                _ => {
+                    let docs: Vec<Document> = (0..src.usize_in(1..5))
+                        .map(|k| oracle_doc(src, next_doc + k))
+                        .collect();
+                    live.extend(next_doc..next_doc + docs.len());
+                    next_doc += docs.len();
+                    let (pubs_a, run_a) = grouped.register_batch_traced(&docs).unwrap();
+                    let (pubs_b, run_b) = reference.register_batch_traced(&docs).unwrap();
+                    prop_assert_eq!(pubs_a, pubs_b, "step {}: publications", step);
+                    prop_assert_eq!(run_a.render(), run_b.render(), "step {}: trace", step);
+                    prop_assert_eq!(run_a, run_b, "step {}: row order of the trace", step);
+                }
+            }
+        }
     }
 
     /// Batched registration equals one-document-at-a-time registration.

@@ -76,7 +76,10 @@ impl Stats {
 
 /// Times `routine` over fresh inputs from `setup` (setup time excluded),
 /// like criterion's `iter_batched`. The routine's return value is consumed
-/// through [`std::hint::black_box`] so its computation is not optimized out.
+/// through [`std::hint::black_box`] so its computation is not optimized
+/// out, and dropped only after the clock has stopped: a routine that takes
+/// its input by value should hand it back, or the input's destructor is
+/// part of what is timed.
 pub fn measure<I, R>(
     opts: BenchOptions,
     mut setup: impl FnMut() -> I,
@@ -89,8 +92,10 @@ pub fn measure<I, R>(
         .map(|_| {
             let input = setup();
             let start = Instant::now();
-            std::hint::black_box(routine(input));
-            start.elapsed().as_nanos() as u64
+            let output = std::hint::black_box(routine(input));
+            let elapsed = start.elapsed();
+            drop(output);
+            elapsed.as_nanos() as u64
         })
         .collect();
     Stats::from_samples(&samples)
@@ -228,6 +233,32 @@ mod tests {
         let samples: Vec<u64> = (1..=100).collect();
         assert_eq!(Stats::from_samples(&samples).p95_ns, 95);
         assert_eq!(Stats::from_samples(&[7]).p95_ns, 7);
+    }
+
+    #[test]
+    fn measure_stops_the_clock_before_dropping_the_result() {
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+            }
+        }
+        let opts = BenchOptions {
+            warmup_iters: 0,
+            iters: 3,
+        };
+        // handed back: the 30 ms destructor runs after the clock stopped
+        let returned = measure(opts, || SlowDrop, |input| input);
+        assert!(
+            returned.min_ns < 15_000_000,
+            "drop of the result was timed: {returned:?}"
+        );
+        // consumed: the destructor is the routine's own work and is timed
+        let consumed = measure(opts, || SlowDrop, drop);
+        assert!(
+            consumed.min_ns >= 30_000_000,
+            "routine's own drop not timed: {consumed:?}"
+        );
     }
 
     #[test]
