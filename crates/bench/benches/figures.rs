@@ -122,7 +122,6 @@ fn ablation_groups() {
             RULE_COUNT,
             FilterConfig {
                 use_rule_groups: use_groups,
-                ..FilterConfig::default()
             },
         );
         group.bench_with_setup(label, || base.clone(), |engine| register(engine, &docs));

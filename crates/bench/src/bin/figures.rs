@@ -3,25 +3,20 @@
 //! ```text
 //! cargo run -p mdv-bench --bin figures --release -- all
 //! cargo run -p mdv-bench --bin figures --release -- fig12 --full
-//! cargo run -p mdv-bench --bin figures --release -- fig12 --threads 4
-//! cargo run -p mdv-bench --bin figures --release -- thread-scaling --full
+//! cargo run -p mdv-bench --bin figures --release -- fig12 --backend durable
 //! ```
 //!
 //! Subcommands: `fig11` `fig12` `fig13` `fig14` `fig15`
-//! `ablation-naive` `ablation-groups` `ablation-updates` `thread-scaling`
+//! `ablation-naive` `ablation-groups` `ablation-updates`
 //! `wal-overhead` `recovery-torture`
 //! `backbone-repair` `backbone-consensus` `placement-scaling` `all`.
 //! `--full` runs the paper-sized rule bases (up to 100,000 rules); the
-//! default sizes finish in a few minutes on a laptop. `--threads N` runs
-//! the figure sweeps with the parallel filter on N pool workers
-//! (publications are byte-identical for any N; only wall-clock changes).
+//! default sizes finish in a few minutes on a laptop.
 //! `--backend durable` runs the figure sweeps through the WAL+snapshot
 //! storage engine instead of the in-memory database (group commit and
-//! fsync on the measured path; single-threaded, smaller rule bases).
-//! `thread-scaling` sweeps N itself (1/2/4/8) on the Figure-12 PATH
-//! workload and writes machine-readable results to
-//! `BENCH_filter_scaling.json`, each record stamped with the machine's
-//! `available_parallelism`; `wal-overhead` compares the two backends on
+//! fsync on the measured path; smaller rule bases). Any other `--flag` and
+//! any second command print the usage line and exit 2.
+//! `wal-overhead` compares the two backends on
 //! the Figure-11/12 workloads and writes `BENCH_wal_overhead.json`;
 //! `recovery-torture` drives the durable engine over a seeded
 //! fault-injecting VFS (DESIGN.md §12) at increasing disk-fault
@@ -36,22 +31,21 @@
 //! `BENCH_backbone_consensus.json`; `placement-scaling` sweeps MDP count ×
 //! replication factor on the partitioned backbone (DESIGN.md §11), gates
 //! the `R = all` cell byte-identical against legacy full replication, and
-//! writes `BENCH_placement_scaling.json`. The `--threads`/`--backend`
-//! flags do not apply to those simulated-backbone subcommands.
+//! writes `BENCH_placement_scaling.json`. `--backend` does not apply to
+//! those simulated-backbone subcommands.
 
 use std::env;
 use std::io::Write;
 use std::path::PathBuf;
 
 use mdv_bench::{
-    ablation_groups, ablation_naive, ablation_updates, render_csv, sweep_durable,
-    sweep_fractions_threaded, sweep_threaded, wal_overhead_point, Measurement, BATCH_SIZES,
-    BATCH_SIZES_QUICK,
+    ablation_groups, ablation_naive, ablation_updates, render_csv, sweep, sweep_durable,
+    sweep_fractions, wal_overhead_point, Measurement, BATCH_SIZES, BATCH_SIZES_QUICK,
 };
 use mdv_testkit::bench::{json_line, measure, BenchOptions};
 use mdv_workload::RuleType;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Backend {
     Mem,
     Durable,
@@ -60,7 +54,6 @@ enum Backend {
 struct Config {
     full: bool,
     min_elapsed_ms: f64,
-    threads: usize,
     backend: Backend,
 }
 
@@ -73,18 +66,15 @@ impl Config {
         }
     }
 
-    /// One sweep, on whichever backend was selected. The durable path
-    /// rebuilds its engine per repetition (no cheap clone of a WAL), so it
-    /// runs single-threaded and ignores `--threads`.
+    /// One sweep, on whichever backend was selected.
     fn sweep(&self, rule_type: RuleType, rule_count: u64, fraction: f64) -> Vec<Measurement> {
         match self.backend {
-            Backend::Mem => sweep_threaded(
+            Backend::Mem => sweep(
                 rule_type,
                 rule_count,
                 fraction,
                 self.batches(),
                 self.min_elapsed_ms,
-                self.threads,
             ),
             Backend::Durable => {
                 let scratch = wal_scratch_dir();
@@ -116,49 +106,55 @@ fn wal_scratch_dir() -> PathBuf {
     std::env::temp_dir().join(format!("mdv-figures-wal-{}", std::process::id()))
 }
 
-fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let mut threads = 1usize;
+const USAGE: &str = "usage: figures [fig11|fig12|fig13|fig14|fig15|ablation-naive|\
+     ablation-groups|ablation-updates|wal-overhead|recovery-torture|backbone-repair|\
+     backbone-consensus|placement-scaling|all] [--full] [--backend mem|durable]";
+
+/// Splits the command line into `(command, full, backend)`. At most one
+/// command (default `all`); a flag this binary does not know is an error,
+/// never a silently different run.
+fn parse_args(args: &[String]) -> Result<(&str, bool, Backend), String> {
+    let mut command = None;
+    let mut full = false;
     let mut backend = Backend::Mem;
-    let mut commands: Vec<&str> = Vec::new();
     let mut iter = args.iter().map(String::as_str);
     while let Some(arg) = iter.next() {
         match arg {
-            "--full" => {}
-            "--threads" => {
-                let value = iter.next().unwrap_or_else(|| {
-                    eprintln!("--threads needs a value");
-                    std::process::exit(2);
-                });
-                threads = value.parse().unwrap_or_else(|_| {
-                    eprintln!("--threads must be an integer, got '{value}'");
-                    std::process::exit(2);
-                });
-                threads = threads.max(1);
-            }
+            "--full" => full = true,
             "--backend" => {
-                let value = iter.next().unwrap_or_else(|| {
-                    eprintln!("--backend needs a value (mem|durable)");
-                    std::process::exit(2);
-                });
-                backend = match value {
-                    "mem" => Backend::Mem,
-                    "durable" => Backend::Durable,
-                    other => {
-                        eprintln!("--backend must be 'mem' or 'durable', got '{other}'");
-                        std::process::exit(2);
+                backend = match iter.next() {
+                    Some("mem") => Backend::Mem,
+                    Some("durable") => Backend::Durable,
+                    Some(other) => {
+                        return Err(format!(
+                            "--backend must be 'mem' or 'durable', got '{other}'"
+                        ))
                     }
+                    None => return Err("--backend needs a value (mem|durable)".to_owned()),
                 };
             }
-            other => commands.push(other),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            second if command.is_some() => {
+                return Err(format!("more than one command: '{second}'"))
+            }
+            first => command = Some(first),
         }
     }
-    let command = commands.first().copied().unwrap_or("all");
+    Ok((command.unwrap_or("all"), full, backend))
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
+fn main() {
+    let args: Vec<String> = env::args().skip(1).collect();
+    let (command, full, backend) = parse_args(&args).unwrap_or_else(|e| usage_error(&e));
     let config = Config {
         full,
         min_elapsed_ms: if full { 200.0 } else { 50.0 },
-        threads,
         backend,
     };
 
@@ -171,7 +167,6 @@ fn main() {
         "ablation-naive" => run_ablation_naive(&config),
         "ablation-groups" => run_ablation_groups(&config),
         "ablation-updates" => run_ablation_updates(&config),
-        "thread-scaling" => run_thread_scaling(&config),
         "wal-overhead" => run_wal_overhead(&config),
         "recovery-torture" => run_recovery_torture(&config),
         "backbone-repair" => run_backbone_repair(&config),
@@ -186,24 +181,13 @@ fn main() {
             run_ablation_naive(&config);
             run_ablation_groups(&config);
             run_ablation_updates(&config);
-            run_thread_scaling(&config);
             run_wal_overhead(&config);
             run_recovery_torture(&config);
             run_backbone_repair(&config);
             run_backbone_consensus(&config);
             run_placement_scaling(&config);
         }
-        other => {
-            eprintln!("unknown command '{other}'");
-            eprintln!(
-                "usage: figures [fig11|fig12|fig13|fig14|fig15|ablation-naive|\
-                 ablation-groups|ablation-updates|thread-scaling|wal-overhead|\
-                 recovery-torture|backbone-repair|\
-                 backbone-consensus|placement-scaling|all] [--full] [--threads N] \
-                 [--backend mem|durable]"
-            );
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown command '{other}'")),
     }
 }
 
@@ -308,13 +292,7 @@ fn fig15(config: &Config) {
         "expected shape: higher matched percentage costs more at every batch size",
     );
     let rows = match config.backend {
-        Backend::Mem => sweep_fractions_threaded(
-            rule_count,
-            &fractions,
-            batches,
-            config.min_elapsed_ms,
-            config.threads,
-        ),
+        Backend::Mem => sweep_fractions(rule_count, &fractions, batches, config.min_elapsed_ms),
         Backend::Durable => {
             let scratch = wal_scratch_dir();
             let mut rows = Vec::new();
@@ -394,106 +372,6 @@ fn run_ablation_updates(config: &Config) {
     println!("update,{update:.5}");
     println!("delete,{delete:.5}");
     println!("update/register ratio: {:.2}", update / register);
-}
-
-/// Thread scaling: batch registration of the Figure-12 PATH workload on
-/// 1/2/4/8 pool workers. Publications are asserted byte-identical across
-/// thread counts before anything is timed; results go to stdout and, as
-/// testkit bench-runner JSON lines stamped with the machine's
-/// `available_parallelism` (a speed-up means nothing without it), to
-/// `BENCH_filter_scaling.json`.
-fn run_thread_scaling(config: &Config) {
-    use mdv_bench::build_engine;
-    use mdv_workload::{benchmark_documents, BenchParams};
-
-    let (rule_counts, batch): (&[u64], u64) = if config.full {
-        (&[10_000, 100_000], 1000)
-    } else {
-        (&[1_000, 10_000], 100)
-    };
-    let thread_counts = [1usize, 2, 4, 8];
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    banner(
-        "Thread scaling: PATH rules, parallel batch registration",
-        "expected shape: total batch time falls with the worker count up to \
-         the machine's core count, publications identical at every point",
-    );
-    // the default runner iteration count (10) is sized for micro-benches;
-    // a 100k-rule batch registration runs for tens of seconds, so use a
-    // smaller count unless MDV_BENCH_ITERS asks otherwise
-    let opts = if std::env::var_os("MDV_BENCH_ITERS").is_some() {
-        BenchOptions::from_env()
-    } else {
-        BenchOptions {
-            warmup_iters: 1,
-            iters: if config.full { 3 } else { 5 },
-        }
-    };
-
-    let mut json_lines: Vec<String> = Vec::new();
-    println!("available_parallelism: {cpus}");
-    println!("rule_count,batch,threads,median_ms,ms_per_doc,speedup_vs_1thread");
-    for &rc in rule_counts {
-        let base = build_engine(RuleType::Path, rc);
-        let params = BenchParams {
-            rule_count: rc,
-            comp_match_fraction: 0.1,
-        };
-        let docs = benchmark_documents(0..batch, &params);
-        // determinism gate: every thread count must publish the same bytes
-        let reference = {
-            let mut engine = base.clone();
-            engine.register_batch(&docs).expect("reference registers")
-        };
-        let group = format!("filter_scaling_path_{rc}rules_batch{batch}");
-        let mut baseline_ns = 0u64;
-        for &threads in &thread_counts {
-            {
-                let mut engine = base.clone();
-                engine.set_threads(threads);
-                let pubs = engine.register_batch(&docs).expect("scaling registers");
-                assert_eq!(
-                    pubs, reference,
-                    "publications diverged at threads={threads} (rules={rc})"
-                );
-            }
-            let stats = measure(
-                opts,
-                || {
-                    let mut engine = base.clone();
-                    engine.set_threads(threads);
-                    engine
-                },
-                |mut engine| {
-                    engine.register_batch(&docs).expect("scaling registers");
-                    engine // dropped by `measure` after the clock stops
-                },
-            );
-            if threads == 1 {
-                baseline_ns = stats.median_ns;
-            }
-            println!(
-                "{},{},{},{:.3},{:.5},{:.2}x",
-                rc,
-                batch,
-                threads,
-                stats.median_ns as f64 / 1e6,
-                stats.median_ns as f64 / 1e6 / batch as f64,
-                baseline_ns as f64 / stats.median_ns as f64
-            );
-            let line = json_line(&group, &format!("threads_{threads}"), &stats);
-            let open = line.strip_suffix('}').expect("json_line closes its object");
-            json_lines.push(format!("{open},\"available_parallelism\":{cpus}}}"));
-        }
-    }
-
-    let path = "BENCH_filter_scaling.json";
-    let mut file =
-        std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-    for line in &json_lines {
-        writeln!(file, "{line}").expect("write scaling results");
-    }
-    println!("wrote {} results to {path}", json_lines.len());
 }
 
 /// WAL overhead: the same batch registration on the in-memory and durable
@@ -1425,4 +1303,40 @@ fn run_placement_scaling(config: &Config) {
         writeln!(file, "{line}").expect("write placement-scaling results");
     }
     println!("wrote {} results to {path}", json_lines.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(String, bool, Backend), String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        parse_args(&args).map(|(command, full, backend)| (command.to_owned(), full, backend))
+    }
+
+    #[test]
+    fn parser_accepts_one_command_and_the_known_flags() {
+        assert_eq!(parse(""), Ok(("all".to_owned(), false, Backend::Mem)));
+        assert_eq!(
+            parse("fig12"),
+            Ok(("fig12".to_owned(), false, Backend::Mem))
+        );
+        assert_eq!(
+            parse("--backend durable fig12 --full"),
+            Ok(("fig12".to_owned(), true, Backend::Durable))
+        );
+    }
+
+    #[test]
+    fn parser_rejects_what_it_does_not_know() {
+        for line in [
+            "fig12 --threads 2",
+            "fig12 --ful",
+            "fig12 fig13",
+            "fig12 --backend",
+            "fig12 --backend disk",
+        ] {
+            assert!(parse(line).is_err(), "'{line}' must be rejected");
+        }
+    }
 }

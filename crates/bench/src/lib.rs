@@ -10,10 +10,6 @@
 //! Every measurement point starts from a fresh clone of the prepared
 //! engine, so batch points are independent.
 //!
-//! The `*_threaded` variants and [`thread_scaling_point`] drive the same
-//! sweeps with a configured [`mdv_filter::FilterConfig::threads`] for the
-//! thread-scaling study in `EXPERIMENTS.md`.
-//!
 //! `DESIGN.md` §4 holds the workspace-wide module map locating this
 //! crate's files.
 
@@ -87,27 +83,12 @@ pub fn run_point(
     batch_size: u64,
     min_elapsed_ms: f64,
 ) -> Measurement {
-    run_point_threaded(base, rule_type, params, batch_size, min_elapsed_ms, 1)
-}
-
-/// Like [`run_point`] with an explicit filter thread count. The engine
-/// clone is reconfigured per repetition, so one prepared `base` serves
-/// every thread count (the thread-scaling figure relies on this).
-pub fn run_point_threaded(
-    base: &FilterEngine,
-    rule_type: RuleType,
-    params: &BenchParams,
-    batch_size: u64,
-    min_elapsed_ms: f64,
-    threads: usize,
-) -> Measurement {
     let docs = benchmark_documents(0..batch_size, params);
     let mut total_ms = 0.0;
     let mut reps = 0u32;
     let mut matches = 0u64;
     while reps == 0 || (total_ms < min_elapsed_ms && reps < 50) {
         let mut engine = base.clone();
-        engine.set_threads(threads);
         let start = Instant::now();
         let pubs = engine
             .register_batch(&docs)
@@ -141,26 +122,6 @@ pub fn sweep(
     batch_sizes: &[u64],
     min_elapsed_ms: f64,
 ) -> Vec<Measurement> {
-    sweep_threaded(
-        rule_type,
-        rule_count,
-        fraction,
-        batch_sizes,
-        min_elapsed_ms,
-        1,
-    )
-}
-
-/// Like [`sweep`] with an explicit filter thread count (the `--threads`
-/// flag of the `figures` binary).
-pub fn sweep_threaded(
-    rule_type: RuleType,
-    rule_count: u64,
-    fraction: f64,
-    batch_sizes: &[u64],
-    min_elapsed_ms: f64,
-    threads: usize,
-) -> Vec<Measurement> {
     let base = build_engine(rule_type, rule_count);
     let params = BenchParams {
         rule_count,
@@ -168,7 +129,7 @@ pub fn sweep_threaded(
     };
     batch_sizes
         .iter()
-        .map(|&b| run_point_threaded(&base, rule_type, &params, b, min_elapsed_ms, threads))
+        .map(|&b| run_point(&base, rule_type, &params, b, min_elapsed_ms))
         .collect()
 }
 
@@ -180,17 +141,6 @@ pub fn sweep_fractions(
     batch_sizes: &[u64],
     min_elapsed_ms: f64,
 ) -> Vec<Measurement> {
-    sweep_fractions_threaded(rule_count, fractions, batch_sizes, min_elapsed_ms, 1)
-}
-
-/// Like [`sweep_fractions`] with an explicit filter thread count.
-pub fn sweep_fractions_threaded(
-    rule_count: u64,
-    fractions: &[f64],
-    batch_sizes: &[u64],
-    min_elapsed_ms: f64,
-    threads: usize,
-) -> Vec<Measurement> {
     let base = build_engine(RuleType::Comp, rule_count);
     let mut out = Vec::new();
     for &fraction in fractions {
@@ -199,71 +149,10 @@ pub fn sweep_fractions_threaded(
             comp_match_fraction: fraction,
         };
         for &b in batch_sizes {
-            out.push(run_point_threaded(
-                &base,
-                RuleType::Comp,
-                &params,
-                b,
-                min_elapsed_ms,
-                threads,
-            ));
+            out.push(run_point(&base, RuleType::Comp, &params, b, min_elapsed_ms));
         }
     }
     out
-}
-
-/// One thread-scaling point: registers the same batch at every requested
-/// thread count on clones of one prepared engine, asserting byte-identical
-/// publications across thread counts (determinism is part of the measured
-/// contract, not just the tests). Returns one measurement per thread count,
-/// in `thread_counts` order.
-pub fn thread_scaling_point(
-    rule_type: RuleType,
-    rule_count: u64,
-    batch_size: u64,
-    thread_counts: &[usize],
-    min_elapsed_ms: f64,
-) -> Vec<(usize, Measurement)> {
-    let base = build_engine(rule_type, rule_count);
-    let params = BenchParams {
-        rule_count,
-        comp_match_fraction: 0.1,
-    };
-    let docs = benchmark_documents(0..batch_size, &params);
-    // determinism gate first: every thread count must publish the same
-    // bytes before any of its timings count
-    let reference = {
-        let mut engine = base.clone();
-        engine.set_threads(1);
-        engine.register_batch(&docs).expect("reference registers")
-    };
-    for &threads in thread_counts {
-        let mut engine = base.clone();
-        engine.set_threads(threads);
-        let pubs = engine
-            .register_batch(&docs)
-            .expect("scaling batch registers");
-        assert_eq!(
-            pubs, reference,
-            "publications diverged at threads={threads} (rules={rule_count}, batch={batch_size})"
-        );
-    }
-    thread_counts
-        .iter()
-        .map(|&threads| {
-            (
-                threads,
-                run_point_threaded(
-                    &base,
-                    rule_type,
-                    &params,
-                    batch_size,
-                    min_elapsed_ms,
-                    threads,
-                ),
-            )
-        })
-        .collect()
 }
 
 /// Ablation A: the filter engine versus the naive evaluate-every-rule
@@ -329,7 +218,6 @@ pub fn ablation_groups(
         rule_count,
         FilterConfig {
             use_rule_groups: true,
-            ..FilterConfig::default()
         },
     );
     let ungrouped = build_engine_with_config(
@@ -337,7 +225,6 @@ pub fn ablation_groups(
         rule_count,
         FilterConfig {
             use_rule_groups: false,
-            ..FilterConfig::default()
         },
     );
     let a = run_point(
@@ -607,18 +494,6 @@ mod tests {
     fn join_sweep_produces_one_match_per_doc() {
         let rows = sweep(RuleType::Join, 50, 0.0, &[5], 1.0);
         assert_eq!(rows[0].matches, 5);
-    }
-
-    #[test]
-    fn thread_scaling_point_is_deterministic_and_complete() {
-        let rows = thread_scaling_point(RuleType::Path, 50, 10, &[1, 2, 4], 1.0);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(
-            rows.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
-            vec![1, 2, 4]
-        );
-        // 1:1 matching holds at every thread count
-        assert!(rows.iter().all(|(_, m)| m.matches == 10));
     }
 
     #[test]

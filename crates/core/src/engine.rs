@@ -14,7 +14,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use mdv_rdf::{Document, RdfSchema, RefKind, Resource, RDF_SUBJECT};
 use mdv_relstore::{Database, StorageEngine};
 use mdv_rulelang::{normalize, parse_rule, split_or, typecheck, RuleOp};
-use mdv_runtime::pool::parallel_map;
 
 use crate::atoms::{
     AtomicRuleKind, GroupId, GroupKey, JoinPred, JoinSpec, RuleId, Side, TriggerOp,
@@ -35,25 +34,17 @@ use crate::trigger_index::TriggerIndex;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FilterConfig {
     /// Share counterpart probes across the join rules of a rule group
-    /// (paper §3.3.3). Disabling evaluates every join rule individually.
+    /// (paper §3.3.3). Disabling evaluates every join rule individually —
+    /// the paper's Ablation B and the tested per-member reference; set to
+    /// `false` only by `properties.rs`, `engine.rs` tests and the
+    /// `ablation-groups` study (`figures`, `cargo bench`).
     pub use_rule_groups: bool,
-    /// Worker threads for the read-only filter phases that fan out:
-    /// document validation and atomization, trigger matching, the distinct
-    /// counterpart probes of a join iteration, and rebuilding the candidate
-    /// atoms of update pass 2. Matching counterparts to group members and
-    /// writing materializations run on the calling thread, and with
-    /// `use_rule_groups` off the whole join iteration does. `1` (the
-    /// default) runs everything on the calling thread. Any value yields
-    /// byte-identical publications and stats; only wall-clock time changes
-    /// (DESIGN.md §5, "Parallel filter execution").
-    pub threads: usize,
 }
 
 impl Default for FilterConfig {
     fn default() -> Self {
         FilterConfig {
             use_rule_groups: true,
-            threads: 1,
         }
     }
 }
@@ -104,7 +95,7 @@ pub struct FilterEngine<S: StorageEngine = Database> {
 
 impl FilterEngine<Database> {
     /// Builds an engine on a fresh in-memory database with the default
-    /// [`FilterConfig`] (rule groups on, one thread).
+    /// [`FilterConfig`] (rule groups on).
     pub fn new(schema: RdfSchema) -> Self {
         Self::with_config(schema, FilterConfig::default())
     }
@@ -116,7 +107,7 @@ impl FilterEngine<Database> {
     }
 }
 
-impl<S: StorageEngine + Sync> FilterEngine<S> {
+impl<S: StorageEngine> FilterEngine<S> {
     /// Builds an engine on a fresh storage backend: the filter tables are
     /// created through the backend (and thus logged by durable ones).
     ///
@@ -227,35 +218,11 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         &self.config
     }
 
-    /// Sets the worker-thread count for subsequent filter runs. Safe to
-    /// flip at any time: publications and stats are identical for every
-    /// value (DESIGN.md §5), only wall-clock time changes.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads.max(1);
-    }
-
     /// Read access to the trigger-matching index (postings, threshold
     /// chains) — `tests/matching_equivalence.rs` compares it against
     /// [`matching_triggers`].
     pub fn trigger_index(&self) -> &TriggerIndex {
         &self.triggers
-    }
-
-    /// Maps `f` over `items`, fanning out across `config.threads` scoped
-    /// workers when parallelism is enabled and there is enough work,
-    /// sequentially otherwise. Results come back in input order either
-    /// way, so callers cannot observe the thread count.
-    pub(crate) fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        if self.config.threads > 1 && items.len() > 1 {
-            parallel_map(items, self.config.threads, f)
-        } else {
-            items.iter().map(f).collect()
-        }
     }
 
     /// The registered subscription with this id, if any.
@@ -460,8 +427,7 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
     ///
     /// Publications come back sorted by subscription id with sorted,
     /// deduplicated URI lists — the canonical order every determinism
-    /// property in this crate pins. The order is independent of
-    /// [`FilterConfig`]: the thread count only changes wall-clock time.
+    /// property in this crate pins, with rule groups on or off.
     ///
     /// ```
     /// use mdv_filter::FilterEngine;
@@ -510,11 +476,9 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         &mut self,
         docs: &[Document],
     ) -> Result<(Vec<Publication>, FilterRun)> {
-        // validate everything before touching state; the per-document
-        // checks are independent and read-only, so they fan out across the
-        // pool — scanning the results in document order keeps the reported
-        // error identical to the sequential engine's
-        let checks = self.par_map(docs, |doc| -> Result<()> {
+        // validate everything before touching state: a rejected batch
+        // registers nothing and reports its first failing document
+        for doc in docs {
             if self.documents.contains_key(doc.uri()) {
                 return Err(Error::Document(format!(
                     "document '{}' is already registered; use update_document",
@@ -531,20 +495,13 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
                     )));
                 }
             }
-            Ok(())
-        });
-        for check in checks {
-            check?;
         }
-        // decomposition into atoms is pure per document — parallel; the
-        // base-table inserts stay on this thread
-        let per_doc_atoms = self.par_map(docs, Atom::from_document);
         let mut atoms = Vec::new();
-        for (doc, doc_atoms) in docs.iter().zip(per_doc_atoms) {
+        for doc in docs {
             for res in doc.resources() {
                 BaseStore::insert_resource(&mut self.store, res, doc.uri())?;
             }
-            atoms.extend(doc_atoms);
+            atoms.extend(Atom::from_document(doc));
             self.documents.insert(doc.uri().to_owned(), doc.clone());
             self.stats.documents_registered += 1;
         }
@@ -559,19 +516,6 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
             }
         }
         Ok((assemble_publications(pubs), run))
-    }
-
-    /// Parses a batch of RDF/XML sources — each a `(document_uri, xml)`
-    /// pair — across the pool and registers the parsed documents as one
-    /// batch. Parse errors are reported in source order, before any state
-    /// changes.
-    pub fn register_batch_xml(&mut self, sources: &[(String, String)]) -> Result<Vec<Publication>> {
-        let parsed = self.par_map(sources, |(uri, xml)| mdv_rdf::parse_document(uri, xml));
-        let mut docs = Vec::with_capacity(parsed.len());
-        for doc in parsed {
-            docs.push(doc?);
-        }
-        self.register_batch(&docs)
     }
 
     // ------------------------------------------------------------------
@@ -669,14 +613,9 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
             .map(|t| !t.is_empty())
             .unwrap_or(false);
 
-        // per-atom probing only reads the trigger tables and the in-memory
-        // index; fan out across the pool and concatenate in atom order —
-        // identical to the sequential result for any thread count. Eval
-        // counts come back per atom and are summed in input order so the
-        // stats are thread-deterministic too.
-        let per_atom = self.par_map(atoms, |atom| -> Result<(Vec<(String, RuleId)>, u64)> {
-            let mut out = Vec::new();
-            let mut evals = 0u64;
+        let mut out = Vec::new();
+        let mut evals = 0u64;
+        for atom in atoms {
             for class in self.ancestors_of(&atom.class) {
                 if atom.property == RDF_SUBJECT && class_table_active {
                     for rule in class_triggers(self.db(), class)? {
@@ -705,14 +644,6 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
                     }
                 }
             }
-            Ok((out, evals))
-        });
-        let mut out = Vec::new();
-        let mut evals = 0u64;
-        for part in per_atom {
-            let (matches, n) = part?;
-            out.extend(matches);
-            evals += n;
         }
         Ok((out, evals))
     }
@@ -749,7 +680,7 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
     /// Join candidates in time proportional to the matches, not to the
     /// rule base (paper §3.3.3; DESIGN.md §5): a delta resource is looked
     /// up once per rule group its rule feeds, each distinct
-    /// `(group, side, resource)` probe runs once (across the pool), and a
+    /// `(group, side, resource)` probe runs once, and a
     /// counterpart names the members it completes through the rules whose
     /// results hold it — `(group, delta rule, holder)` is a member or it is
     /// not. Sorting the candidates by `(group, member, side, delta
@@ -802,17 +733,16 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
             }
         }
 
-        let probed = self.par_map(&probes, |(key, side, uri)| {
-            let other_class = match side {
-                Side::Left => &key.right_class,
-                Side::Right => &key.left_class,
-            };
-            self.probe_counterparts_ro(&key.pred, *side, uri, other_class)
-        });
-        let mut counterparts: Vec<Vec<String>> = Vec::with_capacity(probed.len());
-        for p in probed {
-            counterparts.push(p?);
-        }
+        let counterparts = probes
+            .iter()
+            .map(|(key, side, uri)| {
+                let other_class = match side {
+                    Side::Left => &key.right_class,
+                    Side::Right => &key.left_class,
+                };
+                self.probe_counterparts(&key.pred, *side, uri, other_class)
+            })
+            .collect::<Result<Vec<Vec<String>>>>()?;
 
         // (sort key, resource to register); the key is (group, member,
         // right side?, delta position, counterpart position)
@@ -852,9 +782,9 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
     }
 
     /// Join candidates the way the paper's filter finds them without rule
-    /// groups (Ablation B): every affected join rule probes for itself.
-    /// Sequential at every thread count, and the reference
-    /// [`FilterEngine::join_candidates_grouped`] is tested against.
+    /// groups (Ablation B): every affected join rule probes for itself —
+    /// the reference [`FilterEngine::join_candidates_grouped`] is tested
+    /// against.
     fn join_candidates_per_member(
         &mut self,
         delta: &BTreeMap<RuleId, Vec<String>>,
@@ -881,6 +811,7 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
                 let other = spec.input(side.other());
                 for uri in uris {
                     self.stats.join_evaluations += 1;
+                    self.stats.probes_executed += 1;
                     for cu in self.probe_counterparts(&spec.pred, side, uri, &other.class)? {
                         if BaseStore::result_contains(self.db(), other.rule, &cu)? {
                             let reg = if spec.register == side {
@@ -899,22 +830,9 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
 
     /// Finds, for one resource on one side of a join predicate, the
     /// candidate counterpart resources on the other side (membership in the
-    /// other input's results is checked by the caller).
-    pub(crate) fn probe_counterparts(
-        &mut self,
-        pred: &JoinPred,
-        side: Side,
-        uri: &str,
-        other_class: &str,
-    ) -> Result<Vec<String>> {
-        self.stats.probes_executed += 1;
-        self.probe_counterparts_ro(pred, side, uri, other_class)
-    }
-
-    /// The read-only body of [`FilterEngine::probe_counterparts`] — shared
-    /// `&self` so pool workers can probe concurrently; stats accounting
-    /// stays with the callers.
-    fn probe_counterparts_ro(
+    /// other input's results is checked by the caller, and so is counting
+    /// the probe in `probes_executed`).
+    fn probe_counterparts(
         &self,
         pred: &JoinPred,
         side: Side,
@@ -1041,6 +959,7 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
             .collect();
         let mut out = Vec::new();
         for uri in &left {
+            self.stats.probes_executed += 1;
             let counterparts =
                 self.probe_counterparts(&spec.pred, Side::Left, uri, &spec.right.class)?;
             let matched: Vec<&String> = counterparts
@@ -1122,6 +1041,7 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
                 if !self.check_match_memo(reg.rule, uri, memo)? {
                     false
                 } else {
+                    self.stats.probes_executed += 1;
                     let counterparts =
                         self.probe_counterparts(&spec.pred, spec.register, uri, &other.class)?;
                     let mut ok = false;
@@ -1520,7 +1440,6 @@ mod tests {
             paper_schema(),
             FilterConfig {
                 use_rule_groups: false,
-                ..FilterConfig::default()
             },
         );
         for r in rules {

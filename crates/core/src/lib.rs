@@ -64,9 +64,9 @@
 //! assert_eq!(pubs[0].added, vec!["doc.rdf#host".to_owned()]);
 //! ```
 //!
-//! Batch filtering can run its read-only phases on a thread pool
-//! ([`FilterConfig::threads`]) with byte-identical publications at any
-//! thread count — see `DESIGN.md` §5, "Parallel filter execution".
+//! The filter is one sequential algorithm per engine (paper §3.4): a
+//! batch is validated, inserted, matched against the triggering rules and
+//! joined along the dependency graph on the calling thread.
 //! Trigger matching is index-accelerated: `contains` rules sit in an
 //! inverted token-postings index and the ordered operators in sorted
 //! threshold chains ([`TriggerIndex`]), checked against the relational

@@ -29,7 +29,7 @@ use crate::error::{Error, Result};
 use crate::registry::{assemble_publications, Publication, SubscriptionId};
 use crate::store::{Atom, BaseStore};
 
-impl<S: StorageEngine + Sync> FilterEngine<S> {
+impl<S: StorageEngine> FilterEngine<S> {
     /// Re-registers a modified version of a document (paper §2.2: "updating
     /// metadata essentially means re-registering a modified version").
     pub fn update_document(&mut self, new_doc: &Document) -> Result<Vec<Publication>> {
@@ -142,19 +142,10 @@ impl<S: StorageEngine + Sync> FilterEngine<S> {
         }
 
         // ---- pass 2: candidates against the new state ----
-        // rebuilding candidate atoms only reads the base tables, so the
-        // per-candidate work fans out across the pool; concatenating in
-        // candidate (BTreeSet) order matches the sequential engine exactly
-        let candidates: Vec<String> = retracted
-            .iter()
-            .map(|(_, uri)| uri.clone())
-            .collect::<BTreeSet<String>>()
-            .into_iter()
-            .collect();
-        let atom_parts = self.par_map(&candidates, |uri| self.atoms_from_store(uri));
+        let candidates: BTreeSet<&str> = retracted.iter().map(|(_, uri)| uri.as_str()).collect();
         let mut pass2_atoms = Vec::new();
-        for part in atom_parts {
-            pass2_atoms.extend(part?);
+        for uri in candidates {
+            pass2_atoms.extend(self.atoms_from_store(uri)?);
         }
         let run2 = self.run_filter(&pass2_atoms, Mode::Refresh)?;
 

@@ -6,7 +6,8 @@
 //! evaluates every rule against every new resource), for any rule base and
 //! any batch of documents.
 
-use mdv_filter::{FilterConfig, FilterEngine, NaiveEngine};
+use mdv_filter::store::{T_RESOURCES, T_RULE_RESULTS, T_STATEMENTS};
+use mdv_filter::{BaseStore, FilterConfig, FilterEngine, NaiveEngine};
 use mdv_rdf::{Document, RdfSchema, Resource, Term, UriRef};
 use mdv_testkit::{prop_assert, prop_assert_eq, property, Source};
 
@@ -274,7 +275,7 @@ property! {
     /// and after every change to the rule base the grouped engine's join
     /// index must equal a recomputation from its rules.
     fn rule_groups_are_transparent(src) {
-        let config = FilterConfig { use_rule_groups: false, ..FilterConfig::default() };
+        let config = FilterConfig { use_rule_groups: false };
         let mut grouped = FilterEngine::new(oracle_schema());
         let mut reference = FilterEngine::with_config(oracle_schema(), config);
         let mut subs = Vec::new();
@@ -344,6 +345,70 @@ property! {
         }
         b.sort();
         prop_assert_eq!(a, b);
+    }
+
+    /// A rejected batch registers nothing. Whatever makes a document
+    /// unacceptable — an unknown class, a document URI that is already
+    /// registered, a resource URI the base tables already hold for another
+    /// document — the error names the first offender in batch order, the
+    /// engine is left exactly as it was, and the good documents register
+    /// afterwards as on an engine that never saw the bad batch.
+    fn rejected_batch_registers_nothing(src) {
+        let rules = arb_rules(src, 5);
+        let good = arb_docs(src, 5);
+        let registered = [100, 101].map(|i| make_doc(i, &arb_doc_spec(src)));
+        // two offenders, the second behind the first; `needles[k]` is what
+        // an error about offender k names, `foreign` the resources a
+        // document other than their own already holds
+        let mut batch = good.clone();
+        let mut needles = Vec::new();
+        let mut foreign = Vec::new();
+        for (k, pos) in [src.usize_in(0..batch.len()), batch.len()].into_iter().enumerate() {
+            let uri = format!("bad{k}.rdf");
+            let own = UriRef::new(&uri, "x");
+            let (doc, needle) = match src.usize_in(0..3) {
+                0 => (
+                    Document::new(&uri).with_resource(Resource::new(own.clone(), "UnknownClass")),
+                    own.to_string(),
+                ),
+                1 => (make_doc(100 + k, &arb_doc_spec(src)), format!("doc10{k}.rdf")),
+                _ => {
+                    let res = Resource::new(own.clone(), "ServerInformation")
+                        .with("memory", Term::literal("64"));
+                    foreign.push(res.clone());
+                    (Document::new(&uri).with_resource(res), own.to_string())
+                }
+            };
+            batch.insert(pos, doc);
+            needles.push(needle);
+        }
+        let mut engine = FilterEngine::new(schema());
+        for r in &rules {
+            engine.register_subscription(r).unwrap();
+        }
+        engine.register_batch(&registered).unwrap();
+        for res in &foreign {
+            BaseStore::insert_resource(engine.storage_mut(), res, "elsewhere.rdf").unwrap();
+        }
+        let mut untouched = engine.clone();
+        let state = |e: &FilterEngine| {
+            let rows = [T_RESOURCES, T_STATEMENTS, T_RULE_RESULTS]
+                .map(|t| e.db().table(t).unwrap().len());
+            (e.document_count(), *e.stats(), rows)
+        };
+        let err = engine.register_batch(&batch).unwrap_err().to_string();
+        prop_assert!(
+            err.contains(&needles[0]) && !err.contains(&needles[1]),
+            "'{}' must name {} and not {}",
+            err,
+            needles[0],
+            needles[1]
+        );
+        prop_assert_eq!(state(&engine), state(&untouched), "rejection must be atomic");
+        prop_assert_eq!(
+            engine.register_batch(&good).unwrap(),
+            untouched.register_batch(&good).unwrap()
+        );
     }
 
     /// Registering rules before or after the data yields the same matches

@@ -15,8 +15,7 @@
 //! Reads are *not* part of the trait: every backend exposes its current
 //! state as a plain [`Database`] via [`StorageEngine::database`], and all
 //! existing read paths (index probes, query planning, joins) keep working
-//! on `&Database` — including the parallel filter, which shares `&Database`
-//! across pool workers. Only writes are routed through the trait, which is
+//! on `&Database`. Only writes are routed through the trait, which is
 //! what a write-ahead log needs to observe. See DESIGN.md §6.
 
 use crate::catalog::Database;
@@ -210,9 +209,9 @@ mod tests {
 
     #[test]
     fn backends_are_send_and_sync() {
-        // The filter's `par_map` reads the store from scoped pool workers
-        // (`FilterConfig::threads`), so both backends must stay
-        // thread-portable.
+        // A node's store moves to, and is read from, that node's thread
+        // once nodes run one per thread (ROADMAP item 8), so both backends
+        // must stay thread-portable.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Database>();
         assert_send_sync::<crate::wal::DurableEngine>();

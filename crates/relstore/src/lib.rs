@@ -22,11 +22,11 @@
 //! `query::select`, the joins) takes `&self` and the storage structures hold
 //! no interior mutability — no `Cell`/`RefCell`, no lazily materialized
 //! caches. A `&Database` is therefore safe to share across threads
-//! (`Database: Send + Sync`, asserted below), which is what the parallel
-//! filter in `mdv-filter` relies on: worker threads probe the trigger and
-//! materialization tables concurrently through shared references while all
-//! writes stay on the coordinating thread. See DESIGN.md §5 ("Parallel
-//! filter execution").
+//! (`Database: Send + Sync`, asserted below). Nothing in the workspace
+//! does so today — the filter has one thread of control — but a node's
+//! store must be able to move to, and be read from, another thread once
+//! each MDP / LMR runs on its own (ROADMAP item 8's thread-per-node
+//! driver; `mdv-system` already bounds its nodes `Send + Sync`).
 //!
 //! ```
 //! use mdv_relstore::{Database, TableSchema, ColumnDef, DataType, Value,
@@ -86,8 +86,7 @@ pub use vfs::{CrashMode, DiskFaultPlan, FaultStats, FaultVfs, StdFs, Vfs, VfsFil
 pub use wal::{DurableConfig, DurableEngine, RecoveryReport};
 
 // Compile-time audit backing the "shared read access" contract above: the
-// parallel filter shares `&Database` across pool workers, so the storage
-// types must stay free of non-Sync interior mutability. Adding a
+// storage types must stay free of non-Sync interior mutability. Adding a
 // `Cell`/`RefCell` anywhere inside would fail this assertion, not corrupt
 // reads at runtime.
 const _: () = {
@@ -97,7 +96,7 @@ const _: () = {
     assert_shareable::<Index>();
     assert_shareable::<TableSchema>();
     assert_shareable::<Value>();
-    // the durable backend must stay shareable too: the parallel filter
-    // reads `&Database` through it from pool workers
+    // the durable backend must stay shareable too: a durable node moves
+    // to its own thread like a volatile one
     assert_shareable::<DurableEngine>();
 };

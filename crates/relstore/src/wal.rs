@@ -375,8 +375,8 @@ fn apply_op(db: &mut Database, op: WalOp) -> Result<()> {
 /// through (default [`StdFs`]). Constructed over a directory;
 /// [`DurableEngine::open`] recovers committed state after a crash.
 ///
-/// Not `Clone` (a WAL directory has one writer); the parallel filter still
-/// shares the inner [`Database`] read-only across threads.
+/// Not `Clone` (a WAL directory has one writer), but `Send + Sync` like
+/// the volatile backend: a durable node can move to its own thread.
 pub struct DurableEngine<V: Vfs = StdFs> {
     db: Database,
     vfs: V,

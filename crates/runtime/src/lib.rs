@@ -1,7 +1,7 @@
 //! # mdv-runtime
 //!
 //! The zero-dependency runtime layer of the MDV workspace. Everything the
-//! repository previously pulled from crates.io for concurrency and
+//! repository previously pulled from crates.io for message passing and
 //! randomness lives here, built on `std` alone, so the whole workspace
 //! compiles, tests, and benchmarks on a machine with no registry access:
 //!
@@ -10,20 +10,16 @@
 //!   generators and benchmarks need. Deterministic: one seed, one stream.
 //! * [`channel`] — bounded and unbounded MPMC channels (both endpoints
 //!   cloneable) used by the simulated network transport.
-//! * [`pool`] — a scoped thread pool and a `parallel_map` helper built on
-//!   `std::thread::scope`.
-//! * [`sync`] — poison-free `Mutex` / `RwLock` wrappers plus a sharded
-//!   mutex for hot maps.
+//! * [`sync`] — a poison-free `Mutex` wrapper (the transport's shared
+//!   network state).
 //!
 //! `DESIGN.md` §4 holds the workspace-wide module map locating this
 //! crate's files.
 
 pub mod channel;
-pub mod pool;
 pub mod rng;
 pub mod sync;
 
 pub use channel::{bounded, unbounded, Receiver, RecvError, SendError, Sender, TryRecvError};
-pub use pool::{parallel_map, ThreadPool};
 pub use rng::Prng;
-pub use sync::{Mutex, RwLock, ShardedMutex};
+pub use sync::Mutex;

@@ -1,10 +1,10 @@
-//! Poison-free lock wrappers with the `parking_lot` calling convention:
-//! `lock()` / `read()` / `write()` return guards directly instead of a
-//! `Result`, recovering the inner value when a previous holder panicked
-//! (lock poisoning exists to surface broken invariants, but every use in
-//! this workspace guards data that stays consistent across panics).
+//! A poison-free lock wrapper with the `parking_lot` calling convention:
+//! `lock()` returns the guard directly instead of a `Result`, recovering
+//! the inner value when a previous holder panicked (lock poisoning exists
+//! to surface broken invariants, but every use in this workspace guards
+//! data that stays consistent across panics).
 
-use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::MutexGuard;
 
 /// A mutex whose `lock` never fails.
 #[derive(Debug, Default)]
@@ -40,68 +40,6 @@ impl<T> Mutex<T> {
     }
 }
 
-/// A reader-writer lock whose accessors never fail.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    pub fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// `N` independent mutexes selected by key hash — cheap striping for maps
-/// touched from many threads.
-#[derive(Debug)]
-pub struct ShardedMutex<T> {
-    shards: Vec<Mutex<T>>,
-}
-
-impl<T> ShardedMutex<T> {
-    /// Builds `shards` stripes (at least one) from a constructor.
-    pub fn new_with(shards: usize, mut init: impl FnMut() -> T) -> Self {
-        ShardedMutex {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(init())).collect(),
-        }
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Locks the stripe owning `key` (Fibonacci hashing of the key).
-    pub fn lock_key(&self, key: u64) -> MutexGuard<'_, T> {
-        let mixed = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let idx = (mixed >> 32) as usize % self.shards.len();
-        self.shards[idx].lock()
-    }
-
-    /// Locks stripe `idx` directly (for whole-structure sweeps).
-    pub fn lock_shard(&self, idx: usize) -> MutexGuard<'_, T> {
-        self.shards[idx].lock()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,34 +66,5 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 5, "lock still usable after a panicking holder");
-    }
-
-    #[test]
-    fn rwlock_basic() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
-        assert_eq!(l.into_inner(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn sharded_mutex_distributes_and_isolates() {
-        let s = ShardedMutex::new_with(8, Vec::<u64>::new);
-        assert_eq!(s.shard_count(), 8);
-        for k in 0..1000u64 {
-            s.lock_key(k).push(k);
-        }
-        let total: usize = (0..8).map(|i| s.lock_shard(i).len()).sum();
-        assert_eq!(total, 1000);
-        let used = (0..8).filter(|&i| !s.lock_shard(i).is_empty()).count();
-        assert!(used > 1, "keys spread across stripes");
-        // the same key always maps to the same stripe
-        let before: Vec<usize> = (0..8).map(|i| s.lock_shard(i).len()).collect();
-        s.lock_key(17).push(17);
-        s.lock_key(17).push(17);
-        let after: Vec<usize> = (0..8).map(|i| s.lock_shard(i).len()).collect();
-        let grown = (0..8).filter(|&i| after[i] != before[i]).count();
-        assert_eq!(grown, 1);
     }
 }

@@ -1,15 +1,11 @@
 //! Property and stress tests for the runtime primitives the simulated
 //! network transport is built on: the MPMC channel (`channel.rs`) and the
-//! thread pool (`pool.rs`). The transport's fault-injection machinery
+//! PRNG (`rng.rs`). The transport's fault-injection machinery
 //! (`mdv-system`) assumes these hold; here they are checked directly.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use mdv_runtime::channel::{bounded, unbounded, TryRecvError};
-use mdv_runtime::pool::{parallel_map, ThreadPool};
 use mdv_runtime::Prng;
 use mdv_testkit::{prop_assert, prop_assert_eq, property};
 
@@ -92,34 +88,6 @@ property! {
         prop_assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
-    /// The pool runs every job exactly once no matter how the job count
-    /// relates to the worker count.
-    fn pool_runs_every_job_once(src) cases = 30; {
-        let workers = src.u64_in(1..6) as usize;
-        let jobs = src.u64_in(0..120);
-        let sum = Arc::new(AtomicU64::new(0));
-        {
-            let pool = ThreadPool::new(workers);
-            for i in 0..jobs {
-                let sum = sum.clone();
-                pool.execute(move || {
-                    sum.fetch_add(i + 1, Ordering::SeqCst);
-                });
-            }
-            // drop joins the workers, so every job has run afterwards
-        }
-        prop_assert_eq!(sum.load(Ordering::SeqCst), (1..=jobs).sum::<u64>());
-    }
-
-    /// `parallel_map` is a pure map: input order, any thread count.
-    fn parallel_map_matches_sequential_map(src) cases = 30; {
-        let items: Vec<i64> = src.vec(0..50, |s| s.i64_in(-1000..1000));
-        let threads = src.u64_in(1..9) as usize;
-        let out = parallel_map(&items, threads, |&x| x.wrapping_mul(3) - 7);
-        let expected: Vec<i64> = items.iter().map(|&x| x.wrapping_mul(3) - 7).collect();
-        prop_assert_eq!(out, expected);
-    }
-
     /// The PRNG driving the fault plans is a pure function of its seed.
     fn prng_streams_replay_from_seed(src) cases = 30; {
         let seed = src.bits();
@@ -130,74 +98,6 @@ property! {
         }
         prop_assert!((0.0..1.0).contains(&a.gen_f64()));
     }
-}
-
-#[test]
-fn pool_contains_panicking_jobs() {
-    // a panicking job must neither kill its worker nor poison the queue:
-    // jobs submitted afterwards still run on the full-size pool
-    let done = Arc::new(AtomicU64::new(0));
-    {
-        let pool = ThreadPool::new(2);
-        for _ in 0..4 {
-            pool.execute(|| panic!("job blew up (expected in this test)"));
-        }
-        for _ in 0..50 {
-            let done = done.clone();
-            pool.execute(move || {
-                done.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-    }
-    assert_eq!(done.load(Ordering::SeqCst), 50);
-}
-
-#[test]
-fn submitted_job_panic_reaches_the_submitter() {
-    // the contract the parallel filter relies on: a panic in a submitted
-    // job must come back to the submitter as an Err carrying the message,
-    // never as a silently missing result
-    use mdv_runtime::pool::JobError;
-    let pool = ThreadPool::new(2);
-    let handles: Vec<_> = (0..8u64)
-        .map(|i| {
-            pool.submit(move || {
-                if i % 3 == 0 {
-                    panic!("job {i} blew up (expected in this test)");
-                }
-                i * 10
-            })
-        })
-        .collect();
-    for (i, h) in handles.into_iter().enumerate() {
-        let i = i as u64;
-        match h.join() {
-            Ok(v) => {
-                assert_ne!(i % 3, 0, "job {i} should have panicked");
-                assert_eq!(v, i * 10);
-            }
-            Err(JobError::Panicked(msg)) => {
-                assert_eq!(i % 3, 0, "job {i} should have succeeded");
-                assert!(msg.contains(&format!("job {i} blew up")), "got '{msg}'");
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_map_propagates_panics_to_the_caller() {
-    // unlike the fire-and-forget pool, parallel_map returns results, so a
-    // lost panic would silently fabricate data — it must propagate instead
-    let items: Vec<u64> = (0..16).collect();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        parallel_map(&items, 4, |&x| {
-            if x == 11 {
-                panic!("poisoned item (expected in this test)");
-            }
-            x
-        })
-    }));
-    assert!(result.is_err(), "panic in the mapper must reach the caller");
 }
 
 #[test]

@@ -270,16 +270,7 @@ pub struct Mdp<S: StorageEngine = Database> {
 
 impl Mdp {
     pub fn new(name: &str, schema: RdfSchema) -> Self {
-        Self::with_filter_config(name, schema, FilterConfig::default())
-    }
-
-    /// Like [`Mdp::new`] with an explicit filter configuration — the knob
-    /// the system tier exposes for parallel batch filtering
-    /// (`FilterConfig::threads`). Publications do not depend on the
-    /// configuration (DESIGN.md §5), so mixed-config deployments stay
-    /// consistent.
-    pub fn with_filter_config(name: &str, schema: RdfSchema, config: FilterConfig) -> Self {
-        Self::from_engine(name, FilterEngine::with_config(schema, config), false)
+        Self::from_engine(name, FilterEngine::new(schema), false)
     }
 }
 
@@ -288,13 +279,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// backend and mirrors node state into the `Sys*` tables of the same
     /// database — on a durable backend the whole node becomes
     /// crash-recoverable (DESIGN.md §6).
-    pub fn with_storage(
-        name: &str,
-        store: S,
-        schema: RdfSchema,
-        config: FilterConfig,
-    ) -> Result<Self> {
-        let mut engine = FilterEngine::try_with_storage(store, schema, config)?;
+    pub fn with_storage(name: &str, store: S, schema: RdfSchema) -> Result<Self> {
+        let mut engine = FilterEngine::try_with_storage(store, schema, FilterConfig::default())?;
         let store = engine.storage_mut();
         store.begin();
         mirror::create_table(
@@ -614,13 +600,6 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
 
     pub fn batch_size(&self) -> Option<usize> {
         self.batch_size
-    }
-
-    /// Sets the worker-thread count for this MDP's filter runs. Takes
-    /// effect on the next batch; publications are unaffected (the parallel
-    /// filter is deterministic, DESIGN.md §5).
-    pub fn set_filter_threads(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
     }
 
     /// Documents queued for the next batch run.

@@ -5,7 +5,6 @@
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 
-use mdv_filter::FilterConfig;
 use mdv_rdf::{write_document, Document, RdfSchema, Resource};
 use mdv_relstore::{write_database, Database, DurableEngine, StdFs, StorageEngine, Vfs};
 use mdv_runtime::channel::Receiver;
@@ -42,7 +41,6 @@ pub struct MdvSystem<S: StorageEngine = Database> {
     receivers: HashMap<String, Receiver<Envelope>>,
     mdps: BTreeMap<String, Mdp<S>>,
     lmrs: BTreeMap<String, Lmr<S>>,
-    filter_config: FilterConfig,
     /// How the backbone replicates: LWW gossip (default) or single-group
     /// Raft (DESIGN.md §9). Fixed before the first node is added.
     mode: ReplicationMode,
@@ -70,7 +68,7 @@ impl MdvSystem {
     /// Adds a Metadata Provider to the backbone. All MDPs are made peers of
     /// each other (flat hierarchy, full replication — paper §2.2).
     pub fn add_mdp(&mut self, name: &str) -> Result<()> {
-        let mdp = Mdp::with_filter_config(name, self.schema.clone(), self.filter_config);
+        let mdp = Mdp::new(name, self.schema.clone());
         self.install_mdp(name, mdp)
     }
 
@@ -143,7 +141,7 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
         vfs: V,
     ) -> Result<()> {
         let store = DurableEngine::create_with(vfs, dir).map_err(mirror::store_err)?;
-        let mdp = Mdp::with_storage(name, store, self.schema.clone(), self.filter_config)?;
+        let mdp = Mdp::with_storage(name, store, self.schema.clone())?;
         self.install_mdp(name, mdp)
     }
 
@@ -211,7 +209,7 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
 
         let fresh = DurableEngine::create_with(vfs.clone(), sibling_dir_on(&vfs, &dir))
             .map_err(mirror::store_err)?;
-        let mut mdp = Mdp::with_storage(name, fresh, self.schema.clone(), self.filter_config)?;
+        let mut mdp = Mdp::with_storage(name, fresh, self.schema.clone())?;
         let retry_ms = self.network.config().retry_initial_ms;
         mdp.rebuild_from_tables(recovered.database(), retry_ms)?;
         if self.mode == ReplicationMode::Raft {
@@ -318,7 +316,6 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
             receivers: HashMap::new(),
             mdps: BTreeMap::new(),
             lmrs: BTreeMap::new(),
-            filter_config: FilterConfig::default(),
             mode: ReplicationMode::default(),
             raft_seed: 0,
             raft_compact_threshold: DEFAULT_COMPACT_THRESHOLD,
@@ -429,17 +426,6 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
     fn drain_mailbox(&mut self, name: &str) {
         if let Some(rx) = self.receivers.get(name) {
             while rx.try_recv().is_ok() {}
-        }
-    }
-
-    /// Sets the worker-thread count MDP filter engines use for batch runs
-    /// (DESIGN.md §5). Applies to every existing MDP and to MDPs added
-    /// later. Publications are thread-count invariant, so this only affects
-    /// wall-clock time — seeded fault scenarios replay identically.
-    pub fn set_filter_threads(&mut self, threads: usize) {
-        self.filter_config.threads = threads.max(1);
-        for mdp in self.mdps.values_mut() {
-            mdp.set_filter_threads(threads);
         }
     }
 
@@ -1730,46 +1716,6 @@ mod tests {
         sys.update_document("mdp1", &doc(1, "a.org", 16)).unwrap();
         assert_eq!(sys.mdp("mdp1").unwrap().pending_documents(), 0);
         assert!(!sys.lmr("lmr1").unwrap().is_cached("doc1.rdf#host"));
-    }
-
-    #[test]
-    fn threaded_filtering_is_transparent_to_the_deployment() {
-        let build = |threads: Option<usize>| {
-            let mut sys = two_tier();
-            if let Some(t) = threads {
-                sys.set_filter_threads(t);
-            }
-            sys.add_mdp("mdp2").unwrap(); // added after the knob: inherits it
-            sys.subscribe("lmr1", RULE).unwrap();
-            sys.set_batch_size("mdp1", Some(4)).unwrap();
-            for i in 0..4 {
-                sys.register_document("mdp1", &doc(i, "a.org", 60 + i as i64 * 8))
-                    .unwrap();
-            }
-            sys
-        };
-        let baseline = build(None);
-        for threads in [1usize, 4] {
-            let sys = build(Some(threads));
-            assert_eq!(
-                sys.mdp("mdp1").unwrap().engine().config().threads,
-                threads.max(1)
-            );
-            assert_eq!(
-                sys.mdp("mdp2").unwrap().engine().config().threads,
-                threads.max(1)
-            );
-            let mut cached = sys.lmr("lmr1").unwrap().cached_uris();
-            let mut expected = baseline.lmr("lmr1").unwrap().cached_uris();
-            cached.sort();
-            expected.sort();
-            assert_eq!(cached, expected, "threads={threads} changed the cache");
-            assert_eq!(
-                sys.network_stats().messages,
-                baseline.network_stats().messages,
-                "threads={threads} changed the message schedule"
-            );
-        }
     }
 
     #[test]
