@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use mdv_rdf::{Document, RdfSchema, RefKind, Resource, RDF_SUBJECT};
+use mdv_rdf::{Document, Range, RdfSchema, RefKind, Resource, RDF_SUBJECT};
 use mdv_relstore::{Database, StorageEngine};
 use mdv_rulelang::{normalize, parse_rule, split_or, typecheck, RuleOp};
 
@@ -85,6 +85,9 @@ pub struct FilterEngine<S: StorageEngine = Database> {
     descendants: HashMap<String, Vec<String>>,
     /// class → that class plus all transitive superclasses.
     ancestors: HashMap<String, Vec<String>>,
+    /// Every `(class, property)` whose values are strong references,
+    /// subclasses included (they carry the property too).
+    strong_props: Vec<(String, String)>,
     next_sub: u64,
     pub(crate) stats: FilterStats,
     config: FilterConfig,
@@ -146,6 +149,23 @@ impl<S: StorageEngine> FilterEngine<S> {
             }
             ancestors.insert(name.to_owned(), chain);
         }
+        let mut strong_props: Vec<(String, String)> = Vec::new();
+        for class in schema.class_names() {
+            let Some(def) = schema.class(class) else {
+                continue;
+            };
+            for p in &def.properties {
+                if let Range::Class {
+                    kind: RefKind::Strong,
+                    ..
+                } = p.range
+                {
+                    for sub in descendants.get(class).into_iter().flatten() {
+                        strong_props.push((sub.clone(), p.name.clone()));
+                    }
+                }
+            }
+        }
         Ok(FilterEngine {
             schema,
             store,
@@ -156,6 +176,7 @@ impl<S: StorageEngine> FilterEngine<S> {
             documents: HashMap::new(),
             descendants,
             ancestors,
+            strong_props,
             next_sub: 0,
             stats: FilterStats::default(),
             config,
@@ -920,21 +941,14 @@ impl<S: StorageEngine> FilterEngine<S> {
                 pred: Some(p),
             } => {
                 let mut out = Vec::new();
-                for c in self.descendants_of(class).to_vec() {
-                    if p.op == TriggerOp::EqStr {
-                        out.extend(BaseStore::resources_with_value(
-                            self.db(),
-                            &c,
-                            &p.property,
-                            &p.value,
-                        )?);
-                    } else {
-                        for (uri, value) in BaseStore::partition(self.db(), &c, &p.property)? {
-                            if p.op.matches(&value, &p.value) {
-                                out.push(uri);
-                            }
-                        }
-                    }
+                for c in self.descendants_of(class) {
+                    out.extend(BaseStore::resources_matching(
+                        self.db(),
+                        c,
+                        &p.property,
+                        p.op,
+                        &p.value,
+                    )?);
                 }
                 out
             }
@@ -993,11 +1007,12 @@ impl<S: StorageEngine> FilterEngine<S> {
     }
 
     // ------------------------------------------------------------------
-    // Point queries used by the update protocol and the system tier
+    // Point queries: one rule × one resource, and the strong-reference walks
     // ------------------------------------------------------------------
 
     /// Checks whether one resource currently matches one atomic rule,
-    /// without touching materializations.
+    /// without touching materializations — the reference the properties
+    /// hold the update protocol's classification against.
     pub fn check_match(&mut self, rule: RuleId, uri: &str) -> Result<bool> {
         let mut memo = HashMap::new();
         self.check_match_memo(rule, uri, &mut memo)
@@ -1018,7 +1033,7 @@ impl<S: StorageEngine> FilterEngine<S> {
         let kind = self
             .graph
             .rule(rule)
-            .expect("checking unknown rule")
+            .ok_or_else(|| Error::Subscription(format!("unknown rule {rule}")))?
             .kind
             .clone();
         let result = match &kind {
@@ -1089,29 +1104,11 @@ impl<S: StorageEngine> FilterEngine<S> {
     pub fn strong_referrers(&self, uri: &str) -> Result<Vec<String>> {
         let mut visited: BTreeSet<String> = BTreeSet::new();
         let mut stack: Vec<String> = vec![uri.to_owned()];
-        // collect all (class, property) pairs that are strong references
-        let mut strong_props: Vec<(String, String)> = Vec::new();
-        for class in self.schema.class_names() {
-            if let Some(def) = self.schema.class(class) {
-                for p in &def.properties {
-                    if let mdv_rdf::Range::Class {
-                        kind: RefKind::Strong,
-                        ..
-                    } = p.range
-                    {
-                        // instances of subclasses carry the property too
-                        for sub in self.descendants_of(class) {
-                            strong_props.push((sub.clone(), p.name.clone()));
-                        }
-                    }
-                }
-            }
-        }
         while let Some(cur) = stack.pop() {
             if !visited.insert(cur.clone()) {
                 continue;
             }
-            for (class, prop) in &strong_props {
+            for (class, prop) in &self.strong_props {
                 for referrer in BaseStore::resources_with_value(self.db(), class, prop, &cur)? {
                     stack.push(referrer);
                 }
@@ -1420,6 +1417,15 @@ mod tests {
             "memory too small"
         );
         assert!(!e.check_match(end, "doc1.rdf#info").unwrap(), "wrong class");
+    }
+
+    #[test]
+    fn check_match_rejects_an_unknown_rule() {
+        let mut e = FilterEngine::new(paper_schema());
+        assert!(matches!(
+            e.check_match(RuleId(999), "x"),
+            Err(Error::Subscription(_))
+        ));
     }
 
     #[test]

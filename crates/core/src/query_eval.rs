@@ -10,11 +10,14 @@
 //! Evaluation binds the registered variable to a candidate resource and
 //! backtracks over the remaining variables, deriving candidate sets from
 //! equality predicates where possible (following references instead of
-//! scanning).
+//! scanning). The registered variable's own candidates come from the
+//! base-table indexes when a constant predicate narrows them — one on the
+//! variable itself or on a variable `=` predicates lead to; every candidate
+//! is still checked in full.
 
 use std::collections::HashMap;
 
-use mdv_rdf::RdfSchema;
+use mdv_rdf::{RdfSchema, RDF_SUBJECT};
 use mdv_relstore::Database;
 use mdv_rulelang::{Const, NormOperand, NormPred, NormalizedRule, RuleOp};
 
@@ -24,17 +27,105 @@ use crate::store::BaseStore;
 
 /// All resources matching the rule's register variable, sorted and deduped.
 pub fn evaluate(db: &Database, schema: &RdfSchema, rule: &NormalizedRule) -> Result<Vec<String>> {
-    let register_class = rule.register_class();
+    let mut candidates = match seed(db, schema, rule, &rule.register, &mut Vec::new())? {
+        Some(seeded) => seeded,
+        None => class_scan(db, schema, rule.register_class())?,
+    };
+    candidates.sort();
+    candidates.dedup();
     let mut out = Vec::new();
-    for class in class_and_descendants(schema, register_class) {
-        for uri in BaseStore::resources_of_class(db, &class)? {
-            if rule_matches(db, schema, rule, &uri)? {
-                out.push(uri);
+    for uri in candidates {
+        if rule_matches(db, schema, rule, &uri)? {
+            out.push(uri);
+        }
+    }
+    Ok(out)
+}
+
+/// A superset of the resources `var` is bound to in any match of the rule,
+/// read off the base-table indexes: the resources satisfying a constant
+/// predicate on `var`, or those an `=` predicate links to another
+/// variable's seed. `None` when no predicate narrows `var` (the caller scans
+/// the class); `via` collects the variables tried, so each is seeded once.
+fn seed<'r>(
+    db: &Database,
+    schema: &RdfSchema,
+    rule: &'r NormalizedRule,
+    var: &'r str,
+    via: &mut Vec<&'r str>,
+) -> Result<Option<Vec<String>>> {
+    let classes = class_and_descendants(schema, rule.class_of(var).expect("bindings complete"));
+    for pred in &rule.predicates {
+        let NormOperand::Const(c) = &pred.rhs else {
+            continue;
+        };
+        let prop = match &pred.lhs {
+            NormOperand::Subject(v) if v == var => RDF_SUBJECT,
+            NormOperand::Prop { var: v, prop, .. } if v == var => prop.as_str(),
+            _ => continue,
+        };
+        // the operator `eval_pred` applies, so `64` finds `064` and `64.0`
+        let Some(op) = TriggerOp::classify(pred.op, c.is_numeric()) else {
+            continue;
+        };
+        let value = const_lexical(c);
+        let mut out = Vec::new();
+        for class in &classes {
+            out.extend(BaseStore::resources_matching(db, class, prop, op, &value)?);
+        }
+        return Ok(Some(out));
+    }
+    via.push(var);
+    for pred in rule.predicates.iter().filter(|p| p.op == RuleOp::Eq) {
+        for (target, source) in [(&pred.lhs, &pred.rhs), (&pred.rhs, &pred.lhs)] {
+            let (Some(tv), Some(sv)) = (target.var(), source.var()) else {
+                continue;
+            };
+            if tv != var || via.contains(&sv) {
+                continue;
+            }
+            if let Some(mut sources) = seed(db, schema, rule, sv, via)? {
+                sources.sort();
+                sources.dedup();
+                let mut out = Vec::new();
+                for source_uri in &sources {
+                    out.extend(hop(db, &classes, target, source, source_uri)?);
+                }
+                return Ok(Some(out));
             }
         }
     }
-    out.sort();
-    out.dedup();
+    Ok(None)
+}
+
+/// The resources of `classes` whose `target` operand equals the `source`
+/// operand of `source_uri`: a reference followed forwards or backwards.
+fn hop(
+    db: &Database,
+    classes: &[String],
+    target: &NormOperand,
+    source: &NormOperand,
+    source_uri: &str,
+) -> Result<Vec<String>> {
+    let source_values = operand_values(db, source, source_uri)?;
+    let mut out = Vec::new();
+    match target {
+        NormOperand::Subject(_) => {
+            for v in source_values {
+                if BaseStore::resource_exists(db, &v)? {
+                    out.push(v);
+                }
+            }
+        }
+        NormOperand::Prop { prop, .. } => {
+            for c in classes {
+                for v in &source_values {
+                    out.extend(BaseStore::resources_with_value(db, c, prop, v)?);
+                }
+            }
+        }
+        NormOperand::Const(_) => {}
+    }
     Ok(out)
 }
 
@@ -124,30 +215,23 @@ fn candidates_for(
             let Some(source_uri) = assignment.get(sv) else {
                 continue;
             };
-            let source_values = operand_values(db, source, source_uri)?;
-            let mut out = Vec::new();
-            match target {
-                NormOperand::Subject(_) => {
-                    for v in source_values {
-                        if BaseStore::resource_exists(db, &v)? {
-                            out.push(v);
-                        }
-                    }
-                }
-                NormOperand::Prop { prop, .. } => {
-                    for c in class_and_descendants(schema, class) {
-                        for v in &source_values {
-                            out.extend(BaseStore::resources_with_value(db, &c, prop, v)?);
-                        }
-                    }
-                }
-                NormOperand::Const(_) => continue,
-            }
+            let mut out = hop(
+                db,
+                &class_and_descendants(schema, class),
+                target,
+                source,
+                source_uri,
+            )?;
             out.sort();
             out.dedup();
             return Ok(out);
         }
     }
+    class_scan(db, schema, class)
+}
+
+/// Every resource of `class` and its subclasses.
+fn class_scan(db: &Database, schema: &RdfSchema, class: &str) -> Result<Vec<String>> {
     let mut out = Vec::new();
     for c in class_and_descendants(schema, class) {
         out.extend(BaseStore::resources_of_class(db, &c)?);

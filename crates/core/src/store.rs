@@ -14,7 +14,7 @@
 use mdv_rdf::{Document, Resource, Term, UriRef, RDF_SUBJECT};
 use mdv_relstore::{ColumnDef, DataType, Database, IndexKind, StorageEngine, TableSchema, Value};
 
-use crate::atoms::RuleId;
+use crate::atoms::{RuleId, TriggerOp};
 use crate::error::Result;
 
 /// One decomposed document atom — a row of `FilterData` (Figure 4).
@@ -351,6 +351,27 @@ impl BaseStore {
         rows.into_iter()
             .map(|rid| Ok(t.get(rid)?[0].to_string()))
             .collect()
+    }
+
+    /// Resources of `class` with a `property` value satisfying `op value`:
+    /// an index probe for string equality, otherwise one filtered pass over
+    /// the `(class, property)` partition. A resource appears once per
+    /// satisfying value.
+    pub(crate) fn resources_matching(
+        db: &Database,
+        class: &str,
+        property: &str,
+        op: TriggerOp,
+        value: &str,
+    ) -> Result<Vec<String>> {
+        if op == TriggerOp::EqStr {
+            return Self::resources_with_value(db, class, property, value);
+        }
+        Ok(Self::partition(db, class, property)?
+            .into_iter()
+            .filter(|(_, v)| op.matches(v, value))
+            .map(|(uri, _)| uri)
+            .collect())
     }
 
     /// All `(uri, value)` pairs of a `(class, property)` partition — the

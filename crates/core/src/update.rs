@@ -18,7 +18,7 @@
 //! published as updates to every subscription whose matched closure
 //! contains them.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use mdv_rdf::{diff, diff_delete_all, Document, DocumentDiff, RDF_SUBJECT};
 use mdv_relstore::StorageEngine;
@@ -28,6 +28,7 @@ use crate::engine::{FilterEngine, Mode};
 use crate::error::{Error, Result};
 use crate::registry::{assemble_publications, Publication, SubscriptionId};
 use crate::store::{Atom, BaseStore};
+use crate::trace::FilterRun;
 
 impl<S: StorageEngine> FilterEngine<S> {
     /// Re-registers a modified version of a document (paper §2.2: "updating
@@ -58,7 +59,7 @@ impl<S: StorageEngine> FilterEngine<S> {
                 )));
             }
         }
-        self.apply_diff(&d, Some(new_doc))
+        self.apply_diff(new_doc.uri(), &d, Some(new_doc))
     }
 
     /// Deletes a whole document; all contained resources are deleted
@@ -77,19 +78,20 @@ impl<S: StorageEngine> FilterEngine<S> {
             .cloned()
             .ok_or_else(|| Error::Document(format!("document '{uri}' is not registered")))?;
         let d = diff_delete_all(&old);
-        self.apply_diff(&d, None)
+        self.apply_diff(uri, &d, None)
     }
 
+    /// Replaces the registered version of document `doc_uri` (`None`
+    /// deletes it) and filters the difference `d` between the two.
     fn apply_diff(
         &mut self,
+        doc_uri: &str,
         d: &DocumentDiff,
         new_doc: Option<&Document>,
     ) -> Result<Vec<Publication>> {
         if d.is_empty() {
-            // nothing changed; just refresh the stored document
-            if let Some(doc) = new_doc {
-                self.documents.insert(doc.uri().to_owned(), doc.clone());
-            }
+            // no resource changed; just refresh (or drop) the stored document
+            self.set_document(doc_uri, new_doc);
             return Ok(Vec::new());
         }
 
@@ -128,23 +130,12 @@ impl<S: StorageEngine> FilterEngine<S> {
             let doc_uri = res.uri().document_uri().to_owned();
             BaseStore::insert_resource(&mut self.store, res, &doc_uri)?;
         }
-        match new_doc {
-            Some(doc) => {
-                self.documents.insert(doc.uri().to_owned(), doc.clone());
-            }
-            None => {
-                // document deletion: identify the document by any deleted
-                // resource (diff_delete_all lists all of them)
-                if let Some(res) = d.deleted.first() {
-                    self.documents.remove(res.uri().document_uri());
-                }
-            }
-        }
+        self.set_document(doc_uri, new_doc);
 
         // ---- pass 2: candidates against the new state ----
         let candidates: BTreeSet<&str> = retracted.iter().map(|(_, uri)| uri.as_str()).collect();
         let mut pass2_atoms = Vec::new();
-        for uri in candidates {
+        for uri in &candidates {
             pass2_atoms.extend(self.atoms_from_store(uri)?);
         }
         let run2 = self.run_filter(&pass2_atoms, Mode::Refresh)?;
@@ -202,32 +193,44 @@ impl<S: StorageEngine> FilterEngine<S> {
         }
         // updates: an updated resource must be re-shipped to every
         // subscription whose matched resources reach it over strong
-        // references (it sits in their cached closure, §2.4)
-        let updated_uris: Vec<String> =
-            d.updated.iter().map(|(_, n)| n.uri().to_string()).collect();
-        for u in &updated_uris {
-            let referrers = self.strong_referrers(u)?;
-            let end_rules: Vec<RuleId> = self.end_subs.keys().copied().collect();
-            for end in end_rules {
-                let mut reaches = false;
-                for r in &referrers {
-                    let key = (end, r.clone());
-                    if survived.contains(&key) {
-                        reaches = true;
-                        break;
-                    }
-                    // not re-derived this round: consult the current state
-                    if self.check_match(end, r)? {
-                        reaches = true;
-                        break;
-                    }
-                }
-                if reaches {
-                    if let Some(subs) = self.end_subs.get(&end) {
-                        let subs = subs.clone();
-                        let u = u.clone();
-                        push(&mut pubs, &subs, &|p| p.updated.push(u.clone()));
-                    }
+        // references (it sits in their cached closure, §2.4). Asked from
+        // the referrers' side — which end rules does each referrer match? —
+        // so the cost follows the matches, not the rule base. Passes 2 and
+        // 3 answer it for the resources they took as input (`survived`);
+        // one read-only run over the remaining referrers' own atoms derives
+        // every rule that registers them.
+        let mut referrers_of: Vec<(String, Vec<String>)> = Vec::new();
+        for (_, new_res) in &d.updated {
+            let u = new_res.uri().to_string();
+            let referrers = self.strong_referrers(&u)?;
+            referrers_of.push((u, referrers));
+        }
+        // the resources whose atoms pass 2 or pass 3 took as input
+        let mut filtered: HashSet<&str> = pass3_atoms.iter().map(|a| a.uri.as_str()).collect();
+        filtered.extend(&candidates);
+        let mut referrer_atoms = Vec::new();
+        for r in referrers_of.iter().flat_map(|(_, referrers)| referrers) {
+            if filtered.insert(r) {
+                referrer_atoms.extend(self.atoms_from_store(r)?);
+            }
+        }
+        let referrer_run = if referrer_atoms.is_empty() {
+            FilterRun::default()
+        } else {
+            self.run_filter(&referrer_atoms, Mode::Collect)?
+        };
+        let mut ends_of: HashMap<&str, Vec<RuleId>> = HashMap::new();
+        for (rule, uri) in survived.iter().chain(&referrer_run.end_matches) {
+            ends_of.entry(uri).or_default().push(*rule);
+        }
+        for (u, referrers) in &referrers_of {
+            for end in referrers
+                .iter()
+                .filter_map(|r| ends_of.get(r.as_str()))
+                .flatten()
+            {
+                if let Some(subs) = self.end_subs.get(end) {
+                    push(&mut pubs, subs, &|p| p.updated.push(u.clone()));
                 }
             }
         }
@@ -235,8 +238,16 @@ impl<S: StorageEngine> FilterEngine<S> {
         Ok(assemble_publications(pubs))
     }
 
+    fn set_document(&mut self, uri: &str, doc: Option<&Document>) {
+        match doc {
+            Some(doc) => self.documents.insert(uri.to_owned(), doc.clone()),
+            None => self.documents.remove(uri),
+        };
+    }
+
     /// Rebuilds a resource's atoms from the base tables (candidate input of
-    /// pass 2; the resource may live in any document).
+    /// pass 2 and of the referrer run; the resource may live in any
+    /// document).
     fn atoms_from_store(&self, uri: &str) -> Result<Vec<Atom>> {
         let Some(class) = BaseStore::resource_class(self.db(), uri)? else {
             return Ok(Vec::new()); // deleted candidates have no atoms
@@ -423,6 +434,89 @@ mod tests {
             e.delete_document("doc.rdf"),
             Err(Error::Document(_))
         ));
+    }
+
+    #[test]
+    fn empty_document_can_be_deleted_and_registered_again() {
+        let mut e = FilterEngine::new(schema());
+        let empty = Document::new("e.rdf");
+        assert!(e.register_document(&empty).unwrap().is_empty());
+        assert!(e.delete_document("e.rdf").unwrap().is_empty());
+        assert_eq!(e.document_count(), 0);
+        assert!(e.register_document(&empty).unwrap().is_empty());
+    }
+
+    /// A provider in `prov.rdf` referencing the `info` of `doc.rdf`.
+    fn remote_provider() -> Document {
+        Document::new("prov.rdf").with_resource(
+            Resource::new(UriRef::new("prov.rdf", "p"), "CycleProvider")
+                .with("serverHost", Term::literal("remote.uni-passau.de"))
+                .with("serverPort", Term::literal("1"))
+                .with(
+                    "serverInformation",
+                    Term::resource(UriRef::new("doc.rdf", "info")),
+                ),
+        )
+    }
+
+    #[test]
+    fn update_reaches_referrers_the_passes_never_filter() {
+        // `prov.rdf#p` matches by OID and by `contains` — trigger rules over
+        // its own atoms, which an update of the referenced `doc.rdf#info`
+        // gives no pass a reason to re-derive
+        let mut e = FilterEngine::new(schema());
+        let (oid, _) = e
+            .register_subscription("search CycleProvider c register c where c = 'prov.rdf#p'")
+            .unwrap();
+        let (con, _) = e
+            .register_subscription(
+                "search CycleProvider c register c where c.serverHost contains 'remote'",
+            )
+            .unwrap();
+        let (other, _) = e
+            .register_subscription(
+                "search CycleProvider c register c where c.serverHost contains 'nowhere'",
+            )
+            .unwrap();
+        e.register_document(&doc(92)).unwrap();
+        e.register_document(&remote_provider()).unwrap();
+        let pubs = e.update_document(&doc(128)).unwrap();
+        let updated: Vec<_> = pubs
+            .iter()
+            .map(|p| (p.subscription, p.updated.clone()))
+            .collect();
+        assert_eq!(
+            updated,
+            vec![
+                (oid, vec!["doc.rdf#info".to_owned()]),
+                (con, vec!["doc.rdf#info".to_owned()]),
+            ],
+            "not {other}: {pubs:?}"
+        );
+        assert!(pubs
+            .iter()
+            .all(|p| p.added.is_empty() && p.removed.is_empty()));
+    }
+
+    #[test]
+    fn update_of_a_resource_matched_by_a_rule_with_dependents() {
+        // `info` matches `memory > 64`, which the PATH rule's join depends
+        // on: pass 2 re-materializes it, so pass 3's offer is refused and
+        // only pass 2 reports the ServerInformation subscription's match
+        let mut e = FilterEngine::new(schema());
+        let (path, _) = e.register_subscription(PATH_RULE).unwrap();
+        let (direct, _) = e
+            .register_subscription("search ServerInformation s register s where s.memory > 64")
+            .unwrap();
+        e.register_document(&doc(92)).unwrap();
+        e.register_document(&remote_provider()).unwrap();
+        let pubs = e.update_document(&doc(128)).unwrap();
+        assert_eq!(pubs.len(), 2);
+        for (publication, sub) in pubs.iter().zip([path, direct]) {
+            assert_eq!(publication.subscription, sub);
+            assert_eq!(publication.updated, vec!["doc.rdf#info".to_owned()]);
+            assert!(publication.added.is_empty() && publication.removed.is_empty());
+        }
     }
 
     #[test]

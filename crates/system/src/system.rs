@@ -1589,6 +1589,21 @@ mod tests {
     }
 
     #[test]
+    fn empty_document_can_be_deleted_and_registered_again() {
+        let mut sys = MdvSystem::new(schema());
+        sys.add_mdp("m1").unwrap();
+        sys.add_mdp("m2").unwrap();
+        let empty = Document::new("e.rdf");
+        sys.register_document("m1", &empty).unwrap();
+        sys.delete_document("m1", "e.rdf").unwrap();
+        for m in ["m1", "m2"] {
+            assert_eq!(sys.mdp(m).unwrap().engine().document_count(), 0, "{m}");
+        }
+        sys.register_document("m1", &empty).unwrap();
+        assert!(sys.backbone_converged());
+    }
+
+    #[test]
     fn backbone_replication_reaches_remote_lmr() {
         let mut sys = MdvSystem::new(schema());
         sys.add_mdp("mdp-eu").unwrap();
