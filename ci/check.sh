@@ -351,6 +351,22 @@ if [[ "$QUICK" == "0" ]]; then
     core.probes_executed_per_doc
 
   # -------------------------------------------------------------------------
+  step "subscribe scaling: one rule costs one rule, not the rule base"
+  # Registering a rule must not scan the rules already registered
+  # (DESIGN.md §3b, §11.4): the MDP's duplicate check is a look-up in its
+  # subscriber table, and under placement `subscribe` mirrors only the new
+  # rule. Best of 3, microseconds per `subscribe`; fails when LWW at 10k
+  # rules costs over 2.5x a rule at 2.5k, or placement R=2 over 4 MDPs at
+  # 10k over 3x a rule at 500 or over 10 s in all. (A linear scan per
+  # Subscribe plus a full re-mirror per placed subscribe measured 13.8 ->
+  # 67.0 us/rule for LWW, 4.9x, and 648 -> 8 903 us/rule for placement
+  # between 500 and 2k rules, 17.8 s for 2k; the table 8.3 -> 9.0 and
+  # 27.3 -> 34.8 us/rule, 0.35 s for 10k, 2-core x86-64.) Timings, so
+  # release mode and off tier-1.
+  cargo test -q --release --offline --test placement -- --ignored
+  echo "ok: subscribe cost is flat in the rule base"
+
+  # -------------------------------------------------------------------------
   step "bench harness smoke pass (MDV_BENCH_ITERS=1)"
   MDV_BENCH_ITERS=1 cargo bench --offline -p mdv-bench >/dev/null
   echo "ok: figures bench harness"

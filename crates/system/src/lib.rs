@@ -65,6 +65,7 @@ mod mirror;
 pub mod placement;
 pub mod raft;
 pub mod state;
+mod subscribers;
 pub mod system;
 pub mod transport;
 

@@ -16,6 +16,7 @@ use crate::error::{Error, Result};
 use crate::message::{DigestEntry, Message, PublishMsg, RepairDoc};
 use crate::mirror::{self, i, s};
 use crate::placement::PlacementTable;
+use crate::subscribers::Subscribers;
 use crate::transport::{Envelope, Network};
 
 /// Durable mirror tables (created only on mirror-enabled backends, see
@@ -227,8 +228,9 @@ pub struct Mdp<S: StorageEngine = Database> {
     /// [`Mdp::with_storage`]; the memory path never creates the tables, so
     /// its databases stay byte-identical to the pre-storage-engine layout.
     pub(crate) mirror: bool,
-    /// subscription → (LMR node, LMR-local rule id).
-    pub(crate) subscribers: HashMap<SubscriptionId, (String, u64)>,
+    /// Which LMR rule each subscription ships to, and back, plus the
+    /// tombstones of retracted rules.
+    pub(crate) subscribers: Subscribers,
     /// Backbone peers receiving replicated registrations.
     pub(crate) peers: Vec<String>,
     /// Periodic-batch mode (paper §4: "decide if the filter should be
@@ -243,10 +245,6 @@ pub struct Mdp<S: StorageEngine = Database> {
     /// Unacked publications keyed `(lmr, seq)`; BTreeMap so retransmission
     /// order is deterministic.
     outbox: BTreeMap<(String, u64), Outgoing>,
-    /// `(lmr, lmr_rule)` pairs whose subscription was retracted: duplicate
-    /// Subscribe/Unsubscribe retransmissions for them are re-acked without
-    /// touching the filter engine.
-    pub(crate) retired: HashSet<(String, u64)>,
     /// Per-URI replication metadata (version + tombstone); tombstones are
     /// retained so deletions win over stale replicated registrations.
     doc_meta: BTreeMap<String, DocMeta>,
@@ -379,13 +377,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             name: name.to_owned(),
             engine,
             mirror,
-            subscribers: HashMap::new(),
+            subscribers: Subscribers::default(),
             peers: Vec::new(),
             batch_size: None,
             pending: Vec::new(),
             next_pub_seq: HashMap::new(),
             outbox: BTreeMap::new(),
-            retired: HashSet::new(),
             doc_meta: BTreeMap::new(),
             repl_next_seq: HashMap::new(),
             repl_outbox: BTreeMap::new(),
@@ -868,13 +865,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
 
     /// Subscribers sorted by subscription id (deterministic export).
     pub(crate) fn subscribers_sorted(&self) -> Vec<(SubscriptionId, (String, u64))> {
-        let mut out: Vec<_> = self
-            .subscribers
-            .iter()
-            .map(|(s, t)| (*s, t.clone()))
-            .collect();
-        out.sort_by_key(|(s, _)| *s);
-        out
+        self.subscribers.sorted()
     }
 
     /// Re-registers a subscription during state import: no ack, no initial
@@ -886,7 +877,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         rule_text: &str,
     ) -> Result<()> {
         let (sub, _initial) = self.engine.register_subscription(rule_text)?;
-        self.subscribers.insert(sub, (lmr.to_owned(), lmr_rule));
+        self.subscribers.insert(sub, lmr, lmr_rule);
         self.mirror_sub_insert(lmr, lmr_rule, rule_text)
     }
 
@@ -1016,7 +1007,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
 
     /// Restores a retracted-subscription tombstone during crash recovery.
     pub(crate) fn restore_retired(&mut self, lmr: &str, lmr_rule: u64) -> Result<()> {
-        self.retired.insert((lmr.to_owned(), lmr_rule));
+        self.subscribers.retire(lmr, lmr_rule);
         if self.mirror {
             mirror::insert_unique(
                 self.engine.storage_mut(),
@@ -1189,8 +1180,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 lmr_rule,
                 rule_text,
             } if self.raft.is_some() => {
-                let key = (env.from.clone(), lmr_rule);
-                if self.retired.contains(&key) || self.subscribers.values().any(|v| *v == key) {
+                if self.subscribers.knows(&env.from, lmr_rule) {
                     return net.send(
                         &self.name,
                         &env.from,
@@ -1214,7 +1204,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 .map(|_| ())
             }
             Message::Unsubscribe { lmr_rule } if self.raft.is_some() => {
-                if self.retired.contains(&(env.from.clone(), lmr_rule)) {
+                if self.subscribers.is_retired(&env.from, lmr_rule) {
                     return net.send(&self.name, &env.from, Message::UnsubscribeAck { lmr_rule });
                 }
                 if !self.raft_is_leader() {
@@ -1234,8 +1224,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 rule_text,
                 last_seq,
             } if self.raft.is_some() => {
-                let key = (env.from.clone(), lmr_rule);
-                let registered = self.subscribers.values().any(|v| *v == key);
+                let registered = self.subscribers.find(&env.from, lmr_rule).is_some();
                 let cur = self.next_pub_seq.get(&env.from).copied().unwrap_or(0);
                 if registered && last_seq == cur {
                     return net.send(
@@ -1285,11 +1274,10 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 lmr_rule,
                 rule_text,
             } => {
-                let key = (env.from.clone(), lmr_rule);
                 // retransmitted or duplicated Subscribe: the subscription is
                 // already registered (or already retracted again) — re-ack
                 // without touching the engine, so retries are idempotent
-                if self.retired.contains(&key) || self.subscribers.values().any(|v| *v == key) {
+                if self.subscribers.knows(&env.from, lmr_rule) {
                     return net.send(
                         &self.name,
                         &env.from,
@@ -1301,7 +1289,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 }
                 match self.engine.register_subscription(&rule_text) {
                     Ok((sub, initial)) => {
-                        self.subscribers.insert(sub, (env.from.clone(), lmr_rule));
+                        self.subscribers.insert(sub, &env.from, lmr_rule);
                         self.mirror_sub_insert(&env.from, lmr_rule, &rule_text)?;
                         net.send(
                             &self.name,
@@ -1338,21 +1326,16 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 }
             }
             Message::Unsubscribe { lmr_rule } => {
-                let key = self
-                    .subscribers
-                    .iter()
-                    .find(|(_, (lmr, rule))| *lmr == env.from && *rule == lmr_rule)
-                    .map(|(sub, _)| *sub);
-                match key {
+                match self.subscribers.find(&env.from, lmr_rule) {
                     Some(sub) => {
-                        self.subscribers.remove(&sub);
+                        self.subscribers.remove(sub);
                         self.engine.unregister_subscription(sub)?;
-                        self.retired.insert((env.from.clone(), lmr_rule));
+                        self.subscribers.retire(&env.from, lmr_rule);
                         self.mirror_sub_retire(&env.from, lmr_rule)?;
                         net.send(&self.name, &env.from, Message::UnsubscribeAck { lmr_rule })
                     }
                     // retransmitted/duplicated Unsubscribe: already retracted
-                    None if self.retired.contains(&(env.from.clone(), lmr_rule)) => {
+                    None if self.subscribers.is_retired(&env.from, lmr_rule) => {
                         net.send(&self.name, &env.from, Message::UnsubscribeAck { lmr_rule })
                     }
                     // unknown rule: tombstone it and ack idempotently. A
@@ -1360,7 +1343,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                     // never saw the subscription (e.g. after a crash); rule
                     // ids are never reused, so retiring is always safe.
                     None => {
-                        self.retired.insert((env.from.clone(), lmr_rule));
+                        self.subscribers.retire(&env.from, lmr_rule);
                         self.mirror_sub_retire(&env.from, lmr_rule)?;
                         net.send(&self.name, &env.from, Message::UnsubscribeAck { lmr_rule })
                     }
@@ -1732,13 +1715,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         rule_text: &str,
         net: &Network,
     ) -> Result<()> {
-        let key = (lmr.to_owned(), lmr_rule);
-        if self.retired.contains(&key) || self.subscribers.values().any(|v| *v == key) {
+        if self.subscribers.knows(lmr, lmr_rule) {
             return Ok(());
         }
         self.with_group(|this| {
             let (sub, initial) = this.engine.register_subscription(rule_text)?;
-            this.subscribers.insert(sub, key);
+            this.subscribers.insert(sub, lmr, lmr_rule);
             this.mirror_sub_insert(lmr, lmr_rule, rule_text)?;
             let initial = this.primary_matches(initial);
             if !initial.is_empty() {
@@ -1754,18 +1736,13 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// orchestrator's counterpart to [`Mdp::register_remote_subscription`]
     /// when the LMR unsubscribes at its home MDP.
     pub(crate) fn remove_remote_subscription(&mut self, lmr: &str, lmr_rule: u64) -> Result<()> {
-        let key = (lmr.to_owned(), lmr_rule);
-        let sub = self
-            .subscribers
-            .iter()
-            .find(|(_, v)| **v == key)
-            .map(|(sub, _)| *sub);
+        let sub = self.subscribers.find(lmr, lmr_rule);
         self.with_group(|this| {
             if let Some(sub) = sub {
-                this.subscribers.remove(&sub);
+                this.subscribers.remove(sub);
                 this.engine.unregister_subscription(sub)?;
             }
-            if this.retired.insert(key) {
+            if this.subscribers.retire(lmr, lmr_rule) {
                 this.mirror_sub_retire(lmr, lmr_rule)?;
             }
             Ok(())
@@ -1784,12 +1761,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         last_seq: u64,
         net: &Network,
     ) -> Result<()> {
-        let key = (lmr.to_owned(), lmr_rule);
-        let existing = self
-            .subscribers
-            .iter()
-            .find(|(_, v)| **v == key)
-            .map(|(sub, _)| *sub);
+        let existing = self.subscribers.find(lmr, lmr_rule);
         let cur = self.next_pub_seq.get(lmr).copied().unwrap_or(0);
         let ack = |error: Option<String>| Message::SubscribeAck { lmr_rule, error };
         if existing.is_some() && last_seq == cur {
@@ -1800,16 +1772,16 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         // snapshot needs anyway; a rule retired by a cleanup unsubscribe
         // comes back to life when its LMR fails back home
         if let Some(sub) = existing {
-            self.subscribers.remove(&sub);
+            self.subscribers.remove(sub);
             self.engine.unregister_subscription(sub)?;
         }
-        if self.retired.remove(&key) {
+        if self.subscribers.unretire(lmr, lmr_rule) {
             self.mirror_sub_unretire(lmr, lmr_rule)?;
         }
         match self.engine.register_subscription(rule_text) {
             Err(e) => net.send(&self.name, lmr, ack(Some(e.to_string()))),
             Ok((sub, initial)) => {
-                self.subscribers.insert(sub, key);
+                self.subscribers.insert(sub, lmr, lmr_rule);
                 if existing.is_none() {
                     self.mirror_sub_insert(lmr, lmr_rule, rule_text)?;
                 }
@@ -1831,13 +1803,14 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     fn publish(&mut self, pubs: Vec<Publication>, net: &Network) -> Result<()> {
         let mut memo = PublishMemo::default();
         for p in pubs {
-            let Some((lmr, lmr_rule)) = self.subscribers.get(&p.subscription).cloned() else {
+            let Some((lmr, lmr_rule)) = self.subscribers.get(p.subscription) else {
                 // subscription without a live subscriber (e.g. engine-level
                 // tests); nothing to ship
                 continue;
             };
             let msg = self.build_publish(&mut memo, lmr_rule, &p.added, &p.updated, &p.removed)?;
             if !msg.is_empty() {
+                let lmr = lmr.to_owned();
                 self.send_publication(&lmr, msg, net)?;
             }
         }
@@ -2279,6 +2252,259 @@ mod tests {
         .unwrap();
         // re-acked without registering (rule 9 stays retired)
         assert_eq!(net.traffic_by_kind()["subscribe-ack"], 1);
-        assert!(mdp.subscribers.is_empty());
+        assert!(mdp.subscribers_sorted().is_empty());
+    }
+
+    // ---- the subscriber table against the parent's linear scans ---------
+
+    const LMRS: [&str; 3] = ["l1", "l2", "l3"];
+    const RULES: u64 = 4;
+
+    /// Even rules match the one pre-loaded document (registering one ships
+    /// an initial fill); odd rules match nothing.
+    fn matches_doc(rule: u64) -> bool {
+        rule.is_multiple_of(2)
+    }
+
+    /// The text LMR rule `rule` subscribes.
+    fn rule_text(rule: u64) -> String {
+        let bound = if matches_doc(rule) { 64 } else { 4096 };
+        format!("search CycleProvider c register c where c.serverInformation.memory > {bound}")
+    }
+
+    /// What the MDP did before it had a subscriber table: one `Vec`
+    /// searched linearly, a tombstone list beside it, and the engine's
+    /// sequential subscription ids and per-LMR publication counters
+    /// predicted. Each operation returns the messages it implies.
+    #[derive(Default)]
+    struct Reference {
+        subscribers: Vec<(SubscriptionId, (String, u64))>,
+        retired: Vec<(String, u64)>,
+        next_sub: u64,
+        pub_seq: HashMap<String, u64>,
+    }
+
+    impl Reference {
+        fn find(&self, lmr: &str, rule: u64) -> Option<SubscriptionId> {
+            self.subscribers
+                .iter()
+                .find(|(_, (l, r))| l == lmr && *r == rule)
+                .map(|(sub, _)| *sub)
+        }
+
+        fn get(&self, sub: SubscriptionId) -> Option<(&str, u64)> {
+            self.subscribers
+                .iter()
+                .find(|(s, _)| *s == sub)
+                .map(|(_, (l, r))| (l.as_str(), *r))
+        }
+
+        fn is_retired(&self, lmr: &str, rule: u64) -> bool {
+            self.retired.iter().any(|(l, r)| l == lmr && *r == rule)
+        }
+
+        fn register(&mut self, lmr: &str, rule: u64) {
+            let sub = SubscriptionId(self.next_sub);
+            self.next_sub += 1;
+            self.subscribers.push((sub, (lmr.to_owned(), rule)));
+        }
+
+        fn unregister(&mut self, lmr: &str, rule: u64) {
+            self.subscribers
+                .retain(|(_, (l, r))| !(l == lmr && *r == rule));
+        }
+
+        fn retire(&mut self, lmr: &str, rule: u64) {
+            if !self.is_retired(lmr, rule) {
+                self.retired.push((lmr.to_owned(), rule));
+            }
+        }
+
+        fn publish(&mut self, lmr: &str, rule: u64, snapshot: bool) -> String {
+            let seq = self.pub_seq.entry(lmr.to_owned()).or_insert(0);
+            *seq += 1;
+            let matched = usize::from(matches_doc(rule));
+            format!(
+                "publish {rule} seq={} matched={matched} snapshot={snapshot}",
+                *seq - 1
+            )
+        }
+
+        fn subscribe(&mut self, lmr: &str, rule: u64) -> Vec<String> {
+            let mut out = vec![format!("subscribe-ack {rule}")];
+            if !(self.is_retired(lmr, rule) || self.find(lmr, rule).is_some()) {
+                self.register(lmr, rule);
+                if matches_doc(rule) {
+                    out.push(self.publish(lmr, rule, false));
+                }
+            }
+            out
+        }
+
+        fn unsubscribe(&mut self, lmr: &str, rule: u64) -> Vec<String> {
+            self.unregister(lmr, rule);
+            self.retire(lmr, rule);
+            vec![format!("unsubscribe-ack {rule}")]
+        }
+
+        fn resubscribe(&mut self, lmr: &str, rule: u64, last_seq: u64) -> Vec<String> {
+            let ack = format!("subscribe-ack {rule}");
+            let cur = self.pub_seq.get(lmr).copied().unwrap_or(0);
+            if self.find(lmr, rule).is_some() && last_seq == cur {
+                return vec![ack];
+            }
+            self.unregister(lmr, rule);
+            self.retired.retain(|(l, r)| !(l == lmr && *r == rule));
+            self.register(lmr, rule);
+            vec![ack, self.publish(lmr, rule, true)]
+        }
+
+        fn register_remote(&mut self, lmr: &str, rule: u64) -> Vec<String> {
+            if self.is_retired(lmr, rule) || self.find(lmr, rule).is_some() {
+                return Vec::new();
+            }
+            self.register(lmr, rule);
+            if matches_doc(rule) {
+                vec![self.publish(lmr, rule, false)]
+            } else {
+                Vec::new()
+            }
+        }
+
+        fn remove_remote(&mut self, lmr: &str, rule: u64) -> Vec<String> {
+            self.unregister(lmr, rule);
+            self.retire(lmr, rule);
+            Vec::new()
+        }
+    }
+
+    /// The messages the LMRs received since the last call, in the
+    /// reference's notation.
+    fn received(rxs: &[mdv_runtime::channel::Receiver<Envelope>]) -> Vec<String> {
+        rxs.iter()
+            .flat_map(|rx| rx.try_iter())
+            .map(|env| {
+                let what = match env.message {
+                    Message::SubscribeAck { lmr_rule, error } => {
+                        assert!(error.is_none(), "{error:?}");
+                        format!("subscribe-ack {lmr_rule}")
+                    }
+                    Message::UnsubscribeAck { lmr_rule } => format!("unsubscribe-ack {lmr_rule}"),
+                    Message::Publish(msg) => format!(
+                        "publish {} seq={} matched={} snapshot={}",
+                        msg.lmr_rule,
+                        msg.seq,
+                        msg.matched.len(),
+                        msg.snapshot
+                    ),
+                    other => format!("unexpected {}", other.kind()),
+                };
+                format!("{}: {what}", env.to)
+            })
+            .collect()
+    }
+
+    /// Both directions of the table, the tombstones and the engine's
+    /// subscriptions all equal the reference.
+    fn table_matches(mdp: &Mdp, reference: &Reference) -> mdv_testkit::TestResult {
+        let mut want = reference.subscribers.clone();
+        want.sort_by_key(|(sub, _)| *sub);
+        mdv_testkit::prop_assert_eq!(mdp.subscribers_sorted(), want);
+        for id in 0..=reference.next_sub {
+            let sub = SubscriptionId(id);
+            mdv_testkit::prop_assert_eq!(
+                mdp.subscribers.get(sub),
+                reference.get(sub),
+                "forward look-up of {sub}"
+            );
+        }
+        for lmr in LMRS.iter().chain(&["l9"]) {
+            for rule in 0..=RULES {
+                let find = reference.find(lmr, rule);
+                let retired = reference.is_retired(lmr, rule);
+                mdv_testkit::prop_assert_eq!(
+                    mdp.subscribers.find(lmr, rule),
+                    find,
+                    "reverse look-up of ({lmr}, {rule})"
+                );
+                mdv_testkit::prop_assert_eq!(mdp.subscribers.is_retired(lmr, rule), retired);
+                mdv_testkit::prop_assert_eq!(
+                    mdp.subscribers.knows(lmr, rule),
+                    find.is_some() || retired
+                );
+            }
+        }
+        let mut retired = reference.retired.clone();
+        retired.sort();
+        mdv_testkit::prop_assert_eq!(mdp.subscribers.retired_sorted(), retired);
+        let engine: BTreeSet<SubscriptionId> = mdp.engine().subscriptions().map(|s| s.id).collect();
+        let registered: BTreeSet<SubscriptionId> =
+            reference.subscribers.iter().map(|(sub, _)| *sub).collect();
+        mdv_testkit::prop_assert_eq!(engine, registered);
+        Ok(())
+    }
+
+    mdv_testkit::property! {
+        /// One LWW MDP under random Subscribe (new, duplicate, retired),
+        /// Unsubscribe (known, duplicate, unknown), Resubscribe (caught up,
+        /// behind) and remote register / remove: after every step both
+        /// directions of the subscriber table equal the linear-scan
+        /// reference, and the messages sent equal what it implies.
+        fn subscriber_table_equals_the_linear_scan_reference(src) {
+            let net = Network::new(NetConfig::default());
+            let rxs: Vec<_> = LMRS.iter().map(|l| net.register(l).unwrap()).collect();
+            let mut mdp = Mdp::new("mdp1", schema());
+            mdp.register_document(&doc(1, "a.org", 128), &net, false).unwrap();
+            let mut reference = Reference::default();
+            for step in 0..src.usize_in(1..60) {
+                let at = src.usize_in(0..LMRS.len());
+                let (lmr, rule) = (LMRS[at], src.u64_in(0..RULES));
+                let deliver = |message| Envelope {
+                    from: lmr.into(),
+                    to: "mdp1".into(),
+                    message,
+                    deliver_at_ms: 0,
+                };
+                let (what, want) = match src.weighted(&[4, 3, 2, 2, 1]) {
+                    0 => {
+                        let message = Message::Subscribe { lmr_rule: rule, rule_text: rule_text(rule) };
+                        mdp.handle(deliver(message), &net).unwrap();
+                        ("subscribe", reference.subscribe(lmr, rule))
+                    }
+                    1 => {
+                        mdp.handle(deliver(Message::Unsubscribe { lmr_rule: rule }), &net).unwrap();
+                        ("unsubscribe", reference.unsubscribe(lmr, rule))
+                    }
+                    2 => {
+                        let cur = reference.pub_seq.get(lmr).copied().unwrap_or(0);
+                        let last_seq = if src.bool() { cur } else { cur + 1 };
+                        let message = Message::Resubscribe {
+                            lmr_rule: rule,
+                            rule_text: rule_text(rule),
+                            last_seq,
+                        };
+                        mdp.handle(deliver(message), &net).unwrap();
+                        ("resubscribe", reference.resubscribe(lmr, rule, last_seq))
+                    }
+                    3 => {
+                        mdp.register_remote_subscription(lmr, rule, &rule_text(rule), &net).unwrap();
+                        ("register_remote", reference.register_remote(lmr, rule))
+                    }
+                    _ => {
+                        mdp.remove_remote_subscription(lmr, rule).unwrap();
+                        ("remove_remote", reference.remove_remote(lmr, rule))
+                    }
+                };
+                // every message goes to the LMR the step speaks for
+                let want: Vec<String> = want.into_iter().map(|m| format!("{lmr}: {m}")).collect();
+                mdv_testkit::prop_assert_eq!(
+                    received(&rxs),
+                    want,
+                    "step {step}: {what} ({lmr}, {rule}) sent"
+                );
+                table_matches(&mdp, &reference)
+                    .map_err(|e| format!("step {step}: {what} ({lmr}, {rule}): {e}"))?;
+            }
+        }
     }
 }

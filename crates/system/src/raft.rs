@@ -1140,8 +1140,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 lmr_rule,
                 rule_text,
             } => {
-                let key = (lmr.clone(), *lmr_rule);
-                if self.retired.contains(&key) || self.subscribers.values().any(|v| *v == key) {
+                if self.subscribers.knows(lmr, *lmr_rule) {
                     // duplicate proposal of an existing/retired rule
                     if is_leader {
                         return net.send(
@@ -1157,7 +1156,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 }
                 match self.engine.register_subscription(rule_text) {
                     Ok((sub, initial)) => {
-                        self.subscribers.insert(sub, key);
+                        self.subscribers.insert(sub, lmr, *lmr_rule);
                         self.mirror_sub_insert(lmr, *lmr_rule, rule_text)?;
                         if is_leader {
                             net.send(
@@ -1207,12 +1206,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 rule_text,
                 last_seq,
             } => {
-                let key = (lmr.clone(), *lmr_rule);
-                let existing = self
-                    .subscribers
-                    .iter()
-                    .find(|(_, v)| **v == key)
-                    .map(|(sub, _)| *sub);
+                let existing = self.subscribers.find(lmr, *lmr_rule);
                 let cur = self.next_pub_seq.get(lmr).copied().unwrap_or(0);
                 if existing.is_some() && *last_seq == cur {
                     // already registered and provably caught up
@@ -1229,10 +1223,10 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                     return Ok(());
                 }
                 if let Some(sub) = existing {
-                    self.subscribers.remove(&sub);
+                    self.subscribers.remove(sub);
                     self.engine.unregister_subscription(sub)?;
                 }
-                if self.retired.remove(&key) {
+                if self.subscribers.unretire(lmr, *lmr_rule) {
                     self.mirror_sub_unretire(lmr, *lmr_rule)?;
                 }
                 match self.engine.register_subscription(rule_text) {
@@ -1250,7 +1244,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         Ok(())
                     }
                     Ok((sub, initial)) => {
-                        self.subscribers.insert(sub, key);
+                        self.subscribers.insert(sub, lmr, *lmr_rule);
                         if existing.is_none() {
                             self.mirror_sub_insert(lmr, *lmr_rule, rule_text)?;
                         }
@@ -1282,18 +1276,11 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 }
             }
             RaftCmd::Unsubscribe { lmr, lmr_rule } => {
-                let key = (lmr.clone(), *lmr_rule);
-                let existing = self
-                    .subscribers
-                    .iter()
-                    .find(|(_, v)| **v == key)
-                    .map(|(sub, _)| *sub);
-                if let Some(sub) = existing {
-                    self.subscribers.remove(&sub);
+                if let Some(sub) = self.subscribers.find(lmr, *lmr_rule) {
+                    self.subscribers.remove(sub);
                     self.engine.unregister_subscription(sub)?;
                 }
-                if !self.retired.contains(&key) {
-                    self.retired.insert(key.clone());
+                if self.subscribers.retire(lmr, *lmr_rule) {
                     self.mirror_sub_retire(lmr, *lmr_rule)?;
                 }
                 if is_leader {
@@ -1325,19 +1312,21 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     ) -> Result<()> {
         let mut memo = PublishMemo::default();
         for p in pubs {
-            let Some((lmr, lmr_rule)) = self.subscribers.get(&p.subscription).cloned() else {
+            let Some((lmr, lmr_rule)) = self.subscribers.get(p.subscription) else {
                 continue;
             };
             if !is_leader {
                 // companions come from `added`/`updated`, so the message
                 // the leader builds is empty iff all three lists are
                 if !(p.added.is_empty() && p.updated.is_empty() && p.removed.is_empty()) {
+                    let lmr = lmr.to_owned();
                     self.raft_number(&lmr)?;
                 }
                 continue;
             }
             let msg = self.build_publish(&mut memo, lmr_rule, &p.added, &p.updated, &p.removed)?;
             if !msg.is_empty() {
+                let lmr = lmr.to_owned();
                 self.send_publication(&lmr, msg, net)?;
             }
         }
@@ -1377,10 +1366,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 .unwrap_or_default();
             out.push_str(&format!("s {}\t{rule}\t{}\n", escape(&lmr), escape(&text)));
         }
-        let mut retired: Vec<&(String, u64)> = self.retired.iter().collect();
-        retired.sort();
-        for (lmr, rule) in retired {
-            out.push_str(&format!("r {}\t{rule}\n", escape(lmr)));
+        for (lmr, rule) in self.subscribers.retired_sorted() {
+            out.push_str(&format!("r {}\t{rule}\n", escape(&lmr)));
         }
         for (lmr, seq) in self.pub_seqs_sorted() {
             out.push_str(&format!("q {}\t{seq}\n", escape(&lmr)));
@@ -1404,9 +1391,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         self.with_group(|this| {
             // tear down: subscriptions first so document removal publishes
             // nothing, then documents, counters, and tombstones
-            let subs: Vec<_> = this.subscribers.keys().copied().collect();
-            for sub in subs {
-                this.subscribers.remove(&sub);
+            for (sub, _) in this.subscribers_sorted() {
+                this.subscribers.remove(sub);
                 this.engine.unregister_subscription(sub)?;
             }
             let uris: Vec<String> = this
@@ -1427,7 +1413,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                     mirror::delete_where(this.engine.storage_mut(), table, |_| true)?;
                 }
             }
-            this.retired.clear();
+            this.subscribers.clear_retired();
             this.next_pub_seq.clear();
 
             let mut cum_hash = 0;
@@ -1451,14 +1437,14 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         let rule: u64 = rule.parse().map_err(|_| bad())?;
                         let (lmr, text) = (unescape(lmr), unescape(text));
                         let (sub, _initial) = this.engine.register_subscription(&text)?;
-                        this.subscribers.insert(sub, (lmr.clone(), rule));
+                        this.subscribers.insert(sub, &lmr, rule);
                         this.mirror_sub_insert(&lmr, rule, &text)?;
                     }
                     "r" => {
                         let (lmr, rule) = rest.split_once('\t').ok_or_else(bad)?;
                         let rule: u64 = rule.parse().map_err(|_| bad())?;
                         let lmr = unescape(lmr);
-                        this.retired.insert((lmr.clone(), rule));
+                        this.subscribers.retire(&lmr, rule);
                         this.mirror_sub_retire(&lmr, rule)?;
                     }
                     "q" => {
@@ -1588,5 +1574,102 @@ mod tests {
         let b = chain_hash(chain_hash(0, "y"), "x");
         assert_ne!(a, b);
         assert_eq!(a, chain_hash(chain_hash(0, "x"), "y"));
+    }
+
+    #[test]
+    fn snapshot_install_rebuilds_both_directions_of_the_subscriber_table() {
+        use crate::transport::NetConfig;
+        use mdv_rdf::{write_document, Document, RdfSchema, Resource, Term, UriRef};
+
+        let schema = RdfSchema::builder()
+            .class("ServerInformation", |c| c.int("memory"))
+            .build()
+            .unwrap();
+        let doc = Document::new("doc1.rdf").with_resource(
+            Resource::new(UriRef::new("doc1.rdf", "info"), "ServerInformation")
+                .with("memory", Term::literal("128")),
+        );
+        let matches = "search ServerInformation s register s where s.memory > 64";
+        let misses = "search ServerInformation s register s where s.memory > 4096";
+        let net = Network::new(NetConfig::default());
+        let l1 = net.register("l1").unwrap();
+        let _l2 = net.register("l2").unwrap();
+        let apply = |mdp: &mut Mdp, cmd: RaftCmd, is_leader: bool| {
+            mdp.raft_apply_cmd(&cmd, is_leader, &net).unwrap();
+        };
+        let subscribe = |lmr: &str, lmr_rule: u64, rule_text: &str| RaftCmd::Subscribe {
+            lmr: lmr.into(),
+            lmr_rule,
+            rule_text: rule_text.into(),
+        };
+        let unsubscribe = |lmr: &str, lmr_rule: u64| RaftCmd::Unsubscribe {
+            lmr: lmr.into(),
+            lmr_rule,
+        };
+
+        // the leader's state machine: three live rules over two LMRs and
+        // one tombstone, so the snapshot carries `s` and `r` lines
+        let mut leader = Mdp::new("m1", schema.clone());
+        leader.raft_enable(0x5eed, 0).unwrap();
+        let register = RaftCmd::Register {
+            uri: doc.uri().into(),
+            xml: write_document(&doc),
+        };
+        apply(&mut leader, register, true);
+        apply(&mut leader, subscribe("l1", 0, matches), true);
+        apply(&mut leader, subscribe("l1", 1, misses), true);
+        apply(&mut leader, subscribe("l2", 0, matches), true);
+        apply(&mut leader, unsubscribe("l1", 2), true);
+        let data = leader.raft_build_snapshot();
+        assert_eq!(data.lines().filter(|l| l.starts_with("s ")).count(), 3);
+        assert!(data.lines().any(|l| l == "r l1\t2"), "{data}");
+
+        // a lagging follower with a rule and a tombstone of its own, which
+        // the install must tear down in both directions
+        let mut follower = Mdp::new("m2", schema);
+        follower.raft_enable(0x5eed, 0).unwrap();
+        apply(&mut follower, subscribe("l2", 5, matches), false);
+        apply(&mut follower, unsubscribe("l2", 6), false);
+        let stale = follower.subscribers.find("l2", 5).unwrap();
+        follower.raft_install_state(&data, 5, 1, &net).unwrap();
+
+        assert_eq!(follower.subscribers.get(stale), None);
+        assert_eq!(follower.subscribers.find("l2", 5), None);
+        assert!(!follower.subscribers.is_retired("l2", 6));
+        let rules = |mdp: &Mdp| -> Vec<(String, u64)> {
+            mdp.subscribers_sorted()
+                .into_iter()
+                .map(|(_, rule)| rule)
+                .collect()
+        };
+        assert_eq!(rules(&follower), rules(&leader));
+        for (sub, (lmr, rule)) in follower.subscribers_sorted() {
+            assert_eq!(follower.subscribers.find(&lmr, rule), Some(sub));
+            assert_eq!(follower.subscribers.get(sub), Some((lmr.as_str(), rule)));
+        }
+        assert_eq!(
+            follower.subscribers.retired_sorted(),
+            vec![("l1".to_owned(), 2)]
+        );
+
+        // duplicated proposals of a rule the snapshot carries and of a
+        // retired one: re-acked, nothing registered a second time
+        let subs_before = follower.subscribers_sorted();
+        let state_before = follower.export_state();
+        let engine_before = follower.engine().subscriptions().count();
+        while l1.try_recv().is_ok() {}
+        apply(&mut follower, subscribe("l1", 0, matches), true);
+        apply(&mut follower, subscribe("l1", 2, matches), true);
+        let acks: Vec<Message> = l1.try_iter().map(|env| env.message).collect();
+        assert_eq!(
+            acks,
+            [0, 2].map(|lmr_rule| Message::SubscribeAck {
+                lmr_rule,
+                error: None
+            })
+        );
+        assert_eq!(follower.engine().subscriptions().count(), engine_before);
+        assert_eq!(follower.subscribers_sorted(), subs_before);
+        assert_eq!(follower.export_state(), state_before);
     }
 }

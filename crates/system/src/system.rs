@@ -2,7 +2,7 @@
 //! into the 3-tier architecture of Figure 2, and drives message delivery
 //! deterministically.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
 use mdv_rdf::{write_document, Document, RdfSchema, Resource};
@@ -54,6 +54,12 @@ pub struct MdvSystem<S: StorageEngine = Database> {
     /// Monotone epoch of the installed placement table; bumped on every
     /// topology change (enable, add, fail, heal) in LWW mode.
     placement_epoch: u64,
+    /// `(lmr, rule)` pairs subscribed under placement but not yet mirrored
+    /// onto every live MDP. Empty unless a `subscribe` returned with its
+    /// rule still pending (say, behind a partitioned home link) or an
+    /// LMR's state was restored: the next `subscribe` mirrors whichever of
+    /// them the home MDP has accepted by then.
+    unmirrored: BTreeSet<(String, u64)>,
 }
 
 impl MdvSystem {
@@ -90,10 +96,16 @@ impl MdvSystem {
 
     /// Replays exported LMR state into a freshly added LMR node.
     pub fn restore_lmr_state(&mut self, lmr: &str, state: &str) -> Result<()> {
-        self.lmrs
+        let node = self
+            .lmrs
             .get_mut(lmr)
-            .ok_or_else(|| Error::Topology(format!("unknown LMR '{lmr}'")))?
-            .import_state(state)
+            .ok_or_else(|| Error::Topology(format!("unknown LMR '{lmr}'")))?;
+        node.import_state(state)?;
+        if self.placement.is_some() && self.mode == ReplicationMode::Lww {
+            self.unmirrored
+                .extend(node.rules().map(|(id, _)| (lmr.to_owned(), id)));
+        }
+        Ok(())
     }
 }
 
@@ -321,6 +333,7 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
             raft_compact_threshold: DEFAULT_COMPACT_THRESHOLD,
             placement: None,
             placement_epoch: 0,
+            unmirrored: BTreeSet::new(),
         }
     }
 
@@ -713,8 +726,13 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
 
     /// Mirrors every active subscription rule onto every live MDP
     /// (idempotent). Rule tables stay fully replicated under placement —
-    /// only the document space partitions.
+    /// only the document space partitions. A rebalance is where a node's
+    /// rule table can fall behind (it was down, or has just joined), so
+    /// this re-offers the whole rule base; `subscribe` mirrors only what
+    /// is new.
     fn sync_remote_subscriptions(&mut self) -> Result<()> {
+        // every accepted rule is mirrored below; only pending ones stay
+        self.take_accepted_unmirrored();
         let subs: Vec<(String, u64, String)> = self
             .lmrs
             .iter()
@@ -725,12 +743,34 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
                     .collect::<Vec<_>>()
             })
             .collect();
+        self.mirror_rules(&subs)
+    }
+
+    /// Removes from `unmirrored` every rule that is no longer pending and
+    /// returns the accepted ones as `(lmr, rule, text)`, in `(lmr, rule)`
+    /// order. Rejected and retracted rules are simply forgotten.
+    fn take_accepted_unmirrored(&mut self) -> Vec<(String, u64, String)> {
+        let lmrs = &self.lmrs;
+        let mut accepted = Vec::new();
+        self.unmirrored
+            .retain(|(lmr, id)| match lmrs.get(lmr).and_then(|l| l.rule(*id)) {
+                Some(rule) if rule.status == RuleStatus::Pending => true,
+                Some(rule) if rule.status == RuleStatus::Active => {
+                    accepted.push((lmr.clone(), *id, rule.text.clone()));
+                    false
+                }
+                _ => false,
+            });
+        accepted
+    }
+
+    /// Registers each `(lmr, rule, text)` on every live MDP that does not
+    /// hold it yet, MDP by MDP in name order.
+    fn mirror_rules(&mut self, rules: &[(String, u64, String)]) -> Result<()> {
         for name in self.live_mdps() {
-            for (lmr, id, text) in &subs {
-                self.mdps
-                    .get_mut(&name)
-                    .expect("live name from self.mdps")
-                    .register_remote_subscription(lmr, *id, text, &self.network)?;
+            let mdp = self.mdps.get_mut(&name).expect("live name from self.mdps");
+            for (lmr, id, text) in rules {
+                mdp.register_remote_subscription(lmr, *id, text, &self.network)?;
             }
         }
         Ok(())
@@ -915,14 +955,21 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
                 .ok_or_else(|| Error::Topology(format!("unknown LMR '{lmr}'")))?;
             l.subscribe(rule_text, &self.network)?
         };
+        let mirrored = self.placement.is_some() && self.mode == ReplicationMode::Lww;
+        if mirrored {
+            self.unmirrored.insert((lmr.to_owned(), id));
+        }
         self.run_to_quiescence()?;
         match &self.lmr(lmr)?.rule(id).expect("rule just created").status {
             RuleStatus::Active => {
                 // rule tables stay fully replicated under placement: mirror
-                // the accepted rule on every other live MDP so each shard
-                // primary publishes its own matches to the LMR (§11)
-                if self.placement.is_some() && self.mode == ReplicationMode::Lww {
-                    self.sync_remote_subscriptions()?;
+                // the accepted rule — and any rule accepted since its own
+                // subscribe returned pending — on every other live MDP so
+                // each shard primary publishes its own matches to the LMR
+                // (§11)
+                if mirrored {
+                    let accepted = self.take_accepted_unmirrored();
+                    self.mirror_rules(&accepted)?;
                     self.run_to_quiescence()?;
                 }
                 Ok(id)

@@ -17,11 +17,12 @@ mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use common::{assert_consistent, assert_consistent_with_shadow, mild_fault_plan, provider, schema};
 use mdv::prelude::*;
 use mdv::relstore::StorageEngine;
-use mdv::system::{Error, MdvSystem as Mdv, PlacementConfig};
+use mdv::system::{Error, MdvSystem as Mdv, PlacementConfig, RuleStatus};
 use mdv_testkit::{prop_assert, prop_assert_eq, property, Source};
 
 const RULES: [&str; 2] = [
@@ -410,6 +411,181 @@ fn handoff_during_partitioned_publication_link_reconverges() {
     }
     let stats = sys.network_stats();
     assert!(stats.placement_messages > 0, "no placement digest ran");
+}
+
+// ---------------------------------------------------------------------------
+// rule mirroring: a rule accepted after its own subscribe returned
+// ---------------------------------------------------------------------------
+
+#[test]
+fn rule_accepted_after_its_subscribe_returned_is_mirrored_by_the_next_subscribe() {
+    // l1's Subscribe for RULES[0] cannot reach its home m1 while the link
+    // is partitioned, so `subscribe` gives up with the rule still pending.
+    // The rule activates at m1 during the registrations that follow, once
+    // the partition lifts. `subscribe` mirrors only new rules onto the
+    // other MDPs, so the next one must mirror RULES[0] too: otherwise the
+    // shard primaries other than m1 never publish its matches to l1.
+    let mut config = NetConfig::default();
+    config.faults.seed = 0x1a7e;
+    config.faults.partition_both("l1", "m1", 0, 600_000);
+    let mut sys = Mdv::with_net_config(schema(), config);
+    let mut shadow = shadow_system();
+    for m in ["m1", "m2", "m3", "m4"] {
+        sys.add_mdp(m).unwrap();
+    }
+    sys.add_lmr("l1", "m1").unwrap();
+    sys.set_replication_factor(2).unwrap();
+    shadow.add_lmr("l0", "m0").unwrap();
+    for rule in RULES {
+        shadow.subscribe("l0", rule).unwrap();
+    }
+
+    let err = sys.subscribe("l1", RULES[0]).unwrap_err();
+    assert!(matches!(err, Error::Subscription(_)), "{err}");
+    let status = |sys: &Mdv| sys.lmr("l1").unwrap().rule(0).unwrap().status.clone();
+    assert_eq!(status(&sys), RuleStatus::Pending);
+
+    // documents matching RULES[0] only (cpu below RULES[1]'s bound),
+    // registered until the partition lifts and the rule activates
+    let mut live = Vec::new();
+    let mut next = 0usize;
+    while status(&sys) == RuleStatus::Pending {
+        assert!(next < 16, "the partition never lifted");
+        apply_both(
+            &mut sys,
+            &mut shadow,
+            "m1",
+            Op::Register(128, 500),
+            &mut live,
+            &mut next,
+        );
+    }
+    assert_eq!(status(&sys), RuleStatus::Active);
+
+    sys.subscribe("l1", RULES[1]).unwrap();
+    assert_consistent_with_shadow(
+        &sys,
+        "l1",
+        &shadow,
+        "m0",
+        &RULES,
+        "after the next subscribe",
+    );
+    for m in sys.mdp_names() {
+        assert_eq!(mirrored_rules(&sys, m, "l1"), [0, 1], "rules on {m}");
+    }
+}
+
+#[test]
+fn rules_restored_with_an_lmr_are_mirrored_by_the_next_subscribe() {
+    // the restored LMR carries an active rule that no MDP of the placed
+    // deployment holds yet; the next subscribe registers it everywhere
+    let mut old = Mdv::new(schema());
+    old.add_mdp("m1").unwrap();
+    old.add_lmr("l1", "m1").unwrap();
+    old.subscribe("l1", RULES[0]).unwrap();
+    let state = old.lmr("l1").unwrap().export_state();
+
+    let mut sys = Mdv::new(schema());
+    for m in ["m1", "m2", "m3"] {
+        sys.add_mdp(m).unwrap();
+    }
+    sys.set_replication_factor(2).unwrap();
+    sys.add_lmr("l1", "m1").unwrap();
+    sys.restore_lmr_state("l1", &state).unwrap();
+    sys.subscribe("l1", RULES[1]).unwrap();
+    for m in sys.mdp_names() {
+        assert_eq!(mirrored_rules(&sys, m, "l1"), [0, 1], "rules on {m}");
+    }
+}
+
+/// The rule ids of `lmr` registered at `mdp`, sorted.
+fn mirrored_rules(sys: &Mdv, mdp: &str, lmr: &str) -> Vec<u64> {
+    let prefix = format!("subscription {lmr}\t");
+    let mut rules: Vec<u64> = sys
+        .mdp(mdp)
+        .unwrap()
+        .export_state()
+        .lines()
+        .filter_map(|l| l.strip_prefix(prefix.as_str()))
+        .map(|l| l.split('\t').next().unwrap().parse().unwrap())
+        .collect();
+    rules.sort_unstable();
+    rules
+}
+
+// ---------------------------------------------------------------------------
+// subscribe scales with the rule, not the rule base (ci/check.sh, release)
+// ---------------------------------------------------------------------------
+
+/// The `k`-th of a run of distinct trigger rules (a comparison on the
+/// subscribed class's own property).
+fn trigger_rule(k: usize) -> String {
+    format!("search CycleProvider c register c where c.serverPort = {k}")
+}
+
+/// Best of three: the wall-clock seconds `rules` `subscribe` calls take on
+/// a fresh deployment from `build`, spread round-robin over its LMRs.
+fn subscribe_seconds(rules: usize, build: &dyn Fn() -> Mdv) -> f64 {
+    (0..3)
+        .map(|_| {
+            let mut sys = build();
+            let lmrs: Vec<String> = sys.lmr_names().iter().map(|l| l.to_string()).collect();
+            let start = Instant::now();
+            for k in 0..rules {
+                sys.subscribe(&lmrs[k % lmrs.len()], &trigger_rule(k))
+                    .unwrap();
+            }
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+#[test]
+#[ignore = "timing gate: ci/check.sh runs it in release mode"]
+fn subscribe_cost_is_flat_in_the_rule_base() {
+    let lww = || {
+        let mut sys = Mdv::new(schema());
+        sys.add_mdp("m1").unwrap();
+        sys.add_lmr("l1", "m1").unwrap();
+        sys.add_lmr("l2", "m1").unwrap();
+        sys
+    };
+    let placed = || {
+        let mut sys = Mdv::new(schema());
+        for m in ["m1", "m2", "m3", "m4"] {
+            sys.add_mdp(m).unwrap();
+        }
+        sys.add_lmr("l1", "m1").unwrap();
+        sys.add_lmr("l2", "m2").unwrap();
+        sys.set_replication_factor(2).unwrap();
+        sys
+    };
+    let us_per_rule = |secs: f64, rules: usize| secs * 1e6 / rules as f64;
+
+    let small = us_per_rule(subscribe_seconds(2_500, &lww), 2_500);
+    let large = us_per_rule(subscribe_seconds(10_000, &lww), 10_000);
+    eprintln!("LWW, 1 MDP: {small:.1} us/rule at 2.5k rules, {large:.1} at 10k");
+    assert!(
+        large <= 2.5 * small,
+        "LWW subscribe grows with the rule base: {small:.1} -> {large:.1} us/rule"
+    );
+
+    let small = us_per_rule(subscribe_seconds(500, &placed), 500);
+    let setup = subscribe_seconds(10_000, &placed);
+    let large = us_per_rule(setup, 10_000);
+    eprintln!(
+        "placement R=2 over 4 MDPs: {small:.1} us/rule at 500 rules, {large:.1} at 10k \
+         ({setup:.2} s)"
+    );
+    assert!(
+        large <= 3.0 * small,
+        "placed subscribe grows with the rule base: {small:.1} -> {large:.1} us/rule"
+    );
+    assert!(
+        setup < 10.0,
+        "10k placed rules took {setup:.2} s to subscribe"
+    );
 }
 
 // ---------------------------------------------------------------------------
