@@ -61,6 +61,14 @@ pub trait StorageEngine {
     /// Drops a table and everything in it.
     fn drop_table(&mut self, name: &str) -> Result<()>;
 
+    /// Declares an empty table *unlogged*, the PostgreSQL notion: its rows
+    /// are derived state its owner rebuilds, so a durable backend journals
+    /// and snapshots only its DDL, and the table recovers empty. The
+    /// volatile backend has nothing to skip.
+    fn set_unlogged(&mut self, _table: &str) -> Result<()> {
+        Ok(())
+    }
+
     /// Inserts a row, returning its id.
     fn insert(&mut self, table: &str, row: Row) -> Result<RowId>;
 

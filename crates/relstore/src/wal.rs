@@ -42,6 +42,11 @@
 //! 7 Commit       (group boundary, empty body)
 //! ```
 //!
+//! Rows of *unlogged* tables ([`StorageEngine::set_unlogged`]) appear in
+//! neither the WAL nor a snapshot: only their DDL does, so they recover
+//! empty. They hold derived state the owner rebuilds from its logged
+//! tables (an MDP's filter tables, DESIGN.md §6.4).
+//!
 //! Ops between two `Commit` markers form one atomic group: replay buffers
 //! decoded ops and applies them only when their `Commit` frame is read, so
 //! a crash mid-group loses the whole group, never half of it. Replay stops
@@ -75,6 +80,7 @@
 //! snapshot is published but before the new WAL opens wedges the engine,
 //! since later commits would otherwise land in a log recovery ignores.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use crate::catalog::Database;
@@ -82,7 +88,7 @@ use crate::engine::StorageEngine;
 use crate::error::{Error, Result};
 use crate::index::IndexKind;
 use crate::schema::{ColumnDef, TableSchema};
-use crate::snapshot::{read_database, write_database};
+use crate::snapshot::{read_database, write_database_into};
 use crate::table::{Row, RowId};
 use crate::value::{DataType, Value};
 use crate::vfs::{StdFs, Vfs, VfsFile};
@@ -94,8 +100,9 @@ pub const DEFAULT_CHECKPOINT_EVERY: u64 = 8192;
 /// [`DurableEngine::set_config`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurableConfig {
-    /// Snapshot + truncate the log after this many committed ops (`None`
-    /// disables auto-checkpointing; explicit [`StorageEngine::checkpoint`]
+    /// Snapshot + truncate the log after this many journaled ops, so it
+    /// bounds replay (`None` disables auto-checkpointing; rows of unlogged
+    /// tables do not count; explicit [`StorageEngine::checkpoint`]
     /// always works). The torture harness sets this low to force frequent
     /// compaction windows.
     pub checkpoint_every: Option<u64>,
@@ -390,6 +397,8 @@ pub struct DurableEngine<V: Vfs = StdFs> {
     /// Open `begin` nesting depth: only the outermost `commit` flushes, so
     /// a caller can wrap several engine-level groups into one atomic unit.
     group_depth: u32,
+    /// Tables whose rows are neither journaled nor snapshotted.
+    unlogged: HashSet<String>,
     ops_since_checkpoint: u64,
     config: DurableConfig,
     /// Committed WAL bytes this epoch (instrumentation for the bench).
@@ -450,7 +459,7 @@ impl<V: Vfs> DurableEngine<V> {
                 dir.display()
             )));
         }
-        write_snapshot_atomic(&vfs, &dir, 0, &db)?;
+        write_snapshot_atomic(&vfs, &dir, 0, &db, &HashSet::new())?;
         let wal = open_wal(&vfs, &dir, 0, true)?;
         Ok(DurableEngine {
             db,
@@ -461,6 +470,7 @@ impl<V: Vfs> DurableEngine<V> {
             pending: Vec::new(),
             pending_ops: 0,
             group_depth: 0,
+            unlogged: HashSet::new(),
             ops_since_checkpoint: 0,
             config: DurableConfig::default(),
             wal_bytes: 0,
@@ -504,6 +514,7 @@ impl<V: Vfs> DurableEngine<V> {
                         pending: Vec::new(),
                         pending_ops: 0,
                         group_depth: 0,
+                        unlogged: HashSet::new(),
                         ops_since_checkpoint: 0,
                         config: DurableConfig::default(),
                         wal_bytes: valid_len,
@@ -607,8 +618,36 @@ impl<V: Vfs> DurableEngine<V> {
         self.pending_ops = 0;
     }
 
-    fn log_op(&mut self, payload: Vec<u8>) -> Result<()> {
-        append_frame(&mut self.pending, &payload);
+    fn log_op(&mut self, payload: &[u8]) -> Result<()> {
+        append_frame(&mut self.pending, payload);
+        self.op_logged()
+    }
+
+    /// Journals row op `tag` on `table` — the row id, plus the stored row
+    /// for inserts and updates — encoded straight into the pending buffer.
+    /// An op on an unlogged table writes nothing and, adding nothing to
+    /// replay, does not count towards the checkpoint threshold.
+    fn log_row_op(&mut self, tag: u8, table: &str, rid: RowId) -> Result<()> {
+        if self.unlogged.contains(table) {
+            return Ok(());
+        }
+        let row = match tag {
+            OP_DELETE => None,
+            _ => Some(self.db.get(table, rid)?),
+        };
+        let at = begin_frame(&mut self.pending);
+        self.pending.push(tag);
+        put_str(&mut self.pending, table);
+        put_u64(&mut self.pending, rid.0);
+        if let Some(row) = row {
+            put_row(&mut self.pending, row);
+        }
+        end_frame(&mut self.pending, at);
+        self.op_logged()
+    }
+
+    /// Counts one journaled op; outside a commit group it commits alone.
+    fn op_logged(&mut self) -> Result<()> {
         self.pending_ops += 1;
         if self.group_depth == 0 {
             self.flush_group()?;
@@ -661,7 +700,7 @@ impl<V: Vfs> DurableEngine<V> {
         let next = self.epoch + 1;
         // failure before the rename publishes is safe: the directory is
         // untouched as far as recovery is concerned, so just propagate
-        write_snapshot_atomic(&self.vfs, &self.dir, next, &self.db)?;
+        write_snapshot_atomic(&self.vfs, &self.dir, next, &self.db, &self.unlogged)?;
         // the new snapshot is published: recovery now prefers epoch `next`,
         // so failing to start its WAL would send future commits into a log
         // recovery ignores — wedge instead
@@ -710,7 +749,7 @@ impl<V: Vfs> StorageEngine for DurableEngine<V> {
             p.push(u8::from(col.nullable));
         }
         self.db.create_table(schema)?;
-        self.log_op(p)
+        self.log_op(&p)
     }
 
     fn create_index(
@@ -735,27 +774,35 @@ impl<V: Vfs> StorageEngine for DurableEngine<V> {
         for c in columns {
             put_str(&mut p, c);
         }
-        self.log_op(p)
+        self.log_op(&p)
     }
 
     fn drop_table(&mut self, name: &str) -> Result<()> {
         self.guard()?;
         self.db.drop_table(name)?;
+        self.unlogged.remove(name);
         let mut p = vec![OP_DROP_TABLE];
         put_str(&mut p, name);
-        self.log_op(p)
+        self.log_op(&p)
+    }
+
+    /// Marks an empty table unlogged for the life of this engine; the mark
+    /// itself is not persisted (a reopened engine logs the table again).
+    fn set_unlogged(&mut self, table: &str) -> Result<()> {
+        if !self.db.table(table)?.is_empty() {
+            return Err(Error::TransactionState(format!(
+                "table '{table}' has rows: only an empty table can become unlogged"
+            )));
+        }
+        self.unlogged.insert(table.to_owned());
+        Ok(())
     }
 
     fn insert(&mut self, table: &str, row: Row) -> Result<RowId> {
         self.guard()?;
         // apply first to learn the row id the in-memory engine assigns
         let rid = self.db.insert(table, row)?;
-        let row = self.db.get(table, rid)?.clone();
-        let mut p = vec![OP_INSERT];
-        put_str(&mut p, table);
-        put_u64(&mut p, rid.0);
-        put_row(&mut p, &row);
-        self.log_op(p)?;
+        self.log_row_op(OP_INSERT, table, rid)?;
         Ok(rid)
     }
 
@@ -770,22 +817,14 @@ impl<V: Vfs> StorageEngine for DurableEngine<V> {
     fn delete(&mut self, table: &str, id: RowId) -> Result<Row> {
         self.guard()?;
         let row = self.db.delete(table, id)?;
-        let mut p = vec![OP_DELETE];
-        put_str(&mut p, table);
-        put_u64(&mut p, id.0);
-        self.log_op(p)?;
+        self.log_row_op(OP_DELETE, table, id)?;
         Ok(row)
     }
 
     fn update(&mut self, table: &str, id: RowId, row: Row) -> Result<Row> {
         self.guard()?;
         let old = self.db.update(table, id, row)?;
-        let new = self.db.get(table, id)?.clone();
-        let mut p = vec![OP_UPDATE];
-        put_str(&mut p, table);
-        put_u64(&mut p, id.0);
-        put_row(&mut p, &new);
-        self.log_op(p)?;
+        self.log_row_op(OP_UPDATE, table, id)?;
         Ok(old)
     }
 
@@ -853,11 +892,11 @@ fn snapshot_epochs<V: Vfs>(vfs: &V, dir: &Path) -> Result<Vec<u64>> {
 const SNAPSHOT_FOOTER_PREFIX: &str = "#checksum ";
 
 /// Appends the checksum footer line to a snapshot body.
-fn seal_snapshot(body: &str) -> String {
-    format!(
-        "{body}{SNAPSHOT_FOOTER_PREFIX}{:016x}\n",
-        fnv1a64(body.as_bytes())
-    )
+fn seal_snapshot(body: &mut String) {
+    use std::fmt::Write as _;
+    let sum = fnv1a64(body.as_bytes());
+    // `fmt::Write` for a `String` never fails
+    let _ = writeln!(body, "{SNAPSHOT_FOOTER_PREFIX}{sum:016x}");
 }
 
 /// Splits a snapshot into (body, checksum footer), if the footer exists.
@@ -886,9 +925,19 @@ fn verify_snapshot(raw: &str) -> Result<&str> {
     }
 }
 
-fn write_snapshot_atomic<V: Vfs>(vfs: &V, dir: &Path, epoch: u64, db: &Database) -> Result<()> {
+/// Publishes `snapshot-<epoch>`: `db` without the rows of the `unlogged`
+/// tables, sealed, written to a tmp file, synced and renamed into place.
+fn write_snapshot_atomic<V: Vfs>(
+    vfs: &V,
+    dir: &Path,
+    epoch: u64,
+    db: &Database,
+    unlogged: &HashSet<String>,
+) -> Result<()> {
     let tmp = dir.join(format!("snapshot-{epoch}.tmp"));
-    let text = seal_snapshot(&write_database(db));
+    let mut text = String::new();
+    write_database_into(&mut text, db, |table| unlogged.contains(table));
+    seal_snapshot(&mut text);
     vfs.write(&tmp, text.as_bytes())
         .map_err(|e| Error::from_io("wal: write snapshot", e))?;
     vfs.sync_file(&tmp)
@@ -907,6 +956,22 @@ fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
     put_u32(out, payload.len() as u32);
     put_u32(out, fnv1a(payload));
     out.extend_from_slice(payload);
+}
+
+/// Opens a frame whose payload is encoded in place after it; returns the
+/// header's offset for [`end_frame`].
+fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    at
+}
+
+/// Fills in the length and checksum of the frame opened at `at`: the same
+/// bytes [`append_frame`] writes for that payload.
+fn end_frame(out: &mut [u8], at: usize) {
+    let (header, payload) = out[at..].split_at_mut(8);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&fnv1a(payload).to_le_bytes());
 }
 
 /// One recovery attempt starting from `start`'s snapshot: verify + parse
@@ -1038,6 +1103,7 @@ fn has_valid_frame_after(bytes: &[u8], stop: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::write_database;
     use crate::vfs::{CrashMode, DiskFaultPlan, FaultVfs};
     use std::io::Write as _;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1293,6 +1359,59 @@ mod tests {
         drop(eng);
         let recovered = DurableEngine::open(&dir).unwrap();
         assert_eq!(write_database(recovered.database()), want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unlogged_rows_are_neither_journaled_nor_snapshotted() {
+        let dir = temp_dir("unlogged");
+        let mut eng = DurableEngine::create(&dir).unwrap();
+        eng.create_table(schema_t()).unwrap();
+        eng.create_table(TableSchema::new("d", vec![ColumnDef::new("k", DataType::Int)]).unwrap())
+            .unwrap();
+        eng.create_index("d", "by_k", IndexKind::Hash, &["k"], false)
+            .unwrap();
+        eng.set_unlogged("d").unwrap();
+        let ddl_bytes = eng.wal_bytes();
+        let commits = eng.commits();
+        let rid = StorageEngine::insert(&mut eng, "d", vec![Value::Int(1)]).unwrap();
+        StorageEngine::update(&mut eng, "d", rid, vec![Value::Int(2)]).unwrap();
+        StorageEngine::insert(&mut eng, "d", vec![Value::Int(3)]).unwrap();
+        StorageEngine::delete(&mut eng, "d", rid).unwrap();
+        assert_eq!(
+            eng.wal_bytes(),
+            ddl_bytes,
+            "an unlogged row reached the WAL"
+        );
+        assert_eq!(eng.commits(), commits, "an unlogged row committed a group");
+        assert_eq!(eng.database().table("d").unwrap().len(), 1);
+        StorageEngine::insert(&mut eng, "t", row(1, "logged")).unwrap();
+        // what recovery must produce: the logged rows, `d` empty
+        let mut want = eng.database().clone();
+        want.table_mut("d").unwrap().truncate();
+        let want = write_database(&want);
+
+        let reopen = |dir: &Path| {
+            let recovered = DurableEngine::open(dir).unwrap();
+            assert_eq!(write_database(recovered.database()), want);
+        };
+        reopen(&dir); // from the WAL
+        eng.checkpoint().unwrap();
+        let snapshot = std::fs::read_to_string(snapshot_path(&dir, eng.epoch())).unwrap();
+        assert!(snapshot.contains("index\tby_k\thash\tmulti\t0\n"));
+        assert!(
+            !snapshot.contains("I:3"),
+            "an unlogged row reached the snapshot"
+        );
+        drop(eng);
+        reopen(&dir); // from the snapshot
+
+        // only an empty table can be marked, and dropping it clears the mark
+        let mut eng = DurableEngine::open(&dir).unwrap();
+        assert!(eng.set_unlogged("t").is_err());
+        assert!(eng.set_unlogged("missing").is_err());
+        eng.drop_table("d").unwrap();
+        assert!(!eng.unlogged.contains("d"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

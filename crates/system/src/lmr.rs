@@ -30,6 +30,24 @@ const T_PUBBUF: &str = "LmrPubBuffer"; // seq, wire-form publication
 const T_DEAD: &str = "LmrDeadRules"; // rule
 const T_HOME: &str = "LmrHome"; // home, backup, awaiting (failover state)
 
+/// The key of every keyed `Lmr*` table. `LmrLocalDocs` is only appended to
+/// and read back whole, `LmrHome` holds one row.
+const KEYED_TABLES: [(&str, &[&str]); 5] = [
+    (T_META, &["key"]),
+    (T_RULES, &["id"]),
+    (T_MATCH, &["uri"]),
+    (T_PUBBUF, &["seq"]),
+    (T_DEAD, &["rule"]),
+];
+
+/// The key [`KEYED_TABLES`] declares for `table` (none for the others).
+fn key_of(table: &str) -> &'static [&'static str] {
+    KEYED_TABLES
+        .iter()
+        .find(|(t, _)| *t == table)
+        .map_or(&[], |(_, key)| key)
+}
+
 /// Lifecycle of a subscription rule at the LMR.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RuleStatus {
@@ -164,13 +182,21 @@ impl<S: StorageEngine> Lmr<S> {
     pub fn reopen(name: &str, mdp: &str, schema: RdfSchema, store: S) -> Result<Self> {
         let corrupt = |table: &str| Error::Topology(format!("corrupt mirror row in {table}"));
         let mut lmr = Self::from_store(name, mdp, schema, store, true);
-        let db = lmr.cache.database();
-        if db.table(T_META).is_err() {
+        if lmr.cache.database().table(T_META).is_err() {
             return Err(Error::Topology(format!(
                 "'{}' is not a durable LMR store (no {T_META} table)",
                 lmr.name
             )));
         }
+        // a store written before the mirror tables were keyed gets its key
+        // indexes here (one logged DDL group; none for a current store)
+        lmr.with_group(|this| {
+            for (table, key) in KEYED_TABLES {
+                mirror::ensure_key_index(&mut this.cache, table, key)?;
+            }
+            Ok(())
+        })?;
+        let db = lmr.cache.database();
         let mut rules = BTreeMap::new();
         let mut next_rule = 0;
         let mut next_pub_seq = 0;
@@ -282,58 +308,58 @@ impl<S: StorageEngine> Lmr<S> {
     }
 
     fn create_mirror_tables(store: &mut S) -> Result<()> {
-        mirror::create_table(
-            store,
-            T_META,
-            vec![
-                ColumnDef::new("key", DataType::Str),
-                ColumnDef::new("val", DataType::Int),
-            ],
-        )?;
-        mirror::create_table(
-            store,
-            T_RULES,
-            vec![
-                ColumnDef::new("id", DataType::Int),
-                ColumnDef::new("status", DataType::Str),
-                ColumnDef::new("error", DataType::Str),
-                ColumnDef::new("text", DataType::Str),
-            ],
-        )?;
-        mirror::create_table(
-            store,
-            T_LOCAL,
-            vec![
-                ColumnDef::new("uri", DataType::Str),
-                ColumnDef::new("xml", DataType::Str),
-            ],
-        )?;
-        mirror::create_table(
-            store,
-            T_MATCH,
-            vec![
-                ColumnDef::new("uri", DataType::Str),
-                ColumnDef::new("rule", DataType::Int),
-            ],
-        )?;
-        mirror::create_table(
-            store,
-            T_PUBBUF,
-            vec![
-                ColumnDef::new("seq", DataType::Int),
-                ColumnDef::new("publication", DataType::Str),
-            ],
-        )?;
-        mirror::create_table(store, T_DEAD, vec![ColumnDef::new("rule", DataType::Int)])?;
-        mirror::create_table(
-            store,
-            T_HOME,
-            vec![
-                ColumnDef::new("home", DataType::Str),
-                ColumnDef::new("backup", DataType::Str),
-                ColumnDef::new("awaiting", DataType::Int),
-            ],
-        )
+        let tables = [
+            (
+                T_META,
+                vec![
+                    ColumnDef::new("key", DataType::Str),
+                    ColumnDef::new("val", DataType::Int),
+                ],
+            ),
+            (
+                T_RULES,
+                vec![
+                    ColumnDef::new("id", DataType::Int),
+                    ColumnDef::new("status", DataType::Str),
+                    ColumnDef::new("error", DataType::Str),
+                    ColumnDef::new("text", DataType::Str),
+                ],
+            ),
+            (
+                T_LOCAL,
+                vec![
+                    ColumnDef::new("uri", DataType::Str),
+                    ColumnDef::new("xml", DataType::Str),
+                ],
+            ),
+            (
+                T_MATCH,
+                vec![
+                    ColumnDef::new("uri", DataType::Str),
+                    ColumnDef::new("rule", DataType::Int),
+                ],
+            ),
+            (
+                T_PUBBUF,
+                vec![
+                    ColumnDef::new("seq", DataType::Int),
+                    ColumnDef::new("publication", DataType::Str),
+                ],
+            ),
+            (T_DEAD, vec![ColumnDef::new("rule", DataType::Int)]),
+            (
+                T_HOME,
+                vec![
+                    ColumnDef::new("home", DataType::Str),
+                    ColumnDef::new("backup", DataType::Str),
+                    ColumnDef::new("awaiting", DataType::Int),
+                ],
+            ),
+        ];
+        for (table, cols) in tables {
+            mirror::create_table(store, table, cols, key_of(table))?;
+        }
+        Ok(())
     }
 
     fn from_store(name: &str, mdp: &str, schema: RdfSchema, cache: S, mirror: bool) -> Self {
@@ -451,12 +477,7 @@ impl<S: StorageEngine> Lmr<S> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::upsert_where(
-            &mut self.cache,
-            T_META,
-            |r| r[0].as_str() == Some(key),
-            vec![s(key), i(val)],
-        )
+        mirror::upsert_where(&mut self.cache, T_META, vec![s(key)], vec![s(key), i(val)])
     }
 
     fn mirror_home(&mut self) -> Result<()> {
@@ -469,7 +490,7 @@ impl<S: StorageEngine> Lmr<S> {
             s(&backup),
             i(u64::from(self.awaiting_welcome)),
         ];
-        mirror::upsert_where(&mut self.cache, T_HOME, |_| true, row)
+        mirror::upsert_where(&mut self.cache, T_HOME, Vec::new(), row)
     }
 
     fn mirror_rule_upsert(&mut self, id: u64) -> Result<()> {
@@ -485,51 +506,40 @@ impl<S: StorageEngine> Lmr<S> {
             RuleStatus::Failed(e) => ("failed", e.clone()),
         };
         let row = vec![i(id), s(status), s(&error), s(&rule.text)];
-        mirror::upsert_where(
-            &mut self.cache,
-            T_RULES,
-            |r| r[0].as_int() == Some(id as i64),
-            row,
-        )
+        mirror::upsert_where(&mut self.cache, T_RULES, vec![i(id)], row)
     }
 
     fn mirror_rule_delete(&mut self, id: u64) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete_where(&mut self.cache, T_RULES, |r| {
-            r[0].as_int() == Some(id as i64)
-        })?;
-        mirror::delete_where(&mut self.cache, T_MATCH, |r| {
-            r[1].as_int() == Some(id as i64)
-        })?;
-        mirror::insert_unique(
-            &mut self.cache,
-            T_DEAD,
-            |r| r[0].as_int() == Some(id as i64),
-            vec![i(id)],
-        )
+        mirror::delete_where(&mut self.cache, T_RULES, vec![i(id)])?;
+        // the one look-up not by key: a retracted rule's anchors, found by
+        // a scan of `LmrMatches` (once per unsubscribe)
+        let anchors = match self.cache.database().table(T_MATCH) {
+            Ok(t) => t
+                .iter()
+                .filter(|(_, r)| r[1].as_int() == Some(id as i64))
+                .map(|(rid, _)| rid)
+                .collect(),
+            Err(_) => Vec::new(),
+        };
+        mirror::delete_rows(&mut self.cache, T_MATCH, anchors)?;
+        mirror::insert_unique(&mut self.cache, T_DEAD, vec![i(id)])
     }
 
     fn mirror_match_add(&mut self, uri: &str, rule: u64) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::insert_unique(
-            &mut self.cache,
-            T_MATCH,
-            |r| r[0].as_str() == Some(uri) && r[1].as_int() == Some(rule as i64),
-            vec![s(uri), i(rule)],
-        )
+        mirror::insert_unique(&mut self.cache, T_MATCH, vec![s(uri), i(rule)])
     }
 
     fn mirror_match_remove(&mut self, uri: &str, rule: u64) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete_where(&mut self.cache, T_MATCH, |r| {
-            r[0].as_str() == Some(uri) && r[1].as_int() == Some(rule as i64)
-        })?;
+        mirror::delete_where(&mut self.cache, T_MATCH, vec![s(uri), i(rule)])?;
         Ok(())
     }
 
@@ -537,7 +547,7 @@ impl<S: StorageEngine> Lmr<S> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete_where(&mut self.cache, T_MATCH, |r| r[0].as_str() == Some(uri))?;
+        mirror::delete_where(&mut self.cache, T_MATCH, vec![s(uri)])?;
         Ok(())
     }
 
@@ -813,7 +823,7 @@ impl<S: StorageEngine> Lmr<S> {
         self.mirror_home()?;
         self.pub_buffer.clear();
         if self.mirror {
-            mirror::delete_where(&mut self.cache, T_PUBBUF, |_| true)?;
+            mirror::clear(&mut self.cache, T_PUBBUF)?;
         }
         let live: Vec<(u64, String)> = self
             .rules
@@ -875,30 +885,40 @@ impl<S: StorageEngine> Lmr<S> {
         if msg.seq < self.next_pub_seq || self.pub_buffer.contains_key(&msg.seq) {
             return Ok(()); // duplicate (retransmission or injected copy)
         }
-        if self.mirror {
-            let row = vec![i(msg.seq), s(&msg.to_wire())];
-            mirror::insert(&mut self.cache, T_PUBBUF, row)?;
-        }
-        self.pub_buffer.insert(msg.seq, msg);
-        while let Some(next) = self.pub_buffer.remove(&self.next_pub_seq) {
-            self.next_pub_seq += 1;
-            let next_seq = self.next_pub_seq;
-            self.mirror_meta("next_pub_seq", next_seq)?;
+        // Only a parked publication gets an `LmrPubBuffer` row: one at the
+        // floor is applied in this commit group, so a row for it would be
+        // deleted before it became durable.
+        if msg.seq > self.next_pub_seq {
             if self.mirror {
-                mirror::delete_where(&mut self.cache, T_PUBBUF, |r| {
-                    r[0].as_int() == Some(next.seq as i64)
-                })?;
+                let row = vec![i(msg.seq), s(&msg.to_wire())];
+                mirror::insert(&mut self.cache, T_PUBBUF, row)?;
             }
-            if self.dead_rules.contains(&next.lmr_rule) {
-                continue; // late publication for a retracted rule
-            }
-            if next.snapshot {
-                self.apply_snapshot(next)?;
-            } else {
-                self.apply_publish(next)?;
-            }
+            self.pub_buffer.insert(msg.seq, msg);
+            return Ok(());
+        }
+        self.apply_at_floor(msg, false)?;
+        while let Some(next) = self.pub_buffer.remove(&self.next_pub_seq) {
+            self.apply_at_floor(next, true)?;
         }
         Ok(())
+    }
+
+    /// Applies the publication at the floor and moves the floor past it;
+    /// `parked` drops its buffer row.
+    fn apply_at_floor(&mut self, msg: PublishMsg, parked: bool) -> Result<()> {
+        self.next_pub_seq += 1;
+        self.mirror_meta("next_pub_seq", self.next_pub_seq)?;
+        if parked && self.mirror {
+            mirror::delete_where(&mut self.cache, T_PUBBUF, vec![i(msg.seq)])?;
+        }
+        if self.dead_rules.contains(&msg.lmr_rule) {
+            return Ok(()); // late publication for a retracted rule
+        }
+        if msg.snapshot {
+            self.apply_snapshot(msg)
+        } else {
+            self.apply_publish(msg)
+        }
     }
 
     /// The placement-mode receive path for a publication from a non-home
@@ -1304,6 +1324,33 @@ mod tests {
             companions,
             ..PublishMsg::default()
         }
+    }
+
+    #[test]
+    fn reopen_adds_the_key_indexes_an_older_store_lacks() {
+        let net = Network::new(NetConfig::default());
+        let _rx = net.register("mdp1").unwrap();
+        let mut old = Lmr::with_storage("lmr1", "mdp1", schema(), Database::new()).unwrap();
+        old.subscribe("search CycleProvider c register c", &net)
+            .unwrap();
+        let mut db = old.storage().clone();
+        for (table, _) in KEYED_TABLES {
+            db.table_mut(table)
+                .unwrap()
+                .drop_index(mirror::KEY_INDEX)
+                .unwrap();
+        }
+        let mut l = Lmr::reopen("lmr1", "mdp1", schema(), db).unwrap();
+        for (table, key) in KEYED_TABLES {
+            let t = l.storage().table(table).unwrap();
+            assert_eq!(
+                t.index(mirror::KEY_INDEX).unwrap().key_columns().len(),
+                key.len()
+            );
+        }
+        // keyed mirror writes work on the reopened store
+        l.unsubscribe(0, &net).unwrap();
+        assert!(l.storage().table(T_RULES).unwrap().is_empty());
     }
 
     #[test]

@@ -228,6 +228,9 @@ pub struct Mdp<S: StorageEngine = Database> {
     /// [`Mdp::with_storage`]; the memory path never creates the tables, so
     /// its databases stay byte-identical to the pre-storage-engine layout.
     pub(crate) mirror: bool,
+    /// The filter tables [`Mdp::with_storage`] declared unlogged: they
+    /// recover empty, and `rebuild_from_tables` refills them.
+    pub(crate) derived_tables: Vec<String>,
     /// Which LMR rule each subscription ships to, and back, plus the
     /// tombstones of retracted rules.
     pub(crate) subscribers: Subscribers,
@@ -280,6 +283,19 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     pub fn with_storage(name: &str, store: S, schema: RdfSchema) -> Result<Self> {
         let mut engine = FilterEngine::try_with_storage(store, schema, FilterConfig::default())?;
         let store = engine.storage_mut();
+        // The filter tables are derived state, a function of the documents
+        // and subscriptions mirrored below: recovery rebuilds them through
+        // `rebuild_from_tables`, so the store journals only their DDL
+        // (DESIGN.md §6.4).
+        let derived: Vec<String> = store
+            .database()
+            .table_names()
+            .into_iter()
+            .map(str::to_owned)
+            .collect();
+        for table in &derived {
+            store.set_unlogged(table).map_err(mirror::store_err)?;
+        }
         store.begin();
         mirror::create_table(
             store,
@@ -289,6 +305,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 ColumnDef::new("rule", DataType::Int),
                 ColumnDef::new("text", DataType::Str),
             ],
+            &["lmr", "rule"],
         )?;
         mirror::create_table(
             store,
@@ -297,6 +314,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 ColumnDef::new("uri", DataType::Str),
                 ColumnDef::new("xml", DataType::Str),
             ],
+            &["uri"],
         )?;
         mirror::create_table(
             store,
@@ -305,6 +323,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 ColumnDef::new("lmr", DataType::Str),
                 ColumnDef::new("next_seq", DataType::Int),
             ],
+            &["lmr"],
         )?;
         mirror::create_table(
             store,
@@ -314,6 +333,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 ColumnDef::new("seq", DataType::Int),
                 ColumnDef::new("publication", DataType::Str),
             ],
+            &["lmr", "seq"],
         )?;
         mirror::create_table(
             store,
@@ -322,6 +342,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 ColumnDef::new("lmr", DataType::Str),
                 ColumnDef::new("rule", DataType::Int),
             ],
+            &["lmr", "rule"],
         )?;
         mirror::create_table(
             store,
@@ -331,6 +352,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 ColumnDef::new("version", DataType::Int),
                 ColumnDef::new("deleted", DataType::Int),
             ],
+            &["uri"],
         )?;
         mirror::create_table(
             store,
@@ -339,6 +361,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 ColumnDef::new("peer", DataType::Str),
                 ColumnDef::new("next_seq", DataType::Int),
             ],
+            &["peer"],
         )?;
         mirror::create_table(
             store,
@@ -347,6 +370,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 ColumnDef::new("peer", DataType::Str),
                 ColumnDef::new("next_seq", DataType::Int),
             ],
+            &["peer"],
         )?;
         let repl_columns = || {
             vec![
@@ -358,8 +382,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 ColumnDef::new("xml", DataType::Str),
             ]
         };
-        mirror::create_table(store, T_ROUT, repl_columns())?;
-        mirror::create_table(store, T_RBUF, repl_columns())?;
+        mirror::create_table(store, T_ROUT, repl_columns(), &["peer", "seq"])?;
+        mirror::create_table(store, T_RBUF, repl_columns(), &["peer", "seq"])?;
         mirror::create_table(
             store,
             T_PLACE,
@@ -367,9 +391,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 ColumnDef::new("key", DataType::Str),
                 ColumnDef::new("val", DataType::Str),
             ],
+            &["key"],
         )?;
         store.commit().map_err(mirror::store_err)?;
-        Ok(Self::from_engine(name, engine, true))
+        let mut mdp = Self::from_engine(name, engine, true);
+        mdp.derived_tables = derived;
+        Ok(mdp)
     }
 
     fn from_engine(name: &str, engine: FilterEngine<S>, mirror: bool) -> Self {
@@ -377,6 +404,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             name: name.to_owned(),
             engine,
             mirror,
+            derived_tables: Vec::new(),
             subscribers: Subscribers::default(),
             peers: Vec::new(),
             batch_size: None,
@@ -414,13 +442,13 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         if !self.mirror {
             return Ok(());
         }
-        let uri = doc.uri().to_owned();
+        let uri = doc.uri();
         let xml = write_document(doc);
         mirror::upsert_where(
             self.engine.storage_mut(),
             T_DOCS,
-            |r| r[0].as_str() == Some(uri.as_str()),
-            vec![s(&uri), s(&xml)],
+            vec![s(uri)],
+            vec![s(uri), s(&xml)],
         )
     }
 
@@ -428,9 +456,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete_where(self.engine.storage_mut(), T_DOCS, |r| {
-            r[0].as_str() == Some(uri)
-        })?;
+        mirror::delete_where(self.engine.storage_mut(), T_DOCS, vec![s(uri)])?;
         Ok(())
     }
 
@@ -450,15 +476,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             return Ok(());
         }
         let store = self.engine.storage_mut();
-        mirror::delete_where(store, T_SUBS, |r| {
-            r[0].as_str() == Some(lmr) && r[1].as_int() == Some(rule as i64)
-        })?;
-        mirror::insert_unique(
-            store,
-            T_RETIRED,
-            |r| r[0].as_str() == Some(lmr) && r[1].as_int() == Some(rule as i64),
-            vec![s(lmr), i(rule)],
-        )
+        mirror::delete_where(store, T_SUBS, vec![s(lmr), i(rule)])?;
+        mirror::insert_unique(store, T_RETIRED, vec![s(lmr), i(rule)])
     }
 
     fn mirror_outbox_insert(&mut self, lmr: &str, msg: &PublishMsg) -> Result<()> {
@@ -476,9 +495,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete_where(self.engine.storage_mut(), T_OUTBOX, |r| {
-            r[0].as_str() == Some(lmr) && r[1].as_int() == Some(seq as i64)
-        })?;
+        mirror::delete_where(self.engine.storage_mut(), T_OUTBOX, vec![s(lmr), i(seq)])?;
         Ok(())
     }
 
@@ -489,7 +506,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         mirror::upsert_where(
             self.engine.storage_mut(),
             T_PUBSEQ,
-            |r| r[0].as_str() == Some(lmr),
+            vec![s(lmr)],
             vec![s(lmr), i(next_seq)],
         )
     }
@@ -498,9 +515,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete_where(self.engine.storage_mut(), T_RETIRED, |r| {
-            r[0].as_str() == Some(lmr) && r[1].as_int() == Some(rule as i64)
-        })?;
+        mirror::delete_where(self.engine.storage_mut(), T_RETIRED, vec![s(lmr), i(rule)])?;
         Ok(())
     }
 
@@ -514,7 +529,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         mirror::upsert_where(
             self.engine.storage_mut(),
             T_DOCVER,
-            |r| r[0].as_str() == Some(uri),
+            vec![s(uri)],
             vec![s(uri), i(meta.version), i(u64::from(meta.deleted))],
         )
     }
@@ -523,9 +538,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete_where(self.engine.storage_mut(), T_DOCVER, |r| {
-            r[0].as_str() == Some(uri)
-        })?;
+        mirror::delete_where(self.engine.storage_mut(), T_DOCVER, vec![s(uri)])?;
         Ok(())
     }
 
@@ -536,7 +549,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         mirror::upsert_where(
             self.engine.storage_mut(),
             T_RSEQ,
-            |r| r[0].as_str() == Some(peer),
+            vec![s(peer)],
             vec![s(peer), i(next_seq)],
         )
     }
@@ -548,7 +561,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         mirror::upsert_where(
             self.engine.storage_mut(),
             T_RFLOOR,
-            |r| r[0].as_str() == Some(peer),
+            vec![s(peer)],
             vec![s(peer), i(next_seq)],
         )
     }
@@ -582,9 +595,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete_where(self.engine.storage_mut(), table, |r| {
-            r[0].as_str() == Some(peer) && r[1].as_int() == Some(seq as i64)
-        })?;
+        mirror::delete_where(self.engine.storage_mut(), table, vec![s(peer), i(seq)])?;
         Ok(())
     }
 
@@ -666,14 +677,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         mirror::upsert_where(
                             this.engine.storage_mut(),
                             T_PLACE,
-                            |r| r[0].as_str() == Some("table"),
+                            vec![s("table")],
                             vec![s("table"), s(&wire)],
                         )?;
                     }
                     None => {
-                        mirror::delete_where(this.engine.storage_mut(), T_PLACE, |r| {
-                            r[0].as_str() == Some("table")
-                        })?;
+                        mirror::delete_where(this.engine.storage_mut(), T_PLACE, vec![s("table")])?;
                     }
                 }
             }
@@ -1012,7 +1021,6 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             mirror::insert_unique(
                 self.engine.storage_mut(),
                 T_RETIRED,
-                |r| r[0].as_str() == Some(lmr) && r[1].as_int() == Some(lmr_rule as i64),
                 vec![s(lmr), i(lmr_rule)],
             )?;
         }
@@ -1126,7 +1134,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                     mirror::upsert_where(
                         this.engine.storage_mut(),
                         T_PLACE,
-                        |r| r[0].as_str() == Some("table"),
+                        vec![s("table")],
                         vec![s("table"), s(val)],
                     )?;
                 }
@@ -1427,7 +1435,9 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
 
     /// Receives one sequenced replicated operation: ack every copy, dedup
     /// below the floor, park out-of-order arrivals, and apply in sequence
-    /// order as the floor closes.
+    /// order as the floor closes. Only a parked operation gets a
+    /// `SysReplBuffer` row: one at the floor is applied in the same commit
+    /// group, so a row for it would be deleted before it became durable.
     fn receive_replicated(
         &mut self,
         peer: &str,
@@ -1440,16 +1450,36 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         if seq < floor || self.repl_buffer.contains_key(&(peer.to_owned(), seq)) {
             return Ok(()); // duplicate delivery
         }
-        self.mirror_repl_row_insert(T_RBUF, peer, seq, &op)?;
-        self.repl_buffer.insert((peer.to_owned(), seq), op);
-        let mut next = floor;
-        while let Some(op) = self.repl_buffer.remove(&(peer.to_owned(), next)) {
-            self.mirror_repl_row_remove(T_RBUF, peer, next)?;
-            next += 1;
-            self.repl_floor.insert(peer.to_owned(), next);
-            self.mirror_repl_floor(peer, next)?;
-            self.apply_remote_op(op, net)?;
+        if seq > floor {
+            self.mirror_repl_row_insert(T_RBUF, peer, seq, &op)?;
+            self.repl_buffer.insert((peer.to_owned(), seq), op);
+            return Ok(());
         }
+        self.apply_replicated_at_floor(peer, seq, op, false, net)?;
+        let mut next = seq + 1;
+        while let Some(op) = self.repl_buffer.remove(&(peer.to_owned(), next)) {
+            self.apply_replicated_at_floor(peer, next, op, true, net)?;
+            next += 1;
+        }
+        Ok(())
+    }
+
+    /// Applies operation `seq` of `peer`'s stream, the one at the floor,
+    /// and moves the floor past it; `parked` drops its buffer row.
+    fn apply_replicated_at_floor(
+        &mut self,
+        peer: &str,
+        seq: u64,
+        op: ReplOp,
+        parked: bool,
+        net: &Network,
+    ) -> Result<()> {
+        if parked {
+            self.mirror_repl_row_remove(T_RBUF, peer, seq)?;
+        }
+        self.repl_floor.insert(peer.to_owned(), seq + 1);
+        self.mirror_repl_floor(peer, seq + 1)?;
+        self.apply_remote_op(op, net)?;
         Ok(())
     }
 

@@ -20,6 +20,7 @@
 //! ever violating election safety.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeBounds;
 
 use mdv_rdf::parse_document;
 use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
@@ -338,7 +339,10 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         ColumnDef::new("num", DataType::Int),
                         ColumnDef::new("txt", DataType::Str),
                     ],
+                    &["key"],
                 )?;
+                // appended to, truncated by index range and read back whole:
+                // no look-up by key
                 mirror::create_table(
                     store,
                     T_RAFT_LOG,
@@ -347,7 +351,9 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         ColumnDef::new("term", DataType::Int),
                         ColumnDef::new("cmd", DataType::Str),
                     ],
+                    &[],
                 )?;
+                // one row: the latest snapshot anchor
                 mirror::create_table(
                     store,
                     T_RAFT_SNAP,
@@ -356,6 +362,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         ColumnDef::new("term", DataType::Int),
                         ColumnDef::new("data", DataType::Str),
                     ],
+                    &[],
                 )?;
                 Ok(())
             })?;
@@ -408,7 +415,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         mirror::upsert_where(
             self.engine.storage_mut(),
             T_RAFT_HARD,
-            |r| r[0].as_str() == Some(key),
+            vec![s(key)],
             vec![s(key), i(num), s(txt)],
         )
     }
@@ -456,7 +463,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         mirror::upsert_where(
             self.engine.storage_mut(),
             T_RAFT_SNAP,
-            |_| true,
+            Vec::new(),
             vec![i(si), i(st), s(&data)],
         )
     }
@@ -472,13 +479,22 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         )
     }
 
-    fn raft_log_delete_where(&mut self, pred: impl Fn(u64) -> bool) -> Result<()> {
+    /// Deletes the mirrored log entries whose index lies in `range`: the
+    /// one range scan of a mirror table (truncation and compaction).
+    fn raft_log_delete_range(&mut self, range: impl RangeBounds<u64>) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete_where(self.engine.storage_mut(), T_RAFT_LOG, |r| {
-            r[0].as_int().is_some_and(|v| pred(v as u64))
-        })?;
+        let store = self.engine.storage_mut();
+        let doomed = match store.database().table(T_RAFT_LOG) {
+            Ok(t) => t
+                .iter()
+                .filter(|(_, r)| r[0].as_int().is_some_and(|v| range.contains(&(v as u64))))
+                .map(|(id, _)| id)
+                .collect(),
+            Err(_) => Vec::new(),
+        };
+        mirror::delete_rows(store, T_RAFT_LOG, doomed)?;
         Ok(())
     }
 
@@ -946,7 +962,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             // replaced index, then insert the appended suffix
             if let Some((first, _, _)) = new_entries.first() {
                 let first = *first;
-                self.raft_log_delete_where(move |idx| idx >= first)?;
+                self.raft_log_delete_range(first..)?;
                 for (idx, e_term, wire) in &new_entries {
                     self.raft_log_insert(*idx, *e_term, wire)?;
                 }
@@ -1410,7 +1426,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                     crate::mdp::T_RETIRED,
                     crate::mdp::T_PUBSEQ,
                 ] {
-                    mirror::delete_where(this.engine.storage_mut(), table, |_| true)?;
+                    mirror::clear(this.engine.storage_mut(), table)?;
                 }
             }
             this.subscribers.clear_retired();
@@ -1471,7 +1487,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 r.cum_hash = cum_hash;
                 r.applied_chain.push((last_index, cum_hash));
             }
-            this.raft_log_delete_where(|_| true)?;
+            this.raft_log_delete_range(..)?;
             this.raft_persist_applied()?;
             this.raft_persist_anchor()
         })
@@ -1505,7 +1521,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 }
                 new_offset
             };
-            this.raft_log_delete_where(move |idx| idx <= new_offset)?;
+            this.raft_log_delete_range(..=new_offset)?;
             this.raft_persist_anchor()
         })
     }

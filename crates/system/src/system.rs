@@ -188,13 +188,16 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
     /// in its inbox — and restarts it from its durable store alone.
     ///
     /// Recovery is checked twice over: the snapshot+WAL replay must
-    /// reproduce the pre-crash database byte-for-byte (the node is assumed
-    /// quiescent, i.e. no commit group open), and the node rebuilt from the
-    /// `Sys*` mirror tables must carry logically identical base tables.
-    /// Because re-registration reassigns rule and row ids, the rebuilt node
-    /// starts a *fresh* sibling store (`<dir>-r1`, `-r2`, …) instead of
-    /// appending to the recovered log. Batch mode resets to immediate
-    /// filtering, like a freshly added node.
+    /// reproduce byte-for-byte what the pre-crash store journaled — its
+    /// database with the unlogged filter tables empty (the node is assumed
+    /// quiescent, i.e. no commit group open) — and the node rebuilt from
+    /// the `Sys*` mirror tables must carry base tables logically identical
+    /// to the pre-crash engine's. Both checks are skipped for a wedged
+    /// store, whose memory may be ahead of its disk. Because
+    /// re-registration reassigns rule and row ids, the rebuilt node starts
+    /// a *fresh* sibling store (`<dir>-r1`, `-r2`, …) instead of appending
+    /// to the recovered log. Batch mode resets to immediate filtering, like
+    /// a freshly added node.
     pub fn crash_and_restart_mdp(&mut self, name: &str) -> Result<()> {
         let old = self
             .mdps
@@ -203,16 +206,22 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
         let store = old.engine().storage();
         let vfs = store.vfs().clone();
         let dir = store.dir().to_path_buf();
-        // a degraded (wedged) engine's in-memory state may be ahead of its
-        // durable state, so the byte-compare oracle only applies when every
-        // acked write actually reached the disk
-        let reference = (!store.is_degraded()).then(|| write_database(store.database()));
+        let reference = (!store.is_degraded()).then(|| {
+            let mut journaled = store.database().clone();
+            for table in &old.derived_tables {
+                if let Ok(t) = journaled.table_mut(table) {
+                    t.truncate();
+                }
+            }
+            let rebuilt = ["Resources", "Statements"].map(|t| logical_rows(store.database(), t));
+            (write_database(&journaled), rebuilt)
+        });
         drop(old); // the crash: all volatile state gone
         self.drain_mailbox(name);
 
         let recovered = DurableEngine::open_with(vfs.clone(), &dir).map_err(mirror::store_err)?;
-        if let Some(reference) = reference {
-            if write_database(recovered.database()) != reference {
+        if let Some((journaled, _)) = &reference {
+            if write_database(recovered.database()) != *journaled {
                 return Err(Error::Topology(format!(
                     "MDP '{name}': recovered database diverges from pre-crash state"
                 )));
@@ -235,13 +244,13 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
                 self.network.now_ms(),
             )?;
         }
-        for table in ["Resources", "Statements"] {
-            let want = logical_rows(recovered.database(), table);
-            let got = logical_rows(mdp.engine().db(), table);
-            if want != got {
-                return Err(Error::Topology(format!(
-                    "MDP '{name}': rebuilt {table} table diverges from the recovered store"
-                )));
+        if let Some((_, before)) = reference {
+            for (table, want) in ["Resources", "Statements"].into_iter().zip(before) {
+                if logical_rows(mdp.engine().db(), table) != want {
+                    return Err(Error::Topology(format!(
+                        "MDP '{name}': rebuilt {table} table diverges from the pre-crash engine"
+                    )));
+                }
             }
         }
         self.mdps.insert(name.to_owned(), mdp);

@@ -11,7 +11,9 @@
 //! database byte-for-byte.
 //!
 //! Deterministic companions pin the torn-tail case, GC no-resurrection
-//! through recovery, and snapshot-as-compaction.
+//! through recovery, snapshot-as-compaction, what an MDP journals (its
+//! mirrors, not its filter tables), and out-of-order arrivals parked
+//! durably across a crash of the receiver.
 
 mod common;
 
@@ -20,8 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use common::{assert_consistent, mild_fault_plan, provider, schema};
 use mdv::prelude::*;
-use mdv::relstore::DurableEngine;
-use mdv::system::MdvSystem;
+use mdv::relstore::{Database, DurableEngine, StdFs, StorageEngine};
+use mdv::system::{FaultPlan, MdvSystem, Partition, PublishMsg};
 use mdv_testkit::{prop_assert, prop_assert_eq, property, Source};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -359,6 +361,255 @@ fn compaction_truncates_the_wal_and_preserves_state() {
         &RULES[..1],
         "after compaction + restart",
     );
+    cleanup(&root);
+}
+
+/// A table's rows without their row ids, sorted.
+fn rows_of(db: &Database, table: &str) -> Vec<String> {
+    let mut rows: Vec<String> = db
+        .table(table)
+        .unwrap()
+        .iter()
+        .map(|(_, r)| format!("{r:?}"))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// The integer column of the row of `table` whose first column is `key`
+/// (a protocol counter mirror: `LmrMeta`, `SysReplFloor`).
+fn counter(db: &Database, table: &str, key: &str) -> Option<i64> {
+    db.table(table)
+        .unwrap()
+        .iter()
+        .find(|(_, r)| r[0].as_str() == Some(key))
+        .and_then(|(_, r)| r[1].as_int())
+}
+
+#[test]
+fn the_mdp_journals_no_filter_row_and_recovery_rebuilds_them() {
+    let root = scratch("unlogged");
+    let mut sys = durable_two_tier(&root, NetConfig::default());
+    sys.set_checkpoint_every(Some(24));
+    for rule in RULES {
+        sys.subscribe("lmr", rule).unwrap();
+    }
+    for i in 0..8 {
+        let host = if i % 2 == 0 {
+            "a.hub.org"
+        } else {
+            "b.edge.org"
+        };
+        sys.register_document("mdp", &provider(i, host, 40 + 20 * i as i64, 700))
+            .unwrap();
+    }
+    sys.update_document("mdp", &provider(3, "c.hub.org", 512, 900))
+        .unwrap();
+    sys.delete_document("mdp", "doc6.rdf").unwrap();
+    let mdp = sys.mdp("mdp").unwrap();
+    assert!(
+        mdp.engine().storage().epoch() >= 1,
+        "the schedule must cross an auto-checkpoint"
+    );
+    let dir = mdp.engine().storage().dir().to_path_buf();
+
+    // what a recovery reads: the mirrors, and the filter tables empty
+    let reopened = DurableEngine::open_with(StdFs, &dir).unwrap();
+    let db = reopened.database();
+    for table in ["Resources", "Statements", "RuleResults", "AtomicRules"] {
+        assert!(db.table(table).unwrap().is_empty(), "{table} was journaled");
+        assert!(!mdp.engine().db().table(table).unwrap().is_empty());
+    }
+    let mut docs: Vec<&str> = db
+        .table("SysDocuments")
+        .unwrap()
+        .iter()
+        .filter_map(|(_, r)| r[0].as_str())
+        .collect();
+    docs.sort_unstable();
+    let mut live: Vec<&str> = mdp.engine().documents().map(|d| d.uri()).collect();
+    live.sort_unstable();
+    assert_eq!(docs, live, "SysDocuments must hold every live document");
+    drop(reopened);
+
+    // the rebuild refills them exactly
+    let before: Vec<Vec<String>> = ["Resources", "Statements"]
+        .iter()
+        .map(|t| rows_of(mdp.engine().db(), t))
+        .collect();
+    sys.crash_and_restart_mdp("mdp").unwrap();
+    sys.run_to_quiescence().unwrap();
+    let rebuilt = sys.mdp("mdp").unwrap().engine().db();
+    for (table, want) in ["Resources", "Statements"].iter().zip(&before) {
+        assert_eq!(&rows_of(rebuilt, table), want, "rebuilt {table}");
+    }
+    assert_consistent(&sys, "lmr", "mdp", &RULES, "after the rebuild");
+    cleanup(&root);
+}
+
+/// Logical time from which the partitions below black-hole a link, well
+/// after set-up and the first two document operations; and a first
+/// retransmission timeout that only fires inside the partition. Neither
+/// ends before the stall budget of `run_to_quiescence` gives up, so the
+/// gap stays open until the test moves the clock to [`HEAL_MS`].
+const CUT_MS: u64 = 10_000;
+const HEAL_MS: u64 = 1_000_000_000;
+
+/// A fixed schedule that reorders one link: sequence number `n` is lost
+/// while its receiver is down, `n + 1` arrives, and every retransmission
+/// of `n` falls into a partition — so `n + 1` waits in the reorder buffer
+/// across the receiver's crash.
+fn reordering(from: &str, to: &str) -> NetConfig {
+    NetConfig {
+        retry_initial_ms: 2 * CUT_MS,
+        faults: FaultPlan {
+            partitions: vec![Partition {
+                from: from.into(),
+                to: to.into(),
+                from_ms: CUT_MS,
+                until_ms: HEAL_MS,
+            }],
+            ..FaultPlan::default()
+        },
+        ..NetConfig::default()
+    }
+}
+
+#[test]
+fn out_of_order_publication_stays_parked_across_an_lmr_crash() {
+    let root = scratch("lmr-park");
+    let mut sys = durable_two_tier(&root, reordering("mdp", "lmr"));
+    sys.subscribe("lmr", RULES[1]).unwrap();
+    let floor = |sys: &MdvSystem<DurableEngine>| {
+        counter(
+            sys.lmr("lmr").unwrap().storage().database(),
+            "LmrMeta",
+            "next_pub_seq",
+        )
+    };
+    let n = floor(&sys).unwrap();
+
+    // publication n is lost while the LMR is down, n + 1 arrives first
+    sys.network().set_down("lmr", true);
+    sys.register_document("mdp", &provider(1, "a.hub.org", 128, 700))
+        .unwrap();
+    sys.network().set_down("lmr", false);
+    sys.register_document("mdp", &provider(2, "b.hub.org", 128, 700))
+        .unwrap();
+    assert_eq!(sys.mdp("mdp").unwrap().unacked_publications(), 1);
+    assert_eq!(sys.lmr("lmr").unwrap().buffered_publications(), 1);
+    assert!(!sys.lmr("lmr").unwrap().is_cached("doc2.rdf#host"));
+
+    // the crash keeps the parked publication and the floor
+    sys.crash_and_restart_lmr("lmr").unwrap();
+    let lmr = sys.lmr("lmr").unwrap();
+    assert_eq!(
+        lmr.buffered_publications(),
+        1,
+        "the parked publication was lost"
+    );
+    assert_eq!(
+        lmr.storage()
+            .database()
+            .table("LmrPubBuffer")
+            .unwrap()
+            .len(),
+        1
+    );
+    assert_eq!(floor(&sys), Some(n));
+
+    // the gap closes: n, then the parked n + 1, each applied once
+    sys.network().advance_clock(HEAL_MS);
+    sys.run_to_quiescence().unwrap();
+    let lmr = sys.lmr("lmr").unwrap();
+    assert_eq!(lmr.buffered_publications(), 0);
+    assert!(lmr
+        .storage()
+        .database()
+        .table("LmrPubBuffer")
+        .unwrap()
+        .is_empty());
+    assert_eq!(floor(&sys), Some(n + 2));
+    assert_eq!(sys.mdp("mdp").unwrap().unacked_publications(), 0);
+    assert!(lmr.is_cached("doc1.rdf#host") && lmr.is_cached("doc2.rdf#host"));
+    assert_consistent(&sys, "lmr", "mdp", &RULES[1..2], "after the gap closed");
+
+    // an in-order publication costs the LMR's log less than its own wire
+    // form: the initial fill of a second rule over a cached document with
+    // a 4 KiB host name writes no cache row and no buffer row
+    let host = format!("c.hub.{}.org", "x".repeat(4096));
+    sys.register_document("mdp", &provider(3, &host, 128, 700))
+        .unwrap();
+    let engine = sys.mdp("mdp").unwrap().engine();
+    let wire = PublishMsg {
+        matched: vec![engine.resource("doc3.rdf#host").unwrap().unwrap()],
+        companions: vec![engine.resource("doc3.rdf#info").unwrap().unwrap()],
+        ..PublishMsg::default()
+    }
+    .to_wire()
+    .len() as u64;
+    let wal_before = sys.lmr("lmr").unwrap().storage().wal_bytes();
+    let epoch = sys.lmr("lmr").unwrap().storage().epoch();
+    sys.subscribe("lmr", RULES[0]).unwrap();
+    let store = sys.lmr("lmr").unwrap().storage();
+    assert_eq!(store.epoch(), epoch, "a checkpoint would reset the count");
+    let grown = store.wal_bytes() - wal_before;
+    assert!(
+        grown < wire,
+        "an in-order publication of {wire} wire bytes grew the WAL by {grown}"
+    );
+    assert_consistent(&sys, "lmr", "mdp", &RULES[..2], "after the fill");
+    cleanup(&root);
+}
+
+#[test]
+fn out_of_order_replication_stays_parked_across_an_mdp_crash() {
+    let root = scratch("mdp-park");
+    let mut sys = MdvSystem::durable_with_net_config(schema(), reordering("m1", "m2"));
+    sys.add_mdp_durable("m1", root.join("m1")).unwrap();
+    sys.add_mdp_durable("m2", root.join("m2")).unwrap();
+    sys.add_lmr_durable("lmr", "m2", root.join("lmr")).unwrap();
+    sys.subscribe("lmr", RULES[1]).unwrap();
+    let floor = |sys: &MdvSystem<DurableEngine>| {
+        let db = sys.mdp("m2").unwrap().engine().storage().database();
+        counter(db, "SysReplFloor", "m1")
+    };
+    let buffered = |sys: &MdvSystem<DurableEngine>| {
+        let db = sys.mdp("m2").unwrap().engine().storage().database();
+        db.table("SysReplBuffer").unwrap().len()
+    };
+
+    // replicated op 0 is lost while m2 is down, op 1 arrives first
+    sys.fail_mdp("m2").unwrap();
+    sys.register_document("m1", &provider(1, "a.hub.org", 128, 700))
+        .unwrap();
+    sys.network().set_down("m2", false);
+    sys.register_document("m1", &provider(2, "b.hub.org", 128, 700))
+        .unwrap();
+    assert_eq!(sys.mdp("m1").unwrap().unacked_replications(), 1);
+    assert_eq!(buffered(&sys), 1);
+    assert_eq!(floor(&sys), None, "nothing applied from m1 yet");
+    assert!(sys
+        .mdp("m2")
+        .unwrap()
+        .engine()
+        .document("doc2.rdf")
+        .is_none());
+
+    // the crash keeps the parked operation
+    sys.crash_and_restart_mdp("m2").unwrap();
+    assert_eq!(buffered(&sys), 1, "the parked operation was lost");
+
+    // the gap closes: op 0, then the parked op 1, each applied once
+    sys.network().advance_clock(HEAL_MS);
+    sys.run_to_quiescence().unwrap();
+    assert_eq!(buffered(&sys), 0);
+    assert_eq!(floor(&sys), Some(2));
+    assert_eq!(sys.mdp("m1").unwrap().unacked_replications(), 0);
+    let m2 = sys.mdp("m2").unwrap().engine();
+    assert!(m2.document("doc1.rdf").is_some() && m2.document("doc2.rdf").is_some());
+    assert!(sys.backbone_converged());
+    assert_consistent(&sys, "lmr", "m2", &RULES[1..2], "after the gap closed");
     cleanup(&root);
 }
 
