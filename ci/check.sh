@@ -363,6 +363,16 @@ if [[ "$QUICK" == "0" ]]; then
     user.wal_bytes_per_doc_op
 
   # -------------------------------------------------------------------------
+  step "mdvbench exact counts: raft-fanout sends one envelope per LMR per operation"
+  # An MDP ships what one filter run publishes to an LMR as one envelope
+  # under one sequence number, one delta per matched rule inside
+  # (DESIGN.md §3b): at most one `publish` per LMR per document operation,
+  # and raft-fanout has 8 LMRs. (One `publish` per matched rule measured
+  # 20.0 per operation here at smoke size; envelopes 8.0.)
+  count_gate raft-fanout 8 "publications are not coalesced per LMR" \
+    system.transport.by_kind.publish
+
+  # -------------------------------------------------------------------------
   step "subscribe scaling: one rule costs one rule, not the rule base"
   # Registering a rule must not scan the rules already registered
   # (DESIGN.md §3b, §11.4): the MDP's duplicate check is a look-up in its

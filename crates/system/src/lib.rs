@@ -73,7 +73,7 @@ pub use error::{Error, Result};
 pub use gc::RefTracker;
 pub use lmr::{Lmr, LmrRule, RuleStatus};
 pub use mdp::Mdp;
-pub use message::{Message, PublishMsg};
+pub use message::{Message, PublishMsg, RuleDelta, WireError};
 pub use placement::{PlacementConfig, PlacementTable, DEFAULT_PLACEMENT_SHARDS};
 pub use raft::{RaftProbe, RaftRole, ReplicationMode};
 pub use system::MdvSystem;

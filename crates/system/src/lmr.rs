@@ -15,7 +15,7 @@ use mdv_rulelang::{normalize, parse_rule, split_or, typecheck};
 
 use crate::error::{Error, Result};
 use crate::gc::RefTracker;
-use crate::message::{Message, PublishMsg};
+use crate::message::{Message, PublishMsg, RuleDelta};
 use crate::mirror::{self, i, s};
 use crate::transport::{Envelope, Network};
 
@@ -852,10 +852,10 @@ impl<S: StorageEngine> Lmr<S> {
 
     /// The receiving half of the at-least-once protocol: acks every copy,
     /// discards duplicates by sequence number, parks out-of-order arrivals,
-    /// and applies publications exactly once in sequence order. Publications
-    /// from a node other than the current home (a previous home still
+    /// and applies envelopes exactly once in sequence order. Envelopes from
+    /// a node other than the current home (a previous home still
     /// retransmitting after a failover) are acked and discarded, and the
-    /// sender is told to retire the subscription.
+    /// sender is told to retire every subscription they list.
     fn receive_publication(&mut self, from: &str, msg: PublishMsg, net: &Network) -> Result<()> {
         if self.placement && from != self.mdp {
             return self.receive_alt_publication(from, msg, net);
@@ -867,13 +867,15 @@ impl<S: StorageEngine> Lmr<S> {
             // handshake is open, so a delayed cleanup can never race a
             // fresh resubscription at a new home.
             if !self.awaiting_welcome {
-                net.send(
-                    &self.name,
-                    from,
-                    Message::Unsubscribe {
-                        lmr_rule: msg.lmr_rule,
-                    },
-                )?;
+                for d in &msg.rules {
+                    net.send(
+                        &self.name,
+                        from,
+                        Message::Unsubscribe {
+                            lmr_rule: d.lmr_rule,
+                        },
+                    )?;
+                }
             }
             return Ok(());
         }
@@ -885,7 +887,7 @@ impl<S: StorageEngine> Lmr<S> {
         if msg.seq < self.next_pub_seq || self.pub_buffer.contains_key(&msg.seq) {
             return Ok(()); // duplicate (retransmission or injected copy)
         }
-        // Only a parked publication gets an `LmrPubBuffer` row: one at the
+        // Only a parked envelope gets an `LmrPubBuffer` row: one at the
         // floor is applied in this commit group, so a row for it would be
         // deleted before it became durable.
         if msg.seq > self.next_pub_seq {
@@ -903,7 +905,7 @@ impl<S: StorageEngine> Lmr<S> {
         Ok(())
     }
 
-    /// Applies the publication at the floor and moves the floor past it;
+    /// Applies the envelope at the floor and moves the floor past it;
     /// `parked` drops its buffer row.
     fn apply_at_floor(&mut self, msg: PublishMsg, parked: bool) -> Result<()> {
         self.next_pub_seq += 1;
@@ -911,17 +913,10 @@ impl<S: StorageEngine> Lmr<S> {
         if parked && self.mirror {
             mirror::delete_where(&mut self.cache, T_PUBBUF, vec![i(msg.seq)])?;
         }
-        if self.dead_rules.contains(&msg.lmr_rule) {
-            return Ok(()); // late publication for a retracted rule
-        }
-        if msg.snapshot {
-            self.apply_snapshot(msg)
-        } else {
-            self.apply_publish(msg)
-        }
+        self.apply_envelope(msg)
     }
 
-    /// The placement-mode receive path for a publication from a non-home
+    /// The placement-mode receive path for an envelope from a non-home
     /// shard primary. Each sender has its own sequence stream; there is no
     /// reorder buffer — an arrival above the expected sequence is dropped
     /// *without* an ack, and the sender's in-order outbox retransmission
@@ -945,13 +940,9 @@ impl<S: StorageEngine> Lmr<S> {
         self.alt_next_seq.insert(from.to_owned(), next);
         let meta_key = format!("alt:{from}");
         self.mirror_meta(&meta_key, next)?;
-        if self.dead_rules.contains(&msg.lmr_rule) {
-            return Ok(()); // late publication for a retracted rule
-        }
         // alt streams never carry snapshots (resubscription is a failover
-        // feature, and placement + backup failover is rejected upstream),
-        // so every in-order arrival applies as an incremental publication
-        self.apply_publish(msg)
+        // feature, and placement + backup failover is rejected upstream)
+        self.apply_envelope(msg)
     }
 
     /// Publications parked behind a sequence gap.
@@ -1120,44 +1111,53 @@ impl<S: StorageEngine> Lmr<S> {
         })
     }
 
-    /// Applies a snapshot publication (the full current match set of one
-    /// rule, sent by a Resubscribe): first drops every anchor of the rule
-    /// that the snapshot does not list — stale state inherited from a
-    /// previous home — then applies the snapshot like a regular publication,
-    /// letting the garbage collector reclaim what lost its last anchor.
-    fn apply_snapshot(&mut self, msg: PublishMsg) -> Result<()> {
-        let rule = msg.lmr_rule;
-        let listed: HashSet<&str> = msg.matched.iter().map(|r| r.uri().as_str()).collect();
-        let mut stale = self.tracker.matched_by(rule);
-        stale.retain(|u| !listed.contains(u.as_str()));
-        for uri in &stale {
-            self.tracker.remove_match(uri, rule);
-            self.mirror_match_remove(uri, rule)?;
-        }
-        self.apply_publish(msg)?;
-        // after the apply: a stale match the snapshot still ships as a
-        // companion is anchored again by then
-        self.collect_from(stale)?;
-        Ok(())
-    }
-
-    /// Applies a publication: inserts matched resources and their closure
-    /// companions, replaces updated ones, removes match anchors, and runs
-    /// the garbage collector over the URIs whose anchoring this touched.
-    fn apply_publish(&mut self, msg: PublishMsg) -> Result<()> {
+    /// Applies an envelope as its deltas would apply if each came alone, in
+    /// order (DESIGN.md §7.4), in one pass: every resource a live delta
+    /// ships is upserted once, then each live delta moves its rule's match
+    /// anchors — a snapshot delta first drops the anchors of its rule that
+    /// it does not list, stale state inherited from a previous home — and
+    /// the garbage collector runs once, over every URI the envelope touched.
+    /// Deltas of retracted rules are late and change nothing.
+    fn apply_envelope(&mut self, msg: PublishMsg) -> Result<()> {
+        msg.validate()
+            .map_err(|e| Error::Topology(format!("LMR '{}': {e}", self.name)))?;
+        let PublishMsg {
+            resources, rules, ..
+        } = msg;
+        let live: Vec<RuleDelta> = rules
+            .into_iter()
+            .filter(|d| !self.dead_rules.contains(&d.lmr_rule))
+            .collect();
         let mut candidates = Vec::new();
-        for res in &msg.matched {
-            self.upsert_resource(res, &mut candidates)?;
-            self.tracker.add_match(res.uri().as_str(), msg.lmr_rule);
-            self.mirror_match_add(res.uri().as_str(), msg.lmr_rule)?;
+        {
+            let shipped: HashSet<&str> = live.iter().flat_map(RuleDelta::shipped).collect();
+            for res in &resources {
+                if shipped.contains(res.uri().as_str()) {
+                    self.upsert_resource(res, &mut candidates)?;
+                }
+            }
         }
-        for res in msg.companions.iter().chain(&msg.updated) {
-            self.upsert_resource(res, &mut candidates)?;
-        }
-        for uri in msg.removed {
-            self.tracker.remove_match(&uri, msg.lmr_rule);
-            self.mirror_match_remove(&uri, msg.lmr_rule)?;
-            candidates.push(uri);
+        for d in live {
+            let rule = d.lmr_rule;
+            if d.snapshot {
+                let listed: HashSet<&str> = d.matched.iter().map(String::as_str).collect();
+                let mut stale = self.tracker.matched_by(rule);
+                stale.retain(|u| !listed.contains(u.as_str()));
+                for uri in &stale {
+                    self.tracker.remove_match(uri, rule);
+                    self.mirror_match_remove(uri, rule)?;
+                }
+                candidates.extend(stale);
+            }
+            for uri in &d.matched {
+                self.tracker.add_match(uri, rule);
+                self.mirror_match_add(uri, rule)?;
+            }
+            for uri in d.removed {
+                self.tracker.remove_match(&uri, rule);
+                self.mirror_match_remove(&uri, rule)?;
+                candidates.push(uri);
+            }
         }
         self.collect_from(candidates)?;
         Ok(())
@@ -1172,9 +1172,11 @@ impl<S: StorageEngine> Lmr<S> {
         let uri = res.uri().as_str();
         let doc_uri = res.uri().document_uri();
         candidates.push(uri.to_owned());
-        // One document operation ships the same resource once per matched
-        // rule. Strong counts are a function of the stored rows, so equal
-        // rows need neither the rewrite (and its WAL ops) nor the tracker.
+        // Consecutive envelopes often ship a resource the cache already
+        // holds byte for byte (a second rule's fill, an update that left
+        // it unchanged). Strong counts are a function of the stored rows,
+        // so equal rows need neither the rewrite (and its WAL ops) nor the
+        // tracker.
         if BaseStore::holds_resource(self.cache.database(), res, doc_uri)? {
             return Ok(());
         }
@@ -1317,11 +1319,33 @@ mod tests {
         Lmr::new("lmr1", "mdp1", schema())
     }
 
+    fn uris(resources: &[Resource]) -> Vec<String> {
+        resources.iter().map(|r| r.uri().to_string()).collect()
+    }
+
+    /// A one-delta envelope: rule `lmr_rule` matches `matched`, and
+    /// `companions` ship along.
     fn publish(lmr_rule: u64, matched: Vec<Resource>, companions: Vec<Resource>) -> PublishMsg {
-        PublishMsg {
+        let delta = RuleDelta {
             lmr_rule,
-            matched,
-            companions,
+            matched: uris(&matched),
+            companions: uris(&companions),
+            ..RuleDelta::default()
+        };
+        PublishMsg {
+            resources: [matched, companions].concat(),
+            rules: vec![delta],
+            ..PublishMsg::default()
+        }
+    }
+
+    fn removal(lmr_rule: u64, uri: &str) -> PublishMsg {
+        PublishMsg {
+            rules: vec![RuleDelta {
+                lmr_rule,
+                removed: vec![uri.into()],
+                ..RuleDelta::default()
+            }],
             ..PublishMsg::default()
         }
     }
@@ -1357,7 +1381,8 @@ mod tests {
     fn publish_fills_cache_and_anchors() {
         let mut l = lmr();
         let (host, info) = provider(1, "a.org", 92);
-        l.apply_publish(publish(0, vec![host], vec![info])).unwrap();
+        l.apply_envelope(publish(0, vec![host], vec![info]))
+            .unwrap();
         assert!(l.is_cached("doc1.rdf#host"));
         assert!(
             l.is_cached("doc1.rdf#info"),
@@ -1371,14 +1396,11 @@ mod tests {
     fn removal_collects_companions() {
         let mut l = lmr();
         let (host, info) = provider(1, "a.org", 92);
-        l.apply_publish(publish(0, vec![host], vec![info])).unwrap();
+        l.apply_envelope(publish(0, vec![host], vec![info]))
+            .unwrap();
         // the rule no longer matches host: both host and its companion go
-        let msg = PublishMsg {
-            lmr_rule: 0,
-            removed: vec!["doc1.rdf#host".into()],
-            ..PublishMsg::default()
-        };
-        l.apply_publish(msg).unwrap();
+        let msg = removal(0, "doc1.rdf#host");
+        l.apply_envelope(msg).unwrap();
         assert!(!l.is_cached("doc1.rdf#host"));
         assert!(!l.is_cached("doc1.rdf#info"), "garbage-collected companion");
     }
@@ -1387,22 +1409,15 @@ mod tests {
     fn resource_matched_by_two_rules_survives_one_removal() {
         let mut l = lmr();
         let (host, info) = provider(1, "a.org", 92);
-        l.apply_publish(publish(0, vec![host.clone()], vec![info.clone()]))
+        l.apply_envelope(publish(0, vec![host.clone()], vec![info.clone()]))
             .unwrap();
-        l.apply_publish(publish(1, vec![host], vec![info])).unwrap();
-        let msg = PublishMsg {
-            lmr_rule: 0,
-            removed: vec!["doc1.rdf#host".into()],
-            ..PublishMsg::default()
-        };
-        l.apply_publish(msg).unwrap();
+        l.apply_envelope(publish(1, vec![host], vec![info]))
+            .unwrap();
+        let msg = removal(0, "doc1.rdf#host");
+        l.apply_envelope(msg).unwrap();
         assert!(l.is_cached("doc1.rdf#host"), "still matched by rule 1");
-        let msg = PublishMsg {
-            lmr_rule: 1,
-            removed: vec!["doc1.rdf#host".into()],
-            ..PublishMsg::default()
-        };
-        l.apply_publish(msg).unwrap();
+        let msg = removal(1, "doc1.rdf#host");
+        l.apply_envelope(msg).unwrap();
         assert!(!l.is_cached("doc1.rdf#host"));
     }
 
@@ -1421,22 +1436,14 @@ mod tests {
                     Term::resource(UriRef::new("s.rdf", "i")),
                 )
         };
-        l.apply_publish(publish(0, vec![mk_host(1), mk_host(2)], vec![info]))
+        l.apply_envelope(publish(0, vec![mk_host(1), mk_host(2)], vec![info]))
             .unwrap();
         assert_eq!(l.tracker().strong_count("s.rdf#i"), 2);
-        let msg = PublishMsg {
-            lmr_rule: 0,
-            removed: vec!["doc1.rdf#host".into()],
-            ..PublishMsg::default()
-        };
-        l.apply_publish(msg).unwrap();
+        let msg = removal(0, "doc1.rdf#host");
+        l.apply_envelope(msg).unwrap();
         assert!(l.is_cached("s.rdf#i"), "still referenced by doc2's host");
-        let msg = PublishMsg {
-            lmr_rule: 0,
-            removed: vec!["doc2.rdf#host".into()],
-            ..PublishMsg::default()
-        };
-        l.apply_publish(msg).unwrap();
+        let msg = removal(0, "doc2.rdf#host");
+        l.apply_envelope(msg).unwrap();
         assert!(!l.is_cached("s.rdf#i"));
     }
 
@@ -1449,7 +1456,7 @@ mod tests {
         let early = Resource::new(host.uri().clone(), "CycleProvider")
             .with("serverHost", Term::literal("a.org"))
             .with("serverInformation", Term::literal("doc1.rdf#info"));
-        l.apply_publish(publish(0, vec![early], vec![])).unwrap();
+        l.apply_envelope(publish(0, vec![early], vec![])).unwrap();
         assert_eq!(l.tracker().strong_count("doc1.rdf#info"), 1);
         let row_of = |l: &Lmr| {
             let table = l.cache.table("Resources").unwrap();
@@ -1458,7 +1465,8 @@ mod tests {
         let rows = row_of(&l);
 
         // a second rule ships the same rows, now with the companion
-        l.apply_publish(publish(1, vec![host], vec![info])).unwrap();
+        l.apply_envelope(publish(1, vec![host], vec![info]))
+            .unwrap();
         assert_eq!(row_of(&l)[0], rows[0], "host row kept, not reinserted");
         assert_eq!(l.tracker().strong_count("doc1.rdf#info"), 1);
         assert!(l.is_cached("doc1.rdf#info"), "anchored by the kept copy");
@@ -1469,16 +1477,21 @@ mod tests {
     fn update_replaces_content_and_edges() {
         let mut l = lmr();
         let (host, info) = provider(1, "a.org", 92);
-        l.apply_publish(publish(0, vec![host], vec![info])).unwrap();
+        l.apply_envelope(publish(0, vec![host], vec![info]))
+            .unwrap();
         // host's update drops the reference to info
         let new_host = Resource::new(UriRef::new("doc1.rdf", "host"), "CycleProvider")
             .with("serverHost", Term::literal("b.org"));
         let msg = PublishMsg {
-            lmr_rule: 0,
-            updated: vec![new_host],
+            rules: vec![RuleDelta {
+                lmr_rule: 0,
+                updated: uris(std::slice::from_ref(&new_host)),
+                ..RuleDelta::default()
+            }],
+            resources: vec![new_host],
             ..PublishMsg::default()
         };
-        l.apply_publish(msg).unwrap();
+        l.apply_envelope(msg).unwrap();
         let cached = l.cached_resource("doc1.rdf#host").unwrap().unwrap();
         assert_eq!(cached.property("serverHost").unwrap().lexical(), "b.org");
         assert!(
@@ -1511,7 +1524,8 @@ mod tests {
     fn query_sees_cached_and_local_metadata_only() {
         let mut l = lmr();
         let (host, info) = provider(1, "a.uni-passau.de", 92);
-        l.apply_publish(publish(0, vec![host], vec![info])).unwrap();
+        l.apply_envelope(publish(0, vec![host], vec![info]))
+            .unwrap();
         let hits = l
             .query(
                 "search CycleProvider c register c \
@@ -1533,7 +1547,7 @@ mod tests {
         let mut l = lmr();
         let (host, info) = provider(1, "a.uni-passau.de", 92);
         let (host2, info2) = provider(2, "b.org", 128);
-        l.apply_publish(publish(0, vec![host, host2], vec![info, info2]))
+        l.apply_envelope(publish(0, vec![host, host2], vec![info, info2]))
             .unwrap();
         for q in [
             "search CycleProvider c register c",

@@ -13,7 +13,7 @@ use mdv_rdf::{parse_document, write_document, Document, RdfSchema, Resource};
 use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
 
 use crate::error::{Error, Result};
-use crate::message::{DigestEntry, Message, PublishMsg, RepairDoc};
+use crate::message::{DigestEntry, Message, PublishMsg, RepairDoc, RuleDelta};
 use crate::mirror::{self, i, s};
 use crate::placement::PlacementTable;
 use crate::subscribers::Subscribers;
@@ -44,16 +44,17 @@ struct Outgoing {
     backoff_ms: u64,
 }
 
-/// What building the publications of one document operation has looked up
-/// in the engine so far. A document that fires many rules ships the same
-/// resources and the same companions once per rule; the base data does not
-/// change between the publications of one call, so each URI is resolved and
-/// each distinct seed list closed over once, and the messages take clones.
+/// What building the envelopes of one document operation has looked up in
+/// the engine so far. A document that fires many rules closes over the same
+/// shipped resources once per rule, and ships the same resources to every
+/// subscribed LMR; the base data does not change between the envelopes of
+/// one call, so each URI is resolved and each distinct seed list closed
+/// over once, and the envelopes take clones.
 #[derive(Default)]
 pub(crate) struct PublishMemo {
     resources: HashMap<String, Resource>,
     /// Shipped URIs (added, then updated) → their companions.
-    companions: HashMap<Vec<String>, Vec<Resource>>,
+    companions: HashMap<Vec<String>, Vec<String>>,
 }
 
 impl PublishMemo {
@@ -78,17 +79,16 @@ impl PublishMemo {
         &mut self,
         engine: &FilterEngine<S>,
         shipped: Vec<String>,
-    ) -> Result<Vec<Resource>> {
+    ) -> Result<Vec<String>> {
         if let Some(companions) = self.companions.get(&shipped) {
             return Ok(companions.clone());
         }
         let shipped_set: HashSet<&String> = shipped.iter().collect();
-        let companions: Vec<Resource> = engine
+        let companions: Vec<String> = engine
             .strong_closure(&shipped)?
             .into_iter()
             .filter(|u| !shipped_set.contains(u))
-            .map(|u| self.resolve(engine, &u))
-            .collect::<Result<_>>()?;
+            .collect();
         self.companions.insert(shipped, companions.clone());
         Ok(companions)
     }
@@ -630,7 +630,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 // the version was bumped when the document was queued
                 this.mirror_docver(doc.uri())?;
             }
-            this.publish(pubs, net)
+            this.publish(pubs, true, net)
         })
     }
 
@@ -711,7 +711,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// ships the identical matches to every subscriber, DESIGN.md §11).
     fn publish_for(&mut self, doc_uri: &str, pubs: Vec<Publication>, net: &Network) -> Result<()> {
         if self.publishes_for(doc_uri) {
-            self.publish(pubs, net)
+            self.publish(pubs, true, net)
         } else {
             Ok(())
         }
@@ -1031,8 +1031,11 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// tables of a crash-recovered database: subscriptions and documents
     /// replay through the normal registration paths (publications
     /// suppressed), protocol state is restored verbatim, and unacked
-    /// publications re-enter the outbox due for retransmission.
-    pub(crate) fn rebuild_from_tables(
+    /// envelopes re-enter the outbox due for retransmission. A mirror row
+    /// that does not decode — an outbox envelope that is truncated,
+    /// corrupted or in the per-rule format of earlier versions among
+    /// them — is an error, never a partial guess.
+    pub fn rebuild_from_tables(
         &mut self,
         src: &Database,
         retry_backoff_ms: u64,
@@ -1312,14 +1315,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         // owner ships its own share)
                         let initial = self.primary_matches(initial);
                         if !initial.is_empty() {
-                            let msg = self.build_publish(
-                                &mut PublishMemo::default(),
-                                lmr_rule,
-                                &initial,
-                                &[],
-                                &[],
-                            )?;
-                            self.send_publication(&env.from, msg, net)?;
+                            self.send_fill(&env.from, lmr_rule, initial, false, net)?;
                         }
                         Ok(())
                     }
@@ -1754,9 +1750,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             this.mirror_sub_insert(lmr, lmr_rule, rule_text)?;
             let initial = this.primary_matches(initial);
             if !initial.is_empty() {
-                let msg =
-                    this.build_publish(&mut PublishMemo::default(), lmr_rule, &initial, &[], &[])?;
-                this.send_publication(lmr, msg, net)?;
+                this.send_fill(lmr, lmr_rule, initial, false, net)?;
             }
             Ok(())
         })
@@ -1817,49 +1811,100 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 }
                 net.send(&self.name, lmr, ack(None))?;
                 let initial = self.primary_matches(initial);
-                let mut msg =
-                    self.build_publish(&mut PublishMemo::default(), lmr_rule, &initial, &[], &[])?;
                 // sent even when empty: the subscriber drops stale anchors
                 // that the snapshot no longer lists
-                msg.snapshot = true;
-                self.send_publication(lmr, msg, net)
+                self.send_fill(lmr, lmr_rule, initial, true, net)
             }
         }
     }
 
-    /// Converts filter publications into publish messages (resolving URIs to
-    /// full resources and computing the strong-reference closure) and sends
-    /// them to the subscribed LMRs.
-    fn publish(&mut self, pubs: Vec<Publication>, net: &Network) -> Result<()> {
-        let mut memo = PublishMemo::default();
+    /// Ships the filter output of one document operation: one envelope
+    /// per subscribed LMR, one delta per publication in subscription order
+    /// (BTreeMap by LMR name, so the send order is deterministic). With
+    /// `ship` off — a Raft follower — nothing is built: the node only takes
+    /// the sequence number of each envelope the leader ships, so numbering
+    /// survives a leader change at no build cost.
+    pub(crate) fn publish(
+        &mut self,
+        pubs: Vec<Publication>,
+        ship: bool,
+        net: &Network,
+    ) -> Result<()> {
+        let mut by_lmr: BTreeMap<&str, Vec<RuleDelta>> = BTreeMap::new();
         for p in pubs {
+            // companions come from `added`/`updated`, so a delta is empty
+            // iff all three lists are
+            if p.added.is_empty() && p.updated.is_empty() && p.removed.is_empty() {
+                continue;
+            }
+            // a subscription without a live subscriber (e.g. engine-level
+            // tests) has nowhere to go
             let Some((lmr, lmr_rule)) = self.subscribers.get(p.subscription) else {
-                // subscription without a live subscriber (e.g. engine-level
-                // tests); nothing to ship
                 continue;
             };
-            let msg = self.build_publish(&mut memo, lmr_rule, &p.added, &p.updated, &p.removed)?;
-            if !msg.is_empty() {
-                let lmr = lmr.to_owned();
+            by_lmr.entry(lmr).or_default().push(RuleDelta {
+                lmr_rule,
+                matched: p.added,
+                updated: p.updated,
+                removed: p.removed,
+                ..RuleDelta::default()
+            });
+        }
+        let by_lmr: Vec<(String, Vec<RuleDelta>)> = by_lmr
+            .into_iter()
+            .map(|(lmr, rules)| (lmr.to_owned(), rules))
+            .collect();
+        let mut memo = PublishMemo::default();
+        for (lmr, rules) in by_lmr {
+            if ship {
+                let msg = self.build_envelope(&mut memo, rules)?;
                 self.send_publication(&lmr, msg, net)?;
+            } else {
+                self.take_pub_seq(&lmr)?;
             }
         }
         Ok(())
     }
 
-    /// Assigns the next per-LMR sequence number, remembers the publication
-    /// in the outbox until it is acked, and ships it.
+    /// Ships the one-delta envelope of a single rule: its initial cache
+    /// fill, or with `snapshot` the reconciling snapshot a resubscription
+    /// answers with.
+    pub(crate) fn send_fill(
+        &mut self,
+        lmr: &str,
+        lmr_rule: u64,
+        initial: Vec<String>,
+        snapshot: bool,
+        net: &Network,
+    ) -> Result<()> {
+        let delta = RuleDelta {
+            lmr_rule,
+            matched: initial,
+            snapshot,
+            ..RuleDelta::default()
+        };
+        let msg = self.build_envelope(&mut PublishMemo::default(), vec![delta])?;
+        self.send_publication(lmr, msg, net)
+    }
+
+    /// Takes the next sequence number of `lmr`'s publication stream.
+    pub(crate) fn take_pub_seq(&mut self, lmr: &str) -> Result<u64> {
+        let counter = self.next_pub_seq.entry(lmr.to_owned()).or_insert(0);
+        let seq = *counter;
+        *counter += 1;
+        self.mirror_pub_seq(lmr, seq + 1)?;
+        Ok(seq)
+    }
+
+    /// Numbers the envelope, remembers it in the outbox until it is acked,
+    /// and ships it.
     pub(crate) fn send_publication(
         &mut self,
         lmr: &str,
         mut msg: PublishMsg,
         net: &Network,
     ) -> Result<()> {
-        let seq = self.next_pub_seq.entry(lmr.to_owned()).or_insert(0);
-        msg.seq = *seq;
-        *seq += 1;
-        let next = *seq;
-        self.mirror_pub_seq(lmr, next)?;
+        msg.seq = self.take_pub_seq(lmr)?;
         self.mirror_outbox_insert(lmr, &msg)?;
         let backoff = net.config().retry_initial_ms;
         self.outbox.insert(
@@ -1932,29 +1977,28 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         Ok(resent)
     }
 
-    pub(crate) fn build_publish(
+    /// Builds the envelope of `rules` (the sequence number is assigned on
+    /// send): each delta's companions are the strong closure of what it
+    /// matches and updates, and every resource a delta ships travels once.
+    pub(crate) fn build_envelope(
         &self,
         memo: &mut PublishMemo,
-        lmr_rule: u64,
-        added: &[String],
-        updated: &[String],
-        removed: &[String],
+        mut rules: Vec<RuleDelta>,
     ) -> Result<PublishMsg> {
-        let mut resolve_all = |uris: &[String]| -> Result<Vec<Resource>> {
-            uris.iter().map(|u| memo.resolve(&self.engine, u)).collect()
-        };
-        let matched = resolve_all(added)?;
-        let updated_res = resolve_all(updated)?;
-        let companions = memo.companions(&self.engine, [added, updated].concat())?;
+        for d in &mut rules {
+            d.companions = memo.companions(&self.engine, [&d.matched[..], &d.updated].concat())?;
+        }
+        let mut seen = HashSet::new();
+        let mut resources = Vec::new();
+        for uri in rules.iter().flat_map(RuleDelta::shipped) {
+            if seen.insert(uri) {
+                resources.push(memo.resolve(&self.engine, uri)?);
+            }
+        }
         Ok(PublishMsg {
-            // assigned on send by `send_publication`
             seq: 0,
-            lmr_rule,
-            matched,
-            companions,
-            updated: updated_res,
-            removed: removed.to_vec(),
-            snapshot: false,
+            resources,
+            rules,
         })
     }
 }
@@ -2030,52 +2074,96 @@ mod tests {
     }
 
     #[test]
-    fn one_document_operation_resolves_each_resource_once() {
+    fn one_document_operation_sends_one_envelope_per_lmr() {
+        use crate::lmr::Lmr;
+        use mdv_runtime::channel::Receiver;
         let net = Network::new(NetConfig::default());
-        let rx = net.register("lmr1").unwrap();
+        let mdp_rx = net.register("mdp1").unwrap();
         let mut mdp = Mdp::new("mdp1", schema());
-        let rules = 5;
-        for rule in 0..rules {
-            let mut env = subscribe_env(&format!(
-                "search CycleProvider c register c where c.serverInformation.memory > {}",
-                60 + rule
-            ));
-            if let Message::Subscribe { lmr_rule, .. } = &mut env.message {
-                *lmr_rule = rule;
+        let mut lmrs: Vec<_> = ["l1", "l2"]
+            .map(|name| {
+                (
+                    net.register(name).unwrap(),
+                    Lmr::new(name, "mdp1", schema()),
+                )
+            })
+            .into();
+        // delivers everything queued; returns the envelopes the LMRs got
+        let pump = |mdp: &mut Mdp, lmrs: &mut [(Receiver<Envelope>, Lmr)]| {
+            let mut shipped = Vec::new();
+            loop {
+                let mut idle = true;
+                for env in mdp_rx.try_iter() {
+                    idle = false;
+                    mdp.handle(env, &net).unwrap();
+                }
+                for (rx, lmr) in lmrs.iter_mut() {
+                    for env in rx.try_iter() {
+                        idle = false;
+                        if let Message::Publish(msg) = &env.message {
+                            shipped.push((env.to.clone(), msg.clone()));
+                        }
+                        lmr.handle(env, &net).unwrap();
+                    }
+                }
+                if idle {
+                    return shipped;
+                }
             }
-            mdp.handle(env, &net).unwrap();
+        };
+        let k = 5;
+        for (_, lmr) in lmrs.iter_mut() {
+            for rule in 0..k {
+                let text = format!(
+                    "search CycleProvider c register c where c.serverInformation.memory > {}",
+                    60 + rule
+                );
+                lmr.subscribe(&text, &net).unwrap();
+            }
         }
-        // every rule matches the document: one publication per rule
+        assert!(pump(&mut mdp, &mut lmrs).is_empty(), "nothing matches yet");
+
+        // every rule of both LMRs matches the document
+        let before = net.traffic_by_kind();
         mdp.register_document(&doc(1, "a.org", 128), &net, false)
             .unwrap();
-        let shipped: Vec<PublishMsg> = rx
-            .try_iter()
-            .filter_map(|env| match env.message {
-                Message::Publish(msg) => Some(msg),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(shipped.len(), rules as usize);
-
-        // what went out is what building each publication on its own gives
-        let host = ["doc1.rdf#host".to_owned()];
-        let mut memo = PublishMemo::default();
-        for (seq, msg) in shipped.iter().enumerate() {
-            let rule = seq as u64;
-            let mut alone = mdp
-                .build_publish(&mut PublishMemo::default(), rule, &host, &[], &[])
-                .unwrap();
-            alone.seq = rule;
-            assert_eq!(*msg, alone);
-            assert_eq!(msg.companions.len(), 1, "the strong-reference companion");
-            let mut shared = mdp.build_publish(&mut memo, rule, &host, &[], &[]).unwrap();
-            shared.seq = rule;
-            assert_eq!(*msg, shared);
+        let shipped = pump(&mut mdp, &mut lmrs);
+        let after = net.traffic_by_kind();
+        for kind in ["publish", "publish-ack"] {
+            let sent = after[kind] - before.get(kind).copied().unwrap_or(0);
+            assert_eq!(sent, 2, "{kind}: one per LMR, not one per rule");
         }
-        // ... and the shared memo went to the engine once per resource and
-        // once for the closure, not once per rule
-        assert_eq!(memo.resources.len(), 2);
-        assert_eq!(memo.companions.len(), 1);
+        assert_eq!(mdp.unacked_publications(), 0);
+        let (host, info) = ("doc1.rdf#host".to_owned(), "doc1.rdf#info".to_owned());
+        for ((to, msg), lmr) in shipped.iter().zip(["l1", "l2"]) {
+            assert_eq!(to, lmr);
+            let carried: Vec<&str> = msg.resources.iter().map(|r| r.uri().as_str()).collect();
+            assert_eq!(
+                carried,
+                [host.as_str(), info.as_str()],
+                "each resource once"
+            );
+            let rules: Vec<u64> = msg.rules.iter().map(|d| d.lmr_rule).collect();
+            assert_eq!(
+                rules,
+                (0..k).collect::<Vec<_>>(),
+                "one delta per rule, in order"
+            );
+            for d in &msg.rules {
+                assert_eq!(
+                    (&d.matched, &d.companions),
+                    (&vec![host.clone()], &vec![info.clone()])
+                );
+            }
+        }
+        for (_, lmr) in &lmrs {
+            assert_eq!(lmr.cached_uris(), [host.clone(), info.clone()]);
+            assert_eq!(
+                lmr.tracker().matching_rules(&host),
+                (0..k).collect::<Vec<_>>()
+            );
+            assert_eq!(lmr.tracker().strong_count(&info), 1);
+        }
     }
 
     #[test]
@@ -2420,13 +2508,18 @@ mod tests {
                         format!("subscribe-ack {lmr_rule}")
                     }
                     Message::UnsubscribeAck { lmr_rule } => format!("unsubscribe-ack {lmr_rule}"),
-                    Message::Publish(msg) => format!(
-                        "publish {} seq={} matched={} snapshot={}",
-                        msg.lmr_rule,
-                        msg.seq,
-                        msg.matched.len(),
-                        msg.snapshot
-                    ),
+                    Message::Publish(msg) => {
+                        let [d] = &msg.rules[..] else {
+                            panic!("a fill is a one-delta envelope: {msg:?}")
+                        };
+                        format!(
+                            "publish {} seq={} matched={} snapshot={}",
+                            d.lmr_rule,
+                            msg.seq,
+                            d.matched.len(),
+                            d.snapshot
+                        )
+                    }
                     other => format!("unexpected {}", other.kind()),
                 };
                 format!("{}: {what}", env.to)

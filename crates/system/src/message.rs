@@ -4,7 +4,11 @@
 //! documents (backbone replication) travel in the RDF/XML wire syntax,
 //! exercising the same parser/writer an internet deployment would use.
 
+use std::collections::HashSet;
+
 use mdv_rdf::{Resource, Term, UriRef};
+
+use crate::mdp::fnv1a64;
 
 /// A message between two nodes.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,9 +25,10 @@ pub enum Message {
     Unsubscribe { lmr_rule: u64 },
     /// MDP → LMR: confirms a retraction (so the LMR can stop retrying).
     UnsubscribeAck { lmr_rule: u64 },
-    /// MDP → LMR: matched / updated / removed resources of one rule.
+    /// MDP → LMR: one envelope of matched / updated / removed resources,
+    /// one delta per subscription of the LMR.
     Publish(PublishMsg),
-    /// LMR → MDP: confirms receipt of the publication with sequence `seq`,
+    /// LMR → MDP: confirms receipt of the envelope with sequence `seq`,
     /// completing the at-least-once delivery handshake.
     PublishAck { seq: u64 },
     /// MDP → MDP backbone replication: a newly registered document.
@@ -199,10 +204,14 @@ impl Message {
             Message::UnsubscribeAck { .. } => 8,
             Message::PublishAck { .. } => 8,
             Message::Publish(p) => {
-                8 + p.matched.iter().map(resource_size).sum::<usize>()
-                    + p.companions.iter().map(resource_size).sum::<usize>()
-                    + p.updated.iter().map(resource_size).sum::<usize>()
-                    + p.removed.iter().map(String::len).sum::<usize>()
+                8 + p.resources.iter().map(resource_size).sum::<usize>()
+                    + p.rules
+                        .iter()
+                        .map(|d| {
+                            9 + d.shipped().map(str::len).sum::<usize>()
+                                + d.removed.iter().map(String::len).sum::<usize>()
+                        })
+                        .sum::<usize>()
             }
             Message::ReplicateRegister {
                 xml, document_uri, ..
@@ -238,151 +247,233 @@ impl Message {
     }
 }
 
-/// A publication towards one LMR rule.
+/// An envelope of publications towards one LMR: everything one filter run
+/// (or one subscription fill) ships to it, under one sequence number.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PublishMsg {
     /// Per-(MDP, LMR) publication sequence number; the LMR acks it and
-    /// applies publications in sequence order exactly once.
+    /// applies envelopes in sequence order exactly once.
     pub seq: u64,
-    /// The LMR-local id of the rule these resources belong to.
+    /// Every resource a delta ships, each once.
+    pub resources: Vec<Resource>,
+    /// One delta per matched subscription, in subscription order.
+    pub rules: Vec<RuleDelta>,
+}
+
+/// What one LMR rule gains and loses in an envelope. Every list holds
+/// URIs; the contents of the shipped ones travel in
+/// [`PublishMsg::resources`].
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RuleDelta {
+    /// The LMR-local id of the rule.
     pub lmr_rule: u64,
-    /// Resources matching the rule (new matches or the initial backfill).
-    pub matched: Vec<Resource>,
+    /// Resources matching the rule (new matches or the initial fill).
+    pub matched: Vec<String>,
     /// Resources shipped along because they are in the strong-reference
     /// closure of a matched/updated resource (paper §2.4).
-    pub companions: Vec<Resource>,
+    pub companions: Vec<String>,
     /// Resources that still match but whose content changed.
-    pub updated: Vec<Resource>,
-    /// URIs of resources that no longer match the rule.
+    pub updated: Vec<String>,
+    /// Resources that no longer match the rule.
     pub removed: Vec<String>,
     /// True for a reconciling snapshot sent after failover: `matched` +
     /// `companions` are the *complete* current state of the rule, and the
-    /// LMR drops anchors that the snapshot does not list.
+    /// LMR drops anchors of the rule that the snapshot does not list.
     pub snapshot: bool,
 }
 
+impl RuleDelta {
+    /// The URIs whose contents this delta ships: matched, companions,
+    /// updated.
+    pub fn shipped(&self) -> impl Iterator<Item = &str> {
+        self.matched
+            .iter()
+            .chain(&self.companions)
+            .chain(&self.updated)
+            .map(String::as_str)
+    }
+}
+
+/// Why a publication wire form does not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WireError {
+    /// A row in the one-rule-per-publication format of earlier versions
+    /// (first record `seq <seq>\t<rule>`). It is not read: a store holding
+    /// one fails recovery instead of misparsing it.
+    PerRuleFormat,
+    /// Truncated, corrupted, or otherwise not an envelope.
+    Malformed(String),
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireError::PerRuleFormat => write!(f, "publication in the per-rule format"),
+            WireError::Malformed(what) => write!(f, "malformed publication: {what}"),
+        }
+    }
+}
+
 impl PublishMsg {
-    pub fn is_empty(&self) -> bool {
-        self.matched.is_empty()
-            && self.companions.is_empty()
-            && self.updated.is_empty()
-            && self.removed.is_empty()
+    /// Checks the shape every apply relies on: each resource travels once,
+    /// and every URI a delta ships is among the resources.
+    pub(crate) fn validate(&self) -> std::result::Result<(), WireError> {
+        let mut uris = HashSet::new();
+        for r in &self.resources {
+            if !uris.insert(r.uri().as_str()) {
+                return Err(WireError::Malformed(format!(
+                    "resource '{}' twice",
+                    r.uri()
+                )));
+            }
+        }
+        for d in &self.rules {
+            if let Some(uri) = d.shipped().find(|u| !uris.contains(u)) {
+                return Err(WireError::Malformed(format!(
+                    "rule {} ships '{uri}' without its content",
+                    d.lmr_rule
+                )));
+            }
+        }
+        Ok(())
     }
 
-    /// Serializes the publication into the line-oriented wire form used by
+    /// Serializes the envelope into the line-oriented wire form used by
     /// the durable mirror tables (MDP outbox, LMR publication buffer). One
     /// record per line:
     ///
     /// ```text
-    /// seq <seq>\t<lmr_rule>
-    /// m|c|u <uri>\t<class>     -- matched/companion/updated resource
-    /// p <name>\t<R|L>\t<value> -- property of the preceding resource
-    /// x <uri>                  -- removed match
+    /// envelope <seq>
+    /// r <uri>\t<class>           -- a resource
+    /// p <name>\t<R|L>\t<value>   -- property of the preceding resource
+    /// rule <lmr_rule>\t<0|1>     -- a delta; 1 marks a snapshot
+    /// m|c|u|x <uri>              -- matched/companion/updated/removed
+    /// end <fnv1a64 of every line above>
     /// ```
+    ///
+    /// The trailer makes a truncated or corrupted row fail to decode.
     pub fn to_wire(&self) -> String {
-        let mut out = format!("seq {}\t{}\n", self.seq, self.lmr_rule);
-        if self.snapshot {
-            // only emitted when set, so pre-failover wire forms are unchanged
-            out.push_str("snap 1\n");
-        }
-        let mut section = |tag: &str, resources: &[Resource]| {
-            for r in resources {
+        let mut out = format!("envelope {}\n", self.seq);
+        for r in &self.resources {
+            out.push_str(&format!(
+                "r {}\t{}\n",
+                escape(r.uri().as_str()),
+                escape(r.class())
+            ));
+            for (name, term) in r.properties() {
+                let kind = if term.is_resource() { 'R' } else { 'L' };
                 out.push_str(&format!(
-                    "{tag} {}\t{}\n",
-                    escape(r.uri().as_str()),
-                    escape(r.class())
+                    "p {}\t{kind}\t{}\n",
+                    escape(name),
+                    escape(term.lexical())
                 ));
-                for (name, term) in r.properties() {
-                    let kind = if term.is_resource() { 'R' } else { 'L' };
-                    out.push_str(&format!(
-                        "p {}\t{kind}\t{}\n",
-                        escape(name),
-                        escape(term.lexical())
-                    ));
+            }
+        }
+        for d in &self.rules {
+            out.push_str(&format!("rule {}\t{}\n", d.lmr_rule, u8::from(d.snapshot)));
+            for (tag, uris) in [
+                ('m', &d.matched),
+                ('c', &d.companions),
+                ('u', &d.updated),
+                ('x', &d.removed),
+            ] {
+                for uri in uris {
+                    out.push_str(&format!("{tag} {}\n", escape(uri)));
                 }
             }
-        };
-        section("m", &self.matched);
-        section("c", &self.companions);
-        section("u", &self.updated);
-        for uri in &self.removed {
-            out.push_str(&format!("x {}\n", escape(uri)));
         }
+        let sum = fnv1a64(out.as_bytes());
+        out.push_str(&format!("end {sum}\n"));
         out
     }
 
     /// Parses the wire form produced by [`PublishMsg::to_wire`].
-    pub fn from_wire(text: &str) -> std::result::Result<PublishMsg, String> {
-        let mut msg = PublishMsg::default();
-        // index of the section the next resource lands in
-        let mut current: Option<(usize, Resource)> = None;
-        let flush = |msg: &mut PublishMsg, current: &mut Option<(usize, Resource)>| {
-            if let Some((section, res)) = current.take() {
-                match section {
-                    0 => msg.matched.push(res),
-                    1 => msg.companions.push(res),
-                    _ => msg.updated.push(res),
-                }
-            }
+    pub fn from_wire(text: &str) -> std::result::Result<PublishMsg, WireError> {
+        let bad = |what: &str| WireError::Malformed(what.to_owned());
+        if text.starts_with("seq ") {
+            return Err(WireError::PerRuleFormat);
+        }
+        let (body, trailer) = text
+            .strip_suffix('\n')
+            .and_then(|t| t.rsplit_once('\n'))
+            .ok_or_else(|| bad("no trailer"))?;
+        let sum = fnv1a64(&text.as_bytes()[..body.len() + 1]);
+        if trailer != format!("end {sum}") {
+            return Err(bad("checksum mismatch"));
+        }
+        let mut lines = body.lines();
+        let seq = lines
+            .next()
+            .and_then(|l| l.strip_prefix("envelope "))
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| bad("no envelope header"))?;
+        let mut msg = PublishMsg {
+            seq,
+            ..PublishMsg::default()
         };
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
+        for line in lines {
             let (tag, rest) = line
                 .split_once(' ')
-                .ok_or_else(|| format!("malformed publication record: {line}"))?;
+                .ok_or_else(|| bad(&format!("record '{line}'")))?;
             match tag {
-                "seq" => {
-                    let (seq, rule) = rest
-                        .split_once('\t')
-                        .ok_or_else(|| "malformed seq record".to_owned())?;
-                    msg.seq = seq.parse().map_err(|_| "bad seq".to_owned())?;
-                    msg.lmr_rule = rule.parse().map_err(|_| "bad rule id".to_owned())?;
-                }
-                "snap" => msg.snapshot = rest == "1",
-                "m" | "c" | "u" => {
-                    flush(&mut msg, &mut current);
+                "r" if msg.rules.is_empty() => {
                     let (uri, class) = rest
                         .split_once('\t')
-                        .ok_or_else(|| "malformed resource record".to_owned())?;
+                        .ok_or_else(|| bad("resource record"))?;
                     let uri = UriRef::parse(&unescape(uri))
-                        .ok_or_else(|| format!("bad resource uri '{uri}'"))?;
-                    let section = match tag {
-                        "m" => 0,
-                        "c" => 1,
-                        _ => 2,
-                    };
-                    current = Some((section, Resource::new(uri, unescape(class))));
+                        .ok_or_else(|| bad(&format!("resource uri '{uri}'")))?;
+                    msg.resources.push(Resource::new(uri, unescape(class)));
                 }
-                "p" => {
+                "p" if msg.rules.is_empty() => {
                     let mut fields = rest.splitn(3, '\t');
                     let (Some(name), Some(kind), Some(value)) =
                         (fields.next(), fields.next(), fields.next())
                     else {
-                        return Err("malformed property record".to_owned());
+                        return Err(bad("property record"));
                     };
                     let term = match kind {
                         "R" => Term::resource(
                             UriRef::parse(&unescape(value))
-                                .ok_or_else(|| format!("bad reference '{value}'"))?,
+                                .ok_or_else(|| bad(&format!("reference '{value}'")))?,
                         ),
                         "L" => Term::literal(unescape(value)),
-                        other => return Err(format!("bad property kind '{other}'")),
+                        other => return Err(bad(&format!("property kind '{other}'"))),
                     };
-                    let (section, res) = current
-                        .take()
-                        .ok_or_else(|| "property before any resource".to_owned())?;
-                    current = Some((section, res.with(unescape(name), term)));
+                    msg.resources
+                        .last_mut()
+                        .ok_or_else(|| bad("property before any resource"))?
+                        .add(unescape(name), term);
                 }
-                "x" => {
-                    flush(&mut msg, &mut current);
-                    msg.removed.push(unescape(rest));
+                "rule" => {
+                    let (rule, snapshot) =
+                        rest.split_once('\t').ok_or_else(|| bad("rule record"))?;
+                    msg.rules.push(RuleDelta {
+                        lmr_rule: rule.parse().map_err(|_| bad("rule id"))?,
+                        snapshot: match snapshot {
+                            "0" => false,
+                            "1" => true,
+                            _ => return Err(bad("snapshot flag")),
+                        },
+                        ..RuleDelta::default()
+                    });
                 }
-                other => return Err(format!("unknown publication record '{other}'")),
+                "m" | "c" | "u" | "x" => {
+                    let d = msg
+                        .rules
+                        .last_mut()
+                        .ok_or_else(|| bad("uri before any rule"))?;
+                    let list = match tag {
+                        "m" => &mut d.matched,
+                        "c" => &mut d.companions,
+                        "u" => &mut d.updated,
+                        _ => &mut d.removed,
+                    };
+                    list.push(unescape(rest));
+                }
+                other => return Err(bad(&format!("record '{other}'"))),
             }
         }
-        flush(&mut msg, &mut current);
+        msg.validate()?;
         Ok(msg)
     }
 }
@@ -430,16 +521,20 @@ mod tests {
 
         let res = Resource::new(UriRef::new("d", "x"), "C").with("p", Term::literal("v"));
         let p = Message::Publish(PublishMsg {
-            lmr_rule: 0,
-            matched: vec![res],
+            resources: vec![res],
+            rules: vec![RuleDelta {
+                matched: vec!["d#x".into()],
+                ..RuleDelta::default()
+            }],
             ..PublishMsg::default()
         });
         assert_eq!(p.kind(), "publish");
         assert!(p.approx_size() > 4);
     }
 
-    #[test]
-    fn publish_wire_roundtrip() {
+    /// Two deltas sharing a resource: a snapshot of rule 7 and an update
+    /// plus removals of rule 9.
+    fn envelope() -> PublishMsg {
         let host = Resource::new(UriRef::new("d.rdf", "host"), "CycleProvider")
             .with("serverHost", Term::literal("a\torg\nb"))
             .with(
@@ -448,18 +543,33 @@ mod tests {
             );
         let info = Resource::new(UriRef::new("d.rdf", "i"), "ServerInformation")
             .with("memory", Term::literal("92"));
-        let msg = PublishMsg {
+        PublishMsg {
             seq: 42,
-            lmr_rule: 7,
-            matched: vec![host.clone()],
-            companions: vec![info.clone()],
-            updated: vec![host],
-            removed: vec!["old.rdf#gone".into(), "w\teird#x".into()],
-            snapshot: true,
-        };
-        let decoded = PublishMsg::from_wire(&msg.to_wire()).unwrap();
-        assert_eq!(decoded, msg);
-        // empty publication roundtrips too
+            resources: vec![host, info],
+            rules: vec![
+                RuleDelta {
+                    lmr_rule: 7,
+                    matched: vec!["d.rdf#host".into()],
+                    companions: vec!["d.rdf#i".into()],
+                    snapshot: true,
+                    ..RuleDelta::default()
+                },
+                RuleDelta {
+                    lmr_rule: 9,
+                    updated: vec!["d.rdf#host".into()],
+                    companions: vec!["d.rdf#i".into()],
+                    removed: vec!["old.rdf#gone".into(), "w\teird#x".into()],
+                    ..RuleDelta::default()
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn publish_wire_roundtrip() {
+        let msg = envelope();
+        assert_eq!(PublishMsg::from_wire(&msg.to_wire()).unwrap(), msg);
+        // an empty envelope roundtrips too
         assert_eq!(
             PublishMsg::from_wire(&PublishMsg::default().to_wire()).unwrap(),
             PublishMsg::default()
@@ -467,18 +577,41 @@ mod tests {
     }
 
     #[test]
-    fn publish_wire_rejects_garbage() {
+    fn publish_wire_rejects_truncation_and_the_per_rule_format() {
+        let wire = envelope().to_wire();
+        for cut in 0..wire.len() {
+            if wire.is_char_boundary(cut) {
+                assert!(
+                    PublishMsg::from_wire(&wire[..cut]).is_err(),
+                    "a prefix of {cut} bytes decoded"
+                );
+            }
+        }
+        // what earlier versions wrote into SysOutbox / LmrPubBuffer
+        let per_rule = "seq 3\t7\nm d.rdf#host\tCycleProvider\np serverHost\tL\ta.org\n";
+        assert_eq!(
+            PublishMsg::from_wire(per_rule),
+            Err(WireError::PerRuleFormat)
+        );
         assert!(PublishMsg::from_wire("nope").is_err());
-        assert!(PublishMsg::from_wire("seq x\ty\n").is_err());
         assert!(PublishMsg::from_wire("p orphan\tL\tv\n").is_err());
-        assert!(PublishMsg::from_wire("m nouri\tC\n").is_err());
     }
 
     #[test]
-    fn publish_emptiness() {
-        assert!(PublishMsg::default().is_empty());
-        let mut p = PublishMsg::default();
-        p.removed.push("d#x".into());
-        assert!(!p.is_empty());
+    fn publish_wire_rejects_envelopes_that_do_not_validate() {
+        // a body that checksums but breaks the shape, re-sealed by hand
+        let seal = |body: &str| format!("{body}end {}\n", fnv1a64(body.as_bytes()));
+        let ok = "envelope 1\nr d#x\tC\nrule 0\t0\nm d#x\n";
+        assert!(PublishMsg::from_wire(&seal(ok)).is_ok());
+        for body in [
+            "envelope 1\nrule 0\t0\nm d#x\n",    // shipped, not carried
+            "envelope 1\nr d#x\tC\nr d#x\tC\n",  // carried twice
+            "envelope 1\nrule 0\t0\nr d#x\tC\n", // resource after a rule
+            "envelope 1\nr d#x\tC\nrule 0\t2\n", // bad snapshot flag
+            "envelope 1\nm d#x\n",               // uri before any rule
+            "envelope x\n",                      // bad sequence number
+        ] {
+            assert!(PublishMsg::from_wire(&seal(body)).is_err(), "{body:?}");
+        }
     }
 }

@@ -27,7 +27,7 @@ use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
 use mdv_runtime::rng::Prng;
 
 use crate::error::{Error, Result};
-use crate::mdp::{fnv1a64, Mdp, PublishMemo};
+use crate::mdp::{fnv1a64, Mdp};
 use crate::message::{escape, unescape, Message};
 use crate::mirror::{self, i, s};
 use crate::transport::Network;
@@ -454,18 +454,18 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             return Ok(());
         };
         let (offset, offset_term) = (r.offset, r.offset_term);
-        let (si, st, data) = (r.snap_index, r.snap_term, r.snap_data.clone());
         self.raft_hard_upsert("offset", offset, "")?;
         self.raft_hard_upsert("offset_term", offset_term, "")?;
-        if !self.mirror || si == 0 {
-            return Ok(());
+        // the snapshot is borrowed in place: its one copy is the mirror row
+        match &self.raft {
+            Some(r) if self.mirror && r.snap_index > 0 => mirror::upsert_where(
+                self.engine.storage_mut(),
+                T_RAFT_SNAP,
+                Vec::new(),
+                vec![i(r.snap_index), i(r.snap_term), s(&r.snap_data)],
+            ),
+            _ => Ok(()),
         }
-        mirror::upsert_where(
-            self.engine.storage_mut(),
-            T_RAFT_SNAP,
-            Vec::new(),
-            vec![i(si), i(st), s(&data)],
-        )
     }
 
     fn raft_log_insert(&mut self, idx: u64, term: u64, cmd: &str) -> Result<()> {
@@ -1125,8 +1125,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// Applies one command to the local state machine. Every branch is a
     /// deterministic function of the applied prefix, so all voters stay
     /// byte-identical; only the leader talks to LMRs (followers advance
-    /// their per-LMR publication counters silently, so sequence numbering
-    /// survives leader changes).
+    /// their per-LMR publication counters silently, one step per envelope
+    /// the leader ships, so sequence numbering survives leader changes).
     fn raft_apply_cmd(&mut self, cmd: &RaftCmd, is_leader: bool, net: &Network) -> Result<()> {
         match cmd {
             RaftCmd::Noop => Ok(()),
@@ -1141,7 +1141,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                     self.engine.register_document(&doc)?
                 };
                 self.mirror_doc_upsert(&doc)?;
-                self.raft_publish(pubs, is_leader, net)
+                self.publish(pubs, is_leader, net)
             }
             RaftCmd::Delete { uri } => {
                 if self.engine.document(uri).is_none() {
@@ -1149,7 +1149,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 }
                 let pubs = self.engine.delete_document(uri)?;
                 self.mirror_doc_delete(uri)?;
-                self.raft_publish(pubs, is_leader, net)
+                self.publish(pubs, is_leader, net)
             }
             RaftCmd::Subscribe {
                 lmr,
@@ -1187,16 +1187,9 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         if initial.is_empty() {
                             Ok(())
                         } else if is_leader {
-                            let msg = self.build_publish(
-                                &mut PublishMemo::default(),
-                                *lmr_rule,
-                                &initial,
-                                &[],
-                                &[],
-                            )?;
-                            self.send_publication(lmr, msg, net)
+                            self.send_fill(lmr, *lmr_rule, initial, false, net)
                         } else {
-                            self.raft_number(lmr)
+                            self.take_pub_seq(lmr).map(|_| ())
                         }
                     }
                     // a rejected rule changes no state on any voter; the
@@ -1277,17 +1270,9 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         // the reconciling snapshot ships (and numbers) even
                         // when empty, exactly like the LWW failover path
                         if !is_leader {
-                            return self.raft_number(lmr);
+                            return self.take_pub_seq(lmr).map(|_| ());
                         }
-                        let mut msg = self.build_publish(
-                            &mut PublishMemo::default(),
-                            *lmr_rule,
-                            &initial,
-                            &[],
-                            &[],
-                        )?;
-                        msg.snapshot = true;
-                        self.send_publication(lmr, msg, net)
+                        self.send_fill(lmr, *lmr_rule, initial, true, net)
                     }
                 }
             }
@@ -1315,47 +1300,6 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 self.set_placement(Some(table))
             }
         }
-    }
-
-    /// Converts filter publications into publish messages and ships them
-    /// (leader); every other voter just numbers, without building them,
-    /// exactly the publications the leader ships: the non-empty ones.
-    fn raft_publish(
-        &mut self,
-        pubs: Vec<mdv_filter::Publication>,
-        is_leader: bool,
-        net: &Network,
-    ) -> Result<()> {
-        let mut memo = PublishMemo::default();
-        for p in pubs {
-            let Some((lmr, lmr_rule)) = self.subscribers.get(p.subscription) else {
-                continue;
-            };
-            if !is_leader {
-                // companions come from `added`/`updated`, so the message
-                // the leader builds is empty iff all three lists are
-                if !(p.added.is_empty() && p.updated.is_empty() && p.removed.is_empty()) {
-                    let lmr = lmr.to_owned();
-                    self.raft_number(&lmr)?;
-                }
-                continue;
-            }
-            let msg = self.build_publish(&mut memo, lmr_rule, &p.added, &p.updated, &p.removed)?;
-            if !msg.is_empty() {
-                let lmr = lmr.to_owned();
-                self.send_publication(&lmr, msg, net)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// A follower's share of a publication: it takes the next sequence
-    /// number of the LMR's stream, so numbering survives leader changes.
-    fn raft_number(&mut self, lmr: &str) -> Result<()> {
-        let seq = self.next_pub_seq.entry(lmr.to_owned()).or_insert(0);
-        *seq += 1;
-        let next = *seq;
-        self.mirror_pub_seq(lmr, next)
     }
 
     // ---- snapshots -------------------------------------------------------
@@ -1512,7 +1456,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 let applied = r.applied;
                 r.snap_index = applied;
                 r.snap_term = r.term_at(applied).unwrap_or(r.offset_term);
-                r.snap_data = data.clone();
+                r.snap_data = data;
                 let new_offset = applied.saturating_sub(COMPACT_KEEP).max(r.offset);
                 if new_offset > r.offset {
                     r.offset_term = r.term_at(new_offset).unwrap_or(0);
@@ -1590,6 +1534,105 @@ mod tests {
         let b = chain_hash(chain_hash(0, "y"), "x");
         assert_ne!(a, b);
         assert_eq!(a, chain_hash(chain_hash(0, "x"), "y"));
+    }
+
+    #[test]
+    fn followers_number_once_per_envelope_and_a_new_leader_continues_the_stream() {
+        use crate::system::MdvSystem;
+        use mdv_rdf::{Document, RdfSchema, Resource, Term, UriRef};
+
+        let schema = RdfSchema::builder()
+            .class("ServerInformation", |c| c.int("memory"))
+            .class("CycleProvider", |c| {
+                c.str("serverHost")
+                    .strong_ref("serverInformation", "ServerInformation")
+            })
+            .build()
+            .unwrap();
+        let doc = |i: usize| {
+            let uri = format!("doc{i}.rdf");
+            Document::new(uri.clone())
+                .with_resource(
+                    Resource::new(UriRef::new(&uri, "host"), "CycleProvider")
+                        .with("serverHost", Term::literal("a.org"))
+                        .with(
+                            "serverInformation",
+                            Term::resource(UriRef::new(&uri, "info")),
+                        ),
+                )
+                .with_resource(
+                    Resource::new(UriRef::new(&uri, "info"), "ServerInformation")
+                        .with("memory", Term::literal("128")),
+                )
+        };
+        let lmrs = ["l1", "l2"];
+        let mut sys = MdvSystem::new(schema);
+        sys.enable_raft(23).unwrap();
+        for m in ["m1", "m2", "m3"] {
+            sys.add_mdp(m).unwrap();
+        }
+        // three rules per LMR, all matching every document
+        for l in lmrs {
+            sys.add_lmr(l, "m1").unwrap();
+            for bound in [60, 61, 62] {
+                let rule = format!(
+                    "search CycleProvider c register c where c.serverInformation.memory > {bound}"
+                );
+                sys.subscribe(l, &rule).unwrap();
+            }
+        }
+        // each live voter's next sequence number per LMR
+        let counters = |sys: &MdvSystem| -> BTreeMap<String, Vec<u64>> {
+            sys.mdp_names()
+                .into_iter()
+                .filter(|m| !sys.is_down(m))
+                .map(|m| {
+                    let mdp = sys.mdp(m).unwrap();
+                    let seqs = lmrs.map(|l| mdp.next_pub_seq.get(l).copied().unwrap_or(0));
+                    (m.to_owned(), seqs.into())
+                })
+                .collect()
+        };
+        // every LMR's floor is the leader's next number, with nothing parked
+        let caught_up = |sys: &MdvSystem, leader: &str| {
+            for (k, l) in lmrs.iter().enumerate() {
+                let lmr = sys.lmr(l).unwrap();
+                assert_eq!(lmr.mdp(), leader);
+                assert_eq!(lmr.next_pub_seq, counters(sys)[leader][k], "{l}");
+                assert_eq!(lmr.buffered_publications(), 0, "{l}");
+            }
+            assert_eq!(sys.mdp(leader).unwrap().unacked_publications(), 0);
+        };
+        let publishes = |sys: &MdvSystem| {
+            let kinds = sys.network().traffic_by_kind();
+            kinds.get("publish").copied().unwrap_or(0)
+        };
+
+        let before = counters(&sys);
+        let sent = publishes(&sys);
+        sys.register_document("m1", &doc(1)).unwrap();
+        assert_eq!(publishes(&sys) - sent, 2, "one envelope per LMR");
+        for (voter, seqs) in counters(&sys) {
+            let stepped: Vec<u64> = before[&voter].iter().map(|s| s + 1).collect();
+            assert_eq!(seqs, stepped, "{voter} numbers once per envelope");
+        }
+        let leader = sys.raft_leader().expect("leader elected");
+        caught_up(&sys, &leader);
+
+        // a leader change between two operations: the new leader continues
+        // every stream where the LMR's floor stands — no gap, no reuse
+        sys.fail_mdp(&leader).unwrap();
+        sys.run_to_quiescence().unwrap();
+        let new_leader = sys.raft_leader().expect("new leader after failover");
+        assert_ne!(new_leader, leader);
+        caught_up(&sys, &new_leader);
+        sys.register_document(&new_leader, &doc(2)).unwrap();
+        caught_up(&sys, &new_leader);
+        let live = counters(&sys);
+        assert!(live.values().all(|seqs| *seqs == live[&new_leader]));
+        for l in lmrs {
+            assert!(sys.lmr(l).unwrap().is_cached("doc2.rdf#info"));
+        }
     }
 
     #[test]

@@ -438,7 +438,7 @@ impl crate::lmr::Lmr {
 #[cfg(test)]
 mod lmr_state_tests {
     use crate::lmr::{Lmr, RuleStatus};
-    use crate::message::{Message, PublishMsg};
+    use crate::message::{Message, PublishMsg, RuleDelta};
     use crate::transport::{Envelope, NetConfig, Network};
     use mdv_rdf::{Document, RdfSchema, Resource, Term, UriRef};
 
@@ -487,9 +487,13 @@ mod lmr_state_tests {
                 from: "mdp1".into(),
                 to: "lmr1".into(),
                 message: Message::Publish(PublishMsg {
-                    lmr_rule: id,
-                    matched: vec![host],
-                    companions: vec![info],
+                    rules: vec![RuleDelta {
+                        lmr_rule: id,
+                        matched: vec!["d.rdf#host".into()],
+                        companions: vec!["d.rdf#info".into()],
+                        ..RuleDelta::default()
+                    }],
+                    resources: vec![host, info],
                     ..PublishMsg::default()
                 }),
                 deliver_at_ms: 0,
@@ -542,8 +546,11 @@ mod lmr_state_tests {
                         // the restored LMR expects the sequence numbering to
                         // continue where the exported state left off
                         seq: 1,
-                        lmr_rule: 0,
-                        removed: vec!["d.rdf#host".into()],
+                        rules: vec![RuleDelta {
+                            lmr_rule: 0,
+                            removed: vec!["d.rdf#host".into()],
+                            ..RuleDelta::default()
+                        }],
                         ..PublishMsg::default()
                     }),
                     deliver_at_ms: 0,

@@ -1,21 +1,25 @@
-//! The LMR's incremental garbage collector against a full sweep and a
-//! from-scratch model (DESIGN.md §7.4).
+//! The LMR's envelope apply and incremental garbage collector against a
+//! full sweep, a from-scratch model, and the envelope's own deltas applied
+//! one by one (DESIGN.md §7.4).
 //!
-//! `Lmr::apply_publish` hands the collector only the URIs whose anchoring a
-//! publication touched. The property below drives one LMR with arbitrary
-//! publication streams — far looser than what an MDP builds: companions
-//! nobody references, removals of what was never matched, snapshots, stale
-//! and reordered sequence numbers — and after **every** step requires that
-//! a full sweep finds nothing left to evict, that the cache holds exactly
-//! what a model recomputing every anchor from the cached rows keeps, and
-//! that the tracker's incrementally kept counts equal the recomputed ones.
+//! `Lmr::apply_envelope` upserts what an envelope ships, moves the match
+//! anchors of each delta, and hands the collector only the URIs it touched.
+//! The first property drives one LMR with arbitrary envelope streams — far
+//! looser than what an MDP builds: resources nobody references, removals of
+//! what was never matched, snapshots, stale and reordered sequence numbers
+//! — and after **every** step requires that a full sweep finds nothing left
+//! to evict, that the cache holds exactly what a model recomputing every
+//! anchor from the cached rows keeps, and that the tracker's incrementally
+//! kept counts equal the recomputed ones. The second sends every envelope
+//! whole to one LMR and one delta at a time to a twin, and requires the
+//! two to agree after every step.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use mdv_rdf::{Document, RdfSchema, Resource, Term, UriRef};
-use mdv_relstore::DurableEngine;
+use mdv_relstore::{Database, DurableEngine};
 use mdv_runtime::channel::Receiver;
-use mdv_system::{Envelope, Lmr, MdvSystem, Message, NetConfig, Network, PublishMsg};
+use mdv_system::{Envelope, Lmr, MdvSystem, Message, NetConfig, Network, PublishMsg, RuleDelta};
 use mdv_testkit::{prop_assert_eq, property, Source, TestResult};
 
 const UNIVERSE: usize = 7;
@@ -68,28 +72,101 @@ fn any_node(src: &mut Source, k: usize) -> Resource {
     res
 }
 
-fn any_nodes(src: &mut Source, at_most: usize) -> Vec<Resource> {
+fn any_uris(src: &mut Source, at_most: usize) -> Vec<String> {
     let n = src.usize_in(0..at_most + 1);
     (0..n)
-        .map(|_| {
-            let k = src.usize_in(0..UNIVERSE);
-            any_node(src, k)
-        })
+        .map(|_| uri(src.usize_in(0..UNIVERSE)).to_string())
         .collect()
 }
 
-fn any_publication(src: &mut Source) -> PublishMsg {
-    let removed = src.usize_in(0..3);
+fn pick(src: &mut Source, from: &[String], at_most: usize) -> Vec<String> {
+    if from.is_empty() {
+        return Vec::new();
+    }
+    let n = src.usize_in(0..at_most + 1);
+    (0..n).map(|_| src.choose(from).clone()).collect()
+}
+
+/// An arbitrary envelope: one content per carried URI, as on the wire, and
+/// deltas that list any of them, in any role.
+fn any_envelope(src: &mut Source) -> PublishMsg {
+    let mut resources: Vec<Resource> = Vec::new();
+    for _ in 0..src.usize_in(0..5) {
+        let k = src.usize_in(0..UNIVERSE);
+        if !resources.iter().any(|r| *r.uri() == uri(k)) {
+            resources.push(any_node(src, k));
+        }
+    }
+    let carried: Vec<String> = resources.iter().map(|r| r.uri().to_string()).collect();
+    let rules = (0..src.usize_in(1..4))
+        .map(|_| RuleDelta {
+            lmr_rule: src.u64_in(0..RULES),
+            matched: pick(src, &carried, 3),
+            companions: pick(src, &carried, 3),
+            updated: pick(src, &carried, 2),
+            removed: any_uris(src, 2),
+            snapshot: src.bool_with(0.15),
+        })
+        .collect();
     PublishMsg {
         seq: 0, // assigned on send
-        lmr_rule: src.u64_in(0..RULES),
-        matched: any_nodes(src, 3),
-        companions: any_nodes(src, 3),
-        updated: any_nodes(src, 2),
-        removed: (0..removed)
-            .map(|_| uri(src.usize_in(0..UNIVERSE)).to_string())
-            .collect(),
-        snapshot: src.bool_with(0.15),
+        resources,
+        rules,
+    }
+}
+
+/// The nodes `res` strongly references.
+fn strong_targets(res: &Resource) -> Vec<usize> {
+    res.properties()
+        .iter()
+        .filter(|(prop, _)| STRONG.contains(&prop.as_str()))
+        .filter_map(|(_, term)| (0..UNIVERSE).find(|k| uri(*k).as_str() == term.lexical()))
+        .collect()
+}
+
+/// An envelope whose every delta ships the strong closure of what it
+/// matches and updates, as an MDP builds them: the shape under which
+/// applying it whole equals applying its deltas one by one.
+fn any_closed_envelope(src: &mut Source) -> PublishMsg {
+    let mut contents: BTreeMap<usize, Resource> = BTreeMap::new();
+    let mut rules = Vec::new();
+    for _ in 0..src.usize_in(1..5) {
+        let pick_nodes = |src: &mut Source, at_most: usize| -> Vec<usize> {
+            let n = src.usize_in(0..at_most + 1);
+            (0..n).map(|_| src.usize_in(0..UNIVERSE)).collect()
+        };
+        let matched = pick_nodes(src, 2);
+        let updated = pick_nodes(src, 2);
+        let seeds = [matched.clone(), updated.clone(), pick_nodes(src, 1)].concat();
+        let mut closure: Vec<usize> = Vec::new();
+        let mut queue = VecDeque::from(seeds);
+        while let Some(k) = queue.pop_front() {
+            if closure.contains(&k) {
+                continue;
+            }
+            closure.push(k);
+            let content = contents.entry(k).or_insert_with(|| any_node(src, k));
+            queue.extend(strong_targets(content));
+        }
+        let names =
+            |ks: &[usize]| -> Vec<String> { ks.iter().map(|k| uri(*k).to_string()).collect() };
+        let companions: Vec<usize> = closure
+            .into_iter()
+            .filter(|k| !matched.contains(k) && !updated.contains(k))
+            .collect();
+        rules.push(RuleDelta {
+            lmr_rule: src.u64_in(0..RULES),
+            matched: names(&matched),
+            companions: names(&companions),
+            updated: names(&updated),
+            removed: any_uris(src, 2),
+            snapshot: src.bool_with(0.15),
+        });
+    }
+    PublishMsg {
+        seq: 0,
+        resources: contents.into_values().collect(),
+        rules,
     }
 }
 
@@ -144,26 +221,33 @@ impl Model {
         self.content.insert(res.uri().to_string(), res.clone());
     }
 
+    /// An envelope, as DESIGN.md §7.4 defines its effect: what live deltas
+    /// ship goes in, then each live delta moves its rule's anchors in order,
+    /// then one collection.
     fn apply(&mut self, msg: &PublishMsg) {
-        let rule = msg.lmr_rule;
-        if self.dead_rules.contains(&rule) {
-            return;
+        let live: Vec<&RuleDelta> = msg
+            .rules
+            .iter()
+            .filter(|d| !self.dead_rules.contains(&d.lmr_rule))
+            .collect();
+        let shipped: BTreeSet<&str> = live.iter().flat_map(|d| d.shipped()).collect();
+        for res in &msg.resources {
+            if shipped.contains(res.uri().as_str()) {
+                self.insert(res);
+            }
         }
-        if msg.snapshot {
-            let listed: BTreeSet<String> =
-                msg.matched.iter().map(|r| r.uri().to_string()).collect();
-            self.matches
-                .retain(|(u, r)| *r != rule || listed.contains(u));
-        }
-        for res in &msg.matched {
-            self.insert(res);
-            self.matches.insert((res.uri().to_string(), rule));
-        }
-        for res in msg.companions.iter().chain(&msg.updated) {
-            self.insert(res);
-        }
-        for u in &msg.removed {
-            self.matches.remove(&(u.clone(), rule));
+        for d in live {
+            let rule = d.lmr_rule;
+            if d.snapshot {
+                self.matches
+                    .retain(|(u, r)| *r != rule || d.matched.contains(u));
+            }
+            for u in &d.matched {
+                self.matches.insert((u.clone(), rule));
+            }
+            for u in &d.removed {
+                self.matches.remove(&(u.clone(), rule));
+            }
         }
         self.collect();
     }
@@ -175,10 +259,11 @@ impl Model {
     }
 }
 
-/// One LMR under test, the publications sent to it so far (index =
-/// sequence number) and the model, which applies them in sequence order
-/// as soon as the delivered prefix is contiguous — like the LMR's reorder
-/// buffer.
+/// One LMR under test, the envelopes sent to it so far (index = sequence
+/// number) and the model, which applies them in sequence order as soon as
+/// the delivered prefix is contiguous — like the LMR's reorder buffer. The
+/// LMR mirrors its state into `Lmr*` tables (in memory), so `LmrMatches`
+/// can be compared too.
 struct Harness {
     net: Network,
     /// Where the LMR's acks land; nobody reads it.
@@ -188,13 +273,14 @@ struct Harness {
     sent: Vec<PublishMsg>,
     delivered: BTreeSet<u64>,
     applied: usize,
+    locals: usize,
 }
 
 impl Harness {
     fn new() -> Self {
         let net = Network::new(NetConfig::default());
         let mdp_mail = net.register("mdp").unwrap();
-        let mut lmr = Lmr::new("lmr", "mdp", schema());
+        let mut lmr = Lmr::with_storage("lmr", "mdp", schema(), Database::new()).unwrap();
         for _ in 0..RULES {
             lmr.subscribe("search Node n register n", &net).unwrap();
         }
@@ -206,10 +292,11 @@ impl Harness {
             sent: Vec::new(),
             delivered: BTreeSet::new(),
             applied: 0,
+            locals: 0,
         }
     }
 
-    /// Gives the publication the next sequence number without delivering it.
+    /// Gives the envelope the next sequence number without delivering it.
     fn number(&mut self, mut msg: PublishMsg) -> u64 {
         msg.seq = self.sent.len() as u64;
         self.sent.push(msg);
@@ -234,6 +321,45 @@ impl Harness {
     fn publish(&mut self, msg: PublishMsg) {
         let seq = self.number(msg);
         self.deliver(seq);
+    }
+
+    /// The envelope's deltas, each in an envelope of its own that carries
+    /// exactly the resources the delta ships.
+    fn publish_one_by_one(&mut self, msg: &PublishMsg) {
+        for d in &msg.rules {
+            let shipped: BTreeSet<&str> = d.shipped().collect();
+            self.publish(PublishMsg {
+                seq: 0,
+                resources: msg
+                    .resources
+                    .iter()
+                    .filter(|r| shipped.contains(r.uri().as_str()))
+                    .cloned()
+                    .collect(),
+                rules: vec![d.clone()],
+            });
+        }
+    }
+
+    fn unsubscribe(&mut self, rule: u64) {
+        if self.lmr.rule(rule).is_some() {
+            self.lmr.unsubscribe(rule, &self.net).unwrap();
+            self.model.unsubscribe(rule);
+        }
+    }
+
+    /// Local metadata, which anchors whatever it strongly references.
+    fn register_local(&mut self, target: usize) {
+        let doc_uri = format!("local{}.rdf", self.locals);
+        self.locals += 1;
+        let res = Resource::new(UriRef::new(&doc_uri, "n"), "Node")
+            .with("tag", Term::literal("local"))
+            .with("next", Term::resource(uri(target)));
+        self.lmr
+            .register_local_metadata(&Document::new(doc_uri).with_resource(res.clone()))
+            .unwrap();
+        self.model.insert(&res);
+        self.model.local.insert(res.uri().to_string());
     }
 
     /// The three per-step assertions.
@@ -273,6 +399,51 @@ impl Harness {
         }
         Ok(())
     }
+
+    /// Everything a cache comparison can see: cached rows, the tracker's
+    /// counts and anchors over every URI in play, and the `LmrMatches`
+    /// mirror.
+    fn observed(&self) -> Vec<String> {
+        let lmr = &self.lmr;
+        let mut out: Vec<String> = lmr
+            .cached_uris()
+            .iter()
+            .map(|u| format!("row {:?}", lmr.cached_resource(u).unwrap()))
+            .collect();
+        let locals = (0..self.locals).map(|i| format!("local{i}.rdf#n"));
+        for u in (0..UNIVERSE).map(|k| uri(k).to_string()).chain(locals) {
+            out.push(format!(
+                "{u}: strong {} rules {:?}",
+                lmr.tracker().strong_count(&u),
+                lmr.tracker().matching_rules(&u)
+            ));
+        }
+        let mut anchors: Vec<String> = lmr
+            .storage()
+            .table("LmrMatches")
+            .unwrap()
+            .iter()
+            .map(|(_, row)| format!("LmrMatches {row:?}"))
+            .collect();
+        anchors.sort();
+        out.extend(anchors);
+        out
+    }
+}
+
+/// The LMR that got each envelope whole and its twin that got the deltas
+/// one by one agree, and each matches its model (which keeps deltas of
+/// retracted rules out independently of the LMR's code) with nothing left
+/// for a full sweep.
+fn agree(whole: &mut Harness, split: &mut Harness, step: &str) -> TestResult {
+    whole.check(step)?;
+    split.check(step)?;
+    prop_assert_eq!(
+        whole.observed(),
+        split.observed(),
+        "after {step}: the envelope and its deltas one by one disagree"
+    );
+    Ok(())
 }
 
 property! {
@@ -280,13 +451,12 @@ property! {
     /// sweep and the from-scratch model leave, after every step.
     fn incremental_gc_matches_full_sweep_and_model(src) {
         let mut h = Harness::new();
-        let mut locals = 0;
         let steps = src.usize_in(5..60);
         for step in 0..steps {
             match src.weighted(&[10, 3, 2, 2, 1, 1]) {
                 0 => {
-                    h.publish(any_publication(src));
-                    h.check(&format!("step {step}: publication"))?;
+                    h.publish(any_envelope(src));
+                    h.check(&format!("step {step}: envelope"))?;
                 }
                 1 if !h.sent.is_empty() => {
                     // the same content again under a fresh sequence number:
@@ -303,10 +473,10 @@ property! {
                     h.check(&format!("step {step}: duplicate of seq {old}"))?;
                 }
                 3 => {
-                    // two publications overtaking each other: the later one
+                    // two envelopes overtaking each other: the later one
                     // parks in the reorder buffer and changes nothing yet
-                    let first = h.number(any_publication(src));
-                    let second = h.number(any_publication(src));
+                    let first = h.number(any_envelope(src));
+                    let second = h.number(any_envelope(src));
                     h.deliver(second);
                     h.check(&format!("step {step}: parked seq {second}"))?;
                     h.deliver(first);
@@ -314,45 +484,79 @@ property! {
                 }
                 4 => {
                     let rule = src.u64_in(0..RULES);
-                    if h.lmr.rule(rule).is_some() {
-                        h.lmr.unsubscribe(rule, &h.net).unwrap();
-                        h.model.unsubscribe(rule);
-                        h.check(&format!("step {step}: unsubscribe of rule {rule}"))?;
-                    }
+                    h.unsubscribe(rule);
+                    h.check(&format!("step {step}: unsubscribe of rule {rule}"))?;
                 }
                 5 => {
-                    // local metadata anchors whatever it strongly references
-                    let doc_uri = format!("local{locals}.rdf");
-                    locals += 1;
-                    let res = Resource::new(UriRef::new(&doc_uri, "n"), "Node")
-                        .with("tag", Term::literal("local"))
-                        .with("next", Term::resource(uri(src.usize_in(0..UNIVERSE))));
-                    h.lmr
-                        .register_local_metadata(&Document::new(doc_uri).with_resource(res.clone()))
-                        .unwrap();
-                    h.model.insert(&res);
-                    h.model.local.insert(res.uri().to_string());
+                    h.register_local(src.usize_in(0..UNIVERSE));
                     h.check(&format!("step {step}: local metadata"))?;
                 }
                 _ => {}
             }
         }
     }
+
+    /// Envelopes whose deltas each ship the strong closure of what they
+    /// match and update — the ones an MDP builds — go whole to one LMR and
+    /// one delta at a time to a twin: a URI matched in one delta and
+    /// updated in another, removed by one rule and matched by the next,
+    /// listed only by the delta of a retracted rule, or stripped by a
+    /// snapshot delta. After every step the caches, the tracker's counts
+    /// and `LmrMatches` are equal, and a full sweep evicts nothing.
+    fn envelope_equals_its_rules_applied_one_by_one(src) {
+        let (mut whole, mut split) = (Harness::new(), Harness::new());
+        for step in 0..src.usize_in(3..40) {
+            let what = match src.weighted(&[8, 1, 1]) {
+                0 => {
+                    let msg = any_closed_envelope(src);
+                    split.publish_one_by_one(&msg);
+                    whole.publish(msg);
+                    "envelope"
+                }
+                1 => {
+                    let rule = src.u64_in(0..RULES);
+                    whole.unsubscribe(rule);
+                    split.unsubscribe(rule);
+                    "unsubscribe"
+                }
+                _ => {
+                    let target = src.usize_in(0..UNIVERSE);
+                    whole.register_local(target);
+                    split.register_local(target);
+                    "local metadata"
+                }
+            };
+            agree(&mut whole, &mut split, &format!("step {step}: {what}"))?;
+        }
+    }
 }
 
+fn names(resources: &[Resource]) -> Vec<String> {
+    resources.iter().map(|r| r.uri().to_string()).collect()
+}
+
+/// A one-delta envelope: `rule` matches `matched`, `companions` ship along.
 fn matched(rule: u64, matched: Vec<Resource>, companions: Vec<Resource>) -> PublishMsg {
-    PublishMsg {
+    let delta = RuleDelta {
         lmr_rule: rule,
-        matched,
-        companions,
-        ..PublishMsg::default()
+        matched: names(&matched),
+        companions: names(&companions),
+        ..RuleDelta::default()
+    };
+    PublishMsg {
+        seq: 0,
+        resources: [matched, companions].concat(),
+        rules: vec![delta],
     }
 }
 
 fn removed(rule: u64, k: usize) -> PublishMsg {
     PublishMsg {
-        lmr_rule: rule,
-        removed: vec![uri(k).to_string()],
+        rules: vec![RuleDelta {
+            lmr_rule: rule,
+            removed: vec![uri(k).to_string()],
+            ..RuleDelta::default()
+        }],
         ..PublishMsg::default()
     }
 }
@@ -400,13 +604,109 @@ fn chains_cascade_shared_companions_wait_and_cycles_stay() {
         [uri(5).to_string(), uri(6).to_string()]
     );
     // breaking it frees both: 6's new copy drops its edge onto 5
+    let broken = node(6, "a", None);
     h.publish(PublishMsg {
-        lmr_rule: 0,
-        updated: vec![node(6, "a", None)],
+        rules: vec![RuleDelta {
+            lmr_rule: 0,
+            updated: names(std::slice::from_ref(&broken)),
+            ..RuleDelta::default()
+        }],
+        resources: vec![broken],
         ..PublishMsg::default()
     });
     h.check("cycle broken").unwrap();
     assert!(h.lmr.cached_uris().is_empty());
+}
+
+/// The envelope shapes the equivalence property names, pinned: each goes
+/// whole to one LMR and delta by delta to a twin.
+#[test]
+fn envelope_shapes_agree_with_their_deltas_one_by_one() {
+    let (mut whole, mut split) = (Harness::new(), Harness::new());
+    let both = |whole: &mut Harness, split: &mut Harness, msg: PublishMsg, step: &str| {
+        split.publish_one_by_one(&msg);
+        whole.publish(msg);
+        agree(whole, split, step).unwrap();
+    };
+    let delta = |lmr_rule: u64, matched: &[usize], companions: &[usize], updated: &[usize]| {
+        let names = |ks: &[usize]| ks.iter().map(|k| uri(*k).to_string()).collect();
+        RuleDelta {
+            lmr_rule,
+            matched: names(matched),
+            companions: names(companions),
+            updated: names(updated),
+            ..RuleDelta::default()
+        }
+    };
+    // 0 → 2 → 3 matched by rule 0; rule 1 updates 0 in the same envelope
+    both(
+        &mut whole,
+        &mut split,
+        PublishMsg {
+            seq: 0,
+            resources: vec![
+                node(0, "a", Some(2)),
+                node(2, "a", Some(3)),
+                node(3, "a", None),
+            ],
+            rules: vec![delta(0, &[0], &[2, 3], &[]), delta(1, &[], &[2, 3], &[0])],
+        },
+        "matched by one delta, updated by another",
+    );
+    // rule 0 lets go of 0, rule 1 takes it, now pointing at 4: whole, 0
+    // never leaves the cache; one by one it goes (with 2 and 3) and comes
+    // back with 4 — the same rows either way
+    let mut handover = delta(1, &[0], &[4], &[]);
+    handover.removed = Vec::new();
+    let mut release = delta(0, &[], &[], &[]);
+    release.removed = vec![uri(0).to_string()];
+    both(
+        &mut whole,
+        &mut split,
+        PublishMsg {
+            seq: 0,
+            resources: vec![node(0, "b", Some(4)), node(4, "a", None)],
+            rules: vec![release, handover],
+        },
+        "removed by one delta, matched by the next",
+    );
+    assert_eq!(
+        whole.lmr.cached_uris(),
+        [uri(0).to_string(), uri(4).to_string()]
+    );
+    // a retracted rule's delta alone ships 5 (and a new copy of 4): neither
+    // lands
+    whole.unsubscribe(3);
+    split.unsubscribe(3);
+    both(
+        &mut whole,
+        &mut split,
+        PublishMsg {
+            seq: 0,
+            resources: vec![node(4, "b", None), node(5, "a", None), node(6, "a", None)],
+            rules: vec![delta(3, &[5], &[], &[4]), delta(2, &[6], &[], &[])],
+        },
+        "a retracted rule's delta alone ships a resource",
+    );
+    assert!(!whole.lmr.is_cached(uri(5).as_str()));
+    let four = whole.lmr.cached_resource(uri(4).as_str()).unwrap().unwrap();
+    assert_eq!(four.property("tag").unwrap().lexical(), "a");
+    // rule 1's snapshot lists 6 only: its anchor on 0 goes, and 0 with 4
+    // follows; rule 2 keeps 6
+    let mut snapshot = delta(1, &[6], &[], &[]);
+    snapshot.snapshot = true;
+    both(
+        &mut whole,
+        &mut split,
+        PublishMsg {
+            seq: 0,
+            resources: vec![node(6, "a", None)],
+            rules: vec![snapshot],
+        },
+        "a snapshot delta strips its rule's stale anchors",
+    );
+    assert_eq!(whole.lmr.cached_uris(), [uri(6).to_string()]);
+    assert_eq!(whole.lmr.tracker().matching_rules(uri(6).as_str()), [1, 2]);
 }
 
 /// On a durable LMR a publication that brings nothing new writes nothing

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use common::{assert_consistent, mild_fault_plan, provider, schema};
 use mdv::prelude::*;
 use mdv::relstore::{Database, DurableEngine, StdFs, StorageEngine};
-use mdv::system::{FaultPlan, MdvSystem, Partition, PublishMsg};
+use mdv::system::{FaultPlan, MdvSystem, Partition, PublishMsg, RuleDelta};
 use mdv_testkit::{prop_assert, prop_assert_eq, property, Source};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -542,8 +542,14 @@ fn out_of_order_publication_stays_parked_across_an_lmr_crash() {
         .unwrap();
     let engine = sys.mdp("mdp").unwrap().engine();
     let wire = PublishMsg {
-        matched: vec![engine.resource("doc3.rdf#host").unwrap().unwrap()],
-        companions: vec![engine.resource("doc3.rdf#info").unwrap().unwrap()],
+        resources: ["doc3.rdf#host", "doc3.rdf#info"]
+            .map(|uri| engine.resource(uri).unwrap().unwrap())
+            .into(),
+        rules: vec![RuleDelta {
+            matched: vec!["doc3.rdf#host".into()],
+            companions: vec!["doc3.rdf#info".into()],
+            ..RuleDelta::default()
+        }],
         ..PublishMsg::default()
     }
     .to_wire()

@@ -9,10 +9,11 @@ use mdv::filter::FilterEngine;
 use mdv::prelude::*;
 use mdv::rdf::{parse_schema, xml};
 use mdv::relstore::{
-    sql, CrashMode, DiskFaultPlan, DurableEngine, FaultVfs, Vfs, VfsFile, CRASH_MODES,
+    sql, CrashMode, Database, DiskFaultPlan, DurableEngine, FaultVfs, StorageEngine, Value, Vfs,
+    VfsFile, CRASH_MODES,
 };
 use mdv::system::transport::{FaultPlan, LinkFaults};
-use mdv::system::MdvSystem;
+use mdv::system::{MdvSystem, PublishMsg, RuleDelta};
 use mdv::workload::benchmark_schema;
 use mdv_testkit::{prop_assert, property, Source};
 
@@ -86,6 +87,54 @@ fn arb_xmlish(src: &mut Source) -> String {
     }
 }
 
+/// A valid envelope with arbitrary text in its literals and removals.
+fn arb_envelope(src: &mut Source) -> PublishMsg {
+    let resources: Vec<Resource> = (0..src.usize_in(1..4))
+        .map(|k| {
+            Resource::new(UriRef::new(&format!("d{k}.rdf"), "h"), "CycleProvider")
+                .with("serverHost", Term::literal(src.printable(0..20)))
+        })
+        .collect();
+    let uris: Vec<String> = resources.iter().map(|r| r.uri().to_string()).collect();
+    let rules = (0..src.usize_in(1..4))
+        .map(|rule| RuleDelta {
+            lmr_rule: rule as u64,
+            matched: vec![src.choose(&uris).clone()],
+            removed: vec![src.printable(1..10)],
+            snapshot: src.bool(),
+            ..RuleDelta::default()
+        })
+        .collect();
+    PublishMsg {
+        seq: src.u64_in(0..1000),
+        resources,
+        rules,
+    }
+}
+
+/// `wire` truncated, with one byte changed, or with one line dropped.
+fn damage(src: &mut Source, wire: &str) -> String {
+    match src.usize_in(0..3) {
+        0 => {
+            let cut = src.usize_in(0..wire.len());
+            let cut = (0..=cut).rev().find(|c| wire.is_char_boundary(*c)).unwrap();
+            wire[..cut].to_owned()
+        }
+        1 => {
+            let mut bytes = wire.as_bytes().to_vec();
+            let at = src.usize_in(0..bytes.len());
+            bytes[at] = if bytes[at] == b'x' { b'y' } else { b'x' };
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+        _ => {
+            let lines: Vec<&str> = wire.lines().collect();
+            let dropped = src.usize_in(0..lines.len());
+            let kept = lines.iter().enumerate().filter(|(k, _)| *k != dropped);
+            kept.map(|(_, line)| format!("{line}\n")).collect()
+        }
+    }
+}
+
 property! {
     /// The rule parser never panics.
     fn rule_parser_never_panics(src) cases = 256; {
@@ -138,6 +187,34 @@ property! {
         let lmr = mdv::system::Lmr::new("l", "m", benchmark_schema());
         let _ = lmr.query(&input);
         let _ = lmr.query_sql(&input);
+    }
+
+    /// A truncated or garbled envelope wire form — what `SysOutbox` and
+    /// `LmrPubBuffer` rows hold — is an error: decoded directly, rebuilt
+    /// into an MDP from its mirror tables, or reopened into an LMR.
+    fn damaged_envelope_rows_are_errors(src) cases = 256; {
+        let wire = arb_envelope(src).to_wire();
+        prop_assert!(PublishMsg::from_wire(&wire).is_ok());
+        let damaged = damage(src, &wire);
+        prop_assert!(PublishMsg::from_wire(&damaged).is_err(), "decoded {damaged:?}");
+
+        let schema = benchmark_schema();
+        let rebuilds = |row: &str| {
+            let mut crashed = Mdp::with_storage("m", Database::new(), schema.clone()).unwrap();
+            let row = vec![Value::Str("l".into()), Value::Int(0), Value::Str(row.into())];
+            crashed.engine_mut().storage_mut().insert("SysOutbox", row).unwrap();
+            let mut fresh = Mdp::with_storage("m", Database::new(), schema.clone()).unwrap();
+            fresh.rebuild_from_tables(crashed.engine().storage().database(), 10).is_ok()
+        };
+        let reopens = |row: &str| {
+            let lmr = Lmr::with_storage("l", "m", schema.clone(), Database::new()).unwrap();
+            let mut store = lmr.storage().clone();
+            store.insert("LmrPubBuffer", vec![Value::Int(1), Value::Str(row.into())]).unwrap();
+            Lmr::reopen("l", "m", schema.clone(), store).is_ok()
+        };
+        prop_assert!(rebuilds(&wire) && reopens(&wire));
+        prop_assert!(!rebuilds(&damaged), "an MDP rebuilt over {damaged:?}");
+        prop_assert!(!reopens(&damaged), "an LMR reopened over {damaged:?}");
     }
 
     /// The whole 3-tier system never panics or spins forever under a
