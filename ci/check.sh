@@ -152,10 +152,10 @@ while read -r name; do
 done < <(grep -oE 'BENCH_[a-z_]+\.json' EXPERIMENTS.md | sort -u)
 echo "ok: BENCH_*.json files and EXPERIMENTS.md agree ($BENCH_COUNT files)"
 # Removed mechanisms stay removed from the docs: the filter-shard tier and
-# the matching knobs (PR 18), the second grouped join body (PR 19) and the
-# filter's thread pool (PR 20) may be named only where their removal is
-# recorded — DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config'
+# the matching knobs, the second grouped join body, the filter's thread
+# pool and the stored Raft snapshot table may be named only where their
+# removal is recorded — DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then

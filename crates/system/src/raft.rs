@@ -14,10 +14,12 @@
 //! Election timeouts are drawn from a PRNG seeded by `(raft seed, node
 //! name, term)`, so a crash-restarted voter re-derives exactly the
 //! schedule it would have used — no volatile timer state to lose. Hard
-//! state (term, vote, applied index, hash chain), the log, and the
-//! snapshot anchor are mirrored into WAL-logged tables via the PR-4
+//! state (term, vote, applied index, hash chain) and the log with its
+//! compaction anchor are mirrored into WAL-logged tables via the PR-4
 //! mirror machinery; `crash_and_restart_mdp` recovers a voter without
-//! ever violating election safety.
+//! ever violating election safety. Compaction only truncates the log: a
+//! snapshot of the state machine is built when a peer lags behind the
+//! compacted tail, and cached while it still covers that tail.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeBounds;
@@ -37,15 +39,14 @@ use crate::transport::Network;
 /// byte-identical to PR 6.
 const T_RAFT_HARD: &str = "SysRaftHard"; // key, num, txt
 const T_RAFT_LOG: &str = "SysRaftLog"; // idx, term, cmd
-const T_RAFT_SNAP: &str = "SysRaftSnap"; // idx, term, data
 
 /// Leader heartbeat / replication retry interval (logical ms).
 pub const HEARTBEAT_MS: u64 = 50;
 /// Election timeouts are drawn uniformly from `[MIN, MIN + SPREAD)`.
 const ELECTION_MIN_MS: u64 = 150;
 const ELECTION_SPREAD_MS: u64 = 150;
-/// Log entries retained below the snapshot anchor after a compaction, so
-/// recent indices stay addressable for consistency checks.
+/// Applied log entries retained after a compaction, so recent indices
+/// stay addressable for consistency checks.
 const COMPACT_KEEP: u64 = 8;
 /// Default compaction trigger: compact once `applied - offset` exceeds it.
 pub(crate) const DEFAULT_COMPACT_THRESHOLD: u64 = 64;
@@ -210,11 +211,21 @@ fn chain_hash(prev: u64, wire: &str) -> u64 {
     fnv1a64(&bytes)
 }
 
+/// A state-machine snapshot (`raft_build_snapshot` text) exact at log
+/// index `index`, whose entry has term `term`.
+#[derive(Debug)]
+pub(crate) struct Snapshot {
+    pub index: u64,
+    pub term: u64,
+    pub data: String,
+}
+
 /// Per-voter Raft state. The log vector covers indices `(offset, last]`;
 /// `offset`/`offset_term` anchor the consistency check for the first
-/// retained entry, and `(snap_index, snap_term, snap_data)` is the latest
-/// state-machine snapshot (`snap_index >= offset` would hold only right
-/// after an install; in steady state `snap_index <= offset + KEEP`).
+/// retained entry. `snapshot` is built only when a peer must be sent one
+/// (or kept from an install) and is dropped once compaction moves
+/// `offset` past it, so `snapshot.index >= offset` always holds: a peer
+/// that installs it finds every later entry still in the log.
 #[derive(Debug)]
 pub(crate) struct RaftState {
     pub seed: u64,
@@ -225,9 +236,7 @@ pub(crate) struct RaftState {
     pub log: Vec<(u64, String)>,
     pub offset: u64,
     pub offset_term: u64,
-    pub snap_index: u64,
-    pub snap_term: u64,
-    pub snap_data: String,
+    pub snapshot: Option<Snapshot>,
     pub commit: u64,
     pub applied: u64,
     /// Apply hash chain value at `applied`.
@@ -256,9 +265,7 @@ impl RaftState {
             log: Vec::new(),
             offset: 0,
             offset_term: 0,
-            snap_index: 0,
-            snap_term: 0,
-            snap_data: String::new(),
+            snapshot: None,
             commit: 0,
             applied: 0,
             cum_hash: 0,
@@ -311,7 +318,8 @@ pub struct RaftProbe {
     pub applied: u64,
     /// Index of the entry preceding the first retained log entry.
     pub offset: u64,
-    /// Latest snapshot anchor index (0 when no snapshot was taken).
+    /// Index of the cached snapshot (0 when no peer needed one since the
+    /// last compaction, or this process (re)started).
     pub snap_index: u64,
     /// Retained entries as `(index, term, command wire form)`.
     pub log: Vec<(u64, u64, String)>,
@@ -353,17 +361,6 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                     ],
                     &[],
                 )?;
-                // one row: the latest snapshot anchor
-                mirror::create_table(
-                    store,
-                    T_RAFT_SNAP,
-                    vec![
-                        ColumnDef::new("idx", DataType::Int),
-                        ColumnDef::new("term", DataType::Int),
-                        ColumnDef::new("data", DataType::Str),
-                    ],
-                    &[],
-                )?;
                 Ok(())
             })?;
         }
@@ -393,7 +390,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             commit: r.commit,
             applied: r.applied,
             offset: r.offset,
-            snap_index: r.snap_index,
+            snap_index: r.snapshot.as_ref().map_or(0, |snap| snap.index),
             log: r
                 .log
                 .iter()
@@ -455,17 +452,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         };
         let (offset, offset_term) = (r.offset, r.offset_term);
         self.raft_hard_upsert("offset", offset, "")?;
-        self.raft_hard_upsert("offset_term", offset_term, "")?;
-        // the snapshot is borrowed in place: its one copy is the mirror row
-        match &self.raft {
-            Some(r) if self.mirror && r.snap_index > 0 => mirror::upsert_where(
-                self.engine.storage_mut(),
-                T_RAFT_SNAP,
-                Vec::new(),
-                vec![i(r.snap_index), i(r.snap_term), s(&r.snap_data)],
-            ),
-            _ => Ok(()),
-        }
+        self.raft_hard_upsert("offset_term", offset_term, "")
     }
 
     fn raft_log_insert(&mut self, idx: u64, term: u64, cmd: &str) -> Result<()> {
@@ -498,11 +485,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         Ok(())
     }
 
-    /// Rebuilds the Raft hard state, log, and snapshot anchor from the
-    /// recovered database of a crashed voter. Called after
-    /// `rebuild_from_tables` restored the applied state machine; the
-    /// commit index conservatively restarts at `applied` and the node
-    /// comes back as a follower (a restart never extends leadership).
+    /// Rebuilds the Raft hard state and log from the recovered database of
+    /// a crashed voter. Called after `rebuild_from_tables` restored the
+    /// applied state machine at exactly `applied`, from which a snapshot
+    /// is built on demand like on any other voter; the commit index
+    /// conservatively restarts at `applied` and the node comes back as a
+    /// follower (a restart never extends leadership).
     pub(crate) fn raft_restore_from_tables(
         &mut self,
         src: &Database,
@@ -534,16 +522,6 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 "offset_term" => state.offset_term = num,
                 _ => return Err(corrupt(T_RAFT_HARD)),
             }
-        }
-        for row in mirror::rows_sorted(src, T_RAFT_SNAP) {
-            let (Some(idx), Some(term), Some(data)) =
-                (row[0].as_int(), row[1].as_int(), row[2].as_str())
-            else {
-                return Err(corrupt(T_RAFT_SNAP));
-            };
-            state.snap_index = idx as u64;
-            state.snap_term = term as u64;
-            state.snap_data = data.to_owned();
         }
         let mut entries: Vec<(u64, u64, String)> = Vec::new();
         for row in mirror::rows_sorted(src, T_RAFT_LOG) {
@@ -699,22 +677,35 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
 
     /// Sends the peer everything past its `next_index` — an AppendEntries
     /// when the entries are still in the log, an InstallSnapshot when the
-    /// peer lags behind the compacted tail.
+    /// peer lags behind the compacted tail. That is the one place a
+    /// snapshot is built: at `applied`, when no cached one covers the tail.
     pub(crate) fn raft_send_append(&mut self, peer: &str, net: &Network) -> Result<()> {
         let name = self.name.clone();
-        let msg = {
+        let (next, lags) = {
             let r = self.raft.as_ref().unwrap();
             let next = r
                 .next_index
                 .get(peer)
                 .copied()
                 .unwrap_or(r.last_index() + 1);
-            if next <= r.offset {
+            (next, next <= r.offset)
+        };
+        if lags && self.raft.as_ref().unwrap().snapshot.is_none() {
+            let data = self.raft_build_snapshot();
+            let r = self.raft.as_mut().unwrap();
+            let index = r.applied;
+            let term = r.term_at(index).expect("applied >= offset is addressable");
+            r.snapshot = Some(Snapshot { index, term, data });
+        }
+        let msg = {
+            let r = self.raft.as_ref().unwrap();
+            if lags {
+                let snap = r.snapshot.as_ref().unwrap();
                 Message::InstallSnapshot {
                     term: r.term,
-                    last_index: r.snap_index,
-                    last_term: r.snap_term,
-                    data: r.snap_data.clone(),
+                    last_index: snap.index,
+                    last_term: snap.term,
+                    data: snap.data.clone(),
                 }
             } else {
                 let prev = next - 1;
@@ -909,7 +900,14 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         self.raft_step_down(term, now)?;
         let (success, match_index, new_entries) = {
             let r = self.raft.as_mut().unwrap();
-            match r.term_at(prev_log_index) {
+            // entries up to our offset are committed and folded into our
+            // state: they match any current leader's log
+            let anchor = if prev_log_index < r.offset {
+                Some(prev_log_term)
+            } else {
+                r.term_at(prev_log_index)
+            };
+            match anchor {
                 // consistency check failed: tell the leader how far our
                 // log actually reaches so it can back off next_index
                 None => (false, r.last_index().min(prev_log_index), Vec::new()),
@@ -1423,9 +1421,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 r.log.clear();
                 r.offset = last_index;
                 r.offset_term = last_term;
-                r.snap_index = last_index;
-                r.snap_term = last_term;
-                r.snap_data = data.to_owned();
+                // exact at the new offset: reusable should this node lead
+                r.snapshot = Some(Snapshot {
+                    index: last_index,
+                    term: last_term,
+                    data: data.to_owned(),
+                });
                 r.commit = last_index;
                 r.applied = last_index;
                 r.cum_hash = cum_hash;
@@ -1438,33 +1439,27 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     }
 
     /// Compacts the log once the applied prefix outgrows the threshold:
-    /// snapshot the state machine at `applied`, keep the last
-    /// [`COMPACT_KEEP`] applied entries for consistency checks, drop the
-    /// rest.
+    /// keep the last [`COMPACT_KEEP`] applied entries (fewer under a
+    /// smaller threshold) for consistency checks and drop the rest.
+    /// Nothing is serialized here: a cached snapshot the new offset passes
+    /// is dropped, and the next peer that lags gets one built by
+    /// `raft_send_append`.
     fn raft_maybe_compact(&mut self) -> Result<()> {
-        let due = {
-            let r = self.raft.as_ref().unwrap();
-            r.applied.saturating_sub(r.offset) > r.compact_threshold
+        let new_offset = {
+            let r = self.raft.as_mut().unwrap();
+            let new_offset = r
+                .applied
+                .saturating_sub(COMPACT_KEEP.min(r.compact_threshold));
+            if r.applied.saturating_sub(r.offset) <= r.compact_threshold || new_offset <= r.offset {
+                return Ok(());
+            }
+            r.offset_term = r.term_at(new_offset).unwrap_or(0);
+            r.log.drain(..(new_offset - r.offset) as usize);
+            r.offset = new_offset;
+            r.snapshot.take_if(|snap| snap.index < new_offset);
+            new_offset
         };
-        if !due {
-            return Ok(());
-        }
-        let data = self.raft_build_snapshot();
         self.with_group(|this| {
-            let new_offset = {
-                let r = this.raft.as_mut().unwrap();
-                let applied = r.applied;
-                r.snap_index = applied;
-                r.snap_term = r.term_at(applied).unwrap_or(r.offset_term);
-                r.snap_data = data;
-                let new_offset = applied.saturating_sub(COMPACT_KEEP).max(r.offset);
-                if new_offset > r.offset {
-                    r.offset_term = r.term_at(new_offset).unwrap_or(0);
-                    r.log.drain(..(new_offset - r.offset) as usize);
-                    r.offset = new_offset;
-                }
-                new_offset
-            };
             this.raft_log_delete_range(..=new_offset)?;
             this.raft_persist_anchor()
         })
@@ -1633,6 +1628,41 @@ mod tests {
         for l in lmrs {
             assert!(sys.lmr(l).unwrap().is_cached("doc2.rdf#info"));
         }
+    }
+
+    #[test]
+    fn append_from_below_an_installed_snapshot_is_accepted() {
+        use crate::transport::NetConfig;
+        use mdv_rdf::RdfSchema;
+
+        let schema = RdfSchema::builder()
+            .class("ServerInformation", |c| c.int("memory"))
+            .build()
+            .unwrap();
+        let net = Network::new(NetConfig::default());
+        let leader = net.register("m1").unwrap();
+        let mut follower = Mdp::new("m2", schema);
+        follower.raft_enable(0x5eed, 0).unwrap();
+        let data = follower.raft_build_snapshot();
+        follower.raft_install_state(&data, 3, 3, &net).unwrap();
+
+        // a leader whose next_index for us predates the install resends
+        // from below our offset: the covered prefix matches, the rest lands
+        let noop = RaftCmd::Noop.to_wire();
+        let entries = vec![(3, noop.clone()), (3, noop)];
+        follower
+            .raft_on_append("m1", 3, 2, 1, 4, entries, &net)
+            .unwrap();
+        let replies: Vec<Message> = leader.try_iter().map(|env| env.message).collect();
+        assert_eq!(
+            replies,
+            [Message::AppendEntriesReply {
+                term: 3,
+                success: true,
+                match_index: 4
+            }]
+        );
+        assert_eq!(follower.raft_probe().unwrap().applied, 4);
     }
 
     #[test]

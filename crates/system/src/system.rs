@@ -366,8 +366,9 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
     }
 
     /// Sets how many applied log entries a voter accumulates before it
-    /// snapshots and compacts (small values exercise the InstallSnapshot
-    /// path in tests). Applies to existing and future MDPs.
+    /// truncates its log. A peer that falls behind the truncated prefix is
+    /// caught up by InstallSnapshot, so small values are how tests reach
+    /// that path. Applies to existing and future MDPs.
     pub fn set_raft_compact_threshold(&mut self, threshold: u64) {
         self.raft_compact_threshold = threshold.max(1);
         for mdp in self.mdps.values_mut() {
@@ -1482,7 +1483,8 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
         }
 
         // 3. LMR homing: with a unique live leader settled, re-home every
-        //    reachable LMR whose configured MDP isn't it
+        //    reachable LMR whose configured MDP isn't it — also one still
+        //    awaiting the welcome of a deposed leader, which never comes
         if !acted {
             let leaders: Vec<(&String, u64)> = views
                 .iter()
@@ -1500,7 +1502,6 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
                 for (name, lmr) in lmrs.iter_mut() {
                     if network.is_down(name)
                         || lmr.mdp() == leader
-                        || lmr.failing_over()
                         || !open(name, &leader)
                         || !open(&leader, name)
                     {

@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mdv::prelude::*;
-use mdv::relstore::DurableEngine;
+use mdv::relstore::{DurableEngine, StorageEngine};
 use mdv::system::transport::{FaultPlan, LinkFaults};
 use mdv::system::RaftProbe;
 use mdv_testkit::{prop_assert, property, Source};
@@ -205,6 +205,11 @@ property! {
         };
         let mut sys = MdvSystem::with_net_config(schema(), config);
         sys.enable_raft(src.bits()).unwrap();
+        // a tiny threshold truncates the log every few entries, so lagging,
+        // partitioned and healed voters meet snapshot installs
+        if src.bool() {
+            sys.set_raft_compact_threshold(src.u64_in(1..4));
+        }
         for m in &voters {
             sys.add_mdp(m).unwrap();
         }
@@ -265,6 +270,9 @@ property! {
         let mut sys: MdvSystem<DurableEngine> =
             MdvSystem::durable_with_net_config(schema(), config);
         sys.enable_raft(src.bits()).unwrap();
+        if src.bool() {
+            sys.set_raft_compact_threshold(src.u64_in(1..4));
+        }
         for m in voters {
             sys.add_mdp_durable(m, root.join(m)).unwrap();
         }
@@ -403,6 +411,134 @@ fn voter_crash_restart_in_the_election_window_preserves_votes() {
     sys.heal_mdp(&leader).unwrap();
     assert_committed_identical(&sys, "after the old leader heals");
     assert_raft_safety(&probes(&sys), "after the old leader heals");
+    drop(sys);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `install-snapshot` messages the transport carried so far.
+fn installs<S: StorageEngine + Send + Sync>(sys: &MdvSystem<S>) -> u64 {
+    let kinds = sys.network().traffic_by_kind();
+    kinds.get("install-snapshot").copied().unwrap_or(0)
+}
+
+/// Compaction only truncates the log: a fault-free cluster compacts on
+/// every voter, and no voter ever serializes its state machine, because no
+/// peer falls behind the compacted tail.
+#[test]
+fn fault_free_compaction_builds_no_snapshot() {
+    let mut sys = MdvSystem::new(schema());
+    sys.enable_raft(3).unwrap();
+    for m in ["m1", "m2", "m3"] {
+        sys.add_mdp(m).unwrap();
+    }
+    sys.add_lmr("l1", "m1").unwrap();
+    sys.subscribe("l1", RULE).unwrap();
+    for i in 0..200 {
+        sys.register_document("m1", &provider(i, "a.hub.org", 128, 700))
+            .unwrap();
+    }
+    for (name, p) in probes(&sys) {
+        assert!(p.offset > 0, "{name} never compacted");
+        assert_eq!(p.snap_index, 0, "{name} built a snapshot nobody needed");
+    }
+    assert_eq!(installs(&sys), 0);
+    assert_committed_identical(&sys, "after 200 fault-free registrations");
+}
+
+/// Two followers down while the leader compacts past their logs: on heal
+/// both install the leader's one cached snapshot, built on demand, and
+/// then catch up from the entries after it.
+#[test]
+fn lagging_followers_catch_up_from_one_on_demand_snapshot() {
+    let voters = ["m1", "m2", "m3", "m4", "m5"];
+    let mut sys = MdvSystem::new(schema());
+    sys.enable_raft(5).unwrap();
+    for m in voters {
+        sys.add_mdp(m).unwrap();
+    }
+    sys.add_lmr("l1", "m1").unwrap();
+    sys.subscribe("l1", RULE).unwrap();
+    let leader = sys.raft_leader().expect("leader elected");
+    let laggards: Vec<&str> = voters
+        .into_iter()
+        .filter(|m| *m != leader)
+        .take(2)
+        .collect();
+    for m in &laggards {
+        sys.fail_mdp(m).unwrap();
+    }
+    for i in 0..100 {
+        sys.register_document(&leader, &provider(i, "a.hub.org", 128, 700))
+            .unwrap();
+    }
+    let before = installs(&sys);
+    for m in &laggards {
+        sys.heal_mdp(m).unwrap();
+    }
+    sys.run_to_quiescence().unwrap();
+    assert!(
+        installs(&sys) - before >= 2,
+        "both laggards need a snapshot"
+    );
+
+    let lead = sys.raft_probe(&leader).unwrap().unwrap();
+    assert!(lead.snap_index >= lead.offset && lead.snap_index > 0);
+    for m in &laggards {
+        let p = sys.raft_probe(m).unwrap().unwrap();
+        assert_eq!(p.applied, lead.applied, "{m} did not catch up");
+        assert_eq!(p.cum_hash, lead.cum_hash, "{m} applied different commands");
+        // the apply chain jumps from the last entry applied before the
+        // failure straight to the leader's snapshot index: the one build
+        // served both laggards
+        assert!(
+            p.applied_chain
+                .windows(2)
+                .any(|w| w[1].0 == lead.snap_index && w[0].0 + 1 < w[1].0),
+            "{m} did not install the leader's snapshot at {}: {:?}",
+            lead.snap_index,
+            p.applied_chain
+        );
+    }
+    assert_committed_identical(&sys, "after both laggards healed");
+    assert_raft_safety(&probes(&sys), "after both laggards healed");
+    assert!(sys.lmr("l1").unwrap().is_cached("doc99.rdf#host"));
+}
+
+/// A crash-restarted voter has no snapshot on disk: its state machine is
+/// rebuilt at exactly `applied`, so whichever voter leads after the restart
+/// builds the snapshot a laggard needs from its live state.
+#[test]
+fn a_restarted_voter_serves_a_snapshot_without_a_snapshot_table() {
+    let root = scratch();
+    let voters = ["m1", "m2", "m3"];
+    let mut sys: MdvSystem<DurableEngine> = MdvSystem::new_durable(schema());
+    sys.enable_raft(9).unwrap();
+    for m in voters {
+        sys.add_mdp_durable(m, root.join(m)).unwrap();
+    }
+    sys.add_lmr_durable("l1", "m1", root.join("l1")).unwrap();
+    sys.subscribe("l1", RULE).unwrap();
+    let leader = sys.raft_leader().expect("leader elected");
+    let laggard = voters.into_iter().find(|m| *m != leader).unwrap();
+    sys.fail_mdp(laggard).unwrap();
+    for i in 0..100 {
+        sys.register_document(&leader, &provider(i, "a.hub.org", 128, 700))
+            .unwrap();
+    }
+    sys.crash_and_restart_mdp(&leader).unwrap();
+    let before = installs(&sys);
+    sys.heal_mdp(laggard).unwrap();
+    sys.run_to_quiescence().unwrap();
+    assert!(installs(&sys) > before, "the laggard needs a snapshot");
+
+    assert_committed_identical(&sys, "after the laggard healed");
+    assert_raft_safety(&probes(&sys), "after the laggard healed");
+    assert!(sys.lmr("l1").unwrap().is_cached("doc99.rdf#host"));
+    for m in voters {
+        let db = sys.mdp(m).unwrap().engine().storage().database();
+        assert!(db.table("SysRaftLog").is_ok(), "{m} is no raft voter");
+        assert!(db.table("SysRaftSnap").is_err(), "{m} stores a snapshot");
+    }
     drop(sys);
     let _ = std::fs::remove_dir_all(&root);
 }
