@@ -153,9 +153,11 @@ done < <(grep -oE 'BENCH_[a-z_]+\.json' EXPERIMENTS.md | sort -u)
 echo "ok: BENCH_*.json files and EXPERIMENTS.md agree ($BENCH_COUNT files)"
 # Removed mechanisms stay removed from the docs: the filter-shard tier and
 # the matching knobs, the second grouped join body, the filter's thread
-# pool and the stored Raft snapshot table may be named only where their
-# removal is recorded — DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap'
+# pool, the stored Raft snapshot table, the SQL text query path with its
+# join executors, and the filter's config struct may be named only where
+# their removal is recorded — DESIGN.md §8 and EXPERIMENTS.md "Removed
+# studies".
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -317,6 +319,8 @@ if [[ "$QUICK" == "0" ]]; then
   echo "ok: paper_walkthrough"
   cargo run --offline --release --example placement_routing >/dev/null
   echo "ok: placement_routing"
+  cargo run --offline --release --example operator_toolkit >/dev/null
+  echo "ok: operator_toolkit"
 
   # -------------------------------------------------------------------------
   step "mdvbench smoke pass (all five workloads, a tenth of the sizes)"

@@ -7,8 +7,8 @@
 //! warmup per benchmark); each group prints an aligned table plus one JSON
 //! line per benchmark for machine consumption.
 
-use mdv_bench::{build_engine, build_engine_with_config, build_naive};
-use mdv_filter::{FilterConfig, FilterEngine, Publication};
+use mdv_bench::{build_engine, build_naive, build_per_member_engine};
+use mdv_filter::{FilterEngine, Publication};
 use mdv_rdf::Document;
 use mdv_testkit::bench::BenchGroup;
 use mdv_workload::{benchmark_documents, BenchParams, RuleType};
@@ -116,14 +116,14 @@ fn ablation_groups() {
         comp_match_fraction: 0.1,
     };
     let docs = benchmark_documents(0..10, &params);
-    for (label, use_groups) in [("grouped", true), ("ungrouped", false)] {
-        let base = build_engine_with_config(
-            RuleType::Join,
-            RULE_COUNT,
-            FilterConfig {
-                use_rule_groups: use_groups,
-            },
-        );
+    let engines = [
+        ("grouped", build_engine(RuleType::Join, RULE_COUNT)),
+        (
+            "ungrouped",
+            build_per_member_engine(RuleType::Join, RULE_COUNT),
+        ),
+    ];
+    for (label, base) in engines {
         group.bench_with_setup(label, || base.clone(), |engine| register(engine, &docs));
     }
     group.finish();

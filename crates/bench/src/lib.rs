@@ -16,7 +16,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use mdv_filter::{FilterConfig, FilterEngine, NaiveEngine};
+use mdv_filter::{FilterEngine, NaiveEngine};
 use mdv_relstore::{DurableEngine, StorageEngine};
 use mdv_workload::{benchmark_documents, benchmark_rules, benchmark_schema, BenchParams, RuleType};
 
@@ -44,16 +44,17 @@ pub const BATCH_SIZES_QUICK: [u64; 6] = [1, 5, 20, 100, 500, 1000];
 
 /// Builds an engine pre-loaded with `rule_count` rules of one type.
 pub fn build_engine(rule_type: RuleType, rule_count: u64) -> FilterEngine {
-    build_engine_with_config(rule_type, rule_count, FilterConfig::default())
+    load_rules(FilterEngine::new(benchmark_schema()), rule_type, rule_count)
 }
 
-/// Like [`build_engine`] with an explicit configuration (ablations).
-pub fn build_engine_with_config(
-    rule_type: RuleType,
-    rule_count: u64,
-    config: FilterConfig,
-) -> FilterEngine {
-    let mut engine = FilterEngine::with_config(benchmark_schema(), config);
+/// Like [`build_engine`], on the per-member reference engine that evaluates
+/// every join rule by itself instead of per rule group (Ablation B).
+pub fn build_per_member_engine(rule_type: RuleType, rule_count: u64) -> FilterEngine {
+    let engine = FilterEngine::per_member_reference(benchmark_schema());
+    load_rules(engine, rule_type, rule_count)
+}
+
+fn load_rules(mut engine: FilterEngine, rule_type: RuleType, rule_count: u64) -> FilterEngine {
     for rule in benchmark_rules(rule_type, rule_count) {
         engine
             .register_subscription(&rule)
@@ -213,20 +214,8 @@ pub fn ablation_groups(
         rule_count,
         comp_match_fraction: 0.1,
     };
-    let grouped = build_engine_with_config(
-        RuleType::Join,
-        rule_count,
-        FilterConfig {
-            use_rule_groups: true,
-        },
-    );
-    let ungrouped = build_engine_with_config(
-        RuleType::Join,
-        rule_count,
-        FilterConfig {
-            use_rule_groups: false,
-        },
-    );
+    let grouped = build_engine(RuleType::Join, rule_count);
+    let ungrouped = build_per_member_engine(RuleType::Join, rule_count);
     let a = run_point(
         &grouped,
         RuleType::Join,
@@ -293,7 +282,7 @@ pub fn build_durable_engine(
     dir: &Path,
 ) -> FilterEngine<DurableEngine> {
     let store = DurableEngine::create(dir).expect("fresh benchmark WAL directory");
-    let mut engine = FilterEngine::with_storage(store, benchmark_schema(), FilterConfig::default());
+    let mut engine = FilterEngine::with_storage(store, benchmark_schema());
     engine.storage_mut().begin();
     for rule in benchmark_rules(rule_type, rule_count) {
         engine

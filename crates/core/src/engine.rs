@@ -30,25 +30,6 @@ use crate::store::{create_base_tables, Atom, BaseStore};
 use crate::trace::{FilterRun, FilterStats};
 use crate::trigger_index::TriggerIndex;
 
-/// Tunables of the engine, used by the ablation benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FilterConfig {
-    /// Share counterpart probes across the join rules of a rule group
-    /// (paper §3.3.3). Disabling evaluates every join rule individually —
-    /// the paper's Ablation B and the tested per-member reference; set to
-    /// `false` only by `properties.rs`, `engine.rs` tests and the
-    /// `ablation-groups` study (`figures`, `cargo bench`).
-    pub use_rule_groups: bool,
-}
-
-impl Default for FilterConfig {
-    fn default() -> Self {
-        FilterConfig {
-            use_rule_groups: true,
-        }
-    }
-}
-
 /// How a filter pass treats the materialized rule results (see §3.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mode {
@@ -90,23 +71,29 @@ pub struct FilterEngine<S: StorageEngine = Database> {
     strong_props: Vec<(String, String)>,
     next_sub: u64,
     pub(crate) stats: FilterStats,
-    config: FilterConfig,
+    /// Share counterpart probes across the join rules of a rule group
+    /// (paper §3.3.3). Off only in [`FilterEngine::per_member_reference`].
+    use_rule_groups: bool,
     /// Incremental matching index (inverted `contains` postings,
     /// ordered-op threshold chains), maintained on subscribe/unsubscribe.
     triggers: TriggerIndex,
 }
 
 impl FilterEngine<Database> {
-    /// Builds an engine on a fresh in-memory database with the default
-    /// [`FilterConfig`] (rule groups on).
+    /// Builds an engine on a fresh in-memory database.
     pub fn new(schema: RdfSchema) -> Self {
-        Self::with_config(schema, FilterConfig::default())
+        Self::with_storage(Database::new(), schema)
     }
 
-    /// Builds an engine on a fresh in-memory database with explicit
-    /// tunables — the ablation benchmarks' entry point.
-    pub fn with_config(schema: RdfSchema, config: FilterConfig) -> Self {
-        Self::with_storage(Database::new(), schema, config)
+    /// An engine that evaluates every join rule individually instead of
+    /// sharing counterpart probes across a rule group — the paper's
+    /// Ablation B and the per-member reference the grouped join body is
+    /// tested against (`properties.rs`, the `ablation-groups` study).
+    #[doc(hidden)]
+    pub fn per_member_reference(schema: RdfSchema) -> Self {
+        let mut engine = Self::new(schema);
+        engine.use_rule_groups = false;
+        engine
     }
 }
 
@@ -118,15 +105,14 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// [`Database`], which cannot fail it. Durable backends on real (or
     /// fault-injected) disks should use [`FilterEngine::try_with_storage`],
     /// which surfaces I/O faults as typed errors instead.
-    pub fn with_storage(store: S, schema: RdfSchema, config: FilterConfig) -> Self {
-        Self::try_with_storage(store, schema, config)
-            .expect("storage backend accepts the filter DDL")
+    pub fn with_storage(store: S, schema: RdfSchema) -> Self {
+        Self::try_with_storage(store, schema).expect("storage backend accepts the filter DDL")
     }
 
     /// Fallible [`FilterEngine::with_storage`]: a backend that fails the
     /// initial DDL commit (a disk fault during WAL append or sync) returns
     /// `Error::Store` rather than panicking.
-    pub fn try_with_storage(mut store: S, schema: RdfSchema, config: FilterConfig) -> Result<Self> {
+    pub fn try_with_storage(mut store: S, schema: RdfSchema) -> Result<Self> {
         store.begin();
         create_base_tables(&mut store)?;
         create_rule_tables(&mut store)?;
@@ -179,7 +165,7 @@ impl<S: StorageEngine> FilterEngine<S> {
             strong_props,
             next_sub: 0,
             stats: FilterStats::default(),
-            config,
+            use_rule_groups: true,
             triggers: TriggerIndex::default(),
         })
     }
@@ -232,11 +218,6 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// trigger evaluations, …) since the engine was built.
     pub fn stats(&self) -> &FilterStats {
         &self.stats
-    }
-
-    /// The engine's current tunables.
-    pub fn config(&self) -> &FilterConfig {
-        &self.config
     }
 
     /// Read access to the trigger-matching index (postings, threshold
@@ -684,7 +665,7 @@ impl<S: StorageEngine> FilterEngine<S> {
         for (uri, rule) in current {
             delta.entry(*rule).or_default().push(uri.clone());
         }
-        let candidates = if self.config.use_rule_groups {
+        let candidates = if self.use_rule_groups {
             self.join_candidates_grouped(&delta)?
         } else {
             self.join_candidates_per_member(&delta)?
@@ -1442,12 +1423,7 @@ mod tests {
         for r in rules {
             grouped.register_subscription(r).unwrap();
         }
-        let mut ungrouped = FilterEngine::with_config(
-            paper_schema(),
-            FilterConfig {
-                use_rule_groups: false,
-            },
-        );
+        let mut ungrouped = FilterEngine::per_member_reference(paper_schema());
         for r in rules {
             ungrouped.register_subscription(r).unwrap();
         }

@@ -85,7 +85,6 @@ pub mod naive;
 pub mod query_eval;
 pub mod registry;
 pub mod rule_tables;
-pub mod sql_translate;
 pub mod store;
 pub mod trace;
 pub mod trigger_index;
@@ -97,7 +96,7 @@ pub use atoms::{
 pub use decompose::{decompose, ProtoRule, ProtoRules};
 pub use depgraph::{DepGraph, MergeOutcome};
 pub use dot::to_dot;
-pub use engine::{FilterConfig, FilterEngine};
+pub use engine::FilterEngine;
 pub use error::{Error, Result};
 pub use naive::NaiveEngine;
 pub use registry::{Publication, Subscription, SubscriptionId};

@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 
 use mdv_filter::store::{create_base_tables, T_RESOURCES, T_RULE_RESULTS, T_STATEMENTS};
-use mdv_filter::{BaseStore, FilterConfig, FilterEngine, NaiveEngine};
+use mdv_filter::{BaseStore, FilterEngine, NaiveEngine};
 use mdv_rdf::{diff, Document, RdfSchema, Resource, Term, UriRef};
 use mdv_relstore::Database;
 use mdv_testkit::{prop_assert, prop_assert_eq, property, Source};
@@ -401,9 +401,8 @@ property! {
     /// and after every change to the rule base the grouped engine's join
     /// index must equal a recomputation from its rules.
     fn rule_groups_are_transparent(src) {
-        let config = FilterConfig { use_rule_groups: false };
         let mut grouped = FilterEngine::new(oracle_schema());
-        let mut reference = FilterEngine::with_config(oracle_schema(), config);
+        let mut reference = FilterEngine::per_member_reference(oracle_schema());
         let mut subs = Vec::new();
         // one trigger (`Provider`) shared by 55 members of one rule group
         for k in 0..55 {
@@ -710,34 +709,6 @@ property! {
         prop_assert_eq!(engine.db().table("RuleResults").unwrap().len(), 0);
         for t in ["FilterRules", "FilterRulesEQ", "FilterRulesGT", "FilterRulesCON"] {
             prop_assert_eq!(engine.db().table(t).unwrap().len(), 0);
-        }
-    }
-
-    /// The SQL translation of a query returns exactly what the direct
-    /// evaluator returns, for arbitrary rule bases and data.
-    fn sql_translation_agrees_with_direct_evaluation(src) {
-        use mdv_filter::{query_eval, sql_translate};
-        use mdv_rulelang::{normalize, parse_rule, split_or};
-
-        let rules = arb_rules(src, 6);
-        let specs = src.vec(0..8, arb_doc_spec);
-        let s = schema();
-        let mut engine = FilterEngine::new(s.clone());
-        let docs: Vec<Document> =
-            specs.iter().enumerate().map(|(i, sp)| make_doc(i, sp)).collect();
-        engine.register_batch(&docs).unwrap();
-
-        for rule_text in &rules {
-            for conj in split_or(&parse_rule(rule_text).unwrap()) {
-                let n = match normalize(&conj, &s) {
-                    Ok(n) => n,
-                    Err(mdv_rulelang::Error::Unsatisfiable) => continue,
-                    Err(e) => panic!("bad rule: {e}"),
-                };
-                let direct = query_eval::evaluate(engine.db(), &s, &n).unwrap();
-                let via_sql = sql_translate::evaluate_via_sql(engine.db(), &s, &n).unwrap();
-                prop_assert_eq!(direct, via_sql, "divergence for: {}", conj);
-            }
         }
     }
 

@@ -9,7 +9,6 @@
 //! * predicate evaluation with SQL three-valued logic ([`Predicate`]),
 //! * a selection planner that picks point-probe / range-probe / scan access
 //!   paths ([`query`]),
-//! * hash, nested-loop, semi- and anti-joins ([`join`]),
 //! * undo-log transactions ([`Txn`]).
 //!
 //! The engine is deliberately single-node and synchronous: the MDV filter
@@ -19,7 +18,7 @@
 //! ## Shared read access
 //!
 //! Every read path (`Database::table`, `Table::rows`/`get`, index probes,
-//! `query::select`, the joins) takes `&self` and the storage structures hold
+//! `query::select`) takes `&self` and the storage structures hold
 //! no interior mutability — no `Cell`/`RefCell`, no lazily materialized
 //! caches. A `&Database` is therefore safe to share across threads
 //! (`Database: Send + Sync`, asserted below). Nothing in the workspace
@@ -58,12 +57,10 @@ pub mod catalog;
 pub mod engine;
 pub mod error;
 pub mod index;
-pub mod join;
 pub mod predicate;
 pub mod query;
 pub mod schema;
 pub mod snapshot;
-pub mod sql;
 pub mod table;
 pub mod txn;
 pub mod value;
@@ -78,7 +75,6 @@ pub use predicate::{CmpOp, Expr, Predicate};
 pub use query::{select, select_with_plan, AccessPath, Plan};
 pub use schema::{ColumnDef, TableSchema};
 pub use snapshot::{load_from_path, read_database, save_to_path, write_database};
-pub use sql::{execute as execute_sql, ResultSet};
 pub use table::{Row, RowId, Table};
 pub use txn::Txn;
 pub use value::{DataType, Value};

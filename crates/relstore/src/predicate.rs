@@ -1,15 +1,14 @@
-//! Row predicates: comparison operators and boolean combinators, evaluated
-//! with SQL three-valued logic (NULL comparisons are unknown, and unknown
-//! rows are filtered out).
+//! Row predicates: comparison operators and conjunction, evaluated with SQL
+//! three-valued logic (NULL comparisons are unknown, and unknown rows are
+//! filtered out).
 
 use std::fmt;
 
 use crate::error::Result;
 use crate::schema::TableSchema;
-use crate::value::{DataType, Value};
+use crate::value::Value;
 
-/// Comparison operators of the MDV rule language (paper §2.3) plus the
-/// operators needed internally.
+/// Comparison operators of single-table selections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Eq,
@@ -18,8 +17,6 @@ pub enum CmpOp {
     Le,
     Gt,
     Ge,
-    /// Substring containment on strings (`contains` in the rule language).
-    Contains,
 }
 
 impl CmpOp {
@@ -32,17 +29,10 @@ impl CmpOp {
             CmpOp::Le => lhs.sql_cmp(rhs).map(|o| o.is_le()),
             CmpOp::Gt => lhs.sql_cmp(rhs).map(|o| o.is_gt()),
             CmpOp::Ge => lhs.sql_cmp(rhs).map(|o| o.is_ge()),
-            CmpOp::Contains => match (lhs, rhs) {
-                (Value::Null, _) | (_, Value::Null) => None,
-                (Value::Str(a), Value::Str(b)) => Some(a.contains(b.as_str())),
-                _ => Some(false),
-            },
         }
     }
 
     /// The operator with operand sides swapped (`a < b` ⇔ `b > a`).
-    /// `Contains` is not symmetric and has no mirror; it maps to itself only
-    /// for the callers that never flip it.
     pub fn mirrored(self) -> CmpOp {
         match self {
             CmpOp::Eq => CmpOp::Eq,
@@ -51,29 +41,7 @@ impl CmpOp {
             CmpOp::Le => CmpOp::Ge,
             CmpOp::Gt => CmpOp::Lt,
             CmpOp::Ge => CmpOp::Le,
-            CmpOp::Contains => CmpOp::Contains,
         }
-    }
-
-    /// The negated operator, used when splitting `or` rules via De Morgan
-    /// (paper §2.3 mentions negated operators). `Contains` has no negation in
-    /// the operator set and returns `None`.
-    pub fn negated(self) -> Option<CmpOp> {
-        match self {
-            CmpOp::Eq => Some(CmpOp::Ne),
-            CmpOp::Ne => Some(CmpOp::Eq),
-            CmpOp::Lt => Some(CmpOp::Ge),
-            CmpOp::Le => Some(CmpOp::Gt),
-            CmpOp::Gt => Some(CmpOp::Le),
-            CmpOp::Ge => Some(CmpOp::Lt),
-            CmpOp::Contains => None,
-        }
-    }
-
-    /// True for the ordered comparison operators (`< <= > >=`), which the
-    /// paper restricts to numeric constants (§3.3.4).
-    pub fn is_ordering(self) -> bool {
-        matches!(self, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge)
     }
 }
 
@@ -86,7 +54,6 @@ impl fmt::Display for CmpOp {
             CmpOp::Le => "<=",
             CmpOp::Gt => ">",
             CmpOp::Ge => ">=",
-            CmpOp::Contains => "contains",
         };
         f.write_str(s)
     }
@@ -99,8 +66,6 @@ pub enum Expr {
     Col(usize),
     /// Constant value.
     Const(Value),
-    /// Coerce a sub-expression to a data type (string↔number reconversion).
-    Cast(Box<Expr>, DataType),
 }
 
 impl Expr {
@@ -109,11 +74,10 @@ impl Expr {
         Ok(Expr::Col(schema.column_index(name)?))
     }
 
-    pub fn eval(&self, row: &[Value]) -> Result<Value> {
+    pub fn eval<'a>(&'a self, row: &'a [Value]) -> &'a Value {
         match self {
-            Expr::Col(i) => Ok(row[*i].clone()),
-            Expr::Const(v) => Ok(v.clone()),
-            Expr::Cast(e, dt) => e.eval(row)?.coerce(*dt),
+            Expr::Col(i) => &row[*i],
+            Expr::Const(v) => v,
         }
     }
 }
@@ -129,8 +93,6 @@ pub enum Predicate {
         rhs: Expr,
     },
     And(Vec<Predicate>),
-    Or(Vec<Predicate>),
-    Not(Box<Predicate>),
 }
 
 impl Predicate {
@@ -166,19 +128,15 @@ impl Predicate {
     }
 
     /// Three-valued evaluation; `None` is unknown.
-    pub fn eval3(&self, row: &[Value]) -> Result<Option<bool>> {
-        Ok(match self {
+    pub fn eval3(&self, row: &[Value]) -> Option<bool> {
+        match self {
             Predicate::True => Some(true),
-            Predicate::Cmp { lhs, op, rhs } => {
-                let l = lhs.eval(row)?;
-                let r = rhs.eval(row)?;
-                op.eval(&l, &r)
-            }
+            Predicate::Cmp { lhs, op, rhs } => op.eval(lhs.eval(row), rhs.eval(row)),
             Predicate::And(ps) => {
                 let mut unknown = false;
                 for p in ps {
-                    match p.eval3(row)? {
-                        Some(false) => return Ok(Some(false)),
+                    match p.eval3(row) {
+                        Some(false) => return Some(false),
                         None => unknown = true,
                         Some(true) => {}
                     }
@@ -189,35 +147,12 @@ impl Predicate {
                     Some(true)
                 }
             }
-            Predicate::Or(ps) => {
-                let mut unknown = false;
-                for p in ps {
-                    match p.eval3(row)? {
-                        Some(true) => return Ok(Some(true)),
-                        None => unknown = true,
-                        Some(false) => {}
-                    }
-                }
-                if unknown {
-                    None
-                } else {
-                    Some(false)
-                }
-            }
-            Predicate::Not(p) => p.eval3(row)?.map(|b| !b),
-        })
+        }
     }
 
     /// Filter semantics: a row passes only when the predicate is truly true.
-    pub fn matches(&self, row: &[Value]) -> Result<bool> {
-        // A failed coercion inside a Cast means the operand cannot satisfy
-        // the comparison; SQL would raise, but filter semantics treat it as
-        // a non-match, which is what the MDV string-reconversion join needs.
-        match self.eval3(row) {
-            Ok(v) => Ok(v == Some(true)),
-            Err(crate::error::Error::TypeError(_)) => Ok(false),
-            Err(e) => Err(e),
-        }
+    pub fn matches(&self, row: &[Value]) -> bool {
+        self.eval3(row) == Some(true)
     }
 }
 
@@ -225,6 +160,7 @@ impl Predicate {
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, TableSchema};
+    use crate::value::DataType;
 
     fn schema() -> TableSchema {
         TableSchema::new(
@@ -261,45 +197,22 @@ mod tests {
     }
 
     #[test]
-    fn contains_semantics() {
-        let host = Value::Str("pirates.uni-passau.de".into());
-        let pat = Value::Str("uni-passau.de".into());
-        assert_eq!(CmpOp::Contains.eval(&host, &pat), Some(true));
-        assert_eq!(CmpOp::Contains.eval(&pat, &host), Some(false));
-        assert_eq!(CmpOp::Contains.eval(&Value::Int(1), &pat), Some(false));
-        assert_eq!(CmpOp::Contains.eval(&Value::Null, &pat), None);
-    }
-
-    #[test]
-    fn mirrored_and_negated() {
+    fn mirrored() {
         assert_eq!(CmpOp::Lt.mirrored(), CmpOp::Gt);
         assert_eq!(CmpOp::Le.mirrored(), CmpOp::Ge);
         assert_eq!(CmpOp::Eq.mirrored(), CmpOp::Eq);
-        assert_eq!(CmpOp::Lt.negated(), Some(CmpOp::Ge));
-        assert_eq!(CmpOp::Contains.negated(), None);
     }
 
     #[test]
-    fn predicate_eval_and_or_not() {
+    fn predicate_eval_and() {
         let s = schema();
         let p = Predicate::and(vec![
             Predicate::col_cmp(&s, "a", CmpOp::Gt, Value::Int(0)).unwrap(),
-            Predicate::col_cmp(&s, "s", CmpOp::Contains, Value::Str("x".into())).unwrap(),
+            Predicate::col_eq(&s, "s", Value::Str("x".into())).unwrap(),
         ]);
-        assert!(p.matches(&row(1, "axb", None)).unwrap());
-        assert!(!p.matches(&row(1, "ab", None)).unwrap());
-        assert!(!p.matches(&row(0, "x", None)).unwrap());
-
-        let q = Predicate::Or(vec![
-            Predicate::col_eq(&s, "a", Value::Int(5)).unwrap(),
-            Predicate::col_eq(&s, "s", Value::Str("hit".into())).unwrap(),
-        ]);
-        assert!(q.matches(&row(5, "no", None)).unwrap());
-        assert!(q.matches(&row(0, "hit", None)).unwrap());
-        assert!(!q.matches(&row(0, "no", None)).unwrap());
-
-        let n = Predicate::Not(Box::new(q));
-        assert!(n.matches(&row(0, "no", None)).unwrap());
+        assert!(p.matches(&row(1, "x", None)));
+        assert!(!p.matches(&row(1, "y", None)));
+        assert!(!p.matches(&row(0, "x", None)));
     }
 
     #[test]
@@ -307,13 +220,10 @@ mod tests {
         let s = schema();
         let p = Predicate::col_cmp(&s, "n", CmpOp::Gt, Value::Int(10)).unwrap();
         assert!(
-            !p.matches(&row(1, "x", None)).unwrap(),
+            !p.matches(&row(1, "x", None)),
             "NULL > 10 is unknown, filtered"
         );
-        assert!(p.matches(&row(1, "x", Some(11))).unwrap());
-        // NOT over unknown stays unknown, still filtered
-        let np = Predicate::Not(Box::new(p));
-        assert!(!np.matches(&row(1, "x", None)).unwrap());
+        assert!(p.matches(&row(1, "x", Some(11))));
     }
 
     #[test]
@@ -324,28 +234,13 @@ mod tests {
             Predicate::col_eq(&s, "a", Value::Int(99)).unwrap(),
             Predicate::col_cmp(&s, "n", CmpOp::Gt, Value::Int(0)).unwrap(),
         ]);
-        assert_eq!(p.eval3(&row(1, "x", None)).unwrap(), Some(false));
+        assert_eq!(p.eval3(&row(1, "x", None)), Some(false));
         // true AND unknown = unknown
         let p = Predicate::And(vec![
             Predicate::col_eq(&s, "a", Value::Int(1)).unwrap(),
             Predicate::col_cmp(&s, "n", CmpOp::Gt, Value::Int(0)).unwrap(),
         ]);
-        assert_eq!(p.eval3(&row(1, "x", None)).unwrap(), None);
-    }
-
-    #[test]
-    fn cast_reconverts_strings_for_comparison() {
-        let s = TableSchema::new("r", vec![ColumnDef::new("value", DataType::Str)]).unwrap();
-        // value stored as string, compared numerically: CAST(value AS INT) > 64
-        let p = Predicate::Cmp {
-            lhs: Expr::Cast(Box::new(Expr::col(&s, "value").unwrap()), DataType::Int),
-            op: CmpOp::Gt,
-            rhs: Expr::Const(Value::Int(64)),
-        };
-        assert!(p.matches(&[Value::Str("92".into())]).unwrap());
-        assert!(!p.matches(&[Value::Str("32".into())]).unwrap());
-        // non-numeric strings silently fail the match instead of erroring
-        assert!(!p.matches(&[Value::Str("not-a-number".into())]).unwrap());
+        assert_eq!(p.eval3(&row(1, "x", None)), None);
     }
 
     #[test]

@@ -43,8 +43,8 @@ struct SargableTerm {
     value: Value,
 }
 
-/// Collects sargable conjuncts (`Col op Const`) from a predicate. Only the
-/// top-level conjunction is mined; nested `Or`/`Not` terms stay residual.
+/// Collects sargable conjuncts (`Col op Const`) from a predicate's
+/// top-level conjunction.
 fn sargable_terms(pred: &Predicate) -> Vec<SargableTerm> {
     fn from_cmp(lhs: &Expr, op: CmpOp, rhs: &Expr) -> Option<SargableTerm> {
         match (lhs, rhs) {
@@ -212,29 +212,20 @@ pub fn select_with_plan(table: &Table, pred: &Predicate, plan: &Plan) -> Result<
         Some(rids) => {
             for &rid in rids {
                 let row = table.get(rid)?;
-                if pred.matches(row)? {
+                if pred.matches(row) {
                     out.push((rid, row.clone()));
                 }
             }
         }
         None => {
             for (rid, row) in table.iter() {
-                if pred.matches(row)? {
+                if pred.matches(row) {
                     out.push((rid, row.clone()));
                 }
             }
         }
     }
     Ok(out)
-}
-
-/// Projects rows onto the named columns.
-pub fn project(table: &Table, rows: &[(RowId, Row)], columns: &[&str]) -> Result<Vec<Row>> {
-    let idxs = table.schema().column_indices(columns)?;
-    Ok(rows
-        .iter()
-        .map(|(_, r)| idxs.iter().map(|&i| r[i].clone()).collect())
-        .collect())
 }
 
 #[cfg(test)]
@@ -407,15 +398,6 @@ mod tests {
         let rows = select(&t2, &p).unwrap();
         let vals: Vec<i64> = rows.iter().map(|(_, r)| r[2].as_int().unwrap()).collect();
         assert_eq!(vals, vec![4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn projection() {
-        let t = table_with_indexes();
-        let rows = select(&t, &eq(&t, "class", Value::Str("B".into()))).unwrap();
-        let projected = project(&t, &rows, &["value", "property"]).unwrap();
-        assert_eq!(projected.len(), 2);
-        assert_eq!(projected[0].len(), 2);
     }
 
     #[test]

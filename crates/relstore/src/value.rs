@@ -8,17 +8,13 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use crate::error::{Error, Result};
-
 /// Logical column types supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     Bool,
     Int,
     Float,
-    /// UTF-8 string. The MDV filter stores rule constants as strings and
-    /// reconverts them when joining (paper §3.3.4), which `Value::coerce`
-    /// supports.
+    /// UTF-8 string.
     Str,
 }
 
@@ -82,48 +78,6 @@ impl Value {
             Value::Float(x) => Some(*x),
             Value::Int(i) => Some(*i as f64),
             _ => None,
-        }
-    }
-
-    /// Coerces this value to `target`, converting between numeric types and
-    /// parsing strings into numbers (the "stored as strings, reconverted when
-    /// joining" pattern from the paper).
-    pub fn coerce(&self, target: DataType) -> Result<Value> {
-        let fail = || {
-            Err(Error::TypeError(format!(
-                "cannot coerce {self} to {target}"
-            )))
-        };
-        match (self, target) {
-            (Value::Null, _) => Ok(Value::Null),
-            (Value::Bool(b), DataType::Bool) => Ok(Value::Bool(*b)),
-            (Value::Int(i), DataType::Int) => Ok(Value::Int(*i)),
-            (Value::Int(i), DataType::Float) => Ok(Value::Float(*i as f64)),
-            (Value::Int(i), DataType::Str) => Ok(Value::Str(i.to_string())),
-            (Value::Float(x), DataType::Float) => Ok(Value::Float(*x)),
-            (Value::Float(x), DataType::Int) => {
-                if x.fract() == 0.0 && *x >= i64::MIN as f64 && *x <= i64::MAX as f64 {
-                    Ok(Value::Int(*x as i64))
-                } else {
-                    fail()
-                }
-            }
-            (Value::Float(x), DataType::Str) => Ok(Value::Str(format_float(*x))),
-            (Value::Str(s), DataType::Str) => Ok(Value::Str(s.clone())),
-            (Value::Str(s), DataType::Int) => {
-                s.trim().parse::<i64>().map(Value::Int).or_else(|_| fail())
-            }
-            (Value::Str(s), DataType::Float) => s
-                .trim()
-                .parse::<f64>()
-                .map(Value::Float)
-                .or_else(|_| fail()),
-            (Value::Str(s), DataType::Bool) => match s.trim() {
-                "true" => Ok(Value::Bool(true)),
-                "false" => Ok(Value::Bool(false)),
-                _ => fail(),
-            },
-            (Value::Bool(_), _) | (Value::Int(_) | Value::Float(_), DataType::Bool) => fail(),
         }
     }
 
@@ -323,40 +277,6 @@ mod tests {
     fn sql_cmp_cross_type_is_incomparable() {
         assert_eq!(Value::Int(1).sql_cmp(&Value::Str("1".into())), None);
         assert_eq!(Value::Bool(true).sql_cmp(&Value::Int(1)), None);
-    }
-
-    #[test]
-    fn coerce_string_to_numeric() {
-        assert_eq!(
-            Value::Str("64".into()).coerce(DataType::Int).unwrap(),
-            Value::Int(64)
-        );
-        assert_eq!(
-            Value::Str(" 2.5 ".into()).coerce(DataType::Float).unwrap(),
-            Value::Float(2.5)
-        );
-        assert!(Value::Str("abc".into()).coerce(DataType::Int).is_err());
-    }
-
-    #[test]
-    fn coerce_numeric_to_string_roundtrip() {
-        let v = Value::Int(500).coerce(DataType::Str).unwrap();
-        assert_eq!(v, Value::Str("500".into()));
-        assert_eq!(v.coerce(DataType::Int).unwrap(), Value::Int(500));
-    }
-
-    #[test]
-    fn coerce_float_to_int_only_when_integral() {
-        assert_eq!(
-            Value::Float(4.0).coerce(DataType::Int).unwrap(),
-            Value::Int(4)
-        );
-        assert!(Value::Float(4.5).coerce(DataType::Int).is_err());
-    }
-
-    #[test]
-    fn null_coerces_to_anything() {
-        assert_eq!(Value::Null.coerce(DataType::Str).unwrap(), Value::Null);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! `mdv-testkit` (deterministic seeds, ≥64 cases, see `MDV_PROP_CASES`).
 
 use mdv_relstore::{
-    join, query, CmpOp, ColumnDef, DataType, Database, IndexKind, Predicate, Row, Table,
-    TableSchema, Txn, Value,
+    query, CmpOp, ColumnDef, DataType, Database, IndexKind, Predicate, Row, Table, TableSchema,
+    Txn, Value,
 };
 use mdv_testkit::{prop_assert_eq, prop_assert_ne, property, Source};
 
@@ -37,10 +37,6 @@ fn arb_rows(src: &mut Source) -> Vec<(String, String, i64)> {
             src.i64_in(-20..20),
         )
     })
-}
-
-fn arb_join_rows(src: &mut Source) -> Vec<(String, i64)> {
-    src.vec(0..25, |src| (src.string_of("ab", 1..2), src.i64_in(-5..5)))
 }
 
 fn build_tables(rows: &[(String, String, i64)]) -> (Table, Table) {
@@ -126,40 +122,6 @@ property! {
         prop_assert_eq!(sorted_rows(scan), sorted_rows(idx));
     }
 
-    /// Hash join equals the brute-force nested-loop equi-join.
-    fn hash_join_matches_nested_loop(src) {
-        let left = arb_join_rows(src);
-        let right = arb_join_rows(src);
-        let lrows: Vec<Row> = left.iter()
-            .map(|(s, i)| vec![Value::Str(s.clone()), Value::Int(*i)]).collect();
-        let rrows: Vec<Row> = right.iter()
-            .map(|(s, i)| vec![Value::Str(s.clone()), Value::Int(*i)]).collect();
-        let hashed = join::hash_join(&lrows, &rrows, &[1], &[1]);
-        let pred = Predicate::Cmp {
-            lhs: mdv_relstore::Expr::Col(1),
-            op: CmpOp::Eq,
-            rhs: mdv_relstore::Expr::Col(3),
-        };
-        let looped = join::nested_loop_join(&lrows, &rrows, &pred).unwrap();
-        prop_assert_eq!(sorted_rows(hashed), sorted_rows(looped));
-    }
-
-    /// Semi-join and anti-join partition the left input.
-    fn semi_anti_partition(src) {
-        let left = arb_join_rows(src);
-        let right = arb_join_rows(src);
-        let lrows: Vec<Row> = left.iter()
-            .map(|(s, i)| vec![Value::Str(s.clone()), Value::Int(*i)]).collect();
-        let rrows: Vec<Row> = right.iter()
-            .map(|(s, i)| vec![Value::Str(s.clone()), Value::Int(*i)]).collect();
-        let semi = join::semi_join(&lrows, &rrows, &[0, 1], &[0, 1]);
-        let anti = join::anti_join(&lrows, &rrows, &[0, 1], &[0, 1]);
-        prop_assert_eq!(semi.len() + anti.len(), lrows.len());
-        let mut merged = semi;
-        merged.extend(anti);
-        prop_assert_eq!(sorted_rows(merged), sorted_rows(lrows));
-    }
-
     /// A rolled-back transaction leaves no observable trace.
     fn txn_rollback_is_identity(src) {
         let initial = arb_rows(src);
@@ -206,14 +168,6 @@ property! {
 
         let after: Vec<Row> = db.table("t").unwrap().iter().map(|(_, r)| r.clone()).collect();
         prop_assert_eq!(sorted_rows(before), sorted_rows(after));
-    }
-
-    /// String round-trip through coercion preserves integers (the paper's
-    /// "constants stored as strings, reconverted when joining").
-    fn int_string_coercion_roundtrip(src) {
-        let v = src.any_i64();
-        let s = Value::Int(v).coerce(DataType::Str).unwrap();
-        prop_assert_eq!(s.coerce(DataType::Int).unwrap(), Value::Int(v));
     }
 
     /// Snapshot write → read is the identity on databases.

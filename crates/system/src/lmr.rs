@@ -743,36 +743,6 @@ impl<S: StorageEngine> Lmr<S> {
             .collect()
     }
 
-    /// Like [`Lmr::query`], but through the SQL translation path: the query
-    /// is translated into a SQL join query over the cache's base tables and
-    /// executed by the relational engine (paper §2.2: "search requests are
-    /// translated into SQL join queries").
-    pub fn query_sql(&self, query_text: &str) -> Result<Vec<Resource>> {
-        let query = parse_rule(query_text)?;
-        let mut uris = Vec::new();
-        for conj in split_or(&query) {
-            let normalized = match normalize(&conj, &self.schema) {
-                Ok(n) => n,
-                Err(mdv_rulelang::Error::Unsatisfiable) => continue,
-                Err(e) => return Err(e.into()),
-            };
-            typecheck(&normalized, &self.schema)?;
-            uris.extend(mdv_filter::sql_translate::evaluate_via_sql(
-                self.cache.database(),
-                &self.schema,
-                &normalized,
-            )?);
-        }
-        uris.sort();
-        uris.dedup();
-        uris.into_iter()
-            .map(|u| {
-                BaseStore::resource(self.cache.database(), &u)?
-                    .ok_or_else(|| Error::Local(format!("cache lost resource '{u}'")))
-            })
-            .collect()
-    }
-
     /// Processes one incoming message. On a durable backend the whole
     /// handler runs as one WAL commit group.
     pub fn handle(&mut self, env: Envelope, net: &Network) -> Result<()> {
@@ -1543,21 +1513,43 @@ mod tests {
     }
 
     #[test]
-    fn sql_query_path_agrees_with_direct_path() {
+    fn query_results_are_pinned() {
         let mut l = lmr();
         let (host, info) = provider(1, "a.uni-passau.de", 92);
         let (host2, info2) = provider(2, "b.org", 128);
         l.apply_envelope(publish(0, vec![host, host2], vec![info, info2]))
             .unwrap();
-        for q in [
-            "search CycleProvider c register c",
-            "search CycleProvider c register c where c.serverHost contains 'uni-passau.de'",
-            "search CycleProvider c register c where c.serverInformation.memory > 100",
-            "search ServerInformation s register s where s.cpu = 600",
-        ] {
-            let direct = l.query(q).unwrap();
-            let via_sql = l.query_sql(q).unwrap();
-            assert_eq!(direct, via_sql, "divergence for: {q}");
+        let both_hosts = ["doc1.rdf#host", "doc2.rdf#host"];
+        let cases: [(&str, &[&str]); 6] = [
+            ("search CycleProvider c register c", &both_hosts),
+            (
+                "search CycleProvider c register c where c.serverHost contains 'uni-passau.de'",
+                &["doc1.rdf#host"],
+            ),
+            (
+                "search CycleProvider c register c where c.serverInformation.memory > 100",
+                &["doc2.rdf#host"],
+            ),
+            (
+                "search ServerInformation s register s where s.cpu = 600",
+                &["doc1.rdf#info", "doc2.rdf#info"],
+            ),
+            // doc1 matches both disjuncts and is returned once
+            (
+                "search CycleProvider c register c where c.serverHost contains 'uni-passau.de' \
+                 or c.serverInformation.memory > 50",
+                &both_hosts,
+            ),
+            // `1 = 2` normalizes to unsatisfiable: that disjunct is skipped
+            // and the result is the satisfiable disjunct's
+            (
+                "search CycleProvider c register c where c.serverInformation.memory > 100 \
+                 or 1 = 2",
+                &["doc2.rdf#host"],
+            ),
+        ];
+        for (q, expected) in cases {
+            assert_eq!(uris(&l.query(q).unwrap()), expected, "query: {q}");
         }
     }
 

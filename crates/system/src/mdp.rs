@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use mdv_filter::{BaseStore, FilterConfig, FilterEngine, Publication, SubscriptionId};
+use mdv_filter::{BaseStore, FilterEngine, Publication, SubscriptionId};
 use mdv_rdf::{parse_document, write_document, Document, RdfSchema, Resource};
 use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
 
@@ -281,7 +281,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// database — on a durable backend the whole node becomes
     /// crash-recoverable (DESIGN.md §6).
     pub fn with_storage(name: &str, store: S, schema: RdfSchema) -> Result<Self> {
-        let mut engine = FilterEngine::try_with_storage(store, schema, FilterConfig::default())?;
+        let mut engine = FilterEngine::try_with_storage(store, schema)?;
         let store = engine.storage_mut();
         // The filter tables are derived state, a function of the documents
         // and subscriptions mirrored below: recovery rebuilds them through

@@ -1,16 +1,15 @@
 //! Operator toolkit: the introspection and recovery features an MDV
-//! administrator would use — rule explanation, the SQL query path, the
-//! dependency-graph DOT export, database snapshots, and backbone node
-//! recovery from exported logical state.
+//! administrator would use — rule explanation, a query over an LMR's
+//! cache, the dependency-graph DOT export, database snapshots, and backbone
+//! node recovery from exported logical state.
 //!
 //! ```text
 //! cargo run --example operator_toolkit
 //! ```
 
-use mdv::filter::{sql_translate, to_dot};
+use mdv::filter::to_dot;
 use mdv::prelude::*;
 use mdv::relstore::{read_database, write_database};
-use mdv::rulelang::normalize;
 use mdv::system::Mdp;
 use mdv::workload::benchmark_schema;
 
@@ -25,7 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 where c.serverHost contains 'uni-passau.de' \
                 and c.serverInformation.memory > 64";
     sys.subscribe("lmr", rule)?;
-    for i in 0..5 {
+    // document i carries memory = i: two of these five match the rule
+    for i in 62..67 {
         let doc = mdv::workload::benchmark_document(
             i,
             &mdv::workload::BenchParams {
@@ -42,17 +42,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sys.mdp("mdp")?.engine().explain_rule(rule)?
     );
 
-    // --- 2. the SQL translation the paper describes ---------------------------
-    let normalized = normalize(&parse_rule(rule)?, &schema)?;
-    let sql = sql_translate::to_sql(&normalized, &schema)?;
-    println!("== SQL translation ==\n{sql}\n");
-    let direct = sys.lmr("lmr")?.query(rule)?;
-    let via_sql = sys.lmr("lmr")?.query_sql(rule)?;
-    assert_eq!(direct, via_sql);
-    println!(
-        "direct evaluator and SQL path agree: {} result(s)\n",
-        direct.len()
-    );
+    // --- 2. the same rule as a query, answered from the LMR's cache ----------
+    let hits = sys.lmr("lmr")?.query(rule)?;
+    assert_eq!(hits.len(), 2, "memory 65 and 66 exceed 64");
+    println!("== LMR query == {} result(s):", hits.len());
+    for hit in &hits {
+        println!("  {}", hit.uri());
+    }
+    println!();
 
     // --- 3. the dependency graph, Graphviz-ready ------------------------------
     println!(

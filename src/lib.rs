@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`relstore`] | `mdv-relstore` | embedded relational engine (tables, indexes, joins, transactions) |
+//! | [`relstore`] | `mdv-relstore` | embedded relational engine (tables, indexes, selections, transactions) |
 //! | [`rdf`] | `mdv-rdf` | RDF model, RDF-Schema with strong/weak references, RDF/XML subset |
 //! | [`rulelang`] | `mdv-rulelang` | the subscription/query language front end |
 //! | [`filter`] | `mdv-filter` | the filter algorithm (decomposition, dependency graph, rule groups, 3-pass updates) |
@@ -73,7 +73,7 @@ pub use mdv_workload as workload;
 
 /// The most common imports for working with MDV.
 pub mod prelude {
-    pub use mdv_filter::{FilterConfig, FilterEngine, NaiveEngine, Publication, SubscriptionId};
+    pub use mdv_filter::{FilterEngine, NaiveEngine, Publication, SubscriptionId};
     pub use mdv_rdf::{
         parse_document, write_document, Document, RdfSchema, RefKind, Resource, Term, UriRef,
     };

@@ -9,7 +9,7 @@ use mdv::filter::FilterEngine;
 use mdv::prelude::*;
 use mdv::rdf::{parse_schema, xml};
 use mdv::relstore::{
-    sql, CrashMode, Database, DiskFaultPlan, DurableEngine, FaultVfs, StorageEngine, Value, Vfs,
+    CrashMode, Database, DiskFaultPlan, DurableEngine, FaultVfs, StorageEngine, Value, Vfs,
     VfsFile, CRASH_MODES,
 };
 use mdv::system::transport::{FaultPlan, LinkFaults};
@@ -172,21 +172,11 @@ property! {
         let _ = parse_schema(&input);
     }
 
-    /// The SQL front end never panics, even on garbage statements.
-    fn sql_never_panics(src) cases = 256; {
-        let input = arb_garbage(src);
-        let mut db = mdv::relstore::Database::new();
-        mdv::filter::store::create_base_tables(&mut db).unwrap();
-        let _ = sql::execute(&db, &input);
-        let _ = sql::execute(&db, &format!("SELECT {input} FROM Statements"));
-    }
-
     /// LMR queries over an empty cache never panic.
     fn lmr_query_never_panics(src) cases = 256; {
         let input = arb_garbage(src);
         let lmr = mdv::system::Lmr::new("l", "m", benchmark_schema());
         let _ = lmr.query(&input);
-        let _ = lmr.query_sql(&input);
     }
 
     /// A truncated or garbled envelope wire form — what `SysOutbox` and

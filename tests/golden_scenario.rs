@@ -1,0 +1,295 @@
+//! Same bytes out: one scripted run per deployment mode, folded into one
+//! pinned `u64` each.
+//!
+//! Every scenario below drives a fixed script through a whole deployment
+//! and then hashes (64-bit FNV-1a) everything the deployment produced:
+//!
+//! * the traffic log, record by record (sender, receiver, kind, size,
+//!   send and delivery times, fault verdict, retry flag),
+//! * every row (with its row id) of every table of every LMR cache,
+//! * every row of every table of every MDP, and each MDP's `FilterStats`,
+//! * in the durable scenario, every file of every simulated disk.
+//!
+//! The five modes are LWW replication with a fail/heal cycle and backup
+//! failover, Raft with a leader change, placement at R = 2 over four MDPs,
+//! a durable MDP and LMR crash-restarted on an inert `FaultVfs`, and a
+//! batch-100 MDP with a rejected batch.
+//!
+//! A change meant to alter no behaviour (a refactor, a deletion, a
+//! speed-up) must leave every pin untouched; that is its proof of "same
+//! bytes out". A change that alters behaviour on purpose (a new message, a
+//! different send order, another WAL layout) re-pins in the same change:
+//! run `cargo test --test golden_scenario -- --nocapture`, copy the printed
+//! values over the pins, and say in the commit message which behaviour
+//! changed and why the new bytes are the intended ones.
+
+mod common;
+
+use common::{provider, schema};
+use mdv::prelude::*;
+use mdv::relstore::{Database, DurableEngine, FaultVfs, StorageEngine};
+use mdv::system::PlacementConfig;
+
+const PIN_LWW_FAILOVER: u64 = 0xeea5_527d_e017_1314;
+const PIN_RAFT_LEADER_CHANGE: u64 = 0x0910_7dd0_7c3e_5aa3;
+const PIN_PLACEMENT_R2: u64 = 0x0fee_3223_d710_a962;
+const PIN_DURABLE_CRASH_RESTART: u64 = 0xf140_1b46_2507_49b3;
+const PIN_BATCH_REJECTED: u64 = 0x0c72_10cd_9e6c_248b;
+
+/// Two overlapping subscriptions: a document with memory > 64 and
+/// cpu >= 600 is published to both LMRs in the same operation, so the
+/// order an MDP ships its per-LMR envelopes in shows in the traffic log.
+const RULES: [&str; 2] = [
+    "search CycleProvider c register c where c.serverInformation.memory > 64",
+    "search ServerInformation s register s where s.cpu >= 600 or s.memory > 200",
+];
+
+/// 64-bit FNV-1a over a stream of length-prefixed fields.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn text(&mut self, text: &str) {
+        self.bytes(text.as_bytes());
+    }
+
+    fn database(&mut self, db: &Database) {
+        for name in db.table_names() {
+            self.text(name);
+            let table = db.table(name).unwrap();
+            for (id, row) in table.iter() {
+                self.text(&format!("{id:?} {row:?}"));
+            }
+        }
+    }
+}
+
+/// Hashes the traffic log, every LMR's and every MDP's tables and each
+/// MDP's filter statistics.
+fn digest<S: StorageEngine + Send + Sync>(sys: &MdvSystem<S>, h: &mut Fnv) {
+    for record in sys.network().log() {
+        h.text(&format!("{record:?}"));
+    }
+    for name in sys.lmr_names() {
+        h.text(name);
+        h.database(sys.lmr(name).unwrap().storage().database());
+    }
+    for name in sys.mdp_names() {
+        h.text(name);
+        let engine = sys.mdp(name).unwrap().engine();
+        h.database(engine.db());
+        h.text(&format!("{:?}", engine.stats()));
+    }
+}
+
+fn check(mode: &str, got: u64, pin: u64) {
+    println!("{mode}: {got:#018x}");
+    assert_eq!(
+        got, pin,
+        "{mode}: the run's bytes changed ({got:#018x}, pinned {pin:#018x}); \
+         re-pin only for an intended behaviour change"
+    );
+}
+
+#[test]
+fn lww_fail_heal_with_backup_failover() {
+    let mut sys = MdvSystem::new(schema());
+    for m in ["m1", "m2", "m3"] {
+        sys.add_mdp(m).unwrap();
+    }
+    sys.add_lmr("l1", "m1").unwrap();
+    sys.add_lmr("l2", "m2").unwrap();
+    sys.set_backup_mdp("l1", "m2").unwrap();
+    sys.set_backup_mdp("l2", "m3").unwrap();
+    let r1 = sys.subscribe("l1", RULES[0]).unwrap();
+    sys.subscribe("l2", RULES[1]).unwrap();
+
+    sys.register_document("m1", &provider(0, "a.hub.org", 128, 700))
+        .unwrap();
+    sys.register_document("m2", &provider(1, "b.hub.org", 32, 400))
+        .unwrap();
+    sys.register_document("m3", &provider(2, "c.hub.org", 256, 800))
+        .unwrap();
+    sys.update_document("m1", &provider(1, "b.hub.org", 96, 650))
+        .unwrap();
+
+    sys.fail_mdp("m1").unwrap();
+    sys.register_document("m2", &provider(3, "d.hub.org", 150, 850))
+        .unwrap();
+    sys.delete_document("m3", "doc0.rdf").unwrap();
+    // control churn while l1's home is down: the retransmission budget runs
+    // out and l1 re-registers at its backup
+    sys.unsubscribe("l1", r1).unwrap();
+    sys.subscribe("l1", RULES[0]).unwrap();
+    assert_eq!(sys.lmr("l1").unwrap().mdp(), "m2", "l1 failed over");
+
+    sys.heal_mdp("m1").unwrap();
+    sys.register_document("m1", &provider(4, "e.hub.org", 99, 777))
+        .unwrap();
+    sys.update_document("m2", &provider(2, "c.hub.org", 10, 300))
+        .unwrap();
+    sys.repair_backbone(64).unwrap();
+
+    let mut h = Fnv::new();
+    digest(&sys, &mut h);
+    check("lww", h.0, PIN_LWW_FAILOVER);
+}
+
+#[test]
+fn raft_with_a_leader_change() {
+    let mut sys = MdvSystem::new(schema());
+    sys.enable_raft(0xace).unwrap();
+    for m in ["m1", "m2", "m3"] {
+        sys.add_mdp(m).unwrap();
+    }
+    sys.add_lmr("l1", "m1").unwrap();
+    sys.add_lmr("l2", "m2").unwrap();
+    sys.subscribe("l1", RULES[0]).unwrap();
+    sys.subscribe("l2", RULES[1]).unwrap();
+
+    sys.register_document("m1", &provider(0, "a.hub.org", 128, 700))
+        .unwrap();
+    sys.register_document("m2", &provider(1, "b.hub.org", 32, 400))
+        .unwrap();
+    sys.update_document("m3", &provider(0, "a.hub.org", 96, 650))
+        .unwrap();
+
+    let old = sys.raft_leader().expect("a leader before the failure");
+    sys.fail_mdp(&old).unwrap();
+    let survivor = ["m1", "m2", "m3"].into_iter().find(|m| *m != old).unwrap();
+    sys.register_document(survivor, &provider(2, "c.hub.org", 256, 800))
+        .unwrap();
+    let new = sys.raft_leader().expect("the survivors elect a leader");
+    assert_ne!(new, old, "the leader changed");
+    sys.delete_document(survivor, "doc1.rdf").unwrap();
+
+    sys.heal_mdp(&old).unwrap();
+    sys.register_document(&old, &provider(3, "d.hub.org", 150, 850))
+        .unwrap();
+    sys.run_to_quiescence().unwrap();
+
+    let mut h = Fnv::new();
+    digest(&sys, &mut h);
+    check("raft", h.0, PIN_RAFT_LEADER_CHANGE);
+}
+
+#[test]
+fn placement_two_replicas_over_four_mdps() {
+    let mdps = ["m1", "m2", "m3", "m4"];
+    let mut sys = MdvSystem::new(schema());
+    for m in mdps {
+        sys.add_mdp(m).unwrap();
+    }
+    sys.configure_placement(PlacementConfig::new(2)).unwrap();
+    sys.add_lmr("l1", "m1").unwrap();
+    sys.add_lmr("l2", "m3").unwrap();
+    sys.subscribe("l1", RULES[0]).unwrap();
+    sys.subscribe("l2", RULES[1]).unwrap();
+
+    // the entry MDP rotates, so some operations take a routing hop
+    for i in 0..8 {
+        let doc = provider(i, "a.hub.org", 40 + 30 * i as i64, 500 + 50 * i as i64);
+        sys.register_document(mdps[i % 4], &doc).unwrap();
+    }
+    sys.update_document("m2", &provider(1, "b.hub.org", 300, 900))
+        .unwrap();
+    sys.delete_document("m4", "doc5.rdf").unwrap();
+    sys.update_document("m3", &provider(6, "c.hub.org", 10, 100))
+        .unwrap();
+    sys.run_to_quiescence().unwrap();
+
+    let mut h = Fnv::new();
+    digest(&sys, &mut h);
+    check("placement", h.0, PIN_PLACEMENT_R2);
+}
+
+#[test]
+fn durable_crash_restart_on_an_inert_fault_disk() {
+    let disks = [FaultVfs::new(11), FaultVfs::new(12), FaultVfs::new(13)];
+    let mut sys: MdvSystem<DurableEngine<FaultVfs>> =
+        MdvSystem::durable_on(schema(), Default::default());
+    sys.add_mdp_durable_on("mdp", "/mdp", disks[0].clone())
+        .unwrap();
+    sys.add_lmr_durable_on("l1", "mdp", "/l1", disks[1].clone())
+        .unwrap();
+    sys.add_lmr_durable_on("l2", "mdp", "/l2", disks[2].clone())
+        .unwrap();
+    sys.subscribe("l1", RULES[0]).unwrap();
+    sys.subscribe("l2", RULES[1]).unwrap();
+
+    for i in 0..4 {
+        let doc = provider(i, "a.hub.org", 50 + 40 * i as i64, 550 + 60 * i as i64);
+        sys.register_document("mdp", &doc).unwrap();
+    }
+    sys.crash_and_restart_mdp("mdp").unwrap();
+    sys.run_to_quiescence().unwrap();
+    sys.update_document("mdp", &provider(0, "b.hub.org", 300, 900))
+        .unwrap();
+    sys.crash_and_restart_lmr("l2").unwrap();
+    sys.run_to_quiescence().unwrap();
+    sys.delete_document("mdp", "doc2.rdf").unwrap();
+    sys.register_document("mdp", &provider(4, "c.hub.org", 99, 777))
+        .unwrap();
+
+    let mut h = Fnv::new();
+    digest(&sys, &mut h);
+    for disk in &disks {
+        for (path, bytes) in disk.dump() {
+            h.text(&path.to_string_lossy());
+            h.bytes(&bytes);
+        }
+    }
+    check("durable", h.0, PIN_DURABLE_CRASH_RESTART);
+}
+
+#[test]
+fn batch_of_one_hundred_with_a_rejected_batch() {
+    let mut sys = MdvSystem::new(schema());
+    sys.add_mdp("mdp").unwrap();
+    sys.add_lmr("l1", "mdp").unwrap();
+    sys.add_lmr("l2", "mdp").unwrap();
+    sys.subscribe("l1", RULES[0]).unwrap();
+    sys.subscribe("l2", RULES[1]).unwrap();
+    sys.register_document("mdp", &provider(0, "a.hub.org", 128, 700))
+        .unwrap();
+
+    sys.set_batch_size("mdp", Some(100)).unwrap();
+    // the hundredth queued document runs the filter over the whole batch
+    for i in 1..=100 {
+        let doc = provider(i, "b.hub.org", 20 + 3 * i as i64, 400 + 5 * i as i64);
+        sys.register_document("mdp", &doc).unwrap();
+    }
+    assert_eq!(sys.mdp("mdp").unwrap().pending_documents(), 0);
+
+    // doc0 is registered already: the batch it rides in is rejected whole
+    let mut h = Fnv::new();
+    for i in [101, 0, 102] {
+        sys.register_document("mdp", &provider(i, "c.hub.org", 150, 850))
+            .unwrap();
+    }
+    let rejected = sys.flush("mdp").unwrap_err();
+    h.text(&rejected.to_string());
+    assert!(sys
+        .mdp("mdp")
+        .unwrap()
+        .engine()
+        .document("doc101.rdf")
+        .is_none());
+
+    sys.register_document("mdp", &provider(103, "d.hub.org", 300, 900))
+        .unwrap();
+    sys.flush("mdp").unwrap();
+
+    digest(&sys, &mut h);
+    check("batch", h.0, PIN_BATCH_REJECTED);
+}
