@@ -154,10 +154,11 @@ echo "ok: BENCH_*.json files and EXPERIMENTS.md agree ($BENCH_COUNT files)"
 # Removed mechanisms stay removed from the docs: the filter-shard tier and
 # the matching knobs, the second grouped join body, the filter's thread
 # pool, the stored Raft snapshot table, the SQL text query path with its
-# join executors, and the filter's config struct may be named only where
-# their removal is recorded — DESIGN.md §8 and EXPERIMENTS.md "Removed
-# studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig'
+# join executors, the filter's config struct, and the hand-written
+# per-node retry, outbox, reorder-buffer and floor state that `channel.rs`
+# replaced may be named only where their removal is recorded — DESIGN.md
+# §8 and EXPERIMENTS.md "Removed studies".
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -194,6 +195,19 @@ for seed in "${CI_SEEDS[@]}"; do
   MDV_PROP_SEED="$seed" MDV_PROP_CASES=25 \
     cargo test -q --offline --test fault_sim >/dev/null
   echo "ok: fault_sim @ MDV_PROP_SEED=$seed"
+done
+
+# ---------------------------------------------------------------------------
+step "channel replay: the at-least-once channel alone across fixed seeds"
+# Replays the properties of `crates/system/src/channel.rs` (DESIGN.md §3b)
+# under the pinned seeds: seeded drop / duplicate / reorder / ack-loss
+# schedules over 1-3 senders deliver every sequence number once and in
+# order and drain every outbox, backoff doubles to its cap, parked
+# destinations are skipped and restored entries are due at once.
+for seed in "${CI_SEEDS[@]}"; do
+  MDV_PROP_SEED="$seed" MDV_PROP_CASES=200 \
+    cargo test -q --offline -p mdv-system --lib channel:: >/dev/null
+  echo "ok: channel @ MDV_PROP_SEED=$seed"
 done
 
 # ---------------------------------------------------------------------------

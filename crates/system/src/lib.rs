@@ -55,6 +55,7 @@
 //! `DESIGN.md` §4 holds the workspace-wide module map locating this
 //! crate's files.
 
+mod channel;
 pub mod client;
 pub mod error;
 pub mod gc;

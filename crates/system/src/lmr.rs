@@ -13,6 +13,7 @@ use mdv_rdf::{parse_document, write_document, Document, RdfSchema, RefKind, Reso
 use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
 use mdv_rulelang::{normalize, parse_rule, split_or, typecheck};
 
+use crate::channel::{Arrival, Inbox, Outbox};
 use crate::error::{Error, Result};
 use crate::gc::RefTracker;
 use crate::message::{Message, PublishMsg, RuleDelta};
@@ -66,40 +67,14 @@ pub struct LmrRule {
     pub status: RuleStatus,
 }
 
-/// Retry state of an unacked control message (Subscribe/Unsubscribe/
-/// FailoverHello).
-#[derive(Debug, Clone)]
-struct Retry {
-    /// Logical time of the next retransmission.
-    next_retry_ms: u64,
-    /// Current backoff interval (doubles per retry up to the config cap).
-    backoff_ms: u64,
-    /// Retransmissions performed so far; reaching the configured
-    /// `failover_attempts` budget counts as detected silence of the home
-    /// MDP (DESIGN.md §7).
-    attempts: u32,
-    /// `Some(last_seq)`: retransmit as a failover Resubscribe carrying this
-    /// catch-up key instead of a plain Subscribe.
-    resubscribe: Option<u64>,
-}
-
-impl Retry {
-    fn new(net: &Network) -> Self {
-        let backoff = net.config().retry_initial_ms;
-        Retry {
-            next_retry_ms: net.now_ms() + backoff,
-            backoff_ms: backoff,
-            attempts: 0,
-            resubscribe: None,
-        }
-    }
-
-    fn resubscribe(net: &Network, last_seq: u64) -> Self {
-        Retry {
-            resubscribe: Some(last_seq),
-            ..Retry::new(net)
-        }
-    }
+/// The key of an unacked control message in the LMR's outbox. The derived
+/// order — every Subscribe (or Resubscribe), then every Unsubscribe, then
+/// the FailoverHello — is the order of retransmission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Control {
+    Sub(u64),
+    Unsub(u64),
+    Hello,
 }
 
 /// A Local Metadata Repository, generic over its cache's storage backend
@@ -116,8 +91,6 @@ pub struct Lmr<S: StorageEngine = Database> {
     /// Failover in progress: the FailoverHello is out, the dedup floor is
     /// not yet synced with the new home, so publications are discarded.
     awaiting_welcome: bool,
-    /// Retry state of the unacked FailoverHello.
-    hello_retry: Option<Retry>,
     schema: RdfSchema,
     pub(crate) cache: S,
     /// Mirror node state into the `Lmr*` tables (durable backends only).
@@ -126,26 +99,26 @@ pub struct Lmr<S: StorageEngine = Database> {
     pub(crate) rules: BTreeMap<u64, LmrRule>,
     pub(crate) next_rule: u64,
     pub(crate) local_docs: HashMap<String, Document>,
-    /// Next publication sequence number expected from the MDP.
-    pub(crate) next_pub_seq: u64,
-    /// Publications received out of order, parked until the gap closes.
-    pub_buffer: BTreeMap<u64, PublishMsg>,
+    /// The publication stream of the home MDP: one floor (whichever MDP is
+    /// home) and the envelopes parked above it.
+    pub(crate) home: Inbox<(), PublishMsg>,
     /// Rules retracted locally: late/duplicated publications for them are
     /// acked and discarded instead of resurrecting cache entries.
     dead_rules: HashSet<u64>,
-    /// Subscribe messages awaiting their SubscribeAck, keyed by rule id.
-    sub_retry: BTreeMap<u64, Retry>,
-    /// Unsubscribe messages awaiting their UnsubscribeAck, keyed by rule id.
-    unsub_retry: BTreeMap<u64, Retry>,
+    /// Control messages awaiting their ack: Subscribe/Resubscribe and
+    /// Unsubscribe per rule, and the FailoverHello. Reaching the configured
+    /// `failover_attempts` retransmissions of a rule's message counts as
+    /// detected silence of the home MDP (DESIGN.md §7).
+    control: Outbox<Control, Message>,
     /// Placement mode (DESIGN.md §11): publications legitimately arrive
     /// from every shard primary, not only the home MDP, each on its own
     /// per-sender sequence stream.
     placement: bool,
-    /// Next publication sequence expected per non-home sender (placement
-    /// mode only). Out-of-order alt-stream arrivals are *not* buffered:
-    /// they are dropped unacked, and the sender's in-order outbox
-    /// retransmission redelivers them once the gap closes.
-    alt_next_seq: BTreeMap<String, u64>,
+    /// The per-sender streams of non-home primaries (placement mode only).
+    /// Nothing is parked here: an arrival above a floor is dropped unacked,
+    /// and the sender's in-order retransmission redelivers it once the gap
+    /// closes.
+    pub(crate) alt: Inbox<String, PublishMsg>,
 }
 
 impl Lmr {
@@ -201,7 +174,7 @@ impl<S: StorageEngine> Lmr<S> {
         let mut next_rule = 0;
         let mut next_pub_seq = 0;
         let mut placement = false;
-        let mut alt_next_seq = BTreeMap::new();
+        let mut alt = Inbox::default();
         for row in mirror::rows_sorted(db, T_META) {
             let (Some(key), Some(val)) = (row[0].as_str(), row[1].as_int()) else {
                 return Err(corrupt(T_META));
@@ -211,9 +184,7 @@ impl<S: StorageEngine> Lmr<S> {
                 "next_pub_seq" => next_pub_seq = val as u64,
                 "placement" => placement = val != 0,
                 other => match other.strip_prefix("alt:") {
-                    Some(sender) => {
-                        alt_next_seq.insert(sender.to_owned(), val as u64);
-                    }
+                    Some(sender) => alt.set_floor(sender.to_owned(), val as u64),
                     None => {
                         return Err(Error::Topology(format!(
                             "unknown {T_META} counter '{other}'"
@@ -253,14 +224,15 @@ impl<S: StorageEngine> Lmr<S> {
             let doc = parse_document(uri, xml).map_err(mdv_filter::Error::from)?;
             local_docs.insert(uri.to_owned(), doc);
         }
-        let mut pub_buffer = BTreeMap::new();
+        let mut stream = Inbox::default();
+        stream.set_floor((), next_pub_seq);
         for row in mirror::rows_sorted(db, T_PUBBUF) {
             let Some(wire) = row[1].as_str() else {
                 return Err(corrupt(T_PUBBUF));
             };
             let msg = PublishMsg::from_wire(wire)
                 .map_err(|e| Error::Topology(format!("corrupt buffered publication: {e}")))?;
-            pub_buffer.insert(msg.seq, msg);
+            stream.park((), msg.seq, msg);
         }
         let mut dead_rules = HashSet::new();
         for row in mirror::rows_sorted(db, T_DEAD) {
@@ -297,12 +269,11 @@ impl<S: StorageEngine> Lmr<S> {
         lmr.awaiting_welcome = awaiting;
         lmr.rules = rules;
         lmr.next_rule = next_rule;
-        lmr.next_pub_seq = next_pub_seq;
+        lmr.home = stream;
         lmr.local_docs = local_docs;
-        lmr.pub_buffer = pub_buffer;
         lmr.dead_rules = dead_rules;
         lmr.placement = placement;
-        lmr.alt_next_seq = alt_next_seq;
+        lmr.alt = alt;
         lmr.rebuild_tracker(&matches)?;
         Ok(lmr)
     }
@@ -368,7 +339,6 @@ impl<S: StorageEngine> Lmr<S> {
             mdp: mdp.to_owned(),
             backup: None,
             awaiting_welcome: false,
-            hello_retry: None,
             schema,
             cache,
             mirror,
@@ -376,13 +346,11 @@ impl<S: StorageEngine> Lmr<S> {
             rules: BTreeMap::new(),
             next_rule: 0,
             local_docs: HashMap::new(),
-            next_pub_seq: 0,
-            pub_buffer: BTreeMap::new(),
+            home: Inbox::default(),
             dead_rules: HashSet::new(),
-            sub_retry: BTreeMap::new(),
-            unsub_retry: BTreeMap::new(),
+            control: Outbox::default(),
             placement: false,
-            alt_next_seq: BTreeMap::new(),
+            alt: Inbox::default(),
         }
     }
 
@@ -424,35 +392,14 @@ impl<S: StorageEngine> Lmr<S> {
     /// clears those.
     pub fn rearm_after_recovery(&mut self, net: &Network) -> Result<()> {
         if self.awaiting_welcome {
-            net.send(
-                &self.name,
-                &self.mdp,
-                Message::FailoverHello {
-                    last_seq: self.next_pub_seq,
-                },
-            )?;
-            self.hello_retry = Some(Retry::new(net));
+            let last_seq = self.next_pub_seq();
+            self.send_control(Control::Hello, Message::FailoverHello { last_seq }, net)?;
             // resubscribes follow once the welcome syncs the floor
             return self.rearm_dead_rules(net);
         }
-        let pending: Vec<(u64, String)> = self
-            .rules
-            .iter()
-            .filter(|(_, r)| r.status == RuleStatus::Pending)
-            .map(|(id, r)| (*id, r.text.clone()))
-            .collect();
-        for (id, text) in pending {
-            net.send(
-                &self.name,
-                &self.mdp,
-                Message::Resubscribe {
-                    lmr_rule: id,
-                    rule_text: text,
-                    last_seq: self.next_pub_seq,
-                },
-            )?;
-            self.sub_retry
-                .insert(id, Retry::resubscribe(net, self.next_pub_seq));
+        let pending = self.rule_ids(|r| r.status == RuleStatus::Pending);
+        for id in pending {
+            self.send_resubscribe(id, net)?;
         }
         self.rearm_dead_rules(net)
     }
@@ -461,14 +408,47 @@ impl<S: StorageEngine> Lmr<S> {
         let mut dead: Vec<u64> = self.dead_rules.iter().copied().collect();
         dead.sort_unstable();
         for rule in dead {
-            net.send(
-                &self.name,
-                &self.mdp,
-                Message::Unsubscribe { lmr_rule: rule },
-            )?;
-            self.unsub_retry.insert(rule, Retry::new(net));
+            let msg = Message::Unsubscribe { lmr_rule: rule };
+            self.send_control(Control::Unsub(rule), msg, net)?;
         }
         Ok(())
+    }
+
+    /// Sends a control message to the home MDP and keeps it for
+    /// retransmission until its ack arrives.
+    fn send_control(&mut self, key: Control, msg: Message, net: &Network) -> Result<()> {
+        net.send(&self.name, &self.mdp, msg.clone())?;
+        let initial = net.config().retry_initial_ms;
+        self.control.push(key, msg, net.now_ms(), initial);
+        Ok(())
+    }
+
+    /// Sends rule `id` to the home MDP as a Resubscribe keyed by the next
+    /// sequence number this LMR expects, and keeps it for retransmission.
+    fn send_resubscribe(&mut self, id: u64, net: &Network) -> Result<()> {
+        let Some(rule) = self.rules.get(&id) else {
+            return Ok(());
+        };
+        let msg = Message::Resubscribe {
+            lmr_rule: id,
+            rule_text: rule.text.clone(),
+            last_seq: self.next_pub_seq(),
+        };
+        self.send_control(Control::Sub(id), msg, net)
+    }
+
+    /// The ids of the rules `keep` selects, in id order.
+    fn rule_ids(&self, keep: impl Fn(&LmrRule) -> bool) -> Vec<u64> {
+        self.rules
+            .iter()
+            .filter(|(_, r)| keep(r))
+            .map(|(id, _)| *id)
+            .collect()
+    }
+
+    /// The next publication sequence number expected from the home MDP.
+    pub(crate) fn next_pub_seq(&self) -> u64 {
+        self.home.floor(&())
     }
 
     // ---- mirror writes (no-ops on memory-backed nodes) -------------------
@@ -637,15 +617,11 @@ impl<S: StorageEngine> Lmr<S> {
             );
             this.mirror_meta("next_rule", this.next_rule)?;
             this.mirror_rule_upsert(id)?;
-            net.send(
-                &this.name,
-                &this.mdp,
-                Message::Subscribe {
-                    lmr_rule: id,
-                    rule_text: rule_text.to_owned(),
-                },
-            )?;
-            this.sub_retry.insert(id, Retry::new(net));
+            let msg = Message::Subscribe {
+                lmr_rule: id,
+                rule_text: rule_text.to_owned(),
+            };
+            this.send_control(Control::Sub(id), msg, net)?;
             Ok(id)
         })
     }
@@ -663,15 +639,10 @@ impl<S: StorageEngine> Lmr<S> {
             let unmatched = this.tracker.remove_rule(rule);
             this.mirror_rule_delete(rule)?;
             this.collect_from(unmatched)?;
-            this.sub_retry.remove(&rule);
+            this.control.ack(&Control::Sub(rule));
             this.dead_rules.insert(rule);
-            net.send(
-                &this.name,
-                &this.mdp,
-                Message::Unsubscribe { lmr_rule: rule },
-            )?;
-            this.unsub_retry.insert(rule, Retry::new(net));
-            Ok(())
+            let msg = Message::Unsubscribe { lmr_rule: rule };
+            this.send_control(Control::Unsub(rule), msg, net)
         })
     }
 
@@ -752,7 +723,7 @@ impl<S: StorageEngine> Lmr<S> {
     fn handle_inner(&mut self, env: Envelope, net: &Network) -> Result<()> {
         match env.message {
             Message::SubscribeAck { lmr_rule, error } => {
-                self.sub_retry.remove(&lmr_rule);
+                self.control.ack(&Control::Sub(lmr_rule));
                 if let Some(rule) = self.rules.get_mut(&lmr_rule) {
                     rule.status = match error {
                         None => RuleStatus::Active,
@@ -763,7 +734,7 @@ impl<S: StorageEngine> Lmr<S> {
                 Ok(())
             }
             Message::UnsubscribeAck { lmr_rule } => {
-                self.unsub_retry.remove(&lmr_rule);
+                self.control.ack(&Control::Unsub(lmr_rule));
                 Ok(())
             }
             Message::FailoverWelcome { next_seq } => self.receive_welcome(&env.from, next_seq, net),
@@ -786,36 +757,23 @@ impl<S: StorageEngine> Lmr<S> {
         if from != self.mdp || !self.awaiting_welcome {
             return Ok(()); // stale handshake from a previous home
         }
-        self.hello_retry = None;
+        self.control.ack(&Control::Hello);
         self.awaiting_welcome = false;
-        self.next_pub_seq = next_seq;
+        // a new stream: what was parked came from the previous home
+        self.home = Inbox::default();
+        self.home.set_floor((), next_seq);
         self.mirror_meta("next_pub_seq", next_seq)?;
         self.mirror_home()?;
-        self.pub_buffer.clear();
         if self.mirror {
             mirror::clear(&mut self.cache, T_PUBBUF)?;
         }
-        let live: Vec<(u64, String)> = self
-            .rules
-            .iter()
-            .filter(|(_, r)| !matches!(r.status, RuleStatus::Failed(_)))
-            .map(|(id, r)| (*id, r.text.clone()))
-            .collect();
-        for (id, text) in live {
+        let live = self.rule_ids(|r| !matches!(r.status, RuleStatus::Failed(_)));
+        for id in live {
             if let Some(rule) = self.rules.get_mut(&id) {
                 rule.status = RuleStatus::Pending;
             }
             self.mirror_rule_upsert(id)?;
-            net.send(
-                &self.name,
-                &self.mdp,
-                Message::Resubscribe {
-                    lmr_rule: id,
-                    rule_text: text,
-                    last_seq: next_seq,
-                },
-            )?;
-            self.sub_retry.insert(id, Retry::resubscribe(net, next_seq));
+            self.send_resubscribe(id, net)?;
         }
         Ok(())
     }
@@ -854,36 +812,37 @@ impl<S: StorageEngine> Lmr<S> {
             // snapshot that follows the welcome supersedes this.
             return Ok(());
         }
-        if msg.seq < self.next_pub_seq || self.pub_buffer.contains_key(&msg.seq) {
-            return Ok(()); // duplicate (retransmission or injected copy)
-        }
-        // Only a parked envelope gets an `LmrPubBuffer` row: one at the
-        // floor is applied in this commit group, so a row for it would be
-        // deleted before it became durable.
-        if msg.seq > self.next_pub_seq {
-            if self.mirror {
-                let row = vec![i(msg.seq), s(&msg.to_wire())];
-                mirror::insert(&mut self.cache, T_PUBBUF, row)?;
+        match self.home.arrival(&(), msg.seq) {
+            // a retransmission or an injected copy
+            Arrival::Duplicate => Ok(()),
+            // Only a parked envelope gets an `LmrPubBuffer` row: one at the
+            // floor is applied in this commit group, so a row for it would
+            // be deleted before it became durable.
+            Arrival::Ahead => {
+                if self.mirror {
+                    let row = vec![i(msg.seq), s(&msg.to_wire())];
+                    mirror::insert(&mut self.cache, T_PUBBUF, row)?;
+                }
+                self.home.park((), msg.seq, msg);
+                Ok(())
             }
-            self.pub_buffer.insert(msg.seq, msg);
-            return Ok(());
+            // each envelope moves the floor past itself; a parked one also
+            // drops its buffer row
+            Arrival::Next => Inbox::deliver(
+                self,
+                |this| &mut this.home,
+                &(),
+                msg.seq,
+                msg,
+                |this, seq, msg, parked| {
+                    this.mirror_meta("next_pub_seq", seq + 1)?;
+                    if parked && this.mirror {
+                        mirror::delete_where(&mut this.cache, T_PUBBUF, vec![i(seq)])?;
+                    }
+                    this.apply_envelope(msg)
+                },
+            ),
         }
-        self.apply_at_floor(msg, false)?;
-        while let Some(next) = self.pub_buffer.remove(&self.next_pub_seq) {
-            self.apply_at_floor(next, true)?;
-        }
-        Ok(())
-    }
-
-    /// Applies the envelope at the floor and moves the floor past it;
-    /// `parked` drops its buffer row.
-    fn apply_at_floor(&mut self, msg: PublishMsg, parked: bool) -> Result<()> {
-        self.next_pub_seq += 1;
-        self.mirror_meta("next_pub_seq", self.next_pub_seq)?;
-        if parked && self.mirror {
-            mirror::delete_where(&mut self.cache, T_PUBBUF, vec![i(msg.seq)])?;
-        }
-        self.apply_envelope(msg)
     }
 
     /// The placement-mode receive path for an envelope from a non-home
@@ -898,26 +857,26 @@ impl<S: StorageEngine> Lmr<S> {
         msg: PublishMsg,
         net: &Network,
     ) -> Result<()> {
-        let expected = self.alt_next_seq.get(from).copied().unwrap_or(0);
-        if msg.seq > expected {
+        let sender = from.to_owned();
+        let arrival = self.alt.arrival(&sender, msg.seq);
+        if arrival == Arrival::Ahead {
             return Ok(()); // gap: withhold the ack, let retransmission reorder
         }
         net.send(&self.name, from, Message::PublishAck { seq: msg.seq })?;
-        if msg.seq < expected {
-            return Ok(()); // duplicate
+        if arrival == Arrival::Duplicate {
+            return Ok(());
         }
-        let next = expected + 1;
-        self.alt_next_seq.insert(from.to_owned(), next);
-        let meta_key = format!("alt:{from}");
-        self.mirror_meta(&meta_key, next)?;
-        // alt streams never carry snapshots (resubscription is a failover
-        // feature, and placement + backup failover is rejected upstream)
+        // nothing is parked, so nothing follows it; alt streams never carry
+        // snapshots (resubscription is a failover feature, and placement +
+        // backup failover is rejected upstream)
+        self.alt.set_floor(sender, msg.seq + 1);
+        self.mirror_meta(&format!("alt:{from}"), msg.seq + 1)?;
         self.apply_envelope(msg)
     }
 
     /// Publications parked behind a sequence gap.
     pub fn buffered_publications(&self) -> usize {
-        self.pub_buffer.len()
+        self.home.parked()
     }
 
     /// Earliest scheduled control-message retransmission, if any. Entries
@@ -925,19 +884,24 @@ impl<S: StorageEngine> Lmr<S> {
     /// that a stranded LMR does not drive the clock while nothing can make
     /// progress; they resume automatically once the home heals.
     pub fn next_retry_at(&self, net: &Network) -> Option<u64> {
-        let budget = net.config().failover_attempts;
-        let home_down = net.is_down(&self.mdp);
-        let can_fail_over = self
-            .backup
+        let parked = self.parked_after(net);
+        self.control
+            .next_retry_at(|_, p| parked.is_some_and(|n| p.attempts >= n))
+    }
+
+    /// Whether the home MDP can be failed away from: a backup is configured
+    /// and reachable.
+    fn can_fail_over(&self, net: &Network) -> bool {
+        self.backup
             .as_ref()
-            .is_some_and(|b| *b != self.mdp && !net.is_down(b));
-        self.sub_retry
-            .values()
-            .chain(self.unsub_retry.values())
-            .chain(self.hello_retry.iter())
-            .filter(|r| !(home_down && r.attempts >= budget && !can_fail_over))
-            .map(|r| r.next_retry_ms)
-            .min()
+            .is_some_and(|b| *b != self.mdp && !net.is_down(b))
+    }
+
+    /// The attempt count from which control messages are parked, if any:
+    /// entries to a silent home with no failover target stop retrying once
+    /// the budget is spent, and resume when the home heals.
+    fn parked_after(&self, net: &Network) -> Option<u32> {
+        (net.is_down(&self.mdp) && !self.can_fail_over(net)).then(|| net.config().failover_attempts)
     }
 
     /// Retransmits every unacked Subscribe/Unsubscribe/FailoverHello whose
@@ -946,118 +910,36 @@ impl<S: StorageEngine> Lmr<S> {
     /// home MDP and triggers failover to the configured backup, if one is
     /// reachable (DESIGN.md §7).
     pub fn retransmit_due(&mut self, net: &Network) -> Result<bool> {
-        let now = net.now_ms();
-        let cfg = net.config();
-        let max = cfg.retry_max_ms;
-        let budget = cfg.failover_attempts;
-        let home_down = net.is_down(&self.mdp);
-        let can_fail_over = self
-            .backup
-            .as_ref()
-            .is_some_and(|b| *b != self.mdp && !net.is_down(b));
-        // entries to a silent home with no failover target are parked; they
-        // resume once the home heals
-        let parked = |r: &Retry| home_down && r.attempts >= budget && !can_fail_over;
-        let mut resent = false;
+        let budget = net.config().failover_attempts;
+        let parked = self.parked_after(net);
+        let can_fail_over = self.can_fail_over(net);
         let mut exhausted = false;
-        // defensive: a retry entry whose rule vanished can never be acked
-        let rules = &self.rules;
-        self.sub_retry.retain(|id, _| rules.contains_key(id));
-        for (id, retry) in self.sub_retry.iter_mut() {
-            if retry.next_retry_ms > now || parked(retry) {
-                continue;
+        let (name, home) = (&self.name, &self.mdp);
+        let resent = self.control.retransmit_due(
+            net.now_ms(),
+            net.config().retry_max_ms,
+            |_, p| parked.is_some_and(|n| p.attempts >= n),
+            |_, msg, attempts| {
+                exhausted |= attempts >= budget;
+                net.send_retry(name, home, msg.clone())
+            },
+        )?;
+        match self.backup.clone() {
+            Some(backup) if exhausted && can_fail_over && !self.awaiting_welcome => {
+                self.rehome_to(&backup, net)?;
+                Ok(true)
             }
-            let rule = &self.rules[id];
-            let msg = match retry.resubscribe {
-                Some(last_seq) => Message::Resubscribe {
-                    lmr_rule: *id,
-                    rule_text: rule.text.clone(),
-                    last_seq,
-                },
-                None => Message::Subscribe {
-                    lmr_rule: *id,
-                    rule_text: rule.text.clone(),
-                },
-            };
-            net.send_retry(&self.name, &self.mdp, msg)?;
-            retry.attempts += 1;
-            retry.backoff_ms = (retry.backoff_ms * 2).min(max);
-            retry.next_retry_ms = now + retry.backoff_ms;
-            resent = true;
-            exhausted |= retry.attempts >= budget;
+            _ => Ok(resent),
         }
-        for (id, retry) in self.unsub_retry.iter_mut() {
-            if retry.next_retry_ms > now || parked(retry) {
-                continue;
-            }
-            net.send_retry(
-                &self.name,
-                &self.mdp,
-                Message::Unsubscribe { lmr_rule: *id },
-            )?;
-            retry.attempts += 1;
-            retry.backoff_ms = (retry.backoff_ms * 2).min(max);
-            retry.next_retry_ms = now + retry.backoff_ms;
-            resent = true;
-            exhausted |= retry.attempts >= budget;
-        }
-        if let Some(retry) = self.hello_retry.as_mut() {
-            if retry.next_retry_ms <= now && !parked(retry) {
-                net.send_retry(
-                    &self.name,
-                    &self.mdp,
-                    Message::FailoverHello {
-                        last_seq: self.next_pub_seq,
-                    },
-                )?;
-                retry.attempts += 1;
-                retry.backoff_ms = (retry.backoff_ms * 2).min(max);
-                retry.next_retry_ms = now + retry.backoff_ms;
-                resent = true;
-            }
-        }
-        if exhausted && can_fail_over && !self.awaiting_welcome {
-            self.start_failover(net)?;
-            resent = true;
-        }
-        Ok(resent)
     }
 
-    /// Switches home to the configured backup and opens the failover
-    /// handshake. In-flight retries against the old home are dropped: live
-    /// rules are re-registered wholesale once the welcome arrives, and
-    /// retracted rules get retired at the old home lazily, by the cleanup
-    /// unsubscribes its stray publications trigger after a heal.
-    fn start_failover(&mut self, net: &Network) -> Result<()> {
-        let Some(backup) = self.backup.clone() else {
-            return Ok(());
-        };
-        if backup == self.mdp {
-            return Ok(());
-        }
-        self.with_group(|this| {
-            this.mdp = backup;
-            this.awaiting_welcome = true;
-            this.mirror_home()?;
-            this.sub_retry.clear();
-            this.unsub_retry.clear();
-            net.send(
-                &this.name,
-                &this.mdp,
-                Message::FailoverHello {
-                    last_seq: this.next_pub_seq,
-                },
-            )?;
-            this.hello_retry = Some(Retry::new(net));
-            Ok(())
-        })
-    }
-
-    /// Re-homes this LMR to an explicit target MDP — the automatic-failover
-    /// entry point of Raft mode (DESIGN.md §9), where the orchestrator
-    /// steers every LMR to the current leader instead of a manually
-    /// configured backup. Same handshake as [`Lmr::start_failover`]: the
-    /// welcome triggers a wholesale resubscribe of every live rule.
+    /// Switches home to `target` and opens the failover handshake: to the
+    /// configured backup once the home goes silent, or — the automatic
+    /// failover of Raft mode (DESIGN.md §9) — to the leader the orchestrator
+    /// steers every LMR to. In-flight retries against the old home are
+    /// dropped: live rules are re-registered wholesale once the welcome
+    /// arrives, and retracted rules get retired at the old home lazily, by
+    /// the cleanup unsubscribes its stray publications trigger after a heal.
     pub(crate) fn rehome_to(&mut self, target: &str, net: &Network) -> Result<()> {
         if target == self.mdp {
             return Ok(());
@@ -1067,17 +949,9 @@ impl<S: StorageEngine> Lmr<S> {
             this.mdp = target;
             this.awaiting_welcome = true;
             this.mirror_home()?;
-            this.sub_retry.clear();
-            this.unsub_retry.clear();
-            net.send(
-                &this.name,
-                &this.mdp,
-                Message::FailoverHello {
-                    last_seq: this.next_pub_seq,
-                },
-            )?;
-            this.hello_retry = Some(Retry::new(net));
-            Ok(())
+            this.control = Outbox::default();
+            let last_seq = this.next_pub_seq();
+            this.send_control(Control::Hello, Message::FailoverHello { last_seq }, net)
         })
     }
 

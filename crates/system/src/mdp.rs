@@ -10,8 +10,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use mdv_filter::{BaseStore, FilterEngine, Publication, SubscriptionId};
 use mdv_rdf::{parse_document, write_document, Document, RdfSchema, Resource};
-use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
+use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine, Value};
 
+use crate::channel::{Arrival, Inbox, Outbox, SeqCounters};
 use crate::error::{Error, Result};
 use crate::message::{DigestEntry, Message, PublishMsg, RepairDoc, RuleDelta};
 use crate::mirror::{self, i, s};
@@ -28,21 +29,11 @@ pub(crate) const T_PUBSEQ: &str = "SysPubSeq"; // lmr, next_seq
 const T_OUTBOX: &str = "SysOutbox"; // lmr, seq, wire-form publication
 pub(crate) const T_RETIRED: &str = "SysRetired"; // lmr, rule
 const T_DOCVER: &str = "SysDocVersions"; // uri, version, deleted
-const T_RSEQ: &str = "SysReplSeq"; // peer, next_seq (outgoing)
-const T_RFLOOR: &str = "SysReplFloor"; // peer, next_seq (incoming)
+pub(crate) const T_RSEQ: &str = "SysReplSeq"; // peer, next_seq (outgoing)
+pub(crate) const T_RFLOOR: &str = "SysReplFloor"; // peer, next_seq (incoming)
 const T_ROUT: &str = "SysReplOutbox"; // peer, seq, kind, version, uri, xml
 const T_RBUF: &str = "SysReplBuffer"; // peer, seq, kind, version, uri, xml
 const T_PLACE: &str = "SysPlacement"; // key, val (installed placement table)
-
-/// An unacked publication awaiting retransmission (at-least-once delivery).
-#[derive(Debug, Clone)]
-struct Outgoing {
-    msg: PublishMsg,
-    /// Logical time of the next retransmission.
-    next_retry_ms: u64,
-    /// Current backoff interval (doubles per retry up to the config cap).
-    backoff_ms: u64,
-}
 
 /// What building the envelopes of one document operation has looked up in
 /// the engine so far. A document that fires many rules closes over the same
@@ -104,100 +95,80 @@ pub(crate) struct DocMeta {
 }
 
 /// One replicated document operation, as carried by the backbone
-/// at-least-once channel and its durable outbox/reorder-buffer mirrors.
+/// at-least-once channel and its durable outbox/reorder-buffer mirrors. A
+/// deletion carries no XML.
 #[derive(Debug, Clone, PartialEq)]
-enum ReplOp {
-    Register {
-        uri: String,
-        version: u64,
-        xml: String,
-    },
-    Update {
-        uri: String,
-        version: u64,
-        xml: String,
-    },
-    Delete {
-        uri: String,
-        version: u64,
-    },
+struct ReplOp {
+    kind: ReplKind,
+    uri: String,
+    version: u64,
+    xml: String,
+}
+
+/// What a [`ReplOp`] does; the discriminant is its tag in the mirror rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ReplKind {
+    Register = 0,
+    Update = 1,
+    Delete = 2,
 }
 
 impl ReplOp {
-    fn uri(&self) -> &str {
-        match self {
-            ReplOp::Register { uri, .. }
-            | ReplOp::Update { uri, .. }
-            | ReplOp::Delete { uri, .. } => uri,
+    fn new(kind: ReplKind, uri: impl Into<String>, version: u64, xml: String) -> Self {
+        let uri = uri.into();
+        ReplOp {
+            kind,
+            uri,
+            version,
+            xml,
         }
     }
 
-    fn kind_tag(&self) -> i64 {
-        match self {
-            ReplOp::Register { .. } => 0,
-            ReplOp::Update { .. } => 1,
-            ReplOp::Delete { .. } => 2,
-        }
-    }
-
-    fn fields(&self) -> (u64, &str, &str) {
-        match self {
-            ReplOp::Register { uri, version, xml } | ReplOp::Update { uri, version, xml } => {
-                (*version, uri.as_str(), xml.as_str())
-            }
-            ReplOp::Delete { uri, version } => (*version, uri.as_str(), ""),
-        }
+    /// The `(kind tag, version, uri, xml)` columns of a mirror row, and back.
+    fn row(&self) -> Vec<Value> {
+        let kind = self.kind as u64;
+        vec![i(kind), i(self.version), s(&self.uri), s(&self.xml)]
     }
 
     fn from_parts(kind: i64, version: u64, uri: &str, xml: &str) -> Option<ReplOp> {
-        Some(match kind {
-            0 => ReplOp::Register {
-                uri: uri.to_owned(),
-                version,
-                xml: xml.to_owned(),
-            },
-            1 => ReplOp::Update {
-                uri: uri.to_owned(),
-                version,
-                xml: xml.to_owned(),
-            },
-            2 => ReplOp::Delete {
-                uri: uri.to_owned(),
-                version,
-            },
+        let kind = match kind {
+            0 => ReplKind::Register,
+            1 => ReplKind::Update,
+            2 => ReplKind::Delete,
             _ => return None,
-        })
+        };
+        Some(ReplOp::new(kind, uri, version, xml.to_owned()))
     }
 
+    /// The wire message carrying the operation as number `seq` of its
+    /// stream.
     fn into_message(self, seq: u64) -> Message {
-        match self {
-            ReplOp::Register { uri, version, xml } => Message::ReplicateRegister {
+        let ReplOp {
+            kind,
+            uri: document_uri,
+            version,
+            xml,
+        } = self;
+        match kind {
+            ReplKind::Register => Message::ReplicateRegister {
                 seq,
                 version,
-                document_uri: uri,
+                document_uri,
                 xml,
             },
-            ReplOp::Update { uri, version, xml } => Message::ReplicateUpdate {
+            ReplKind::Update => Message::ReplicateUpdate {
                 seq,
                 version,
-                document_uri: uri,
+                document_uri,
                 xml,
             },
-            ReplOp::Delete { uri, version } => Message::ReplicateDelete {
+            ReplKind::Delete => Message::ReplicateDelete {
                 seq,
                 version,
-                document_uri: uri,
+                document_uri,
             },
         }
     }
-}
-
-/// An unacked replicated operation awaiting retransmission.
-#[derive(Debug, Clone)]
-struct ReplOutgoing {
-    op: ReplOp,
-    next_retry_ms: u64,
-    backoff_ms: u64,
 }
 
 /// FNV-1a (64-bit) over a canonical RDF/XML serialization; the content
@@ -244,21 +215,19 @@ pub struct Mdp<S: StorageEngine = Database> {
     batch_size: Option<usize>,
     pending: Vec<Document>,
     /// Next publication sequence number per subscriber LMR.
-    pub(crate) next_pub_seq: HashMap<String, u64>,
-    /// Unacked publications keyed `(lmr, seq)`; BTreeMap so retransmission
-    /// order is deterministic.
-    outbox: BTreeMap<(String, u64), Outgoing>,
+    pub(crate) next_pub_seq: SeqCounters,
+    /// Unacked publications keyed `(lmr, seq)`.
+    outbox: Outbox<(String, u64), PublishMsg>,
     /// Per-URI replication metadata (version + tombstone); tombstones are
     /// retained so deletions win over stale replicated registrations.
     doc_meta: BTreeMap<String, DocMeta>,
     /// Next outgoing replication sequence number per backbone peer.
-    repl_next_seq: HashMap<String, u64>,
+    repl_seq: SeqCounters,
     /// Unacked replicated operations keyed `(peer, seq)`.
-    repl_outbox: BTreeMap<(String, u64), ReplOutgoing>,
-    /// Next incoming replication sequence expected per backbone peer.
-    repl_floor: HashMap<String, u64>,
-    /// Out-of-order replicated operations parked until the floor closes.
-    repl_buffer: BTreeMap<(String, u64), ReplOp>,
+    repl_out: Outbox<(String, u64), ReplOp>,
+    /// Incoming replication streams: a floor per backbone peer and the
+    /// operations parked above it.
+    repl_in: Inbox<String, ReplOp>,
     /// Raft consensus state when the backbone runs in
     /// [`crate::raft::ReplicationMode::Raft`]; `None` in LWW mode, where the
     /// replication fields above carry the backbone instead.
@@ -409,13 +378,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             peers: Vec::new(),
             batch_size: None,
             pending: Vec::new(),
-            next_pub_seq: HashMap::new(),
-            outbox: BTreeMap::new(),
+            next_pub_seq: SeqCounters::default(),
+            outbox: Outbox::default(),
             doc_meta: BTreeMap::new(),
-            repl_next_seq: HashMap::new(),
-            repl_outbox: BTreeMap::new(),
-            repl_floor: HashMap::new(),
-            repl_buffer: BTreeMap::new(),
+            repl_seq: SeqCounters::default(),
+            repl_out: Outbox::default(),
+            repl_in: Inbox::default(),
             raft: None,
             placement: None,
         }
@@ -480,34 +448,17 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         mirror::insert_unique(store, T_RETIRED, vec![s(lmr), i(rule)])
     }
 
-    fn mirror_outbox_insert(&mut self, lmr: &str, msg: &PublishMsg) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::insert(
-            self.engine.storage_mut(),
-            T_OUTBOX,
-            vec![s(lmr), i(msg.seq), s(&msg.to_wire())],
-        )
-    }
-
-    fn mirror_outbox_remove(&mut self, lmr: &str, seq: u64) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::delete_where(self.engine.storage_mut(), T_OUTBOX, vec![s(lmr), i(seq)])?;
-        Ok(())
-    }
-
-    pub(crate) fn mirror_pub_seq(&mut self, lmr: &str, next_seq: u64) -> Result<()> {
+    /// Upserts a stream counter row — `SysPubSeq`, `SysReplSeq` or
+    /// `SysReplFloor` — keyed by the other end of the stream.
+    pub(crate) fn mirror_counter(&mut self, table: &str, node: &str, next_seq: u64) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
         mirror::upsert_where(
             self.engine.storage_mut(),
-            T_PUBSEQ,
-            vec![s(lmr)],
-            vec![s(lmr), i(next_seq)],
+            table,
+            vec![s(node)],
+            vec![s(node), i(next_seq)],
         )
     }
 
@@ -542,60 +493,30 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         Ok(())
     }
 
-    fn mirror_repl_seq(&mut self, peer: &str, next_seq: u64) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::upsert_where(
-            self.engine.storage_mut(),
-            T_RSEQ,
-            vec![s(peer)],
-            vec![s(peer), i(next_seq)],
-        )
-    }
-
-    fn mirror_repl_floor(&mut self, peer: &str, next_seq: u64) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::upsert_where(
-            self.engine.storage_mut(),
-            T_RFLOOR,
-            vec![s(peer)],
-            vec![s(peer), i(next_seq)],
-        )
-    }
-
-    fn mirror_repl_row_insert(
+    /// Inserts the `(node, seq)` row of a message kept on a stream, `body`
+    /// its remaining columns: a publication's wire form in `SysOutbox`, a
+    /// replicated operation in `SysReplOutbox` and `SysReplBuffer`.
+    fn mirror_seq_row_insert(
         &mut self,
         table: &str,
-        peer: &str,
+        node: &str,
         seq: u64,
-        op: &ReplOp,
+        body: impl FnOnce() -> Vec<Value>,
     ) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
-        let (version, uri, xml) = op.fields();
-        mirror::insert(
-            self.engine.storage_mut(),
-            table,
-            vec![
-                s(peer),
-                i(seq),
-                i(op.kind_tag() as u64),
-                i(version),
-                s(uri),
-                s(xml),
-            ],
-        )
+        let row = [vec![s(node), i(seq)], body()].concat();
+        mirror::insert(self.engine.storage_mut(), table, row)
     }
 
-    fn mirror_repl_row_remove(&mut self, table: &str, peer: &str, seq: u64) -> Result<()> {
+    /// Deletes the `(node, seq)` row of a stream message: an acked
+    /// `SysOutbox` or `SysReplOutbox` entry, a delivered `SysReplBuffer` one.
+    fn mirror_seq_row_remove(&mut self, table: &str, node: &str, seq: u64) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete_where(self.engine.storage_mut(), table, vec![s(peer), i(seq)])?;
+        mirror::delete_where(self.engine.storage_mut(), table, vec![s(node), i(seq)])?;
         Ok(())
     }
 
@@ -759,14 +680,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         }
         if replicate {
             let version = self.doc_meta.get(doc.uri()).map_or(1, |m| m.version);
-            self.replicate_to_peers(
-                ReplOp::Register {
-                    uri: doc.uri().to_owned(),
-                    version,
-                    xml: write_document(doc),
-                },
-                net,
-            )?;
+            let op = ReplOp::new(ReplKind::Register, doc.uri(), version, write_document(doc));
+            self.replicate_to_peers(op, net)?;
         }
         Ok(())
     }
@@ -789,14 +704,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         })?;
         if replicate {
             let version = self.doc_meta.get(doc.uri()).map_or(1, |m| m.version);
-            self.replicate_to_peers(
-                ReplOp::Update {
-                    uri: doc.uri().to_owned(),
-                    version,
-                    xml: write_document(doc),
-                },
-                net,
-            )?;
+            let op = ReplOp::new(ReplKind::Update, doc.uri(), version, write_document(doc));
+            self.replicate_to_peers(op, net)?;
         }
         Ok(())
     }
@@ -815,13 +724,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         })?;
         if replicate {
             let version = self.doc_meta.get(uri).map_or(1, |m| m.version);
-            self.replicate_to_peers(
-                ReplOp::Delete {
-                    uri: uri.to_owned(),
-                    version,
-                },
-                net,
-            )?;
+            let op = ReplOp::new(ReplKind::Delete, uri, version, String::new());
+            self.replicate_to_peers(op, net)?;
         }
         Ok(())
     }
@@ -844,7 +748,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// set of the operation's document shard.
     fn replicate_to_peers(&mut self, op: ReplOp, net: &Network) -> Result<()> {
         let peers = match &self.placement {
-            Some(table) => table.replica_peers(&self.name, op.uri()),
+            Some(table) => table.replica_peers(&self.name, &op.uri),
             None => self.peers.clone(),
         };
         if peers.is_empty() {
@@ -852,20 +756,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         }
         self.with_group(|this| {
             for peer in &peers {
-                let counter = this.repl_next_seq.entry(peer.clone()).or_insert(0);
-                let seq = *counter;
-                *counter += 1;
-                this.mirror_repl_seq(peer, seq + 1)?;
-                this.mirror_repl_row_insert(T_ROUT, peer, seq, &op)?;
-                let backoff = net.config().retry_initial_ms;
-                this.repl_outbox.insert(
-                    (peer.clone(), seq),
-                    ReplOutgoing {
-                        op: op.clone(),
-                        next_retry_ms: net.now_ms() + backoff,
-                        backoff_ms: backoff,
-                    },
-                );
+                let seq = this.repl_seq.take(peer);
+                this.mirror_counter(T_RSEQ, peer, seq + 1)?;
+                this.mirror_seq_row_insert(T_ROUT, peer, seq, || op.row())?;
+                let key = (peer.clone(), seq);
+                let initial = net.config().retry_initial_ms;
+                this.repl_out.push(key, op.clone(), net.now_ms(), initial);
                 net.send(&this.name, peer, op.clone().into_message(seq))?;
             }
             Ok(())
@@ -890,21 +786,24 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         self.mirror_sub_insert(lmr, lmr_rule, rule_text)
     }
 
-    /// Per-LMR publication sequence counters, sorted (deterministic export).
-    pub(crate) fn pub_seqs_sorted(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<_> = self
-            .next_pub_seq
-            .iter()
-            .map(|(l, s)| (l.clone(), *s))
-            .collect();
-        out.sort();
-        out
+    /// The stream counters a counter table (`SysPubSeq`, `SysReplSeq` or
+    /// `SysReplFloor`) mirrors, sorted by node (deterministic export).
+    pub(crate) fn counters_sorted(&self, table: &str) -> Vec<(String, u64)> {
+        match table {
+            T_PUBSEQ => self.next_pub_seq.sorted(),
+            T_RSEQ => self.repl_seq.sorted(),
+            _ => self.repl_in.floors().map(|(p, f)| (p.clone(), f)).collect(),
+        }
     }
 
-    /// Restores a per-LMR publication sequence counter during state import.
-    pub(crate) fn restore_pub_seq(&mut self, lmr: &str, next_seq: u64) -> Result<()> {
-        self.next_pub_seq.insert(lmr.to_owned(), next_seq);
-        self.mirror_pub_seq(lmr, next_seq)
+    /// Restores one stream counter during state import or crash recovery.
+    pub(crate) fn restore_counter(&mut self, table: &str, node: &str, next_seq: u64) -> Result<()> {
+        match table {
+            T_PUBSEQ => self.next_pub_seq.set(node, next_seq),
+            T_RSEQ => self.repl_seq.set(node, next_seq),
+            _ => self.repl_in.set_floor(node.to_owned(), next_seq),
+        }
+        self.mirror_counter(table, node, next_seq)
     }
 
     /// Re-registers a document during state import: no publication, no
@@ -912,27 +811,6 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     pub(crate) fn restore_document(&mut self, doc: &Document) -> Result<()> {
         let _pubs = self.engine.register_document(doc)?;
         self.mirror_doc_upsert(doc)
-    }
-
-    /// Restores an unacked publication during crash recovery. The entry is
-    /// scheduled for immediate retransmission: it was in flight when the
-    /// node died, and the at-least-once protocol tolerates the duplicate.
-    pub(crate) fn restore_outbox_entry(
-        &mut self,
-        lmr: &str,
-        msg: PublishMsg,
-        retry_backoff_ms: u64,
-    ) -> Result<()> {
-        self.mirror_outbox_insert(lmr, &msg)?;
-        self.outbox.insert(
-            (lmr.to_owned(), msg.seq),
-            Outgoing {
-                msg,
-                next_retry_ms: 0,
-                backoff_ms: retry_backoff_ms.max(1),
-            },
-        );
-        Ok(())
     }
 
     /// Per-URI replication metadata, sorted (deterministic export).
@@ -953,67 +831,6 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         self.mirror_docver(uri)
     }
 
-    /// Outgoing replication counters, sorted (deterministic export).
-    pub(crate) fn repl_seqs_sorted(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<_> = self
-            .repl_next_seq
-            .iter()
-            .map(|(p, s)| (p.clone(), *s))
-            .collect();
-        out.sort();
-        out
-    }
-
-    pub(crate) fn restore_repl_seq(&mut self, peer: &str, next_seq: u64) -> Result<()> {
-        self.repl_next_seq.insert(peer.to_owned(), next_seq);
-        self.mirror_repl_seq(peer, next_seq)
-    }
-
-    /// Incoming replication floors, sorted (deterministic export).
-    pub(crate) fn repl_floors_sorted(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<_> = self
-            .repl_floor
-            .iter()
-            .map(|(p, s)| (p.clone(), *s))
-            .collect();
-        out.sort();
-        out
-    }
-
-    pub(crate) fn restore_repl_floor(&mut self, peer: &str, next_seq: u64) -> Result<()> {
-        self.repl_floor.insert(peer.to_owned(), next_seq);
-        self.mirror_repl_floor(peer, next_seq)
-    }
-
-    /// Restores an unacked replicated operation during crash recovery,
-    /// due for immediate retransmission (duplicates are tolerated).
-    fn restore_repl_outbox_entry(
-        &mut self,
-        peer: &str,
-        seq: u64,
-        op: ReplOp,
-        retry_backoff_ms: u64,
-    ) -> Result<()> {
-        self.mirror_repl_row_insert(T_ROUT, peer, seq, &op)?;
-        self.repl_outbox.insert(
-            (peer.to_owned(), seq),
-            ReplOutgoing {
-                op,
-                next_retry_ms: 0,
-                backoff_ms: retry_backoff_ms.max(1),
-            },
-        );
-        Ok(())
-    }
-
-    /// Restores a parked out-of-order replicated operation during crash
-    /// recovery.
-    fn restore_repl_buffer_entry(&mut self, peer: &str, seq: u64, op: ReplOp) -> Result<()> {
-        self.mirror_repl_row_insert(T_RBUF, peer, seq, &op)?;
-        self.repl_buffer.insert((peer.to_owned(), seq), op);
-        Ok(())
-    }
-
     /// Restores a retracted-subscription tombstone during crash recovery.
     pub(crate) fn restore_retired(&mut self, lmr: &str, lmr_rule: u64) -> Result<()> {
         self.subscribers.retire(lmr, lmr_rule);
@@ -1031,7 +848,9 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// tables of a crash-recovered database: subscriptions and documents
     /// replay through the normal registration paths (publications
     /// suppressed), protocol state is restored verbatim, and unacked
-    /// envelopes re-enter the outbox due for retransmission. A mirror row
+    /// envelopes re-enter the outbox due for retransmission: they were in
+    /// flight when the node died, and the receiver tolerates the duplicate.
+    /// A mirror row
     /// that does not decode — an outbox envelope that is truncated,
     /// corrupted or in the per-rule format of earlier versions among
     /// them — is an error, never a partial guess.
@@ -1061,19 +880,25 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 this.restore_document(&doc)?;
                 docs += 1;
             }
-            for row in mirror::rows_sorted(src, T_PUBSEQ) {
-                let (Some(lmr), Some(next)) = (row[0].as_str(), row[1].as_int()) else {
-                    return Err(corrupt(T_PUBSEQ));
-                };
-                this.restore_pub_seq(lmr, next as u64)?;
-            }
+            let restore_counters = |this: &mut Self, table: &str| -> Result<()> {
+                for row in mirror::rows_sorted(src, table) {
+                    let (Some(node), Some(next)) = (row[0].as_str(), row[1].as_int()) else {
+                        return Err(corrupt(table));
+                    };
+                    this.restore_counter(table, node, next as u64)?;
+                }
+                Ok(())
+            };
+            restore_counters(this, T_PUBSEQ)?;
             for row in mirror::rows_sorted(src, T_OUTBOX) {
                 let (Some(lmr), Some(wire)) = (row[0].as_str(), row[2].as_str()) else {
                     return Err(corrupt(T_OUTBOX));
                 };
                 let msg = PublishMsg::from_wire(wire)
                     .map_err(|e| Error::Topology(format!("corrupt outbox publication: {e}")))?;
-                this.restore_outbox_entry(lmr, msg, retry_backoff_ms)?;
+                this.mirror_seq_row_insert(T_OUTBOX, lmr, msg.seq, || vec![s(&msg.to_wire())])?;
+                let key = (lmr.to_owned(), msg.seq);
+                this.outbox.restore(key, msg, retry_backoff_ms);
             }
             for row in mirror::rows_sorted(src, T_RETIRED) {
                 let (Some(lmr), Some(rule)) = (row[0].as_str(), row[1].as_int()) else {
@@ -1089,19 +914,9 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 };
                 this.restore_doc_meta(uri, version as u64, deleted != 0)?;
             }
-            for row in mirror::rows_sorted(src, T_RSEQ) {
-                let (Some(peer), Some(next)) = (row[0].as_str(), row[1].as_int()) else {
-                    return Err(corrupt(T_RSEQ));
-                };
-                this.restore_repl_seq(peer, next as u64)?;
-            }
-            for row in mirror::rows_sorted(src, T_RFLOOR) {
-                let (Some(peer), Some(next)) = (row[0].as_str(), row[1].as_int()) else {
-                    return Err(corrupt(T_RFLOOR));
-                };
-                this.restore_repl_floor(peer, next as u64)?;
-            }
-            let parse_repl = |table: &str, row: &[mdv_relstore::Value]| {
+            restore_counters(this, T_RSEQ)?;
+            restore_counters(this, T_RFLOOR)?;
+            let parse_repl = |table: &str, row: &[Value]| {
                 let (Some(peer), Some(seq), Some(kind), Some(version), Some(uri), Some(xml)) = (
                     row[0].as_str(),
                     row[1].as_int(),
@@ -1119,11 +934,13 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             };
             for row in mirror::rows_sorted(src, T_ROUT) {
                 let (peer, seq, op) = parse_repl(T_ROUT, &row)?;
-                this.restore_repl_outbox_entry(&peer, seq, op, retry_backoff_ms)?;
+                this.mirror_seq_row_insert(T_ROUT, &peer, seq, || op.row())?;
+                this.repl_out.restore((peer, seq), op, retry_backoff_ms);
             }
             for row in mirror::rows_sorted(src, T_RBUF) {
                 let (peer, seq, op) = parse_repl(T_RBUF, &row)?;
-                this.restore_repl_buffer_entry(&peer, seq, op)?;
+                this.mirror_seq_row_insert(T_RBUF, &peer, seq, || op.row())?;
+                this.repl_in.park(peer, seq, op);
             }
             for row in mirror::rows_sorted(src, T_PLACE) {
                 let (Some(key), Some(val)) = (row[0].as_str(), row[1].as_str()) else {
@@ -1192,14 +1009,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 rule_text,
             } if self.raft.is_some() => {
                 if self.subscribers.knows(&env.from, lmr_rule) {
-                    return net.send(
-                        &self.name,
-                        &env.from,
-                        Message::SubscribeAck {
-                            lmr_rule,
-                            error: None,
-                        },
-                    );
+                    return self.ack_subscribe(&env.from, lmr_rule, None, net);
                 }
                 if !self.raft_is_leader() {
                     return Ok(());
@@ -1236,16 +1046,9 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 last_seq,
             } if self.raft.is_some() => {
                 let registered = self.subscribers.find(&env.from, lmr_rule).is_some();
-                let cur = self.next_pub_seq.get(&env.from).copied().unwrap_or(0);
+                let cur = self.next_pub_seq.get(&env.from);
                 if registered && last_seq == cur {
-                    return net.send(
-                        &self.name,
-                        &env.from,
-                        Message::SubscribeAck {
-                            lmr_rule,
-                            error: None,
-                        },
-                    );
+                    return self.ack_subscribe(&env.from, lmr_rule, None, net);
                 }
                 if !self.raft_is_leader() {
                     return Ok(());
@@ -1261,13 +1064,14 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 )
                 .map(|_| ())
             }
-            // only the leader welcomes a re-homing LMR; a stale or deposed
-            // voter stays silent and the LMR's hello retry finds the leader
-            Message::FailoverHello { last_seq: _ } if self.raft.is_some() => {
-                if !self.raft_is_leader() {
+            // under Raft only the leader welcomes a re-homing LMR; a stale
+            // or deposed voter stays silent and the LMR's hello retry finds
+            // the leader
+            Message::FailoverHello { last_seq: _ } => {
+                if self.raft.is_some() && !self.raft_is_leader() {
                     return Ok(());
                 }
-                let next_seq = self.next_pub_seq.get(&env.from).copied().unwrap_or(0);
+                let next_seq = self.next_pub_seq.get(&env.from);
                 net.send(&self.name, &env.from, Message::FailoverWelcome { next_seq })
             }
             Message::RequestVote { .. }
@@ -1289,27 +1093,13 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 // already registered (or already retracted again) — re-ack
                 // without touching the engine, so retries are idempotent
                 if self.subscribers.knows(&env.from, lmr_rule) {
-                    return net.send(
-                        &self.name,
-                        &env.from,
-                        Message::SubscribeAck {
-                            lmr_rule,
-                            error: None,
-                        },
-                    );
+                    return self.ack_subscribe(&env.from, lmr_rule, None, net);
                 }
                 match self.engine.register_subscription(&rule_text) {
                     Ok((sub, initial)) => {
                         self.subscribers.insert(sub, &env.from, lmr_rule);
                         self.mirror_sub_insert(&env.from, lmr_rule, &rule_text)?;
-                        net.send(
-                            &self.name,
-                            &env.from,
-                            Message::SubscribeAck {
-                                lmr_rule,
-                                error: None,
-                            },
-                        )?;
+                        self.ack_subscribe(&env.from, lmr_rule, None, net)?;
                         // initial cache fill (under placement: only the
                         // documents this node is primary for — every other
                         // owner ships its own share)
@@ -1319,43 +1109,28 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         }
                         Ok(())
                     }
-                    Err(e) => net.send(
-                        &self.name,
-                        &env.from,
-                        Message::SubscribeAck {
-                            lmr_rule,
-                            error: Some(e.to_string()),
-                        },
-                    ),
+                    Err(e) => self.ack_subscribe(&env.from, lmr_rule, Some(e.to_string()), net),
                 }
             }
             Message::Unsubscribe { lmr_rule } => {
-                match self.subscribers.find(&env.from, lmr_rule) {
-                    Some(sub) => {
-                        self.subscribers.remove(sub);
-                        self.engine.unregister_subscription(sub)?;
-                        self.subscribers.retire(&env.from, lmr_rule);
-                        self.mirror_sub_retire(&env.from, lmr_rule)?;
-                        net.send(&self.name, &env.from, Message::UnsubscribeAck { lmr_rule })
-                    }
-                    // retransmitted/duplicated Unsubscribe: already retracted
-                    None if self.subscribers.is_retired(&env.from, lmr_rule) => {
-                        net.send(&self.name, &env.from, Message::UnsubscribeAck { lmr_rule })
-                    }
-                    // unknown rule: tombstone it and ack idempotently. A
-                    // failover cleanup unsubscribe can reach an MDP that
-                    // never saw the subscription (e.g. after a crash); rule
-                    // ids are never reused, so retiring is always safe.
-                    None => {
-                        self.subscribers.retire(&env.from, lmr_rule);
-                        self.mirror_sub_retire(&env.from, lmr_rule)?;
-                        net.send(&self.name, &env.from, Message::UnsubscribeAck { lmr_rule })
-                    }
+                if let Some(sub) = self.subscribers.find(&env.from, lmr_rule) {
+                    self.subscribers.remove(sub);
+                    self.engine.unregister_subscription(sub)?;
                 }
+                // A retransmitted or duplicated Unsubscribe finds the rule
+                // retired already and is re-acked. An unknown rule is
+                // tombstoned and acked too: a failover cleanup unsubscribe
+                // can reach an MDP that never saw the subscription (e.g.
+                // after a crash); rule ids are never reused, so retiring is
+                // always safe.
+                if self.subscribers.retire(&env.from, lmr_rule) {
+                    self.mirror_sub_retire(&env.from, lmr_rule)?;
+                }
+                net.send(&self.name, &env.from, Message::UnsubscribeAck { lmr_rule })
             }
             Message::PublishAck { seq } => {
-                self.outbox.remove(&(env.from.clone(), seq));
-                self.mirror_outbox_remove(&env.from, seq)?;
+                self.outbox.ack(&(env.from.clone(), seq));
+                self.mirror_seq_row_remove(T_OUTBOX, &env.from, seq)?;
                 Ok(())
             }
             Message::ReplicateRegister {
@@ -1363,47 +1138,30 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 version,
                 document_uri,
                 xml,
-            } => self.receive_replicated(
-                &env.from,
-                seq,
-                ReplOp::Register {
-                    uri: document_uri,
-                    version,
-                    xml,
-                },
-                net,
-            ),
+            } => {
+                let op = ReplOp::new(ReplKind::Register, document_uri, version, xml);
+                self.receive_replicated(&env.from, seq, op, net)
+            }
             Message::ReplicateUpdate {
                 seq,
                 version,
                 document_uri,
                 xml,
-            } => self.receive_replicated(
-                &env.from,
-                seq,
-                ReplOp::Update {
-                    uri: document_uri,
-                    version,
-                    xml,
-                },
-                net,
-            ),
+            } => {
+                let op = ReplOp::new(ReplKind::Update, document_uri, version, xml);
+                self.receive_replicated(&env.from, seq, op, net)
+            }
             Message::ReplicateDelete {
                 seq,
                 version,
                 document_uri,
-            } => self.receive_replicated(
-                &env.from,
-                seq,
-                ReplOp::Delete {
-                    uri: document_uri,
-                    version,
-                },
-                net,
-            ),
+            } => {
+                let op = ReplOp::new(ReplKind::Delete, document_uri, version, String::new());
+                self.receive_replicated(&env.from, seq, op, net)
+            }
             Message::ReplicateAck { seq } => {
-                self.repl_outbox.remove(&(env.from.clone(), seq));
-                self.mirror_repl_row_remove(T_ROUT, &env.from, seq)?;
+                self.repl_out.ack(&(env.from.clone(), seq));
+                self.mirror_seq_row_remove(T_ROUT, &env.from, seq)?;
                 Ok(())
             }
             Message::ReplicaDigest { entries } => self.handle_digest(&env.from, &entries, net),
@@ -1412,10 +1170,6 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             }
             Message::RepairRequest { uris } => self.handle_repair_request(&env.from, &uris, net),
             Message::RepairDocs { docs } => self.handle_repair_docs(docs, net),
-            Message::FailoverHello { last_seq: _ } => {
-                let next_seq = self.next_pub_seq.get(&env.from).copied().unwrap_or(0);
-                net.send(&self.name, &env.from, Message::FailoverWelcome { next_seq })
-            }
             Message::Resubscribe {
                 lmr_rule,
                 rule_text,
@@ -1442,52 +1196,37 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         net: &Network,
     ) -> Result<()> {
         net.send(&self.name, peer, Message::ReplicateAck { seq })?;
-        let floor = self.repl_floor.get(peer).copied().unwrap_or(0);
-        if seq < floor || self.repl_buffer.contains_key(&(peer.to_owned(), seq)) {
-            return Ok(()); // duplicate delivery
+        let from = peer.to_owned();
+        match self.repl_in.arrival(&from, seq) {
+            Arrival::Duplicate => Ok(()),
+            Arrival::Ahead => {
+                self.mirror_seq_row_insert(T_RBUF, peer, seq, || op.row())?;
+                self.repl_in.park(from, seq, op);
+                Ok(())
+            }
+            // each operation moves the floor past itself; a parked one
+            // also drops its buffer row
+            Arrival::Next => Inbox::deliver(
+                self,
+                |this| &mut this.repl_in,
+                &from,
+                seq,
+                op,
+                |this, seq, op, parked| {
+                    if parked {
+                        this.mirror_seq_row_remove(T_RBUF, peer, seq)?;
+                    }
+                    this.mirror_counter(T_RFLOOR, peer, seq + 1)?;
+                    this.apply_remote_op(op, net).map(|_| ())
+                },
+            ),
         }
-        if seq > floor {
-            self.mirror_repl_row_insert(T_RBUF, peer, seq, &op)?;
-            self.repl_buffer.insert((peer.to_owned(), seq), op);
-            return Ok(());
-        }
-        self.apply_replicated_at_floor(peer, seq, op, false, net)?;
-        let mut next = seq + 1;
-        while let Some(op) = self.repl_buffer.remove(&(peer.to_owned(), next)) {
-            self.apply_replicated_at_floor(peer, next, op, true, net)?;
-            next += 1;
-        }
-        Ok(())
-    }
-
-    /// Applies operation `seq` of `peer`'s stream, the one at the floor,
-    /// and moves the floor past it; `parked` drops its buffer row.
-    fn apply_replicated_at_floor(
-        &mut self,
-        peer: &str,
-        seq: u64,
-        op: ReplOp,
-        parked: bool,
-        net: &Network,
-    ) -> Result<()> {
-        if parked {
-            self.mirror_repl_row_remove(T_RBUF, peer, seq)?;
-        }
-        self.repl_floor.insert(peer.to_owned(), seq + 1);
-        self.mirror_repl_floor(peer, seq + 1)?;
-        self.apply_remote_op(op, net)?;
-        Ok(())
     }
 
     fn apply_remote_op(&mut self, op: ReplOp, net: &Network) -> Result<bool> {
-        match op {
-            ReplOp::Register { uri, version, xml } | ReplOp::Update { uri, version, xml } => {
-                self.apply_remote_doc(&uri, version, false, Some(&xml), net)
-            }
-            ReplOp::Delete { uri, version } => {
-                self.apply_remote_doc(&uri, version, true, None, net)
-            }
-        }
+        let deleted = op.kind == ReplKind::Delete;
+        let xml = (!deleted).then_some(op.xml.as_str());
+        self.apply_remote_doc(&op.uri, op.version, deleted, xml, net)
     }
 
     /// The `(version, deleted, hash)` conflict-resolution key of this
@@ -1773,6 +1512,19 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         })
     }
 
+    /// Acks a Subscribe or Resubscribe of `lmr`'s rule, with its rejection
+    /// if it has one. A duplicate is re-acked the same way without touching
+    /// the engine, which keeps the LMR's retransmissions idempotent.
+    pub(crate) fn ack_subscribe(
+        &self,
+        lmr: &str,
+        lmr_rule: u64,
+        error: Option<String>,
+        net: &Network,
+    ) -> Result<()> {
+        net.send(&self.name, lmr, Message::SubscribeAck { lmr_rule, error })
+    }
+
     /// Re-registers a rule for a failed-over (or failed-back) LMR and
     /// ships a reconciling snapshot unless the subscriber is provably
     /// caught up (`last_seq` equals the current stream position of an
@@ -1786,11 +1538,10 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         net: &Network,
     ) -> Result<()> {
         let existing = self.subscribers.find(lmr, lmr_rule);
-        let cur = self.next_pub_seq.get(lmr).copied().unwrap_or(0);
-        let ack = |error: Option<String>| Message::SubscribeAck { lmr_rule, error };
+        let cur = self.next_pub_seq.get(lmr);
         if existing.is_some() && last_seq == cur {
             // already subscribed here and fully caught up — nothing to resync
-            return net.send(&self.name, lmr, ack(None));
+            return self.ack_subscribe(lmr, lmr_rule, None, net);
         }
         // re-registering returns the full current match set, which the
         // snapshot needs anyway; a rule retired by a cleanup unsubscribe
@@ -1803,13 +1554,13 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             self.mirror_sub_unretire(lmr, lmr_rule)?;
         }
         match self.engine.register_subscription(rule_text) {
-            Err(e) => net.send(&self.name, lmr, ack(Some(e.to_string()))),
+            Err(e) => self.ack_subscribe(lmr, lmr_rule, Some(e.to_string()), net),
             Ok((sub, initial)) => {
                 self.subscribers.insert(sub, lmr, lmr_rule);
                 if existing.is_none() {
                     self.mirror_sub_insert(lmr, lmr_rule, rule_text)?;
                 }
-                net.send(&self.name, lmr, ack(None))?;
+                self.ack_subscribe(lmr, lmr_rule, None, net)?;
                 let initial = self.primary_matches(initial);
                 // sent even when empty: the subscriber drops stale anchors
                 // that the snapshot no longer lists
@@ -1889,10 +1640,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
 
     /// Takes the next sequence number of `lmr`'s publication stream.
     pub(crate) fn take_pub_seq(&mut self, lmr: &str) -> Result<u64> {
-        let counter = self.next_pub_seq.entry(lmr.to_owned()).or_insert(0);
-        let seq = *counter;
-        *counter += 1;
-        self.mirror_pub_seq(lmr, seq + 1)?;
+        let seq = self.next_pub_seq.take(lmr);
+        self.mirror_counter(T_PUBSEQ, lmr, seq + 1)?;
         Ok(seq)
     }
 
@@ -1905,16 +1654,10 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         net: &Network,
     ) -> Result<()> {
         msg.seq = self.take_pub_seq(lmr)?;
-        self.mirror_outbox_insert(lmr, &msg)?;
-        let backoff = net.config().retry_initial_ms;
-        self.outbox.insert(
-            (lmr.to_owned(), msg.seq),
-            Outgoing {
-                msg: msg.clone(),
-                next_retry_ms: net.now_ms() + backoff,
-                backoff_ms: backoff,
-            },
-        );
+        self.mirror_seq_row_insert(T_OUTBOX, lmr, msg.seq, || vec![s(&msg.to_wire())])?;
+        let initial = net.config().retry_initial_ms;
+        let key = (lmr.to_owned(), msg.seq);
+        self.outbox.push(key, msg.clone(), net.now_ms(), initial);
         net.send(&self.name, lmr, Message::Publish(msg))
     }
 
@@ -1925,56 +1668,39 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
 
     /// Replicated operations sent but not yet acked by their peer.
     pub fn unacked_replications(&self) -> usize {
-        self.repl_outbox.len()
+        self.repl_out.len()
     }
 
     /// Earliest scheduled retransmission over both outboxes. Entries whose
     /// destination is marked down are parked (excluded), so quiescence is
     /// reachable while a node is failed; they become due again on heal.
     pub fn next_retry_at(&self, net: &Network) -> Option<u64> {
-        let pubs = self
-            .outbox
-            .iter()
-            .filter(|((lmr, _), _)| !net.is_down(lmr))
-            .map(|(_, o)| o.next_retry_ms);
+        let pubs = self.outbox.next_retry_at(|(lmr, _), _| net.is_down(lmr));
         let repls = self
-            .repl_outbox
-            .iter()
-            .filter(|((peer, _), _)| !net.is_down(peer))
-            .map(|(_, o)| o.next_retry_ms);
-        pubs.chain(repls).min()
+            .repl_out
+            .next_retry_at(|(peer, _), _| net.is_down(peer));
+        pubs.into_iter().chain(repls).min()
     }
 
     /// Retransmits every outbox entry whose retry timer is due; returns
     /// whether anything was resent. Backoff doubles per attempt up to the
     /// configured cap. Entries targeting a down node are skipped.
     pub fn retransmit_due(&mut self, net: &Network) -> Result<bool> {
-        let now = net.now_ms();
-        let max = net.config().retry_max_ms;
-        let mut resent = false;
-        for ((lmr, _), out) in self.outbox.iter_mut() {
-            if net.is_down(lmr) {
-                continue;
-            }
-            if out.next_retry_ms <= now {
-                net.send_retry(&self.name, lmr, Message::Publish(out.msg.clone()))?;
-                out.backoff_ms = (out.backoff_ms * 2).min(max);
-                out.next_retry_ms = now + out.backoff_ms;
-                resent = true;
-            }
-        }
-        for ((peer, seq), out) in self.repl_outbox.iter_mut() {
-            if net.is_down(peer) {
-                continue;
-            }
-            if out.next_retry_ms <= now {
-                net.send_retry(&self.name, peer, out.op.clone().into_message(*seq))?;
-                out.backoff_ms = (out.backoff_ms * 2).min(max);
-                out.next_retry_ms = now + out.backoff_ms;
-                resent = true;
-            }
-        }
-        Ok(resent)
+        let (now, max) = (net.now_ms(), net.config().retry_max_ms);
+        let name = &self.name;
+        let pubs = self.outbox.retransmit_due(
+            now,
+            max,
+            |(lmr, _), _| net.is_down(lmr),
+            |(lmr, _), msg, _| net.send_retry(name, lmr, Message::Publish(msg.clone())),
+        )?;
+        let repls = self.repl_out.retransmit_due(
+            now,
+            max,
+            |(peer, _), _| net.is_down(peer),
+            |(peer, seq), op, _| net.send_retry(name, peer, op.clone().into_message(*seq)),
+        )?;
+        Ok(pubs || repls)
     }
 
     /// Builds the envelope of `rules` (the sequence number is assigned on

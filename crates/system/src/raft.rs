@@ -28,6 +28,7 @@ use mdv_rdf::parse_document;
 use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
 use mdv_runtime::rng::Prng;
 
+use crate::channel::SeqCounters;
 use crate::error::{Error, Result};
 use crate::mdp::{fnv1a64, Mdp};
 use crate::message::{escape, unescape, Message};
@@ -1157,14 +1158,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 if self.subscribers.knows(lmr, *lmr_rule) {
                     // duplicate proposal of an existing/retired rule
                     if is_leader {
-                        return net.send(
-                            &self.name.clone(),
-                            lmr,
-                            Message::SubscribeAck {
-                                lmr_rule: *lmr_rule,
-                                error: None,
-                            },
-                        );
+                        return self.ack_subscribe(lmr, *lmr_rule, None, net);
                     }
                     return Ok(());
                 }
@@ -1173,14 +1167,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         self.subscribers.insert(sub, lmr, *lmr_rule);
                         self.mirror_sub_insert(lmr, *lmr_rule, rule_text)?;
                         if is_leader {
-                            net.send(
-                                &self.name.clone(),
-                                lmr,
-                                Message::SubscribeAck {
-                                    lmr_rule: *lmr_rule,
-                                    error: None,
-                                },
-                            )?;
+                            self.ack_subscribe(lmr, *lmr_rule, None, net)?;
                         }
                         if initial.is_empty() {
                             Ok(())
@@ -1194,14 +1181,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                     // leader carries the error back
                     Err(e) => {
                         if is_leader {
-                            net.send(
-                                &self.name.clone(),
-                                lmr,
-                                Message::SubscribeAck {
-                                    lmr_rule: *lmr_rule,
-                                    error: Some(e.to_string()),
-                                },
-                            )?;
+                            self.ack_subscribe(lmr, *lmr_rule, Some(e.to_string()), net)?;
                         }
                         Ok(())
                     }
@@ -1214,18 +1194,11 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 last_seq,
             } => {
                 let existing = self.subscribers.find(lmr, *lmr_rule);
-                let cur = self.next_pub_seq.get(lmr).copied().unwrap_or(0);
+                let cur = self.next_pub_seq.get(lmr);
                 if existing.is_some() && *last_seq == cur {
                     // already registered and provably caught up
                     if is_leader {
-                        return net.send(
-                            &self.name.clone(),
-                            lmr,
-                            Message::SubscribeAck {
-                                lmr_rule: *lmr_rule,
-                                error: None,
-                            },
-                        );
+                        return self.ack_subscribe(lmr, *lmr_rule, None, net);
                     }
                     return Ok(());
                 }
@@ -1239,14 +1212,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 match self.engine.register_subscription(rule_text) {
                     Err(e) => {
                         if is_leader {
-                            net.send(
-                                &self.name.clone(),
-                                lmr,
-                                Message::SubscribeAck {
-                                    lmr_rule: *lmr_rule,
-                                    error: Some(e.to_string()),
-                                },
-                            )?;
+                            self.ack_subscribe(lmr, *lmr_rule, Some(e.to_string()), net)?;
                         }
                         Ok(())
                     }
@@ -1256,14 +1222,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                             self.mirror_sub_insert(lmr, *lmr_rule, rule_text)?;
                         }
                         if is_leader {
-                            net.send(
-                                &self.name.clone(),
-                                lmr,
-                                Message::SubscribeAck {
-                                    lmr_rule: *lmr_rule,
-                                    error: None,
-                                },
-                            )?;
+                            self.ack_subscribe(lmr, *lmr_rule, None, net)?;
                         }
                         // the reconciling snapshot ships (and numbers) even
                         // when empty, exactly like the LWW failover path
@@ -1327,7 +1286,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         for (lmr, rule) in self.subscribers.retired_sorted() {
             out.push_str(&format!("r {}\t{rule}\n", escape(&lmr)));
         }
-        for (lmr, seq) in self.pub_seqs_sorted() {
+        for (lmr, seq) in self.counters_sorted(crate::mdp::T_PUBSEQ) {
             out.push_str(&format!("q {}\t{seq}\n", escape(&lmr)));
         }
         let r = self.raft.as_ref().unwrap();
@@ -1372,7 +1331,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 }
             }
             this.subscribers.clear_retired();
-            this.next_pub_seq.clear();
+            this.next_pub_seq = SeqCounters::default();
 
             let mut cum_hash = 0;
             for line in data.lines() {
@@ -1409,8 +1368,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         let (lmr, seq) = rest.split_once('\t').ok_or_else(bad)?;
                         let seq: u64 = seq.parse().map_err(|_| bad())?;
                         let lmr = unescape(lmr);
-                        this.next_pub_seq.insert(lmr.clone(), seq);
-                        this.mirror_pub_seq(&lmr, seq)?;
+                        this.next_pub_seq.set(&lmr, seq);
+                        this.mirror_counter(crate::mdp::T_PUBSEQ, &lmr, seq)?;
                     }
                     "h" => cum_hash = rest.parse().map_err(|_| bad())?,
                     _ => return Err(bad()),
@@ -1583,7 +1542,7 @@ mod tests {
                 .filter(|m| !sys.is_down(m))
                 .map(|m| {
                     let mdp = sys.mdp(m).unwrap();
-                    let seqs = lmrs.map(|l| mdp.next_pub_seq.get(l).copied().unwrap_or(0));
+                    let seqs = lmrs.map(|l| mdp.next_pub_seq.get(l));
                     (m.to_owned(), seqs.into())
                 })
                 .collect()
@@ -1593,7 +1552,7 @@ mod tests {
             for (k, l) in lmrs.iter().enumerate() {
                 let lmr = sys.lmr(l).unwrap();
                 assert_eq!(lmr.mdp(), leader);
-                assert_eq!(lmr.next_pub_seq, counters(sys)[leader][k], "{l}");
+                assert_eq!(lmr.next_pub_seq(), counters(sys)[leader][k], "{l}");
                 assert_eq!(lmr.buffered_publications(), 0, "{l}");
             }
             assert_eq!(sys.mdp(leader).unwrap().unacked_publications(), 0);

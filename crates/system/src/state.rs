@@ -30,21 +30,57 @@
 //! deleted documents), and `replseq`/`replfloor` the per-peer replication
 //! stream counters, for the same reason. Unacked in-flight messages are
 //! *not* part of durable state — recovery assumes a quiescent export.
+//!
+//! An LMR exports the receiving ends of the same streams:
+//!
+//! ```text
+//! #mdv-lmr-state v1
+//! pubseq <next publication sequence expected from the home MDP>
+//! altseq <mdp>\t<next publication sequence expected from that MDP>
+//! rule <id>\t<pending|active|failed:<escaped error>>\t<escaped rule text>
+//! local <uri>
+//! <RDF/XML lines …>
+//! .
+//! match <uri>\t<rule>
+//! cache-snapshot
+//! <relational snapshot of the cache …>
+//! ```
+//!
+//! The `altseq` records are the floors of a placed LMR's alternate
+//! streams, one per non-home shard primary that has published to it
+//! (DESIGN.md §11). Without them a restored LMR would expect sequence 0
+//! from every such MDP and withhold its acks forever. An export without
+//! `altseq` records imports with every alternate floor at 0.
 
 use mdv_rdf::{parse_document, write_document};
 
 use crate::error::{Error, Result};
-use crate::mdp::Mdp;
+use crate::mdp::{Mdp, T_PUBSEQ, T_RFLOOR, T_RSEQ};
 use crate::message::{escape, unescape};
 
 const HEADER: &str = "#mdv-mdp-state v1";
+
+/// The stream-counter records of an MDP export and the mirror table each
+/// restores into.
+const COUNTER_RECORDS: [(&str, &str); 3] = [
+    ("pubseq", T_PUBSEQ),
+    ("replseq", T_RSEQ),
+    ("replfloor", T_RFLOOR),
+];
+
+/// Parses the `<node>\t<next sequence>` body of a stream-counter record.
+fn counter_record<'a>(tag: &str, rest: &'a str) -> Result<(&'a str, u64)> {
+    let malformed = || Error::Topology(format!("malformed {tag} record"));
+    let (node, next_seq) = rest.split_once('\t').ok_or_else(malformed)?;
+    Ok((node, next_seq.parse().map_err(|_| malformed())?))
+}
 
 impl Mdp {
     /// Serializes the node's logical state.
     pub fn export_state(&self) -> String {
         let mut out = String::from(HEADER);
         out.push('\n');
-        for (lmr, next_seq) in self.pub_seqs_sorted() {
+        for (lmr, next_seq) in self.counters_sorted(T_PUBSEQ) {
             out.push_str(&format!("pubseq {lmr}\t{next_seq}\n"));
         }
         for (uri, meta) in self.doc_meta_sorted() {
@@ -54,11 +90,10 @@ impl Mdp {
                 u8::from(meta.deleted)
             ));
         }
-        for (peer, next_seq) in self.repl_seqs_sorted() {
-            out.push_str(&format!("replseq {peer}\t{next_seq}\n"));
-        }
-        for (peer, next_seq) in self.repl_floors_sorted() {
-            out.push_str(&format!("replfloor {peer}\t{next_seq}\n"));
+        for (tag, table) in &COUNTER_RECORDS[1..] {
+            for (peer, next_seq) in self.counters_sorted(table) {
+                out.push_str(&format!("{tag} {peer}\t{next_seq}\n"));
+            }
         }
         if let Some(table) = self.placement() {
             out.push_str(&format!("placement {}\n", escape(&table.to_wire())));
@@ -104,14 +139,10 @@ impl Mdp {
             if line.is_empty() {
                 continue;
             }
-            if let Some(rest) = line.strip_prefix("pubseq ") {
-                let (lmr, next_seq) = rest
-                    .split_once('\t')
-                    .ok_or_else(|| Error::Topology("malformed pubseq record".into()))?;
-                let next_seq: u64 = next_seq
-                    .parse()
-                    .map_err(|_| Error::Topology("malformed pubseq counter".into()))?;
-                self.restore_pub_seq(lmr, next_seq)?;
+            let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
+            if let Some((_, table)) = COUNTER_RECORDS.iter().find(|(t, _)| *t == tag) {
+                let (node, next_seq) = counter_record(tag, rest)?;
+                self.restore_counter(table, node, next_seq)?;
             } else if let Some(rest) = line.strip_prefix("docver ") {
                 let mut fields = rest.splitn(3, '\t');
                 let (Some(uri), Some(version), Some(deleted)) =
@@ -128,22 +159,6 @@ impl Mdp {
                     _ => return Err(Error::Topology("malformed docver tombstone flag".into())),
                 };
                 self.restore_doc_meta(uri, version, deleted)?;
-            } else if let Some(rest) = line.strip_prefix("replseq ") {
-                let (peer, next_seq) = rest
-                    .split_once('\t')
-                    .ok_or_else(|| Error::Topology("malformed replseq record".into()))?;
-                let next_seq: u64 = next_seq
-                    .parse()
-                    .map_err(|_| Error::Topology("malformed replseq counter".into()))?;
-                self.restore_repl_seq(peer, next_seq)?;
-            } else if let Some(rest) = line.strip_prefix("replfloor ") {
-                let (peer, next_seq) = rest
-                    .split_once('\t')
-                    .ok_or_else(|| Error::Topology("malformed replfloor record".into()))?;
-                let next_seq: u64 = next_seq
-                    .parse()
-                    .map_err(|_| Error::Topology("malformed replfloor counter".into()))?;
-                self.restore_repl_floor(peer, next_seq)?;
             } else if let Some(rest) = line.strip_prefix("placement ") {
                 let table = crate::placement::PlacementTable::from_wire(&unescape(rest))?;
                 self.set_placement(Some(table))?;
@@ -323,7 +338,10 @@ impl crate::lmr::Lmr {
         // the next publication sequence expected from the MDP: a recovered
         // LMR must keep the counter, or it would park all further
         // publications behind a gap that never closes
-        out.push_str(&format!("pubseq {}\n", self.next_pub_seq));
+        out.push_str(&format!("pubseq {}\n", self.next_pub_seq()));
+        for (mdp, next_seq) in self.alt.floors() {
+            out.push_str(&format!("altseq {mdp}\t{next_seq}\n"));
+        }
         for (id, rule) in self.rules() {
             let status = match &rule.status {
                 crate::lmr::RuleStatus::Pending => "pending".to_owned(),
@@ -364,9 +382,13 @@ impl crate::lmr::Lmr {
                 continue;
             }
             if let Some(next_seq) = line.strip_prefix("pubseq ") {
-                self.next_pub_seq = next_seq
+                let next_seq = next_seq
                     .parse()
                     .map_err(|_| Error::Topology("malformed pubseq counter".into()))?;
+                self.home.set_floor((), next_seq);
+            } else if let Some(rest) = line.strip_prefix("altseq ") {
+                let (mdp, next_seq) = counter_record("altseq", rest)?;
+                self.alt.set_floor(mdp.to_owned(), next_seq);
             } else if let Some(rest) = line.strip_prefix("rule ") {
                 let mut fields = rest.splitn(3, '\t');
                 let (Some(id), Some(status), Some(rule_text)) =

@@ -13,7 +13,11 @@
 //! The five modes are LWW replication with a fail/heal cycle and backup
 //! failover, Raft with a leader change, placement at R = 2 over four MDPs,
 //! a durable MDP and LMR crash-restarted on an inert `FaultVfs`, and a
-//! batch-100 MDP with a rejected batch.
+//! batch-100 MDP with a rejected batch. The LWW, placement and durable
+//! scripts run a second time over a seeded lossy transport (drops,
+//! duplicates, jitter and latency spikes), so the pins also cover the
+//! at-least-once machinery the inert runs never reach: retransmission
+//! backoff, reorder buffers and the placement alternate-stream gap policy.
 //!
 //! A change meant to alter no behaviour (a refactor, a deletion, a
 //! speed-up) must leave every pin untouched; that is its proof of "same
@@ -28,6 +32,7 @@ mod common;
 use common::{provider, schema};
 use mdv::prelude::*;
 use mdv::relstore::{Database, DurableEngine, FaultVfs, StorageEngine};
+use mdv::system::transport::{LinkFaults, NetConfig, NetStats};
 use mdv::system::PlacementConfig;
 
 const PIN_LWW_FAILOVER: u64 = 0xeea5_527d_e017_1314;
@@ -35,6 +40,9 @@ const PIN_RAFT_LEADER_CHANGE: u64 = 0x0910_7dd0_7c3e_5aa3;
 const PIN_PLACEMENT_R2: u64 = 0x0fee_3223_d710_a962;
 const PIN_DURABLE_CRASH_RESTART: u64 = 0xf140_1b46_2507_49b3;
 const PIN_BATCH_REJECTED: u64 = 0x0c72_10cd_9e6c_248b;
+const PIN_LWW_FAILOVER_LOSSY: u64 = 0x0600_eadc_f8fb_e508;
+const PIN_PLACEMENT_R2_LOSSY: u64 = 0x29e9_7766_4c1d_e131;
+const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0xe401_a60b_87e1_96c1;
 
 /// Two overlapping subscriptions: a document with memory > 64 and
 /// cpu >= 600 is published to both LMRs in the same operation, so the
@@ -92,6 +100,32 @@ fn digest<S: StorageEngine + Send + Sync>(sys: &MdvSystem<S>, h: &mut Fnv) {
     }
 }
 
+/// A seeded lossy transport: a quarter of the messages dropped, a fifth
+/// duplicated, up to 30 ms of jitter and a tenth delayed by 120 ms.
+fn lossy(seed: u64) -> NetConfig {
+    let mut cfg = NetConfig::default();
+    cfg.faults.seed = seed;
+    cfg.faults.default_link = LinkFaults {
+        drop_prob: 0.25,
+        dup_prob: 0.20,
+        jitter_ms: 30,
+        spike_prob: 0.10,
+        spike_ms: 120,
+    };
+    cfg
+}
+
+/// The lossy runs must have exercised loss recovery and duplicate
+/// suppression, or their pins would prove nothing about either.
+fn assert_faults_fired(mode: &str, stats: &NetStats) {
+    assert!(stats.retries > 0, "{mode}: no retransmission: {stats:?}");
+    assert!(stats.dropped > 0, "{mode}: no drop: {stats:?}");
+    assert!(
+        stats.duplicates_delivered > 0,
+        "{mode}: no duplicate: {stats:?}"
+    );
+}
+
 fn check(mode: &str, got: u64, pin: u64) {
     println!("{mode}: {got:#018x}");
     assert_eq!(
@@ -103,7 +137,19 @@ fn check(mode: &str, got: u64, pin: u64) {
 
 #[test]
 fn lww_fail_heal_with_backup_failover() {
-    let mut sys = MdvSystem::new(schema());
+    let (got, _) = lww_run(NetConfig::default());
+    check("lww", got, PIN_LWW_FAILOVER);
+}
+
+#[test]
+fn lww_fail_heal_with_backup_failover_over_a_lossy_transport() {
+    let (got, stats) = lww_run(lossy(0x10557));
+    assert_faults_fired("lww-lossy", &stats);
+    check("lww-lossy", got, PIN_LWW_FAILOVER_LOSSY);
+}
+
+fn lww_run(config: NetConfig) -> (u64, NetStats) {
+    let mut sys = MdvSystem::with_net_config(schema(), config);
     for m in ["m1", "m2", "m3"] {
         sys.add_mdp(m).unwrap();
     }
@@ -142,7 +188,7 @@ fn lww_fail_heal_with_backup_failover() {
 
     let mut h = Fnv::new();
     digest(&sys, &mut h);
-    check("lww", h.0, PIN_LWW_FAILOVER);
+    (h.0, sys.network_stats())
 }
 
 #[test]
@@ -185,8 +231,20 @@ fn raft_with_a_leader_change() {
 
 #[test]
 fn placement_two_replicas_over_four_mdps() {
+    let (got, _) = placement_run(NetConfig::default());
+    check("placement", got, PIN_PLACEMENT_R2);
+}
+
+#[test]
+fn placement_two_replicas_over_a_lossy_transport() {
+    let (got, stats) = placement_run(lossy(0x20557));
+    assert_faults_fired("placement-lossy", &stats);
+    check("placement-lossy", got, PIN_PLACEMENT_R2_LOSSY);
+}
+
+fn placement_run(config: NetConfig) -> (u64, NetStats) {
     let mdps = ["m1", "m2", "m3", "m4"];
-    let mut sys = MdvSystem::new(schema());
+    let mut sys = MdvSystem::with_net_config(schema(), config);
     for m in mdps {
         sys.add_mdp(m).unwrap();
     }
@@ -210,14 +268,25 @@ fn placement_two_replicas_over_four_mdps() {
 
     let mut h = Fnv::new();
     digest(&sys, &mut h);
-    check("placement", h.0, PIN_PLACEMENT_R2);
+    (h.0, sys.network_stats())
 }
 
 #[test]
 fn durable_crash_restart_on_an_inert_fault_disk() {
+    let (got, _) = durable_run(NetConfig::default());
+    check("durable", got, PIN_DURABLE_CRASH_RESTART);
+}
+
+#[test]
+fn durable_crash_restart_over_a_lossy_transport() {
+    let (got, stats) = durable_run(lossy(0x30557));
+    assert_faults_fired("durable-lossy", &stats);
+    check("durable-lossy", got, PIN_DURABLE_CRASH_RESTART_LOSSY);
+}
+
+fn durable_run(config: NetConfig) -> (u64, NetStats) {
     let disks = [FaultVfs::new(11), FaultVfs::new(12), FaultVfs::new(13)];
-    let mut sys: MdvSystem<DurableEngine<FaultVfs>> =
-        MdvSystem::durable_on(schema(), Default::default());
+    let mut sys: MdvSystem<DurableEngine<FaultVfs>> = MdvSystem::durable_on(schema(), config);
     sys.add_mdp_durable_on("mdp", "/mdp", disks[0].clone())
         .unwrap();
     sys.add_lmr_durable_on("l1", "mdp", "/l1", disks[1].clone())
@@ -249,7 +318,7 @@ fn durable_crash_restart_on_an_inert_fault_disk() {
             h.bytes(&bytes);
         }
     }
-    check("durable", h.0, PIN_DURABLE_CRASH_RESTART);
+    (h.0, sys.network_stats())
 }
 
 #[test]

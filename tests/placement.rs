@@ -499,6 +499,70 @@ fn rules_restored_with_an_lmr_are_mirrored_by_the_next_subscribe() {
     }
 }
 
+#[test]
+fn restored_placed_deployment_keeps_the_lmr_alternate_stream_floors() {
+    // A placed LMR receives the documents other primaries own on one
+    // sequence stream per sender. Its export carries those floors; without
+    // them the restored LMR expects sequence 0 from every non-home primary
+    // and withholds the ack of everything they send, forever. The work
+    // runs on a worker thread so that a livelock fails the test instead of
+    // hanging it.
+    const RULE: &str = "search CycleProvider c register c";
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let mdps = ["m1", "m2", "m3"];
+        let mut old = Mdv::new(schema());
+        for m in mdps {
+            old.add_mdp(m).unwrap();
+        }
+        old.set_replication_factor(2).unwrap();
+        old.add_lmr("l1", "m1").unwrap();
+        old.subscribe("l1", RULE).unwrap();
+        for i in 0..30 {
+            old.register_document("m1", &provider(i, "a.hub.org", 100, 700))
+                .unwrap();
+        }
+        let lmr_state = old.lmr("l1").unwrap().export_state();
+        assert!(lmr_state.contains("\naltseq "), "alternate floors exported");
+
+        let mut sys = Mdv::new(schema());
+        for m in mdps {
+            sys.add_mdp(m).unwrap();
+            sys.restore_mdp_state(m, &old.mdp(m).unwrap().export_state())
+                .unwrap();
+        }
+        sys.set_replication_factor(2).unwrap();
+        sys.add_lmr("l1", "m1").unwrap();
+        sys.restore_lmr_state("l1", &lmr_state).unwrap();
+        for i in 30..60 {
+            sys.register_document("m1", &provider(i, "b.hub.org", 100, 700))
+                .unwrap();
+        }
+        sys.run_to_quiescence().unwrap();
+        let lmr = sys.lmr("l1").unwrap();
+        for i in 0..60 {
+            let uri = format!("doc{i}.rdf#host");
+            assert!(lmr.is_cached(&uri), "{uri} reached the cache");
+        }
+        for m in mdps {
+            assert_eq!(sys.mdp(m).unwrap().unacked_publications(), 0, "{m}");
+        }
+        done_tx.send(()).unwrap();
+    });
+    match done_rx.recv_timeout(std::time::Duration::from_secs(30)) {
+        // finished, or panicked: joining returns its panic
+        Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        // a livelocked worker never returns, so it is left running
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("the restored deployment did not converge within 30 s")
+        }
+    }
+}
+
 /// The rule ids of `lmr` registered at `mdp`, sorted.
 fn mirrored_rules(sys: &Mdv, mdp: &str, lmr: &str) -> Vec<u64> {
     let prefix = format!("subscription {lmr}\t");
