@@ -13,11 +13,9 @@
 //! `DESIGN.md` §4 holds the workspace-wide module map locating this
 //! crate's files.
 
-use std::path::Path;
 use std::time::Instant;
 
 use mdv_filter::{FilterEngine, NaiveEngine};
-use mdv_relstore::{DurableEngine, StorageEngine};
 use mdv_workload::{benchmark_documents, benchmark_rules, benchmark_schema, BenchParams, RuleType};
 
 /// One measured point of a figure.
@@ -273,152 +271,6 @@ pub fn ablation_updates(rule_count: u64, doc_count: u64) -> (f64, f64, f64) {
     (register_ms, update_ms, delete_ms)
 }
 
-/// Builds a WAL-durable engine over `dir`, pre-loaded with `rule_count`
-/// rules of one type. The whole rule base is committed as one group, so
-/// setup pays a single fsync rather than one per rule.
-pub fn build_durable_engine(
-    rule_type: RuleType,
-    rule_count: u64,
-    dir: &Path,
-) -> FilterEngine<DurableEngine> {
-    let store = DurableEngine::create(dir).expect("fresh benchmark WAL directory");
-    let mut engine = FilterEngine::with_storage(store, benchmark_schema());
-    engine.storage_mut().begin();
-    for rule in benchmark_rules(rule_type, rule_count) {
-        engine
-            .register_subscription(&rule)
-            .expect("benchmark rules are valid");
-    }
-    engine
-        .storage_mut()
-        .commit()
-        .expect("rule-base commit group");
-    engine
-}
-
-/// Measures one batch point on the durable backend. Unlike [`run_point`],
-/// every repetition rebuilds the engine from scratch (a WAL directory has
-/// one writer and no cheap clone), so repetitions are capped at 3; engine
-/// construction is excluded from the timing.
-pub fn run_point_durable(
-    rule_type: RuleType,
-    params: &BenchParams,
-    batch_size: u64,
-    scratch: &Path,
-    min_elapsed_ms: f64,
-) -> (Measurement, u64, u64) {
-    let docs = benchmark_documents(0..batch_size, params);
-    let mut total_ms = 0.0;
-    let mut reps = 0u32;
-    let mut matches = 0u64;
-    let mut wal_bytes = 0u64;
-    let mut commits = 0u64;
-    while reps == 0 || (total_ms < min_elapsed_ms && reps < 3) {
-        let dir = scratch.join(format!("rep{reps}"));
-        let mut engine = build_durable_engine(rule_type, params.rule_count, &dir);
-        let bytes_before = engine.storage().wal_bytes();
-        let commits_before = engine.storage().commits();
-        let start = Instant::now();
-        let pubs = engine
-            .register_batch(&docs)
-            .expect("benchmark batch registers");
-        total_ms += start.elapsed().as_secs_f64() * 1e3;
-        matches = pubs.iter().map(|p| p.added.len() as u64).sum();
-        wal_bytes = engine.storage().wal_bytes() - bytes_before;
-        commits = engine.storage().commits() - commits_before;
-        drop(engine);
-        let _ = std::fs::remove_dir_all(&dir);
-        reps += 1;
-    }
-    let per_batch = total_ms / reps as f64;
-    let m = Measurement {
-        rule_type,
-        rule_count: params.rule_count,
-        batch_size,
-        fraction: if rule_type == RuleType::Comp {
-            params.comp_match_fraction
-        } else {
-            0.0
-        },
-        total_ms: per_batch,
-        avg_ms_per_doc: per_batch / batch_size as f64,
-        matches,
-    };
-    (m, wal_bytes, commits)
-}
-
-/// A full batch-size sweep on the durable backend (the `--backend durable`
-/// path of the `figures` binary). Same workload as [`sweep`], run through
-/// the WAL so group commit, framing, and fsync cost are all on the measured
-/// path.
-pub fn sweep_durable(
-    rule_type: RuleType,
-    rule_count: u64,
-    fraction: f64,
-    batch_sizes: &[u64],
-    min_elapsed_ms: f64,
-    scratch: &Path,
-) -> Vec<Measurement> {
-    let params = BenchParams {
-        rule_count,
-        comp_match_fraction: fraction,
-    };
-    batch_sizes
-        .iter()
-        .map(|&b| run_point_durable(rule_type, &params, b, scratch, min_elapsed_ms).0)
-        .collect()
-}
-
-/// One row of the WAL-overhead study (EXPERIMENTS.md): the same batch
-/// registration measured on the in-memory and the durable backend.
-#[derive(Debug, Clone)]
-pub struct WalOverhead {
-    pub rule_type: RuleType,
-    pub rule_count: u64,
-    pub batch_size: u64,
-    pub mem_ms: f64,
-    pub durable_ms: f64,
-    /// `durable_ms / mem_ms`.
-    pub overhead: f64,
-    /// WAL bytes the timed batch appended.
-    pub wal_bytes: u64,
-    /// Commit groups the timed batch flushed (group commit ⇒ 1).
-    pub commits: u64,
-}
-
-/// Measures one WAL-overhead point: identical workload, identical matches,
-/// in-memory vs durable.
-pub fn wal_overhead_point(
-    rule_type: RuleType,
-    rule_count: u64,
-    batch_size: u64,
-    scratch: &Path,
-    min_elapsed_ms: f64,
-) -> WalOverhead {
-    let params = BenchParams {
-        rule_count,
-        comp_match_fraction: 0.1,
-    };
-    let base = build_engine(rule_type, rule_count);
-    let mem = run_point(&base, rule_type, &params, batch_size, min_elapsed_ms);
-    let (durable, wal_bytes, commits) =
-        run_point_durable(rule_type, &params, batch_size, scratch, min_elapsed_ms);
-    assert_eq!(
-        mem.matches, durable.matches,
-        "backends must produce identical matches"
-    );
-    WalOverhead {
-        rule_type,
-        rule_count,
-        batch_size,
-        mem_ms: mem.total_ms,
-        durable_ms: durable.total_ms,
-        overhead: durable.total_ms / mem.total_ms,
-        wal_bytes,
-        commits,
-    }
-}
-
 /// Rebuilds a benchmark document with a different memory value (same URIs).
 fn rebuild_with_memory(doc: &mdv_rdf::Document, memory: u64) -> mdv_rdf::Document {
     use mdv_rdf::{Document, Resource, Term};
@@ -503,28 +355,6 @@ mod tests {
     fn updates_ablation_runs() {
         let (r, u, d) = ablation_updates(50, 10);
         assert!(r > 0.0 && u > 0.0 && d > 0.0);
-    }
-
-    #[test]
-    fn wal_overhead_point_agrees_across_backends() {
-        let scratch = std::env::temp_dir().join(format!("mdv-bench-wal-{}", std::process::id()));
-        let row = wal_overhead_point(RuleType::Oid, 50, 10, &scratch, 1.0);
-        // identical matching discipline is asserted inside; spot-check the
-        // instrumentation: group commit flushes the batch as ONE group
-        assert_eq!(row.commits, 1);
-        assert!(row.wal_bytes > 0, "batch must append WAL bytes");
-        assert!(row.mem_ms > 0.0 && row.durable_ms > 0.0);
-        let _ = std::fs::remove_dir_all(&scratch);
-    }
-
-    #[test]
-    fn durable_sweep_small() {
-        let scratch = std::env::temp_dir().join(format!("mdv-bench-dsweep-{}", std::process::id()));
-        let rows = sweep_durable(RuleType::Oid, 50, 0.0, &[1, 5], 1.0, &scratch);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].matches, 1);
-        assert_eq!(rows[1].matches, 5);
-        let _ = std::fs::remove_dir_all(&scratch);
     }
 
     #[test]

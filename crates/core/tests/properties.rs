@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use mdv_filter::store::{create_base_tables, T_RESOURCES, T_RULE_RESULTS, T_STATEMENTS};
 use mdv_filter::{BaseStore, FilterEngine, NaiveEngine};
 use mdv_rdf::{diff, Document, RdfSchema, Resource, Term, UriRef};
-use mdv_relstore::Database;
+use mdv_relstore::{Database, DurableEngine, FaultVfs};
 use mdv_testkit::{prop_assert, prop_assert_eq, property, Source};
 
 fn schema() -> RdfSchema {
@@ -470,6 +470,46 @@ property! {
         }
         b.sort();
         prop_assert_eq!(a, b);
+    }
+
+    /// A WAL-durable filter publishes exactly what the in-memory one
+    /// publishes, and one `register_batch` is one commit group (DESIGN.md
+    /// §6.2): over every rule type and batch sizes from 1 to 12, each batch
+    /// appends to the log and flushes it exactly once.
+    fn durable_filter_publishes_like_memory_in_one_commit_group(src) {
+        let rules = arb_rules(src, 8);
+        let store = DurableEngine::create_with(FaultVfs::new(src.bits()), "/prop").unwrap();
+        let mut durable = FilterEngine::with_storage(store, schema());
+        let mut memory = FilterEngine::new(schema());
+        for r in &rules {
+            prop_assert_eq!(
+                durable.register_subscription(r).unwrap(),
+                memory.register_subscription(r).unwrap()
+            );
+        }
+        let mut next_doc = 0;
+        for _ in 0..src.usize_in(1..4) {
+            let batch: Vec<Document> = src
+                .vec(1..13, arb_doc_spec)
+                .iter()
+                .enumerate()
+                .map(|(k, s)| make_doc(next_doc + k, s))
+                .collect();
+            next_doc += batch.len();
+            let commits = durable.storage().commits();
+            let wal_bytes = durable.storage().wal_bytes();
+            prop_assert_eq!(
+                durable.register_batch(&batch).unwrap(),
+                memory.register_batch(&batch).unwrap()
+            );
+            prop_assert_eq!(
+                durable.storage().commits() - commits,
+                1,
+                "a batch of {} documents must be one commit group",
+                batch.len()
+            );
+            prop_assert!(durable.storage().wal_bytes() > wal_bytes, "the batch logged nothing");
+        }
     }
 
     /// A rejected batch registers nothing. Whatever makes a document

@@ -1,8 +1,8 @@
 //! # mdv-testkit
 //!
-//! A small, fully deterministic property-testing harness plus a wall-clock
-//! benchmark runner — the in-tree replacement for `proptest` and
-//! `criterion`, with zero dependencies outside the workspace.
+//! A small, fully deterministic property-testing harness — the in-tree
+//! replacement for `proptest`, with zero dependencies outside the
+//! workspace.
 //!
 //! ## Property testing
 //!
@@ -30,16 +30,9 @@
 //! }
 //! ```
 //!
-//! ## Benchmarks
-//!
-//! [`bench::BenchGroup`] measures warmup + N timed iterations and reports
-//! min / mean / median / p95 both as a human-readable table and as JSON
-//! lines, replacing the `criterion` harness for `benches/figures.rs`.
-//!
 //! `DESIGN.md` §4 holds the workspace-wide module map locating this
 //! crate's files.
 
-pub mod bench;
 mod gen;
 mod runner;
 mod source;
