@@ -146,10 +146,10 @@ echo "ok: no BENCH_*.json in the repo root"
 # join executors, the filter's config struct, and the hand-written
 # per-node retry, outbox, reorder-buffer and floor state that `channel.rs`
 # replaced, and the five logical-time studies with the `--backend` knob, the
-# second bench runner and their result files, may be named only where
-# their removal is recorded — DESIGN.md §8 and EXPERIMENTS.md "Removed
-# studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json'
+# second bench runner and their result files, and the Raft snapshot codec
+# and Raft placement entry, may be named only where their removal is
+# recorded — DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -239,9 +239,9 @@ done
 # ---------------------------------------------------------------------------
 step "placement replay: partitioned replication across fixed seeds"
 # Replays the placement properties (randomized fail/heal schedules at
-# R ∈ {1,2,3} over 3–5 MDPs checked by the shadow-deployment oracle, plus
-# Raft replicating the placement table through the log; DESIGN.md §11)
-# under the same pinned seeds; failures print the seed to rerun.
+# R ∈ {1,2,3} over 3–5 MDPs checked by the shadow-deployment oracle;
+# DESIGN.md §11) under the same pinned seeds; failures print the seed to
+# rerun.
 for seed in "${CI_SEEDS[@]}"; do
   MDV_PROP_SEED="$seed" MDV_PROP_CASES=15 \
     cargo test -q --offline --test placement >/dev/null

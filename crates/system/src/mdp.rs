@@ -17,6 +17,7 @@ use crate::error::{Error, Result};
 use crate::message::{DigestEntry, Message, PublishMsg, RepairDoc, RuleDelta};
 use crate::mirror::{self, i, s};
 use crate::placement::PlacementTable;
+use crate::raft::RaftCmd;
 use crate::subscribers::Subscribers;
 use crate::transport::{Envelope, Network};
 
@@ -626,13 +627,20 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             .is_none_or(|p| p.is_primary(&self.name, doc_uri))
     }
 
-    /// Publishes filter output for one document operation — unless a
-    /// placement table is installed and this node is not the document's
-    /// primary, in which case the publications are dropped (the primary
-    /// ships the identical matches to every subscriber, DESIGN.md §11).
-    fn publish_for(&mut self, doc_uri: &str, pubs: Vec<Publication>, net: &Network) -> Result<()> {
+    /// Publishes filter output for one document operation (see
+    /// [`Mdp::publish`] for `ship`) — unless a placement table is installed
+    /// and this node is not the document's primary, in which case the
+    /// publications are dropped (the primary ships the identical matches to
+    /// every subscriber, DESIGN.md §11).
+    fn publish_for(
+        &mut self,
+        doc_uri: &str,
+        pubs: Vec<Publication>,
+        ship: bool,
+        net: &Network,
+    ) -> Result<()> {
         if self.publishes_for(doc_uri) {
-            self.publish(pubs, true, net)
+            self.publish(pubs, ship, net)
         } else {
             Ok(())
         }
@@ -674,7 +682,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                     this.mirror_doc_upsert(doc)?;
                     this.bump_doc_meta(doc.uri(), false);
                     this.mirror_docver(doc.uri())?;
-                    this.publish_for(doc.uri(), pubs, net)
+                    this.publish_for(doc.uri(), pubs, true, net)
                 })?;
             }
         }
@@ -700,7 +708,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             this.mirror_doc_upsert(doc)?;
             this.bump_doc_meta(doc.uri(), false);
             this.mirror_docver(doc.uri())?;
-            this.publish_for(doc.uri(), pubs, net)
+            this.publish_for(doc.uri(), pubs, true, net)
         })?;
         if replicate {
             let version = self.doc_meta.get(doc.uri()).map_or(1, |m| m.version);
@@ -720,7 +728,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             // over stale replicated registrations
             this.bump_doc_meta(uri, true);
             this.mirror_docver(uri)?;
-            this.publish_for(uri, pubs, net)
+            this.publish_for(uri, pubs, true, net)
         })?;
         if replicate {
             let version = self.doc_meta.get(uri).map_or(1, |m| m.version);
@@ -1000,70 +1008,48 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
 
     fn handle_inner(&mut self, env: Envelope, net: &Network) -> Result<()> {
         match env.message {
-            // ---- consensus-mode arms (DESIGN.md §9): subscription traffic
+            // ---- consensus-mode arms (DESIGN.md §9): a subscription change
             // is proposed to the replicated log by the leader; every other
             // voter silently drops it (the LMR retransmits, and re-homing
-            // steers it to the leader). Idempotent re-acks stay local.
+            // steers it to the leader). A duplicate changes no state: it
+            // falls through to the shared transition, which re-acks it.
             Message::Subscribe {
                 lmr_rule,
                 rule_text,
-            } if self.raft.is_some() => {
-                if self.subscribers.knows(&env.from, lmr_rule) {
-                    return self.ack_subscribe(&env.from, lmr_rule, None, net);
-                }
-                if !self.raft_is_leader() {
-                    return Ok(());
-                }
-                self.raft_propose(
-                    crate::raft::RaftCmd::Subscribe {
+            } if self.raft.is_some() && !self.subscribers.knows(&env.from, lmr_rule) => self
+                .raft_forward(
+                    RaftCmd::Subscribe {
                         lmr: env.from,
                         lmr_rule,
                         rule_text,
                     },
                     net,
-                )
-                .map(|_| ())
-            }
-            Message::Unsubscribe { lmr_rule } if self.raft.is_some() => {
-                if self.subscribers.is_retired(&env.from, lmr_rule) {
-                    return net.send(&self.name, &env.from, Message::UnsubscribeAck { lmr_rule });
-                }
-                if !self.raft_is_leader() {
-                    return Ok(());
-                }
-                self.raft_propose(
-                    crate::raft::RaftCmd::Unsubscribe {
+                ),
+            Message::Unsubscribe { lmr_rule }
+                if self.raft.is_some() && !self.subscribers.is_retired(&env.from, lmr_rule) =>
+            {
+                self.raft_forward(
+                    RaftCmd::Unsubscribe {
                         lmr: env.from,
                         lmr_rule,
                     },
                     net,
                 )
-                .map(|_| ())
             }
             Message::Resubscribe {
                 lmr_rule,
                 rule_text,
                 last_seq,
-            } if self.raft.is_some() => {
-                let registered = self.subscribers.find(&env.from, lmr_rule).is_some();
-                let cur = self.next_pub_seq.get(&env.from);
-                if registered && last_seq == cur {
-                    return self.ack_subscribe(&env.from, lmr_rule, None, net);
-                }
-                if !self.raft_is_leader() {
-                    return Ok(());
-                }
-                self.raft_propose(
-                    crate::raft::RaftCmd::Resubscribe {
+            } if self.raft.is_some() && !self.caught_up(&env.from, lmr_rule, last_seq) => self
+                .raft_forward(
+                    RaftCmd::Resubscribe {
                         lmr: env.from,
                         lmr_rule,
                         rule_text,
                         last_seq,
                     },
                     net,
-                )
-                .map(|_| ())
-            }
+                ),
             // under Raft only the leader welcomes a re-homing LMR; a stale
             // or deposed voter stays silent and the LMR's hello retry finds
             // the leader
@@ -1084,49 +1070,14 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             {
                 self.raft_handle(&env.from, env.message, net)
             }
-            // ---- LWW-mode arms (and mode-independent protocol) ----------
+            // ---- the shared transitions (LWW, or a duplicate under Raft)
+            // and the mode-independent protocol -------------------------
             Message::Subscribe {
                 lmr_rule,
                 rule_text,
-            } => {
-                // retransmitted or duplicated Subscribe: the subscription is
-                // already registered (or already retracted again) — re-ack
-                // without touching the engine, so retries are idempotent
-                if self.subscribers.knows(&env.from, lmr_rule) {
-                    return self.ack_subscribe(&env.from, lmr_rule, None, net);
-                }
-                match self.engine.register_subscription(&rule_text) {
-                    Ok((sub, initial)) => {
-                        self.subscribers.insert(sub, &env.from, lmr_rule);
-                        self.mirror_sub_insert(&env.from, lmr_rule, &rule_text)?;
-                        self.ack_subscribe(&env.from, lmr_rule, None, net)?;
-                        // initial cache fill (under placement: only the
-                        // documents this node is primary for — every other
-                        // owner ships its own share)
-                        let initial = self.primary_matches(initial);
-                        if !initial.is_empty() {
-                            self.send_fill(&env.from, lmr_rule, initial, false, net)?;
-                        }
-                        Ok(())
-                    }
-                    Err(e) => self.ack_subscribe(&env.from, lmr_rule, Some(e.to_string()), net),
-                }
-            }
+            } => self.subscribe_rule(&env.from, lmr_rule, &rule_text, true, net),
             Message::Unsubscribe { lmr_rule } => {
-                if let Some(sub) = self.subscribers.find(&env.from, lmr_rule) {
-                    self.subscribers.remove(sub);
-                    self.engine.unregister_subscription(sub)?;
-                }
-                // A retransmitted or duplicated Unsubscribe finds the rule
-                // retired already and is re-acked. An unknown rule is
-                // tombstoned and acked too: a failover cleanup unsubscribe
-                // can reach an MDP that never saw the subscription (e.g.
-                // after a crash); rule ids are never reused, so retiring is
-                // always safe.
-                if self.subscribers.retire(&env.from, lmr_rule) {
-                    self.mirror_sub_retire(&env.from, lmr_rule)?;
-                }
-                net.send(&self.name, &env.from, Message::UnsubscribeAck { lmr_rule })
+                self.unsubscribe_rule(&env.from, lmr_rule, true, net)
             }
             Message::PublishAck { seq } => {
                 self.outbox.ack(&(env.from.clone(), seq));
@@ -1174,7 +1125,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 lmr_rule,
                 rule_text,
                 last_seq,
-            } => self.handle_resubscribe(&env.from, lmr_rule, &rule_text, last_seq, net),
+            } => self.resubscribe_rule(&env.from, lmr_rule, &rule_text, last_seq, true, net),
             other => Err(Error::Topology(format!(
                 "MDP '{}' received unexpected message kind '{}'",
                 self.name,
@@ -1217,16 +1168,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                         this.mirror_seq_row_remove(T_RBUF, peer, seq)?;
                     }
                     this.mirror_counter(T_RFLOOR, peer, seq + 1)?;
-                    this.apply_remote_op(op, net).map(|_| ())
+                    let xml = (op.kind != ReplKind::Delete).then_some(op.xml.as_str());
+                    this.apply_remote_doc(&op.uri, op.version, xml, net)
+                        .map(|_| ())
                 },
             ),
         }
-    }
-
-    fn apply_remote_op(&mut self, op: ReplOp, net: &Network) -> Result<bool> {
-        let deleted = op.kind == ReplKind::Delete;
-        let xml = (!deleted).then_some(op.xml.as_str());
-        self.apply_remote_doc(&op.uri, op.version, deleted, xml, net)
     }
 
     /// The `(version, deleted, hash)` conflict-resolution key of this
@@ -1247,57 +1194,69 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         (meta.version, u8::from(meta.deleted), hash)
     }
 
-    /// Applies one remote document state if it is newer than the local one
-    /// under the total order `(version, deleted, hash)`; stale and
-    /// duplicate states are skipped, which makes replicated applies (and
-    /// anti-entropy repairs racing them) idempotent and commutative.
-    /// Returns whether the state was applied.
+    /// Applies one remote document state — `xml` of `None` is a deletion —
+    /// if it is newer than the local one under the total order `(version,
+    /// deleted, hash)`; stale and duplicate states are skipped, which makes
+    /// replicated applies (and anti-entropy repairs racing them) idempotent
+    /// and commutative. Returns whether the state was applied.
     fn apply_remote_doc(
         &mut self,
         uri: &str,
         version: u64,
-        deleted: bool,
         xml: Option<&str>,
         net: &Network,
     ) -> Result<bool> {
+        let deleted = xml.is_none();
         let incoming = (
             version,
             u8::from(deleted),
-            xml.filter(|_| !deleted)
-                .map_or(0, |x| fnv1a64(x.as_bytes())),
+            xml.map_or(0, |x| fnv1a64(x.as_bytes())),
         );
         if incoming <= self.local_doc_key(uri) {
             return Ok(false);
         }
         // replicated state never mixes into a pending local batch
         self.flush(net)?;
-        if deleted {
-            if self.engine.document(uri).is_some() {
-                self.with_group(|this| {
-                    let pubs = this.engine.delete_document(uri)?;
-                    this.mirror_doc_delete(uri)?;
-                    this.publish_for(uri, pubs, net)
-                })?;
-            }
-        } else if let Some(xml) = xml {
-            let doc = parse_document(uri, xml).map_err(mdv_filter::Error::from)?;
-            let known = self.engine.document(uri).is_some();
-            self.with_group(|this| {
-                // a register racing a tombstoned or diverged URI degrades
-                // to an update (and vice versa), so op kinds never error
-                let pubs = if known {
-                    this.engine.update_document(&doc)?
-                } else {
-                    this.engine.register_document(&doc)?
-                };
-                this.mirror_doc_upsert(&doc)?;
-                this.publish_for(uri, pubs, net)
-            })?;
-        }
+        self.with_group(|this| this.apply_doc(uri, xml, true, net))?;
         self.doc_meta
             .insert(uri.to_owned(), DocMeta { version, deleted });
         self.mirror_docver(uri)?;
         Ok(true)
+    }
+
+    /// The document transition both backbones share: puts the state of
+    /// `uri` decided elsewhere — by a newer replicated version (LWW) or a
+    /// committed log entry (Raft) — into the engine and publishes the
+    /// change. `xml` of `None` deletes; a put registers an unknown URI and
+    /// updates a known one, so a register racing a delete never errors,
+    /// and deleting the absent is a no-op. `talks` is whether this node
+    /// talks to LMRs: a Raft follower only numbers what the leader ships.
+    pub(crate) fn apply_doc(
+        &mut self,
+        uri: &str,
+        xml: Option<&str>,
+        talks: bool,
+        net: &Network,
+    ) -> Result<()> {
+        let pubs = match xml {
+            None if self.engine.document(uri).is_none() => return Ok(()),
+            None => {
+                let pubs = self.engine.delete_document(uri)?;
+                self.mirror_doc_delete(uri)?;
+                pubs
+            }
+            Some(xml) => {
+                let doc = parse_document(uri, xml).map_err(mdv_filter::Error::from)?;
+                let pubs = if self.engine.document(uri).is_some() {
+                    self.engine.update_document(&doc)?
+                } else {
+                    self.engine.register_document(&doc)?
+                };
+                self.mirror_doc_upsert(&doc)?;
+                pubs
+            }
+        };
+        self.publish_for(uri, pubs, talks, net)
     }
 
     /// This node's anti-entropy digest: one `(version, deleted, hash)`
@@ -1385,12 +1344,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
 
     fn handle_repair_docs(&mut self, docs: Vec<RepairDoc>, net: &Network) -> Result<()> {
         for d in docs {
-            let xml = if d.deleted {
-                None
-            } else {
-                Some(d.xml.as_str())
-            };
-            if self.apply_remote_doc(&d.uri, d.version, d.deleted, xml, net)? {
+            let xml = (!d.deleted).then_some(d.xml.as_str());
+            if self.apply_remote_doc(&d.uri, d.version, xml, net)? {
                 net.note_repair();
             }
         }
@@ -1489,7 +1444,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             this.mirror_sub_insert(lmr, lmr_rule, rule_text)?;
             let initial = this.primary_matches(initial);
             if !initial.is_empty() {
-                this.send_fill(lmr, lmr_rule, initial, false, net)?;
+                this.send_fill(lmr, lmr_rule, initial, false, true, net)?;
             }
             Ok(())
         })
@@ -1499,50 +1454,102 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// orchestrator's counterpart to [`Mdp::register_remote_subscription`]
     /// when the LMR unsubscribes at its home MDP.
     pub(crate) fn remove_remote_subscription(&mut self, lmr: &str, lmr_rule: u64) -> Result<()> {
-        let sub = self.subscribers.find(lmr, lmr_rule);
-        self.with_group(|this| {
-            if let Some(sub) = sub {
-                this.subscribers.remove(sub);
-                this.engine.unregister_subscription(sub)?;
-            }
-            if this.subscribers.retire(lmr, lmr_rule) {
-                this.mirror_sub_retire(lmr, lmr_rule)?;
-            }
-            Ok(())
-        })
+        self.with_group(|this| this.retract_rule(lmr, lmr_rule))
     }
 
     /// Acks a Subscribe or Resubscribe of `lmr`'s rule, with its rejection
-    /// if it has one. A duplicate is re-acked the same way without touching
-    /// the engine, which keeps the LMR's retransmissions idempotent.
-    pub(crate) fn ack_subscribe(
+    /// if it has one, when this node `talks` to LMRs.
+    fn ack_subscribe(
         &self,
+        talks: bool,
         lmr: &str,
         lmr_rule: u64,
         error: Option<String>,
         net: &Network,
     ) -> Result<()> {
+        if !talks {
+            return Ok(());
+        }
         net.send(&self.name, lmr, Message::SubscribeAck { lmr_rule, error })
+    }
+
+    // ---- the subscription transitions both backbones share --------------
+    //
+    // An LWW node runs them as it receives the LMR's message, a Raft voter
+    // as it applies the committed entry. `talks` is whether this node talks
+    // to LMRs — always under LWW, only on the Raft leader: a follower makes
+    // the same state change and takes the sequence number of each envelope
+    // the leader ships, so a new leader continues every stream.
+
+    /// Registers `lmr`'s rule and ships its initial cache fill (under
+    /// placement: only the documents this node is primary for — every
+    /// other owner ships its own share). A duplicate of a known or retired
+    /// rule is re-acked without touching the engine, which keeps the LMR's
+    /// retransmissions idempotent; a rejected rule changes no state and is
+    /// acked with its error.
+    pub(crate) fn subscribe_rule(
+        &mut self,
+        lmr: &str,
+        lmr_rule: u64,
+        rule_text: &str,
+        talks: bool,
+        net: &Network,
+    ) -> Result<()> {
+        if self.subscribers.knows(lmr, lmr_rule) {
+            return self.ack_subscribe(talks, lmr, lmr_rule, None, net);
+        }
+        match self.engine.register_subscription(rule_text) {
+            Ok((sub, initial)) => {
+                self.subscribers.insert(sub, lmr, lmr_rule);
+                self.mirror_sub_insert(lmr, lmr_rule, rule_text)?;
+                self.ack_subscribe(talks, lmr, lmr_rule, None, net)?;
+                let initial = self.primary_matches(initial);
+                if initial.is_empty() {
+                    return Ok(());
+                }
+                self.send_fill(lmr, lmr_rule, initial, false, talks, net)
+            }
+            Err(e) => self.ack_subscribe(talks, lmr, lmr_rule, Some(e.to_string()), net),
+        }
+    }
+
+    /// Retracts `lmr`'s rule and tombstones it. A retransmitted or
+    /// duplicated Unsubscribe finds the rule retired already and is
+    /// re-acked. An unknown rule is tombstoned and acked too: a failover
+    /// cleanup unsubscribe can reach an MDP that never saw the subscription
+    /// (e.g. after a crash); rule ids are never reused, so retiring is
+    /// always safe.
+    pub(crate) fn unsubscribe_rule(
+        &mut self,
+        lmr: &str,
+        lmr_rule: u64,
+        talks: bool,
+        net: &Network,
+    ) -> Result<()> {
+        self.retract_rule(lmr, lmr_rule)?;
+        if !talks {
+            return Ok(());
+        }
+        net.send(&self.name, lmr, Message::UnsubscribeAck { lmr_rule })
     }
 
     /// Re-registers a rule for a failed-over (or failed-back) LMR and
     /// ships a reconciling snapshot unless the subscriber is provably
     /// caught up (`last_seq` equals the current stream position of an
     /// already-registered rule).
-    fn handle_resubscribe(
+    pub(crate) fn resubscribe_rule(
         &mut self,
         lmr: &str,
         lmr_rule: u64,
         rule_text: &str,
         last_seq: u64,
+        talks: bool,
         net: &Network,
     ) -> Result<()> {
-        let existing = self.subscribers.find(lmr, lmr_rule);
-        let cur = self.next_pub_seq.get(lmr);
-        if existing.is_some() && last_seq == cur {
-            // already subscribed here and fully caught up — nothing to resync
-            return self.ack_subscribe(lmr, lmr_rule, None, net);
+        if self.caught_up(lmr, lmr_rule, last_seq) {
+            return self.ack_subscribe(talks, lmr, lmr_rule, None, net);
         }
+        let existing = self.subscribers.find(lmr, lmr_rule);
         // re-registering returns the full current match set, which the
         // snapshot needs anyway; a rule retired by a cleanup unsubscribe
         // comes back to life when its LMR fails back home
@@ -1554,19 +1561,37 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             self.mirror_sub_unretire(lmr, lmr_rule)?;
         }
         match self.engine.register_subscription(rule_text) {
-            Err(e) => self.ack_subscribe(lmr, lmr_rule, Some(e.to_string()), net),
+            Err(e) => self.ack_subscribe(talks, lmr, lmr_rule, Some(e.to_string()), net),
             Ok((sub, initial)) => {
                 self.subscribers.insert(sub, lmr, lmr_rule);
                 if existing.is_none() {
                     self.mirror_sub_insert(lmr, lmr_rule, rule_text)?;
                 }
-                self.ack_subscribe(lmr, lmr_rule, None, net)?;
+                self.ack_subscribe(talks, lmr, lmr_rule, None, net)?;
                 let initial = self.primary_matches(initial);
                 // sent even when empty: the subscriber drops stale anchors
                 // that the snapshot no longer lists
-                self.send_fill(lmr, lmr_rule, initial, true, net)
+                self.send_fill(lmr, lmr_rule, initial, true, talks, net)
             }
         }
+    }
+
+    /// Whether `lmr`'s rule is subscribed here and `last_seq` is the
+    /// current position of its stream: a Resubscribe with nothing to resync.
+    fn caught_up(&self, lmr: &str, lmr_rule: u64, last_seq: u64) -> bool {
+        self.subscribers.find(lmr, lmr_rule).is_some() && last_seq == self.next_pub_seq.get(lmr)
+    }
+
+    /// Unregisters `lmr`'s rule if it is live and tombstones it.
+    fn retract_rule(&mut self, lmr: &str, lmr_rule: u64) -> Result<()> {
+        if let Some(sub) = self.subscribers.find(lmr, lmr_rule) {
+            self.subscribers.remove(sub);
+            self.engine.unregister_subscription(sub)?;
+        }
+        if self.subscribers.retire(lmr, lmr_rule) {
+            self.mirror_sub_retire(lmr, lmr_rule)?;
+        }
+        Ok(())
     }
 
     /// Ships the filter output of one document operation: one envelope
@@ -1619,15 +1644,20 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
 
     /// Ships the one-delta envelope of a single rule: its initial cache
     /// fill, or with `snapshot` the reconciling snapshot a resubscription
-    /// answers with.
-    pub(crate) fn send_fill(
+    /// answers with. With `ship` off only the sequence number is taken, as
+    /// in [`Mdp::publish`].
+    fn send_fill(
         &mut self,
         lmr: &str,
         lmr_rule: u64,
         initial: Vec<String>,
         snapshot: bool,
+        ship: bool,
         net: &Network,
     ) -> Result<()> {
+        if !ship {
+            return self.take_pub_seq(lmr).map(|_| ());
+        }
         let delta = RuleDelta {
             lmr_rule,
             matched: initial,
@@ -1639,7 +1669,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     }
 
     /// Takes the next sequence number of `lmr`'s publication stream.
-    pub(crate) fn take_pub_seq(&mut self, lmr: &str) -> Result<u64> {
+    fn take_pub_seq(&mut self, lmr: &str) -> Result<u64> {
         let seq = self.next_pub_seq.take(lmr);
         self.mirror_counter(T_PUBSEQ, lmr, seq + 1)?;
         Ok(seq)

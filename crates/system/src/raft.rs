@@ -3,9 +3,11 @@
 //! The paper calls the MDP tier "globally consistent"; the LWW backbone of
 //! DESIGN.md §7 is only eventually convergent. [`ReplicationMode::Raft`]
 //! replaces it with a single Raft group spanning every MDP: document
-//! registration/update/delete and subscription placement are proposed to
+//! registration/update/delete and subscription changes are proposed to
 //! the elected leader, committed through the replicated log, and applied
-//! deterministically on every voter's `StorageEngine`. The module runs
+//! on every voter through the same transitions the LWW handlers run. A
+//! snapshot is the state export of `state.rs` behind the apply hash chain
+//! value. The module runs
 //! entirely over the fault-injecting simulated transport and logical
 //! clock, which is what makes the safety properties (election safety, log
 //! matching, leader completeness, state-machine safety) *property-testable*
@@ -24,7 +26,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeBounds;
 
-use mdv_rdf::parse_document;
 use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
 use mdv_runtime::rng::Prng;
 
@@ -73,9 +74,9 @@ pub enum RaftRole {
 }
 
 /// One replicated state-machine command. Everything that mutates MDP
-/// state in Raft mode — including subscription placement, because a
-/// subscription changes which publications every future write generates —
-/// rides the log (DESIGN.md §9).
+/// state in Raft mode — subscriptions too, because a subscription changes
+/// which publications every future write generates — rides the log
+/// (DESIGN.md §9).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum RaftCmd {
     /// Appended by a fresh leader to commit entries from earlier terms
@@ -107,13 +108,6 @@ pub(crate) enum RaftCmd {
         lmr: String,
         lmr_rule: u64,
     },
-    /// Installs a placement table on every voter (DESIGN.md §11). The
-    /// payload is [`crate::placement::PlacementTable::to_wire`] output.
-    /// Bookkeeping only under Raft: storage stays fully replicated through
-    /// the log; the table drives write routing at the system tier.
-    Placement {
-        table: String,
-    },
 }
 
 impl RaftCmd {
@@ -143,7 +137,6 @@ impl RaftCmd {
             RaftCmd::Unsubscribe { lmr, lmr_rule } => {
                 format!("unsub\t{}\t{lmr_rule}", escape(lmr))
             }
-            RaftCmd::Placement { table } => format!("place\t{}", escape(table)),
         }
     }
 
@@ -188,9 +181,6 @@ impl RaftCmd {
                 lmr: field(&mut parts)?,
                 lmr_rule: num(&mut parts)?,
             },
-            "place" => RaftCmd::Placement {
-                table: field(&mut parts)?,
-            },
             _ => return Err(bad()),
         })
     }
@@ -212,13 +202,19 @@ fn chain_hash(prev: u64, wire: &str) -> u64 {
     fnv1a64(&bytes)
 }
 
-/// A state-machine snapshot (`raft_build_snapshot` text) exact at log
-/// index `index`, whose entry has term `term`.
+/// A state-machine snapshot exact at log index `index`, whose entry has
+/// term `term`; `data` is [`snapshot_data`] text.
 #[derive(Debug)]
 pub(crate) struct Snapshot {
     pub index: u64,
     pub term: u64,
     pub data: String,
+}
+
+/// InstallSnapshot data: the apply hash chain value at the snapshot index
+/// on the first line, the state machine's [`Mdp::export_state`] after it.
+fn snapshot_data(cum_hash: u64, state: &str) -> String {
+    format!("{cum_hash}\n{state}")
 }
 
 /// Per-voter Raft state. The log vector covers indices `(offset, last]`;
@@ -676,6 +672,15 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         Ok((index, term))
     }
 
+    /// Proposes an LMR's subscription change on the leader; any other voter
+    /// drops it (the LMR retransmits, and re-homing steers it to the leader).
+    pub(crate) fn raft_forward(&mut self, cmd: RaftCmd, net: &Network) -> Result<()> {
+        if !self.raft_is_leader() {
+            return Ok(());
+        }
+        self.raft_propose(cmd, net).map(|_| ())
+    }
+
     /// Sends the peer everything past its `next_index` — an AppendEntries
     /// when the entries are still in the log, an InstallSnapshot when the
     /// peer lags behind the compacted tail. That is the one place a
@@ -692,7 +697,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             (next, next <= r.offset)
         };
         if lags && self.raft.as_ref().unwrap().snapshot.is_none() {
-            let data = self.raft_build_snapshot();
+            let data = snapshot_data(self.raft.as_ref().unwrap().cum_hash, &self.export_state());
             let r = self.raft.as_mut().unwrap();
             let index = r.applied;
             let term = r.term_at(index).expect("applied >= offset is addressable");
@@ -1044,7 +1049,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             last_index <= r.applied
         };
         if !stale {
-            self.raft_install_state(data, last_index, last_term, net)?;
+            self.raft_install_state(data, last_index, last_term)?;
         }
         let (my_term, match_index) = {
             let r = self.raft.as_ref().unwrap();
@@ -1121,202 +1126,56 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         self.raft_maybe_compact()
     }
 
-    /// Applies one command to the local state machine. Every branch is a
+    /// Applies one command to the local state machine through the
+    /// transitions the LWW handlers run (`mdp.rs`). Every one is a
     /// deterministic function of the applied prefix, so all voters stay
-    /// byte-identical; only the leader talks to LMRs (followers advance
-    /// their per-LMR publication counters silently, one step per envelope
-    /// the leader ships, so sequence numbering survives leader changes).
+    /// byte-identical; only the leader talks to LMRs.
     fn raft_apply_cmd(&mut self, cmd: &RaftCmd, is_leader: bool, net: &Network) -> Result<()> {
         match cmd {
             RaftCmd::Noop => Ok(()),
             RaftCmd::Register { uri, xml } | RaftCmd::Update { uri, xml } => {
-                let doc = parse_document(uri, xml).map_err(mdv_filter::Error::from)?;
-                let known = self.engine.document(uri).is_some();
-                // a register racing a delete degrades to an update and
-                // vice versa, exactly like the LWW apply path
-                let pubs = if known {
-                    self.engine.update_document(&doc)?
-                } else {
-                    self.engine.register_document(&doc)?
-                };
-                self.mirror_doc_upsert(&doc)?;
-                self.publish(pubs, is_leader, net)
+                self.apply_doc(uri, Some(xml), is_leader, net)
             }
-            RaftCmd::Delete { uri } => {
-                if self.engine.document(uri).is_none() {
-                    return Ok(()); // deleting the absent is a no-op
-                }
-                let pubs = self.engine.delete_document(uri)?;
-                self.mirror_doc_delete(uri)?;
-                self.publish(pubs, is_leader, net)
-            }
+            RaftCmd::Delete { uri } => self.apply_doc(uri, None, is_leader, net),
             RaftCmd::Subscribe {
                 lmr,
                 lmr_rule,
                 rule_text,
-            } => {
-                if self.subscribers.knows(lmr, *lmr_rule) {
-                    // duplicate proposal of an existing/retired rule
-                    if is_leader {
-                        return self.ack_subscribe(lmr, *lmr_rule, None, net);
-                    }
-                    return Ok(());
-                }
-                match self.engine.register_subscription(rule_text) {
-                    Ok((sub, initial)) => {
-                        self.subscribers.insert(sub, lmr, *lmr_rule);
-                        self.mirror_sub_insert(lmr, *lmr_rule, rule_text)?;
-                        if is_leader {
-                            self.ack_subscribe(lmr, *lmr_rule, None, net)?;
-                        }
-                        if initial.is_empty() {
-                            Ok(())
-                        } else if is_leader {
-                            self.send_fill(lmr, *lmr_rule, initial, false, net)
-                        } else {
-                            self.take_pub_seq(lmr).map(|_| ())
-                        }
-                    }
-                    // a rejected rule changes no state on any voter; the
-                    // leader carries the error back
-                    Err(e) => {
-                        if is_leader {
-                            self.ack_subscribe(lmr, *lmr_rule, Some(e.to_string()), net)?;
-                        }
-                        Ok(())
-                    }
-                }
-            }
+            } => self.subscribe_rule(lmr, *lmr_rule, rule_text, is_leader, net),
             RaftCmd::Resubscribe {
                 lmr,
                 lmr_rule,
                 rule_text,
                 last_seq,
-            } => {
-                let existing = self.subscribers.find(lmr, *lmr_rule);
-                let cur = self.next_pub_seq.get(lmr);
-                if existing.is_some() && *last_seq == cur {
-                    // already registered and provably caught up
-                    if is_leader {
-                        return self.ack_subscribe(lmr, *lmr_rule, None, net);
-                    }
-                    return Ok(());
-                }
-                if let Some(sub) = existing {
-                    self.subscribers.remove(sub);
-                    self.engine.unregister_subscription(sub)?;
-                }
-                if self.subscribers.unretire(lmr, *lmr_rule) {
-                    self.mirror_sub_unretire(lmr, *lmr_rule)?;
-                }
-                match self.engine.register_subscription(rule_text) {
-                    Err(e) => {
-                        if is_leader {
-                            self.ack_subscribe(lmr, *lmr_rule, Some(e.to_string()), net)?;
-                        }
-                        Ok(())
-                    }
-                    Ok((sub, initial)) => {
-                        self.subscribers.insert(sub, lmr, *lmr_rule);
-                        if existing.is_none() {
-                            self.mirror_sub_insert(lmr, *lmr_rule, rule_text)?;
-                        }
-                        if is_leader {
-                            self.ack_subscribe(lmr, *lmr_rule, None, net)?;
-                        }
-                        // the reconciling snapshot ships (and numbers) even
-                        // when empty, exactly like the LWW failover path
-                        if !is_leader {
-                            return self.take_pub_seq(lmr).map(|_| ());
-                        }
-                        self.send_fill(lmr, *lmr_rule, initial, true, net)
-                    }
-                }
-            }
+            } => self.resubscribe_rule(lmr, *lmr_rule, rule_text, *last_seq, is_leader, net),
             RaftCmd::Unsubscribe { lmr, lmr_rule } => {
-                if let Some(sub) = self.subscribers.find(lmr, *lmr_rule) {
-                    self.subscribers.remove(sub);
-                    self.engine.unregister_subscription(sub)?;
-                }
-                if self.subscribers.retire(lmr, *lmr_rule) {
-                    self.mirror_sub_retire(lmr, *lmr_rule)?;
-                }
-                if is_leader {
-                    return net.send(
-                        &self.name.clone(),
-                        lmr,
-                        Message::UnsubscribeAck {
-                            lmr_rule: *lmr_rule,
-                        },
-                    );
-                }
-                Ok(())
-            }
-            RaftCmd::Placement { table } => {
-                let table = crate::placement::PlacementTable::from_wire(table)?;
-                self.set_placement(Some(table))
+                self.unsubscribe_rule(lmr, *lmr_rule, is_leader, net)
             }
         }
     }
 
     // ---- snapshots -------------------------------------------------------
 
-    /// Serializes the applied state machine: documents, live
-    /// subscriptions, retired-rule tombstones, and per-LMR publication
-    /// counters — everything a later apply reads.
-    fn raft_build_snapshot(&self) -> String {
-        let mut out = String::new();
-        let mut docs: Vec<&mdv_rdf::Document> = self.engine.documents().collect();
-        docs.sort_by(|a, b| a.uri().cmp(b.uri()));
-        for doc in docs {
-            out.push_str(&format!(
-                "d {}\t{}\n",
-                escape(doc.uri()),
-                escape(&mdv_rdf::write_document(doc))
-            ));
-        }
-        for (sub, (lmr, rule)) in self.subscribers_sorted() {
-            let text = self
-                .engine
-                .subscription(sub)
-                .map(|s| s.rule_text.clone())
-                .unwrap_or_default();
-            out.push_str(&format!("s {}\t{rule}\t{}\n", escape(&lmr), escape(&text)));
-        }
-        for (lmr, rule) in self.subscribers.retired_sorted() {
-            out.push_str(&format!("r {}\t{rule}\n", escape(&lmr)));
-        }
-        for (lmr, seq) in self.counters_sorted(crate::mdp::T_PUBSEQ) {
-            out.push_str(&format!("q {}\t{seq}\n", escape(&lmr)));
-        }
-        let r = self.raft.as_ref().unwrap();
-        out.push_str(&format!("h {}\n", r.cum_hash));
-        out
-    }
-
     /// Replaces the whole local state machine with a snapshot: the lagging
-    /// follower wipes its engine and mirrors, loads the snapshot state,
-    /// and restarts its log empty at the snapshot anchor.
-    fn raft_install_state(
-        &mut self,
-        data: &str,
-        last_index: u64,
-        last_term: u64,
-        net: &Network,
-    ) -> Result<()> {
-        let _ = net;
+    /// follower tears down its subscriptions, documents, counters and
+    /// tombstones, imports the leader's export, and restarts its log empty
+    /// at the snapshot anchor.
+    fn raft_install_state(&mut self, data: &str, last_index: u64, last_term: u64) -> Result<()> {
+        let bad = || Error::Topology("corrupt raft snapshot header".into());
+        let (cum_hash, state) = data.split_once('\n').ok_or_else(bad)?;
+        let cum_hash: u64 = cum_hash.parse().map_err(|_| bad())?;
         self.with_group(|this| {
-            // tear down: subscriptions first so document removal publishes
-            // nothing, then documents, counters, and tombstones
+            // subscriptions first so document removal publishes nothing
             for (sub, _) in this.subscribers_sorted() {
                 this.subscribers.remove(sub);
                 this.engine.unregister_subscription(sub)?;
             }
-            let uris: Vec<String> = this
+            let mut uris: Vec<String> = this
                 .engine
                 .documents()
                 .map(|d| d.uri().to_owned())
                 .collect();
+            uris.sort_unstable();
             for uri in uris {
                 let _ = this.engine.delete_document(&uri)?;
                 this.mirror_doc_delete(&uri)?;
@@ -1332,49 +1191,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             }
             this.subscribers.clear_retired();
             this.next_pub_seq = SeqCounters::default();
-
-            let mut cum_hash = 0;
-            for line in data.lines() {
-                let bad = || Error::Topology(format!("corrupt raft snapshot line '{line}'"));
-                let (tag, rest) = line.split_once(' ').ok_or_else(bad)?;
-                match tag {
-                    "d" => {
-                        let (uri, xml) = rest.split_once('\t').ok_or_else(bad)?;
-                        let (uri, xml) = (unescape(uri), unescape(xml));
-                        let doc = parse_document(&uri, &xml).map_err(mdv_filter::Error::from)?;
-                        let _ = this.engine.register_document(&doc)?;
-                        this.mirror_doc_upsert(&doc)?;
-                    }
-                    "s" => {
-                        let mut f = rest.splitn(3, '\t');
-                        let (Some(lmr), Some(rule), Some(text)) = (f.next(), f.next(), f.next())
-                        else {
-                            return Err(bad());
-                        };
-                        let rule: u64 = rule.parse().map_err(|_| bad())?;
-                        let (lmr, text) = (unescape(lmr), unescape(text));
-                        let (sub, _initial) = this.engine.register_subscription(&text)?;
-                        this.subscribers.insert(sub, &lmr, rule);
-                        this.mirror_sub_insert(&lmr, rule, &text)?;
-                    }
-                    "r" => {
-                        let (lmr, rule) = rest.split_once('\t').ok_or_else(bad)?;
-                        let rule: u64 = rule.parse().map_err(|_| bad())?;
-                        let lmr = unescape(lmr);
-                        this.subscribers.retire(&lmr, rule);
-                        this.mirror_sub_retire(&lmr, rule)?;
-                    }
-                    "q" => {
-                        let (lmr, seq) = rest.split_once('\t').ok_or_else(bad)?;
-                        let seq: u64 = seq.parse().map_err(|_| bad())?;
-                        let lmr = unescape(lmr);
-                        this.next_pub_seq.set(&lmr, seq);
-                        this.mirror_counter(crate::mdp::T_PUBSEQ, &lmr, seq)?;
-                    }
-                    "h" => cum_hash = rest.parse().map_err(|_| bad())?,
-                    _ => return Err(bad()),
-                }
-            }
+            this.import_state(state)?;
             {
                 let r = this.raft.as_mut().unwrap();
                 r.log.clear();
@@ -1458,9 +1275,6 @@ mod tests {
             RaftCmd::Unsubscribe {
                 lmr: "l1".into(),
                 lmr_rule: 7,
-            },
-            RaftCmd::Placement {
-                table: "1\t2\t64\tm1\tm2\tm3".into(),
             },
         ];
         for cmd in cmds {
@@ -1602,8 +1416,8 @@ mod tests {
         let leader = net.register("m1").unwrap();
         let mut follower = Mdp::new("m2", schema);
         follower.raft_enable(0x5eed, 0).unwrap();
-        let data = follower.raft_build_snapshot();
-        follower.raft_install_state(&data, 3, 3, &net).unwrap();
+        let data = snapshot_data(0, &follower.export_state());
+        follower.raft_install_state(&data, 3, 3).unwrap();
 
         // a leader whose next_index for us predates the install resends
         // from below our offset: the covered prefix matches, the rest lands
@@ -1656,7 +1470,8 @@ mod tests {
         };
 
         // the leader's state machine: three live rules over two LMRs and
-        // one tombstone, so the snapshot carries `s` and `r` lines
+        // one tombstone, so the snapshot carries subscription and retired
+        // records
         let mut leader = Mdp::new("m1", schema.clone());
         leader.raft_enable(0x5eed, 0).unwrap();
         let register = RaftCmd::Register {
@@ -1668,9 +1483,10 @@ mod tests {
         apply(&mut leader, subscribe("l1", 1, misses), true);
         apply(&mut leader, subscribe("l2", 0, matches), true);
         apply(&mut leader, unsubscribe("l1", 2), true);
-        let data = leader.raft_build_snapshot();
-        assert_eq!(data.lines().filter(|l| l.starts_with("s ")).count(), 3);
-        assert!(data.lines().any(|l| l == "r l1\t2"), "{data}");
+        let data = snapshot_data(0, &leader.export_state());
+        let subs = data.lines().filter(|l| l.starts_with("subscription "));
+        assert_eq!(subs.count(), 3);
+        assert!(data.lines().any(|l| l == "retired l1\t2"), "{data}");
 
         // a lagging follower with a rule and a tombstone of its own, which
         // the install must tear down in both directions
@@ -1679,7 +1495,7 @@ mod tests {
         apply(&mut follower, subscribe("l2", 5, matches), false);
         apply(&mut follower, unsubscribe("l2", 6), false);
         let stale = follower.subscribers.find("l2", 5).unwrap();
-        follower.raft_install_state(&data, 5, 1, &net).unwrap();
+        follower.raft_install_state(&data, 5, 1).unwrap();
 
         assert_eq!(follower.subscribers.get(stale), None);
         assert_eq!(follower.subscribers.find("l2", 5), None);

@@ -1,25 +1,28 @@
-//! Logical MDP state export/import — backbone node recovery.
+//! Logical MDP state export/import — backbone node recovery and the Raft
+//! snapshot.
 //!
 //! An MDP's durable state is *logical*: the subscriptions it serves and the
 //! documents registered with it. Export writes both in replayable form
 //! (rule texts plus RDF/XML documents); import replays them through the
 //! normal registration paths on a fresh node, rebuilding every filter table,
 //! the dependency graph, and all materializations. Publications are
-//! suppressed during import: subscribers already hold their caches.
+//! suppressed during import: subscribers already hold their caches. The
+//! same export, behind the apply hash chain value, is the data of a Raft
+//! InstallSnapshot (DESIGN.md §9.2), so import also decodes what arrives
+//! off the wire: malformed input is an error, never a panic.
 //!
-//! Format:
+//! Format (one record a line; `\t`, `\n` and `\\` escaped where marked):
 //!
 //! ```text
-//! #mdv-mdp-state v1
+//! #mdv-mdp-state v2
 //! pubseq <lmr>\t<next publication sequence>
 //! docver <uri>\t<version>\t<deleted 0|1>
 //! replseq <peer>\t<next replication sequence>
 //! replfloor <peer>\t<next expected replication sequence>
 //! placement <escaped placement table wire form>
+//! document <escaped uri>\t<escaped RDF/XML>
 //! subscription <lmr>\t<lmr_rule>\t<escaped rule text>
-//! document <uri>
-//! <RDF/XML lines …>
-//! .
+//! retired <lmr>\t<lmr_rule>
 //! ```
 //!
 //! The `pubseq` records carry the at-least-once publication counters (one
@@ -28,19 +31,22 @@
 //! publications as duplicates. The `docver` records carry the per-URI
 //! convergence keys of the reliable backbone (including tombstones of
 //! deleted documents), and `replseq`/`replfloor` the per-peer replication
-//! stream counters, for the same reason. Unacked in-flight messages are
-//! *not* part of durable state — recovery assumes a quiescent export.
+//! stream counters, for the same reason. The `retired` records are the
+//! tombstones of retracted rules: without them a late duplicate Subscribe
+//! would bring a retracted rule back. Documents come before subscriptions,
+//! the order a Raft install has always replayed, so an installed voter's
+//! filter tables and statistics match the leader's. Unacked in-flight
+//! messages are *not* part of durable state — recovery assumes a quiescent
+//! export.
 //!
 //! An LMR exports the receiving ends of the same streams:
 //!
 //! ```text
-//! #mdv-lmr-state v1
+//! #mdv-lmr-state v2
 //! pubseq <next publication sequence expected from the home MDP>
 //! altseq <mdp>\t<next publication sequence expected from that MDP>
 //! rule <id>\t<pending|active|failed:<escaped error>>\t<escaped rule text>
-//! local <uri>
-//! <RDF/XML lines …>
-//! .
+//! local <escaped uri>\t<escaped RDF/XML>
 //! match <uri>\t<rule>
 //! cache-snapshot
 //! <relational snapshot of the cache …>
@@ -51,14 +57,20 @@
 //! (DESIGN.md §11). Without them a restored LMR would expect sequence 0
 //! from every such MDP and withhold its acks forever. An export without
 //! `altseq` records imports with every alternate floor at 0.
+//!
+//! Version 1 framed each document as RDF/XML lines closed by a `.` line,
+//! which a literal holding such a line cut short, and dropped the MDP's
+//! rule tombstones. It is not read: a v1 file fails with the "unsupported
+//! header" error.
 
-use mdv_rdf::{parse_document, write_document};
+use mdv_rdf::{parse_document, write_document, Document};
+use mdv_relstore::StorageEngine;
 
 use crate::error::{Error, Result};
 use crate::mdp::{Mdp, T_PUBSEQ, T_RFLOOR, T_RSEQ};
 use crate::message::{escape, unescape};
 
-const HEADER: &str = "#mdv-mdp-state v1";
+const HEADER: &str = "#mdv-mdp-state v2";
 
 /// The stream-counter records of an MDP export and the mirror table each
 /// restores into.
@@ -68,14 +80,27 @@ const COUNTER_RECORDS: [(&str, &str); 3] = [
     ("replfloor", T_RFLOOR),
 ];
 
-/// Parses the `<node>\t<next sequence>` body of a stream-counter record.
+/// Parses the `<node>\t<number>` body of a stream-counter or `retired`
+/// record.
 fn counter_record<'a>(tag: &str, rest: &'a str) -> Result<(&'a str, u64)> {
     let malformed = || Error::Topology(format!("malformed {tag} record"));
     let (node, next_seq) = rest.split_once('\t').ok_or_else(malformed)?;
     Ok((node, next_seq.parse().map_err(|_| malformed())?))
 }
 
-impl Mdp {
+/// One escaped `<uri>\t<RDF/XML>` line: an MDP `document`, an LMR `local`.
+fn document_line(doc: &Document) -> String {
+    format!("{}\t{}", escape(doc.uri()), escape(&write_document(doc)))
+}
+
+fn parse_document_line(tag: &str, rest: &str) -> Result<Document> {
+    let (uri, xml) = rest
+        .split_once('\t')
+        .ok_or_else(|| Error::Topology(format!("malformed {tag} record")))?;
+    Ok(parse_document(&unescape(uri), &unescape(xml)).map_err(mdv_filter::Error::from)?)
+}
+
+impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// Serializes the node's logical state.
     pub fn export_state(&self) -> String {
         let mut out = String::from(HEADER);
@@ -98,31 +123,30 @@ impl Mdp {
         if let Some(table) = self.placement() {
             out.push_str(&format!("placement {}\n", escape(&table.to_wire())));
         }
+        let mut docs: Vec<&Document> = self.engine().documents().collect();
+        docs.sort_unstable_by(|a, b| a.uri().cmp(b.uri()));
+        for doc in docs {
+            out.push_str(&format!("document {}\n", document_line(doc)));
+        }
         for (sub, (lmr, lmr_rule)) in self.subscribers_sorted() {
             let text = self
                 .engine()
                 .subscription(sub)
-                .expect("subscriber entries reference live subscriptions")
-                .rule_text
-                .clone();
+                .map_or("", |s| s.rule_text.as_str());
             out.push_str(&format!(
                 "subscription {lmr}\t{lmr_rule}\t{}\n",
-                escape(&text)
+                escape(text)
             ));
         }
-        let mut doc_uris: Vec<&str> = self.engine().documents().map(|d| d.uri()).collect();
-        doc_uris.sort_unstable();
-        for uri in doc_uris {
-            let doc = self.engine().document(uri).expect("listed document exists");
-            out.push_str(&format!("document {uri}\n"));
-            out.push_str(&write_document(doc));
-            out.push_str(".\n");
+        for (lmr, lmr_rule) in self.subscribers.retired_sorted() {
+            out.push_str(&format!("retired {lmr}\t{lmr_rule}\n"));
         }
         out
     }
 
-    /// Rebuilds a node's state on `self` (which must be freshly created with
-    /// the same schema). Returns `(subscriptions, documents)` restored.
+    /// Rebuilds a node's state on `self`, which must hold no document and
+    /// no subscription (freshly created with the same schema, or torn down
+    /// by a Raft install). Returns `(subscriptions, documents)` restored.
     pub fn import_state(&mut self, text: &str) -> Result<(usize, usize)> {
         if self.engine().document_count() > 0 || self.engine().subscriptions().next().is_some() {
             return Err(Error::Topology(
@@ -135,7 +159,7 @@ impl Mdp {
         }
         let mut subs = 0;
         let mut docs = 0;
-        while let Some(line) = lines.next() {
+        for line in lines {
             if line.is_empty() {
                 continue;
             }
@@ -143,7 +167,7 @@ impl Mdp {
             if let Some((_, table)) = COUNTER_RECORDS.iter().find(|(t, _)| *t == tag) {
                 let (node, next_seq) = counter_record(tag, rest)?;
                 self.restore_counter(table, node, next_seq)?;
-            } else if let Some(rest) = line.strip_prefix("docver ") {
+            } else if tag == "docver" {
                 let mut fields = rest.splitn(3, '\t');
                 let (Some(uri), Some(version), Some(deleted)) =
                     (fields.next(), fields.next(), fields.next())
@@ -159,10 +183,13 @@ impl Mdp {
                     _ => return Err(Error::Topology("malformed docver tombstone flag".into())),
                 };
                 self.restore_doc_meta(uri, version, deleted)?;
-            } else if let Some(rest) = line.strip_prefix("placement ") {
+            } else if tag == "placement" {
                 let table = crate::placement::PlacementTable::from_wire(&unescape(rest))?;
                 self.set_placement(Some(table))?;
-            } else if let Some(rest) = line.strip_prefix("subscription ") {
+            } else if tag == "document" {
+                self.restore_document(&parse_document_line(tag, rest)?)?;
+                docs += 1;
+            } else if tag == "subscription" {
                 let mut fields = rest.splitn(3, '\t');
                 let (Some(lmr), Some(rule), Some(rule_text)) =
                     (fields.next(), fields.next(), fields.next())
@@ -172,32 +199,28 @@ impl Mdp {
                 let lmr_rule: u64 = rule
                     .parse()
                     .map_err(|_| Error::Topology("malformed subscription rule id".into()))?;
+                self.check_new_rule(lmr, lmr_rule)?;
                 self.restore_subscription(lmr, lmr_rule, &unescape(rule_text))?;
                 subs += 1;
-            } else if let Some(uri) = line.strip_prefix("document ") {
-                let mut xml = String::new();
-                loop {
-                    match lines.next() {
-                        Some(".") => break,
-                        Some(l) => {
-                            xml.push_str(l);
-                            xml.push('\n');
-                        }
-                        None => {
-                            return Err(Error::Topology(format!(
-                                "unterminated document '{uri}' in state"
-                            )))
-                        }
-                    }
-                }
-                let doc = parse_document(uri, &xml).map_err(mdv_filter::Error::from)?;
-                self.restore_document(&doc)?;
-                docs += 1;
+            } else if tag == "retired" {
+                let (lmr, lmr_rule) = counter_record(tag, rest)?;
+                self.check_new_rule(lmr, lmr_rule)?;
+                self.restore_retired(lmr, lmr_rule)?;
             } else {
                 return Err(Error::Topology(format!("unknown state record: {line}")));
             }
         }
         Ok((subs, docs))
+    }
+
+    /// An export lists each `(lmr, rule)` once, live or retired.
+    fn check_new_rule(&self, lmr: &str, lmr_rule: u64) -> Result<()> {
+        if self.subscribers.knows(lmr, lmr_rule) {
+            return Err(Error::Topology(format!(
+                "rule {lmr_rule} of '{lmr}' listed twice in state"
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -307,11 +330,76 @@ mod tests {
         let mut mdp = Mdp::new("m", schema());
         assert!(mdp.import_state("garbage").is_err());
         assert!(
-            mdp.import_state("#mdv-mdp-state v1\ndocument d.rdf\n<rdf:RDF/>\n")
+            mdp.import_state("#mdv-mdp-state v2\ndocument d.rdf\n")
                 .is_err(),
-            "unterminated document"
+            "a document record without its XML"
         );
-        assert!(mdp.import_state("#mdv-mdp-state v1\nwat\n").is_err());
+        assert!(mdp.import_state("#mdv-mdp-state v2\nwat\n").is_err());
+        let twice = "#mdv-mdp-state v2\nretired l\t1\nretired l\t1\n";
+        assert!(mdp.import_state(twice).is_err(), "a rule listed twice");
+    }
+
+    #[test]
+    fn version_one_is_rejected() {
+        let net = Network::new(NetConfig::default());
+        let _rx = net.register("lmr1").unwrap();
+        let v1 = populated_mdp(&net).export_state().replacen("v2", "v1", 1);
+        let err = Mdp::new("m", schema()).import_state(&v1).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported MDP state header"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restored_tombstone_keeps_a_late_duplicate_subscribe_retired() {
+        let net = Network::new(NetConfig::default());
+        let rx = net.register("lmr1").unwrap();
+        let subscribe = Message::Subscribe {
+            lmr_rule: 3,
+            rule_text: "search CycleProvider c register c".into(),
+        };
+        let from_lmr = |message| Envelope {
+            from: "lmr1".into(),
+            to: "mdp1".into(),
+            message,
+            deliver_at_ms: 0,
+        };
+        let mut mdp = Mdp::new("mdp1", schema());
+        mdp.handle(from_lmr(subscribe.clone()), &net).unwrap();
+        mdp.handle(from_lmr(Message::Unsubscribe { lmr_rule: 3 }), &net)
+            .unwrap();
+        let mut restored = Mdp::new("mdp1", schema());
+        restored.import_state(&mdp.export_state()).unwrap();
+        while rx.try_recv().is_ok() {}
+
+        // the Subscribe the LMR sent before its Unsubscribe, delivered late
+        restored.handle(from_lmr(subscribe), &net).unwrap();
+        let sent: Vec<Message> = rx.try_iter().map(|env| env.message).collect();
+        assert_eq!(
+            sent,
+            [Message::SubscribeAck {
+                lmr_rule: 3,
+                error: None
+            }]
+        );
+        assert!(restored.subscribers_sorted().is_empty());
+        assert_eq!(restored.engine().subscriptions().count(), 0);
+    }
+
+    #[test]
+    fn a_literal_line_holding_a_dot_roundtrips() {
+        let net = Network::new(NetConfig::default());
+        let mut mdp = Mdp::new("mdp1", schema());
+        let dotted = Document::new("doc1.rdf").with_resource(
+            Resource::new(UriRef::new("doc1.rdf", "host"), "CycleProvider")
+                .with("serverHost", Term::literal("a\n.\nb")),
+        );
+        mdp.register_document(&dotted, &net, false).unwrap();
+        let mut restored = Mdp::new("mdp1", schema());
+        restored.import_state(&mdp.export_state()).unwrap();
+        let back = restored.engine().document("doc1.rdf").unwrap();
+        assert_eq!(write_document(back), write_document(&dotted));
     }
 
     #[test]
@@ -325,7 +413,7 @@ mod tests {
 // LMR state
 // ---------------------------------------------------------------------------
 
-const LMR_HEADER: &str = "#mdv-lmr-state v1";
+const LMR_HEADER: &str = "#mdv-lmr-state v2";
 
 impl crate::lmr::Lmr {
     /// Serializes the LMR's durable state: subscription rules, local
@@ -353,9 +441,7 @@ impl crate::lmr::Lmr {
         let mut local_uris: Vec<&String> = self.local_docs.keys().collect();
         local_uris.sort();
         for uri in local_uris {
-            out.push_str(&format!("local {uri}\n"));
-            out.push_str(&write_document(&self.local_docs[uri]));
-            out.push_str(".\n");
+            out.push_str(&format!("local {}\n", document_line(&self.local_docs[uri])));
         }
         for uri in self.cached_uris() {
             for rule in self.tracker.matching_rules(&uri) {
@@ -416,24 +502,9 @@ impl crate::lmr::Lmr {
                     },
                 );
                 self.next_rule = self.next_rule.max(id + 1);
-            } else if let Some(uri) = line.strip_prefix("local ") {
-                let mut xml = String::new();
-                loop {
-                    match lines.next() {
-                        Some(".") => break,
-                        Some(l) => {
-                            xml.push_str(l);
-                            xml.push('\n');
-                        }
-                        None => {
-                            return Err(Error::Topology(format!(
-                                "unterminated local document '{uri}'"
-                            )))
-                        }
-                    }
-                }
-                let doc = parse_document(uri, &xml).map_err(mdv_filter::Error::from)?;
-                self.local_docs.insert(uri.to_owned(), doc);
+            } else if let Some(rest) = line.strip_prefix("local ") {
+                let doc = parse_document_line("local", rest)?;
+                self.local_docs.insert(doc.uri().to_owned(), doc);
             } else if let Some(rest) = line.strip_prefix("match ") {
                 let (uri, rule) = rest
                     .split_once('\t')
@@ -591,6 +662,22 @@ mod lmr_state_tests {
     }
 
     #[test]
+    fn a_local_literal_line_holding_a_dot_roundtrips() {
+        let mut l = Lmr::new("lmr1", "mdp1", schema());
+        let dotted = Document::new("local.rdf").with_resource(
+            Resource::new(UriRef::new("local.rdf", "s"), "CycleProvider")
+                .with("serverHost", Term::literal("a\n.\nb")),
+        );
+        l.register_local_metadata(&dotted).unwrap();
+        let mut restored = Lmr::new("lmr1", "mdp1", schema());
+        restored.import_state(&l.export_state()).unwrap();
+        assert_eq!(
+            mdv_rdf::write_document(&restored.local_docs["local.rdf"]),
+            mdv_rdf::write_document(&dotted)
+        );
+    }
+
+    #[test]
     fn lmr_import_requires_fresh() {
         let l = populated_lmr();
         let mut not_fresh = populated_lmr();
@@ -601,10 +688,14 @@ mod lmr_state_tests {
     fn lmr_corrupt_state_rejected() {
         let mut l = Lmr::new("l", "m", schema());
         assert!(l.import_state("nope").is_err());
-        assert!(l.import_state("#mdv-lmr-state v1\nwat\n").is_err());
-        assert!(l
-            .import_state("#mdv-lmr-state v1\nlocal d.rdf\n<rdf:RDF/>\n")
-            .is_err());
+        assert!(l.import_state("#mdv-lmr-state v2\nwat\n").is_err());
+        assert!(l.import_state("#mdv-lmr-state v2\nlocal d.rdf\n").is_err());
+        let v1 = populated_lmr().export_state().replacen("v2", "v1", 1);
+        let err = l.import_state(&v1).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported LMR state header"),
+            "{err}"
+        );
     }
 }
 

@@ -101,7 +101,7 @@ impl MdvSystem {
             .get_mut(lmr)
             .ok_or_else(|| Error::Topology(format!("unknown LMR '{lmr}'")))?;
         node.import_state(state)?;
-        if self.placement.is_some() && self.mode == ReplicationMode::Lww {
+        if self.placement.is_some() {
             self.unmirrored
                 .extend(node.rules().map(|(id, _)| (lmr.to_owned(), id)));
         }
@@ -404,8 +404,8 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
         self.mdps.insert(name.to_owned(), mdp);
         self.rewire_peers();
         // joining a partitioned backbone moves the shards the new node now
-        // owns onto it (LWW; the Raft table is fixed by the log — §11)
-        if self.placement.is_some() && self.mode == ReplicationMode::Lww {
+        // owns onto it (§11)
+        if self.placement.is_some() {
             self.rebalance_placement(true)?;
         }
         Ok(())
@@ -437,7 +437,7 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
     }
 
     fn install_lmr(&mut self, name: &str, mut lmr: Lmr<S>) -> Result<()> {
-        if self.placement.is_some() && self.mode == ReplicationMode::Lww {
+        if self.placement.is_some() {
             lmr.set_placement(true)?;
         }
         let rx = self.network.register(name)?;
@@ -498,9 +498,8 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
         // under placement the survivors immediately re-cover the failed
         // node's shards (epoch bump + repair); survivors keep any extra
         // copies they hold — pruning waits until the topology heals, so a
-        // flapping node never triggers destructive churn (§11). Raft mode
-        // keeps its log-fixed table: every voter holds everything anyway.
-        if self.placement.is_some() && self.mode == ReplicationMode::Lww {
+        // flapping node never triggers destructive churn (§11).
+        if self.placement.is_some() {
             self.rebalance_placement(false)?;
         }
         Ok(())
@@ -518,16 +517,14 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
         }
         self.network.set_down(name, false);
         self.run_to_quiescence()?;
-        // in Raft mode the leader's log/snapshot shipping is the repair
-        // mechanism; anti-entropy digests are LWW machinery
-        if self.mode == ReplicationMode::Lww {
-            if self.placement.is_some() {
-                // fold the healed node back into the table, hand its shards
-                // back via repair, then prune the copies nobody owns anymore
-                self.rebalance_placement(true)?;
-            } else {
-                self.repair_backbone(64)?;
-            }
+        if self.placement.is_some() {
+            // fold the healed node back into the table, hand its shards
+            // back via repair, then prune the copies nobody owns anymore
+            self.rebalance_placement(true)?;
+        } else if self.mode == ReplicationMode::Lww {
+            // in Raft mode the leader's log/snapshot shipping is the repair
+            // mechanism; anti-entropy digests are LWW machinery
+            self.repair_backbone(64)?;
         }
         Ok(())
     }
@@ -572,10 +569,18 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
     /// replicated. `factor >= mdp count` keeps every node a full replica.
     ///
     /// Raising or lowering the factor later recomputes and re-installs the
-    /// table (in Raft mode: proposes it through the replicated log); going
-    /// back to placement-off full replication is not supported. The shard
-    /// space is fixed at the first call.
+    /// table; going back to placement-off full replication is not
+    /// supported. The shard space is fixed at the first call. Placement is
+    /// an LWW backbone: in Raft mode this returns [`Error::Config`].
     pub fn configure_placement(&mut self, config: PlacementConfig) -> Result<()> {
+        if self.mode == ReplicationMode::Raft {
+            return Err(Error::Config(
+                "placement is LWW-only: under Raft every voter stores and the \
+                 leader publishes everything, so a placement table would \
+                 change nothing (§11.5)"
+                    .into(),
+            ));
+        }
         if config.factor == 0 {
             return Err(Error::Config(
                 "replication factor must be at least 1".into(),
@@ -612,28 +617,6 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
                     "LMR '{name}' has backup failover configured, unsupported with placement"
                 )));
             }
-        }
-        if self.mode == ReplicationMode::Raft {
-            // the table is itself replicated state: compute it over the full
-            // voter set (storage stays fully replicated through the log, so
-            // liveness never moves shards) and propose it as a log entry
-            let names: Vec<String> = self.mdps.keys().cloned().collect();
-            let entry = names
-                .iter()
-                .find(|n| !self.network.is_down(n))
-                .cloned()
-                .ok_or_else(|| Error::Unavailable("no live MDP to propose through".into()))?;
-            self.placement_epoch += 1;
-            let table =
-                PlacementTable::compute(&names, config.shards, config.factor, self.placement_epoch);
-            self.raft_submit(
-                &entry,
-                RaftCmd::Placement {
-                    table: table.to_wire(),
-                },
-            )?;
-            self.placement = Some(config);
-            return Ok(());
         }
         // flip the LMRs first: the subscription mirroring below makes remote
         // MDPs publish to them, which must already ride per-sender
@@ -965,8 +948,7 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
                 .ok_or_else(|| Error::Topology(format!("unknown LMR '{lmr}'")))?;
             l.subscribe(rule_text, &self.network)?
         };
-        let mirrored = self.placement.is_some() && self.mode == ReplicationMode::Lww;
-        if mirrored {
+        if self.placement.is_some() {
             self.unmirrored.insert((lmr.to_owned(), id));
         }
         self.run_to_quiescence()?;
@@ -977,7 +959,7 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
                 // subscribe returned pending — on every other live MDP so
                 // each shard primary publishes its own matches to the LMR
                 // (§11)
-                if mirrored {
+                if self.placement.is_some() {
                     let accepted = self.take_accepted_unmirrored();
                     self.mirror_rules(&accepted)?;
                     self.run_to_quiescence()?;
@@ -1002,7 +984,7 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
         }
         // retract the mirror copies; the home MDP also hears the regular
         // Unsubscribe message, which lands idempotently after this
-        if self.placement.is_some() && self.mode == ReplicationMode::Lww {
+        if self.placement.is_some() {
             let live: Vec<String> = self.live_mdps();
             for name in live {
                 self.mdps

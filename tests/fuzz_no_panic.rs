@@ -207,6 +207,39 @@ property! {
         prop_assert!(!reopens(&damaged), "an LMR reopened over {damaged:?}");
     }
 
+    /// State import decodes what a Raft InstallSnapshot carries off the
+    /// wire: garbage, and v2 MDP and LMR exports truncated, with a byte
+    /// changed or with a line dropped, import or fail with a typed error —
+    /// never a panic.
+    fn state_import_never_panics(src) cases = 256; {
+        let mut sys = MdvSystem::new(common::schema());
+        sys.add_mdp("m").unwrap();
+        sys.add_lmr("l", "m").unwrap();
+        let rule = sys.subscribe("l", "search CycleProvider c register c").unwrap();
+        sys.subscribe("l", "search ServerInformation s register s where s.memory > 64")
+            .unwrap();
+        sys.unsubscribe("l", rule).unwrap();
+        let host = src.printable(0..20);
+        sys.register_document("m", &common::provider(0, &host, 128, 700)).unwrap();
+        sys.register_document("m", &common::provider(1, "a.org", 32, 400)).unwrap();
+        sys.register_local_metadata("l", &common::provider(2, &host, 1, 1)).unwrap();
+        let mdp_state = sys.mdp("m").unwrap().export_state();
+        let lmr_state = sys.lmr("l").unwrap().export_state();
+
+        let mdp_input = match src.usize_in(0..3) {
+            0 => src.printable(0..80),
+            1 => format!("#mdv-mdp-state v2\n{}", arb_garbage(src)),
+            _ => damage(src, &mdp_state),
+        };
+        let _ = Mdp::new("m", common::schema()).import_state(&mdp_input);
+        let lmr_input = match src.usize_in(0..3) {
+            0 => src.printable(0..80),
+            1 => format!("#mdv-lmr-state v2\n{}", arb_garbage(src)),
+            _ => damage(src, &lmr_state),
+        };
+        let _ = Lmr::new("l", "m", common::schema()).import_state(&lmr_input);
+    }
+
     /// The whole 3-tier system never panics or spins forever under a
     /// random fault plan: every operation — valid or garbage, on any node —
     /// still runs to quiescence, and logical time stays bounded.

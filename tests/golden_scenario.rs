@@ -18,6 +18,8 @@
 //! duplicates, jitter and latency spikes), so the pins also cover the
 //! at-least-once machinery the inert runs never reach: retransmission
 //! backoff, reorder buffers and the placement alternate-stream gap policy.
+//! A sixth lossy script catches a Raft follower up by InstallSnapshot
+//! behind a log compacted every two entries.
 //!
 //! A change meant to alter no behaviour (a refactor, a deletion, a
 //! speed-up) must leave every pin untouched; that is its proof of "same
@@ -43,6 +45,7 @@ const PIN_BATCH_REJECTED: u64 = 0x0c72_10cd_9e6c_248b;
 const PIN_LWW_FAILOVER_LOSSY: u64 = 0x0600_eadc_f8fb_e508;
 const PIN_PLACEMENT_R2_LOSSY: u64 = 0x29e9_7766_4c1d_e131;
 const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0xe401_a60b_87e1_96c1;
+const PIN_RAFT_INSTALL_LOSSY: u64 = 0x1411_d0d0_9e2d_6f24;
 
 /// Two overlapping subscriptions: a document with memory > 64 and
 /// cpu >= 600 is published to both LMRs in the same operation, so the
@@ -227,6 +230,50 @@ fn raft_with_a_leader_change() {
     let mut h = Fnv::new();
     digest(&sys, &mut h);
     check("raft", h.0, PIN_RAFT_LEADER_CHANGE);
+}
+
+/// A follower misses four commits behind a log compacted every two
+/// entries, so the leader must catch it up with an InstallSnapshot — over
+/// a lossy transport, so installs can be dropped, duplicated and resent.
+#[test]
+fn raft_install_snapshot_over_a_lossy_transport() {
+    let mut sys = MdvSystem::with_net_config(schema(), lossy(0x40557));
+    sys.enable_raft(0xbee).unwrap();
+    sys.set_raft_compact_threshold(2);
+    let mdps = ["m1", "m2", "m3"];
+    for m in mdps {
+        sys.add_mdp(m).unwrap();
+    }
+    sys.add_lmr("l1", "m1").unwrap();
+    sys.add_lmr("l2", "m2").unwrap();
+    sys.subscribe("l1", RULES[0]).unwrap();
+    sys.subscribe("l2", RULES[1]).unwrap();
+    // a retracted rule, so the snapshot carries a tombstone
+    let retracted = sys.subscribe("l2", RULES[0]).unwrap();
+    sys.unsubscribe("l2", retracted).unwrap();
+    let leader = sys.raft_leader().expect("a leader before the failure");
+    let follower = mdps.into_iter().find(|m| *m != leader).unwrap();
+    sys.fail_mdp(follower).unwrap();
+    sys.register_document(&leader, &provider(0, "a.hub.org", 128, 700))
+        .unwrap();
+    sys.register_document(&leader, &provider(1, "b.hub.org", 32, 400))
+        .unwrap();
+    sys.register_document(&leader, &provider(2, "c.hub.org", 256, 800))
+        .unwrap();
+    sys.update_document(&leader, &provider(0, "a.hub.org", 96, 650))
+        .unwrap();
+    sys.delete_document(&leader, "doc1.rdf").unwrap();
+    sys.heal_mdp(follower).unwrap();
+    sys.register_document(follower, &provider(3, "d.hub.org", 150, 850))
+        .unwrap();
+    sys.run_to_quiescence().unwrap();
+
+    let installs = sys.network().traffic_by_kind()["install-snapshot"];
+    assert!(installs >= 1, "the healed follower was sent no snapshot");
+    assert_faults_fired("raft-install-lossy", &sys.network_stats());
+    let mut h = Fnv::new();
+    digest(&sys, &mut h);
+    check("raft-install-lossy", h.0, PIN_RAFT_INSTALL_LOSSY);
 }
 
 #[test]

@@ -11,7 +11,8 @@
 //! tests pin the mechanisms in isolation: typed configuration errors,
 //! primary routing, full-factor equivalence with legacy full replication,
 //! exact R-copies-per-document storage, shard handoff while a
-//! publication link is partitioned, and crash-recovered shard ownership.
+//! publication link is partitioned, crash-recovered shard ownership, and
+//! the typed rejection of placement in Raft mode.
 
 mod common;
 
@@ -834,53 +835,39 @@ property! {
     }
 }
 
-property! {
-    /// In Raft mode the placement table itself rides the replicated log:
-    /// after enabling R=2 over three voters, killing and healing the
-    /// *leader* must leave every voter with the identical applied prefix,
-    /// the identical installed table, and a passing cache oracle — and the
-    /// LWW anti-entropy machinery must stay cold throughout.
-    fn raft_replicates_the_placement_table_through_the_log(src) cases = 10; {
-        let config = NetConfig {
-            faults: mild_fault_plan(src.bits()),
-            ..NetConfig::default()
-        };
-        let mut sys = MdvSystem::with_net_config(schema(), config);
-        sys.enable_raft(src.bits()).unwrap();
-        let mdps = ["m1", "m2", "m3"];
-        for m in mdps {
-            sys.add_mdp(m).unwrap();
-        }
-        sys.add_lmr("l1", "m1").unwrap();
-        sys.subscribe("l1", RULES[0]).unwrap();
-        sys.set_replication_factor(2).unwrap();
-
-        let mut live: Vec<usize> = Vec::new();
-        let mut next = 0usize;
-        let mut shadow = shadow_system(); // tracks ops only; oracle is direct
-        for (k, op) in arb_ops(src).into_iter().enumerate() {
-            apply_both(&mut sys, &mut shadow, mdps[k % 3], op, &mut live, &mut next);
-        }
-
-        let victim = sys.raft_leader().expect("leader before the failure");
-        sys.fail_mdp(&victim).unwrap();
-        let survivors: Vec<&str> = mdps.iter().copied().filter(|m| *m != victim).collect();
-        for (k, op) in arb_ops(src).into_iter().enumerate() {
-            apply_both(&mut sys, &mut shadow, survivors[k % 2], op, &mut live, &mut next);
-        }
-        sys.heal_mdp(&victim).unwrap();
-        sys.run_to_quiescence().unwrap();
-
-        common::assert_committed_identical(&sys, "after the leader fail/heal");
-        prop_assert_eq!(sys.network_stats().anti_entropy_rounds, 0);
-        prop_assert_eq!(sys.network_stats().placement_messages, 0);
-        // the log installed one identical table on every voter
-        for m in mdps {
-            let table = sys.mdp(m).unwrap().placement().expect("table everywhere");
-            prop_assert_eq!(table.factor(), 2);
-            prop_assert_eq!(table.mdps().len(), 3);
-        }
-        let home = sys.lmr("l1").unwrap().mdp().to_owned();
-        assert_consistent(&sys, "l1", &home, &RULES[..1], "after the leader fail/heal");
+/// Placement is an LWW backbone: under Raft every voter stores and the
+/// leader publishes everything, so a placement table would change nothing
+/// (DESIGN.md §11.5). Configuring one is a typed error that leaves the
+/// deployment as it was and appends nothing to the log.
+#[test]
+fn placement_is_rejected_in_raft_mode() {
+    let mut sys = MdvSystem::new(schema());
+    sys.enable_raft(7).unwrap();
+    let mdps = ["m1", "m2", "m3"];
+    for m in mdps {
+        sys.add_mdp(m).unwrap();
     }
+    sys.add_lmr("l1", "m1").unwrap();
+    sys.subscribe("l1", RULES[0]).unwrap();
+    let logs = |sys: &Mdv| -> Vec<u64> {
+        mdps.map(|m| sys.raft_probe(m).unwrap().unwrap().log.len() as u64)
+            .into()
+    };
+    let before = logs(&sys);
+
+    for err in [
+        sys.set_replication_factor(2).unwrap_err(),
+        sys.configure_placement(PlacementConfig::new(3))
+            .unwrap_err(),
+    ] {
+        assert!(matches!(err, Error::Config(_)), "{err}");
+    }
+    sys.run_to_quiescence().unwrap();
+    assert_eq!(sys.placement_config(), None);
+    assert!(sys.placement_table().is_none());
+    assert_eq!(logs(&sys), before, "a rejected placement appends no entry");
+    for m in mdps {
+        assert!(sys.mdp(m).unwrap().placement().is_none());
+    }
+    assert_eq!(sys.network_stats().placement_messages, 0);
 }
