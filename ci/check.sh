@@ -147,9 +147,10 @@ echo "ok: no BENCH_*.json in the repo root"
 # per-node retry, outbox, reorder-buffer and floor state that `channel.rs`
 # replaced, and the five logical-time studies with the `--backend` knob, the
 # second bench runner and their result files, and the Raft snapshot codec
-# and Raft placement entry, may be named only where their removal is
-# recorded — DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement'
+# and Raft placement entry, and the per-kind mirror tables with their
+# key-index upgrade, may be named only where their removal is recorded —
+# DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -210,6 +211,19 @@ for seed in "${CI_SEEDS[@]}"; do
   MDV_PROP_SEED="$seed" MDV_PROP_CASES=15 \
     cargo test -q --offline --test crash_restart >/dev/null
   echo "ok: crash_restart @ MDV_PROP_SEED=$seed"
+done
+
+# ---------------------------------------------------------------------------
+step "state-record replay: the state tables hold the exports' records across fixed seeds"
+# Replays the anti-drift property of `crates/system/src/state.rs`
+# (DESIGN.md §6.4): a durable MDP and two durable LMRs under seeded churn
+# and crash-restarts over a lossy transport; at every quiescent point each
+# node's state table holds exactly its export's records, and the export
+# imported into a fresh node exports the same text.
+for seed in "${CI_SEEDS[@]}"; do
+  MDV_PROP_SEED="$seed" MDV_PROP_CASES=24 \
+    cargo test -q --offline -p mdv-system --lib state:: >/dev/null
+  echo "ok: state records @ MDV_PROP_SEED=$seed"
 done
 
 # ---------------------------------------------------------------------------
@@ -361,10 +375,10 @@ if [[ "$QUICK" == "0" ]]; then
 
   # -------------------------------------------------------------------------
   step "mdvbench exact counts: replicated-churn logs only what recovery reads"
-  # A durable MDP journals its mirror tables, not its filter tables: those
-  # are derived state, rebuilt from SysDocuments + SysSubscriptions at
-  # recovery (DESIGN.md §6.4); and an in-order arrival writes no
-  # reorder-buffer row. (Journaling every filter row and a buffer row per
+  # A durable MDP journals its state table, not its filter tables: those
+  # are derived state, rebuilt from its document and subscription records
+  # at recovery (DESIGN.md §6.4); and an in-order arrival writes no
+  # reorder-buffer record. (Journaling every filter row and a buffer row per
   # arrival measured 16 978 - 18 000 WAL bytes per document operation
   # here at smoke size; unlogged filter tables and the elision 7 549 -
   # 8 198.)

@@ -466,8 +466,9 @@ impl<S: StorageEngine> FilterEngine<S> {
         docs: &[Document],
     ) -> Result<(Vec<Publication>, FilterRun)> {
         // one commit group per batch (group commit): a durable backend
-        // syncs its log once per batch, not once per row — the WAL-overhead
-        // benchmark measures exactly this amortization
+        // syncs its log once per batch, not once per row
+        // (`properties.rs::durable_filter_publishes_like_memory_in_one_commit_group`
+        // holds it to one group)
         self.store.begin();
         let out = self.register_batch_traced_inner(docs);
         self.store.commit()?;

@@ -117,8 +117,8 @@ impl Default for DurableConfig {
 }
 
 /// What [`DurableEngine::open`] did to reconstruct state, for callers (and
-/// the recovery-torture bench) that need to distinguish a clean replay
-/// from a checksum fall-back.
+/// the storage torture tests) that need to distinguish a clean replay from
+/// a checksum fall-back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Highest snapshot epoch present in the directory.

@@ -9,8 +9,9 @@
 //! in sequence order.
 //!
 //! The module is sans-I/O: it never sends a message and never writes a
-//! mirror row. Callers build the wire form, send, and write their durable
-//! mirror rows themselves, so the traffic and the WAL bytes are theirs.
+//! state record. Callers build the wire form, send, and write their
+//! durable state records themselves, so the traffic and the WAL bytes are
+//! theirs.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -187,6 +188,11 @@ impl<K: Ord + Clone, M> Inbox<K, M> {
 
     pub(crate) fn parked(&self) -> usize {
         self.parked.len()
+    }
+
+    /// The `(sender, seq)` of every parked message.
+    pub(crate) fn parked_keys(&self) -> impl Iterator<Item = &(K, u64)> {
+        self.parked.keys()
     }
 
     /// Delivers the [`Arrival::Next`] message `seq` of `from` and then every

@@ -9,45 +9,22 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use mdv_filter::{query_eval, store::create_base_tables, BaseStore};
-use mdv_rdf::{parse_document, write_document, Document, RdfSchema, RefKind, Resource};
-use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
+use mdv_rdf::{Document, RdfSchema, RefKind, Resource};
+use mdv_relstore::{Database, StorageEngine};
 use mdv_rulelang::{normalize, parse_rule, split_or, typecheck};
 
 use crate::channel::{Arrival, Inbox, Outbox};
 use crate::error::{Error, Result};
 use crate::gc::RefTracker;
 use crate::message::{Message, PublishMsg, RuleDelta};
-use crate::mirror::{self, i, s};
+use crate::mirror;
+use crate::state::{lmr_records as rec, Record};
 use crate::transport::{Envelope, Network};
 
-/// Durable mirror tables (created only on mirror-enabled backends, see
-/// DESIGN.md §6): the LMR's non-relational state lives next to the cache's
-/// base tables, sharing their WAL.
-const T_META: &str = "LmrMeta"; // key, val (protocol counters)
-const T_RULES: &str = "LmrRules"; // id, status, error, text
-const T_LOCAL: &str = "LmrLocalDocs"; // uri, xml
-const T_MATCH: &str = "LmrMatches"; // uri, rule (match anchors)
-const T_PUBBUF: &str = "LmrPubBuffer"; // seq, wire-form publication
-const T_DEAD: &str = "LmrDeadRules"; // rule
-const T_HOME: &str = "LmrHome"; // home, backup, awaiting (failover state)
-
-/// The key of every keyed `Lmr*` table. `LmrLocalDocs` is only appended to
-/// and read back whole, `LmrHome` holds one row.
-const KEYED_TABLES: [(&str, &[&str]); 5] = [
-    (T_META, &["key"]),
-    (T_RULES, &["id"]),
-    (T_MATCH, &["uri"]),
-    (T_PUBBUF, &["seq"]),
-    (T_DEAD, &["rule"]),
-];
-
-/// The key [`KEYED_TABLES`] declares for `table` (none for the others).
-fn key_of(table: &str) -> &'static [&'static str] {
-    KEYED_TABLES
-        .iter()
-        .find(|(t, _)| *t == table)
-        .map_or(&[], |(_, key)| key)
-}
+/// The state table of a durable LMR (created only on mirror-enabled
+/// backends, see DESIGN.md §6.4): one row per record of the LMR grammar of
+/// `crate::state`, next to the cache's base tables, sharing their WAL.
+pub(crate) const T_STATE: &str = "LmrState";
 
 /// Lifecycle of a subscription rule at the LMR.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,15 +62,15 @@ pub struct Lmr<S: StorageEngine = Database> {
     name: String,
     /// The MDP this LMR is subscribed to (its current home; may change on
     /// failover).
-    mdp: String,
+    pub(crate) mdp: String,
     /// Backup MDP to fail over to when the home goes silent.
-    backup: Option<String>,
+    pub(crate) backup: Option<String>,
     /// Failover in progress: the FailoverHello is out, the dedup floor is
     /// not yet synced with the new home, so publications are discarded.
-    awaiting_welcome: bool,
+    pub(crate) awaiting_welcome: bool,
     schema: RdfSchema,
     pub(crate) cache: S,
-    /// Mirror node state into the `Lmr*` tables (durable backends only).
+    /// Mirror node state into the state table (durable backends only).
     mirror: bool,
     pub(crate) tracker: RefTracker,
     pub(crate) rules: BTreeMap<u64, LmrRule>,
@@ -104,7 +81,7 @@ pub struct Lmr<S: StorageEngine = Database> {
     pub(crate) home: Inbox<(), PublishMsg>,
     /// Rules retracted locally: late/duplicated publications for them are
     /// acked and discarded instead of resurrecting cache entries.
-    dead_rules: HashSet<u64>,
+    pub(crate) dead_rules: HashSet<u64>,
     /// Control messages awaiting their ack: Subscribe/Resubscribe and
     /// Unsubscribe per rule, and the FailoverHello. Reaching the configured
     /// `failover_attempts` retransmissions of a rule's message counts as
@@ -113,7 +90,7 @@ pub struct Lmr<S: StorageEngine = Database> {
     /// Placement mode (DESIGN.md §11): publications legitimately arrive
     /// from every shard primary, not only the home MDP, each on its own
     /// per-sender sequence stream.
-    placement: bool,
+    pub(crate) placement: bool,
     /// The per-sender streams of non-home primaries (placement mode only).
     /// Nothing is parked here: an arrival above a floor is dropped unacked,
     /// and the sender's in-order retransmission redelivers it once the gap
@@ -133,207 +110,28 @@ impl Lmr {
 
 impl<S: StorageEngine> Lmr<S> {
     /// Builds an LMR whose cache runs on an explicit storage backend and
-    /// mirrors node state into the `Lmr*` tables of the same database — on
-    /// a durable backend the whole node becomes crash-recoverable
+    /// mirrors node state into the state table of the same database — on a
+    /// durable backend the whole node becomes crash-recoverable
     /// (DESIGN.md §6).
-    pub fn with_storage(name: &str, mdp: &str, schema: RdfSchema, mut store: S) -> Result<Self> {
-        store.begin();
-        create_base_tables(&mut store).map_err(crate::error::Error::from)?;
-        Self::create_mirror_tables(&mut store)?;
-        mirror::insert(&mut store, T_META, vec![s("next_rule"), i(0)])?;
-        mirror::insert(&mut store, T_META, vec![s("next_pub_seq"), i(0)])?;
-        mirror::insert(&mut store, T_HOME, vec![s(mdp), s(""), i(0)])?;
-        store.commit().map_err(mirror::store_err)?;
-        Ok(Self::from_store(name, mdp, schema, store, true))
-    }
-
-    /// Reopens an LMR over a crash-recovered durable store: the cache
-    /// tables are already in place (snapshot + WAL replay), node state is
-    /// rebuilt from the `Lmr*` mirrors, and the engine keeps appending to
-    /// the same log. Retry timers are transient; the caller re-arms the
-    /// in-flight control messages via [`Lmr::rearm_after_recovery`].
-    pub fn reopen(name: &str, mdp: &str, schema: RdfSchema, store: S) -> Result<Self> {
-        let corrupt = |table: &str| Error::Topology(format!("corrupt mirror row in {table}"));
+    pub fn with_storage(name: &str, mdp: &str, schema: RdfSchema, store: S) -> Result<Self> {
         let mut lmr = Self::from_store(name, mdp, schema, store, true);
-        if lmr.cache.database().table(T_META).is_err() {
-            return Err(Error::Topology(format!(
-                "'{}' is not a durable LMR store (no {T_META} table)",
-                lmr.name
-            )));
-        }
-        // a store written before the mirror tables were keyed gets its key
-        // indexes here (one logged DDL group; none for a current store)
         lmr.with_group(|this| {
-            for (table, key) in KEYED_TABLES {
-                mirror::ensure_key_index(&mut this.cache, table, key)?;
-            }
-            Ok(())
+            create_base_tables(&mut this.cache).map_err(Error::from)?;
+            mirror::create_state_table(&mut this.cache, T_STATE)?;
+            this.state_put(|| rec::pubseq(0))?;
+            this.state_put(|| rec::next_rule(0))?;
+            this.mirror_home()
         })?;
-        let db = lmr.cache.database();
-        let mut rules = BTreeMap::new();
-        let mut next_rule = 0;
-        let mut next_pub_seq = 0;
-        let mut placement = false;
-        let mut alt = Inbox::default();
-        for row in mirror::rows_sorted(db, T_META) {
-            let (Some(key), Some(val)) = (row[0].as_str(), row[1].as_int()) else {
-                return Err(corrupt(T_META));
-            };
-            match key {
-                "next_rule" => next_rule = val as u64,
-                "next_pub_seq" => next_pub_seq = val as u64,
-                "placement" => placement = val != 0,
-                other => match other.strip_prefix("alt:") {
-                    Some(sender) => alt.set_floor(sender.to_owned(), val as u64),
-                    None => {
-                        return Err(Error::Topology(format!(
-                            "unknown {T_META} counter '{other}'"
-                        )))
-                    }
-                },
-            }
-        }
-        for row in mirror::rows_sorted(db, T_RULES) {
-            let (Some(id), Some(status), Some(error), Some(text)) = (
-                row[0].as_int(),
-                row[1].as_str(),
-                row[2].as_str(),
-                row[3].as_str(),
-            ) else {
-                return Err(corrupt(T_RULES));
-            };
-            let status = match status {
-                "pending" => RuleStatus::Pending,
-                "active" => RuleStatus::Active,
-                "failed" => RuleStatus::Failed(error.to_owned()),
-                _ => return Err(corrupt(T_RULES)),
-            };
-            rules.insert(
-                id as u64,
-                LmrRule {
-                    text: text.to_owned(),
-                    status,
-                },
-            );
-        }
-        let mut local_docs = HashMap::new();
-        for row in mirror::rows_sorted(db, T_LOCAL) {
-            let (Some(uri), Some(xml)) = (row[0].as_str(), row[1].as_str()) else {
-                return Err(corrupt(T_LOCAL));
-            };
-            let doc = parse_document(uri, xml).map_err(mdv_filter::Error::from)?;
-            local_docs.insert(uri.to_owned(), doc);
-        }
-        let mut stream = Inbox::default();
-        stream.set_floor((), next_pub_seq);
-        for row in mirror::rows_sorted(db, T_PUBBUF) {
-            let Some(wire) = row[1].as_str() else {
-                return Err(corrupt(T_PUBBUF));
-            };
-            let msg = PublishMsg::from_wire(wire)
-                .map_err(|e| Error::Topology(format!("corrupt buffered publication: {e}")))?;
-            stream.park((), msg.seq, msg);
-        }
-        let mut dead_rules = HashSet::new();
-        for row in mirror::rows_sorted(db, T_DEAD) {
-            let Some(rule) = row[0].as_int() else {
-                return Err(corrupt(T_DEAD));
-            };
-            dead_rules.insert(rule as u64);
-        }
-        let mut matches = Vec::new();
-        for row in mirror::rows_sorted(db, T_MATCH) {
-            let (Some(uri), Some(rule)) = (row[0].as_str(), row[1].as_int()) else {
-                return Err(corrupt(T_MATCH));
-            };
-            matches.push((uri.to_owned(), rule as u64));
-        }
-        // The mirrored failover state wins over the caller-supplied home:
-        // after a crash mid-failover the LMR must come back attached to the
-        // MDP it last pointed at. Stores from before the table existed fall
-        // back to the argument.
-        let mut home = None;
-        let mut backup = None;
-        let mut awaiting = false;
-        for row in mirror::rows_sorted(db, T_HOME) {
-            let (Some(h), Some(b), Some(a)) = (row[0].as_str(), row[1].as_str(), row[2].as_int())
-            else {
-                return Err(corrupt(T_HOME));
-            };
-            home = Some(h.to_owned());
-            backup = (!b.is_empty()).then(|| b.to_owned());
-            awaiting = a != 0;
-        }
-        lmr.mdp = home.unwrap_or_else(|| mdp.to_owned());
-        lmr.backup = backup;
-        lmr.awaiting_welcome = awaiting;
-        lmr.rules = rules;
-        lmr.next_rule = next_rule;
-        lmr.home = stream;
-        lmr.local_docs = local_docs;
-        lmr.dead_rules = dead_rules;
-        lmr.placement = placement;
-        lmr.alt = alt;
-        lmr.rebuild_tracker(&matches)?;
         Ok(lmr)
     }
 
-    fn create_mirror_tables(store: &mut S) -> Result<()> {
-        let tables = [
-            (
-                T_META,
-                vec![
-                    ColumnDef::new("key", DataType::Str),
-                    ColumnDef::new("val", DataType::Int),
-                ],
-            ),
-            (
-                T_RULES,
-                vec![
-                    ColumnDef::new("id", DataType::Int),
-                    ColumnDef::new("status", DataType::Str),
-                    ColumnDef::new("error", DataType::Str),
-                    ColumnDef::new("text", DataType::Str),
-                ],
-            ),
-            (
-                T_LOCAL,
-                vec![
-                    ColumnDef::new("uri", DataType::Str),
-                    ColumnDef::new("xml", DataType::Str),
-                ],
-            ),
-            (
-                T_MATCH,
-                vec![
-                    ColumnDef::new("uri", DataType::Str),
-                    ColumnDef::new("rule", DataType::Int),
-                ],
-            ),
-            (
-                T_PUBBUF,
-                vec![
-                    ColumnDef::new("seq", DataType::Int),
-                    ColumnDef::new("publication", DataType::Str),
-                ],
-            ),
-            (T_DEAD, vec![ColumnDef::new("rule", DataType::Int)]),
-            (
-                T_HOME,
-                vec![
-                    ColumnDef::new("home", DataType::Str),
-                    ColumnDef::new("backup", DataType::Str),
-                    ColumnDef::new("awaiting", DataType::Int),
-                ],
-            ),
-        ];
-        for (table, cols) in tables {
-            mirror::create_table(store, table, cols, key_of(table))?;
-        }
-        Ok(())
-    }
-
-    fn from_store(name: &str, mdp: &str, schema: RdfSchema, cache: S, mirror: bool) -> Self {
+    pub(crate) fn from_store(
+        name: &str,
+        mdp: &str,
+        schema: RdfSchema,
+        cache: S,
+        mirror: bool,
+    ) -> Self {
         Lmr {
             name: name.to_owned(),
             mdp: mdp.to_owned(),
@@ -451,84 +249,42 @@ impl<S: StorageEngine> Lmr<S> {
         self.home.floor(&())
     }
 
-    // ---- mirror writes (no-ops on memory-backed nodes) -------------------
+    // ---- state-table writes (no-ops on memory-backed nodes) --------------
 
-    fn mirror_meta(&mut self, key: &str, val: u64) -> Result<()> {
+    /// Writes the record `record` encodes into the state table. The
+    /// encoder runs only on a durable node.
+    fn state_put(&mut self, record: impl FnOnce() -> Record) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::upsert_where(&mut self.cache, T_META, vec![s(key)], vec![s(key), i(val)])
+        let Record { key, fields } = record();
+        mirror::put(&mut self.cache, T_STATE, &key, &fields)
+    }
+
+    /// Deletes the record with the key `key` builds from the state table.
+    fn state_delete(&mut self, key: impl FnOnce() -> String) -> Result<()> {
+        if !self.mirror {
+            return Ok(());
+        }
+        mirror::delete(&mut self.cache, T_STATE, &key())
     }
 
     fn mirror_home(&mut self) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
-        let backup = self.backup.clone().unwrap_or_default();
-        let row = vec![
-            s(&self.mdp),
-            s(&backup),
-            i(u64::from(self.awaiting_welcome)),
-        ];
-        mirror::upsert_where(&mut self.cache, T_HOME, Vec::new(), row)
+        let record = rec::home(&self.mdp, self.backup.as_deref(), self.awaiting_welcome);
+        self.state_put(|| record)
     }
 
-    fn mirror_rule_upsert(&mut self, id: u64) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
+    fn mirror_rule(&mut self, id: u64) -> Result<()> {
+        match self.rules.get(&id) {
+            Some(rule) if self.mirror => {
+                let record = rec::rule(id, rule);
+                self.state_put(|| record)
+            }
+            _ => Ok(()),
         }
-        let Some(rule) = self.rules.get(&id) else {
-            return Ok(());
-        };
-        let (status, error) = match &rule.status {
-            RuleStatus::Pending => ("pending", String::new()),
-            RuleStatus::Active => ("active", String::new()),
-            RuleStatus::Failed(e) => ("failed", e.clone()),
-        };
-        let row = vec![i(id), s(status), s(&error), s(&rule.text)];
-        mirror::upsert_where(&mut self.cache, T_RULES, vec![i(id)], row)
-    }
-
-    fn mirror_rule_delete(&mut self, id: u64) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::delete_where(&mut self.cache, T_RULES, vec![i(id)])?;
-        // the one look-up not by key: a retracted rule's anchors, found by
-        // a scan of `LmrMatches` (once per unsubscribe)
-        let anchors = match self.cache.database().table(T_MATCH) {
-            Ok(t) => t
-                .iter()
-                .filter(|(_, r)| r[1].as_int() == Some(id as i64))
-                .map(|(rid, _)| rid)
-                .collect(),
-            Err(_) => Vec::new(),
-        };
-        mirror::delete_rows(&mut self.cache, T_MATCH, anchors)?;
-        mirror::insert_unique(&mut self.cache, T_DEAD, vec![i(id)])
-    }
-
-    fn mirror_match_add(&mut self, uri: &str, rule: u64) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::insert_unique(&mut self.cache, T_MATCH, vec![s(uri), i(rule)])
-    }
-
-    fn mirror_match_remove(&mut self, uri: &str, rule: u64) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::delete_where(&mut self.cache, T_MATCH, vec![s(uri), i(rule)])?;
-        Ok(())
-    }
-
-    fn mirror_match_forget(&mut self, uri: &str) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::delete_where(&mut self.cache, T_MATCH, vec![s(uri)])?;
-        Ok(())
     }
 
     pub fn name(&self) -> &str {
@@ -561,12 +317,16 @@ impl<S: StorageEngine> Lmr<S> {
 
     /// Switches this LMR into placement mode (DESIGN.md §11): publications
     /// from MDPs other than the home are accepted on per-sender sequence
-    /// streams instead of triggering cleanup unsubscribes. Durable, so a
-    /// crash-recovered LMR keeps accepting its alt streams.
+    /// streams instead of triggering cleanup unsubscribes. Kept as the
+    /// `placement` record, so a restored LMR keeps accepting its alt
+    /// streams.
     pub(crate) fn set_placement(&mut self, on: bool) -> Result<()> {
         self.with_group(|this| {
             this.placement = on;
-            this.mirror_meta("placement", u64::from(on))
+            match on {
+                true => this.state_put(rec::placement),
+                false => this.state_delete(|| rec::placement().key),
+            }
         })
     }
 
@@ -615,8 +375,9 @@ impl<S: StorageEngine> Lmr<S> {
                     status: RuleStatus::Pending,
                 },
             );
-            this.mirror_meta("next_rule", this.next_rule)?;
-            this.mirror_rule_upsert(id)?;
+            let next_rule = this.next_rule;
+            this.state_put(|| rec::next_rule(next_rule))?;
+            this.mirror_rule(id)?;
             let msg = Message::Subscribe {
                 lmr_rule: id,
                 rule_text: rule_text.to_owned(),
@@ -636,8 +397,13 @@ impl<S: StorageEngine> Lmr<S> {
             )));
         }
         self.with_group(|this| {
+            // the rule's anchors go by the keys the tracker lists
             let unmatched = this.tracker.remove_rule(rule);
-            this.mirror_rule_delete(rule)?;
+            this.state_delete(|| rec::rule_key(rule))?;
+            for uri in &unmatched {
+                this.state_delete(|| rec::anchor(uri, rule).key)?;
+            }
+            this.state_put(|| rec::dead(rule))?;
             this.collect_from(unmatched)?;
             this.control.ack(&Control::Sub(rule));
             this.dead_rules.insert(rule);
@@ -673,13 +439,7 @@ impl<S: StorageEngine> Lmr<S> {
                 this.upsert_resource(res, &mut Vec::new())?;
                 this.tracker.mark_local(res.uri().as_str());
             }
-            if this.mirror {
-                mirror::insert(
-                    &mut this.cache,
-                    T_LOCAL,
-                    vec![s(doc.uri()), s(&write_document(doc))],
-                )?;
-            }
+            this.state_put(|| rec::local(doc))?;
             this.local_docs.insert(doc.uri().to_owned(), doc.clone());
             Ok(())
         })
@@ -729,7 +489,7 @@ impl<S: StorageEngine> Lmr<S> {
                         None => RuleStatus::Active,
                         Some(e) => RuleStatus::Failed(e),
                     };
-                    self.mirror_rule_upsert(lmr_rule)?;
+                    self.mirror_rule(lmr_rule)?;
                 }
                 Ok(())
             }
@@ -760,19 +520,20 @@ impl<S: StorageEngine> Lmr<S> {
         self.control.ack(&Control::Hello);
         self.awaiting_welcome = false;
         // a new stream: what was parked came from the previous home
+        let parked: Vec<u64> = self.home.parked_keys().map(|((), seq)| *seq).collect();
+        for seq in parked {
+            self.state_delete(|| rec::pubbuf_key(seq))?;
+        }
         self.home = Inbox::default();
         self.home.set_floor((), next_seq);
-        self.mirror_meta("next_pub_seq", next_seq)?;
+        self.state_put(|| rec::pubseq(next_seq))?;
         self.mirror_home()?;
-        if self.mirror {
-            mirror::clear(&mut self.cache, T_PUBBUF)?;
-        }
         let live = self.rule_ids(|r| !matches!(r.status, RuleStatus::Failed(_)));
         for id in live {
             if let Some(rule) = self.rules.get_mut(&id) {
                 rule.status = RuleStatus::Pending;
             }
-            self.mirror_rule_upsert(id)?;
+            self.mirror_rule(id)?;
             self.send_resubscribe(id, net)?;
         }
         Ok(())
@@ -815,19 +576,16 @@ impl<S: StorageEngine> Lmr<S> {
         match self.home.arrival(&(), msg.seq) {
             // a retransmission or an injected copy
             Arrival::Duplicate => Ok(()),
-            // Only a parked envelope gets an `LmrPubBuffer` row: one at the
-            // floor is applied in this commit group, so a row for it would
-            // be deleted before it became durable.
+            // Only a parked envelope gets a `pubbuf` record: one at the
+            // floor is applied in this commit group, so a record of it
+            // would be deleted before it became durable.
             Arrival::Ahead => {
-                if self.mirror {
-                    let row = vec![i(msg.seq), s(&msg.to_wire())];
-                    mirror::insert(&mut self.cache, T_PUBBUF, row)?;
-                }
+                self.state_put(|| rec::pubbuf(&msg))?;
                 self.home.park((), msg.seq, msg);
                 Ok(())
             }
             // each envelope moves the floor past itself; a parked one also
-            // drops its buffer row
+            // drops its buffer record
             Arrival::Next => Inbox::deliver(
                 self,
                 |this| &mut this.home,
@@ -835,9 +593,9 @@ impl<S: StorageEngine> Lmr<S> {
                 msg.seq,
                 msg,
                 |this, seq, msg, parked| {
-                    this.mirror_meta("next_pub_seq", seq + 1)?;
-                    if parked && this.mirror {
-                        mirror::delete_where(&mut this.cache, T_PUBBUF, vec![i(seq)])?;
+                    this.state_put(|| rec::pubseq(seq + 1))?;
+                    if parked {
+                        this.state_delete(|| rec::pubbuf_key(seq))?;
                     }
                     this.apply_envelope(msg)
                 },
@@ -870,7 +628,7 @@ impl<S: StorageEngine> Lmr<S> {
         // snapshots (resubscription is a failover feature, and placement +
         // backup failover is rejected upstream)
         self.alt.set_floor(sender, msg.seq + 1);
-        self.mirror_meta(&format!("alt:{from}"), msg.seq + 1)?;
+        self.state_put(|| rec::altseq(from, msg.seq + 1))?;
         self.apply_envelope(msg)
     }
 
@@ -989,17 +747,17 @@ impl<S: StorageEngine> Lmr<S> {
                 stale.retain(|u| !listed.contains(u.as_str()));
                 for uri in &stale {
                     self.tracker.remove_match(uri, rule);
-                    self.mirror_match_remove(uri, rule)?;
+                    self.state_delete(|| rec::anchor(uri, rule).key)?;
                 }
                 candidates.extend(stale);
             }
             for uri in &d.matched {
                 self.tracker.add_match(uri, rule);
-                self.mirror_match_add(uri, rule)?;
+                self.state_put(|| rec::anchor(uri, rule))?;
             }
             for uri in d.removed {
                 self.tracker.remove_match(&uri, rule);
-                self.mirror_match_remove(&uri, rule)?;
+                self.state_delete(|| rec::anchor(&uri, rule).key)?;
                 candidates.push(uri);
             }
         }
@@ -1088,8 +846,8 @@ impl<S: StorageEngine> Lmr<S> {
             }
             worklist.extend(self.drop_edges(&uri)?);
             BaseStore::remove_resource(&mut self.cache, &uri)?;
+            // unanchored, so no match record names it
             self.tracker.forget(&uri);
-            self.mirror_match_forget(&uri)?;
             collected += 1;
         }
         Ok(collected)
@@ -1100,11 +858,12 @@ impl<S: StorageEngine> Lmr<S> {
         &self.tracker
     }
 
-    /// Rebuilds the reference tracker from the cache contents, the schema,
-    /// the local-document registry, and explicit match anchors (state
-    /// import): strong counts are derivable, matches are not.
-    pub(crate) fn rebuild_tracker(&mut self, matches: &[(String, u64)]) -> Result<()> {
-        self.tracker = RefTracker::new();
+    /// Completes the reference tracker of a restored node, which holds
+    /// only the match anchors its records listed: adds the strong counts
+    /// the cache contents and the schema imply and the local marks of the
+    /// local-document registry (strong counts are derivable, matches are
+    /// not).
+    pub(crate) fn restore_anchors(&mut self) -> Result<()> {
         for uri in self.cached_uris() {
             let Some(class) = BaseStore::resource_class(self.cache.database(), &uri)? else {
                 continue;
@@ -1119,9 +878,6 @@ impl<S: StorageEngine> Lmr<S> {
             for res in doc.resources() {
                 self.tracker.mark_local(res.uri().as_str());
             }
-        }
-        for (uri, rule) in matches {
-            self.tracker.add_match(uri, *rule);
         }
         Ok(())
     }
@@ -1195,30 +951,30 @@ mod tests {
     }
 
     #[test]
-    fn reopen_adds_the_key_indexes_an_older_store_lacks() {
+    fn an_old_layout_store_is_rejected() {
         let net = Network::new(NetConfig::default());
         let _rx = net.register("mdp1").unwrap();
-        let mut old = Lmr::with_storage("lmr1", "mdp1", schema(), Database::new()).unwrap();
-        old.subscribe("search CycleProvider c register c", &net)
+        let mut l = Lmr::with_storage("lmr1", "mdp1", schema(), Database::new()).unwrap();
+        l.subscribe("search CycleProvider c register c", &net)
             .unwrap();
-        let mut db = old.storage().clone();
-        for (table, _) in KEYED_TABLES {
-            db.table_mut(table)
-                .unwrap()
-                .drop_index(mirror::KEY_INDEX)
-                .unwrap();
-        }
-        let mut l = Lmr::reopen("lmr1", "mdp1", schema(), db).unwrap();
-        for (table, key) in KEYED_TABLES {
-            let t = l.storage().table(table).unwrap();
-            assert_eq!(
-                t.index(mirror::KEY_INDEX).unwrap().key_columns().len(),
-                key.len()
-            );
-        }
-        // keyed mirror writes work on the reopened store
-        l.unsubscribe(0, &net).unwrap();
-        assert!(l.storage().table(T_RULES).unwrap().is_empty());
+        let store = l.storage().clone();
+        assert!(Lmr::reopen("lmr1", "mdp1", schema(), store).is_ok());
+        // a store written before the state table: per-kind tables instead
+        let mut old = Database::new();
+        create_base_tables(&mut old).unwrap();
+        let meta = vec![
+            mdv_relstore::ColumnDef::new("key", mdv_relstore::DataType::Str),
+            mdv_relstore::ColumnDef::new("val", mdv_relstore::DataType::Int),
+        ];
+        mirror::create_table(&mut old, "LmrMeta", meta, &["key"]).unwrap();
+        let err = Lmr::reopen("lmr1", "mdp1", schema(), old).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported store layout"),
+            "{err}"
+        );
+        // and a store that never was a durable LMR's
+        let err = Lmr::reopen("lmr1", "mdp1", schema(), Database::new()).unwrap_err();
+        assert!(err.to_string().contains("not a durable LMR store"), "{err}");
     }
 
     #[test]

@@ -10,31 +10,23 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use mdv_filter::{BaseStore, FilterEngine, Publication, SubscriptionId};
 use mdv_rdf::{parse_document, write_document, Document, RdfSchema, Resource};
-use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine, Value};
+use mdv_relstore::{Database, StorageEngine};
 
 use crate::channel::{Arrival, Inbox, Outbox, SeqCounters};
 use crate::error::{Error, Result};
 use crate::message::{DigestEntry, Message, PublishMsg, RepairDoc, RuleDelta};
-use crate::mirror::{self, i, s};
+use crate::mirror;
 use crate::placement::PlacementTable;
 use crate::raft::RaftCmd;
+use crate::state::{mdp_records as rec, Record};
 use crate::subscribers::Subscribers;
 use crate::transport::{Envelope, Network};
 
-/// Durable mirror tables (created only on mirror-enabled backends, see
-/// DESIGN.md §6): the MDP's non-relational state lives in the same database
-/// as the filter tables, so it shares the WAL and survives crashes.
-pub(crate) const T_SUBS: &str = "SysSubscriptions"; // lmr, rule, text
-const T_DOCS: &str = "SysDocuments"; // uri, xml
-pub(crate) const T_PUBSEQ: &str = "SysPubSeq"; // lmr, next_seq
-const T_OUTBOX: &str = "SysOutbox"; // lmr, seq, wire-form publication
-pub(crate) const T_RETIRED: &str = "SysRetired"; // lmr, rule
-const T_DOCVER: &str = "SysDocVersions"; // uri, version, deleted
-pub(crate) const T_RSEQ: &str = "SysReplSeq"; // peer, next_seq (outgoing)
-pub(crate) const T_RFLOOR: &str = "SysReplFloor"; // peer, next_seq (incoming)
-const T_ROUT: &str = "SysReplOutbox"; // peer, seq, kind, version, uri, xml
-const T_RBUF: &str = "SysReplBuffer"; // peer, seq, kind, version, uri, xml
-const T_PLACE: &str = "SysPlacement"; // key, val (installed placement table)
+/// The state table of a durable MDP (created only on mirror-enabled
+/// backends, see DESIGN.md §6.4): one row per record of the MDP grammar of
+/// `crate::state`, in the same database as the filter tables, so it shares
+/// the WAL and survives crashes.
+pub(crate) const T_STATE: &str = "SysState";
 
 /// What building the envelopes of one document operation has looked up in
 /// the engine so far. A document that fires many rules closes over the same
@@ -96,26 +88,26 @@ pub(crate) struct DocMeta {
 }
 
 /// One replicated document operation, as carried by the backbone
-/// at-least-once channel and its durable outbox/reorder-buffer mirrors. A
-/// deletion carries no XML.
+/// at-least-once channel and its `replout` / `replbuf` records. A deletion
+/// carries no XML.
 #[derive(Debug, Clone, PartialEq)]
-struct ReplOp {
-    kind: ReplKind,
-    uri: String,
-    version: u64,
-    xml: String,
+pub(crate) struct ReplOp {
+    pub(crate) kind: ReplKind,
+    pub(crate) uri: String,
+    pub(crate) version: u64,
+    pub(crate) xml: String,
 }
 
-/// What a [`ReplOp`] does; the discriminant is its tag in the mirror rows.
+/// What a [`ReplOp`] does.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum ReplKind {
-    Register = 0,
-    Update = 1,
-    Delete = 2,
+pub(crate) enum ReplKind {
+    Register,
+    Update,
+    Delete,
 }
 
 impl ReplOp {
-    fn new(kind: ReplKind, uri: impl Into<String>, version: u64, xml: String) -> Self {
+    pub(crate) fn new(kind: ReplKind, uri: impl Into<String>, version: u64, xml: String) -> Self {
         let uri = uri.into();
         ReplOp {
             kind,
@@ -123,22 +115,6 @@ impl ReplOp {
             version,
             xml,
         }
-    }
-
-    /// The `(kind tag, version, uri, xml)` columns of a mirror row, and back.
-    fn row(&self) -> Vec<Value> {
-        let kind = self.kind as u64;
-        vec![i(kind), i(self.version), s(&self.uri), s(&self.xml)]
-    }
-
-    fn from_parts(kind: i64, version: u64, uri: &str, xml: &str) -> Option<ReplOp> {
-        let kind = match kind {
-            0 => ReplKind::Register,
-            1 => ReplKind::Update,
-            2 => ReplKind::Delete,
-            _ => return None,
-        };
-        Some(ReplOp::new(kind, uri, version, xml.to_owned()))
     }
 
     /// The wire message carrying the operation as number `seq` of its
@@ -196,8 +172,8 @@ pub(crate) fn doc_uri_of(resource_uri: &str) -> &str {
 pub struct Mdp<S: StorageEngine = Database> {
     pub(crate) name: String,
     pub(crate) engine: FilterEngine<S>,
-    /// Mirror node state into the `Sys*` tables. Set only by
-    /// [`Mdp::with_storage`]; the memory path never creates the tables, so
+    /// Mirror node state into the state table. Set only by
+    /// [`Mdp::with_storage`]; the memory path never creates the table, so
     /// its databases stay byte-identical to the pre-storage-engine layout.
     pub(crate) mirror: bool,
     /// The filter tables [`Mdp::with_storage`] declared unlogged: they
@@ -218,17 +194,17 @@ pub struct Mdp<S: StorageEngine = Database> {
     /// Next publication sequence number per subscriber LMR.
     pub(crate) next_pub_seq: SeqCounters,
     /// Unacked publications keyed `(lmr, seq)`.
-    outbox: Outbox<(String, u64), PublishMsg>,
+    pub(crate) outbox: Outbox<(String, u64), PublishMsg>,
     /// Per-URI replication metadata (version + tombstone); tombstones are
     /// retained so deletions win over stale replicated registrations.
-    doc_meta: BTreeMap<String, DocMeta>,
+    pub(crate) doc_meta: BTreeMap<String, DocMeta>,
     /// Next outgoing replication sequence number per backbone peer.
-    repl_seq: SeqCounters,
+    pub(crate) repl_seq: SeqCounters,
     /// Unacked replicated operations keyed `(peer, seq)`.
-    repl_out: Outbox<(String, u64), ReplOp>,
+    pub(crate) repl_out: Outbox<(String, u64), ReplOp>,
     /// Incoming replication streams: a floor per backbone peer and the
     /// operations parked above it.
-    repl_in: Inbox<String, ReplOp>,
+    pub(crate) repl_in: Inbox<String, ReplOp>,
     /// Raft consensus state when the backbone runs in
     /// [`crate::raft::ReplicationMode::Raft`]; `None` in LWW mode, where the
     /// replication fields above carry the backbone instead.
@@ -247,14 +223,14 @@ impl Mdp {
 
 impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// Builds an MDP whose filter engine runs on an explicit storage
-    /// backend and mirrors node state into the `Sys*` tables of the same
+    /// backend and mirrors node state into the state table of the same
     /// database — on a durable backend the whole node becomes
     /// crash-recoverable (DESIGN.md §6).
     pub fn with_storage(name: &str, store: S, schema: RdfSchema) -> Result<Self> {
         let mut engine = FilterEngine::try_with_storage(store, schema)?;
         let store = engine.storage_mut();
-        // The filter tables are derived state, a function of the documents
-        // and subscriptions mirrored below: recovery rebuilds them through
+        // The filter tables are derived state, a function of the document
+        // and subscription records mirrored below: recovery rebuilds them through
         // `rebuild_from_tables`, so the store journals only their DDL
         // (DESIGN.md §6.4).
         let derived: Vec<String> = store
@@ -267,102 +243,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             store.set_unlogged(table).map_err(mirror::store_err)?;
         }
         store.begin();
-        mirror::create_table(
-            store,
-            T_SUBS,
-            vec![
-                ColumnDef::new("lmr", DataType::Str),
-                ColumnDef::new("rule", DataType::Int),
-                ColumnDef::new("text", DataType::Str),
-            ],
-            &["lmr", "rule"],
-        )?;
-        mirror::create_table(
-            store,
-            T_DOCS,
-            vec![
-                ColumnDef::new("uri", DataType::Str),
-                ColumnDef::new("xml", DataType::Str),
-            ],
-            &["uri"],
-        )?;
-        mirror::create_table(
-            store,
-            T_PUBSEQ,
-            vec![
-                ColumnDef::new("lmr", DataType::Str),
-                ColumnDef::new("next_seq", DataType::Int),
-            ],
-            &["lmr"],
-        )?;
-        mirror::create_table(
-            store,
-            T_OUTBOX,
-            vec![
-                ColumnDef::new("lmr", DataType::Str),
-                ColumnDef::new("seq", DataType::Int),
-                ColumnDef::new("publication", DataType::Str),
-            ],
-            &["lmr", "seq"],
-        )?;
-        mirror::create_table(
-            store,
-            T_RETIRED,
-            vec![
-                ColumnDef::new("lmr", DataType::Str),
-                ColumnDef::new("rule", DataType::Int),
-            ],
-            &["lmr", "rule"],
-        )?;
-        mirror::create_table(
-            store,
-            T_DOCVER,
-            vec![
-                ColumnDef::new("uri", DataType::Str),
-                ColumnDef::new("version", DataType::Int),
-                ColumnDef::new("deleted", DataType::Int),
-            ],
-            &["uri"],
-        )?;
-        mirror::create_table(
-            store,
-            T_RSEQ,
-            vec![
-                ColumnDef::new("peer", DataType::Str),
-                ColumnDef::new("next_seq", DataType::Int),
-            ],
-            &["peer"],
-        )?;
-        mirror::create_table(
-            store,
-            T_RFLOOR,
-            vec![
-                ColumnDef::new("peer", DataType::Str),
-                ColumnDef::new("next_seq", DataType::Int),
-            ],
-            &["peer"],
-        )?;
-        let repl_columns = || {
-            vec![
-                ColumnDef::new("peer", DataType::Str),
-                ColumnDef::new("seq", DataType::Int),
-                ColumnDef::new("kind", DataType::Int),
-                ColumnDef::new("version", DataType::Int),
-                ColumnDef::new("uri", DataType::Str),
-                ColumnDef::new("xml", DataType::Str),
-            ]
-        };
-        mirror::create_table(store, T_ROUT, repl_columns(), &["peer", "seq"])?;
-        mirror::create_table(store, T_RBUF, repl_columns(), &["peer", "seq"])?;
-        mirror::create_table(
-            store,
-            T_PLACE,
-            vec![
-                ColumnDef::new("key", DataType::Str),
-                ColumnDef::new("val", DataType::Str),
-            ],
-            &["key"],
-        )?;
+        mirror::create_state_table(store, T_STATE)?;
         store.commit().map_err(mirror::store_err)?;
         let mut mdp = Self::from_engine(name, engine, true);
         mdp.derived_tables = derived;
@@ -405,120 +286,31 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         out
     }
 
-    // ---- mirror writes (no-ops on memory-backed nodes) -------------------
+    // ---- state-table writes (no-ops on memory-backed nodes) --------------
 
-    pub(crate) fn mirror_doc_upsert(&mut self, doc: &Document) -> Result<()> {
+    /// Writes the record `record` encodes into the state table. The
+    /// encoder runs only on a durable node.
+    pub(crate) fn state_put(&mut self, record: impl FnOnce() -> Record) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
-        let uri = doc.uri();
-        let xml = write_document(doc);
-        mirror::upsert_where(
-            self.engine.storage_mut(),
-            T_DOCS,
-            vec![s(uri)],
-            vec![s(uri), s(&xml)],
-        )
+        let Record { key, fields } = record();
+        mirror::put(self.engine.storage_mut(), T_STATE, &key, &fields)
     }
 
-    pub(crate) fn mirror_doc_delete(&mut self, uri: &str) -> Result<()> {
+    /// Deletes the record with the key `key` builds from the state table.
+    pub(crate) fn state_delete(&mut self, key: impl FnOnce() -> String) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete_where(self.engine.storage_mut(), T_DOCS, vec![s(uri)])?;
-        Ok(())
+        mirror::delete(self.engine.storage_mut(), T_STATE, &key())
     }
 
-    pub(crate) fn mirror_sub_insert(&mut self, lmr: &str, rule: u64, text: &str) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
+    pub(crate) fn mirror_docver(&mut self, uri: &str) -> Result<()> {
+        match self.doc_meta.get(uri).copied() {
+            Some(meta) if self.mirror => self.state_put(|| rec::docver(uri, meta)),
+            _ => Ok(()),
         }
-        mirror::insert(
-            self.engine.storage_mut(),
-            T_SUBS,
-            vec![s(lmr), i(rule), s(text)],
-        )
-    }
-
-    pub(crate) fn mirror_sub_retire(&mut self, lmr: &str, rule: u64) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        let store = self.engine.storage_mut();
-        mirror::delete_where(store, T_SUBS, vec![s(lmr), i(rule)])?;
-        mirror::insert_unique(store, T_RETIRED, vec![s(lmr), i(rule)])
-    }
-
-    /// Upserts a stream counter row — `SysPubSeq`, `SysReplSeq` or
-    /// `SysReplFloor` — keyed by the other end of the stream.
-    pub(crate) fn mirror_counter(&mut self, table: &str, node: &str, next_seq: u64) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::upsert_where(
-            self.engine.storage_mut(),
-            table,
-            vec![s(node)],
-            vec![s(node), i(next_seq)],
-        )
-    }
-
-    pub(crate) fn mirror_sub_unretire(&mut self, lmr: &str, rule: u64) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::delete_where(self.engine.storage_mut(), T_RETIRED, vec![s(lmr), i(rule)])?;
-        Ok(())
-    }
-
-    fn mirror_docver(&mut self, uri: &str) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        let Some(meta) = self.doc_meta.get(uri).copied() else {
-            return Ok(());
-        };
-        mirror::upsert_where(
-            self.engine.storage_mut(),
-            T_DOCVER,
-            vec![s(uri)],
-            vec![s(uri), i(meta.version), i(u64::from(meta.deleted))],
-        )
-    }
-
-    fn mirror_docver_delete(&mut self, uri: &str) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::delete_where(self.engine.storage_mut(), T_DOCVER, vec![s(uri)])?;
-        Ok(())
-    }
-
-    /// Inserts the `(node, seq)` row of a message kept on a stream, `body`
-    /// its remaining columns: a publication's wire form in `SysOutbox`, a
-    /// replicated operation in `SysReplOutbox` and `SysReplBuffer`.
-    fn mirror_seq_row_insert(
-        &mut self,
-        table: &str,
-        node: &str,
-        seq: u64,
-        body: impl FnOnce() -> Vec<Value>,
-    ) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        let row = [vec![s(node), i(seq)], body()].concat();
-        mirror::insert(self.engine.storage_mut(), table, row)
-    }
-
-    /// Deletes the `(node, seq)` row of a stream message: an acked
-    /// `SysOutbox` or `SysReplOutbox` entry, a delivered `SysReplBuffer` one.
-    fn mirror_seq_row_remove(&mut self, table: &str, node: &str, seq: u64) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        mirror::delete_where(self.engine.storage_mut(), table, vec![s(node), i(seq)])?;
-        Ok(())
     }
 
     /// Switches between immediate filtering (`None`, the default) and
@@ -548,7 +340,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             // queued documents reach durability only here: a crash loses an
             // unflushed batch wholesale, like any uncommitted group
             for doc in &batch {
-                this.mirror_doc_upsert(doc)?;
+                this.state_put(|| rec::document(doc))?;
                 // the version was bumped when the document was queued
                 this.mirror_docver(doc.uri())?;
             }
@@ -587,26 +379,14 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         &self.peers
     }
 
-    /// Installs (or clears) the system-tier placement table. Mirrored into
-    /// `SysPlacement`, so a crash-recovered node rejoins the partitioned
-    /// backbone with the table it last acknowledged.
+    /// Installs (or clears) the system-tier placement table. Kept as the
+    /// `placement` record, so a crash-recovered node rejoins the
+    /// partitioned backbone with the table it last acknowledged.
     pub(crate) fn set_placement(&mut self, table: Option<PlacementTable>) -> Result<()> {
         self.with_group(|this| {
-            if this.mirror {
-                match &table {
-                    Some(t) => {
-                        let wire = t.to_wire();
-                        mirror::upsert_where(
-                            this.engine.storage_mut(),
-                            T_PLACE,
-                            vec![s("table")],
-                            vec![s("table"), s(&wire)],
-                        )?;
-                    }
-                    None => {
-                        mirror::delete_where(this.engine.storage_mut(), T_PLACE, vec![s("table")])?;
-                    }
-                }
+            match &table {
+                Some(t) => this.state_put(|| rec::placement(t))?,
+                None => this.state_delete(|| crate::state::key("placement", &[]))?,
             }
             this.placement = table;
             Ok(())
@@ -669,7 +449,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         match self.batch_size {
             Some(batch_size) => {
                 // bumped before replication below so the op carries the new
-                // version; the docver mirror row is written at flush time
+                // version; the docver record is written at flush time
                 self.bump_doc_meta(doc.uri(), false);
                 self.pending.push(doc.clone());
                 if self.pending.len() >= batch_size {
@@ -679,7 +459,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             None => {
                 self.with_group(|this| {
                     let pubs = this.engine.register_document(doc)?;
-                    this.mirror_doc_upsert(doc)?;
+                    this.state_put(|| rec::document(doc))?;
                     this.bump_doc_meta(doc.uri(), false);
                     this.mirror_docver(doc.uri())?;
                     this.publish_for(doc.uri(), pubs, true, net)
@@ -705,7 +485,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         self.flush(net)?;
         self.with_group(|this| {
             let pubs = this.engine.update_document(doc)?;
-            this.mirror_doc_upsert(doc)?;
+            this.state_put(|| rec::document(doc))?;
             this.bump_doc_meta(doc.uri(), false);
             this.mirror_docver(doc.uri())?;
             this.publish_for(doc.uri(), pubs, true, net)
@@ -723,7 +503,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         self.flush(net)?;
         self.with_group(|this| {
             let pubs = this.engine.delete_document(uri)?;
-            this.mirror_doc_delete(uri)?;
+            this.state_delete(|| rec::document_key(uri))?;
             // the tombstone keeps its bumped version so the deletion wins
             // over stale replicated registrations
             this.bump_doc_meta(uri, true);
@@ -765,8 +545,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         self.with_group(|this| {
             for peer in &peers {
                 let seq = this.repl_seq.take(peer);
-                this.mirror_counter(T_RSEQ, peer, seq + 1)?;
-                this.mirror_seq_row_insert(T_ROUT, peer, seq, || op.row())?;
+                this.state_put(|| rec::counter("replseq", peer, seq + 1))?;
+                this.state_put(|| rec::repl("replout", peer, seq, &op))?;
                 let key = (peer.clone(), seq);
                 let initial = net.config().retry_initial_ms;
                 this.repl_out.push(key, op.clone(), net.now_ms(), initial);
@@ -779,197 +559,6 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// Subscribers sorted by subscription id (deterministic export).
     pub(crate) fn subscribers_sorted(&self) -> Vec<(SubscriptionId, (String, u64))> {
         self.subscribers.sorted()
-    }
-
-    /// Re-registers a subscription during state import: no ack, no initial
-    /// publication (the subscriber already holds its cache).
-    pub(crate) fn restore_subscription(
-        &mut self,
-        lmr: &str,
-        lmr_rule: u64,
-        rule_text: &str,
-    ) -> Result<()> {
-        let (sub, _initial) = self.engine.register_subscription(rule_text)?;
-        self.subscribers.insert(sub, lmr, lmr_rule);
-        self.mirror_sub_insert(lmr, lmr_rule, rule_text)
-    }
-
-    /// The stream counters a counter table (`SysPubSeq`, `SysReplSeq` or
-    /// `SysReplFloor`) mirrors, sorted by node (deterministic export).
-    pub(crate) fn counters_sorted(&self, table: &str) -> Vec<(String, u64)> {
-        match table {
-            T_PUBSEQ => self.next_pub_seq.sorted(),
-            T_RSEQ => self.repl_seq.sorted(),
-            _ => self.repl_in.floors().map(|(p, f)| (p.clone(), f)).collect(),
-        }
-    }
-
-    /// Restores one stream counter during state import or crash recovery.
-    pub(crate) fn restore_counter(&mut self, table: &str, node: &str, next_seq: u64) -> Result<()> {
-        match table {
-            T_PUBSEQ => self.next_pub_seq.set(node, next_seq),
-            T_RSEQ => self.repl_seq.set(node, next_seq),
-            _ => self.repl_in.set_floor(node.to_owned(), next_seq),
-        }
-        self.mirror_counter(table, node, next_seq)
-    }
-
-    /// Re-registers a document during state import: no publication, no
-    /// replication.
-    pub(crate) fn restore_document(&mut self, doc: &Document) -> Result<()> {
-        let _pubs = self.engine.register_document(doc)?;
-        self.mirror_doc_upsert(doc)
-    }
-
-    /// Per-URI replication metadata, sorted (deterministic export).
-    pub(crate) fn doc_meta_sorted(&self) -> Vec<(String, DocMeta)> {
-        self.doc_meta.iter().map(|(u, m)| (u.clone(), *m)).collect()
-    }
-
-    /// Restores one URI's replication metadata during state import or
-    /// crash recovery (overwrites whatever registration implied).
-    pub(crate) fn restore_doc_meta(
-        &mut self,
-        uri: &str,
-        version: u64,
-        deleted: bool,
-    ) -> Result<()> {
-        self.doc_meta
-            .insert(uri.to_owned(), DocMeta { version, deleted });
-        self.mirror_docver(uri)
-    }
-
-    /// Restores a retracted-subscription tombstone during crash recovery.
-    pub(crate) fn restore_retired(&mut self, lmr: &str, lmr_rule: u64) -> Result<()> {
-        self.subscribers.retire(lmr, lmr_rule);
-        if self.mirror {
-            mirror::insert_unique(
-                self.engine.storage_mut(),
-                T_RETIRED,
-                vec![s(lmr), i(lmr_rule)],
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Rebuilds this (freshly constructed) node from the `Sys*` mirror
-    /// tables of a crash-recovered database: subscriptions and documents
-    /// replay through the normal registration paths (publications
-    /// suppressed), protocol state is restored verbatim, and unacked
-    /// envelopes re-enter the outbox due for retransmission: they were in
-    /// flight when the node died, and the receiver tolerates the duplicate.
-    /// A mirror row
-    /// that does not decode — an outbox envelope that is truncated,
-    /// corrupted or in the per-rule format of earlier versions among
-    /// them — is an error, never a partial guess.
-    pub fn rebuild_from_tables(
-        &mut self,
-        src: &Database,
-        retry_backoff_ms: u64,
-    ) -> Result<(usize, usize)> {
-        let corrupt = |table: &str| Error::Topology(format!("corrupt mirror row in {table}"));
-        self.with_group(|this| {
-            let mut subs = 0;
-            for row in mirror::rows_sorted(src, T_SUBS) {
-                let (Some(lmr), Some(rule), Some(text)) =
-                    (row[0].as_str(), row[1].as_int(), row[2].as_str())
-                else {
-                    return Err(corrupt(T_SUBS));
-                };
-                this.restore_subscription(lmr, rule as u64, text)?;
-                subs += 1;
-            }
-            let mut docs = 0;
-            for row in mirror::rows_sorted(src, T_DOCS) {
-                let (Some(uri), Some(xml)) = (row[0].as_str(), row[1].as_str()) else {
-                    return Err(corrupt(T_DOCS));
-                };
-                let doc = parse_document(uri, xml).map_err(mdv_filter::Error::from)?;
-                this.restore_document(&doc)?;
-                docs += 1;
-            }
-            let restore_counters = |this: &mut Self, table: &str| -> Result<()> {
-                for row in mirror::rows_sorted(src, table) {
-                    let (Some(node), Some(next)) = (row[0].as_str(), row[1].as_int()) else {
-                        return Err(corrupt(table));
-                    };
-                    this.restore_counter(table, node, next as u64)?;
-                }
-                Ok(())
-            };
-            restore_counters(this, T_PUBSEQ)?;
-            for row in mirror::rows_sorted(src, T_OUTBOX) {
-                let (Some(lmr), Some(wire)) = (row[0].as_str(), row[2].as_str()) else {
-                    return Err(corrupt(T_OUTBOX));
-                };
-                let msg = PublishMsg::from_wire(wire)
-                    .map_err(|e| Error::Topology(format!("corrupt outbox publication: {e}")))?;
-                this.mirror_seq_row_insert(T_OUTBOX, lmr, msg.seq, || vec![s(&msg.to_wire())])?;
-                let key = (lmr.to_owned(), msg.seq);
-                this.outbox.restore(key, msg, retry_backoff_ms);
-            }
-            for row in mirror::rows_sorted(src, T_RETIRED) {
-                let (Some(lmr), Some(rule)) = (row[0].as_str(), row[1].as_int()) else {
-                    return Err(corrupt(T_RETIRED));
-                };
-                this.restore_retired(lmr, rule as u64)?;
-            }
-            for row in mirror::rows_sorted(src, T_DOCVER) {
-                let (Some(uri), Some(version), Some(deleted)) =
-                    (row[0].as_str(), row[1].as_int(), row[2].as_int())
-                else {
-                    return Err(corrupt(T_DOCVER));
-                };
-                this.restore_doc_meta(uri, version as u64, deleted != 0)?;
-            }
-            restore_counters(this, T_RSEQ)?;
-            restore_counters(this, T_RFLOOR)?;
-            let parse_repl = |table: &str, row: &[Value]| {
-                let (Some(peer), Some(seq), Some(kind), Some(version), Some(uri), Some(xml)) = (
-                    row[0].as_str(),
-                    row[1].as_int(),
-                    row[2].as_int(),
-                    row[3].as_int(),
-                    row[4].as_str(),
-                    row[5].as_str(),
-                ) else {
-                    return Err(corrupt(table));
-                };
-                let op = ReplOp::from_parts(kind, version as u64, uri, xml).ok_or_else(|| {
-                    Error::Topology(format!("corrupt replication op kind in {table}"))
-                })?;
-                Ok((peer.to_owned(), seq as u64, op))
-            };
-            for row in mirror::rows_sorted(src, T_ROUT) {
-                let (peer, seq, op) = parse_repl(T_ROUT, &row)?;
-                this.mirror_seq_row_insert(T_ROUT, &peer, seq, || op.row())?;
-                this.repl_out.restore((peer, seq), op, retry_backoff_ms);
-            }
-            for row in mirror::rows_sorted(src, T_RBUF) {
-                let (peer, seq, op) = parse_repl(T_RBUF, &row)?;
-                this.mirror_seq_row_insert(T_RBUF, &peer, seq, || op.row())?;
-                this.repl_in.park(peer, seq, op);
-            }
-            for row in mirror::rows_sorted(src, T_PLACE) {
-                let (Some(key), Some(val)) = (row[0].as_str(), row[1].as_str()) else {
-                    return Err(corrupt(T_PLACE));
-                };
-                if key != "table" {
-                    return Err(corrupt(T_PLACE));
-                }
-                let table = PlacementTable::from_wire(val)?;
-                if this.mirror {
-                    mirror::upsert_where(
-                        this.engine.storage_mut(),
-                        T_PLACE,
-                        vec![s("table")],
-                        vec![s("table"), s(val)],
-                    )?;
-                }
-                this.placement = Some(table);
-            }
-            Ok((subs, docs))
-        })
     }
 
     /// Browsing support (paper §2.2: "real users can also browse metadata at
@@ -1081,8 +670,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             }
             Message::PublishAck { seq } => {
                 self.outbox.ack(&(env.from.clone(), seq));
-                self.mirror_seq_row_remove(T_OUTBOX, &env.from, seq)?;
-                Ok(())
+                self.state_delete(|| rec::seq_key("outbox", &env.from, seq))
             }
             Message::ReplicateRegister {
                 seq,
@@ -1112,8 +700,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             }
             Message::ReplicateAck { seq } => {
                 self.repl_out.ack(&(env.from.clone(), seq));
-                self.mirror_seq_row_remove(T_ROUT, &env.from, seq)?;
-                Ok(())
+                self.state_delete(|| rec::seq_key("replout", &env.from, seq))
             }
             Message::ReplicaDigest { entries } => self.handle_digest(&env.from, &entries, net),
             Message::PlacementDigest { epoch, entries } => {
@@ -1136,9 +723,9 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
 
     /// Receives one sequenced replicated operation: ack every copy, dedup
     /// below the floor, park out-of-order arrivals, and apply in sequence
-    /// order as the floor closes. Only a parked operation gets a
-    /// `SysReplBuffer` row: one at the floor is applied in the same commit
-    /// group, so a row for it would be deleted before it became durable.
+    /// order as the floor closes. Only a parked operation gets a `replbuf`
+    /// record: one at the floor is applied in the same commit group, so a
+    /// record of it would be deleted before it became durable.
     fn receive_replicated(
         &mut self,
         peer: &str,
@@ -1151,12 +738,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         match self.repl_in.arrival(&from, seq) {
             Arrival::Duplicate => Ok(()),
             Arrival::Ahead => {
-                self.mirror_seq_row_insert(T_RBUF, peer, seq, || op.row())?;
+                self.state_put(|| rec::repl("replbuf", peer, seq, &op))?;
                 self.repl_in.park(from, seq, op);
                 Ok(())
             }
             // each operation moves the floor past itself; a parked one
-            // also drops its buffer row
+            // also drops its buffer record
             Arrival::Next => Inbox::deliver(
                 self,
                 |this| &mut this.repl_in,
@@ -1165,9 +752,9 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 op,
                 |this, seq, op, parked| {
                     if parked {
-                        this.mirror_seq_row_remove(T_RBUF, peer, seq)?;
+                        this.state_delete(|| rec::seq_key("replbuf", peer, seq))?;
                     }
-                    this.mirror_counter(T_RFLOOR, peer, seq + 1)?;
+                    this.state_put(|| rec::counter("replfloor", peer, seq + 1))?;
                     let xml = (op.kind != ReplKind::Delete).then_some(op.xml.as_str());
                     this.apply_remote_doc(&op.uri, op.version, xml, net)
                         .map(|_| ())
@@ -1242,7 +829,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             None if self.engine.document(uri).is_none() => return Ok(()),
             None => {
                 let pubs = self.engine.delete_document(uri)?;
-                self.mirror_doc_delete(uri)?;
+                self.state_delete(|| rec::document_key(uri))?;
                 pubs
             }
             Some(xml) => {
@@ -1252,7 +839,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 } else {
                     self.engine.register_document(&doc)?
                 };
-                self.mirror_doc_upsert(&doc)?;
+                self.state_put(|| rec::document(&doc))?;
                 pubs
             }
         };
@@ -1385,7 +972,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     }
 
     /// Drops every document this node no longer owns under the installed
-    /// placement table: engine rows, mirror rows, and replication metadata
+    /// placement table: engine rows, state records, and replication metadata
     /// are all *erased* (not tombstoned — the shard's owners keep the
     /// authoritative copies, and an erased URI can be re-acquired wholesale
     /// if ownership ever returns). Publications from the drops are
@@ -1414,10 +1001,10 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             for uri in &victims {
                 if this.engine.document(uri).is_some() {
                     let _pubs = this.engine.delete_document(uri)?;
-                    this.mirror_doc_delete(uri)?;
+                    this.state_delete(|| rec::document_key(uri))?;
                 }
                 this.doc_meta.remove(uri);
-                this.mirror_docver_delete(uri)?;
+                this.state_delete(|| crate::state::key("docver", &[uri]))?;
             }
             Ok(victims.len())
         })
@@ -1441,7 +1028,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         self.with_group(|this| {
             let (sub, initial) = this.engine.register_subscription(rule_text)?;
             this.subscribers.insert(sub, lmr, lmr_rule);
-            this.mirror_sub_insert(lmr, lmr_rule, rule_text)?;
+            this.state_put(|| rec::subscription(lmr, lmr_rule, rule_text))?;
             let initial = this.primary_matches(initial);
             if !initial.is_empty() {
                 this.send_fill(lmr, lmr_rule, initial, false, true, net)?;
@@ -1501,7 +1088,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         match self.engine.register_subscription(rule_text) {
             Ok((sub, initial)) => {
                 self.subscribers.insert(sub, lmr, lmr_rule);
-                self.mirror_sub_insert(lmr, lmr_rule, rule_text)?;
+                self.state_put(|| rec::subscription(lmr, lmr_rule, rule_text))?;
                 self.ack_subscribe(talks, lmr, lmr_rule, None, net)?;
                 let initial = self.primary_matches(initial);
                 if initial.is_empty() {
@@ -1558,14 +1145,14 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             self.engine.unregister_subscription(sub)?;
         }
         if self.subscribers.unretire(lmr, lmr_rule) {
-            self.mirror_sub_unretire(lmr, lmr_rule)?;
+            self.state_delete(|| rec::rule_key("retired", lmr, lmr_rule))?;
         }
         match self.engine.register_subscription(rule_text) {
             Err(e) => self.ack_subscribe(talks, lmr, lmr_rule, Some(e.to_string()), net),
             Ok((sub, initial)) => {
                 self.subscribers.insert(sub, lmr, lmr_rule);
                 if existing.is_none() {
-                    self.mirror_sub_insert(lmr, lmr_rule, rule_text)?;
+                    self.state_put(|| rec::subscription(lmr, lmr_rule, rule_text))?;
                 }
                 self.ack_subscribe(talks, lmr, lmr_rule, None, net)?;
                 let initial = self.primary_matches(initial);
@@ -1589,7 +1176,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             self.engine.unregister_subscription(sub)?;
         }
         if self.subscribers.retire(lmr, lmr_rule) {
-            self.mirror_sub_retire(lmr, lmr_rule)?;
+            self.state_delete(|| rec::rule_key("subscription", lmr, lmr_rule))?;
+            self.state_put(|| rec::retired(lmr, lmr_rule))?;
         }
         Ok(())
     }
@@ -1671,7 +1259,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// Takes the next sequence number of `lmr`'s publication stream.
     fn take_pub_seq(&mut self, lmr: &str) -> Result<u64> {
         let seq = self.next_pub_seq.take(lmr);
-        self.mirror_counter(T_PUBSEQ, lmr, seq + 1)?;
+        self.state_put(|| rec::counter("pubseq", lmr, seq + 1))?;
         Ok(seq)
     }
 
@@ -1684,7 +1272,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         net: &Network,
     ) -> Result<()> {
         msg.seq = self.take_pub_seq(lmr)?;
-        self.mirror_seq_row_insert(T_OUTBOX, lmr, msg.seq, || vec![s(&msg.to_wire())])?;
+        self.state_put(|| rec::outbox(lmr, &msg))?;
         let initial = net.config().retry_initial_ms;
         let key = (lmr.to_owned(), msg.seq);
         self.outbox.push(key, msg.clone(), net.now_ms(), initial);

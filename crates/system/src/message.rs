@@ -297,10 +297,6 @@ impl RuleDelta {
 /// Why a publication wire form does not decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// A row in the one-rule-per-publication format of earlier versions
-    /// (first record `seq <seq>\t<rule>`). It is not read: a store holding
-    /// one fails recovery instead of misparsing it.
-    PerRuleFormat,
     /// Truncated, corrupted, or otherwise not an envelope.
     Malformed(String),
 }
@@ -308,7 +304,6 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::PerRuleFormat => write!(f, "publication in the per-rule format"),
             WireError::Malformed(what) => write!(f, "malformed publication: {what}"),
         }
     }
@@ -338,8 +333,8 @@ impl PublishMsg {
         Ok(())
     }
 
-    /// Serializes the envelope into the line-oriented wire form used by
-    /// the durable mirror tables (MDP outbox, LMR publication buffer). One
+    /// Serializes the envelope into the line-oriented wire form the
+    /// `outbox` and `pubbuf` state records hold (`crate::state`). One
     /// record per line:
     ///
     /// ```text
@@ -390,9 +385,6 @@ impl PublishMsg {
     /// Parses the wire form produced by [`PublishMsg::to_wire`].
     pub fn from_wire(text: &str) -> std::result::Result<PublishMsg, WireError> {
         let bad = |what: &str| WireError::Malformed(what.to_owned());
-        if text.starts_with("seq ") {
-            return Err(WireError::PerRuleFormat);
-        }
         let (body, trailer) = text
             .strip_suffix('\n')
             .and_then(|t| t.rsplit_once('\n'))
@@ -587,12 +579,13 @@ mod tests {
                 );
             }
         }
-        // what earlier versions wrote into SysOutbox / LmrPubBuffer
+        // the one-rule-per-publication form of earlier versions has no
+        // checksum trailer
         let per_rule = "seq 3\t7\nm d.rdf#host\tCycleProvider\np serverHost\tL\ta.org\n";
-        assert_eq!(
+        assert!(matches!(
             PublishMsg::from_wire(per_rule),
-            Err(WireError::PerRuleFormat)
-        );
+            Err(WireError::Malformed(_))
+        ));
         assert!(PublishMsg::from_wire("nope").is_err());
         assert!(PublishMsg::from_wire("p orphan\tL\tv\n").is_err());
     }

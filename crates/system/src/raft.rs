@@ -1165,10 +1165,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         let (cum_hash, state) = data.split_once('\n').ok_or_else(bad)?;
         let cum_hash: u64 = cum_hash.parse().map_err(|_| bad())?;
         self.with_group(|this| {
+            use crate::state::mdp_records as rec;
             // subscriptions first so document removal publishes nothing
-            for (sub, _) in this.subscribers_sorted() {
+            for (sub, (lmr, rule)) in this.subscribers_sorted() {
                 this.subscribers.remove(sub);
                 this.engine.unregister_subscription(sub)?;
+                this.state_delete(|| rec::rule_key("subscription", &lmr, rule))?;
             }
             let mut uris: Vec<String> = this
                 .engine
@@ -1178,16 +1180,13 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             uris.sort_unstable();
             for uri in uris {
                 let _ = this.engine.delete_document(&uri)?;
-                this.mirror_doc_delete(&uri)?;
+                this.state_delete(|| rec::document_key(&uri))?;
             }
-            if this.mirror {
-                for table in [
-                    crate::mdp::T_SUBS,
-                    crate::mdp::T_RETIRED,
-                    crate::mdp::T_PUBSEQ,
-                ] {
-                    mirror::clear(this.engine.storage_mut(), table)?;
-                }
+            for (lmr, rule) in this.subscribers.retired_sorted() {
+                this.state_delete(|| rec::rule_key("retired", &lmr, rule))?;
+            }
+            for (lmr, _) in this.next_pub_seq.sorted() {
+                this.state_delete(|| crate::state::key("pubseq", &[&lmr]))?;
             }
             this.subscribers.clear_retired();
             this.next_pub_seq = SeqCounters::default();

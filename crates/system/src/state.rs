@@ -1,17 +1,26 @@
-//! Logical MDP state export/import — backbone node recovery and the Raft
-//! snapshot.
+//! Node state as records — the one format of an MDP's and an LMR's state:
+//! their export/import, the Raft snapshot, and the durable state tables
+//! crash recovery reads (DESIGN.md §6.4).
 //!
-//! An MDP's durable state is *logical*: the subscriptions it serves and the
-//! documents registered with it. Export writes both in replayable form
-//! (rule texts plus RDF/XML documents); import replays them through the
-//! normal registration paths on a fresh node, rebuilding every filter table,
-//! the dependency graph, and all materializations. Publications are
-//! suppressed during import: subscribers already hold their caches. The
-//! same export, behind the apply hash chain value, is the data of a Raft
-//! InstallSnapshot (DESIGN.md §9.2), so import also decodes what arrives
-//! off the wire: malformed input is an error, never a panic.
+//! Each piece of node state is one record `<tag> <fields>`, one a line,
+//! with `\t`, `\n` and `\\` escaped in the fields marked escaped. Its *key*
+//! is the tag plus the fields that identify it (`subscription <lmr>\t<rule>`,
+//! `pubseq <lmr>`, the bare tag for a singleton such as `placement`). An
+//! export is a header line and every record; import replays the lines
+//! through one dispatcher per node kind. A durable node keeps the same
+//! records in its state table, one `(key, fields)` row each, written as
+//! the state changes, and crash recovery feeds the table's rows through the
+//! same dispatcher, in the export's order, on a fresh node. Import and
+//! recovery decode what may be damaged — an InstallSnapshot arrives off the
+//! wire, a table off a disk — so a malformed record is an error, never a
+//! panic.
 //!
-//! Format (one record a line; `\t`, `\n` and `\\` escaped where marked):
+//! An MDP's state is *logical*: the subscriptions it serves and the
+//! documents registered with it, replayed through the normal registration
+//! paths (publications suppressed: subscribers already hold their caches),
+//! which rebuilds every filter table, the dependency graph and all
+//! materializations. The same export, behind the apply hash chain value, is
+//! the data of a Raft InstallSnapshot (DESIGN.md §9.2).
 //!
 //! ```text
 //! #mdv-mdp-state v2
@@ -35,111 +44,426 @@
 //! tombstones of retracted rules: without them a late duplicate Subscribe
 //! would bring a retracted rule back. Documents come before subscriptions,
 //! the order a Raft install has always replayed, so an installed voter's
-//! filter tables and statistics match the leader's. Unacked in-flight
-//! messages are *not* part of durable state — recovery assumes a quiescent
-//! export.
+//! filter tables and statistics match the leader's.
 //!
-//! An LMR exports the receiving ends of the same streams:
+//! Three more MDP kinds hold messages in flight — unacked publications,
+//! unacked replicated operations, and replicated operations parked ahead
+//! of their stream's floor. Only crash recovery reads them, and re-arms
+//! each: a quiescent export never holds one, and import rejects them.
 //!
 //! ```text
-//! #mdv-lmr-state v2
+//! outbox <lmr>\t<seq>\t<escaped envelope wire form>
+//! replout <peer>\t<seq>\t<register|update|delete>\t<version>\t<escaped uri>\t<escaped RDF/XML>
+//! replbuf <peer>\t<seq>\t<register|update|delete>\t<version>\t<escaped uri>\t<escaped RDF/XML>
+//! ```
+//!
+//! An LMR exports the receiving ends of the same streams, its rules, and a
+//! relational snapshot of its cache after the records (a durable LMR keeps
+//! its cache tables in the same store instead):
+//!
+//! ```text
+//! #mdv-lmr-state v3
 //! pubseq <next publication sequence expected from the home MDP>
+//! nextrule <next rule id>
+//! home <home mdp>\t<backup mdp, or empty>\t<awaiting a failover welcome 0|1>
+//! placement
 //! altseq <mdp>\t<next publication sequence expected from that MDP>
 //! rule <id>\t<pending|active|failed:<escaped error>>\t<escaped rule text>
+//! dead <rule>
 //! local <escaped uri>\t<escaped RDF/XML>
 //! match <uri>\t<rule>
 //! cache-snapshot
 //! <relational snapshot of the cache …>
 //! ```
 //!
-//! The `altseq` records are the floors of a placed LMR's alternate
-//! streams, one per non-home shard primary that has published to it
-//! (DESIGN.md §11). Without them a restored LMR would expect sequence 0
-//! from every such MDP and withhold its acks forever. An export without
-//! `altseq` records imports with every alternate floor at 0.
+//! `nextrule` and the `dead` tombstones keep a restored LMR from reusing
+//! the id of a retracted rule, which the MDP's tombstone would swallow.
+//! `placement` (present or not) is the alternate-stream mode of a placed
+//! LMR (DESIGN.md §11), and the `altseq` records are the floors of those
+//! streams, one per non-home shard primary that has published to it. The
+//! in-flight kind is an envelope parked ahead of the home stream's floor:
 //!
-//! Version 1 framed each document as RDF/XML lines closed by a `.` line,
-//! which a literal holding such a line cut short, and dropped the MDP's
-//! rule tombstones. It is not read: a v1 file fails with the "unsupported
-//! header" error.
+//! ```text
+//! pubbuf <seq>\t<escaped envelope wire form>
+//! ```
+//!
+//! Earlier versions are not read and fail with the "unsupported header"
+//! error: MDP v1 framed each document as RDF/XML lines closed by a `.`
+//! line, which a literal holding such a line cut short, and dropped the
+//! rule tombstones; LMR v2 dropped `nextrule`, `dead`, `home` and
+//! `placement`. A durable store written before the state tables fails
+//! recovery the same way ("unsupported store layout").
+
+use std::fmt::Display;
 
 use mdv_rdf::{parse_document, write_document, Document};
-use mdv_relstore::StorageEngine;
+use mdv_relstore::{Database, StorageEngine};
 
 use crate::error::{Error, Result};
-use crate::mdp::{Mdp, T_PUBSEQ, T_RFLOOR, T_RSEQ};
-use crate::message::{escape, unescape};
+use crate::lmr::{Lmr, LmrRule, RuleStatus};
+use crate::mdp::{DocMeta, Mdp, ReplKind, ReplOp};
+use crate::message::{escape, unescape, PublishMsg};
+use crate::mirror;
+use crate::placement::PlacementTable;
 
 const HEADER: &str = "#mdv-mdp-state v2";
+const LMR_HEADER: &str = "#mdv-lmr-state v3";
 
-/// The stream-counter records of an MDP export and the mirror table each
-/// restores into.
-const COUNTER_RECORDS: [(&str, &str); 3] = [
-    ("pubseq", T_PUBSEQ),
-    ("replseq", T_RSEQ),
-    ("replfloor", T_RFLOOR),
+/// The tags of the MDP grammar in export (and recovery) order; the last
+/// three are in flight.
+const MDP_TAGS: [&str; 11] = [
+    "pubseq",
+    "docver",
+    "replseq",
+    "replfloor",
+    "placement",
+    "document",
+    "subscription",
+    "retired",
+    "outbox",
+    "replout",
+    "replbuf",
 ];
 
-/// Parses the `<node>\t<number>` body of a stream-counter or `retired`
-/// record.
-fn counter_record<'a>(tag: &str, rest: &'a str) -> Result<(&'a str, u64)> {
-    let malformed = || Error::Topology(format!("malformed {tag} record"));
-    let (node, next_seq) = rest.split_once('\t').ok_or_else(malformed)?;
-    Ok((node, next_seq.parse().map_err(|_| malformed())?))
+/// The tags of the LMR grammar in export (and recovery) order; `pubbuf`
+/// is in flight.
+const LMR_TAGS: [&str; 10] = [
+    "pubseq",
+    "nextrule",
+    "home",
+    "placement",
+    "altseq",
+    "rule",
+    "dead",
+    "local",
+    "match",
+    "pubbuf",
+];
+
+// ---------------------------------------------------------------------------
+// The record grammar
+// ---------------------------------------------------------------------------
+
+/// One record: its key (tag plus identifying fields) and the rest of its
+/// fields — a row of a state table, or a line of an export.
+#[derive(Debug)]
+pub(crate) struct Record {
+    pub(crate) key: String,
+    pub(crate) fields: String,
 }
 
-/// One escaped `<uri>\t<RDF/XML>` line: an MDP `document`, an LMR `local`.
-fn document_line(doc: &Document) -> String {
-    format!("{}\t{}", escape(doc.uri()), escape(&write_document(doc)))
+impl Record {
+    fn new(key: String, fields: impl Into<String>) -> Self {
+        let fields = fields.into();
+        Record { key, fields }
+    }
+
+    /// The record's line: the key, then the other fields after a tab, or
+    /// after a space when the key is the bare tag.
+    fn line(&self) -> String {
+        if self.fields.is_empty() {
+            return self.key.clone();
+        }
+        let sep = if self.key.contains(' ') { '\t' } else { ' ' };
+        format!("{}{sep}{}", self.key, self.fields)
+    }
 }
 
-fn parse_document_line(tag: &str, rest: &str) -> Result<Document> {
-    let (uri, xml) = rest
-        .split_once('\t')
-        .ok_or_else(|| Error::Topology(format!("malformed {tag} record")))?;
-    Ok(parse_document(&unescape(uri), &unescape(xml)).map_err(mdv_filter::Error::from)?)
+/// A record key: the tag, a space, and the identifying fields joined by
+/// tabs.
+pub(crate) fn key(tag: &str, ids: &[&dyn Display]) -> String {
+    let mut key = tag.to_owned();
+    for (n, id) in ids.iter().enumerate() {
+        key.push(if n == 0 { ' ' } else { '\t' });
+        key.push_str(&id.to_string());
+    }
+    key
 }
+
+/// The encoders of the MDP grammar.
+pub(crate) mod mdp_records {
+    use super::*;
+
+    /// `pubseq`, `replseq` or `replfloor`: a stream counter per node.
+    pub(crate) fn counter(tag: &str, node: &str, next_seq: u64) -> Record {
+        Record::new(key(tag, &[&node]), next_seq.to_string())
+    }
+
+    pub(crate) fn docver(uri: &str, meta: DocMeta) -> Record {
+        let fields = format!("{}\t{}", meta.version, u8::from(meta.deleted));
+        Record::new(key("docver", &[&uri]), fields)
+    }
+
+    pub(crate) fn placement(table: &PlacementTable) -> Record {
+        Record::new(key("placement", &[]), escape(&table.to_wire()))
+    }
+
+    pub(crate) fn document_key(uri: &str) -> String {
+        key("document", &[&escape(uri)])
+    }
+
+    pub(crate) fn document(doc: &Document) -> Record {
+        let xml = escape(&write_document(doc));
+        Record::new(document_key(doc.uri()), xml)
+    }
+
+    /// `subscription` or `retired`: the key of an LMR's rule.
+    pub(crate) fn rule_key(tag: &str, lmr: &str, rule: u64) -> String {
+        key(tag, &[&lmr, &rule])
+    }
+
+    pub(crate) fn subscription(lmr: &str, rule: u64, text: &str) -> Record {
+        Record::new(rule_key("subscription", lmr, rule), escape(text))
+    }
+
+    pub(crate) fn retired(lmr: &str, rule: u64) -> Record {
+        Record::new(rule_key("retired", lmr, rule), "")
+    }
+
+    /// `outbox`, `replout` or `replbuf`: the key of a message in flight.
+    pub(crate) fn seq_key(tag: &str, node: &str, seq: u64) -> String {
+        key(tag, &[&node, &seq])
+    }
+
+    pub(crate) fn outbox(lmr: &str, msg: &PublishMsg) -> Record {
+        Record::new(seq_key("outbox", lmr, msg.seq), escape(&msg.to_wire()))
+    }
+
+    /// `replout` or `replbuf`.
+    pub(crate) fn repl(tag: &str, peer: &str, seq: u64, op: &ReplOp) -> Record {
+        let kind = match op.kind {
+            ReplKind::Register => "register",
+            ReplKind::Update => "update",
+            ReplKind::Delete => "delete",
+        };
+        let fields = format!(
+            "{kind}\t{}\t{}\t{}",
+            op.version,
+            escape(&op.uri),
+            escape(&op.xml)
+        );
+        Record::new(seq_key(tag, peer, seq), fields)
+    }
+}
+
+/// The encoders of the LMR grammar.
+pub(crate) mod lmr_records {
+    use super::*;
+
+    pub(crate) fn pubseq(next_seq: u64) -> Record {
+        Record::new(key("pubseq", &[]), next_seq.to_string())
+    }
+
+    pub(crate) fn next_rule(next: u64) -> Record {
+        Record::new(key("nextrule", &[]), next.to_string())
+    }
+
+    pub(crate) fn home(mdp: &str, backup: Option<&str>, awaiting: bool) -> Record {
+        let fields = format!(
+            "{mdp}\t{}\t{}",
+            backup.unwrap_or_default(),
+            u8::from(awaiting)
+        );
+        Record::new(key("home", &[]), fields)
+    }
+
+    pub(crate) fn placement() -> Record {
+        Record::new(key("placement", &[]), "")
+    }
+
+    pub(crate) fn altseq(mdp: &str, next_seq: u64) -> Record {
+        Record::new(key("altseq", &[&mdp]), next_seq.to_string())
+    }
+
+    pub(crate) fn rule_key(id: u64) -> String {
+        key("rule", &[&id])
+    }
+
+    pub(crate) fn rule(id: u64, rule: &LmrRule) -> Record {
+        let status = match &rule.status {
+            RuleStatus::Pending => "pending".to_owned(),
+            RuleStatus::Active => "active".to_owned(),
+            RuleStatus::Failed(e) => format!("failed:{}", escape(e)),
+        };
+        Record::new(rule_key(id), format!("{status}\t{}", escape(&rule.text)))
+    }
+
+    pub(crate) fn dead(rule: u64) -> Record {
+        Record::new(key("dead", &[&rule]), "")
+    }
+
+    pub(crate) fn local(doc: &Document) -> Record {
+        let xml = escape(&write_document(doc));
+        Record::new(key("local", &[&escape(doc.uri())]), xml)
+    }
+
+    /// A match anchor.
+    pub(crate) fn anchor(uri: &str, rule: u64) -> Record {
+        Record::new(key("match", &[&uri, &rule]), "")
+    }
+
+    pub(crate) fn pubbuf_key(seq: u64) -> String {
+        key("pubbuf", &[&seq])
+    }
+
+    pub(crate) fn pubbuf(msg: &PublishMsg) -> Record {
+        Record::new(pubbuf_key(msg.seq), escape(&msg.to_wire()))
+    }
+}
+
+/// The tab-separated fields of one record line, taken in order.
+struct Fields<'a> {
+    tag: &'a str,
+    rest: Option<&'a str>,
+}
+
+impl<'a> Fields<'a> {
+    /// Splits a line into its tag and fields.
+    fn of(line: &'a str) -> Self {
+        let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
+        let rest = (!rest.is_empty()).then_some(rest);
+        Fields { tag, rest }
+    }
+
+    fn malformed(&self) -> Error {
+        Error::Topology(format!("malformed {} record", self.tag))
+    }
+
+    fn str(&mut self) -> Result<&'a str> {
+        let rest = self.rest.take().ok_or_else(|| self.malformed())?;
+        Ok(match rest.split_once('\t') {
+            Some((field, more)) => {
+                self.rest = Some(more);
+                field
+            }
+            None => rest,
+        })
+    }
+
+    fn text(&mut self) -> Result<String> {
+        self.str().map(unescape)
+    }
+
+    fn num(&mut self) -> Result<u64> {
+        self.str()?.parse().map_err(|_| self.malformed())
+    }
+
+    fn flag(&mut self) -> Result<bool> {
+        match self.str()? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            _ => Err(self.malformed()),
+        }
+    }
+
+    fn document(&mut self) -> Result<Document> {
+        let uri = self.text()?;
+        let xml = self.text()?;
+        Ok(parse_document(&uri, &xml).map_err(mdv_filter::Error::from)?)
+    }
+
+    fn envelope(&mut self, seq: u64) -> Result<PublishMsg> {
+        let msg = PublishMsg::from_wire(&self.text()?)
+            .map_err(|e| Error::Topology(format!("corrupt {} envelope: {e}", self.tag)))?;
+        if msg.seq != seq {
+            return Err(self.malformed());
+        }
+        Ok(msg)
+    }
+
+    /// Every field was read.
+    fn end(self) -> Result<()> {
+        match self.rest {
+            None => Ok(()),
+            Some(_) => Err(self.malformed()),
+        }
+    }
+}
+
+/// Reads a node's state table back as record lines in the export's order:
+/// by tag as `tags` lists them, then by key, numbers compared as numbers.
+/// `None` when the store has no state table; a store in the layout before
+/// the state tables — it holds `old`, one of that layout's tables — is
+/// refused.
+fn read_records(
+    db: &Database,
+    table: &str,
+    old: &str,
+    tags: &[&str],
+) -> Result<Option<Vec<String>>> {
+    let Some(rows) = mirror::state_rows(db, table)? else {
+        if db.table(old).is_ok() {
+            return Err(Error::Topology(format!(
+                "unsupported store layout: per-kind tables such as {old} instead of {table}"
+            )));
+        }
+        return Ok(None);
+    };
+    let mut records: Vec<Record> = rows
+        .into_iter()
+        .map(|(key, fields)| Record { key, fields })
+        .collect();
+    records.sort_by_cached_key(|r| {
+        let mut parts = r.key.split([' ', '\t']);
+        let tag = parts.next().unwrap_or_default();
+        let rank = tags.iter().position(|t| *t == tag).unwrap_or(tags.len());
+        let ids: Vec<(u8, u64, String)> = parts
+            .map(|id| {
+                id.parse()
+                    .map_or((1, 0, id.to_owned()), |n| (0, n, String::new()))
+            })
+            .collect();
+        (rank, ids)
+    });
+    Ok(Some(records.iter().map(Record::line).collect()))
+}
+
+// ---------------------------------------------------------------------------
+// MDP state
+// ---------------------------------------------------------------------------
 
 impl<S: StorageEngine + Send + Sync> Mdp<S> {
-    /// Serializes the node's logical state.
-    pub fn export_state(&self) -> String {
-        let mut out = String::from(HEADER);
-        out.push('\n');
-        for (lmr, next_seq) in self.counters_sorted(T_PUBSEQ) {
-            out.push_str(&format!("pubseq {lmr}\t{next_seq}\n"));
+    /// The node's state as records, in export order (no record in flight).
+    fn state_records(&self) -> Vec<Record> {
+        use mdp_records as rec;
+        let mut out = Vec::new();
+        for (lmr, next_seq) in self.next_pub_seq.sorted() {
+            out.push(rec::counter("pubseq", &lmr, next_seq));
         }
-        for (uri, meta) in self.doc_meta_sorted() {
-            out.push_str(&format!(
-                "docver {uri}\t{}\t{}\n",
-                meta.version,
-                u8::from(meta.deleted)
-            ));
+        for (uri, meta) in &self.doc_meta {
+            out.push(rec::docver(uri, *meta));
         }
-        for (tag, table) in &COUNTER_RECORDS[1..] {
-            for (peer, next_seq) in self.counters_sorted(table) {
-                out.push_str(&format!("{tag} {peer}\t{next_seq}\n"));
-            }
+        for (peer, next_seq) in self.repl_seq.sorted() {
+            out.push(rec::counter("replseq", &peer, next_seq));
+        }
+        for (peer, next_seq) in self.repl_in.floors() {
+            out.push(rec::counter("replfloor", peer, next_seq));
         }
         if let Some(table) = self.placement() {
-            out.push_str(&format!("placement {}\n", escape(&table.to_wire())));
+            out.push(rec::placement(table));
         }
         let mut docs: Vec<&Document> = self.engine().documents().collect();
         docs.sort_unstable_by(|a, b| a.uri().cmp(b.uri()));
-        for doc in docs {
-            out.push_str(&format!("document {}\n", document_line(doc)));
-        }
+        out.extend(docs.into_iter().map(rec::document));
         for (sub, (lmr, lmr_rule)) in self.subscribers_sorted() {
             let text = self
                 .engine()
                 .subscription(sub)
                 .map_or("", |s| s.rule_text.as_str());
-            out.push_str(&format!(
-                "subscription {lmr}\t{lmr_rule}\t{}\n",
-                escape(text)
-            ));
+            out.push(rec::subscription(&lmr, lmr_rule, text));
         }
         for (lmr, lmr_rule) in self.subscribers.retired_sorted() {
-            out.push_str(&format!("retired {lmr}\t{lmr_rule}\n"));
+            out.push(rec::retired(&lmr, lmr_rule));
+        }
+        out
+    }
+
+    /// Serializes the node's logical state.
+    pub fn export_state(&self) -> String {
+        let mut out = format!("{HEADER}\n");
+        for record in self.state_records() {
+            out.push_str(&record.line());
+            out.push('\n');
         }
         out
     }
@@ -157,60 +481,121 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         if lines.next() != Some(HEADER) {
             return Err(Error::Topology("unsupported MDP state header".into()));
         }
-        let mut subs = 0;
-        let mut docs = 0;
+        self.apply_records(lines.filter(|l| !l.is_empty()), None)
+    }
+
+    /// Rebuilds this (freshly constructed) node from the state table of a
+    /// crash-recovered database: the records replay through the import's
+    /// dispatcher in the export's order, then the messages that were in
+    /// flight when the node died re-enter their outboxes due for
+    /// retransmission (the receiver tolerates the duplicate) and the
+    /// parked replicated operations their reorder buffer. A record that
+    /// does not decode is an error, never a partial guess. Returns
+    /// `(subscriptions, documents)` restored.
+    pub fn rebuild_from_tables(
+        &mut self,
+        src: &Database,
+        retry_backoff_ms: u64,
+    ) -> Result<(usize, usize)> {
+        let lines = read_records(src, crate::mdp::T_STATE, "SysPubSeq", &MDP_TAGS)?;
+        let lines = lines.unwrap_or_default();
+        self.with_group(|this| {
+            this.apply_records(lines.iter().map(String::as_str), Some(retry_backoff_ms))
+        })
+    }
+
+    /// Feeds record lines through [`Mdp::apply_record`]; returns
+    /// `(subscriptions, documents)` restored.
+    fn apply_records<'a>(
+        &mut self,
+        lines: impl Iterator<Item = &'a str>,
+        rearm: Option<u64>,
+    ) -> Result<(usize, usize)> {
+        let (mut subs, mut docs) = (0, 0);
         for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
-            if let Some((_, table)) = COUNTER_RECORDS.iter().find(|(t, _)| *t == tag) {
-                let (node, next_seq) = counter_record(tag, rest)?;
-                self.restore_counter(table, node, next_seq)?;
-            } else if tag == "docver" {
-                let mut fields = rest.splitn(3, '\t');
-                let (Some(uri), Some(version), Some(deleted)) =
-                    (fields.next(), fields.next(), fields.next())
-                else {
-                    return Err(Error::Topology("malformed docver record".into()));
-                };
-                let version: u64 = version
-                    .parse()
-                    .map_err(|_| Error::Topology("malformed docver version".into()))?;
-                let deleted = match deleted {
-                    "0" => false,
-                    "1" => true,
-                    _ => return Err(Error::Topology("malformed docver tombstone flag".into())),
-                };
-                self.restore_doc_meta(uri, version, deleted)?;
-            } else if tag == "placement" {
-                let table = crate::placement::PlacementTable::from_wire(&unescape(rest))?;
-                self.set_placement(Some(table))?;
-            } else if tag == "document" {
-                self.restore_document(&parse_document_line(tag, rest)?)?;
-                docs += 1;
-            } else if tag == "subscription" {
-                let mut fields = rest.splitn(3, '\t');
-                let (Some(lmr), Some(rule), Some(rule_text)) =
-                    (fields.next(), fields.next(), fields.next())
-                else {
-                    return Err(Error::Topology("malformed subscription record".into()));
-                };
-                let lmr_rule: u64 = rule
-                    .parse()
-                    .map_err(|_| Error::Topology("malformed subscription rule id".into()))?;
-                self.check_new_rule(lmr, lmr_rule)?;
-                self.restore_subscription(lmr, lmr_rule, &unescape(rule_text))?;
-                subs += 1;
-            } else if tag == "retired" {
-                let (lmr, lmr_rule) = counter_record(tag, rest)?;
-                self.check_new_rule(lmr, lmr_rule)?;
-                self.restore_retired(lmr, lmr_rule)?;
-            } else {
-                return Err(Error::Topology(format!("unknown state record: {line}")));
+            match self.apply_record(line, rearm)? {
+                "subscription" => subs += 1,
+                "document" => docs += 1,
+                _ => {}
             }
         }
         Ok((subs, docs))
+    }
+
+    /// The dispatcher of the MDP grammar: applies one record line to this
+    /// node (and to its state table) and returns the record's tag. The
+    /// in-flight kinds are accepted only from crash recovery, which passes
+    /// the backoff their retransmission restarts with as `rearm`.
+    fn apply_record<'l>(&mut self, line: &'l str, rearm: Option<u64>) -> Result<&'l str> {
+        use mdp_records as rec;
+        let mut f = Fields::of(line);
+        let tag = f.tag;
+        match (tag, rearm) {
+            ("pubseq" | "replseq" | "replfloor", _) => {
+                let (node, next_seq) = (f.str()?, f.num()?);
+                match tag {
+                    "pubseq" => self.next_pub_seq.set(node, next_seq),
+                    "replseq" => self.repl_seq.set(node, next_seq),
+                    _ => self.repl_in.set_floor(node.to_owned(), next_seq),
+                }
+                self.state_put(|| rec::counter(tag, node, next_seq))?;
+            }
+            ("docver", _) => {
+                let (uri, version, deleted) = (f.str()?, f.num()?, f.flag()?);
+                self.doc_meta
+                    .insert(uri.to_owned(), DocMeta { version, deleted });
+                self.mirror_docver(uri)?;
+            }
+            ("placement", _) => {
+                let table = PlacementTable::from_wire(&f.text()?)?;
+                self.set_placement(Some(table))?;
+            }
+            ("document", _) => {
+                let doc = f.document()?;
+                let _pubs = self.engine.register_document(&doc)?;
+                self.state_put(|| rec::document(&doc))?;
+            }
+            // no ack and no initial fill: the subscriber holds its cache
+            ("subscription", _) => {
+                let (lmr, lmr_rule, text) = (f.str()?, f.num()?, f.text()?);
+                self.check_new_rule(lmr, lmr_rule)?;
+                let (sub, _initial) = self.engine.register_subscription(&text)?;
+                self.subscribers.insert(sub, lmr, lmr_rule);
+                self.state_put(|| rec::subscription(lmr, lmr_rule, &text))?;
+            }
+            ("retired", _) => {
+                let (lmr, lmr_rule) = (f.str()?, f.num()?);
+                self.check_new_rule(lmr, lmr_rule)?;
+                self.subscribers.retire(lmr, lmr_rule);
+                self.state_put(|| rec::retired(lmr, lmr_rule))?;
+            }
+            ("outbox", Some(backoff)) => {
+                let (lmr, seq) = (f.str()?, f.num()?);
+                let msg = f.envelope(seq)?;
+                self.state_put(|| rec::outbox(lmr, &msg))?;
+                self.outbox.restore((lmr.to_owned(), seq), msg, backoff);
+            }
+            ("replout" | "replbuf", Some(backoff)) => {
+                let (peer, seq) = (f.str()?, f.num()?);
+                let kind = match f.str()? {
+                    "register" => ReplKind::Register,
+                    "update" => ReplKind::Update,
+                    "delete" => ReplKind::Delete,
+                    _ => return Err(f.malformed()),
+                };
+                let (version, uri, xml) = (f.num()?, f.text()?, f.text()?);
+                let op = ReplOp::new(kind, uri, version, xml);
+                self.state_put(|| rec::repl(tag, peer, seq, &op))?;
+                if tag == "replout" {
+                    self.repl_out.restore((peer.to_owned(), seq), op, backoff);
+                } else {
+                    self.repl_in.park(peer.to_owned(), seq, op);
+                }
+            }
+            _ => return Err(Error::Topology(format!("unknown state record: {line}"))),
+        }
+        f.end()?;
+        Ok(tag)
     }
 
     /// An export lists each `(lmr, rule)` once, live or retired.
@@ -221,6 +606,162 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             )));
         }
         Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// LMR state
+// ---------------------------------------------------------------------------
+
+impl<S: StorageEngine> Lmr<S> {
+    /// The node's state as records, in export order (no record in flight).
+    fn state_records(&self) -> Vec<Record> {
+        use lmr_records as rec;
+        let mut out = vec![
+            rec::pubseq(self.next_pub_seq()),
+            rec::next_rule(self.next_rule),
+            rec::home(&self.mdp, self.backup.as_deref(), self.awaiting_welcome),
+        ];
+        if self.placement {
+            out.push(rec::placement());
+        }
+        for (mdp, next_seq) in self.alt.floors() {
+            out.push(rec::altseq(mdp, next_seq));
+        }
+        for (id, rule) in self.rules() {
+            out.push(rec::rule(id, rule));
+        }
+        let mut dead: Vec<u64> = self.dead_rules.iter().copied().collect();
+        dead.sort_unstable();
+        out.extend(dead.into_iter().map(rec::dead));
+        let mut local: Vec<&Document> = self.local_docs.values().collect();
+        local.sort_unstable_by(|a, b| a.uri().cmp(b.uri()));
+        out.extend(local.into_iter().map(rec::local));
+        for uri in self.cached_uris() {
+            for rule in self.tracker.matching_rules(&uri) {
+                out.push(rec::anchor(&uri, rule));
+            }
+        }
+        out
+    }
+
+    /// Serializes the LMR's state: its records, then a relational snapshot
+    /// of the cache. Strong-reference counts are *not* stored — they are
+    /// derivable from the cache and the schema and are rebuilt on import.
+    pub fn export_state(&self) -> String {
+        let mut out = format!("{LMR_HEADER}\n");
+        for record in self.state_records() {
+            out.push_str(&record.line());
+            out.push('\n');
+        }
+        out.push_str("cache-snapshot\n");
+        out.push_str(&mdv_relstore::write_database(self.cache.database()));
+        out
+    }
+
+    /// Reopens an LMR over a crash-recovered durable store: the cache
+    /// tables are already in place (snapshot + WAL replay), the node state
+    /// replays from the state table through the import's dispatcher, and
+    /// the engine keeps appending to the same log. The recorded home wins
+    /// over `mdp`: after a crash mid-failover the LMR comes back attached
+    /// to the MDP it last pointed at. Retry timers are transient; the
+    /// caller re-arms the in-flight control messages via
+    /// [`Lmr::rearm_after_recovery`].
+    pub fn reopen(name: &str, mdp: &str, schema: mdv_rdf::RdfSchema, store: S) -> Result<Self> {
+        let table = crate::lmr::T_STATE;
+        let lines =
+            read_records(store.database(), table, "LmrMeta", &LMR_TAGS)?.ok_or_else(|| {
+                Error::Topology(format!(
+                    "'{name}' is not a durable LMR store (no {table} table)"
+                ))
+            })?;
+        let mut lmr = Self::from_store(name, mdp, schema, store, true);
+        for line in &lines {
+            lmr.apply_record(line, true)?;
+        }
+        lmr.restore_anchors()?;
+        Ok(lmr)
+    }
+
+    /// The dispatcher of the LMR grammar: applies one record line to this
+    /// node's memory (the records it reads are in its state table already,
+    /// or the node has none). The in-flight `pubbuf` is accepted only in
+    /// `recovery`. Match anchors go to the tracker, whose strong counts and
+    /// local marks [`Lmr::restore_anchors`] adds once the cache is in place.
+    fn apply_record(&mut self, line: &str, recovery: bool) -> Result<()> {
+        let mut f = Fields::of(line);
+        match (f.tag, recovery) {
+            ("pubseq", _) => self.home.set_floor((), f.num()?),
+            ("nextrule", _) => self.next_rule = self.next_rule.max(f.num()?),
+            ("home", _) => {
+                self.mdp = f.str()?.to_owned();
+                let backup = f.str()?;
+                self.backup = (!backup.is_empty()).then(|| backup.to_owned());
+                self.awaiting_welcome = f.flag()?;
+            }
+            ("placement", _) => self.placement = true,
+            ("altseq", _) => {
+                let mdp = f.str()?.to_owned();
+                self.alt.set_floor(mdp, f.num()?);
+            }
+            ("rule", _) => {
+                let id = f.num()?;
+                let status = match f.str()? {
+                    "pending" => RuleStatus::Pending,
+                    "active" => RuleStatus::Active,
+                    other => match other.strip_prefix("failed:") {
+                        Some(e) => RuleStatus::Failed(unescape(e)),
+                        None => return Err(f.malformed()),
+                    },
+                };
+                let text = f.text()?;
+                self.rules.insert(id, LmrRule { text, status });
+                self.next_rule = self.next_rule.max(id + 1);
+            }
+            ("dead", _) => {
+                self.dead_rules.insert(f.num()?);
+            }
+            ("local", _) => {
+                let doc = f.document()?;
+                self.local_docs.insert(doc.uri().to_owned(), doc);
+            }
+            ("match", _) => {
+                let (uri, rule) = (f.str()?, f.num()?);
+                self.tracker.add_match(uri, rule);
+            }
+            ("pubbuf", true) => {
+                let seq = f.num()?;
+                let msg = f.envelope(seq)?;
+                self.home.park((), seq, msg);
+            }
+            _ => return Err(Error::Topology(format!("unknown LMR state record: {line}"))),
+        }
+        f.end()
+    }
+}
+
+impl Lmr {
+    /// Rebuilds a freshly created LMR from exported state.
+    pub fn import_state(&mut self, text: &str) -> Result<()> {
+        if !self.cached_uris().is_empty() || self.rules().next().is_some() {
+            return Err(Error::Topology("import_state requires a fresh LMR".into()));
+        }
+        let mut lines = text.lines();
+        if lines.next() != Some(LMR_HEADER) {
+            return Err(Error::Topology("unsupported LMR state header".into()));
+        }
+        while let Some(line) = lines.next() {
+            if line == "cache-snapshot" {
+                let snapshot: String = lines.map(|l| format!("{l}\n")).collect();
+                self.cache =
+                    mdv_relstore::read_database(&snapshot).map_err(mdv_filter::Error::from)?;
+                break;
+            }
+            if !line.is_empty() {
+                self.apply_record(line, false)?;
+            }
+        }
+        self.restore_anchors()
     }
 }
 
@@ -409,125 +950,6 @@ mod tests {
     }
 }
 
-// ---------------------------------------------------------------------------
-// LMR state
-// ---------------------------------------------------------------------------
-
-const LMR_HEADER: &str = "#mdv-lmr-state v2";
-
-impl crate::lmr::Lmr {
-    /// Serializes the LMR's durable state: subscription rules, local
-    /// documents, rule-match anchors, and a relational snapshot of the
-    /// cache. Strong-reference counts are *not* stored — they are derivable
-    /// from the cache and the schema and are rebuilt on import.
-    pub fn export_state(&self) -> String {
-        let mut out = String::from(LMR_HEADER);
-        out.push('\n');
-        // the next publication sequence expected from the MDP: a recovered
-        // LMR must keep the counter, or it would park all further
-        // publications behind a gap that never closes
-        out.push_str(&format!("pubseq {}\n", self.next_pub_seq()));
-        for (mdp, next_seq) in self.alt.floors() {
-            out.push_str(&format!("altseq {mdp}\t{next_seq}\n"));
-        }
-        for (id, rule) in self.rules() {
-            let status = match &rule.status {
-                crate::lmr::RuleStatus::Pending => "pending".to_owned(),
-                crate::lmr::RuleStatus::Active => "active".to_owned(),
-                crate::lmr::RuleStatus::Failed(e) => format!("failed:{}", escape(e)),
-            };
-            out.push_str(&format!("rule {id}\t{status}\t{}\n", escape(&rule.text)));
-        }
-        let mut local_uris: Vec<&String> = self.local_docs.keys().collect();
-        local_uris.sort();
-        for uri in local_uris {
-            out.push_str(&format!("local {}\n", document_line(&self.local_docs[uri])));
-        }
-        for uri in self.cached_uris() {
-            for rule in self.tracker.matching_rules(&uri) {
-                out.push_str(&format!("match {uri}\t{rule}\n"));
-            }
-        }
-        out.push_str("cache-snapshot\n");
-        out.push_str(&mdv_relstore::write_database(&self.cache));
-        out
-    }
-
-    /// Rebuilds a freshly created LMR from exported state.
-    pub fn import_state(&mut self, text: &str) -> Result<()> {
-        if !self.cached_uris().is_empty() || self.rules().next().is_some() {
-            return Err(Error::Topology("import_state requires a fresh LMR".into()));
-        }
-        let mut lines = text.lines();
-        if lines.next() != Some(LMR_HEADER) {
-            return Err(Error::Topology("unsupported LMR state header".into()));
-        }
-        let mut matches: Vec<(String, u64)> = Vec::new();
-        while let Some(line) = lines.next() {
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(next_seq) = line.strip_prefix("pubseq ") {
-                let next_seq = next_seq
-                    .parse()
-                    .map_err(|_| Error::Topology("malformed pubseq counter".into()))?;
-                self.home.set_floor((), next_seq);
-            } else if let Some(rest) = line.strip_prefix("altseq ") {
-                let (mdp, next_seq) = counter_record("altseq", rest)?;
-                self.alt.set_floor(mdp.to_owned(), next_seq);
-            } else if let Some(rest) = line.strip_prefix("rule ") {
-                let mut fields = rest.splitn(3, '\t');
-                let (Some(id), Some(status), Some(rule_text)) =
-                    (fields.next(), fields.next(), fields.next())
-                else {
-                    return Err(Error::Topology("malformed rule record".into()));
-                };
-                let id: u64 = id
-                    .parse()
-                    .map_err(|_| Error::Topology("bad rule id".into()))?;
-                let status = if status == "pending" {
-                    crate::lmr::RuleStatus::Pending
-                } else if status == "active" {
-                    crate::lmr::RuleStatus::Active
-                } else if let Some(e) = status.strip_prefix("failed:") {
-                    crate::lmr::RuleStatus::Failed(unescape(e))
-                } else {
-                    return Err(Error::Topology("bad rule status".into()));
-                };
-                self.rules.insert(
-                    id,
-                    crate::lmr::LmrRule {
-                        text: unescape(rule_text),
-                        status,
-                    },
-                );
-                self.next_rule = self.next_rule.max(id + 1);
-            } else if let Some(rest) = line.strip_prefix("local ") {
-                let doc = parse_document_line("local", rest)?;
-                self.local_docs.insert(doc.uri().to_owned(), doc);
-            } else if let Some(rest) = line.strip_prefix("match ") {
-                let (uri, rule) = rest
-                    .split_once('\t')
-                    .ok_or_else(|| Error::Topology("malformed match record".into()))?;
-                let rule: u64 = rule
-                    .parse()
-                    .map_err(|_| Error::Topology("bad match rule id".into()))?;
-                matches.push((uri.to_owned(), rule));
-            } else if line == "cache-snapshot" {
-                let snapshot: String = lines.map(|l| format!("{l}\n")).collect();
-                self.cache =
-                    mdv_relstore::read_database(&snapshot).map_err(mdv_filter::Error::from)?;
-                break;
-            } else {
-                return Err(Error::Topology(format!("unknown LMR state record: {line}")));
-            }
-        }
-        // rebuild the tracker from cache contents + schema + match anchors
-        self.rebuild_tracker(&matches)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod lmr_state_tests {
     use crate::lmr::{Lmr, RuleStatus};
@@ -688,14 +1110,18 @@ mod lmr_state_tests {
     fn lmr_corrupt_state_rejected() {
         let mut l = Lmr::new("l", "m", schema());
         assert!(l.import_state("nope").is_err());
-        assert!(l.import_state("#mdv-lmr-state v2\nwat\n").is_err());
-        assert!(l.import_state("#mdv-lmr-state v2\nlocal d.rdf\n").is_err());
-        let v1 = populated_lmr().export_state().replacen("v2", "v1", 1);
-        let err = l.import_state(&v1).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported LMR state header"),
-            "{err}"
-        );
+        assert!(l.import_state("#mdv-lmr-state v3\nwat\n").is_err());
+        assert!(l.import_state("#mdv-lmr-state v3\nlocal d.rdf\n").is_err());
+        assert!(l.import_state("#mdv-lmr-state v3\npubbuf 0\tx\n").is_err());
+        assert!(l.import_state("#mdv-lmr-state v3\nplacement x\n").is_err());
+        for old in ["v1", "v2"] {
+            let text = populated_lmr().export_state().replacen("v3", old, 1);
+            let err = l.import_state(&text).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported LMR state header"),
+                "{err}"
+            );
+        }
     }
 }
 
@@ -728,8 +1154,10 @@ impl crate::system::MdvSystem {
     }
 
     /// Loads a deployment saved with [`save_to_dir`](Self::save_to_dir). The
-    /// network
-    /// starts fresh (counters at zero); all node state is restored.
+    /// network starts fresh (counters at zero); all node state is restored.
+    /// The MDPs come first: a placed deployment takes its placement
+    /// configuration and epoch from the tables they restored, before its
+    /// LMRs join.
     pub fn load_from_dir(dir: &std::path::Path) -> Result<crate::system::MdvSystem> {
         let io = |e: std::io::Error| Error::Topology(format!("load: {e}"));
         let schema_text = std::fs::read_to_string(dir.join("schema.mdv")).map_err(io)?;
@@ -740,6 +1168,7 @@ impl crate::system::MdvSystem {
         if lines.next() != Some("#mdv-system v1") {
             return Err(Error::Topology("unsupported topology header".into()));
         }
+        let mut lmrs = Vec::new();
         for line in lines {
             if line.is_empty() {
                 continue;
@@ -752,12 +1181,16 @@ impl crate::system::MdvSystem {
                 let (name, mdp) = rest
                     .split_once(' ')
                     .ok_or_else(|| Error::Topology("malformed lmr record".into()))?;
-                sys.add_lmr(name, mdp)?;
-                let state = std::fs::read_to_string(dir.join(format!("{name}.lmr"))).map_err(io)?;
-                sys.restore_lmr_state(name, &state)?;
+                lmrs.push((name, mdp));
             } else {
                 return Err(Error::Topology(format!("unknown topology record: {line}")));
             }
+        }
+        sys.adopt_restored_placement();
+        for (name, mdp) in lmrs {
+            sys.add_lmr(name, mdp)?;
+            let state = std::fs::read_to_string(dir.join(format!("{name}.lmr"))).map_err(io)?;
+            sys.restore_lmr_state(name, &state)?;
         }
         Ok(sys)
     }
@@ -765,6 +1198,7 @@ impl crate::system::MdvSystem {
 
 #[cfg(test)]
 mod system_state_tests {
+    use crate::lmr::RuleStatus;
     use crate::system::MdvSystem;
     use mdv_rdf::{Document, RdfSchema, Resource, Term, UriRef};
 
@@ -849,11 +1283,222 @@ mod system_state_tests {
     }
 
     #[test]
+    fn a_restored_lmr_never_reuses_a_retired_rule_id() {
+        // The MDP keeps a tombstone of a retracted rule and acks a later
+        // Subscribe of the same id without registering it: a reloaded LMR
+        // that handed out that id again would show the rule active and
+        // never get a publication for it.
+        let dir = std::env::temp_dir().join(format!("mdv-rule-ids-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let b_org = "search CycleProvider c register c where c.serverHost contains 'b.org'";
+        let mut sys = MdvSystem::new(schema());
+        sys.add_mdp("m1").unwrap();
+        sys.add_lmr("l1", "m1").unwrap();
+        sys.subscribe(
+            "l1",
+            "search CycleProvider c register c where c.serverInformation.memory > 64",
+        )
+        .unwrap();
+        let retracted = sys.subscribe("l1", b_org).unwrap();
+        sys.unsubscribe("l1", retracted).unwrap();
+        sys.save_to_dir(&dir).unwrap();
+
+        let mut restored = MdvSystem::load_from_dir(&dir).unwrap();
+        let id = restored.subscribe("l1", b_org).unwrap();
+        let lmr = restored.lmr("l1").unwrap();
+        assert_eq!(lmr.rule(id).unwrap().status, RuleStatus::Active);
+        let b_doc = Document::new("doc5.rdf").with_resource(
+            Resource::new(UriRef::new("doc5.rdf", "host"), "CycleProvider")
+                .with("serverHost", Term::literal("b.org")),
+        );
+        restored.register_document("m1", &b_doc).unwrap();
+        assert!(
+            restored.lmr("l1").unwrap().is_cached("doc5.rdf#host"),
+            "the new rule publishes"
+        );
+        assert_eq!(id, 2, "a fresh id, not the retracted rule's");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn load_missing_dir_fails_cleanly() {
         let err = match MdvSystem::load_from_dir(std::path::Path::new("/nonexistent/mdv")) {
             Err(e) => e,
             Ok(_) => panic!("loading a missing directory must fail"),
         };
         assert!(err.to_string().contains("load:"));
+    }
+}
+
+#[cfg(test)]
+mod drift_tests {
+    use super::*;
+    use crate::system::MdvSystem;
+    use crate::transport::{LinkFaults, NetConfig};
+    use mdv_rdf::{RdfSchema, Resource, Term, UriRef};
+    use mdv_relstore::{DurableEngine, FaultVfs};
+    use mdv_testkit::{prop_assert_eq, property};
+
+    fn schema() -> RdfSchema {
+        RdfSchema::builder()
+            .class("ServerInformation", |c| c.int("memory").int("cpu"))
+            .class("CycleProvider", |c| {
+                c.str("serverHost")
+                    .strong_ref("serverInformation", "ServerInformation")
+            })
+            .build()
+            .unwrap()
+    }
+
+    fn doc(i: u64, host: &str, memory: u64) -> Document {
+        let uri = format!("doc{i}.rdf");
+        Document::new(uri.clone())
+            .with_resource(
+                Resource::new(UriRef::new(&uri, "host"), "CycleProvider")
+                    .with("serverHost", Term::literal(host))
+                    .with(
+                        "serverInformation",
+                        Term::resource(UriRef::new(&uri, "info")),
+                    ),
+            )
+            .with_resource(
+                Resource::new(UriRef::new(&uri, "info"), "ServerInformation")
+                    .with("memory", Term::literal(memory.to_string()))
+                    .with("cpu", Term::literal("600")),
+            )
+    }
+
+    const RULES: [&str; 3] = [
+        "search CycleProvider c register c where c.serverInformation.memory > 64",
+        "search CycleProvider c register c where c.serverHost contains 'b.org'",
+        "search ServerInformation s register s where s.memory > 100",
+    ];
+
+    /// The records of a node's state table other than the in-flight kinds,
+    /// as sorted lines.
+    fn table_lines(db: &Database, table: &str, in_flight: &[&str]) -> Vec<String> {
+        let rows = mirror::state_rows(db, table).unwrap().unwrap();
+        let mut lines: Vec<String> = rows
+            .into_iter()
+            .map(|(key, fields)| Record { key, fields })
+            .filter(|r| {
+                !in_flight
+                    .iter()
+                    .any(|tag| r.key.starts_with(&format!("{tag} ")))
+            })
+            .map(|r| r.line())
+            .collect();
+        lines.sort();
+        lines
+    }
+
+    /// The record lines of an export — no header, no cache snapshot — sorted.
+    fn export_lines(text: &str) -> Vec<String> {
+        let mut lines: Vec<String> = text
+            .lines()
+            .skip(1)
+            .take_while(|l| *l != "cache-snapshot")
+            .map(str::to_owned)
+            .collect();
+        lines.sort();
+        lines
+    }
+
+    property! {
+        /// One durable MDP and two durable LMRs under a seeded script of
+        /// subscribe, unsubscribe, register, update, delete and the odd
+        /// crash-restart over a lossy transport. At every quiescent point
+        /// each node's state table holds exactly the records of its export
+        /// (the in-flight kinds aside), and the export imported into a fresh
+        /// node exports the same text.
+        fn the_state_table_holds_the_exports_records(src) cases = 24; {
+            let mut config = NetConfig::default();
+            config.faults.seed = src.bits();
+            config.faults.default_link = LinkFaults {
+                drop_prob: 0.25,
+                dup_prob: 0.20,
+                jitter_ms: 30,
+                spike_prob: 0.10,
+                spike_ms: 120,
+            };
+            let disk = FaultVfs::new(src.bits());
+            let mut sys: MdvSystem<DurableEngine<FaultVfs>> =
+                MdvSystem::durable_on(schema(), config);
+            sys.add_mdp_durable_on("m", "/m", disk.clone()).unwrap();
+            let lmrs = ["l1", "l2"];
+            for l in lmrs {
+                sys.add_lmr_durable_on(l, "m", format!("/{l}"), disk.clone()).unwrap();
+            }
+            let (mut rules, mut docs, mut next) = (Vec::new(), Vec::new(), 0);
+            for step in 0..src.usize_in(1..14) {
+                let what = match src.weighted(&[3, 1, 4, 2, 1, 1]) {
+                    0 => {
+                        let (lmr, rule) = (*src.choose(&lmrs), *src.choose(&RULES));
+                        let id = sys.subscribe(lmr, rule).unwrap();
+                        rules.push((lmr, id));
+                        format!("subscribe {lmr}")
+                    }
+                    1 if !rules.is_empty() => {
+                        let (lmr, id) = rules.swap_remove(src.usize_in(0..rules.len()));
+                        sys.unsubscribe(lmr, id).unwrap();
+                        format!("unsubscribe {lmr} {id}")
+                    }
+                    2 => {
+                        let host = *src.choose(&["a.org", "b.org"]);
+                        sys.register_document("m", &doc(next, host, src.u64_in(0..200))).unwrap();
+                        docs.push(next);
+                        next += 1;
+                        format!("register {}", next - 1)
+                    }
+                    3 if !docs.is_empty() => {
+                        let i = *src.choose(&docs);
+                        let host = *src.choose(&["a.org", "b.org"]);
+                        sys.update_document("m", &doc(i, host, src.u64_in(0..200))).unwrap();
+                        format!("update {i}")
+                    }
+                    4 if !docs.is_empty() => {
+                        let i = docs.swap_remove(src.usize_in(0..docs.len()));
+                        sys.delete_document("m", &format!("doc{i}.rdf")).unwrap();
+                        format!("delete {i}")
+                    }
+                    5 => {
+                        let node = *src.choose(&["m", "l1", "l2"]);
+                        if node == "m" {
+                            sys.crash_and_restart_mdp(node).unwrap();
+                        } else {
+                            sys.crash_and_restart_lmr(node).unwrap();
+                        }
+                        format!("crash-restart {node}")
+                    }
+                    _ => continue,
+                };
+                sys.run_to_quiescence().unwrap();
+
+                let mdp = sys.mdp("m").unwrap();
+                let export = mdp.export_state();
+                let db = mdp.engine().storage().database();
+                prop_assert_eq!(
+                    table_lines(db, crate::mdp::T_STATE, &MDP_TAGS[8..]),
+                    export_lines(&export),
+                    "step {step}: {what}: the MDP's table"
+                );
+                let mut fresh = Mdp::new("m", schema());
+                fresh.import_state(&export).unwrap();
+                prop_assert_eq!(fresh.export_state(), export, "step {step}: {what}: MDP import");
+                for l in lmrs {
+                    let lmr = sys.lmr(l).unwrap();
+                    let export = lmr.export_state();
+                    let db = lmr.storage().database();
+                    prop_assert_eq!(
+                        table_lines(db, crate::lmr::T_STATE, &LMR_TAGS[9..]),
+                        export_lines(&export),
+                        "step {step}: {what}: {l}'s table"
+                    );
+                    let mut fresh = Lmr::new(l, "m", schema());
+                    fresh.import_state(&export).unwrap();
+                    prop_assert_eq!(fresh.export_state(), export, "step {step}: {what}: {l} import");
+                }
+            }
+        }
     }
 }

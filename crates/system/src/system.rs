@@ -191,7 +191,7 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
     /// reproduce byte-for-byte what the pre-crash store journaled — its
     /// database with the unlogged filter tables empty (the node is assumed
     /// quiescent, i.e. no commit group open) — and the node rebuilt from
-    /// the `Sys*` mirror tables must carry base tables logically identical
+    /// the state table's records must carry base tables logically identical
     /// to the pre-crash engine's. Both checks are skipped for a wedged
     /// store, whose memory may be ahead of its disk. Because
     /// re-registration reassigns rule and row ids, the rebuilt node starts
@@ -626,6 +626,24 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
         }
         self.placement = Some(config);
         self.rebalance_placement(true)
+    }
+
+    /// Takes the placement configuration and epoch from the newest table
+    /// the MDPs restored (state import), so a reloaded deployment stays
+    /// placed; a no-op when none holds one.
+    pub(crate) fn adopt_restored_placement(&mut self) {
+        let newest = self
+            .mdps
+            .values()
+            .filter_map(|m| m.placement())
+            .max_by_key(|t| t.epoch());
+        if let Some(table) = newest {
+            self.placement = Some(PlacementConfig {
+                factor: table.factor(),
+                shards: table.shard_count(),
+            });
+            self.placement_epoch = table.epoch();
+        }
     }
 
     /// The active placement configuration (`None`: classic full replication).

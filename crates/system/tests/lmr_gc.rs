@@ -262,8 +262,8 @@ impl Model {
 /// One LMR under test, the envelopes sent to it so far (index = sequence
 /// number) and the model, which applies them in sequence order as soon as
 /// the delivered prefix is contiguous — like the LMR's reorder buffer. The
-/// LMR mirrors its state into `Lmr*` tables (in memory), so `LmrMatches`
-/// can be compared too.
+/// LMR mirrors its state into its state table (in memory), so the `match`
+/// records can be compared too.
 struct Harness {
     net: Network,
     /// Where the LMR's acks land; nobody reads it.
@@ -401,8 +401,8 @@ impl Harness {
     }
 
     /// Everything a cache comparison can see: cached rows, the tracker's
-    /// counts and anchors over every URI in play, and the `LmrMatches`
-    /// mirror.
+    /// counts and anchors over every URI in play, and the `match` records of
+    /// the state table.
     fn observed(&self) -> Vec<String> {
         let lmr = &self.lmr;
         let mut out: Vec<String> = lmr
@@ -420,10 +420,11 @@ impl Harness {
         }
         let mut anchors: Vec<String> = lmr
             .storage()
-            .table("LmrMatches")
+            .table("LmrState")
             .unwrap()
             .iter()
-            .map(|(_, row)| format!("LmrMatches {row:?}"))
+            .filter(|(_, row)| row[0].as_str().is_some_and(|k| k.starts_with("match ")))
+            .map(|(_, row)| format!("LmrState {row:?}"))
             .collect();
         anchors.sort();
         out.extend(anchors);
@@ -502,7 +503,7 @@ property! {
     /// updated in another, removed by one rule and matched by the next,
     /// listed only by the delta of a retracted rule, or stripped by a
     /// snapshot delta. After every step the caches, the tracker's counts
-    /// and `LmrMatches` are equal, and a full sweep evicts nothing.
+    /// and `match` records are equal, and a full sweep evicts nothing.
     fn envelope_equals_its_rules_applied_one_by_one(src) {
         let (mut whole, mut split) = (Harness::new(), Harness::new());
         for step in 0..src.usize_in(3..40) {
@@ -768,7 +769,11 @@ fn identical_republication_appends_no_cache_rows_to_the_wal() {
         frame.extend_from_slice(table.as_bytes());
         appended.windows(frame.len()).any(|w| w == frame)
     };
-    assert!(names("LmrMatches"), "the new match anchor is logged");
+    let anchor = b"match doc.rdf#host\t1";
+    assert!(
+        appended.windows(anchor.len()).any(|w| w == anchor),
+        "the new match anchor is logged"
+    );
     assert!(!names("Resources"), "no registry row rewritten");
     assert!(!names("Statements"), "no statement row rewritten");
     let lmr = sys.lmr("lmr").unwrap();

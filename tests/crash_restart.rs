@@ -376,14 +376,29 @@ fn rows_of(db: &Database, table: &str) -> Vec<String> {
     rows
 }
 
-/// The integer column of the row of `table` whose first column is `key`
-/// (a protocol counter mirror: `LmrMeta`, `SysReplFloor`).
+/// The keys of the records of a node's state table (`SysState`,
+/// `LmrState`) whose tag is `tag`, sorted.
+fn record_keys(db: &Database, table: &str, tag: &str) -> Vec<String> {
+    let prefix = format!("{tag} ");
+    let mut keys: Vec<String> = db
+        .table(table)
+        .unwrap()
+        .iter()
+        .filter_map(|(_, r)| r[0].as_str().filter(|k| k.starts_with(&prefix)))
+        .map(str::to_owned)
+        .collect();
+    keys.sort();
+    keys
+}
+
+/// A stream counter of a node's state table: the number in the fields of
+/// the record `key` (`pubseq` of an LMR, `replfloor <peer>` of an MDP).
 fn counter(db: &Database, table: &str, key: &str) -> Option<i64> {
     db.table(table)
         .unwrap()
         .iter()
         .find(|(_, r)| r[0].as_str() == Some(key))
-        .and_then(|(_, r)| r[1].as_int())
+        .and_then(|(_, r)| r[1].as_str()?.parse().ok())
 }
 
 #[test]
@@ -420,16 +435,17 @@ fn the_mdp_journals_no_filter_row_and_recovery_rebuilds_them() {
         assert!(db.table(table).unwrap().is_empty(), "{table} was journaled");
         assert!(!mdp.engine().db().table(table).unwrap().is_empty());
     }
-    let mut docs: Vec<&str> = db
-        .table("SysDocuments")
-        .unwrap()
-        .iter()
-        .filter_map(|(_, r)| r[0].as_str())
+    let docs = record_keys(db, "SysState", "document");
+    let mut live: Vec<String> = mdp
+        .engine()
+        .documents()
+        .map(|d| format!("document {}", d.uri()))
         .collect();
-    docs.sort_unstable();
-    let mut live: Vec<&str> = mdp.engine().documents().map(|d| d.uri()).collect();
     live.sort_unstable();
-    assert_eq!(docs, live, "SysDocuments must hold every live document");
+    assert_eq!(
+        docs, live,
+        "a document record must hold every live document"
+    );
     drop(reopened);
 
     // the rebuild refills them exactly
@@ -483,8 +499,8 @@ fn out_of_order_publication_stays_parked_across_an_lmr_crash() {
     let floor = |sys: &MdvSystem<DurableEngine>| {
         counter(
             sys.lmr("lmr").unwrap().storage().database(),
-            "LmrMeta",
-            "next_pub_seq",
+            "LmrState",
+            "pubseq",
         )
     };
     let n = floor(&sys).unwrap();
@@ -509,11 +525,7 @@ fn out_of_order_publication_stays_parked_across_an_lmr_crash() {
         "the parked publication was lost"
     );
     assert_eq!(
-        lmr.storage()
-            .database()
-            .table("LmrPubBuffer")
-            .unwrap()
-            .len(),
+        record_keys(lmr.storage().database(), "LmrState", "pubbuf").len(),
         1
     );
     assert_eq!(floor(&sys), Some(n));
@@ -523,12 +535,7 @@ fn out_of_order_publication_stays_parked_across_an_lmr_crash() {
     sys.run_to_quiescence().unwrap();
     let lmr = sys.lmr("lmr").unwrap();
     assert_eq!(lmr.buffered_publications(), 0);
-    assert!(lmr
-        .storage()
-        .database()
-        .table("LmrPubBuffer")
-        .unwrap()
-        .is_empty());
+    assert!(record_keys(lmr.storage().database(), "LmrState", "pubbuf").is_empty());
     assert_eq!(floor(&sys), Some(n + 2));
     assert_eq!(sys.mdp("mdp").unwrap().unacked_publications(), 0);
     assert!(lmr.is_cached("doc1.rdf#host") && lmr.is_cached("doc2.rdf#host"));
@@ -578,11 +585,11 @@ fn out_of_order_replication_stays_parked_across_an_mdp_crash() {
     sys.subscribe("lmr", RULES[1]).unwrap();
     let floor = |sys: &MdvSystem<DurableEngine>| {
         let db = sys.mdp("m2").unwrap().engine().storage().database();
-        counter(db, "SysReplFloor", "m1")
+        counter(db, "SysState", "replfloor m1")
     };
     let buffered = |sys: &MdvSystem<DurableEngine>| {
         let db = sys.mdp("m2").unwrap().engine().storage().database();
-        db.table("SysReplBuffer").unwrap().len()
+        record_keys(db, "SysState", "replbuf").len()
     };
 
     // replicated op 0 is lost while m2 is down, op 1 arrives first

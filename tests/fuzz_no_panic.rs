@@ -112,6 +112,41 @@ fn arb_envelope(src: &mut Source) -> PublishMsg {
     }
 }
 
+/// `text` escaped as the escaped fields of a state record hold it.
+fn escaped(text: &str) -> String {
+    text.replace('\\', "\\\\")
+        .replace('\t', "\\t")
+        .replace('\n', "\\n")
+}
+
+/// Rebuilds a fresh MDP from the state table of a durable MDP that holds
+/// the record `(key, fields)` besides what its creation wrote.
+fn rebuild_with(key: &str, fields: &str) -> mdv::system::Result<()> {
+    let schema = benchmark_schema();
+    let mut crashed = Mdp::with_storage("m", Database::new(), schema.clone())?;
+    let row = vec![Value::Str(key.into()), Value::Str(fields.into())];
+    crashed
+        .engine_mut()
+        .storage_mut()
+        .insert("SysState", row)
+        .unwrap();
+    let mut fresh = Mdp::with_storage("m", Database::new(), schema)?;
+    fresh
+        .rebuild_from_tables(crashed.engine().storage().database(), 10)
+        .map(|_| ())
+}
+
+/// Reopens an LMR over the store of a durable LMR that holds the record
+/// `(key, fields)` besides what its creation wrote.
+fn reopen_with(key: &str, fields: &str) -> mdv::system::Result<()> {
+    let schema = benchmark_schema();
+    let lmr = Lmr::with_storage("l", "m", schema.clone(), Database::new())?;
+    let mut store = lmr.storage().clone();
+    let row = vec![Value::Str(key.into()), Value::Str(fields.into())];
+    store.insert("LmrState", row).unwrap();
+    Lmr::reopen("l", "m", schema, store).map(|_| ())
+}
+
 /// `wire` truncated, with one byte changed, or with one line dropped.
 fn damage(src: &mut Source, wire: &str) -> String {
     match src.usize_in(0..3) {
@@ -179,36 +214,25 @@ property! {
         let _ = lmr.query(&input);
     }
 
-    /// A truncated or garbled envelope wire form — what `SysOutbox` and
-    /// `LmrPubBuffer` rows hold — is an error: decoded directly, rebuilt
-    /// into an MDP from its mirror tables, or reopened into an LMR.
+    /// A truncated or garbled envelope wire form — what the `outbox` and
+    /// `pubbuf` state records hold — is an error: decoded directly, rebuilt
+    /// into an MDP from its state table, or reopened into an LMR.
     fn damaged_envelope_rows_are_errors(src) cases = 256; {
-        let wire = arb_envelope(src).to_wire();
+        let msg = arb_envelope(src);
+        let wire = msg.to_wire();
         prop_assert!(PublishMsg::from_wire(&wire).is_ok());
         let damaged = damage(src, &wire);
         prop_assert!(PublishMsg::from_wire(&damaged).is_err(), "decoded {damaged:?}");
 
-        let schema = benchmark_schema();
-        let rebuilds = |row: &str| {
-            let mut crashed = Mdp::with_storage("m", Database::new(), schema.clone()).unwrap();
-            let row = vec![Value::Str("l".into()), Value::Int(0), Value::Str(row.into())];
-            crashed.engine_mut().storage_mut().insert("SysOutbox", row).unwrap();
-            let mut fresh = Mdp::with_storage("m", Database::new(), schema.clone()).unwrap();
-            fresh.rebuild_from_tables(crashed.engine().storage().database(), 10).is_ok()
-        };
-        let reopens = |row: &str| {
-            let lmr = Lmr::with_storage("l", "m", schema.clone(), Database::new()).unwrap();
-            let mut store = lmr.storage().clone();
-            store.insert("LmrPubBuffer", vec![Value::Int(1), Value::Str(row.into())]).unwrap();
-            Lmr::reopen("l", "m", schema.clone(), store).is_ok()
-        };
+        let rebuilds = |wire: &str| rebuild_with(&format!("outbox l\t{}", msg.seq), &escaped(wire)).is_ok();
+        let reopens = |wire: &str| reopen_with(&format!("pubbuf {}", msg.seq), &escaped(wire)).is_ok();
         prop_assert!(rebuilds(&wire) && reopens(&wire));
         prop_assert!(!rebuilds(&damaged), "an MDP rebuilt over {damaged:?}");
         prop_assert!(!reopens(&damaged), "an LMR reopened over {damaged:?}");
     }
 
     /// State import decodes what a Raft InstallSnapshot carries off the
-    /// wire: garbage, and v2 MDP and LMR exports truncated, with a byte
+    /// wire: garbage, and MDP and LMR exports truncated, with a byte
     /// changed or with a line dropped, import or fail with a typed error —
     /// never a panic.
     fn state_import_never_panics(src) cases = 256; {
@@ -234,7 +258,7 @@ property! {
         let _ = Mdp::new("m", common::schema()).import_state(&mdp_input);
         let lmr_input = match src.usize_in(0..3) {
             0 => src.printable(0..80),
-            1 => format!("#mdv-lmr-state v2\n{}", arb_garbage(src)),
+            1 => format!("#mdv-lmr-state v3\n{}", arb_garbage(src)),
             _ => damage(src, &lmr_state),
         };
         let _ = Lmr::new("l", "m", common::schema()).import_state(&lmr_input);
@@ -663,5 +687,51 @@ fn raft_committed_registration_survives_any_single_node_crash() {
         assert!(sys.backbone_converged());
         drop(sys);
         let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+/// One damaged record of every tag of both grammars, and an unknown tag,
+/// in a durable node's state table: rebuilding the MDP or reopening the
+/// LMR is a typed error, never a panic and never a partial guess.
+#[test]
+fn a_damaged_record_of_every_tag_fails_recovery() {
+    let mdp = [
+        ("pubseq l", "x"),
+        ("docver d.rdf", "1\t2"),
+        ("replseq m2", ""),
+        ("replfloor m2", "-1"),
+        ("placement", "1\tx"),
+        ("document d.rdf", "<rdf"),
+        ("subscription l\t0", "search Nope n register n"),
+        ("retired l\tx", ""),
+        ("outbox l\t0", "envelope 0"),
+        ("replout m2\t0", "move\t1\td.rdf\t"),
+        ("replbuf m2\t0", "register\tx\td.rdf\t"),
+        ("wat", ""),
+    ];
+    for (key, fields) in mdp {
+        assert!(
+            rebuild_with(key, fields).is_err(),
+            "an MDP rebuilt over {key:?} {fields:?}"
+        );
+    }
+    let lmr = [
+        ("pubseq", "x"),
+        ("nextrule", ""),
+        ("home", "m"),
+        ("placement", "x"),
+        ("altseq m2", "x"),
+        ("rule 0", "gone\tsearch CycleProvider c register c"),
+        ("dead x", ""),
+        ("local d.rdf", "<rdf"),
+        ("match d.rdf#h\tx", ""),
+        ("pubbuf 0", "envelope 0"),
+        ("wat", ""),
+    ];
+    for (key, fields) in lmr {
+        assert!(
+            reopen_with(key, fields).is_err(),
+            "an LMR reopened over {key:?} {fields:?}"
+        );
     }
 }

@@ -19,7 +19,8 @@
 //! at-least-once machinery the inert runs never reach: retransmission
 //! backoff, reorder buffers and the placement alternate-stream gap policy.
 //! A sixth lossy script catches a Raft follower up by InstallSnapshot
-//! behind a log compacted every two entries.
+//! behind a log compacted every two entries, and a seventh does the same
+//! to a follower that holds documents when it fails.
 //!
 //! A change meant to alter no behaviour (a refactor, a deletion, a
 //! speed-up) must leave every pin untouched; that is its proof of "same
@@ -40,12 +41,13 @@ use mdv::system::PlacementConfig;
 const PIN_LWW_FAILOVER: u64 = 0xeea5_527d_e017_1314;
 const PIN_RAFT_LEADER_CHANGE: u64 = 0x0910_7dd0_7c3e_5aa3;
 const PIN_PLACEMENT_R2: u64 = 0x0fee_3223_d710_a962;
-const PIN_DURABLE_CRASH_RESTART: u64 = 0xf140_1b46_2507_49b3;
+const PIN_DURABLE_CRASH_RESTART: u64 = 0x95a1_968e_e430_e218;
 const PIN_BATCH_REJECTED: u64 = 0x0c72_10cd_9e6c_248b;
 const PIN_LWW_FAILOVER_LOSSY: u64 = 0x0600_eadc_f8fb_e508;
 const PIN_PLACEMENT_R2_LOSSY: u64 = 0x29e9_7766_4c1d_e131;
-const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0xe401_a60b_87e1_96c1;
+const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0xbb96_bede_143a_aa7c;
 const PIN_RAFT_INSTALL_LOSSY: u64 = 0x1411_d0d0_9e2d_6f24;
+const PIN_RAFT_INSTALL_DOCS_LOSSY: u64 = 0xdacc_d946_7ed6_15e4;
 
 /// Two overlapping subscriptions: a document with memory > 64 and
 /// cpu >= 600 is published to both LMRs in the same operation, so the
@@ -274,6 +276,56 @@ fn raft_install_snapshot_over_a_lossy_transport() {
     let mut h = Fnv::new();
     digest(&sys, &mut h);
     check("raft-install-lossy", h.0, PIN_RAFT_INSTALL_LOSSY);
+}
+
+/// The install above lands on a follower that failed before any document
+/// existed. Here the follower holds documents when it fails, so the
+/// install tears down a populated filter and replays the leader's export
+/// over it: the follower's copy of doc1 is deleted and doc0 updated while
+/// it is away.
+#[test]
+fn raft_install_snapshot_over_a_follower_holding_documents() {
+    let mut sys = MdvSystem::with_net_config(schema(), lossy(0x50557));
+    sys.enable_raft(0xbad).unwrap();
+    sys.set_raft_compact_threshold(2);
+    let mdps = ["m1", "m2", "m3"];
+    for m in mdps {
+        sys.add_mdp(m).unwrap();
+    }
+    sys.add_lmr("l1", "m1").unwrap();
+    sys.add_lmr("l2", "m2").unwrap();
+    sys.subscribe("l1", RULES[0]).unwrap();
+    sys.subscribe("l2", RULES[1]).unwrap();
+    let leader = sys.raft_leader().expect("a leader before the failure");
+    for i in 0..3 {
+        let doc = provider(i, "a.hub.org", 40 + 50 * i as i64, 500 + 100 * i as i64);
+        sys.register_document(&leader, &doc).unwrap();
+    }
+    sys.run_to_quiescence().unwrap();
+    let follower = mdps.into_iter().find(|m| *m != leader).unwrap();
+    let held = sys.mdp(follower).unwrap().engine().document_count();
+    assert_eq!(held, 3, "the follower holds every document before failing");
+    sys.fail_mdp(follower).unwrap();
+    sys.update_document(&leader, &provider(0, "b.hub.org", 300, 900))
+        .unwrap();
+    sys.delete_document(&leader, "doc1.rdf").unwrap();
+    sys.register_document(&leader, &provider(3, "c.hub.org", 256, 800))
+        .unwrap();
+    sys.update_document(&leader, &provider(2, "c.hub.org", 10, 300))
+        .unwrap();
+    sys.register_document(&leader, &provider(4, "d.hub.org", 99, 777))
+        .unwrap();
+    sys.heal_mdp(follower).unwrap();
+    sys.register_document(follower, &provider(5, "e.hub.org", 150, 850))
+        .unwrap();
+    sys.run_to_quiescence().unwrap();
+
+    let installs = sys.network().traffic_by_kind()["install-snapshot"];
+    assert!(installs >= 1, "the healed follower was sent no snapshot");
+    assert_faults_fired("raft-install-docs-lossy", &sys.network_stats());
+    let mut h = Fnv::new();
+    digest(&sys, &mut h);
+    check("raft-install-docs-lossy", h.0, PIN_RAFT_INSTALL_DOCS_LOSSY);
 }
 
 #[test]

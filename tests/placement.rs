@@ -564,6 +564,53 @@ fn restored_placed_deployment_keeps_the_lmr_alternate_stream_floors() {
     }
 }
 
+#[test]
+fn a_saved_and_loaded_placed_deployment_stays_placed() {
+    // The MDPs' export carries their placement table and the LMR's its
+    // alternate-stream mode. A reload that lost either would take every
+    // envelope from a primary other than the LMR's home for a stray: the
+    // LMR would answer with cleanup unsubscribes, those MDPs would drop
+    // the rule, and the documents they own would never reach the cache.
+    let root = scratch("save-load");
+    let mdps = ["m1", "m2", "m3", "m4"];
+    let mut twin = Mdv::new(schema());
+    for m in mdps {
+        twin.add_mdp(m).unwrap();
+    }
+    twin.set_replication_factor(2).unwrap();
+    twin.add_lmr("l1", "m1").unwrap();
+    twin.subscribe("l1", RULES[0]).unwrap();
+    let mut shadow = Mdv::new(schema());
+    shadow.add_mdp("m0").unwrap();
+    shadow.add_lmr("l1", "m0").unwrap();
+    shadow.subscribe("l1", RULES[0]).unwrap();
+    let doc = |i: usize| provider(i, "a.hub.org", 30 + (i as i64 * 37) % 120, 700);
+    for i in 0..10 {
+        twin.register_document(mdps[i % 4], &doc(i)).unwrap();
+        shadow.register_document("m0", &doc(i)).unwrap();
+    }
+    twin.save_to_dir(&root).unwrap();
+
+    let mut sys = Mdv::load_from_dir(&root).unwrap();
+    for i in 10..30 {
+        sys.register_document(mdps[i % 4], &doc(i)).unwrap();
+        twin.register_document(mdps[i % 4], &doc(i)).unwrap();
+        shadow.register_document("m0", &doc(i)).unwrap();
+    }
+    assert_eq!(
+        sys.lmr("l1").unwrap().cached_uris(),
+        twin.lmr("l1").unwrap().cached_uris(),
+        "the reloaded cache and its twin's"
+    );
+    assert_consistent_with_shadow(&sys, "l1", &shadow, "m0", &RULES[..1], "after the reload");
+    assert_eq!(sys.placement_config(), twin.placement_config());
+    assert_eq!(sys.placement_epoch(), twin.placement_epoch());
+    for m in mdps {
+        assert_eq!(mirrored_rules(&sys, m, "l1"), [0], "rules on {m}");
+    }
+    cleanup(&root);
+}
+
 /// The rule ids of `lmr` registered at `mdp`, sorted.
 fn mirrored_rules(sys: &Mdv, mdp: &str, lmr: &str) -> Vec<u64> {
     let prefix = format!("subscription {lmr}\t");

@@ -463,15 +463,15 @@ fn faulty_two_tier(mdp_vfs: &FaultVfs, lmr_vfs: &FaultVfs) -> MdvSystem<DurableE
     sys
 }
 
-/// URIs present in a recovered store's `SysDocuments` mirror table (empty
-/// when the table was never created — i.e. a crash image from before the
-/// store finished initializing).
+/// URIs of the `document` records in a recovered store's state table
+/// (empty when the table was never created — i.e. a crash image from
+/// before the store finished initializing).
 fn doc_uris(db: &Database) -> BTreeSet<String> {
-    match db.table("SysDocuments") {
+    match db.table("SysState") {
         Ok(t) => t
             .iter()
             .filter_map(|(_, r)| match &r[0] {
-                Value::Str(s) => Some(s.clone()),
+                Value::Str(key) => key.strip_prefix("document ").map(str::to_owned),
                 _ => None,
             })
             .collect(),
