@@ -14,9 +14,11 @@
 //!    no updates or deletions were allowed, producing the new matches.
 //!
 //! True candidates (pass 1 minus pass 2) are published as removals; pass 3
-//! results as additions; updated resources cached via strong references are
-//! published as updates to every subscription whose matched closure
-//! contains them.
+//! results as additions. Both are classified per subscription, over the
+//! union of its end rules (an `or` rule has one per disjunct), so a
+//! resource another disjunct still matches is not removed. Updated
+//! resources cached via strong references are published as updates to
+//! every subscription whose matched closure contains them.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -161,35 +163,36 @@ impl<S: StorageEngine> FilterEngine<S> {
             .collect();
 
         // ---- classify per subscription ----
+        fn entry(
+            pubs: &mut BTreeMap<SubscriptionId, Publication>,
+            sub: SubscriptionId,
+        ) -> &mut Publication {
+            pubs.entry(sub).or_insert_with(|| Publication::new(sub))
+        }
         let mut pubs: BTreeMap<SubscriptionId, Publication> = BTreeMap::new();
-        let push = |pubs: &mut BTreeMap<SubscriptionId, Publication>,
-                    subs: &[SubscriptionId],
-                    f: &dyn Fn(&mut Publication)| {
-            for sub in subs {
-                f(pubs.entry(*sub).or_insert_with(|| Publication::new(*sub)));
-            }
+        // a subscription matches a resource when any of its end rules does
+        // (an or-rule has one end rule per disjunct), so removals and
+        // additions compare the union over each subscription's end rules
+        let per_sub = |matches: &HashSet<(RuleId, String)>| -> BTreeSet<(SubscriptionId, String)> {
+            matches
+                .iter()
+                .flat_map(|(rule, uri)| {
+                    self.end_subs
+                        .get(rule)
+                        .into_iter()
+                        .flatten()
+                        .map(move |sub| (*sub, uri.clone()))
+                })
+                .collect()
         };
-
+        let (before, after) = (per_sub(&before), per_sub(&survived));
         // removals: matched before via old data, not re-derived anywhere
-        for (rule, uri) in &before {
-            if !survived.contains(&(*rule, uri.clone())) {
-                if let Some(subs) = self.end_subs.get(rule) {
-                    let subs = subs.clone();
-                    let uri = uri.clone();
-                    push(&mut pubs, &subs, &|p| p.removed.push(uri.clone()));
-                }
-            }
+        for (sub, uri) in before.difference(&after) {
+            entry(&mut pubs, *sub).removed.push(uri.clone());
         }
         // additions: matches under the new state that did not exist before
-        for (rule, uri) in &survived {
-            if before.contains(&(*rule, uri.clone())) {
-                continue;
-            }
-            if let Some(subs) = self.end_subs.get(rule) {
-                let subs = subs.clone();
-                let uri = uri.clone();
-                push(&mut pubs, &subs, &|p| p.added.push(uri.clone()));
-            }
+        for (sub, uri) in after.difference(&before) {
+            entry(&mut pubs, *sub).added.push(uri.clone());
         }
         // updates: an updated resource must be re-shipped to every
         // subscription whose matched resources reach it over strong
@@ -229,8 +232,8 @@ impl<S: StorageEngine> FilterEngine<S> {
                 .filter_map(|r| ends_of.get(r.as_str()))
                 .flatten()
             {
-                if let Some(subs) = self.end_subs.get(end) {
-                    push(&mut pubs, subs, &|p| p.updated.push(u.clone()));
+                for sub in self.end_subs.get(end).into_iter().flatten() {
+                    entry(&mut pubs, *sub).updated.push(u.clone());
                 }
             }
         }
@@ -405,6 +408,30 @@ mod tests {
         // now both drop: removal of host
         let pubs = e.update_document(&make(32, 16)).unwrap();
         assert_eq!(pubs[0].removed, vec!["d.rdf#host".to_owned()]);
+    }
+
+    #[test]
+    fn update_keeps_a_resource_another_disjunct_still_matches() {
+        // memory 92 → 32 loses the first disjunct, but cpu 600 still
+        // satisfies the second: `host` stays matched, only `info` changed
+        let mut e = FilterEngine::new(schema());
+        let (sub, _) = e
+            .register_subscription(
+                "search CycleProvider c register c \
+                 where c.serverInformation.memory > 64 or c.serverInformation.cpu >= 600",
+            )
+            .unwrap();
+        let pubs = e.register_document(&doc(92)).unwrap();
+        assert_eq!(pubs[0].added, vec!["doc.rdf#host".to_owned()]);
+        let pubs = e.update_document(&doc(32)).unwrap();
+        assert_eq!(pubs.len(), 1);
+        assert_eq!(pubs[0].subscription, sub);
+        assert!(pubs[0].removed.is_empty(), "host still matches: {pubs:?}");
+        assert!(
+            pubs[0].added.is_empty(),
+            "host was matched before: {pubs:?}"
+        );
+        assert_eq!(pubs[0].updated, vec!["doc.rdf#info".to_owned()]);
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!   and recovers committed state after a crash.
 //!
 //! Reads are *not* part of the trait: every backend exposes its current
-//! state as a plain [`Database`] via [`StorageEngine::database`], and all
-//! existing read paths (index probes, query planning, joins) keep working
-//! on `&Database`. Only writes are routed through the trait, which is
-//! what a write-ahead log needs to observe. See DESIGN.md §6.
+//! state as a plain [`Database`] via [`StorageEngine::database`], and every
+//! read path (index probes, [`crate::select`]) works on `&Database`. Only
+//! writes are routed through the trait, which is what a write-ahead log
+//! needs to observe. See DESIGN.md §6.
 
 use crate::catalog::Database;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::index::IndexKind;
 use crate::schema::TableSchema;
 use crate::table::{Row, RowId};
@@ -34,11 +34,8 @@ use crate::table::{Row, RowId};
 ///   [`StorageEngine::commit`] form one *commit group*: a durable backend
 ///   makes them atomically durable at `commit` (all-or-nothing after a
 ///   crash). Mutations outside a group auto-commit individually.
-/// * `begin`/`commit` do **not** provide rollback — undo-log rollback of
-///   the in-memory state stays with [`crate::txn::Txn`], which operates on
-///   the `&mut Database` level. [`StorageEngine::rollback`] discards the
-///   *pending durability* of the current group after a `Txn` has undone the
-///   in-memory effects.
+/// * There is no rollback: a group whose body fails part-way is still
+///   committed, so the log mirrors whatever in-memory state it left.
 /// * [`StorageEngine::checkpoint`] lets the backend compact its durability
 ///   artifacts (snapshot + log truncation); a no-op for volatile backends.
 pub trait StorageEngine {
@@ -90,11 +87,6 @@ pub trait StorageEngine {
     /// Closes one nesting level; the outermost call makes every mutation
     /// since the matching `begin` atomically durable.
     fn commit(&mut self) -> Result<()>;
-
-    /// Discards the pending (uncommitted) group from the durability log.
-    /// The caller is responsible for having undone the in-memory effects
-    /// (via [`crate::txn::Txn`]).
-    fn rollback(&mut self) -> Result<()>;
 
     /// Compacts durability artifacts (snapshot + truncate the log).
     fn checkpoint(&mut self) -> Result<()>;
@@ -150,33 +142,9 @@ impl StorageEngine for Database {
         Ok(())
     }
 
-    fn rollback(&mut self) -> Result<()> {
-        Ok(())
-    }
-
     fn checkpoint(&mut self) -> Result<()> {
         Ok(())
     }
-}
-
-/// Convenience guard: runs `body` inside a `begin`/`commit` group and
-/// commits even when the body failed part-way, so a durable backend's log
-/// mirrors whatever partial in-memory state the body left behind (the
-/// in-memory engine keeps partial state on error today, and the refactor
-/// must not change observable behaviour).
-pub fn with_commit_group<S: StorageEngine, T>(
-    store: &mut S,
-    body: impl FnOnce(&mut S) -> Result<T>,
-) -> Result<T> {
-    store.begin();
-    let out = body(store);
-    store.commit()?;
-    out
-}
-
-/// Helper shared by backends that need a typed "not supported" error.
-pub(crate) fn unsupported(what: &str) -> Error {
-    Error::TypeError(format!("storage engine: {what} is not supported"))
 }
 
 #[cfg(test)]
@@ -218,7 +186,7 @@ mod tests {
     #[test]
     fn backends_are_send_and_sync() {
         // A node's store moves to, and is read from, that node's thread
-        // once nodes run one per thread (ROADMAP item 8), so both backends
+        // once nodes run one per thread (ROADMAP item 10), so both backends
         // must stay thread-portable.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Database>();
@@ -230,20 +198,5 @@ mod tests {
         let mut db = Database::new();
         engine_smoke(&mut db);
         assert!(db.has_table("t"));
-    }
-
-    #[test]
-    fn with_commit_group_commits_on_error_too() {
-        let mut db = Database::new();
-        db.create_table(TableSchema::new("t", vec![ColumnDef::new("k", DataType::Int)]).unwrap())
-            .unwrap();
-        let err = with_commit_group(&mut db, |s| {
-            s.insert("t", vec![Value::Int(1)])?;
-            s.insert("t", vec![Value::Str("wrong type".into())])?;
-            Ok(())
-        });
-        assert!(err.is_err());
-        // the first insert survived (matches pre-trait behaviour)
-        assert_eq!(db.table("t").unwrap().len(), 1);
     }
 }

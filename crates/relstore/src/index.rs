@@ -1,9 +1,9 @@
-//! Secondary indexes: hash indexes for point lookups, B-tree indexes for
-//! range scans. Both map a composite key (one or more column values) to the
-//! set of live row ids carrying that key.
+//! Secondary indexes: hash and B-tree maps from a composite key (one or
+//! more column values) to the set of live row ids carrying that key. Both
+//! kinds answer point probes; the kind is part of the WAL and snapshot
+//! format.
 
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
 
 use crate::error::{Error, Result};
 use crate::table::RowId;
@@ -14,7 +14,7 @@ use crate::value::Value;
 pub enum IndexKind {
     /// Hash map; supports equality probes only.
     Hash,
-    /// Ordered map; supports equality and range probes.
+    /// Ordered map; supports equality probes.
     BTree,
 }
 
@@ -134,81 +134,6 @@ impl Index {
         self.get_bucket(key).cloned().unwrap_or_default()
     }
 
-    /// Range probe over the index order. Only valid on B-tree indexes.
-    ///
-    /// Bounds apply to full composite keys; use [`Index::probe_prefix_range`]
-    /// for a fixed key prefix with a ranged last column.
-    pub fn probe_range(&self, lo: Bound<&IndexKey>, hi: Bound<&IndexKey>) -> Result<Vec<RowId>> {
-        match &self.store {
-            IndexStore::Hash(_) => Err(Error::TypeError(format!(
-                "index '{}' is a hash index and cannot serve range probes",
-                self.name
-            ))),
-            IndexStore::BTree(m) => {
-                let mut out = Vec::new();
-                for (_, rids) in m.range::<IndexKey, _>((lo, hi)) {
-                    out.extend_from_slice(rids);
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    /// Range probe where the first `prefix.len()` key columns are fixed and
-    /// the next key column is constrained by `(lo, hi)` bounds.
-    pub fn probe_prefix_range(
-        &self,
-        prefix: &[Value],
-        lo: Bound<&Value>,
-        hi: Bound<&Value>,
-    ) -> Result<Vec<RowId>> {
-        let mut lo_key: IndexKey = prefix.to_vec();
-        let mut hi_key: IndexKey = prefix.to_vec();
-        let lo_bound = match lo {
-            Bound::Included(v) => {
-                lo_key.push(v.clone());
-                Bound::Included(&lo_key)
-            }
-            Bound::Excluded(v) => {
-                lo_key.push(v.clone());
-                Bound::Excluded(&lo_key)
-            }
-            Bound::Unbounded => {
-                // Composite keys with this prefix sort >= the bare prefix.
-                Bound::Included(&lo_key)
-            }
-        };
-        let hi_bound = match hi {
-            Bound::Included(v) => {
-                hi_key.push(v.clone());
-                Bound::Included(&hi_key)
-            }
-            Bound::Excluded(v) => {
-                hi_key.push(v.clone());
-                Bound::Excluded(&hi_key)
-            }
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        match &self.store {
-            IndexStore::Hash(_) => Err(Error::TypeError(format!(
-                "index '{}' is a hash index and cannot serve range probes",
-                self.name
-            ))),
-            IndexStore::BTree(m) => {
-                let mut out = Vec::new();
-                for (key, rids) in m.range::<IndexKey, _>((lo_bound, hi_bound)) {
-                    // An unbounded hi still needs the prefix filter: the range
-                    // otherwise runs to the end of the index.
-                    if key.len() < prefix.len() || &key[..prefix.len()] != prefix {
-                        break;
-                    }
-                    out.extend_from_slice(rids);
-                }
-                Ok(out)
-            }
-        }
-    }
-
     /// Number of distinct keys currently in the index.
     pub fn distinct_keys(&self) -> usize {
         match &self.store {
@@ -267,52 +192,6 @@ mod tests {
         // removing a non-member is a no-op
         idx.remove(&row(&[5]), RowId(42));
         assert_eq!(idx.probe(&vec![Value::Int(5)]), vec![RowId(1)]);
-    }
-
-    #[test]
-    fn btree_range_probe() {
-        let mut idx = Index::new("b", IndexKind::BTree, vec![0], false);
-        for v in 0..10 {
-            idx.insert(&row(&[v]), RowId(v as u64)).unwrap();
-        }
-        let key = |v: i64| vec![Value::Int(v)];
-        let hits = idx
-            .probe_range(Bound::Included(&key(3)), Bound::Excluded(&key(6)))
-            .unwrap();
-        assert_eq!(hits, vec![RowId(3), RowId(4), RowId(5)]);
-    }
-
-    #[test]
-    fn prefix_range_probe() {
-        // key = (class, value); range over value for a fixed class
-        let mut idx = Index::new("b", IndexKind::BTree, vec![0, 1], false);
-        let mk = |c: &str, v: i64| vec![Value::Str(c.into()), Value::Int(v)];
-        idx.insert(&mk("A", 1), RowId(0)).unwrap();
-        idx.insert(&mk("A", 5), RowId(1)).unwrap();
-        idx.insert(&mk("A", 9), RowId(2)).unwrap();
-        idx.insert(&mk("B", 5), RowId(3)).unwrap();
-        let hits = idx
-            .probe_prefix_range(
-                &[Value::Str("A".into())],
-                Bound::Excluded(&Value::Int(1)),
-                Bound::Unbounded,
-            )
-            .unwrap();
-        assert_eq!(hits, vec![RowId(1), RowId(2)]);
-        let hits = idx
-            .probe_prefix_range(
-                &[Value::Str("A".into())],
-                Bound::Unbounded,
-                Bound::Included(&Value::Int(5)),
-            )
-            .unwrap();
-        assert_eq!(hits, vec![RowId(0), RowId(1)]);
-    }
-
-    #[test]
-    fn hash_index_rejects_range() {
-        let idx = Index::new("i", IndexKind::Hash, vec![0], false);
-        assert!(idx.probe_range(Bound::Unbounded, Bound::Unbounded).is_err());
     }
 
     #[test]

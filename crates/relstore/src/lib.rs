@@ -5,31 +5,34 @@
 //! used as the backend of its publish & subscribe filter:
 //!
 //! * typed tables with schemas and nullability ([`TableSchema`], [`Table`]),
-//! * hash and B-tree secondary indexes ([`Index`]),
-//! * predicate evaluation with SQL three-valued logic ([`Predicate`]),
-//! * a selection planner that picks point-probe / range-probe / scan access
-//!   paths ([`query`]),
-//! * undo-log transactions ([`Txn`]).
+//! * hash and B-tree secondary indexes answering point probes ([`Index`]),
+//! * one generic selection, `column = constant` ([`select`]),
+//! * commit groups and checkpoints behind one write surface
+//!   ([`StorageEngine`]), volatile ([`Database`]) or write-ahead logged
+//!   ([`DurableEngine`]), with text snapshots ([`write_database`]).
 //!
-//! The engine is deliberately single-node and synchronous: the MDV filter
-//! algorithm's behaviour (batch amortization, index-driven rule matching)
-//! depends on *relational* evaluation, not on a network protocol.
+//! It holds what MDV reads and writes and nothing more: the filter and the
+//! LMR read through direct index probes, so there is no planner, no
+//! predicate tree and no rollback. The engine is deliberately single-node
+//! and synchronous: the MDV filter algorithm's behaviour (batch
+//! amortization, index-driven rule matching) depends on *relational*
+//! evaluation, not on a network protocol.
 //!
 //! ## Shared read access
 //!
-//! Every read path (`Database::table`, `Table::rows`/`get`, index probes,
-//! `query::select`) takes `&self` and the storage structures hold
+//! Every read path (`Database::table`, `Table::iter`/`get`, index probes,
+//! [`select`]) takes `&self` and the storage structures hold
 //! no interior mutability — no `Cell`/`RefCell`, no lazily materialized
 //! caches. A `&Database` is therefore safe to share across threads
 //! (`Database: Send + Sync`, asserted below). Nothing in the workspace
 //! does so today — the filter has one thread of control — but a node's
 //! store must be able to move to, and be read from, another thread once
-//! each MDP / LMR runs on its own (ROADMAP item 8's thread-per-node
+//! each MDP / LMR runs on its own (ROADMAP item 10's thread-per-node
 //! driver; `mdv-system` already bounds its nodes `Send + Sync`).
 //!
 //! ```
-//! use mdv_relstore::{Database, TableSchema, ColumnDef, DataType, Value,
-//!                    Predicate, CmpOp, IndexKind, query};
+//! use mdv_relstore::{select, ColumnDef, DataType, Database, IndexKind, Predicate,
+//!                    TableSchema, Value};
 //!
 //! let mut db = Database::new();
 //! db.create_table(TableSchema::new("FilterData", vec![
@@ -47,7 +50,7 @@
 //!
 //! let t = db.table("FilterData").unwrap();
 //! let pred = Predicate::col_eq(t.schema(), "class", Value::from("ServerInformation")).unwrap();
-//! assert_eq!(query::select(t, &pred).unwrap().len(), 1);
+//! assert_eq!(select(t, &pred).unwrap().len(), 1);
 //! ```
 //!
 //! `DESIGN.md` §4 holds the workspace-wide module map locating this
@@ -57,26 +60,22 @@ pub mod catalog;
 pub mod engine;
 pub mod error;
 pub mod index;
-pub mod predicate;
 pub mod query;
 pub mod schema;
 pub mod snapshot;
 pub mod table;
-pub mod txn;
 pub mod value;
 pub mod vfs;
 pub mod wal;
 
 pub use catalog::Database;
-pub use engine::{with_commit_group, StorageEngine};
+pub use engine::StorageEngine;
 pub use error::{Error, Result};
 pub use index::{Index, IndexKey, IndexKind};
-pub use predicate::{CmpOp, Expr, Predicate};
-pub use query::{select, select_with_plan, AccessPath, Plan};
+pub use query::{select, Predicate};
 pub use schema::{ColumnDef, TableSchema};
-pub use snapshot::{load_from_path, read_database, save_to_path, write_database};
+pub use snapshot::{read_database, write_database};
 pub use table::{Row, RowId, Table};
-pub use txn::Txn;
 pub use value::{DataType, Value};
 pub use vfs::{CrashMode, DiskFaultPlan, FaultStats, FaultVfs, StdFs, Vfs, VfsFile, CRASH_MODES};
 pub use wal::{DurableConfig, DurableEngine, RecoveryReport};

@@ -214,7 +214,7 @@ pub fn read_database(text: &str) -> Result<Database> {
                     .map(|f| decode_value(f))
                     .collect::<Result<_>>()?;
                 let table_name = current.as_ref().expect("ensure_table checked").clone();
-                db.table_mut(&table_name)?.restore(RowId(id), row)?;
+                db.table_mut(&table_name)?.insert_with_id(RowId(id), row)?;
             }
             "end" => {
                 ensure_table(&mut db, &current, &mut pending_cols, &mut table_created)?;
@@ -227,18 +227,6 @@ pub fn read_database(text: &str) -> Result<Database> {
         return Err(bad("unterminated table (missing 'end')"));
     }
     Ok(db)
-}
-
-/// Saves a snapshot to a file.
-pub fn save_to_path(db: &Database, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, write_database(db))
-}
-
-/// Loads a snapshot from a file.
-pub fn load_from_path(path: &std::path::Path) -> Result<Database> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| Error::TypeError(format!("snapshot: cannot read file: {e}")))?;
-    read_database(&text)
 }
 
 fn push_value(out: &mut String, v: &Value) {
@@ -320,8 +308,6 @@ fn unescape(s: &str) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::Predicate;
-    use crate::query;
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -397,10 +383,9 @@ mod tests {
     fn restored_indexes_answer_queries() {
         let restored = read_database(&write_database(&sample_db())).unwrap();
         let t = restored.table("t").unwrap();
-        let pred = Predicate::col_eq(t.schema(), "k", Value::Int(2)).unwrap();
-        let plan = query::plan(t, &pred).unwrap();
-        assert!(matches!(plan.path, query::AccessPath::IndexProbe { .. }));
-        assert_eq!(query::select(t, &pred).unwrap().len(), 1);
+        let hits = t.index("by_k").unwrap().probe(&vec![Value::Int(2)]);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(t.get(hits[0]).unwrap()[1], Value::Str("plain".into()));
     }
 
     #[test]
@@ -622,17 +607,5 @@ mod tests {
         assert!(restored.table("t").unwrap().is_empty());
         assert_eq!(restored.table("t").unwrap().indexes().len(), 2);
         assert_eq!(restored.table("u").unwrap().len(), 1);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("relstore-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.snapshot");
-        let db = sample_db();
-        save_to_path(&db, &path).unwrap();
-        let restored = load_from_path(&path).unwrap();
-        assert_eq!(db.table_names(), restored.table_names());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -99,19 +99,25 @@ impl Table {
         &self.indexes
     }
 
-    /// Finds an index whose key is exactly the given column positions
-    /// (used by the planner for access-path selection).
-    pub fn index_on(&self, columns: &[usize], kind: Option<IndexKind>) -> Option<&Index> {
-        self.indexes
-            .iter()
-            .find(|i| i.key_columns() == columns && kind.is_none_or(|k| i.kind() == k))
-    }
-
     /// Inserts a row, returning its id. All indexes are updated; a unique
     /// violation aborts the insert with no change.
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
-        self.schema.check_row(&row)?;
         let id = RowId(self.next_id);
+        self.insert_with_id(id, row).map(|()| id)
+    }
+
+    /// Inserts a row under `id`, which must not be live, and moves the id
+    /// counter past it: WAL replay and snapshot load reproduce the logged
+    /// ids this way. A unique violation aborts the insert with no change.
+    pub(crate) fn insert_with_id(&mut self, id: RowId, row: Row) -> Result<()> {
+        self.schema.check_row(&row)?;
+        // ids at or past the counter were never handed out
+        if id.0 < self.next_id && self.by_id.contains_key(&id) {
+            return Err(Error::InvalidRowId {
+                table: self.name().to_owned(),
+                row: id.0,
+            });
+        }
         // Validate unique constraints before touching anything.
         for idx in &self.indexes {
             if idx.is_unique() && !idx.probe(&idx.key_of(&row)).is_empty() {
@@ -121,7 +127,7 @@ impl Table {
                 });
             }
         }
-        self.next_id += 1;
+        self.next_id = self.next_id.max(id.0 + 1);
         for idx in &mut self.indexes {
             idx.insert(&row, id).expect("uniqueness pre-checked");
         }
@@ -137,7 +143,7 @@ impl Table {
             }
         };
         self.by_id.insert(id, pos);
-        Ok(id)
+        Ok(())
     }
 
     /// Inserts many rows; stops at the first error (rows before it stay).
@@ -198,46 +204,6 @@ impl Table {
         }
         self.slots[pos].as_mut().expect("live slot").row = new_row;
         Ok(old_row)
-    }
-
-    /// Re-inserts a previously deleted row under its original id. Only the
-    /// transaction rollback path may use this; ids of live rows are rejected.
-    pub(crate) fn restore(&mut self, id: RowId, row: Row) -> Result<()> {
-        self.schema.check_row(&row)?;
-        if self.by_id.contains_key(&id) {
-            return Err(Error::InvalidRowId {
-                table: self.name().to_owned(),
-                row: id.0,
-            });
-        }
-        for idx in &mut self.indexes {
-            idx.insert(&row, id)?;
-        }
-        let slot = Slot { id, row };
-        let pos = match self.free.pop() {
-            Some(pos) => {
-                self.slots[pos] = Some(slot);
-                pos
-            }
-            None => {
-                self.slots.push(Some(slot));
-                self.slots.len() - 1
-            }
-        };
-        self.by_id.insert(id, pos);
-        self.next_id = self.next_id.max(id.0 + 1);
-        Ok(())
-    }
-
-    /// Drops a secondary index by name.
-    pub fn drop_index(&mut self, name: &str) -> Result<()> {
-        let pos = self
-            .indexes
-            .iter()
-            .position(|i| i.name() == name)
-            .ok_or_else(|| Error::UnknownIndex(name.to_owned()))?;
-        self.indexes.remove(pos);
-        Ok(())
     }
 
     /// Iterates over `(id, row)` pairs of live rows in slot order.
@@ -301,6 +267,23 @@ mod tests {
         let b = t.insert(row(2, "b")).unwrap();
         assert_ne!(a, b, "row ids are never reused");
         assert!(t.get(a).is_err());
+    }
+
+    #[test]
+    fn insert_with_id_keeps_the_id_and_refuses_a_live_one() {
+        let mut t = table();
+        t.create_index("by_name", IndexKind::Hash, &["name"], false)
+            .unwrap();
+        let a = t.insert(row(1, "a")).unwrap();
+        t.delete(a).unwrap();
+        t.insert_with_id(RowId(5), row(2, "b")).unwrap();
+        t.insert_with_id(a, row(1, "a")).unwrap();
+        assert!(t.insert_with_id(a, row(3, "c")).is_err());
+        assert_eq!(t.get(a).unwrap(), &row(1, "a"));
+        let idx = t.index("by_name").unwrap();
+        assert_eq!(idx.probe(&vec![Value::Str("b".into())]), vec![RowId(5)]);
+        // the counter moved past the highest id placed
+        assert_eq!(t.insert(row(4, "d")).unwrap(), RowId(6));
     }
 
     #[test]

@@ -72,35 +72,6 @@ impl Value {
         }
     }
 
-    /// Returns the float if this is a `Float` (or widened `Int`) value.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(x) => Some(*x),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
-    /// SQL-style comparison: `Null` compares as unknown (returns `None`);
-    /// numeric types compare numerically across `Int`/`Float`.
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Float(a), Value::Float(b)) => Some(a.total_cmp(b)),
-            (Value::Int(a), Value::Float(b)) => Some((*a as f64).total_cmp(b)),
-            (Value::Float(a), Value::Int(b)) => Some(a.total_cmp(&(*b as f64))),
-            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-            _ => None,
-        }
-    }
-
-    /// SQL equality (`None` for incomparable / null operands).
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        self.sql_cmp(other).map(|o| o == Ordering::Equal)
-    }
-
     /// Rank used for the total (index) ordering across variants.
     fn type_rank(&self) -> u8 {
         match self {
@@ -137,8 +108,8 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
-    /// Total order used for index keys. Unlike [`Value::sql_cmp`], nulls are
-    /// orderable (lowest) and cross-type comparisons fall back to type rank.
+    /// Total order used for index keys: nulls are orderable (lowest) and
+    /// cross-type comparisons fall back to type rank.
     fn cmp(&self, other: &Self) -> Ordering {
         let (ra, rb) = (self.type_rank(), other.type_rank());
         if ra != rb {
@@ -264,19 +235,6 @@ mod tests {
         assert_eq!(Value::Int(2), Value::Float(2.0));
         assert_eq!(hash_of(&Value::Int(2)), hash_of(&Value::Float(2.0)));
         assert_ne!(Value::Int(2), Value::Float(2.5));
-    }
-
-    #[test]
-    fn sql_cmp_null_is_unknown() {
-        assert_eq!(Value::Null.sql_cmp(&Value::Int(1)), None);
-        assert_eq!(Value::Int(1).sql_eq(&Value::Null), None);
-        assert_eq!(Value::Int(1).sql_eq(&Value::Int(1)), Some(true));
-    }
-
-    #[test]
-    fn sql_cmp_cross_type_is_incomparable() {
-        assert_eq!(Value::Int(1).sql_cmp(&Value::Str("1".into())), None);
-        assert_eq!(Value::Bool(true).sql_cmp(&Value::Int(1)), None);
     }
 
     #[test]

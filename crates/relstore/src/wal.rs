@@ -96,8 +96,8 @@ use crate::vfs::{StdFs, Vfs, VfsFile};
 /// Default number of committed ops between automatic checkpoints.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 8192;
 
-/// Tuning knobs of a [`DurableEngine`], applied at construction or via
-/// [`DurableEngine::set_config`].
+/// Tuning knobs of a [`DurableEngine`], set through
+/// [`DurableEngine::set_checkpoint_every`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurableConfig {
     /// Snapshot + truncate the log after this many journaled ops, so it
@@ -367,9 +367,9 @@ fn apply_op(db: &mut Database, op: WalOp) -> Result<()> {
             db.create_index(&table, &name, kind, &cols, unique)
         }
         WalOp::DropTable(name) => db.drop_table(&name).map(|_| ()),
-        // `restore` preserves the logged row id (and bumps the table's id
+        // `insert_with_id` preserves the logged row id (and bumps the table's id
         // counter), so recovered state is byte-identical to pre-crash state
-        WalOp::Insert(table, rid, row) => db.table_mut(&table)?.restore(rid, row),
+        WalOp::Insert(table, rid, row) => db.table_mut(&table)?.insert_with_id(rid, row),
         WalOp::Delete(table, rid) => db.delete(&table, rid).map(|_| ()),
         WalOp::Update(table, rid, row) => db.update(&table, rid, row).map(|_| ()),
     }
@@ -588,21 +588,11 @@ impl<V: Vfs> DurableEngine<V> {
         self.config
     }
 
-    /// Replaces the tuning knobs (takes effect on the next commit).
-    pub fn set_config(&mut self, config: DurableConfig) {
-        self.config = config;
-    }
-
     /// Sets the automatic-checkpoint threshold: snapshot + truncate after
     /// every `n` committed ops (`None` disables; explicit
     /// [`StorageEngine::checkpoint`] always works).
     pub fn set_checkpoint_every(&mut self, n: Option<u64>) {
         self.config.checkpoint_every = n;
-    }
-
-    /// Consumes the engine, returning the in-memory state.
-    pub fn into_database(self) -> Database {
-        self.db
     }
 
     fn guard(&self) -> Result<()> {
@@ -839,18 +829,6 @@ impl<V: Vfs> StorageEngine for DurableEngine<V> {
         } else {
             Ok(())
         }
-    }
-
-    fn rollback(&mut self) -> Result<()> {
-        if self.group_depth == 0 {
-            return Err(crate::engine::unsupported(
-                "rollback outside a commit group",
-            ));
-        }
-        self.group_depth = 0;
-        self.pending.clear();
-        self.pending_ops = 0;
-        Ok(())
     }
 
     fn checkpoint(&mut self) -> Result<()> {
@@ -1412,28 +1390,6 @@ mod tests {
         assert!(eng.set_unlogged("missing").is_err());
         eng.drop_table("d").unwrap();
         assert!(!eng.unlogged.contains("d"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn rollback_discards_pending_durability() {
-        let dir = temp_dir("rb");
-        let mut eng = DurableEngine::create(&dir).unwrap();
-        eng.create_table(schema_t()).unwrap();
-        let before = write_database(eng.database());
-        eng.begin();
-        let rid = StorageEngine::insert(&mut eng, "t", row(7, "gone")).unwrap();
-        // caller undoes the in-memory effect (what Txn would do) …
-        eng.db.delete("t", rid).unwrap();
-        // … then discards the group's pending log records
-        StorageEngine::rollback(&mut eng).unwrap();
-        drop(eng);
-        let recovered = DurableEngine::open(&dir).unwrap();
-        // rows match; id counters may differ, compare logical content
-        assert_eq!(
-            recovered.database().table("t").unwrap().len(),
-            read_database(&before).unwrap().table("t").unwrap().len()
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,8 +2,8 @@
 //! `mdv-testkit` (deterministic seeds, ≥64 cases, see `MDV_PROP_CASES`).
 
 use mdv_relstore::{
-    query, CmpOp, ColumnDef, DataType, Database, IndexKind, Predicate, Row, Table, TableSchema,
-    Txn, Value,
+    select, ColumnDef, DataType, Database, IndexKind, Predicate, Row, RowId, Table, TableSchema,
+    Value,
 };
 use mdv_testkit::{prop_assert_eq, prop_assert_ne, property, Source};
 
@@ -23,7 +23,7 @@ fn filterlike_schema() -> TableSchema {
         vec![
             ColumnDef::new("class", DataType::Str),
             ColumnDef::new("property", DataType::Str),
-            ColumnDef::new("value", DataType::Int),
+            ColumnDef::new("value", DataType::Int).nullable(),
         ],
     )
     .unwrap()
@@ -39,32 +39,13 @@ fn arb_rows(src: &mut Source) -> Vec<(String, String, i64)> {
     })
 }
 
-fn build_tables(rows: &[(String, String, i64)]) -> (Table, Table) {
-    // plain: no indexes; indexed: hash on (class, property) + btree on all three
-    let mut plain = Table::new(filterlike_schema());
-    let mut indexed = Table::new(filterlike_schema());
-    indexed
-        .create_index("h", IndexKind::Hash, &["class", "property"], false)
-        .unwrap();
-    indexed
-        .create_index(
-            "b",
-            IndexKind::BTree,
-            &["class", "property", "value"],
-            false,
-        )
-        .unwrap();
-    for (c, p, v) in rows {
-        let row = vec![Value::Str(c.clone()), Value::Str(p.clone()), Value::Int(*v)];
-        plain.insert(row.clone()).unwrap();
-        indexed.insert(row).unwrap();
+/// A `value` column entry: an integer, or `Null` one time in five.
+fn arb_opt_int(src: &mut Source) -> Value {
+    if src.weighted(&[1, 4]) == 0 {
+        Value::Null
+    } else {
+        Value::Int(src.i64_in(-20..20))
     }
-    (plain, indexed)
-}
-
-fn sorted_rows(mut rows: Vec<Row>) -> Vec<Row> {
-    rows.sort();
-    rows
 }
 
 property! {
@@ -95,79 +76,46 @@ property! {
         }
     }
 
-    /// sql_cmp agrees with the total order whenever it is defined.
-    fn sql_cmp_consistent_with_ord(src) {
-        let (a, b) = (arb_value(src), arb_value(src));
-        if let Some(ord) = a.sql_cmp(&b) {
-            prop_assert_eq!(ord, a.cmp(&b));
-        }
-    }
-
-    /// Index-backed plans and table scans return the same result set.
-    fn index_scan_equivalence(src) {
-        let rows = arb_rows(src);
-        let c = src.string_of("abc", 1..2);
-        let p = src.string_of("xyz", 1..2);
-        let lo = src.i64_in(-20..20);
-        let (plain, indexed) = build_tables(&rows);
-        let pred = Predicate::and(vec![
-            Predicate::col_eq(plain.schema(), "class", Value::Str(c)).unwrap(),
-            Predicate::col_eq(plain.schema(), "property", Value::Str(p)).unwrap(),
-            Predicate::col_cmp(plain.schema(), "value", CmpOp::Gt, Value::Int(lo)).unwrap(),
-        ]);
-        let scan: Vec<Row> = query::select(&plain, &pred).unwrap()
-            .into_iter().map(|(_, r)| r).collect();
-        let idx: Vec<Row> = query::select(&indexed, &pred).unwrap()
-            .into_iter().map(|(_, r)| r).collect();
-        prop_assert_eq!(sorted_rows(scan), sorted_rows(idx));
-    }
-
-    /// A rolled-back transaction leaves no observable trace.
-    fn txn_rollback_is_identity(src) {
-        let initial = arb_rows(src);
-        let ops = src.vec(0..20, |src| {
-            (
-                src.usize_in(0..3),
-                src.string_of("abc", 1..2),
-                src.string_of("xyz", 1..2),
-                src.i64_in(-20..20),
-            )
+    /// `select(col_eq)` returns exactly the rows a filtered scan does: on
+    /// an indexed column (hash or B-tree), on an unindexed one, and for a
+    /// `Null` constant, which as in SQL equals nothing.
+    fn select_equals_a_filtered_scan(src) {
+        let mut t = Table::new(filterlike_schema());
+        let kind = *src.choose(&[IndexKind::Hash, IndexKind::BTree]);
+        t.create_index("by_class", kind, &["class"], false).unwrap();
+        let rows = src.vec(0..60, |src| {
+            vec![
+                Value::Str(src.string_of("abc", 1..2)),
+                Value::Str(src.string_of("xyz", 1..2)),
+                arb_opt_int(src),
+            ]
         });
-        let mut db = Database::new();
-        db.create_table(filterlike_schema()).unwrap();
-        db.create_index("t", "h", IndexKind::Hash, &["class", "property"], false).unwrap();
         let mut ids = Vec::new();
-        for (c, p, v) in &initial {
-            ids.push(db.insert("t",
-                vec![Value::Str(c.clone()), Value::Str(p.clone()), Value::Int(*v)]).unwrap());
+        for row in rows {
+            ids.push(t.insert(row).unwrap());
         }
-        let before: Vec<Row> = db.table("t").unwrap().iter().map(|(_, r)| r.clone()).collect();
-
-        {
-            let mut txn = Txn::begin(&mut db);
-            for (kind, c, p, v) in &ops {
-                let row = vec![Value::Str(c.clone()), Value::Str(p.clone()), Value::Int(*v)];
-                match kind {
-                    0 => { txn.insert("t", row).unwrap(); }
-                    1 => {
-                        if let Some(id) = ids.first().copied() {
-                            // delete/update may fail if a prior op in this txn
-                            // already deleted the row; that is fine.
-                            let _ = txn.delete("t", id);
-                        }
-                    }
-                    _ => {
-                        if let Some(id) = ids.first().copied() {
-                            let _ = txn.update("t", id, row);
-                        }
-                    }
-                }
+        // deletions leave holes and emptied index buckets behind
+        for id in ids {
+            if src.weighted(&[1, 3]) == 0 {
+                t.delete(id).unwrap();
             }
-            txn.rollback();
         }
-
-        let after: Vec<Row> = db.table("t").unwrap().iter().map(|(_, r)| r.clone()).collect();
-        prop_assert_eq!(sorted_rows(before), sorted_rows(after));
+        let (column, constant) = match src.usize_in(0..3) {
+            0 => ("class", Value::Str(src.string_of("abcd", 1..2))),
+            1 => ("value", arb_opt_int(src)),
+            _ => (*src.choose(&["class", "value"]), Value::Null),
+        };
+        let pos = t.schema().column_index(column).unwrap();
+        let pred = Predicate::col_eq(t.schema(), column, constant.clone()).unwrap();
+        let mut got = select(&t, &pred).unwrap();
+        got.sort();
+        let mut want: Vec<(RowId, Row)> = t
+            .iter()
+            .filter(|(_, row)| !constant.is_null() && row[pos] == constant)
+            .map(|(id, row)| (id, row.clone()))
+            .collect();
+        want.sort();
+        prop_assert_eq!(got, want, "{} = {:?}", column, constant);
     }
 
     /// Snapshot write → read is the identity on databases.

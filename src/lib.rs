@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`relstore`] | `mdv-relstore` | embedded relational engine (tables, indexes, selections, transactions) |
+//! | [`relstore`] | `mdv-relstore` | embedded relational engine (tables, indexes, commit groups, WAL) |
 //! | [`rdf`] | `mdv-rdf` | RDF model, RDF-Schema with strong/weak references, RDF/XML subset |
 //! | [`rulelang`] | `mdv-rulelang` | the subscription/query language front end |
 //! | [`filter`] | `mdv-filter` | the filter algorithm (decomposition, dependency graph, rule groups, 3-pass updates) |

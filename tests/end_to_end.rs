@@ -103,6 +103,29 @@ fn or_rules_work_through_the_system() {
 }
 
 #[test]
+fn an_update_keeps_what_another_or_disjunct_still_matches() {
+    let mut sys = MdvSystem::new(schema());
+    sys.add_mdp("mdp").unwrap();
+    sys.add_lmr("lmr", "mdp").unwrap();
+    sys.subscribe(
+        "lmr",
+        "search CycleProvider c register c \
+         where c.serverInformation.memory > 64 or c.serverInformation.cpu >= 600",
+    )
+    .unwrap();
+    sys.register_document("mdp", &provider_xml(1, "a.org", 92))
+        .unwrap();
+    assert!(sys.lmr("lmr").unwrap().is_cached("doc1.rdf#host"));
+    // memory drops below the first disjunct; cpu 600 still satisfies the
+    // second, so the provider and its strong companion stay cached
+    sys.update_document("mdp", &provider_xml(1, "a.org", 32))
+        .unwrap();
+    let lmr = sys.lmr("lmr").unwrap();
+    assert!(lmr.is_cached("doc1.rdf#host"), "{:?}", lmr.cached_uris());
+    assert!(lmr.is_cached("doc1.rdf#info"), "{:?}", lmr.cached_uris());
+}
+
+#[test]
 fn two_lmrs_get_independent_views() {
     let mut sys = MdvSystem::new(schema());
     sys.add_mdp("mdp").unwrap();
