@@ -149,10 +149,11 @@ echo "ok: no BENCH_*.json in the repo root"
 # second bench runner and their result files, and the Raft snapshot codec
 # and Raft placement entry, and the per-kind mirror tables with their
 # key-index upgrade, and the relstore planner, range probes, predicate
-# trees, undo-log transactions and file snapshot helpers, may be named
+# trees, undo-log transactions and file snapshot helpers, and the typed
+# Raft tables with the rebuilt `-r<k>` MDP stores, may be named
 # only where their removal is recorded —
 # DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp'
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -217,11 +218,13 @@ done
 
 # ---------------------------------------------------------------------------
 step "state-record replay: the state tables hold the exports' records across fixed seeds"
-# Replays the anti-drift property of `crates/system/src/state.rs`
-# (DESIGN.md §6.4): a durable MDP and two durable LMRs under seeded churn
-# and crash-restarts over a lossy transport; at every quiescent point each
-# node's state table holds exactly its export's records, and the export
-# imported into a fresh node exports the same text.
+# Replays the anti-drift properties of `crates/system/src/state.rs`
+# (DESIGN.md §6.4, §9.3): a durable MDP and two durable LMRs under seeded
+# churn and crash-restarts over a lossy transport, and three durable Raft
+# voters with failed, healed and crash-restarted voters; at every quiescent
+# point each node's state table holds exactly its export's records, the
+# export imported into a fresh node exports the same text, and each
+# voter's `raft` / `raftlog` records equal its `RaftProbe`.
 for seed in "${CI_SEEDS[@]}"; do
   MDV_PROP_SEED="$seed" MDV_PROP_CASES=24 \
     cargo test -q --offline -p mdv-system --lib state:: >/dev/null

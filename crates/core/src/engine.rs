@@ -26,7 +26,7 @@ use crate::rule_tables::{
     class_triggers, create_rule_tables, insert_atomic, matching_triggers, remove_atomic,
     TRIGGER_OPS,
 };
-use crate::store::{create_base_tables, Atom, BaseStore};
+use crate::store::{create_base_tables, Atom, BaseStore, T_STATEMENTS};
 use crate::trace::{FilterRun, FilterStats};
 use crate::trigger_index::TriggerIndex;
 
@@ -98,8 +98,10 @@ impl FilterEngine<Database> {
 }
 
 impl<S: StorageEngine> FilterEngine<S> {
-    /// Builds an engine on a fresh storage backend: the filter tables are
-    /// created through the backend (and thus logged by durable ones).
+    /// Builds an engine on a storage backend. A fresh one gets the filter
+    /// tables created through it (and thus logged by durable ones); one
+    /// that holds them already — a durable MDP store reopened after a
+    /// crash, whose unlogged filter tables recover empty — keeps them.
     ///
     /// Panics if the backend rejects the filter DDL — fine for the volatile
     /// [`Database`], which cannot fail it. Durable backends on real (or
@@ -113,10 +115,12 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// initial DDL commit (a disk fault during WAL append or sync) returns
     /// `Error::Store` rather than panicking.
     pub fn try_with_storage(mut store: S, schema: RdfSchema) -> Result<Self> {
-        store.begin();
-        create_base_tables(&mut store)?;
-        create_rule_tables(&mut store)?;
-        store.commit()?;
+        if store.database().table(T_STATEMENTS).is_err() {
+            store.begin();
+            create_base_tables(&mut store)?;
+            create_rule_tables(&mut store)?;
+            store.commit()?;
+        }
         // precompute the class hierarchy maps
         let mut ancestors: HashMap<String, Vec<String>> = HashMap::new();
         let mut descendants: HashMap<String, Vec<String>> = HashMap::new();
@@ -197,9 +201,8 @@ impl<S: StorageEngine> FilterEngine<S> {
     }
 
     /// Mutable access to the storage backend. The system tier uses this to
-    /// keep its own durable tables (subscription/document mirrors) in the
-    /// same WAL as the filter tables; callers must not touch the filter's
-    /// own tables.
+    /// keep its own durable table (its state records) in the same WAL as
+    /// the filter tables; callers must not touch the filter's own tables.
     pub fn storage_mut(&mut self) -> &mut S {
         &mut self.store
     }

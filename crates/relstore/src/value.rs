@@ -2,8 +2,9 @@
 //!
 //! Values carry a total order across *all* variants so that they can serve as
 //! keys of ordered (B-tree) indexes: `Null < Bool < Int/Float < Str`, with
-//! integers and floats ordered numerically against each other. This mirrors
-//! how SQL engines define an index collation over heterogeneous key spaces.
+//! integers and floats ordered numerically against each other, exactly
+//! (an integer past 2^53 is not rounded to a float first). This mirrors how
+//! SQL engines define an index collation over heterogeneous key spaces.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -93,6 +94,41 @@ fn format_float(x: f64) -> String {
     }
 }
 
+/// Compares an integer with a float exactly, in the floats' `total_cmp`
+/// order: the integer sits at its real value, `0` at `+0.0` (above `-0.0`),
+/// below every positive NaN and above every negative one. Comparing
+/// `i as f64` instead would round above 2^53 and break transitivity:
+/// `Int(2^53 + 1) == Float(2^53) == Int(2^53)`.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    // 2^63, exact as a float: every float in [-2^63, 2^63) truncates to an i64
+    const TWO_63: f64 = -(i64::MIN as f64);
+    if f.is_nan() {
+        return if f.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if f == 0.0 {
+        let zero = if f.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        };
+        return i.cmp(&0).then(zero);
+    }
+    if f >= TWO_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    // the fraction `f - whole` is exact and lies in (-1, 1)
+    i.cmp(&(whole as i64))
+        .then_with(|| 0.0_f64.total_cmp(&(f - whole)))
+}
+
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
@@ -120,8 +156,8 @@ impl Ord for Value {
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Float(b)) => cmp_int_float(*a, *b),
+            (Value::Float(a), Value::Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             _ => unreachable!("same type rank implies comparable variants"),
         }
@@ -131,7 +167,8 @@ impl Ord for Value {
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         // Hash must agree with Eq: Int(2) == Float(2.0), so all numerics hash
-        // through their f64 bit pattern (total_cmp-compatible normalization).
+        // through their f64 bit pattern. An Int equals a Float only when
+        // the float holds it exactly, so `i as f64` is then that float.
         self.type_rank().hash(state);
         match self {
             Value::Null => {}
@@ -235,6 +272,14 @@ mod tests {
         assert_eq!(Value::Int(2), Value::Float(2.0));
         assert_eq!(hash_of(&Value::Int(2)), hash_of(&Value::Float(2.0)));
         assert_ne!(Value::Int(2), Value::Float(2.5));
+        assert!(Value::Int(0) > Value::Float(-0.0));
+        assert_eq!(Value::Int(0), Value::Float(0.0));
+        assert!(Value::Int(i64::MAX) < Value::Float(i64::MAX as f64));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        assert!(Value::Int(-3) > Value::Float(-3.5));
+        assert!(Value::Int(-3) < Value::Float(-2.5));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+        assert!(Value::Int(i64::MIN) > Value::Float(-f64::NAN));
     }
 
     #[test]

@@ -5,16 +5,40 @@ use mdv_relstore::{
     select, ColumnDef, DataType, Database, IndexKind, Predicate, Row, RowId, Table, TableSchema,
     Value,
 };
-use mdv_testkit::{prop_assert_eq, prop_assert_ne, property, Source};
+use mdv_testkit::{prop_assert, prop_assert_eq, property, Source};
 
 fn arb_value(src: &mut Source) -> Value {
-    match src.weighted(&[1, 1, 2, 2, 2]) {
+    match src.weighted(&[1, 1, 2, 2, 2, 3]) {
         0 => Value::Null,
         1 => Value::Bool(src.bool()),
         2 => Value::Int(src.i64_in(-1000..1000)),
         3 => Value::Float(src.i64_in(-1000..1000) as f64 / 4.0),
-        _ => Value::Str(src.string_of("abcdefghijklmnopqrstuvwxyz", 0..9)),
+        4 => Value::Str(src.string_of("abcdefghijklmnopqrstuvwxyz", 0..9)),
+        _ => arb_near_two_to_the_53(src),
     }
+}
+
+/// An integer or a float within a few units of ±2^53, where `i64 as f64`
+/// starts to round: `2^53 + 1` has no float of its own.
+fn arb_near_two_to_the_53(src: &mut Source) -> Value {
+    let n = (1_i64 << 53) + src.i64_in(-3..4);
+    let n = if src.bool() { n } else { -n };
+    if src.bool() {
+        Value::Int(n)
+    } else {
+        Value::Float(n as f64)
+    }
+}
+
+/// `Int(2^53 + 1)`, `Float(2^53)`, `Int(2^53)`: the integers differ, but a
+/// comparison through `as f64` finds each equal to the float.
+fn rounding_triple() -> [Value; 3] {
+    let two_53 = 1_i64 << 53;
+    [
+        Value::Int(two_53 + 1),
+        Value::Float(two_53 as f64),
+        Value::Int(two_53),
+    ]
 }
 
 fn filterlike_schema() -> TableSchema {
@@ -49,15 +73,20 @@ fn arb_opt_int(src: &mut Source) -> Value {
 }
 
 property! {
-    /// Value's Ord is a total order: antisymmetric, transitive on triples.
+    /// Value's Ord is a total order: antisymmetric, transitive on triples
+    /// drawn from a random three and from the three around 2^53.
     fn value_order_is_total(src) {
         use std::cmp::Ordering;
-        let (a, b, c) = (arb_value(src), arb_value(src), arb_value(src));
-        // antisymmetry
-        prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
-        // transitivity
-        if a.cmp(&b) != Ordering::Greater && b.cmp(&c) != Ordering::Greater {
-            prop_assert_ne!(a.cmp(&c), Ordering::Greater);
+        let drawn = [arb_value(src), arb_value(src), arb_value(src)];
+        for t in [rounding_triple(), drawn] {
+            for (a, b, c) in (0..27).map(|i| (&t[i % 3], &t[i / 3 % 3], &t[i / 9])) {
+                // antisymmetry
+                prop_assert_eq!(a.cmp(b), b.cmp(a).reverse());
+                // transitivity
+                if a.cmp(b) != Ordering::Greater && b.cmp(c) != Ordering::Greater {
+                    prop_assert!(a.cmp(c) != Ordering::Greater, "{a:?} <= {b:?} <= {c:?}");
+                }
+            }
         }
     }
 
@@ -71,8 +100,11 @@ property! {
             s.finish()
         }
         let (a, b) = (arb_value(src), arb_value(src));
-        if a == b {
-            prop_assert_eq!(h(&a), h(&b));
+        let t = rounding_triple();
+        for (a, b) in [(&a, &b), (&t[0], &t[1]), (&t[1], &t[2]), (&t[0], &t[2])] {
+            if a == b {
+                prop_assert_eq!(h(a), h(b), "{a:?} == {b:?}");
+            }
         }
     }
 

@@ -74,6 +74,12 @@ impl From<mdv_relstore::Error> for Error {
     }
 }
 
+/// A storage backend error on the filter path, where the filter engine's
+/// own store errors go.
+pub(crate) fn store_err(e: mdv_relstore::Error) -> Error {
+    mdv_filter::Error::from(e).into()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -62,7 +62,6 @@ pub mod gc;
 pub mod lmr;
 pub mod mdp;
 pub mod message;
-mod mirror;
 pub mod placement;
 pub mod raft;
 pub mod state;

@@ -14,11 +14,10 @@ use mdv_relstore::{Database, StorageEngine};
 use mdv_rulelang::{normalize, parse_rule, split_or, typecheck};
 
 use crate::channel::{Arrival, Inbox, Outbox};
-use crate::error::{Error, Result};
+use crate::error::{store_err, Error, Result};
 use crate::gc::RefTracker;
 use crate::message::{Message, PublishMsg, RuleDelta};
-use crate::mirror;
-use crate::state::{lmr_records as rec, Record};
+use crate::state::{self, lmr_records as rec, Record};
 use crate::transport::{Envelope, Network};
 
 /// The state table of a durable LMR (created only on mirror-enabled
@@ -117,7 +116,7 @@ impl<S: StorageEngine> Lmr<S> {
         let mut lmr = Self::from_store(name, mdp, schema, store, true);
         lmr.with_group(|this| {
             create_base_tables(&mut this.cache).map_err(Error::from)?;
-            mirror::create_state_table(&mut this.cache, T_STATE)?;
+            state::create_table(&mut this.cache, T_STATE)?;
             this.state_put(|| rec::pubseq(0))?;
             this.state_put(|| rec::next_rule(0))?;
             this.mirror_home()
@@ -167,7 +166,7 @@ impl<S: StorageEngine> Lmr<S> {
     /// Snapshot-as-compaction: checkpoints the cache store — writes a fresh
     /// snapshot reflecting every GC deletion and truncates the WAL.
     pub fn compact(&mut self) -> Result<()> {
-        self.cache.checkpoint().map_err(mirror::store_err)
+        self.cache.checkpoint().map_err(store_err)
     }
 
     /// Runs `body` inside one storage commit group, so the cache mutations
@@ -176,7 +175,7 @@ impl<S: StorageEngine> Lmr<S> {
     fn with_group<T>(&mut self, body: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         self.cache.begin();
         let out = body(self);
-        self.cache.commit().map_err(mirror::store_err)?;
+        self.cache.commit().map_err(store_err)?;
         out
     }
 
@@ -257,8 +256,7 @@ impl<S: StorageEngine> Lmr<S> {
         if !self.mirror {
             return Ok(());
         }
-        let Record { key, fields } = record();
-        mirror::put(&mut self.cache, T_STATE, &key, &fields)
+        state::put(&mut self.cache, T_STATE, record())
     }
 
     /// Deletes the record with the key `key` builds from the state table.
@@ -266,7 +264,7 @@ impl<S: StorageEngine> Lmr<S> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete(&mut self.cache, T_STATE, &key())
+        state::delete(&mut self.cache, T_STATE, &key())
     }
 
     fn mirror_home(&mut self) -> Result<()> {
@@ -966,7 +964,8 @@ mod tests {
             mdv_relstore::ColumnDef::new("key", mdv_relstore::DataType::Str),
             mdv_relstore::ColumnDef::new("val", mdv_relstore::DataType::Int),
         ];
-        mirror::create_table(&mut old, "LmrMeta", meta, &["key"]).unwrap();
+        let meta = mdv_relstore::TableSchema::new("LmrMeta", meta).unwrap();
+        old.create_table(meta).unwrap();
         let err = Lmr::reopen("lmr1", "mdp1", schema(), old).unwrap_err();
         assert!(
             err.to_string().contains("unsupported store layout"),

@@ -13,12 +13,11 @@ use mdv_rdf::{parse_document, write_document, Document, RdfSchema, Resource};
 use mdv_relstore::{Database, StorageEngine};
 
 use crate::channel::{Arrival, Inbox, Outbox, SeqCounters};
-use crate::error::{Error, Result};
+use crate::error::{store_err, Error, Result};
 use crate::message::{DigestEntry, Message, PublishMsg, RepairDoc, RuleDelta};
-use crate::mirror;
 use crate::placement::PlacementTable;
 use crate::raft::RaftCmd;
-use crate::state::{mdp_records as rec, Record};
+use crate::state::{self, mdp_records as rec, Record};
 use crate::subscribers::Subscribers;
 use crate::transport::{Envelope, Network};
 
@@ -167,17 +166,19 @@ pub(crate) fn doc_uri_of(resource_uri: &str) -> &str {
 
 /// A Metadata Provider, generic over the storage backend of its filter
 /// engine (in-memory [`Database`] by default; a durable WAL+snapshot
-/// engine via [`Mdp::with_storage`]).
+/// engine via [`Mdp::with_storage`], reopened after a crash by
+/// [`Mdp::reopen`]).
 #[derive(Debug)]
 pub struct Mdp<S: StorageEngine = Database> {
     pub(crate) name: String,
     pub(crate) engine: FilterEngine<S>,
-    /// Mirror node state into the state table. Set only by
-    /// [`Mdp::with_storage`]; the memory path never creates the table, so
-    /// its databases stay byte-identical to the pre-storage-engine layout.
+    /// Write node state into the state table: set by [`Mdp::with_storage`],
+    /// and by [`Mdp::reopen`] once its records are replayed. The memory
+    /// path never creates the table, so its databases stay byte-identical
+    /// to the pre-storage-engine layout.
     pub(crate) mirror: bool,
-    /// The filter tables [`Mdp::with_storage`] declared unlogged: they
-    /// recover empty, and `rebuild_from_tables` refills them.
+    /// The filter tables a durable node declared unlogged: they recover
+    /// empty, and [`Mdp::reopen`] refills them.
     pub(crate) derived_tables: Vec<String>,
     /// Which LMR rule each subscription ships to, and back, plus the
     /// tombstones of retracted rules.
@@ -227,25 +228,33 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// database — on a durable backend the whole node becomes
     /// crash-recoverable (DESIGN.md §6).
     pub fn with_storage(name: &str, store: S, schema: RdfSchema) -> Result<Self> {
+        let mut mdp = Self::on_store(name, store, schema)?;
+        let store = mdp.engine.storage_mut();
+        store.begin();
+        state::create_table(store, T_STATE)?;
+        store.commit().map_err(store_err)?;
+        mdp.mirror = true;
+        Ok(mdp)
+    }
+
+    /// An MDP on a durable store, fresh or reopened, that writes no record
+    /// yet. The filter tables are derived state, a function of the document
+    /// and subscription records: the store journals only their DDL, and
+    /// [`Mdp::reopen`] refills them (DESIGN.md §6.4).
+    pub(crate) fn on_store(name: &str, store: S, schema: RdfSchema) -> Result<Self> {
         let mut engine = FilterEngine::try_with_storage(store, schema)?;
         let store = engine.storage_mut();
-        // The filter tables are derived state, a function of the document
-        // and subscription records mirrored below: recovery rebuilds them through
-        // `rebuild_from_tables`, so the store journals only their DDL
-        // (DESIGN.md §6.4).
         let derived: Vec<String> = store
             .database()
             .table_names()
             .into_iter()
+            .filter(|t| *t != T_STATE)
             .map(str::to_owned)
             .collect();
         for table in &derived {
-            store.set_unlogged(table).map_err(mirror::store_err)?;
+            store.set_unlogged(table).map_err(store_err)?;
         }
-        store.begin();
-        mirror::create_state_table(store, T_STATE)?;
-        store.commit().map_err(mirror::store_err)?;
-        let mut mdp = Self::from_engine(name, engine, true);
+        let mut mdp = Self::from_engine(name, engine, false);
         mdp.derived_tables = derived;
         Ok(mdp)
     }
@@ -279,10 +288,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     pub(crate) fn with_group<T>(&mut self, body: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         self.engine.storage_mut().begin();
         let out = body(self);
-        self.engine
-            .storage_mut()
-            .commit()
-            .map_err(mirror::store_err)?;
+        self.engine.storage_mut().commit().map_err(store_err)?;
         out
     }
 
@@ -294,8 +300,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         if !self.mirror {
             return Ok(());
         }
-        let Record { key, fields } = record();
-        mirror::put(self.engine.storage_mut(), T_STATE, &key, &fields)
+        state::put(self.engine.storage_mut(), T_STATE, record())
     }
 
     /// Deletes the record with the key `key` builds from the state table.
@@ -303,7 +308,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::delete(self.engine.storage_mut(), T_STATE, &key())
+        state::delete(self.engine.storage_mut(), T_STATE, &key())
     }
 
     pub(crate) fn mirror_docver(&mut self, uri: &str) -> Result<()> {
@@ -365,10 +370,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// Snapshot-as-compaction: checkpoints the storage backend — writes a
     /// fresh snapshot (GC'd of every deleted row) and truncates the WAL.
     pub fn compact(&mut self) -> Result<()> {
-        self.engine
-            .storage_mut()
-            .checkpoint()
-            .map_err(mirror::store_err)
+        self.engine.storage_mut().checkpoint().map_err(store_err)
     }
 
     pub fn set_peers(&mut self, peers: Vec<String>) {

@@ -15,32 +15,28 @@
 //!
 //! Election timeouts are drawn from a PRNG seeded by `(raft seed, node
 //! name, term)`, so a crash-restarted voter re-derives exactly the
-//! schedule it would have used — no volatile timer state to lose. Hard
-//! state (term, vote, applied index, hash chain) and the log with its
-//! compaction anchor are mirrored into WAL-logged tables via the PR-4
-//! mirror machinery; `crash_and_restart_mdp` recovers a voter without
-//! ever violating election safety. Compaction only truncates the log: a
-//! snapshot of the state machine is built when a peer lags behind the
-//! compacted tail, and cached while it still covers that tail.
+//! schedule it would have used — no volatile timer state to lose. On a
+//! durable node the hard state (term, vote, led terms, applied index, hash
+//! chain, compaction anchor) is the `raft` record of the state table and
+//! each log entry a `raftlog <index>` record (`state.rs`), written in the
+//! commit group of the change they record; `crash_and_restart_mdp`
+//! reopens a voter on them without ever violating election safety.
+//! Compaction only truncates the log: a snapshot of the state machine is
+//! built when a peer lags behind the compacted tail, and cached while it
+//! still covers that tail.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::RangeBounds;
+use std::ops::RangeInclusive;
 
-use mdv_relstore::{ColumnDef, DataType, Database, StorageEngine};
+use mdv_relstore::StorageEngine;
 use mdv_runtime::rng::Prng;
 
 use crate::channel::SeqCounters;
 use crate::error::{Error, Result};
 use crate::mdp::{fnv1a64, Mdp};
 use crate::message::{escape, unescape, Message};
-use crate::mirror::{self, i, s};
+use crate::state::mdp_records as rec;
 use crate::transport::Network;
-
-/// Durable Raft tables. Created only when a node is switched into Raft
-/// mode on a mirror-enabled backend, so the LWW durable layout stays
-/// byte-identical to PR 6.
-const T_RAFT_HARD: &str = "SysRaftHard"; // key, num, txt
-const T_RAFT_LOG: &str = "SysRaftLog"; // idx, term, cmd
 
 /// Leader heartbeat / replication retry interval (logical ms).
 pub const HEARTBEAT_MS: u64 = 50;
@@ -112,7 +108,8 @@ pub(crate) enum RaftCmd {
 
 impl RaftCmd {
     /// Tab-separated, escaped wire form — one line per command — used for
-    /// both the durable log mirror and the cross-node apply hash chain.
+    /// both the durable `raftlog` records and the cross-node apply hash
+    /// chain.
     pub(crate) fn to_wire(&self) -> String {
         match self {
             RaftCmd::Noop => "noop".to_owned(),
@@ -253,7 +250,7 @@ pub(crate) struct RaftState {
 }
 
 impl RaftState {
-    fn new(seed: u64, name: &str, now_ms: u64) -> Self {
+    pub(crate) fn new(seed: u64, name: &str, now_ms: u64) -> Self {
         RaftState {
             seed,
             term: 0,
@@ -329,40 +326,20 @@ pub struct RaftProbe {
 }
 
 impl<S: StorageEngine + Send + Sync> Mdp<S> {
-    /// Switches this node into Raft mode. On a mirror-enabled backend the
-    /// Raft tables are created here — never in `with_storage` — so LWW
-    /// durable layouts stay byte-identical to the pre-Raft format.
-    pub(crate) fn raft_enable(&mut self, seed: u64, now_ms: u64) -> Result<()> {
-        if self.mirror {
-            self.with_group(|this| {
-                let store = this.engine.storage_mut();
-                mirror::create_table(
-                    store,
-                    T_RAFT_HARD,
-                    vec![
-                        ColumnDef::new("key", DataType::Str),
-                        ColumnDef::new("num", DataType::Int),
-                        ColumnDef::new("txt", DataType::Str),
-                    ],
-                    &["key"],
-                )?;
-                // appended to, truncated by index range and read back whole:
-                // no look-up by key
-                mirror::create_table(
-                    store,
-                    T_RAFT_LOG,
-                    vec![
-                        ColumnDef::new("idx", DataType::Int),
-                        ColumnDef::new("term", DataType::Int),
-                        ColumnDef::new("cmd", DataType::Str),
-                    ],
-                    &[],
-                )?;
-                Ok(())
-            })?;
-        }
-        self.raft = Some(RaftState::new(seed, &self.name, now_ms));
-        Ok(())
+    /// Switches this node into Raft mode, or re-seats the voter
+    /// [`Mdp::reopen`] restored from its `raft` and `raftlog` records: the
+    /// persisted term, vote, led terms, log and applied prefix stay, the
+    /// commit index restarts at `applied` (that prefix is durable) and the
+    /// node comes back a follower — a restart never extends leadership.
+    pub(crate) fn raft_enable(&mut self, seed: u64, now_ms: u64) {
+        let mut r = self
+            .raft
+            .take()
+            .unwrap_or_else(|| RaftState::new(seed, &self.name, now_ms));
+        r.seed = seed;
+        r.commit = r.applied;
+        r.election_deadline_ms = now_ms + election_timeout_ms(seed, &self.name, r.term);
+        self.raft = Some(r);
     }
 
     pub(crate) fn raft_set_compact_threshold(&mut self, threshold: u64) {
@@ -400,165 +377,35 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         })
     }
 
-    // ---- durable mirrors of the Raft state -------------------------------
+    // ---- the durable Raft records ----------------------------------------
 
-    fn raft_hard_upsert(&mut self, key: &str, num: u64, txt: &str) -> Result<()> {
+    /// Writes the `raft` record (term, vote, led terms, applied index, hash
+    /// chain, compaction anchor) in the commit group of the change it
+    /// records.
+    fn raft_persist(&mut self) -> Result<()> {
+        match &self.raft {
+            Some(r) if self.mirror => {
+                let record = rec::raft(r);
+                self.state_put(|| record)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    fn raft_log_put(&mut self, index: u64, term: u64, wire: &str) -> Result<()> {
+        self.state_put(|| rec::raftlog(index, term, wire))
+    }
+
+    /// Deletes the `raftlog` records of the indices in `range`, by key:
+    /// truncation and compaction know which entries they drop.
+    fn raft_log_delete(&mut self, range: RangeInclusive<u64>) -> Result<()> {
         if !self.mirror {
             return Ok(());
         }
-        mirror::upsert_where(
-            self.engine.storage_mut(),
-            T_RAFT_HARD,
-            vec![s(key)],
-            vec![s(key), i(num), s(txt)],
-        )
-    }
-
-    /// Persists term, vote, and led-terms (the election-safety hard state).
-    fn raft_persist_vote(&mut self) -> Result<()> {
-        let Some(r) = self.raft.as_ref() else {
-            return Ok(());
-        };
-        let term = r.term;
-        let voted = r.voted_for.clone().unwrap_or_default();
-        let led = r
-            .led_terms
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        self.raft_hard_upsert("term", term, "")?;
-        self.raft_hard_upsert("voted", 0, &voted)?;
-        self.raft_hard_upsert("led", 0, &led)
-    }
-
-    /// Persists the apply cursor and hash chain, in the same commit group
-    /// as the state-machine mutation it records.
-    fn raft_persist_applied(&mut self) -> Result<()> {
-        let Some(r) = self.raft.as_ref() else {
-            return Ok(());
-        };
-        let (applied, cum) = (r.applied, r.cum_hash);
-        self.raft_hard_upsert("applied", applied, "")?;
-        self.raft_hard_upsert("cum", cum, "")
-    }
-
-    fn raft_persist_anchor(&mut self) -> Result<()> {
-        let Some(r) = self.raft.as_ref() else {
-            return Ok(());
-        };
-        let (offset, offset_term) = (r.offset, r.offset_term);
-        self.raft_hard_upsert("offset", offset, "")?;
-        self.raft_hard_upsert("offset_term", offset_term, "")
-    }
-
-    fn raft_log_insert(&mut self, idx: u64, term: u64, cmd: &str) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
+        for index in range {
+            self.state_delete(|| rec::raftlog_key(index))?;
         }
-        mirror::insert(
-            self.engine.storage_mut(),
-            T_RAFT_LOG,
-            vec![i(idx), i(term), s(cmd)],
-        )
-    }
-
-    /// Deletes the mirrored log entries whose index lies in `range`: the
-    /// one range scan of a mirror table (truncation and compaction).
-    fn raft_log_delete_range(&mut self, range: impl RangeBounds<u64>) -> Result<()> {
-        if !self.mirror {
-            return Ok(());
-        }
-        let store = self.engine.storage_mut();
-        let doomed = match store.database().table(T_RAFT_LOG) {
-            Ok(t) => t
-                .iter()
-                .filter(|(_, r)| r[0].as_int().is_some_and(|v| range.contains(&(v as u64))))
-                .map(|(id, _)| id)
-                .collect(),
-            Err(_) => Vec::new(),
-        };
-        mirror::delete_rows(store, T_RAFT_LOG, doomed)?;
         Ok(())
-    }
-
-    /// Rebuilds the Raft hard state and log from the recovered database of
-    /// a crashed voter. Called after `rebuild_from_tables` restored the
-    /// applied state machine at exactly `applied`, from which a snapshot
-    /// is built on demand like on any other voter; the commit index
-    /// conservatively restarts at `applied` and the node comes back as a
-    /// follower (a restart never extends leadership).
-    pub(crate) fn raft_restore_from_tables(
-        &mut self,
-        src: &Database,
-        seed: u64,
-        now_ms: u64,
-    ) -> Result<()> {
-        let corrupt = |t: &str| Error::Topology(format!("corrupt raft mirror row in {t}"));
-        let mut state = RaftState::new(seed, &self.name, now_ms);
-        for row in mirror::rows_sorted(src, T_RAFT_HARD) {
-            let (Some(key), Some(num), Some(txt)) =
-                (row[0].as_str(), row[1].as_int(), row[2].as_str())
-            else {
-                return Err(corrupt(T_RAFT_HARD));
-            };
-            let num = num as u64;
-            match key {
-                "term" => state.term = num,
-                "voted" => state.voted_for = (!txt.is_empty()).then(|| txt.to_owned()),
-                "led" => {
-                    state.led_terms = txt
-                        .split(',')
-                        .filter(|p| !p.is_empty())
-                        .map(|p| p.parse().map_err(|_| corrupt(T_RAFT_HARD)))
-                        .collect::<Result<_>>()?;
-                }
-                "applied" => state.applied = num,
-                "cum" => state.cum_hash = num,
-                "offset" => state.offset = num,
-                "offset_term" => state.offset_term = num,
-                _ => return Err(corrupt(T_RAFT_HARD)),
-            }
-        }
-        let mut entries: Vec<(u64, u64, String)> = Vec::new();
-        for row in mirror::rows_sorted(src, T_RAFT_LOG) {
-            let (Some(idx), Some(term), Some(cmd)) =
-                (row[0].as_int(), row[1].as_int(), row[2].as_str())
-            else {
-                return Err(corrupt(T_RAFT_LOG));
-            };
-            entries.push((idx as u64, term as u64, cmd.to_owned()));
-        }
-        // rows_sorted orders Value-wise; re-sort numerically by index
-        entries.sort_by_key(|(idx, _, _)| *idx);
-        for (idx, term, cmd) in entries {
-            if idx != state.offset + state.log.len() as u64 + 1 {
-                return Err(corrupt(T_RAFT_LOG));
-            }
-            state.log.push((term, cmd));
-        }
-        // the applied prefix is already durable; commit restarts there
-        state.commit = state.applied;
-        state.election_deadline_ms = now_ms + election_timeout_ms(seed, &self.name, state.term);
-        // re-mirror into this (fresh) node's own store
-        self.raft = Some(state);
-        self.with_group(|this| {
-            this.raft_persist_vote()?;
-            this.raft_persist_applied()?;
-            this.raft_persist_anchor()?;
-            let rows: Vec<(u64, u64, String)> = {
-                let r = this.raft.as_ref().unwrap();
-                r.log
-                    .iter()
-                    .enumerate()
-                    .map(|(k, (t, c))| (r.offset + 1 + k as u64, *t, c.clone()))
-                    .collect()
-            };
-            for (idx, term, cmd) in rows {
-                this.raft_log_insert(idx, term, &cmd)?;
-            }
-            Ok(())
-        })
     }
 
     // ---- elections -------------------------------------------------------
@@ -580,7 +427,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         };
         self.raft.as_mut().unwrap().election_deadline_ms = deadline;
         if changed {
-            self.raft_persist_vote()?;
+            self.raft_persist()?;
         }
         Ok(())
     }
@@ -598,7 +445,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             r.election_deadline_ms = now + election_timeout_ms(r.seed, &name, r.term);
             (r.term, r.last_index(), r.last_term(), self.peers.clone())
         };
-        self.raft_persist_vote()?;
+        self.raft_persist()?;
         for peer in &peers {
             net.send(
                 &name,
@@ -639,7 +486,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             r.match_index = self.peers.iter().map(|p| (p.clone(), 0)).collect();
             r.heartbeat_due_ms = net.now_ms() + HEARTBEAT_MS;
         }
-        self.raft_persist_vote()?;
+        self.raft_persist()?;
         // committing a no-op entry of the new term commits every earlier
         // entry with it (leader completeness, Raft §5.4.2)
         self.raft_propose(RaftCmd::Noop, net).map(|_| ())
@@ -662,7 +509,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             (r.last_index(), term, self.peers.clone())
         };
         self.with_group(|this| {
-            this.raft_log_insert(index, term, &wire)?;
+            this.raft_log_put(index, term, &wire)?;
             for peer in peers {
                 this.raft_send_append(&peer, net)?;
             }
@@ -843,7 +690,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         if granted {
             let r = self.raft.as_mut().unwrap();
             r.election_deadline_ms = now + election_timeout_ms(r.seed, &self.name, r.term);
-            self.raft_persist_vote()?;
+            self.raft_persist()?;
         }
         net.send(
             &self.name.clone(),
@@ -904,6 +751,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         // a current leader exists: follow it (a candidate of the same term
         // abandons its election)
         self.raft_step_down(term, now)?;
+        let old_last = self.raft.as_ref().expect("a raft voter").last_index();
         let (success, match_index, new_entries) = {
             let r = self.raft.as_mut().unwrap();
             // entries up to our offset are committed and folded into our
@@ -962,13 +810,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             }
         };
         if success {
-            // mirror the log mutation: drop every row at or past the first
-            // replaced index, then insert the appended suffix
+            // record the log mutation: drop every entry at or past the
+            // first replaced index, then write the appended suffix
             if let Some((first, _, _)) = new_entries.first() {
-                let first = *first;
-                self.raft_log_delete_range(first..)?;
+                self.raft_log_delete(*first..=old_last)?;
                 for (idx, e_term, wire) in &new_entries {
-                    self.raft_log_insert(*idx, *e_term, wire)?;
+                    self.raft_log_put(*idx, *e_term, wire)?;
                 }
             }
             self.raft_apply_committed(net)?;
@@ -1120,7 +967,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                     let h = r.cum_hash;
                     r.applied_chain.push((idx, h));
                 }
-                this.raft_persist_applied()
+                this.raft_persist()
             })?;
         }
         self.raft_maybe_compact()
@@ -1164,8 +1011,11 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         let bad = || Error::Topology("corrupt raft snapshot header".into());
         let (cum_hash, state) = data.split_once('\n').ok_or_else(bad)?;
         let cum_hash: u64 = cum_hash.parse().map_err(|_| bad())?;
+        let old_log = {
+            let r = self.raft.as_ref().expect("a raft voter");
+            r.offset + 1..=r.last_index()
+        };
         self.with_group(|this| {
-            use crate::state::mdp_records as rec;
             // subscriptions first so document removal publishes nothing
             for (sub, (lmr, rule)) in this.subscribers_sorted() {
                 this.subscribers.remove(sub);
@@ -1207,9 +1057,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 r.cum_hash = cum_hash;
                 r.applied_chain.push((last_index, cum_hash));
             }
-            this.raft_log_delete_range(..)?;
-            this.raft_persist_applied()?;
-            this.raft_persist_anchor()
+            this.raft_log_delete(old_log)?;
+            this.raft_persist()
         })
     }
 
@@ -1220,7 +1069,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// is dropped, and the next peer that lags gets one built by
     /// `raft_send_append`.
     fn raft_maybe_compact(&mut self) -> Result<()> {
-        let new_offset = {
+        let (old_offset, new_offset) = {
             let r = self.raft.as_mut().unwrap();
             let new_offset = r
                 .applied
@@ -1228,15 +1077,16 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             if r.applied.saturating_sub(r.offset) <= r.compact_threshold || new_offset <= r.offset {
                 return Ok(());
             }
+            let old_offset = r.offset;
             r.offset_term = r.term_at(new_offset).unwrap_or(0);
-            r.log.drain(..(new_offset - r.offset) as usize);
+            r.log.drain(..(new_offset - old_offset) as usize);
             r.offset = new_offset;
             r.snapshot.take_if(|snap| snap.index < new_offset);
-            new_offset
+            (old_offset, new_offset)
         };
         self.with_group(|this| {
-            this.raft_log_delete_range(..=new_offset)?;
-            this.raft_persist_anchor()
+            this.raft_log_delete(old_offset + 1..=new_offset)?;
+            this.raft_persist()
         })
     }
 }
@@ -1414,7 +1264,7 @@ mod tests {
         let net = Network::new(NetConfig::default());
         let leader = net.register("m1").unwrap();
         let mut follower = Mdp::new("m2", schema);
-        follower.raft_enable(0x5eed, 0).unwrap();
+        follower.raft_enable(0x5eed, 0);
         let data = snapshot_data(0, &follower.export_state());
         follower.raft_install_state(&data, 3, 3).unwrap();
 
@@ -1472,7 +1322,7 @@ mod tests {
         // one tombstone, so the snapshot carries subscription and retired
         // records
         let mut leader = Mdp::new("m1", schema.clone());
-        leader.raft_enable(0x5eed, 0).unwrap();
+        leader.raft_enable(0x5eed, 0);
         let register = RaftCmd::Register {
             uri: doc.uri().into(),
             xml: write_document(&doc),
@@ -1490,7 +1340,7 @@ mod tests {
         // a lagging follower with a rule and a tombstone of its own, which
         // the install must tear down in both directions
         let mut follower = Mdp::new("m2", schema);
-        follower.raft_enable(0x5eed, 0).unwrap();
+        follower.raft_enable(0x5eed, 0);
         apply(&mut follower, subscribe("l2", 5, matches), false);
         apply(&mut follower, unsubscribe("l2", 6), false);
         let stale = follower.subscribers.find("l2", 5).unwrap();

@@ -9,8 +9,10 @@
 //! export is a header line and every record; import replays the lines
 //! through one dispatcher per node kind. A durable node keeps the same
 //! records in its state table, one `(key, fields)` row each, written as
-//! the state changes, and crash recovery feeds the table's rows through the
-//! same dispatcher, in the export's order, on a fresh node. Import and
+//! the state changes; crash recovery reopens the node on its own store and
+//! feeds the table's rows through the same dispatcher, in the export's
+//! order, writing none back. This module owns the record format in memory
+//! and on disk: the state table is created, written and read here. Import and
 //! recovery decode what may be damaged — an InstallSnapshot arrives off the
 //! wire, a table off a disk — so a malformed record is an error, never a
 //! panic.
@@ -46,15 +48,21 @@
 //! the order a Raft install has always replayed, so an installed voter's
 //! filter tables and statistics match the leader's.
 //!
-//! Three more MDP kinds hold messages in flight — unacked publications,
-//! unacked replicated operations, and replicated operations parked ahead
-//! of their stream's floor. Only crash recovery reads them, and re-arms
-//! each: a quiescent export never holds one, and import rejects them.
+//! Five more MDP kinds are durable-only: only crash recovery reads them,
+//! a quiescent export never holds one, and import rejects them. Three hold
+//! messages in flight — unacked publications, unacked replicated
+//! operations, and replicated operations parked ahead of their stream's
+//! floor — and recovery re-arms each. Two are a Raft voter's: its hard
+//! state and one record per retained log entry, replayed in index order (a
+//! gap is an error) for `raft_enable` to re-seat the voter (DESIGN.md
+//! §9.3).
 //!
 //! ```text
 //! outbox <lmr>\t<seq>\t<escaped envelope wire form>
 //! replout <peer>\t<seq>\t<register|update|delete>\t<version>\t<escaped uri>\t<escaped RDF/XML>
 //! replbuf <peer>\t<seq>\t<register|update|delete>\t<version>\t<escaped uri>\t<escaped RDF/XML>
+//! raft <term>\t<vote, or empty>\t<led terms, comma-separated>\t<applied>\t<hash chain>\t<offset>\t<offset term>
+//! raftlog <index>\t<term>\t<escaped command wire form>
 //! ```
 //!
 //! An LMR exports the receiving ends of the same streams, its rules, and a
@@ -91,27 +99,31 @@
 //! error: MDP v1 framed each document as RDF/XML lines closed by a `.`
 //! line, which a literal holding such a line cut short, and dropped the
 //! rule tombstones; LMR v2 dropped `nextrule`, `dead`, `home` and
-//! `placement`. A durable store written before the state tables fails
-//! recovery the same way ("unsupported store layout").
+//! `placement`. A durable store holding any table beside the node's own and
+//! its state table — the per-kind or typed Raft tables of earlier layouts —
+//! fails recovery the same way ("unsupported store layout").
 
 use std::fmt::Display;
 
 use mdv_rdf::{parse_document, write_document, Document};
-use mdv_relstore::{Database, StorageEngine};
+use mdv_relstore::{
+    ColumnDef, DataType, Database, IndexKind, RowId, StorageEngine, TableSchema, Value,
+};
 
-use crate::error::{Error, Result};
+use crate::error::{store_err, Error, Result};
 use crate::lmr::{Lmr, LmrRule, RuleStatus};
 use crate::mdp::{DocMeta, Mdp, ReplKind, ReplOp};
 use crate::message::{escape, unescape, PublishMsg};
-use crate::mirror;
 use crate::placement::PlacementTable;
+use crate::raft::RaftState;
 
 const HEADER: &str = "#mdv-mdp-state v2";
 const LMR_HEADER: &str = "#mdv-lmr-state v3";
 
 /// The tags of the MDP grammar in export (and recovery) order; the last
-/// three are in flight.
-const MDP_TAGS: [&str; 11] = [
+/// five are durable-only: three in flight, then a Raft voter's hard state
+/// and log.
+const MDP_TAGS: [&str; 13] = [
     "pubseq",
     "docver",
     "replseq",
@@ -123,6 +135,8 @@ const MDP_TAGS: [&str; 11] = [
     "outbox",
     "replout",
     "replbuf",
+    "raft",
+    "raftlog",
 ];
 
 /// The tags of the LMR grammar in export (and recovery) order; `pubbuf`
@@ -178,6 +192,72 @@ pub(crate) fn key(tag: &str, ids: &[&dyn Display]) -> String {
         key.push_str(&id.to_string());
     }
     key
+}
+
+// ---------------------------------------------------------------------------
+// The state table
+// ---------------------------------------------------------------------------
+
+/// The name of a state table's hash index on its `key` column.
+const KEY_INDEX: &str = "key";
+
+/// Creates a node's state table: one `(key, fields)` row per record, found
+/// by key through a hash index, never by a scan.
+pub(crate) fn create_table<S: StorageEngine>(store: &mut S, table: &str) -> Result<()> {
+    let cols = vec![
+        ColumnDef::new("key", DataType::Str),
+        ColumnDef::new("fields", DataType::Str),
+    ];
+    let schema = TableSchema::new(table, cols).map_err(store_err)?;
+    store.create_table(schema).map_err(store_err)?;
+    store
+        .create_index(table, KEY_INDEX, IndexKind::Hash, &["key"], false)
+        .map_err(store_err)
+}
+
+/// The row holding the record `key`, if any.
+fn find<S: StorageEngine>(store: &S, table: &str, key: &str) -> Result<Option<RowId>> {
+    let t = store.database().table(table).map_err(store_err)?;
+    let index = t.index(KEY_INDEX).map_err(store_err)?;
+    Ok(index
+        .probe(&vec![Value::Str(key.to_owned())])
+        .first()
+        .copied())
+}
+
+/// Writes `record` into a state table, replacing the fields of its key.
+pub(crate) fn put<S: StorageEngine>(store: &mut S, table: &str, record: Record) -> Result<()> {
+    let Record { key, fields } = record;
+    let found = find(store, table, &key)?;
+    let row = vec![Value::Str(key), Value::Str(fields)];
+    match found {
+        Some(id) => store.update(table, id, row).map(drop),
+        None => store.insert(table, row).map(drop),
+    }
+    .map_err(store_err)
+}
+
+/// Deletes the record `key` of a state table (a no-op when absent).
+pub(crate) fn delete<S: StorageEngine>(store: &mut S, table: &str, key: &str) -> Result<()> {
+    if let Some(id) = find(store, table, key)? {
+        store.delete(table, id).map_err(store_err)?;
+    }
+    Ok(())
+}
+
+/// Every `(key, fields)` row of a state table, or `None` when the store
+/// has no such table. A row that is not two strings is corrupt.
+fn rows(db: &Database, table: &str) -> Result<Option<Vec<Record>>> {
+    let Ok(t) = db.table(table) else {
+        return Ok(None);
+    };
+    t.iter()
+        .map(|(_, row)| match row.as_slice() {
+            [Value::Str(key), Value::Str(fields)] => Ok(Record::new(key.clone(), fields.clone())),
+            _ => Err(Error::Topology(format!("corrupt row in {table}"))),
+        })
+        .collect::<Result<_>>()
+        .map(Some)
 }
 
 /// The encoders of the MDP grammar.
@@ -243,6 +323,31 @@ pub(crate) mod mdp_records {
             escape(&op.xml)
         );
         Record::new(seq_key(tag, peer, seq), fields)
+    }
+
+    /// A Raft voter's hard state.
+    pub(crate) fn raft(r: &RaftState) -> Record {
+        let led: Vec<String> = r.led_terms.iter().map(u64::to_string).collect();
+        let fields = format!(
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            r.term,
+            r.voted_for.as_deref().unwrap_or_default(),
+            led.join(","),
+            r.applied,
+            r.cum_hash,
+            r.offset,
+            r.offset_term
+        );
+        Record::new(key("raft", &[]), fields)
+    }
+
+    pub(crate) fn raftlog_key(index: u64) -> String {
+        key("raftlog", &[&index])
+    }
+
+    /// A Raft log entry: its term and escaped command wire form.
+    pub(crate) fn raftlog(index: u64, term: u64, wire: &str) -> Record {
+        Record::new(raftlog_key(index), format!("{term}\t{}", escape(wire)))
     }
 }
 
@@ -382,27 +487,28 @@ impl<'a> Fields<'a> {
 
 /// Reads a node's state table back as record lines in the export's order:
 /// by tag as `tags` lists them, then by key, numbers compared as numbers.
-/// `None` when the store has no state table; a store in the layout before
-/// the state tables — it holds `old`, one of that layout's tables — is
-/// refused.
+/// `None` when the store has no state table. A store holding a table that
+/// is neither one of the node's own (those of `own`) nor its state table
+/// was written in an earlier layout — per-kind tables, typed Raft tables —
+/// and is refused.
 fn read_records(
     db: &Database,
     table: &str,
-    old: &str,
+    own: &Database,
     tags: &[&str],
 ) -> Result<Option<Vec<String>>> {
-    let Some(rows) = mirror::state_rows(db, table)? else {
-        if db.table(old).is_ok() {
-            return Err(Error::Topology(format!(
-                "unsupported store layout: per-kind tables such as {old} instead of {table}"
-            )));
-        }
+    if let Some(foreign) = db
+        .table_names()
+        .into_iter()
+        .find(|t| *t != table && own.table(t).is_err())
+    {
+        return Err(Error::Topology(format!(
+            "unsupported store layout: table {foreign} beside {table}"
+        )));
+    }
+    let Some(mut records) = rows(db, table)? else {
         return Ok(None);
     };
-    let mut records: Vec<Record> = rows
-        .into_iter()
-        .map(|(key, fields)| Record { key, fields })
-        .collect();
     records.sort_by_cached_key(|r| {
         let mut parts = r.key.split([' ', '\t']);
         let tag = parts.next().unwrap_or_default();
@@ -484,24 +590,36 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         self.apply_records(lines.filter(|l| !l.is_empty()), None)
     }
 
-    /// Rebuilds this (freshly constructed) node from the state table of a
-    /// crash-recovered database: the records replay through the import's
-    /// dispatcher in the export's order, then the messages that were in
-    /// flight when the node died re-enter their outboxes due for
-    /// retransmission (the receiver tolerates the duplicate) and the
-    /// parked replicated operations their reorder buffer. A record that
-    /// does not decode is an error, never a partial guess. Returns
-    /// `(subscriptions, documents)` restored.
-    pub fn rebuild_from_tables(
-        &mut self,
-        src: &Database,
+    /// Reopens an MDP over the crash-recovered store of a durable one,
+    /// which keeps serving as its log, as [`Lmr::reopen`] does for an LMR.
+    /// The filter tables, unlogged and so recovered empty, are marked
+    /// unlogged again and adopted by the engine. The state table's records
+    /// replay through the import's dispatcher in the export's order,
+    /// refilling memory and the filter tables without writing a record
+    /// back; the messages that were in flight re-enter their outboxes, due
+    /// for retransmission after `retry_backoff_ms` (the receiver tolerates
+    /// the duplicate), and the parked replicated operations their reorder
+    /// buffer. A Raft voter's hard state and log come back for
+    /// `raft_enable` to re-seat. A record that does not decode is an error,
+    /// never a partial guess.
+    pub fn reopen(
+        name: &str,
+        schema: mdv_rdf::RdfSchema,
+        store: S,
         retry_backoff_ms: u64,
-    ) -> Result<(usize, usize)> {
-        let lines = read_records(src, crate::mdp::T_STATE, "SysPubSeq", &MDP_TAGS)?;
-        let lines = lines.unwrap_or_default();
-        self.with_group(|this| {
-            this.apply_records(lines.iter().map(String::as_str), Some(retry_backoff_ms))
-        })
+    ) -> Result<Self> {
+        let table = crate::mdp::T_STATE;
+        let own = mdv_filter::FilterEngine::new(schema.clone());
+        let lines =
+            read_records(store.database(), table, own.db(), &MDP_TAGS)?.ok_or_else(|| {
+                Error::Topology(format!(
+                    "'{name}' is not a durable MDP store (no {table} table)"
+                ))
+            })?;
+        let mut mdp = Self::on_store(name, store, schema)?;
+        mdp.apply_records(lines.iter().map(String::as_str), Some(retry_backoff_ms))?;
+        mdp.mirror = true;
+        Ok(mdp)
     }
 
     /// Feeds record lines through [`Mdp::apply_record`]; returns
@@ -523,9 +641,10 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     }
 
     /// The dispatcher of the MDP grammar: applies one record line to this
-    /// node (and to its state table) and returns the record's tag. The
-    /// in-flight kinds are accepted only from crash recovery, which passes
-    /// the backoff their retransmission restarts with as `rearm`.
+    /// node (and to its state table, unless it is reopening on one) and
+    /// returns the record's tag. The durable-only kinds are accepted only
+    /// from crash recovery, which passes the backoff the in-flight ones
+    /// retransmit with as `rearm`.
     fn apply_record<'l>(&mut self, line: &'l str, rearm: Option<u64>) -> Result<&'l str> {
         use mdp_records as rec;
         let mut f = Fields::of(line);
@@ -591,6 +710,31 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 } else {
                     self.repl_in.park(peer.to_owned(), seq, op);
                 }
+            }
+            // seed and election deadline: `raft_enable` re-seats the voter
+            ("raft", Some(_)) => {
+                let mut r = RaftState::new(0, &self.name, 0);
+                r.term = f.num()?;
+                let vote = f.str()?;
+                r.voted_for = (!vote.is_empty()).then(|| vote.to_owned());
+                let led = f.str()?;
+                for term in led.split(',').filter(|t| !t.is_empty()) {
+                    r.led_terms.insert(term.parse().map_err(|_| f.malformed())?);
+                }
+                (r.applied, r.cum_hash) = (f.num()?, f.num()?);
+                (r.offset, r.offset_term) = (f.num()?, f.num()?);
+                self.raft = Some(r);
+            }
+            ("raftlog", Some(_)) => {
+                let (index, term, wire) = (f.num()?, f.num()?, f.text()?);
+                let r = self.raft.as_mut().ok_or_else(|| f.malformed())?;
+                if index != r.last_index() + 1 {
+                    return Err(Error::Topology(format!(
+                        "raft log entry {index} does not follow entry {}",
+                        r.last_index()
+                    )));
+                }
+                r.log.push((term, wire));
             }
             _ => return Err(Error::Topology(format!("unknown state record: {line}"))),
         }
@@ -669,12 +813,13 @@ impl<S: StorageEngine> Lmr<S> {
     /// [`Lmr::rearm_after_recovery`].
     pub fn reopen(name: &str, mdp: &str, schema: mdv_rdf::RdfSchema, store: S) -> Result<Self> {
         let table = crate::lmr::T_STATE;
-        let lines =
-            read_records(store.database(), table, "LmrMeta", &LMR_TAGS)?.ok_or_else(|| {
-                Error::Topology(format!(
-                    "'{name}' is not a durable LMR store (no {table} table)"
-                ))
-            })?;
+        let mut own = Database::new();
+        mdv_filter::store::create_base_tables(&mut own)?;
+        let lines = read_records(store.database(), table, &own, &LMR_TAGS)?.ok_or_else(|| {
+            Error::Topology(format!(
+                "'{name}' is not a durable LMR store (no {table} table)"
+            ))
+        })?;
         let mut lmr = Self::from_store(name, mdp, schema, store, true);
         for line in &lines {
             lmr.apply_record(line, true)?;
@@ -941,6 +1086,44 @@ mod tests {
         restored.import_state(&mdp.export_state()).unwrap();
         let back = restored.engine().document("doc1.rdf").unwrap();
         assert_eq!(write_document(back), write_document(&dotted));
+    }
+
+    #[test]
+    fn a_store_of_another_layout_is_refused() {
+        let mdp = Mdp::with_storage("m", Database::new(), schema()).unwrap();
+        let store = mdp.engine().storage().clone();
+        assert!(Mdp::reopen("m", schema(), store.clone(), 10).is_ok());
+        // a table beside the filter tables and the state table: a typed
+        // table of an earlier layout
+        let mut old = store;
+        let cols = vec![
+            ColumnDef::new("key", DataType::Str),
+            ColumnDef::new("num", DataType::Int),
+        ];
+        old.create_table(TableSchema::new("SysPubSeq", cols).unwrap())
+            .unwrap();
+        let err = Mdp::reopen("m", schema(), old, 10).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported store layout"),
+            "{err}"
+        );
+        // and a store that never was a durable MDP's
+        let err = Mdp::reopen("m", schema(), Database::new(), 10).unwrap_err();
+        assert!(err.to_string().contains("not a durable MDP store"), "{err}");
+    }
+
+    #[test]
+    fn a_row_of_another_shape_is_corrupt() {
+        let mut store = Database::new();
+        assert!(rows(&store, "State").unwrap().is_none());
+        let cols = vec![ColumnDef::new("key", DataType::Str)];
+        store
+            .create_table(TableSchema::new("State", cols).unwrap())
+            .unwrap();
+        store
+            .insert("State", vec![Value::Str("pubseq l1".into())])
+            .unwrap();
+        assert!(rows(&store, "State").is_err());
     }
 
     #[test]
@@ -1374,18 +1557,14 @@ mod drift_tests {
         "search ServerInformation s register s where s.memory > 100",
     ];
 
-    /// The records of a node's state table other than the in-flight kinds,
-    /// as sorted lines.
-    fn table_lines(db: &Database, table: &str, in_flight: &[&str]) -> Vec<String> {
-        let rows = mirror::state_rows(db, table).unwrap().unwrap();
-        let mut lines: Vec<String> = rows
+    /// The records of a node's state table other than the durable-only
+    /// kinds, as sorted lines.
+    fn table_lines(db: &Database, table: &str, durable_only: &[&str]) -> Vec<String> {
+        let mut lines: Vec<String> = rows(db, table)
+            .unwrap()
+            .unwrap()
             .into_iter()
-            .map(|(key, fields)| Record { key, fields })
-            .filter(|r| {
-                !in_flight
-                    .iter()
-                    .any(|tag| r.key.starts_with(&format!("{tag} ")))
-            })
+            .filter(|r| !durable_only.contains(&r.key.split(' ').next().unwrap_or_default()))
             .map(|r| r.line())
             .collect();
         lines.sort();
@@ -1497,6 +1676,127 @@ mod drift_tests {
                     let mut fresh = Lmr::new(l, "m", schema());
                     fresh.import_state(&export).unwrap();
                     prop_assert_eq!(fresh.export_state(), export, "step {step}: {what}: {l} import");
+                }
+            }
+        }
+    }
+
+    /// A voter's `raft` and `raftlog` records, read back as its probe shows
+    /// them: `(term, vote, led terms, applied, hash chain, offset)` and the
+    /// log as `(index, term, command wire form)`.
+    type RaftRecords = (
+        (u64, Option<String>, Vec<u64>, u64, u64, u64),
+        Vec<(u64, u64, String)>,
+    );
+
+    fn raft_records(db: &Database) -> RaftRecords {
+        let mut hard = None;
+        let mut log = Vec::new();
+        for r in rows(db, crate::mdp::T_STATE).unwrap().unwrap() {
+            let mut f = r.fields.split('\t');
+            let mut num = || f.next().unwrap().parse::<u64>().unwrap();
+            if r.key == "raft" {
+                let term = num();
+                let vote = f.next().unwrap();
+                let led = f.next().unwrap().split(',').filter(|t| !t.is_empty());
+                let led = led.map(|t| t.parse().unwrap()).collect();
+                let mut num = || f.next().unwrap().parse::<u64>().unwrap();
+                let vote = (!vote.is_empty()).then(|| vote.to_owned());
+                hard = Some((term, vote, led, num(), num(), num()));
+            } else if let Some(index) = r.key.strip_prefix("raftlog ") {
+                let term = num();
+                log.push((index.parse().unwrap(), term, unescape(f.next().unwrap())));
+            }
+        }
+        log.sort_unstable();
+        (hard.expect("a raft record"), log)
+    }
+
+    property! {
+        /// Three durable Raft voters and a durable LMR under a seeded script
+        /// of subscribe, register, update, delete, a follower failed and
+        /// healed (so it catches up by InstallSnapshot behind a log compacted
+        /// every two entries) and crash-restarts of voters and the LMR. At
+        /// every quiescent point each voter's `raft` and `raftlog` records
+        /// equal its probe — term, vote, led terms, applied index, hash
+        /// chain, offset and log — and its other records its export.
+        fn raft_records_equal_the_voters_probe(src) cases = 24; {
+            let disk = FaultVfs::new(src.bits());
+            let mut sys: MdvSystem<DurableEngine<FaultVfs>> =
+                MdvSystem::durable_on(schema(), NetConfig::default());
+            sys.enable_raft(src.bits()).unwrap();
+            sys.set_raft_compact_threshold(2);
+            let voters = ["m1", "m2", "m3"];
+            for m in voters {
+                sys.add_mdp_durable_on(m, format!("/{m}"), disk.clone()).unwrap();
+            }
+            sys.add_lmr_durable_on("l1", "m1", "/l1", disk.clone()).unwrap();
+            sys.run_to_quiescence().unwrap();
+            let (mut docs, mut next, mut failed) = (Vec::new(), 0, None);
+            for step in 0..src.usize_in(4..20) {
+                let leader = sys.raft_leader().unwrap();
+                let what = match src.weighted(&[2, 5, 2, 1, 3, 2]) {
+                    0 => {
+                        let rule = *src.choose(&RULES);
+                        sys.subscribe("l1", rule).unwrap();
+                        "subscribe".to_owned()
+                    }
+                    1 => {
+                        let host = *src.choose(&["a.org", "b.org"]);
+                        sys.register_document(&leader, &doc(next, host, src.u64_in(0..200))).unwrap();
+                        docs.push(next);
+                        next += 1;
+                        format!("register {}", next - 1)
+                    }
+                    2 if !docs.is_empty() => {
+                        let i = *src.choose(&docs);
+                        sys.update_document(&leader, &doc(i, "b.org", src.u64_in(0..200))).unwrap();
+                        format!("update {i}")
+                    }
+                    3 if !docs.is_empty() => {
+                        let i = docs.swap_remove(src.usize_in(0..docs.len()));
+                        sys.delete_document(&leader, &format!("doc{i}.rdf")).unwrap();
+                        format!("delete {i}")
+                    }
+                    4 => match failed.take() {
+                        Some(m) => {
+                            sys.heal_mdp(m).unwrap();
+                            format!("heal {m}")
+                        }
+                        None => {
+                            let m = *src.choose(&voters);
+                            if m == leader.as_str() {
+                                continue;
+                            }
+                            sys.fail_mdp(m).unwrap();
+                            failed = Some(m);
+                            format!("fail {m}")
+                        }
+                    },
+                    _ => {
+                        let node = *src.choose(&["m1", "m2", "m3", "l1"]);
+                        if node == "l1" {
+                            sys.crash_and_restart_lmr(node).unwrap();
+                        } else if failed != Some(node) {
+                            sys.crash_and_restart_mdp(node).unwrap();
+                        }
+                        format!("crash-restart {node}")
+                    }
+                };
+                sys.run_to_quiescence().unwrap();
+
+                for m in voters {
+                    let mdp = sys.mdp(m).unwrap();
+                    let p = mdp.raft_probe().unwrap();
+                    let (hard, log) = raft_records(mdp.engine().storage().database());
+                    let want = (p.term, p.voted_for, p.led_terms, p.applied, p.cum_hash, p.offset);
+                    prop_assert_eq!(hard, want, "step {step}: {what}: {m}'s raft record");
+                    prop_assert_eq!(log, p.log, "step {step}: {what}: {m}'s raftlog records");
+                    prop_assert_eq!(
+                        table_lines(mdp.engine().storage().database(), crate::mdp::T_STATE, &MDP_TAGS[8..]),
+                        export_lines(&mdp.export_state()),
+                        "step {step}: {what}: {m}'s table"
+                    );
                 }
             }
         }

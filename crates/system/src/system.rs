@@ -3,16 +3,15 @@
 //! deterministically.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use mdv_rdf::{write_document, Document, RdfSchema, Resource};
 use mdv_relstore::{write_database, Database, DurableEngine, StdFs, StorageEngine, Vfs};
 use mdv_runtime::channel::Receiver;
 
-use crate::error::{Error, Result};
+use crate::error::{store_err, Error, Result};
 use crate::lmr::{Lmr, RuleStatus};
 use crate::mdp::{doc_uri_of, Mdp};
-use crate::mirror;
 use crate::placement::{PlacementConfig, PlacementTable, DEFAULT_PLACEMENT_SHARDS};
 use crate::raft::{
     RaftCmd, RaftProbe, RaftRole, ReplicationMode, DEFAULT_COMPACT_THRESHOLD, HEARTBEAT_MS,
@@ -152,7 +151,7 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
         dir: impl Into<PathBuf>,
         vfs: V,
     ) -> Result<()> {
-        let store = DurableEngine::create_with(vfs, dir).map_err(mirror::store_err)?;
+        let store = DurableEngine::create_with(vfs, dir).map_err(store_err)?;
         let mdp = Mdp::with_storage(name, store, self.schema.clone())?;
         self.install_mdp(name, mdp)
     }
@@ -167,7 +166,7 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
         vfs: V,
     ) -> Result<()> {
         self.check_lmr_slot(name, mdp)?;
-        let store = DurableEngine::create_with(vfs, dir).map_err(mirror::store_err)?;
+        let store = DurableEngine::create_with(vfs, dir).map_err(store_err)?;
         let lmr = Lmr::with_storage(name, mdp, self.schema.clone(), store)?;
         self.install_lmr(name, lmr)
     }
@@ -185,19 +184,17 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
     }
 
     /// Crashes an MDP — dropping every byte of in-memory state and any mail
-    /// in its inbox — and restarts it from its durable store alone.
+    /// in its inbox — and restarts it from its durable store, which keeps
+    /// serving as the node's log ([`Mdp::reopen`]). Batch mode resets to
+    /// immediate filtering, like a freshly added node.
     ///
     /// Recovery is checked twice over: the snapshot+WAL replay must
     /// reproduce byte-for-byte what the pre-crash store journaled — its
     /// database with the unlogged filter tables empty (the node is assumed
-    /// quiescent, i.e. no commit group open) — and the node rebuilt from
-    /// the state table's records must carry base tables logically identical
-    /// to the pre-crash engine's. Both checks are skipped for a wedged
-    /// store, whose memory may be ahead of its disk. Because
-    /// re-registration reassigns rule and row ids, the rebuilt node starts
-    /// a *fresh* sibling store (`<dir>-r1`, `-r2`, …) instead of appending
-    /// to the recovered log. Batch mode resets to immediate filtering, like
-    /// a freshly added node.
+    /// quiescent, i.e. no commit group open) — and the node reopened on the
+    /// state table's records must carry base tables logically identical to
+    /// the pre-crash engine's. Both checks are skipped for a wedged store,
+    /// whose memory may be ahead of its disk.
     pub fn crash_and_restart_mdp(&mut self, name: &str) -> Result<()> {
         let old = self
             .mdps
@@ -219,7 +216,7 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
         drop(old); // the crash: all volatile state gone
         self.drain_mailbox(name);
 
-        let recovered = DurableEngine::open_with(vfs.clone(), &dir).map_err(mirror::store_err)?;
+        let recovered = DurableEngine::open_with(vfs, &dir).map_err(store_err)?;
         if let Some((journaled, _)) = &reference {
             if write_database(recovered.database()) != *journaled {
                 return Err(Error::Topology(format!(
@@ -227,22 +224,13 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
                 )));
             }
         }
-
-        let fresh = DurableEngine::create_with(vfs.clone(), sibling_dir_on(&vfs, &dir))
-            .map_err(mirror::store_err)?;
-        let mut mdp = Mdp::with_storage(name, fresh, self.schema.clone())?;
         let retry_ms = self.network.config().retry_initial_ms;
-        mdp.rebuild_from_tables(recovered.database(), retry_ms)?;
+        let mut mdp = Mdp::reopen(name, self.schema.clone(), recovered, retry_ms)?;
         if self.mode == ReplicationMode::Raft {
-            mdp.raft_enable(self.raft_seed, self.network.now_ms())?;
-            mdp.raft_set_compact_threshold(self.raft_compact_threshold);
-            // the persisted term/vote/led-terms/log come back exactly, so a
+            // the recorded term/vote/led-terms/log come back exactly, so a
             // restarted voter cannot double-vote in a term it already voted in
-            mdp.raft_restore_from_tables(
-                recovered.database(),
-                self.raft_seed,
-                self.network.now_ms(),
-            )?;
+            mdp.raft_enable(self.raft_seed, self.network.now_ms());
+            mdp.raft_set_compact_threshold(self.raft_compact_threshold);
         }
         if let Some((_, before)) = reference {
             for (table, want) in ["Resources", "Statements"].into_iter().zip(before) {
@@ -294,7 +282,7 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
         drop(old);
         self.drain_mailbox(name);
 
-        let recovered = DurableEngine::open_with(vfs, &dir).map_err(mirror::store_err)?;
+        let recovered = DurableEngine::open_with(vfs, &dir).map_err(store_err)?;
         if let Some(reference) = reference {
             if write_database(recovered.database()) != reference {
                 return Err(Error::Topology(format!(
@@ -309,24 +297,14 @@ impl<V: Vfs + Clone + Send + Sync> MdvSystem<DurableEngine<V>> {
     }
 }
 
-/// First nonexistent `<dir>-r<k>` sibling: the home of a rebuilt MDP store.
-/// Existence is probed through the node's [`Vfs`], so simulated-disk
-/// deployments see the same layout as real ones.
-fn sibling_dir_on<V: Vfs>(vfs: &V, dir: &Path) -> PathBuf {
-    let base = dir.as_os_str().to_string_lossy().into_owned();
-    let mut k = 1u32;
-    loop {
-        let candidate = PathBuf::from(format!("{base}-r{k}"));
-        match vfs.read_dir(&candidate) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return candidate,
-            _ => k += 1,
-        }
-    }
-}
-
 /// A table's rows without their engine-assigned row ids, sorted.
 fn logical_rows(db: &Database, table: &str) -> Vec<Vec<mdv_relstore::Value>> {
-    mirror::rows_sorted(db, table)
+    let mut rows: Vec<Vec<mdv_relstore::Value>> = match db.table(table) {
+        Ok(t) => t.iter().map(|(_, r)| r.clone()).collect(),
+        Err(_) => Vec::new(),
+    };
+    rows.sort_unstable();
+    rows
 }
 
 impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
@@ -395,7 +373,7 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
             return Err(Error::Topology(format!("'{name}' is already an LMR")));
         }
         if self.mode == ReplicationMode::Raft {
-            mdp.raft_enable(self.raft_seed, self.network.now_ms())?;
+            mdp.raft_enable(self.raft_seed, self.network.now_ms());
             mdp.raft_set_compact_threshold(self.raft_compact_threshold);
         }
         let rx = self.network.register(name)?;

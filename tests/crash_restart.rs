@@ -37,8 +37,7 @@ fn scratch(tag: &str) -> PathBuf {
     ))
 }
 
-/// Removes a scratch tree, including the `-r<k>` sibling stores a rebuilt
-/// MDP creates next to its original directory.
+/// Removes a scratch tree.
 fn cleanup(root: &Path) {
     let _ = std::fs::remove_dir_all(root);
 }
@@ -461,6 +460,62 @@ fn the_mdp_journals_no_filter_row_and_recovery_rebuilds_them() {
     }
     assert_consistent(&sys, "lmr", "mdp", &RULES, "after the rebuild");
     cleanup(&root);
+}
+
+/// The WAL file a durable MDP is appending to.
+fn mdp_wal(sys: &MdvSystem<DurableEngine>, name: &str) -> Vec<u8> {
+    let store = sys.mdp(name).unwrap().engine().storage();
+    std::fs::read(store.dir().join(format!("wal-{}", store.epoch()))).unwrap()
+}
+
+#[test]
+fn a_crashed_mdp_reopens_its_own_store_and_writes_no_record_back() {
+    for raft in [false, true] {
+        let root = scratch("in-place");
+        let dir = root.join("mdp");
+        let mut sys = MdvSystem::new_durable(schema());
+        if raft {
+            sys.enable_raft(7).unwrap();
+        }
+        sys.add_mdp_durable("mdp", &dir).unwrap();
+        sys.add_lmr_durable("lmr", "mdp", root.join("lmr")).unwrap();
+        sys.run_to_quiescence().unwrap();
+        sys.subscribe("lmr", RULES[0]).unwrap();
+        for i in 0..3 {
+            sys.register_document("mdp", &provider(i, "a.hub.org", 128, 700))
+                .unwrap();
+        }
+        for restart in 1..=2 {
+            sys.run_to_quiescence().unwrap();
+            let before = mdp_wal(&sys, "mdp");
+            sys.crash_and_restart_mdp("mdp").unwrap();
+            let ctx = format!("raft {raft}, restart {restart}");
+            assert_eq!(
+                sys.mdp("mdp").unwrap().engine().storage().dir(),
+                dir,
+                "{ctx}"
+            );
+            let sibling = PathBuf::from(format!("{}-r{restart}", dir.display()));
+            assert!(!sibling.exists(), "{ctx}: a sibling store {sibling:?}");
+            // a logged op names its table as a length-prefixed string
+            let after = mdp_wal(&sys, "mdp");
+            assert!(after.starts_with(&before), "{ctx}: the WAL was rewritten");
+            let frame = [&8u32.to_le_bytes()[..], b"SysState"].concat();
+            assert!(
+                !after[before.len()..]
+                    .windows(frame.len())
+                    .any(|w| w == frame),
+                "{ctx}: recovery wrote a state record back"
+            );
+            // the reopened node works on in the same store
+            sys.run_to_quiescence().unwrap();
+            sys.register_document("mdp", &provider(10 + restart, "a.hub.org", 96, 700))
+                .unwrap();
+            assert!(mdp_wal(&sys, "mdp").len() > after.len(), "{ctx}");
+            assert_consistent(&sys, "lmr", "mdp", &RULES[..1], &ctx);
+        }
+        cleanup(&root);
+    }
 }
 
 /// Logical time from which the partitions below black-hole a link, well

@@ -9,8 +9,7 @@ use mdv::filter::FilterEngine;
 use mdv::prelude::*;
 use mdv::rdf::{parse_schema, xml};
 use mdv::relstore::{
-    CrashMode, Database, DiskFaultPlan, DurableEngine, FaultVfs, StorageEngine, Value, Vfs,
-    VfsFile, CRASH_MODES,
+    CrashMode, Database, DiskFaultPlan, DurableEngine, FaultVfs, Value, Vfs, VfsFile, CRASH_MODES,
 };
 use mdv::system::transport::{FaultPlan, LinkFaults};
 use mdv::system::{MdvSystem, PublishMsg, RuleDelta};
@@ -119,26 +118,22 @@ fn escaped(text: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// Rebuilds a fresh MDP from the state table of a durable MDP that holds
-/// the record `(key, fields)` besides what its creation wrote.
-fn rebuild_with(key: &str, fields: &str) -> mdv::system::Result<()> {
+/// Reopens an MDP over the store of a durable MDP that holds the records
+/// `records` besides what its creation wrote.
+fn reopen_mdp_with(records: &[(&str, &str)]) -> mdv::system::Result<()> {
     let schema = benchmark_schema();
-    let mut crashed = Mdp::with_storage("m", Database::new(), schema.clone())?;
-    let row = vec![Value::Str(key.into()), Value::Str(fields.into())];
-    crashed
-        .engine_mut()
-        .storage_mut()
-        .insert("SysState", row)
-        .unwrap();
-    let mut fresh = Mdp::with_storage("m", Database::new(), schema)?;
-    fresh
-        .rebuild_from_tables(crashed.engine().storage().database(), 10)
-        .map(|_| ())
+    let mdp = Mdp::with_storage("m", Database::new(), schema.clone())?;
+    let mut store = mdp.engine().storage().clone();
+    for (key, fields) in records {
+        let row = vec![Value::Str((*key).into()), Value::Str((*fields).into())];
+        store.insert("SysState", row).unwrap();
+    }
+    Mdp::reopen("m", schema, store, 10).map(|_| ())
 }
 
 /// Reopens an LMR over the store of a durable LMR that holds the record
 /// `(key, fields)` besides what its creation wrote.
-fn reopen_with(key: &str, fields: &str) -> mdv::system::Result<()> {
+fn reopen_lmr_with(key: &str, fields: &str) -> mdv::system::Result<()> {
     let schema = benchmark_schema();
     let lmr = Lmr::with_storage("l", "m", schema.clone(), Database::new())?;
     let mut store = lmr.storage().clone();
@@ -215,8 +210,8 @@ property! {
     }
 
     /// A truncated or garbled envelope wire form — what the `outbox` and
-    /// `pubbuf` state records hold — is an error: decoded directly, rebuilt
-    /// into an MDP from its state table, or reopened into an LMR.
+    /// `pubbuf` state records hold — is an error: decoded directly, or
+    /// reopened into an MDP or an LMR.
     fn damaged_envelope_rows_are_errors(src) cases = 256; {
         let msg = arb_envelope(src);
         let wire = msg.to_wire();
@@ -224,10 +219,11 @@ property! {
         let damaged = damage(src, &wire);
         prop_assert!(PublishMsg::from_wire(&damaged).is_err(), "decoded {damaged:?}");
 
-        let rebuilds = |wire: &str| rebuild_with(&format!("outbox l\t{}", msg.seq), &escaped(wire)).is_ok();
-        let reopens = |wire: &str| reopen_with(&format!("pubbuf {}", msg.seq), &escaped(wire)).is_ok();
+        let outbox = format!("outbox l\t{}", msg.seq);
+        let rebuilds = |wire: &str| reopen_mdp_with(&[(&outbox, &escaped(wire))]).is_ok();
+        let reopens = |wire: &str| reopen_lmr_with(&format!("pubbuf {}", msg.seq), &escaped(wire)).is_ok();
         prop_assert!(rebuilds(&wire) && reopens(&wire));
-        prop_assert!(!rebuilds(&damaged), "an MDP rebuilt over {damaged:?}");
+        prop_assert!(!rebuilds(&damaged), "an MDP reopened over {damaged:?}");
         prop_assert!(!reopens(&damaged), "an LMR reopened over {damaged:?}");
     }
 
@@ -707,12 +703,28 @@ fn a_damaged_record_of_every_tag_fails_recovery() {
         ("outbox l\t0", "envelope 0"),
         ("replout m2\t0", "move\t1\td.rdf\t"),
         ("replbuf m2\t0", "register\tx\td.rdf\t"),
+        ("raft", "1\tm2\tx\t0\t0\t0\t0"),
+        ("raftlog 1", "1\tnoop"),
         ("wat", ""),
     ];
     for (key, fields) in mdp {
         assert!(
-            rebuild_with(key, fields).is_err(),
-            "an MDP rebuilt over {key:?} {fields:?}"
+            reopen_mdp_with(&[(key, fields)]).is_err(),
+            "an MDP reopened over {key:?} {fields:?}"
+        );
+    }
+    // the Raft records: a whole hard state and log reopen, a damaged entry
+    // or a gap in the log does not
+    let hard = ("raft", "2\tm2\t1,2\t1\t7\t0\t0");
+    assert!(reopen_mdp_with(&[hard, ("raftlog 1", "1\tnoop"), ("raftlog 2", "2\tnoop")]).is_ok());
+    for log in [
+        [("raftlog 1", "1\tnoop"), ("raftlog 3", "2\tnoop")],
+        [("raftlog 1", "x\tnoop"), ("raftlog 2", "2\tnoop")],
+        [("raftlog 1", "1\tnoop"), ("raftlog 2", "2")],
+    ] {
+        assert!(
+            reopen_mdp_with(&[hard, log[0], log[1]]).is_err(),
+            "an MDP reopened over the log {log:?}"
         );
     }
     let lmr = [
@@ -730,7 +742,7 @@ fn a_damaged_record_of_every_tag_fails_recovery() {
     ];
     for (key, fields) in lmr {
         assert!(
-            reopen_with(key, fields).is_err(),
+            reopen_lmr_with(key, fields).is_err(),
             "an LMR reopened over {key:?} {fields:?}"
         );
     }

@@ -41,11 +41,11 @@ use mdv::system::PlacementConfig;
 const PIN_LWW_FAILOVER: u64 = 0xeea5_527d_e017_1314;
 const PIN_RAFT_LEADER_CHANGE: u64 = 0x0910_7dd0_7c3e_5aa3;
 const PIN_PLACEMENT_R2: u64 = 0x0fee_3223_d710_a962;
-const PIN_DURABLE_CRASH_RESTART: u64 = 0x95a1_968e_e430_e218;
+const PIN_DURABLE_CRASH_RESTART: u64 = 0x2dd5_18a5_fda1_d947;
 const PIN_BATCH_REJECTED: u64 = 0x0c72_10cd_9e6c_248b;
 const PIN_LWW_FAILOVER_LOSSY: u64 = 0x0600_eadc_f8fb_e508;
 const PIN_PLACEMENT_R2_LOSSY: u64 = 0x29e9_7766_4c1d_e131;
-const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0xbb96_bede_143a_aa7c;
+const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0xa41c_9a13_69a1_e761;
 const PIN_RAFT_INSTALL_LOSSY: u64 = 0x1411_d0d0_9e2d_6f24;
 const PIN_RAFT_INSTALL_DOCS_LOSSY: u64 = 0xdacc_d946_7ed6_15e4;
 

@@ -535,8 +535,26 @@ fn a_restarted_voter_serves_a_snapshot_without_a_snapshot_table() {
     assert_raft_safety(&probes(&sys), "after the laggard healed");
     assert!(sys.lmr("l1").unwrap().is_cached("doc99.rdf#host"));
     for m in voters {
-        let db = sys.mdp(m).unwrap().engine().storage().database();
-        assert!(db.table("SysRaftLog").is_ok(), "{m} is no raft voter");
+        let mdp = sys.mdp(m).unwrap();
+        let db = mdp.engine().storage().database();
+        let records: BTreeMap<&str, &str> = db
+            .table("SysState")
+            .unwrap()
+            .iter()
+            .map(|(_, row)| (row[0].as_str().unwrap(), row[1].as_str().unwrap()))
+            .collect();
+        assert!(records.contains_key("raft"), "{m} is no raft voter");
+        let mut log: Vec<(u64, u64)> = records
+            .iter()
+            .filter_map(|(key, fields)| {
+                let index = key.strip_prefix("raftlog ")?.parse().ok()?;
+                Some((index, fields.split('\t').next()?.parse().ok()?))
+            })
+            .collect();
+        log.sort_unstable();
+        let probe = mdp.raft_probe().unwrap();
+        let want: Vec<(u64, u64)> = probe.log.iter().map(|(i, t, _)| (*i, *t)).collect();
+        assert_eq!(log, want, "{m}'s raftlog records");
         assert!(db.table("SysRaftSnap").is_err(), "{m} stores a snapshot");
     }
     drop(sys);
