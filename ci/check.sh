@@ -150,10 +150,11 @@ echo "ok: no BENCH_*.json in the repo root"
 # and Raft placement entry, and the per-kind mirror tables with their
 # key-index upgrade, and the relstore planner, range probes, predicate
 # trees, undo-log transactions and file snapshot helpers, and the typed
-# Raft tables with the rebuilt `-r<k>` MDP stores, may be named
-# only where their removal is recorded —
+# Raft tables with the rebuilt `-r<k>` MDP stores, and the three-pass
+# update protocol's pass modes, candidate passes and referrer run, may be
+# named only where their removal is recorded —
 # DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables'
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables|Mode::(Insert|Refresh|Collect)|pass[123]_atoms|referrer_run|result_insert|result_remove|atoms_from_store|check_match_memo'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -319,6 +320,20 @@ for seed in "${CI_SEEDS[@]}"; do
 done
 
 # ---------------------------------------------------------------------------
+step "update replay: the signed update pass against its definitions across fixed seeds"
+# Replays the two update properties (DESIGN.md §5 item 4): every update's
+# added / removed / updated lists equal their definitions over the naive
+# engine and `check_match`, and a register → update → delete → re-register
+# sequence over two cross-referencing documents leaves the same support
+# counts as registering the final versions directly.
+for seed in "${CI_SEEDS[@]}"; do
+  MDV_PROP_SEED="$seed" MDV_PROP_CASES=200 \
+    cargo test -q --offline -p mdv-filter --test properties -- \
+    update_publications_match_their_definition update_converges_to_fresh_state >/dev/null
+  echo "ok: update properties @ MDV_PROP_SEED=$seed"
+done
+
+# ---------------------------------------------------------------------------
 step "cargo doc: public filter API (mdv-filter, -D warnings)"
 # The filter crate is the paper's contribution and its public API is the
 # documented surface (rustdoc'd module docs + runnable examples); gate it
@@ -371,10 +386,11 @@ if [[ "$QUICK" == "0" ]]; then
   step "mdvbench exact counts: replicated-churn updates in O(diff)"
   # Telling which subscriptions an updated resource is re-shipped to must
   # not walk the rule base (DESIGN.md §5 item 4): the end rules a strong
-  # referrer matches come out of the passes and one read-only filter run.
-  # A count, so it repeats for a seed. (Asking `check_match` for every end
-  # rule x every referrer measured 100.3 counterpart probes per document
-  # here at smoke size; the referrer run 4.0.)
+  # referrer matches come out of the update's +1 filter run, which re-adds
+  # the referrer's atoms. A count, so it repeats for a seed. (Asking
+  # `check_match` for every end rule x every referrer measured 100.3
+  # counterpart probes per document here at smoke size; the referrer run
+  # 4.0, the signed pass 4.0.)
   count_gate replicated-churn 20 "update is not O(diff)" \
     core.probes_executed_per_doc
 

@@ -266,14 +266,14 @@ fn run_ablation_groups(config: &Config) {
     );
 }
 
-/// Ablation C: the three-pass update protocol.
+/// Ablation C: the signed update pass.
 fn run_ablation_updates(config: &Config) {
     let rule_count = if config.full { 10_000 } else { 1_000 };
     let docs = if config.full { 500 } else { 200 };
     banner(
         "Ablation C: update/delete protocol (PATH rules)",
-        "expected shape: updates cost a small multiple of registration (three \
-         filter passes, §3.5); deletes similar",
+        "expected shape: updates cost a small multiple of registration (a \
+         retracting and a re-adding filter run, §3.5); deletes similar",
     );
     let (register, update, delete) = ablation_updates(rule_count, docs);
     println!("operation,ms_per_doc");

@@ -232,8 +232,8 @@ pub fn ablation_groups(
     (a, b)
 }
 
-/// Ablation C: cost of the three-pass update protocol relative to plain
-/// registration. Returns `(register_ms, update_ms, delete_ms)` per document
+/// Ablation C: cost of the signed update pass (retract −1, re-add +1)
+/// relative to plain registration. Returns `(register_ms, update_ms, delete_ms)` per document
 /// for a PATH rule base.
 pub fn ablation_updates(rule_count: u64, doc_count: u64) -> (f64, f64, f64) {
     let params = BenchParams {

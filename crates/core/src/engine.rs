@@ -30,19 +30,11 @@ use crate::store::{create_base_tables, Atom, BaseStore, T_STATEMENTS};
 use crate::trace::{FilterRun, FilterStats};
 use crate::trigger_index::TriggerIndex;
 
-/// How a filter pass treats the materialized rule results (see §3.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mode {
-    /// Normal registration: propagate only tuples not yet materialized and
-    /// materialize them (incremental insert pass).
-    Insert,
-    /// Update pass 2: propagate every match (re-derivations included) and
-    /// re-materialize missing tuples.
-    Refresh,
-    /// Update pass 1: read-only evaluation against the *old* state; nothing
-    /// is written, every derivation propagates.
-    Collect,
-}
+/// Signed derivation counts of end-rule tuples, summed over one filter run.
+pub(crate) type Tally = HashMap<(RuleId, String), i64>;
+
+/// Resources matching a rule, each with its support count.
+pub(crate) type Counts = BTreeMap<String, i64>;
 
 /// The MDV filter engine, generic over its storage backend (DESIGN.md §6).
 ///
@@ -335,7 +327,7 @@ impl<S: StorageEngine> FilterEngine<S> {
             end_rules.push(outcome.end);
             // initial matches against the existing base data
             let mut memo = HashMap::new();
-            initial.extend(self.eval_rule_full(outcome.end, &mut memo)?);
+            initial.extend(self.eval_rule_full(outcome.end, &mut memo)?.into_keys());
         }
         if satisfiable == 0 {
             return Err(mdv_rulelang::Error::Unsatisfiable.into());
@@ -511,7 +503,7 @@ impl<S: StorageEngine> FilterEngine<S> {
             self.documents.insert(doc.uri().to_owned(), doc.clone());
             self.stats.documents_registered += 1;
         }
-        let run = self.run_filter(&atoms, Mode::Insert)?;
+        let (run, _) = self.run_filter(&atoms, 1)?;
         let mut pubs: BTreeMap<SubscriptionId, Publication> = BTreeMap::new();
         for (end, uri) in &run.end_matches {
             for sub in self.end_subs.get(end).into_iter().flatten() {
@@ -530,10 +522,13 @@ impl<S: StorageEngine> FilterEngine<S> {
 
     /// Runs the filter over a set of document atoms (paper §3.4): first all
     /// affected triggering rules are determined, then dependent join rules
-    /// are evaluated iteratively along the dependency graph.
-    pub(crate) fn run_filter(&mut self, atoms: &[Atom], mode: Mode) -> Result<FilterRun> {
+    /// are evaluated iteratively along the dependency graph. Each derivation
+    /// counts `sign` (+1 for added atoms, −1 for retracted ones still in the
+    /// base tables); returns the Figure-9 trace and the signed count of
+    /// every end-rule tuple.
+    pub(crate) fn run_filter(&mut self, atoms: &[Atom], sign: i64) -> Result<(FilterRun, Tally)> {
         let mut run = FilterRun::default();
-        let mut seen: HashSet<(RuleId, String)> = HashSet::new();
+        let mut tally = Tally::new();
         self.stats.atoms_processed += atoms.len() as u64;
 
         // iteration 0: affected triggering rules
@@ -542,7 +537,7 @@ impl<S: StorageEngine> FilterEngine<S> {
         self.stats.trigger_evals += evals;
         let mut current: Vec<(String, RuleId)> = Vec::new();
         for (uri, rule) in matches {
-            if seen.insert((rule, uri.clone())) && self.offer(rule, &uri, mode)? {
+            if self.offer(rule, &uri, sign, &mut tally)? {
                 current.push((uri, rule));
             }
         }
@@ -550,13 +545,13 @@ impl<S: StorageEngine> FilterEngine<S> {
 
         // iterations 1..: dependent join rules
         while !current.is_empty() {
-            let next = self.eval_join_iteration(&current, mode, &mut seen)?;
+            let next = self.eval_join_iteration(&current, sign, &mut tally)?;
             current = next;
             if !current.is_empty() {
                 self.record_iteration(&mut run, &current);
             }
         }
-        Ok(run)
+        Ok((run, tally))
     }
 
     fn record_iteration(&mut self, run: &mut FilterRun, results: &[(String, RuleId)]) {
@@ -569,25 +564,22 @@ impl<S: StorageEngine> FilterEngine<S> {
         run.iterations.push(results.to_vec());
     }
 
-    /// Accepts or rejects a derived tuple per the pass mode; accepted tuples
-    /// propagate to the next iteration.
-    fn offer(&mut self, rule: RuleId, uri: &str, mode: Mode) -> Result<bool> {
-        let needs_mat = !self.graph.dependents_of(rule).is_empty();
-        match mode {
-            Mode::Collect => Ok(true),
-            Mode::Refresh => {
-                if needs_mat {
-                    BaseStore::result_insert(&mut self.store, rule, uri)?;
-                }
-                Ok(true)
-            }
-            Mode::Insert => {
-                if needs_mat {
-                    BaseStore::result_insert(&mut self.store, rule, uri)
-                } else {
-                    Ok(true)
-                }
-            }
+    /// Counts one derivation of `(rule, uri)` with `sign` and says whether
+    /// the tuple propagates. A rule with dependents keeps its support in
+    /// `RuleResults` and propagates when that count leaves or reaches zero;
+    /// an end rule without dependents is materialized nowhere, so only this
+    /// run's tally counts it, and it is reported on its first derivation.
+    fn offer(&mut self, rule: RuleId, uri: &str, sign: i64, tally: &mut Tally) -> Result<bool> {
+        let mut first = false;
+        if self.end_subs.contains_key(&rule) {
+            let n = tally.entry((rule, uri.to_owned())).or_insert(0);
+            first = *n == 0;
+            *n += sign;
+        }
+        if self.graph.dependents_of(rule).is_empty() {
+            Ok(first)
+        } else {
+            BaseStore::result_add(&mut self.store, rule, uri, sign)
         }
     }
 
@@ -656,27 +648,30 @@ impl<S: StorageEngine> FilterEngine<S> {
 
     /// One iteration of join-rule evaluation: every join rule an input of
     /// which is in the current results is evaluated; the candidates are
-    /// then deduplicated and offered, which writes materializations — the
-    /// only mutating step.
+    /// then offered, which writes support counts — the only mutating step.
+    /// A pair whose two inputs both changed counts once: the delta splits
+    /// semi-naively, Δ(L⋈R) = ΔL⋈R_after + L_before⋈ΔR.
     fn eval_join_iteration(
         &mut self,
         current: &[(String, RuleId)],
-        mode: Mode,
-        seen: &mut HashSet<(RuleId, String)>,
+        sign: i64,
+        tally: &mut Tally,
     ) -> Result<Vec<(String, RuleId)>> {
-        // delta keyed by producing rule
+        // delta keyed by producing rule, and by resource
         let mut delta: BTreeMap<RuleId, Vec<String>> = BTreeMap::new();
+        let mut flipped = Flipped::new();
         for (uri, rule) in current {
             delta.entry(*rule).or_default().push(uri.clone());
+            flipped.entry(uri.as_str()).or_default().push(*rule);
         }
         let candidates = if self.use_rule_groups {
-            self.join_candidates_grouped(&delta)?
+            self.join_candidates_grouped(&delta, &flipped)?
         } else {
-            self.join_candidates_per_member(&delta)?
+            self.join_candidates_per_member(&delta, &flipped)?
         };
         let mut next = Vec::new();
         for (uri, rule) in candidates {
-            if seen.insert((rule, uri.clone())) && self.offer(rule, &uri, mode)? {
+            if self.offer(rule, &uri, sign, tally)? {
                 next.push((uri, rule));
             }
         }
@@ -695,6 +690,7 @@ impl<S: StorageEngine> FilterEngine<S> {
     fn join_candidates_grouped(
         &mut self,
         delta: &BTreeMap<RuleId, Vec<String>>,
+        flipped: &Flipped,
     ) -> Result<Vec<(String, RuleId)>> {
         struct Feed<'a> {
             gid: GroupId,
@@ -756,7 +752,11 @@ impl<S: StorageEngine> FilterEngine<S> {
         for feed in &feeds {
             for (pos, uri) in feed.uris.iter().enumerate() {
                 for (cpos, cu) in counterparts[feed.probe_of[pos]].iter().enumerate() {
-                    for holder in BaseStore::rules_containing(self.db(), cu)? {
+                    let mut holders = BaseStore::rules_containing(self.db(), cu)?;
+                    if feed.side == Side::Right {
+                        holders = holders_before(flipped, holders, cu);
+                    }
+                    for holder in holders {
                         let member = match feed.side {
                             Side::Left => self.graph.member(feed.gid, feed.rule, holder),
                             Side::Right => self.graph.member(feed.gid, holder, feed.rule),
@@ -794,6 +794,7 @@ impl<S: StorageEngine> FilterEngine<S> {
     fn join_candidates_per_member(
         &mut self,
         delta: &BTreeMap<RuleId, Vec<String>>,
+        flipped: &Flipped,
     ) -> Result<Vec<(String, RuleId)>> {
         // affected join rules, in canonical order: group id, member id
         let mut members: BTreeSet<(GroupId, RuleId)> = BTreeSet::new();
@@ -819,7 +820,12 @@ impl<S: StorageEngine> FilterEngine<S> {
                     self.stats.join_evaluations += 1;
                     self.stats.probes_executed += 1;
                     for cu in self.probe_counterparts(&spec.pred, side, uri, &other.class)? {
-                        if BaseStore::result_contains(self.db(), other.rule, &cu)? {
+                        // a right-side delta sees the left input before it
+                        let flips = side == Side::Right
+                            && flipped
+                                .get(cu.as_str())
+                                .is_some_and(|r| r.contains(&other.rule));
+                        if BaseStore::result_contains(self.db(), other.rule, &cu)? != flips {
                             let reg = if spec.register == side {
                                 uri.clone()
                             } else {
@@ -893,12 +899,13 @@ impl<S: StorageEngine> FilterEngine<S> {
 
     /// Evaluates an atomic rule against the full base data (used when a new
     /// subscription arrives and must see already-registered metadata, and to
-    /// backfill materializations).
+    /// backfill materializations): every matching resource with its support
+    /// count, in URI order.
     pub(crate) fn eval_rule_full(
         &mut self,
         rule: RuleId,
-        memo: &mut HashMap<RuleId, Vec<String>>,
-    ) -> Result<Vec<String>> {
+        memo: &mut HashMap<RuleId, Counts>,
+    ) -> Result<Counts> {
         if let Some(hit) = memo.get(&rule) {
             return Ok(hit.clone());
         }
@@ -913,35 +920,28 @@ impl<S: StorageEngine> FilterEngine<S> {
             .expect("evaluating unknown rule")
             .kind
             .clone();
-        let results: Vec<String> = match &kind {
-            AtomicRuleKind::Trigger { class, pred: None } => {
-                let mut out = Vec::new();
+        let results = match &kind {
+            AtomicRuleKind::Trigger { class, pred } => {
+                let mut out = Counts::new();
                 for c in self.descendants_of(class).to_vec() {
-                    out.extend(BaseStore::resources_of_class(self.db(), &c)?);
-                }
-                out
-            }
-            AtomicRuleKind::Trigger {
-                class,
-                pred: Some(p),
-            } => {
-                let mut out = Vec::new();
-                for c in self.descendants_of(class) {
-                    out.extend(BaseStore::resources_matching(
-                        self.db(),
-                        c,
-                        &p.property,
-                        p.op,
-                        &p.value,
-                    )?);
+                    let hits = match pred {
+                        None => BaseStore::resources_of_class(self.db(), &c)?,
+                        Some(p) => BaseStore::resources_matching(
+                            self.db(),
+                            &c,
+                            &p.property,
+                            p.op,
+                            &p.value,
+                        )?,
+                    };
+                    for uri in hits {
+                        *out.entry(uri).or_default() += 1;
+                    }
                 }
                 out
             }
             AtomicRuleKind::Join(spec) => self.eval_join_full(spec, memo)?,
         };
-        let mut results = results;
-        results.sort();
-        results.dedup();
         memo.insert(rule, results.clone());
         Ok(results)
     }
@@ -949,28 +949,22 @@ impl<S: StorageEngine> FilterEngine<S> {
     fn eval_join_full(
         &mut self,
         spec: &JoinSpec,
-        memo: &mut HashMap<RuleId, Vec<String>>,
-    ) -> Result<Vec<String>> {
+        memo: &mut HashMap<RuleId, Counts>,
+    ) -> Result<Counts> {
         let left = self.eval_rule_full(spec.left.rule, memo)?;
-        let right: HashSet<String> = self
-            .eval_rule_full(spec.right.rule, memo)?
-            .into_iter()
-            .collect();
-        let mut out = Vec::new();
-        for uri in &left {
+        let right = self.eval_rule_full(spec.right.rule, memo)?;
+        let mut out = Counts::new();
+        for uri in left.keys() {
             self.stats.probes_executed += 1;
             let counterparts =
                 self.probe_counterparts(&spec.pred, Side::Left, uri, &spec.right.class)?;
-            let matched: Vec<&String> = counterparts
-                .iter()
-                .filter(|cu| right.contains(*cu))
-                .collect();
-            if matched.is_empty() {
-                continue;
-            }
-            match spec.register {
-                Side::Left => out.push(uri.clone()),
-                Side::Right => out.extend(matched.into_iter().cloned()),
+            // one derivation per (left, right) pair
+            for cu in counterparts.into_iter().filter(|cu| right.contains_key(cu)) {
+                let reg = match spec.register {
+                    Side::Left => uri.clone(),
+                    Side::Right => cu,
+                };
+                *out.entry(reg).or_default() += 1;
             }
         }
         Ok(out)
@@ -983,9 +977,8 @@ impl<S: StorageEngine> FilterEngine<S> {
             return Ok(());
         }
         let mut memo = HashMap::new();
-        let results = self.eval_rule_full(rule, &mut memo)?;
-        for uri in results {
-            BaseStore::result_insert(&mut self.store, rule, &uri)?;
+        for (uri, support) in self.eval_rule_full(rule, &mut memo)? {
+            BaseStore::result_add(&mut self.store, rule, &uri, support)?;
         }
         self.materialized.insert(rule);
         Ok(())
@@ -999,64 +992,71 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// without touching materializations — the reference the properties
     /// hold the update protocol's classification against.
     pub fn check_match(&mut self, rule: RuleId, uri: &str) -> Result<bool> {
-        let mut memo = HashMap::new();
-        self.check_match_memo(rule, uri, &mut memo)
+        Ok(self.support(rule, uri)? > 0)
     }
 
-    fn check_match_memo(
+    /// The support count of `(rule, uri)` in the current state: the
+    /// satisfying values of a trigger rule, or the counterparts of a join
+    /// rule that match its other input (none unless `uri` matches the
+    /// register input), inputs evaluated the same way rather than read
+    /// from the materializations.
+    pub(crate) fn support(&mut self, rule: RuleId, uri: &str) -> Result<i64> {
+        let mut memo = HashMap::new();
+        self.support_memo(rule, uri, &mut memo)
+    }
+
+    fn support_memo(
         &mut self,
         rule: RuleId,
         uri: &str,
-        memo: &mut HashMap<(RuleId, String), bool>,
-    ) -> Result<bool> {
+        memo: &mut HashMap<(RuleId, String), i64>,
+    ) -> Result<i64> {
         if let Some(&hit) = memo.get(&(rule, uri.to_owned())) {
             return Ok(hit);
         }
         // seed to break cycles defensively (the graph is acyclic by
         // construction, but memoization makes this loop-proof)
-        memo.insert((rule, uri.to_owned()), false);
+        memo.insert((rule, uri.to_owned()), 0);
         let kind = self
             .graph
             .rule(rule)
             .ok_or_else(|| Error::Subscription(format!("unknown rule {rule}")))?
             .kind
             .clone();
-        let result = match &kind {
+        let support = match &kind {
             AtomicRuleKind::Trigger { class, pred } => {
                 let class_ok = match BaseStore::resource_class(self.db(), uri)? {
                     Some(actual) => self.schema.is_subclass_of(&actual, class),
                     None => false,
                 };
-                class_ok
-                    && match pred {
-                        None => true,
-                        Some(p) => BaseStore::values_of(self.db(), uri, &p.property)?
-                            .iter()
-                            .any(|v| p.op.matches(v, &p.value)),
-                    }
+                match (class_ok, pred) {
+                    (false, _) => 0,
+                    (true, None) => 1,
+                    (true, Some(p)) => BaseStore::values_of(self.db(), uri, &p.property)?
+                        .iter()
+                        .filter(|v| p.op.matches(v, &p.value))
+                        .count() as i64,
+                }
             }
             AtomicRuleKind::Join(spec) => {
                 let reg = spec.register_input().clone();
                 let other = spec.input(spec.register.other()).clone();
-                if !self.check_match_memo(reg.rule, uri, memo)? {
-                    false
-                } else {
+                let mut n = 0;
+                if self.support_memo(reg.rule, uri, memo)? > 0 {
                     self.stats.probes_executed += 1;
-                    let counterparts =
-                        self.probe_counterparts(&spec.pred, spec.register, uri, &other.class)?;
-                    let mut ok = false;
-                    for cu in counterparts {
-                        if self.check_match_memo(other.rule, &cu, memo)? {
-                            ok = true;
-                            break;
+                    for cu in
+                        self.probe_counterparts(&spec.pred, spec.register, uri, &other.class)?
+                    {
+                        if self.support_memo(other.rule, &cu, memo)? > 0 {
+                            n += 1;
                         }
                     }
-                    ok
                 }
+                n
             }
         };
-        memo.insert((rule, uri.to_owned()), result);
-        Ok(result)
+        memo.insert((rule, uri.to_owned()), support);
+        Ok(support)
     }
 
     /// Computes the strong-reference closure of a resource set (paper §2.4):
@@ -1101,6 +1101,24 @@ impl<S: StorageEngine> FilterEngine<S> {
         }
         Ok(visited.into_iter().collect())
     }
+}
+
+/// One join iteration's delta by resource: the tuples that appeared (in a
+/// +1 run) or disappeared (in a −1 run) in the iteration before.
+type Flipped<'a> = HashMap<&'a str, Vec<RuleId>>;
+
+/// The rules whose materialized results held `uri` before the delta, given
+/// those that hold it now: a tuple in the delta flips back.
+fn holders_before(flipped: &Flipped, mut holders: Vec<RuleId>, uri: &str) -> Vec<RuleId> {
+    for rule in flipped.get(uri).into_iter().flatten() {
+        match holders.iter().position(|h| h == rule) {
+            Some(i) => {
+                holders.remove(i);
+            }
+            None => holders.push(*rule),
+        }
+    }
+    holders
 }
 
 #[cfg(test)]

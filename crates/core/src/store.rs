@@ -7,9 +7,12 @@
 //!   atom, including the synthetic `rdf#subject` marker rows of Figure 4.
 //!   This is the persistent superset of the per-batch `FilterData`.
 //! * `Resources(uri_reference, class, document_uri)` — the resource registry.
-//! * `RuleResults(rule_id, uri_reference)` — materialized results of atomic
-//!   rules that join rules depend on (paper §3.4: "the results of atomic
-//!   rules join rules depend on are materialized").
+//! * `RuleResults(rule_id, uri_reference, support)` — materialized results
+//!   of atomic rules that join rules depend on (paper §3.4: "the results of
+//!   atomic rules join rules depend on are materialized"), each with its
+//!   support count: the number of immediate derivations of the tuple.
+
+use std::collections::BTreeMap;
 
 use mdv_rdf::{Document, Resource, Term, UriRef, RDF_SUBJECT};
 use mdv_relstore::{ColumnDef, DataType, Database, IndexKind, StorageEngine, TableSchema, Value};
@@ -137,6 +140,7 @@ pub fn create_base_tables<S: StorageEngine>(db: &mut S) -> Result<()> {
         vec![
             ColumnDef::new("rule_id", DataType::Int),
             ColumnDef::new("uri_reference", DataType::Str),
+            ColumnDef::new("support", DataType::Int),
         ],
     )?)?;
     db.create_index(
@@ -414,40 +418,46 @@ impl BaseStore {
         Ok(out)
     }
 
-    /// Inserts a result tuple; returns false when it was already present.
-    pub fn result_insert<S: StorageEngine>(db: &mut S, rule: RuleId, uri: &str) -> Result<bool> {
-        if Self::result_contains(db.database(), rule, uri)? {
-            return Ok(false);
+    /// Adds `delta` derivations to a result tuple's support count, inserting
+    /// the row when the count leaves zero and deleting it when it reaches
+    /// zero; returns whether the tuple appeared or disappeared.
+    pub fn result_add<S: StorageEngine>(
+        db: &mut S,
+        rule: RuleId,
+        uri: &str,
+        delta: i64,
+    ) -> Result<bool> {
+        let mut row = vec![Value::from(rule.0 as i64), Value::from(uri)];
+        let t = db.database().table(T_RULE_RESULTS)?;
+        let found = t.index(IDX_RR_PAIR)?.probe(&row).first().copied();
+        let count = match found {
+            Some(rid) => t.get(rid)?[2].as_int().unwrap_or(0) + delta,
+            None => delta,
+        };
+        row.push(Value::Int(count));
+        match found {
+            _ if count < 0 => Err(mdv_relstore::Error::Corrupt(format!(
+                "support of rule {rule} for '{uri}' would drop to {count}"
+            ))),
+            None if count > 0 => db.insert(T_RULE_RESULTS, row).map(|_| true),
+            Some(rid) if count == 0 => db.delete(T_RULE_RESULTS, rid).map(|_| true),
+            Some(rid) => db.update(T_RULE_RESULTS, rid, row).map(|_| false),
+            None => Ok(false),
         }
-        db.insert(
-            T_RULE_RESULTS,
-            vec![Value::from(rule.0 as i64), Value::from(uri)],
-        )?;
-        Ok(true)
+        .map_err(Into::into)
     }
 
-    /// Removes a result tuple; returns false when it was absent.
-    pub fn result_remove<S: StorageEngine>(db: &mut S, rule: RuleId, uri: &str) -> Result<bool> {
-        let rows = db
-            .database()
-            .table(T_RULE_RESULTS)?
-            .index(IDX_RR_PAIR)?
-            .probe(&vec![Value::from(rule.0 as i64), Value::from(uri)]);
-        let removed = !rows.is_empty();
-        for rid in rows {
-            db.delete(T_RULE_RESULTS, rid)?;
-        }
-        Ok(removed)
-    }
-
-    /// All materialized results of a rule.
-    pub fn results_of(db: &Database, rule: RuleId) -> Result<Vec<String>> {
+    /// All materialized results of a rule, with their support counts.
+    pub fn results_of(db: &Database, rule: RuleId) -> Result<BTreeMap<String, i64>> {
         let t = db.table(T_RULE_RESULTS)?;
         let rows = t
             .index(IDX_RR_RULE)?
             .probe(&vec![Value::from(rule.0 as i64)]);
         rows.into_iter()
-            .map(|rid| Ok(t.get(rid)?[1].to_string()))
+            .map(|rid| {
+                let row = t.get(rid)?;
+                Ok((row[1].to_string(), row[2].as_int().unwrap_or(0)))
+            })
             .collect()
     }
 
@@ -617,28 +627,32 @@ mod tests {
     }
 
     #[test]
-    fn rule_results_set_semantics() {
+    fn rule_results_count_support() {
         let mut db = Database::new();
         create_base_tables(&mut db).unwrap();
         let r = RuleId(7);
-        assert!(BaseStore::result_insert(&mut db, r, "a#1").unwrap());
+        assert!(BaseStore::result_add(&mut db, r, "a#1", 1).unwrap());
         assert!(
-            !BaseStore::result_insert(&mut db, r, "a#1").unwrap(),
-            "duplicate rejected"
+            !BaseStore::result_add(&mut db, r, "a#1", 1).unwrap(),
+            "a second derivation only counts"
         );
-        assert!(BaseStore::result_insert(&mut db, r, "a#2").unwrap());
+        assert!(BaseStore::result_add(&mut db, r, "a#2", 3).unwrap());
         assert!(BaseStore::result_contains(&db, r, "a#1").unwrap());
-        assert!(BaseStore::result_insert(&mut db, RuleId(9), "a#1").unwrap());
+        assert!(BaseStore::result_add(&mut db, RuleId(9), "a#1", 1).unwrap());
         let mut holders = BaseStore::rules_containing(&db, "a#1").unwrap();
         holders.sort();
         assert_eq!(holders, vec![r, RuleId(9)]);
         assert!(BaseStore::rules_containing(&db, "a#3").unwrap().is_empty());
         assert_eq!(BaseStore::results_drop_rule(&mut db, RuleId(9)).unwrap(), 1);
-        let mut all = BaseStore::results_of(&db, r).unwrap();
-        all.sort();
-        assert_eq!(all, vec!["a#1".to_owned(), "a#2".to_owned()]);
-        assert!(BaseStore::result_remove(&mut db, r, "a#1").unwrap());
-        assert!(!BaseStore::result_remove(&mut db, r, "a#1").unwrap());
+        let all: Vec<_> = BaseStore::results_of(&db, r).unwrap().into_iter().collect();
+        assert_eq!(all, vec![("a#1".to_owned(), 2), ("a#2".to_owned(), 3)]);
+        assert!(!BaseStore::result_add(&mut db, r, "a#1", -1).unwrap());
+        assert!(BaseStore::result_add(&mut db, r, "a#1", -1).unwrap());
+        assert!(!BaseStore::result_contains(&db, r, "a#1").unwrap());
+        assert!(
+            BaseStore::result_add(&mut db, r, "a#1", -1).is_err(),
+            "a count never drops below zero"
+        );
         assert_eq!(BaseStore::results_drop_rule(&mut db, r).unwrap(), 1);
         assert!(BaseStore::results_of(&db, r).unwrap().is_empty());
     }

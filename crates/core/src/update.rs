@@ -1,36 +1,36 @@
 //! Updates and deletions (paper §3.5).
 //!
-//! One filter execution is not sufficient when documents change. The engine
-//! runs the filter **three times**:
+//! A change can remove matches as well as add them, also of resources it
+//! does not touch (a CycleProvider stops matching when its ServerInformation
+//! loses memory). Every materialized tuple carries a *support count*, the
+//! number of its immediate derivations (counting-based maintenance of a
+//! non-recursive Datalog materialisation), and an update runs the filter
+//! twice over the *touched* resources — the changed ones plus the strong
+//! referrers of updated ones: over their old atoms with sign −1 on the old
+//! state, then, after the base tables change, over their new atoms with
+//! sign +1 on the new state. A tuple propagates only when its count leaves
+//! or reaches zero, so an unchanged match has no delta at all.
 //!
-//! 1. with the *original* version of updated and deleted resources as input
-//!    (read-only pass) — its results are the *candidate* resources, each of
-//!    which no longer matches at least one rule via the old data; every
-//!    derivation along the way is retracted from the materializations;
-//! 2. after writing the modified metadata, with the candidate resources as
-//!    input — its results are the *wrong candidates*, i.e. resources that
-//!    still match (re-deriving their materializations);
-//! 3. with the modified metadata as input — the pass that would suffice if
-//!    no updates or deletions were allowed, producing the new matches.
-//!
-//! True candidates (pass 1 minus pass 2) are published as removals; pass 3
-//! results as additions. Both are classified per subscription, over the
-//! union of its end rules (an `or` rule has one per disjunct), so a
-//! resource another disjunct still matches is not removed. Updated
-//! resources cached via strong references are published as updates to
-//! every subscription whose matched closure contains them.
+//! A touched resource loses every derivation in the −1 run and regains
+//! every one in the +1 run: the two deltas say whether it matched before
+//! and matches after. An untouched one changes only through join
+//! counterparts; one support query on the new state settles it when its
+//! net delta is not zero. Removals and additions are classified per
+//! subscription over the union of its end rules (an `or` rule has one per
+//! disjunct). An updated resource is published as an update to every
+//! subscription one of its strong referrers (itself included) matches
+//! after the change, as the +1 run reports.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use mdv_rdf::{diff, diff_delete_all, Document, DocumentDiff, RDF_SUBJECT};
+use mdv_rdf::{diff, diff_delete_all, Document, DocumentDiff, Resource};
 use mdv_relstore::StorageEngine;
 
 use crate::atoms::RuleId;
-use crate::engine::{FilterEngine, Mode};
+use crate::engine::FilterEngine;
 use crate::error::{Error, Result};
 use crate::registry::{assemble_publications, Publication, SubscriptionId};
 use crate::store::{Atom, BaseStore};
-use crate::trace::FilterRun;
 
 impl<S: StorageEngine> FilterEngine<S> {
     /// Re-registers a modified version of a document (paper §2.2: "updating
@@ -97,29 +97,40 @@ impl<S: StorageEngine> FilterEngine<S> {
             return Ok(Vec::new());
         }
 
-        // ---- pass 1: old state of changed resources (read-only) ----
-        let mut pass1_atoms = Vec::new();
-        for res in &d.deleted {
-            pass1_atoms.extend(Atom::from_resource(res));
+        // the touched resources: the changed ones, and the unchanged ones
+        // that strongly reference an updated or added one — walked on the
+        // old state from both, every strong referrer of an updated resource
+        // on the new state
+        let old: Vec<&Resource> = d
+            .deleted
+            .iter()
+            .chain(d.updated.iter().map(|u| &u.0))
+            .collect();
+        let new: Vec<&Resource> = d
+            .added
+            .iter()
+            .chain(d.updated.iter().map(|u| &u.1))
+            .collect();
+        let changed: HashSet<&str> = old.iter().chain(&new).map(|r| r.uri().as_str()).collect();
+        let mut referrers: BTreeSet<String> = BTreeSet::new();
+        for res in &new {
+            let walk = self.strong_referrers(res.uri().as_str())?;
+            referrers.extend(walk.into_iter().filter(|r| !changed.contains(r.as_str())));
         }
-        for (old_res, _) in &d.updated {
-            pass1_atoms.extend(Atom::from_resource(old_res));
-        }
-        let run1 = self.run_filter(&pass1_atoms, Mode::Collect)?;
-        let before: HashSet<(RuleId, String)> = run1.end_matches.iter().cloned().collect();
-
-        // retract every derivation that involved the changed data
-        let mut retracted: BTreeSet<(RuleId, String)> = BTreeSet::new();
-        for iteration in &run1.iterations {
-            for (uri, rule) in iteration {
-                retracted.insert((*rule, uri.clone()));
+        let mut unchanged_atoms = Vec::new();
+        for uri in &referrers {
+            if let Some(res) = self.resource(uri)? {
+                unchanged_atoms.extend(Atom::from_resource(&res));
             }
         }
-        for (rule, uri) in &retracted {
-            BaseStore::result_remove(&mut self.store, *rule, uri)?;
-        }
+        let touched = |uri: &str| changed.contains(uri) || referrers.contains(uri);
 
-        // ---- apply the changes to the base tables ----
+        // ---- 1. retract the touched atoms from the old state ----
+        let mut old_atoms = unchanged_atoms.clone();
+        old_atoms.extend(old.iter().flat_map(|res| Atom::from_resource(res)));
+        let (_, lost) = self.run_filter(&old_atoms, -1)?;
+
+        // ---- 2. apply the changes to the base tables ----
         for res in &d.deleted {
             BaseStore::remove_resource(&mut self.store, res.uri().as_str())?;
         }
@@ -134,33 +145,37 @@ impl<S: StorageEngine> FilterEngine<S> {
         }
         self.set_document(doc_uri, new_doc);
 
-        // ---- pass 2: candidates against the new state ----
-        let candidates: BTreeSet<&str> = retracted.iter().map(|(_, uri)| uri.as_str()).collect();
-        let mut pass2_atoms = Vec::new();
-        for uri in &candidates {
-            pass2_atoms.extend(self.atoms_from_store(uri)?);
-        }
-        let run2 = self.run_filter(&pass2_atoms, Mode::Refresh)?;
+        // ---- 3. re-add the touched atoms on the new state ----
+        let mut new_atoms = unchanged_atoms;
+        new_atoms.extend(new.iter().flat_map(|res| Atom::from_resource(res)));
+        let (_, gained) = self.run_filter(&new_atoms, 1)?;
 
-        // ---- pass 3: the modified metadata as input ----
-        let mut pass3_atoms = Vec::new();
-        for res in &d.added {
-            pass3_atoms.extend(Atom::from_resource(res));
+        // ---- whether each end-rule tuple held before and holds after ----
+        let mut deltas: BTreeMap<(RuleId, String), (i64, i64)> = BTreeMap::new();
+        for (tuple, n) in lost {
+            deltas.entry(tuple).or_default().0 += n;
         }
-        for (_, new_res) in &d.updated {
-            pass3_atoms.extend(Atom::from_resource(new_res));
+        for (tuple, n) in &gained {
+            deltas.entry(tuple.clone()).or_default().1 += n;
         }
-        let run3 = self.run_filter(&pass3_atoms, Mode::Insert)?;
-
-        // everything matching under the new state, as far as the passes see:
-        // pass 2 re-derives the candidates' surviving matches, pass 3 adds
-        // matches arising from the modified metadata
-        let survived: HashSet<(RuleId, String)> = run2
-            .end_matches
-            .iter()
-            .chain(run3.end_matches.iter())
-            .cloned()
-            .collect();
+        let mut held: HashMap<(RuleId, String), (bool, bool)> = HashMap::new();
+        let mut flipped: BTreeSet<(SubscriptionId, String)> = BTreeSet::new();
+        for ((rule, uri), (lost, gained)) in deltas {
+            let (before, after) = if touched(&uri) {
+                (-lost, gained)
+            } else if lost + gained == 0 {
+                continue; // same support, same answer
+            } else {
+                let after = self.support(rule, &uri)?;
+                (after - lost - gained, after)
+            };
+            if (before > 0) != (after > 0) {
+                for sub in self.end_subs.get(&rule).into_iter().flatten() {
+                    flipped.insert((*sub, uri.clone()));
+                }
+            }
+            held.insert((rule, uri), (before > 0, after > 0));
+        }
 
         // ---- classify per subscription ----
         fn entry(
@@ -170,70 +185,47 @@ impl<S: StorageEngine> FilterEngine<S> {
             pubs.entry(sub).or_insert_with(|| Publication::new(sub))
         }
         let mut pubs: BTreeMap<SubscriptionId, Publication> = BTreeMap::new();
-        // a subscription matches a resource when any of its end rules does
-        // (an or-rule has one end rule per disjunct), so removals and
-        // additions compare the union over each subscription's end rules
-        let per_sub = |matches: &HashSet<(RuleId, String)>| -> BTreeSet<(SubscriptionId, String)> {
-            matches
-                .iter()
-                .flat_map(|(rule, uri)| {
-                    self.end_subs
-                        .get(rule)
-                        .into_iter()
-                        .flatten()
-                        .map(move |sub| (*sub, uri.clone()))
-                })
-                .collect()
-        };
-        let (before, after) = (per_sub(&before), per_sub(&survived));
-        // removals: matched before via old data, not re-derived anywhere
-        for (sub, uri) in before.difference(&after) {
-            entry(&mut pubs, *sub).removed.push(uri.clone());
-        }
-        // additions: matches under the new state that did not exist before
-        for (sub, uri) in after.difference(&before) {
-            entry(&mut pubs, *sub).added.push(uri.clone());
+        // a subscription matches a resource when any of its end rules does;
+        // an end rule no run changed for it answers the same before and after
+        for (sub, uri) in flipped {
+            let ends = self
+                .subscription(sub)
+                .map(|s| s.end_rules.clone())
+                .unwrap_or_default();
+            let (mut before, mut after) = (false, false);
+            for end in ends {
+                let (b, a) = match held.get(&(end, uri.clone())) {
+                    Some(&answer) => answer,
+                    None if touched(&uri) => (false, false),
+                    None => {
+                        let holds = self.support(end, &uri)? > 0;
+                        (holds, holds)
+                    }
+                };
+                before |= b;
+                after |= a;
+            }
+            match (before, after) {
+                (true, false) => entry(&mut pubs, sub).removed.push(uri),
+                (false, true) => entry(&mut pubs, sub).added.push(uri),
+                _ => {}
+            }
         }
         // updates: an updated resource must be re-shipped to every
         // subscription whose matched resources reach it over strong
-        // references (it sits in their cached closure, §2.4). Asked from
-        // the referrers' side — which end rules does each referrer match? —
-        // so the cost follows the matches, not the rule base. Passes 2 and
-        // 3 answer it for the resources they took as input (`survived`);
-        // one read-only run over the remaining referrers' own atoms derives
-        // every rule that registers them.
-        let mut referrers_of: Vec<(String, Vec<String>)> = Vec::new();
-        for (_, new_res) in &d.updated {
-            let u = new_res.uri().to_string();
-            let referrers = self.strong_referrers(&u)?;
-            referrers_of.push((u, referrers));
-        }
-        // the resources whose atoms pass 2 or pass 3 took as input
-        let mut filtered: HashSet<&str> = pass3_atoms.iter().map(|a| a.uri.as_str()).collect();
-        filtered.extend(&candidates);
-        let mut referrer_atoms = Vec::new();
-        for r in referrers_of.iter().flat_map(|(_, referrers)| referrers) {
-            if filtered.insert(r) {
-                referrer_atoms.extend(self.atoms_from_store(r)?);
-            }
-        }
-        let referrer_run = if referrer_atoms.is_empty() {
-            FilterRun::default()
-        } else {
-            self.run_filter(&referrer_atoms, Mode::Collect)?
-        };
+        // references (it sits in their cached closure, §2.4). Every such
+        // referrer is touched, so the +1 run counted its end matches.
         let mut ends_of: HashMap<&str, Vec<RuleId>> = HashMap::new();
-        for (rule, uri) in survived.iter().chain(&referrer_run.end_matches) {
+        for (rule, uri) in gained.keys() {
             ends_of.entry(uri).or_default().push(*rule);
         }
-        for (u, referrers) in &referrers_of {
-            for end in referrers
-                .iter()
-                .filter_map(|r| ends_of.get(r.as_str()))
-                .flatten()
-            {
-                for sub in self.end_subs.get(end).into_iter().flatten() {
-                    entry(&mut pubs, *sub).updated.push(u.clone());
+        for (_, new_res) in &d.updated {
+            let u = new_res.uri().to_string();
+            for r in self.strong_referrers(&u)? {
+                for end in ends_of.get(r.as_str()).into_iter().flatten() {
+                    for sub in self.end_subs.get(end).into_iter().flatten() {
+                        entry(&mut pubs, *sub).updated.push(u.clone());
+                    }
                 }
             }
         }
@@ -246,30 +238,6 @@ impl<S: StorageEngine> FilterEngine<S> {
             Some(doc) => self.documents.insert(uri.to_owned(), doc.clone()),
             None => self.documents.remove(uri),
         };
-    }
-
-    /// Rebuilds a resource's atoms from the base tables (candidate input of
-    /// pass 2 and of the referrer run; the resource may live in any
-    /// document).
-    fn atoms_from_store(&self, uri: &str) -> Result<Vec<Atom>> {
-        let Some(class) = BaseStore::resource_class(self.db(), uri)? else {
-            return Ok(Vec::new()); // deleted candidates have no atoms
-        };
-        let mut atoms = vec![Atom {
-            uri: uri.to_owned(),
-            class: class.clone(),
-            property: RDF_SUBJECT.to_owned(),
-            value: uri.to_owned(),
-        }];
-        for (property, value) in BaseStore::statements_of(self.db(), uri)? {
-            atoms.push(Atom {
-                uri: uri.to_owned(),
-                class: class.clone(),
-                property,
-                value,
-            });
-        }
-        Ok(atoms)
     }
 }
 
@@ -411,6 +379,27 @@ mod tests {
     }
 
     #[test]
+    fn an_unaffected_match_is_not_announced_again() {
+        // memory 92 → 32 removes `host` from the PATH subscription; the OID
+        // subscription still matches `host`, which strongly references the
+        // updated `info`: an update for it, and no addition
+        let mut e = FilterEngine::new(schema());
+        let (oid, _) = e
+            .register_subscription("search CycleProvider c register c where c = 'doc.rdf#host'")
+            .unwrap();
+        let (path, _) = e.register_subscription(PATH_RULE).unwrap();
+        e.register_document(&doc(92)).unwrap();
+        let mut expected = Publication::new(oid);
+        expected.updated = vec!["doc.rdf#info".to_owned()];
+        let mut removal = Publication::new(path);
+        removal.removed = vec!["doc.rdf#host".to_owned()];
+        assert_eq!(
+            e.update_document(&doc(32)).unwrap(),
+            vec![expected, removal]
+        );
+    }
+
+    #[test]
     fn update_keeps_a_resource_another_disjunct_still_matches() {
         // memory 92 → 32 loses the first disjunct, but cpu 600 still
         // satisfies the second: `host` stays matched, only `info` changed
@@ -487,10 +476,10 @@ mod tests {
     }
 
     #[test]
-    fn update_reaches_referrers_the_passes_never_filter() {
+    fn update_reaches_referrers_matched_by_their_own_atoms() {
         // `prov.rdf#p` matches by OID and by `contains` — trigger rules over
         // its own atoms, which an update of the referenced `doc.rdf#info`
-        // gives no pass a reason to re-derive
+        // does not change; as a strong referrer it is touched all the same
         let mut e = FilterEngine::new(schema());
         let (oid, _) = e
             .register_subscription("search CycleProvider c register c where c = 'prov.rdf#p'")
@@ -528,8 +517,8 @@ mod tests {
     #[test]
     fn update_of_a_resource_matched_by_a_rule_with_dependents() {
         // `info` matches `memory > 64`, which the PATH rule's join depends
-        // on: pass 2 re-materializes it, so pass 3's offer is refused and
-        // only pass 2 reports the ServerInformation subscription's match
+        // on: its support count leaves zero in the −1 run and comes back in
+        // the +1 run, which is no change for either subscription
         let mut e = FilterEngine::new(schema());
         let (path, _) = e.register_subscription(PATH_RULE).unwrap();
         let (direct, _) = e

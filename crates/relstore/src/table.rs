@@ -178,31 +178,36 @@ impl Table {
         Ok(slot.row)
     }
 
-    /// Replaces a row in place, keeping its id. Indexes are re-keyed.
+    /// Replaces a row in place, keeping its id. Only the indexes whose key
+    /// columns changed are re-keyed; a key change that would break a unique
+    /// index is refused with no change.
     pub fn update(&mut self, id: RowId, new_row: Row) -> Result<Row> {
         self.schema.check_row(&new_row)?;
         let pos = *self.by_id.get(&id).ok_or_else(|| Error::InvalidRowId {
             table: self.name().to_owned(),
             row: id.0,
         })?;
-        let old_row = self.slots[pos].as_ref().expect("live slot").row.clone();
-        // Unique pre-check against other rows (the row's own entry is exempt).
-        for idx in &self.indexes {
-            if idx.is_unique() {
-                let key = idx.key_of(&new_row);
-                if key != idx.key_of(&old_row) && !idx.probe(&key).is_empty() {
-                    return Err(Error::UniqueViolation {
-                        index: idx.name().to_owned(),
-                        key: format!("{key:?}"),
-                    });
-                }
+        let old_row = &self.slots[pos].as_ref().expect("live slot").row;
+        let rekeyed: Vec<usize> = (0..self.indexes.len())
+            .filter(|&i| self.indexes[i].key_of(&new_row) != self.indexes[i].key_of(old_row))
+            .collect();
+        for &i in &rekeyed {
+            let idx = &self.indexes[i];
+            let key = idx.key_of(&new_row);
+            if idx.is_unique() && !idx.probe(&key).is_empty() {
+                return Err(Error::UniqueViolation {
+                    index: idx.name().to_owned(),
+                    key: format!("{key:?}"),
+                });
             }
         }
-        for idx in &mut self.indexes {
+        let slot = self.slots[pos].as_mut().expect("live slot");
+        let old_row = std::mem::replace(&mut slot.row, new_row);
+        for i in rekeyed {
+            let idx = &mut self.indexes[i];
             idx.remove(&old_row, id);
-            idx.insert(&new_row, id).expect("uniqueness pre-checked");
+            idx.insert(&slot.row, id).expect("uniqueness pre-checked");
         }
-        self.slots[pos].as_mut().expect("live slot").row = new_row;
         Ok(old_row)
     }
 
@@ -342,6 +347,44 @@ mod tests {
         // update to a clashing key fails, same-key update succeeds
         assert!(t.update(b, row(1, "b")).is_err());
         t.update(b, row(2, "b2")).unwrap();
+    }
+
+    #[test]
+    fn update_rekeys_only_changed_indexes_and_keeps_probes_exact() {
+        let mut t = table();
+        t.create_index("pk", IndexKind::Hash, &["id"], true)
+            .unwrap();
+        t.create_index("by_name", IndexKind::BTree, &["name"], false)
+            .unwrap();
+        let a = t.insert(row(1, "a")).unwrap();
+        let b = t.insert(row(2, "b")).unwrap();
+        t.insert(row(3, "b")).unwrap();
+        t.update(a, row(1, "b")).unwrap(); // `by_name` key changes
+        t.update(b, row(4, "b")).unwrap(); // `pk` key changes
+        t.update(b, row(4, "b")).unwrap(); // no key changes
+        assert!(
+            matches!(t.update(a, row(3, "a")), Err(Error::UniqueViolation { .. })),
+            "a key change onto a live unique key is refused"
+        );
+        assert_eq!(
+            t.get(a).unwrap(),
+            &row(1, "b"),
+            "a refused update changes nothing"
+        );
+        for (column, idx) in [(0, "pk"), (1, "by_name")] {
+            for (_, r) in t.iter() {
+                let key = vec![r[column].clone()];
+                let mut scanned: Vec<RowId> = t
+                    .iter()
+                    .filter(|(_, other)| other[column] == key[0])
+                    .map(|(id, _)| id)
+                    .collect();
+                let mut probed = t.index(idx).unwrap().probe(&key);
+                scanned.sort();
+                probed.sort();
+                assert_eq!(probed, scanned, "{idx} probe of {key:?}");
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! exercising the same parser/writer an internet deployment would use.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use mdv_rdf::{Resource, Term, UriRef};
 
@@ -122,12 +123,13 @@ pub enum Message {
     },
     /// MDP → MDP (Raft mode): leader ships a state-machine snapshot to a
     /// follower whose `next_index` precedes the leader's compacted log
-    /// base. `data` is the serialized applied state.
+    /// base. `data` is the serialized applied state, shared with the
+    /// leader's cached snapshot rather than copied into every send.
     InstallSnapshot {
         term: u64,
         last_index: u64,
         last_term: u64,
-        data: String,
+        data: Arc<str>,
     },
     /// MDP → MDP (Raft mode): snapshot install reply; `match_index` is the
     /// snapshot anchor the follower now sits at.

@@ -27,6 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 use mdv_relstore::StorageEngine;
 use mdv_runtime::rng::Prng;
@@ -200,18 +201,19 @@ fn chain_hash(prev: u64, wire: &str) -> u64 {
 }
 
 /// A state-machine snapshot exact at log index `index`, whose entry has
-/// term `term`; `data` is [`snapshot_data`] text.
+/// term `term`; `data` is [`snapshot_data`] text, shared with every
+/// InstallSnapshot sent from it.
 #[derive(Debug)]
 pub(crate) struct Snapshot {
     pub index: u64,
     pub term: u64,
-    pub data: String,
+    pub data: Arc<str>,
 }
 
 /// InstallSnapshot data: the apply hash chain value at the snapshot index
 /// on the first line, the state machine's [`Mdp::export_state`] after it.
-fn snapshot_data(cum_hash: u64, state: &str) -> String {
-    format!("{cum_hash}\n{state}")
+fn snapshot_data(cum_hash: u64, state: &str) -> Arc<str> {
+    format!("{cum_hash}\n{state}").into()
 }
 
 /// Per-voter Raft state. The log vector covers indices `(offset, last]`;
@@ -558,7 +560,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                     term: r.term,
                     last_index: snap.index,
                     last_term: snap.term,
-                    data: snap.data.clone(),
+                    data: Arc::clone(&snap.data),
                 }
             } else {
                 let prev = next - 1;
@@ -875,7 +877,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         term: u64,
         last_index: u64,
         last_term: u64,
-        data: &str,
+        data: &Arc<str>,
         net: &Network,
     ) -> Result<()> {
         let name = self.name.clone();
@@ -1007,7 +1009,12 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// follower tears down its subscriptions, documents, counters and
     /// tombstones, imports the leader's export, and restarts its log empty
     /// at the snapshot anchor.
-    fn raft_install_state(&mut self, data: &str, last_index: u64, last_term: u64) -> Result<()> {
+    fn raft_install_state(
+        &mut self,
+        data: &Arc<str>,
+        last_index: u64,
+        last_term: u64,
+    ) -> Result<()> {
         let bad = || Error::Topology("corrupt raft snapshot header".into());
         let (cum_hash, state) = data.split_once('\n').ok_or_else(bad)?;
         let cum_hash: u64 = cum_hash.parse().map_err(|_| bad())?;
@@ -1050,7 +1057,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 r.snapshot = Some(Snapshot {
                     index: last_index,
                     term: last_term,
-                    data: data.to_owned(),
+                    data: Arc::clone(data),
                 });
                 r.commit = last_index;
                 r.applied = last_index;

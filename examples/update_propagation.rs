@@ -88,6 +88,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(sys.lmr("lmr")?.cached_uris().is_empty());
     assert!(sys.mdp("mdp")?.engine().document("doc.rdf").is_none());
 
-    println!("\nthe three-pass filter protocol (§3.5) drove every transition above.");
+    println!("\nthe signed update pass (§3.5, with support counts) drove every transition above.");
     Ok(())
 }

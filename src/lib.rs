@@ -12,7 +12,7 @@
 //! | [`relstore`] | `mdv-relstore` | embedded relational engine (tables, indexes, commit groups, WAL) |
 //! | [`rdf`] | `mdv-rdf` | RDF model, RDF-Schema with strong/weak references, RDF/XML subset |
 //! | [`rulelang`] | `mdv-rulelang` | the subscription/query language front end |
-//! | [`filter`] | `mdv-filter` | the filter algorithm (decomposition, dependency graph, rule groups, 3-pass updates) |
+//! | [`filter`] | `mdv-filter` | the filter algorithm (decomposition, dependency graph, rule groups, support-counted updates) |
 //! | [`system`] | `mdv-system` | MDPs, LMRs, clients, simulated network, garbage collector |
 //! | [`workload`] | `mdv-workload` | paper benchmark workloads and the ObjectGlobe marketplace generator |
 //!

@@ -38,16 +38,16 @@ use mdv::relstore::{Database, DurableEngine, FaultVfs, StorageEngine};
 use mdv::system::transport::{LinkFaults, NetConfig, NetStats};
 use mdv::system::PlacementConfig;
 
-const PIN_LWW_FAILOVER: u64 = 0xeea5_527d_e017_1314;
-const PIN_RAFT_LEADER_CHANGE: u64 = 0x0910_7dd0_7c3e_5aa3;
-const PIN_PLACEMENT_R2: u64 = 0x0fee_3223_d710_a962;
-const PIN_DURABLE_CRASH_RESTART: u64 = 0x2dd5_18a5_fda1_d947;
-const PIN_BATCH_REJECTED: u64 = 0x0c72_10cd_9e6c_248b;
-const PIN_LWW_FAILOVER_LOSSY: u64 = 0x0600_eadc_f8fb_e508;
-const PIN_PLACEMENT_R2_LOSSY: u64 = 0x29e9_7766_4c1d_e131;
-const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0xa41c_9a13_69a1_e761;
-const PIN_RAFT_INSTALL_LOSSY: u64 = 0x1411_d0d0_9e2d_6f24;
-const PIN_RAFT_INSTALL_DOCS_LOSSY: u64 = 0xdacc_d946_7ed6_15e4;
+const PIN_LWW_FAILOVER: u64 = 0xff44_3cea_806a_1f2c;
+const PIN_RAFT_LEADER_CHANGE: u64 = 0xf329_8f06_52bf_4c61;
+const PIN_PLACEMENT_R2: u64 = 0xea1f_f8f3_2427_9b61;
+const PIN_DURABLE_CRASH_RESTART: u64 = 0xfe68_99d5_5935_5904;
+const PIN_BATCH_REJECTED: u64 = 0xad53_0c95_c2d0_9147;
+const PIN_LWW_FAILOVER_LOSSY: u64 = 0xcb3e_f280_af55_6eb8;
+const PIN_PLACEMENT_R2_LOSSY: u64 = 0xea5f_93d7_394a_c86a;
+const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0xf7f0_e0c5_2dae_0fca;
+const PIN_RAFT_INSTALL_LOSSY: u64 = 0xf816_4e40_fbae_7369;
+const PIN_RAFT_INSTALL_DOCS_LOSSY: u64 = 0x9666_515f_eac1_2da4;
 
 /// Two overlapping subscriptions: a document with memory > 64 and
 /// cpu >= 600 is published to both LMRs in the same operation, so the
