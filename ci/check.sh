@@ -151,10 +151,11 @@ echo "ok: no BENCH_*.json in the repo root"
 # key-index upgrade, and the relstore planner, range probes, predicate
 # trees, undo-log transactions and file snapshot helpers, and the typed
 # Raft tables with the rebuilt `-r<k>` MDP stores, and the three-pass
-# update protocol's pass modes, candidate passes and referrer run, may be
+# update protocol's pass modes, candidate passes and referrer run, and the
+# always-left backfill evaluation with its partition copy, may be
 # named only where their removal is recorded —
 # DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables|Mode::(Insert|Refresh|Collect)|pass[123]_atoms|referrer_run|result_insert|result_remove|atoms_from_store|check_match_memo'
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables|Mode::(Insert|Refresh|Collect)|pass[123]_atoms|referrer_run|result_insert|result_remove|atoms_from_store|check_match_memo|eval_rule_full|BaseStore::partition\b'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -331,6 +332,19 @@ for seed in "${CI_SEEDS[@]}"; do
     cargo test -q --offline -p mdv-filter --test properties -- \
     update_publications_match_their_definition update_converges_to_fresh_state >/dev/null
   echo "ok: update properties @ MDV_PROP_SEED=$seed"
+done
+
+# ---------------------------------------------------------------------------
+step "backfill replay: new rules materialized over existing data across fixed seeds"
+# Replays the backfill property (DESIGN.md §10.4): registering the rules
+# after the data, one at a time or as one batch, yields the initial
+# matches and the support counts of registering them before it, over
+# documents that reference each other's resources, for every rule shape.
+for seed in "${CI_SEEDS[@]}"; do
+  MDV_PROP_SEED="$seed" MDV_PROP_CASES=200 \
+    cargo test -q --offline -p mdv-filter --test properties -- \
+    backfill_equals_live >/dev/null
+  echo "ok: backfill_equals_live @ MDV_PROP_SEED=$seed"
 done
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ use mdv_relstore::{Database, StorageEngine};
 use mdv_rulelang::{normalize, parse_rule, split_or, typecheck, RuleOp};
 
 use crate::atoms::{
-    AtomicRuleKind, GroupId, GroupKey, JoinPred, JoinSpec, RuleId, Side, TriggerOp,
+    AtomicRuleKind, GroupId, GroupKey, JoinPred, JoinSpec, RuleId, Side, TriggerOp, TriggerPred,
 };
-use crate::decompose::decompose;
+use crate::decompose::{decompose, ProtoRules};
 use crate::depgraph::DepGraph;
 use crate::error::{Error, Result};
 use crate::registry::{assemble_publications, Publication, Subscription, SubscriptionId};
@@ -35,6 +35,9 @@ pub(crate) type Tally = HashMap<(RuleId, String), i64>;
 
 /// Resources matching a rule, each with its support count.
 pub(crate) type Counts = BTreeMap<String, i64>;
+
+/// Full results of rules evaluated ahead of their materialization.
+type Filled = HashMap<RuleId, Counts>;
 
 /// The MDV filter engine, generic over its storage backend (DESIGN.md §6).
 ///
@@ -268,84 +271,136 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// normalized, typechecked, decomposed, and merged into the global
     /// dependency graph. Returns the subscription id and the URIs of
     /// resources that *already* match (the initial cache fill of the LMR).
+    /// The batch of one of [`FilterEngine::register_subscriptions`].
     pub fn register_subscription(
         &mut self,
         rule_text: &str,
     ) -> Result<(SubscriptionId, Vec<String>)> {
-        // one commit group per registration: a durable backend makes the
+        let mut out = self.register_subscriptions(&[rule_text])?;
+        Ok(out.pop().expect("one registration per rule"))
+    }
+
+    /// Registers many subscription rules at once, returning per rule, in
+    /// order, its subscription id and the URIs already matching — the same
+    /// ids and matches as registering them one by one. Every rule is
+    /// compiled before any state changes, so one that fails rejects the
+    /// batch and registers nothing. Then all of them are merged into the
+    /// dependency graph, and the new rules are materialized over the
+    /// existing data set-at-a-time: the triggering rules in one pass over
+    /// each `(class, property)` partition they read, the join rules in
+    /// dependency order, each from its input with fewer rows. Crash
+    /// recovery and a Raft install replay a whole rule base through here.
+    pub fn register_subscriptions<T: AsRef<str>>(
+        &mut self,
+        rule_texts: &[T],
+    ) -> Result<Vec<(SubscriptionId, Vec<String>)>> {
+        // one commit group per batch: a durable backend makes the
         // rule-table mirrors and backfilled materializations atomically
         // durable; committed even on error because the in-memory engine
-        // keeps partial state on error and behaviour must not change
+        // keeps what a failing store write left behind
         self.store.begin();
-        let out = self.register_subscription_inner(rule_text);
+        let out = self.register_subscriptions_inner(rule_texts);
         self.store.commit()?;
         out
     }
 
-    fn register_subscription_inner(
+    fn register_subscriptions_inner<T: AsRef<str>>(
         &mut self,
-        rule_text: &str,
-    ) -> Result<(SubscriptionId, Vec<String>)> {
+        rule_texts: &[T],
+    ) -> Result<Vec<(SubscriptionId, Vec<String>)>> {
+        let compiled = rule_texts
+            .iter()
+            .map(|text| self.compile(text.as_ref()))
+            .collect::<Result<Vec<_>>>()?;
+        // merge every rule, mirroring new atomic rules into the rule tables;
+        // the inputs of a new join rule must be materialized from now on
+        let mut inputs: Vec<RuleId> = Vec::new();
+        let mut ends: Vec<Vec<RuleId>> = Vec::with_capacity(compiled.len());
+        for protos in &compiled {
+            let mut end_rules = Vec::with_capacity(protos.len());
+            for proto in protos {
+                let outcome = self.graph.merge(proto);
+                for id in &outcome.created {
+                    let rule = self.graph.rule(*id).expect("created rule exists").clone();
+                    let text = crate::atoms::AtomicRule::canonical_text(&rule.kind);
+                    insert_atomic(&mut self.store, &rule, &text)?;
+                    match &rule.kind {
+                        AtomicRuleKind::Trigger {
+                            class,
+                            pred: Some(p),
+                        } => self.triggers.insert(rule.id, class, p),
+                        AtomicRuleKind::Join(spec) => {
+                            inputs.extend([spec.left.rule, spec.right.rule])
+                        }
+                        AtomicRuleKind::Trigger { pred: None, .. } => {}
+                    }
+                }
+                self.graph.retain(outcome.end);
+                end_rules.push(outcome.end);
+            }
+            ends.push(end_rules);
+        }
+        // the triggering rules among the new inputs and the end rules the
+        // initial fill reads, in one pass per partition; then the inputs,
+        // the joins in creation order, which is dependency order
+        let unmaterialized: Vec<RuleId> = inputs
+            .iter()
+            .chain(ends.iter().flatten())
+            .filter(|rule| !self.materialized.contains(rule))
+            .copied()
+            .collect();
+        let mut filled = self.eval_triggers(&unmaterialized)?;
+        for rule in inputs {
+            self.ensure_materialized(rule, &mut filled)?;
+        }
+        // subscriptions, with their initial matches against the base data
+        let mut initial_of: HashMap<RuleId, Vec<String>> = HashMap::new();
+        let mut out = Vec::with_capacity(ends.len());
+        for (text, end_rules) in rule_texts.iter().zip(ends) {
+            let mut initial: BTreeSet<String> = BTreeSet::new();
+            for end in &end_rules {
+                if !initial_of.contains_key(end) {
+                    let uris = self.full_results(*end, &mut filled)?.into_keys().collect();
+                    initial_of.insert(*end, uris);
+                }
+                initial.extend(initial_of[end].iter().cloned());
+            }
+            let id = SubscriptionId(self.next_sub);
+            self.next_sub += 1;
+            for end in &end_rules {
+                self.end_subs.entry(*end).or_default().push(id);
+            }
+            self.subs.insert(
+                id,
+                Subscription {
+                    id,
+                    rule_text: text.as_ref().to_owned(),
+                    end_rules,
+                },
+            );
+            out.push((id, initial.into_iter().collect()));
+        }
+        Ok(out)
+    }
+
+    /// Compiles a rule into the decomposition of each satisfiable `or`
+    /// disjunct, touching no state.
+    fn compile(&self, rule_text: &str) -> Result<Vec<ProtoRules>> {
         let rule = parse_rule(rule_text)?;
-        let mut end_rules = Vec::new();
-        let mut initial: BTreeSet<String> = BTreeSet::new();
-        let mut satisfiable = 0usize;
+        let mut protos = Vec::new();
         for conj in split_or(&rule) {
             let normalized = match normalize(&conj, &self.schema) {
                 Ok(n) => n,
                 Err(mdv_rulelang::Error::Unsatisfiable) => continue,
                 Err(e) => return Err(e.into()),
             };
-            satisfiable += 1;
             typecheck(&normalized, &self.schema)?;
-            let proto = decompose(&normalized)?;
-            let outcome = self.graph.merge(&proto);
-            // mirror new atomic rules into the relational rule tables
-            for id in &outcome.created {
-                let rule = self.graph.rule(*id).expect("created rule exists").clone();
-                let text = crate::atoms::AtomicRule::canonical_text(&rule.kind);
-                insert_atomic(&mut self.store, &rule, &text)?;
-                if let AtomicRuleKind::Trigger {
-                    class,
-                    pred: Some(p),
-                } = &rule.kind
-                {
-                    self.triggers.insert(rule.id, class, p);
-                }
-            }
-            // any input of a new join rule must be materialized from now on
-            for id in &outcome.created {
-                let rule = self.graph.rule(*id).expect("created rule exists");
-                if let AtomicRuleKind::Join(spec) = &rule.kind {
-                    let inputs = [spec.left.rule, spec.right.rule];
-                    for input in inputs {
-                        self.ensure_materialized(input)?;
-                    }
-                }
-            }
-            self.graph.retain(outcome.end);
-            end_rules.push(outcome.end);
-            // initial matches against the existing base data
-            let mut memo = HashMap::new();
-            initial.extend(self.eval_rule_full(outcome.end, &mut memo)?.into_keys());
+            protos.push(decompose(&normalized)?);
         }
-        if satisfiable == 0 {
+        if protos.is_empty() {
             return Err(mdv_rulelang::Error::Unsatisfiable.into());
         }
-        let id = SubscriptionId(self.next_sub);
-        self.next_sub += 1;
-        for end in &end_rules {
-            self.end_subs.entry(*end).or_default().push(id);
-        }
-        self.subs.insert(
-            id,
-            Subscription {
-                id,
-                rule_text: rule_text.to_owned(),
-                end_rules,
-            },
-        );
-        Ok((id, initial.into_iter().collect()))
+        Ok(protos)
     }
 
     /// Unregisters a subscription, retracting atomic rules nothing else
@@ -882,11 +937,12 @@ impl<S: StorageEngine> FilterEngine<S> {
             } else {
                 // non-equality: scan the (class, property) partitions
                 for oc in &other_classes {
-                    for (cu, value) in BaseStore::partition(self.db(), oc, other_prop)? {
-                        if holds(&value, mv) && seen.insert(cu.clone()) {
-                            out.push(cu);
+                    BaseStore::scan_partition(self.db(), oc, other_prop, |cu, value| {
+                        if holds(value, mv) && !seen.contains(cu) {
+                            seen.insert(cu.to_owned());
+                            out.push(cu.to_owned());
                         }
-                    }
+                    })?;
                 }
             }
         }
@@ -897,74 +953,118 @@ impl<S: StorageEngine> FilterEngine<S> {
     // Full (non-incremental) evaluation: subscription backfill
     // ------------------------------------------------------------------
 
-    /// Evaluates an atomic rule against the full base data (used when a new
-    /// subscription arrives and must see already-registered metadata, and to
-    /// backfill materializations): every matching resource with its support
-    /// count, in URI order.
-    pub(crate) fn eval_rule_full(
-        &mut self,
-        rule: RuleId,
-        memo: &mut HashMap<RuleId, Counts>,
-    ) -> Result<Counts> {
-        if let Some(hit) = memo.get(&rule) {
-            return Ok(hit.clone());
+    /// Every resource matching an atomic rule in the current base data,
+    /// with its support count, in URI order — what a new subscription must
+    /// see of already-registered metadata. Taken from `filled` (triggering
+    /// rules a batch evaluated already) or the materialization when there
+    /// is one, else evaluated.
+    fn full_results(&mut self, rule: RuleId, filled: &mut Filled) -> Result<Counts> {
+        if let Some(counts) = filled.remove(&rule) {
+            return Ok(counts);
         }
         if self.materialized.contains(&rule) {
-            let results = BaseStore::results_of(self.db(), rule)?;
-            memo.insert(rule, results.clone());
-            return Ok(results);
+            return BaseStore::results_of(self.db(), rule);
         }
         let kind = self
             .graph
             .rule(rule)
-            .expect("evaluating unknown rule")
+            .ok_or_else(|| Error::Subscription(format!("unknown rule {rule}")))?
             .kind
             .clone();
-        let results = match &kind {
-            AtomicRuleKind::Trigger { class, pred } => {
-                let mut out = Counts::new();
-                for c in self.descendants_of(class).to_vec() {
-                    let hits = match pred {
-                        None => BaseStore::resources_of_class(self.db(), &c)?,
-                        Some(p) => BaseStore::resources_matching(
-                            self.db(),
-                            &c,
-                            &p.property,
-                            p.op,
-                            &p.value,
-                        )?,
-                    };
-                    for uri in hits {
-                        *out.entry(uri).or_default() += 1;
-                    }
-                }
-                out
-            }
-            AtomicRuleKind::Join(spec) => self.eval_join_full(spec, memo)?,
-        };
-        memo.insert(rule, results.clone());
-        Ok(results)
+        match &kind {
+            AtomicRuleKind::Trigger { .. } => Ok(self
+                .eval_triggers(&[rule])?
+                .remove(&rule)
+                .unwrap_or_default()),
+            AtomicRuleKind::Join(spec) => self.eval_join_full(spec),
+        }
     }
 
-    fn eval_join_full(
-        &mut self,
-        spec: &JoinSpec,
-        memo: &mut HashMap<RuleId, Counts>,
-    ) -> Result<Counts> {
-        let left = self.eval_rule_full(spec.left.rule, memo)?;
-        let right = self.eval_rule_full(spec.right.rule, memo)?;
-        let mut out = Counts::new();
-        for uri in left.keys() {
-            self.stats.probes_executed += 1;
-            let counterparts =
-                self.probe_counterparts(&spec.pred, Side::Left, uri, &spec.right.class)?;
-            // one derivation per (left, right) pair
-            for cu in counterparts.into_iter().filter(|cu| right.contains_key(cu)) {
-                let reg = match spec.register {
-                    Side::Left => uri.clone(),
-                    Side::Right => cu,
+    /// Evaluates the triggering rules among `rules` against the base data
+    /// set-at-a-time: a class rule reads its class's resources, a
+    /// string-equality rule probes the value index, and the other rules
+    /// share one pass over each `(class, property)` partition they read,
+    /// every row tested against each of them. A resource counts one
+    /// derivation per satisfying value.
+    fn eval_triggers(&self, rules: &[RuleId]) -> Result<Filled> {
+        let db = self.db();
+        let mut out = Filled::new();
+        let mut partitions: BTreeMap<(&str, &str), Vec<(RuleId, &TriggerPred)>> = BTreeMap::new();
+        for &rule in rules {
+            let Some(AtomicRuleKind::Trigger { class, pred }) =
+                self.graph.rule(rule).map(|r| &r.kind)
+            else {
+                continue;
+            };
+            if out.contains_key(&rule) {
+                continue;
+            }
+            let counts = out.entry(rule).or_default();
+            if let Some(p) = pred.as_ref().filter(|p| p.op != TriggerOp::EqStr) {
+                partitions
+                    .entry((class, &p.property))
+                    .or_default()
+                    .push((rule, p));
+                continue;
+            }
+            for c in self.descendants_of(class) {
+                let hits = match pred {
+                    None => BaseStore::resources_of_class(db, c)?,
+                    Some(p) => BaseStore::resources_with_value(db, c, &p.property, &p.value)?,
                 };
-                *out.entry(reg).or_default() += 1;
+                for uri in hits {
+                    *counts.entry(uri).or_default() += 1;
+                }
+            }
+        }
+        for ((class, property), group) in partitions {
+            for c in self.descendants_of(class) {
+                BaseStore::scan_partition(db, c, property, |uri, value| {
+                    for (rule, p) in &group {
+                        if p.op.matches(value, &p.value) {
+                            let counts = out.get_mut(rule).expect("entry made above");
+                            *counts.entry(uri.to_owned()).or_default() += 1;
+                        }
+                    }
+                })?;
+            }
+        }
+        Ok(out)
+    }
+
+    /// A join rule's full result from its two materialized inputs, found
+    /// from the input with fewer rows: each of its resources probes for
+    /// counterparts once, and a counterpart counts when the other input
+    /// holds it. That is one derivation per matching pair, whichever side
+    /// finds it, so a join with a selective input costs that input's
+    /// matches, not the store. Both inputs of every join in the graph are
+    /// materialized: a new join's inputs are, in creation order, before
+    /// anything reads it, and they stay so while it exists.
+    fn eval_join_full(&mut self, spec: &JoinSpec) -> Result<Counts> {
+        debug_assert!(
+            self.materialized.contains(&spec.left.rule)
+                && self.materialized.contains(&spec.right.rule),
+            "a join's inputs are materialized"
+        );
+        let rows = |rule| BaseStore::result_count(self.db(), rule);
+        let side = if rows(spec.right.rule)? < rows(spec.left.rule)? {
+            Side::Right
+        } else {
+            Side::Left
+        };
+        let (from, other) = (spec.input(side), spec.input(side.other()));
+        let mut out = Counts::new();
+        for uri in BaseStore::results_of(self.db(), from.rule)?.into_keys() {
+            self.stats.probes_executed += 1;
+            for cu in self.probe_counterparts(&spec.pred, side, &uri, &other.class)? {
+                if BaseStore::result_contains(self.db(), other.rule, &cu)? {
+                    let reg = if spec.register == side {
+                        uri.clone()
+                    } else {
+                        cu
+                    };
+                    *out.entry(reg).or_default() += 1;
+                }
             }
         }
         Ok(out)
@@ -972,12 +1072,11 @@ impl<S: StorageEngine> FilterEngine<S> {
 
     /// Guarantees that a rule's full results are materialized (it gained a
     /// dependent join rule).
-    fn ensure_materialized(&mut self, rule: RuleId) -> Result<()> {
+    fn ensure_materialized(&mut self, rule: RuleId, filled: &mut Filled) -> Result<()> {
         if self.materialized.contains(&rule) {
             return Ok(());
         }
-        let mut memo = HashMap::new();
-        for (uri, support) in self.eval_rule_full(rule, &mut memo)? {
+        for (uri, support) in self.full_results(rule, filled)? {
             BaseStore::result_add(&mut self.store, rule, &uri, support)?;
         }
         self.materialized.insert(rule);
@@ -1266,6 +1365,30 @@ mod tests {
             )
             .unwrap();
         assert_eq!(initial, vec!["doc1.rdf#host".to_owned()]);
+    }
+
+    #[test]
+    fn a_rejected_rule_batch_registers_nothing() {
+        let mut e = FilterEngine::new(paper_schema());
+        assert!(e
+            .register_subscriptions(&[
+                "search CycleProvider c register c where c.serverInformation.memory > 64",
+                "search CycleProvider c register c where c.noSuchProperty = 1",
+            ])
+            .is_err());
+        // nor does an `or` rule whose second disjunct fails
+        assert!(e
+            .register_subscription(
+                "search CycleProvider c register c where c.serverPort > 1 or c.nope = 2"
+            )
+            .is_err());
+        assert!(e.graph().is_empty());
+        assert_eq!(e.db().table("AtomicRules").unwrap().len(), 0);
+        assert!(e.subscriptions().next().is_none());
+        let (sub, _) = e
+            .register_subscription("search CycleProvider c register c where c.serverPort > 1")
+            .unwrap();
+        assert_eq!(sub, SubscriptionId(0), "no id was spent on a rejection");
     }
 
     #[test]

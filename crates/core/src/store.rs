@@ -371,26 +371,35 @@ impl BaseStore {
         if op == TriggerOp::EqStr {
             return Self::resources_with_value(db, class, property, value);
         }
-        Ok(Self::partition(db, class, property)?
-            .into_iter()
-            .filter(|(_, v)| op.matches(v, value))
-            .map(|(uri, _)| uri)
-            .collect())
+        let mut out = Vec::new();
+        Self::scan_partition(db, class, property, |uri, v| {
+            if op.matches(v, value) {
+                out.push(uri.to_owned());
+            }
+        })?;
+        Ok(out)
     }
 
-    /// All `(uri, value)` pairs of a `(class, property)` partition — the
-    /// scan used for non-equality probes.
-    pub fn partition(db: &Database, class: &str, property: &str) -> Result<Vec<(String, String)>> {
+    /// Visits every `(uri, value)` row of a `(class, property)` partition —
+    /// the scan behind non-equality probes. The strings are borrowed from
+    /// the table, so a scan allocates only for the rows its caller keeps.
+    pub(crate) fn scan_partition(
+        db: &Database,
+        class: &str,
+        property: &str,
+        mut visit: impl FnMut(&str, &str),
+    ) -> Result<()> {
         let t = db.table(T_STATEMENTS)?;
         let rows = t
             .index(IDX_STMT_CP)?
             .probe(&vec![Value::from(class), Value::from(property)]);
-        rows.into_iter()
-            .map(|rid| {
-                let row = t.get(rid)?;
-                Ok((row[0].to_string(), row[3].to_string()))
-            })
-            .collect()
+        for rid in rows {
+            let row = t.get(rid)?;
+            if let (Some(uri), Some(value)) = (row[0].as_str(), row[3].as_str()) {
+                visit(uri, value);
+            }
+        }
+        Ok(())
     }
 
     // ---- RuleResults (materialization) ----
@@ -445,6 +454,15 @@ impl BaseStore {
             None => Ok(false),
         }
         .map_err(Into::into)
+    }
+
+    /// The number of materialized results of a rule: one index probe.
+    pub fn result_count(db: &Database, rule: RuleId) -> Result<usize> {
+        Ok(db
+            .table(T_RULE_RESULTS)?
+            .index(IDX_RR_RULE)?
+            .probe(&vec![Value::from(rule.0 as i64)])
+            .len())
     }
 
     /// All materialized results of a rule, with their support counts.
@@ -596,7 +614,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(holders, vec!["doc.rdf#host".to_owned()]);
-        let partition = BaseStore::partition(&db, "ServerInformation", "memory").unwrap();
+        let mut partition = Vec::new();
+        BaseStore::scan_partition(&db, "ServerInformation", "memory", |uri, value| {
+            partition.push((uri.to_owned(), value.to_owned()))
+        })
+        .unwrap();
         assert_eq!(
             partition,
             vec![("doc.rdf#info".to_owned(), "92".to_owned())]

@@ -592,10 +592,20 @@ property! {
     }
 
     /// Registering rules before or after the data yields the same matches
-    /// (backfill equals live filtering).
+    /// and the same materialized support counts (backfill equals live
+    /// filtering), whether the rules are backfilled one at a time or as
+    /// one batch. Providers reference the `info` of another document, or
+    /// of one never registered, so joins cross documents and a backfill
+    /// may find a pair from either side. Every shape of [`arb_rule`] is
+    /// drawn.
     fn backfill_equals_live(src) {
         let rules = arb_rules(src, 6);
-        let docs = arb_docs(src, 8);
+        let specs = src.vec(1..8, arb_doc_spec);
+        let docs: Vec<Document> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| make_doc_referencing(i, s, src.usize_in(0..specs.len() + 1)))
+            .collect();
 
         // live: rules first, then data
         let mut live = FilterEngine::new(schema());
@@ -604,16 +614,29 @@ property! {
         }
         let live_matches = added_matches(&live.register_batch(&docs).unwrap());
 
-        // backfill: data first, then rules
-        let mut back = FilterEngine::new(schema());
-        back.register_batch(&docs).unwrap();
-        let mut back_matches = Vec::new();
-        for (i, r) in rules.iter().enumerate() {
-            let (_, initial) = back.register_subscription(r).unwrap();
-            back_matches.extend(initial.into_iter().map(|u| (i as u64, u)));
+        // backfill one rule at a time: data first, then rules
+        let mut single = FilterEngine::new(schema());
+        single.register_batch(&docs).unwrap();
+        let mut single_matches = Vec::new();
+        for r in &rules {
+            let (sub, initial) = single.register_subscription(r).unwrap();
+            single_matches.extend(initial.into_iter().map(|u| (sub.0, u)));
         }
-        back_matches.sort();
-        prop_assert_eq!(live_matches, back_matches);
+        single_matches.sort();
+
+        // backfill the whole rule base as one batch
+        let mut batch = FilterEngine::new(schema());
+        batch.register_batch(&docs).unwrap();
+        let mut batch_matches = Vec::new();
+        for (sub, initial) in batch.register_subscriptions(&rules).unwrap() {
+            batch_matches.extend(initial.into_iter().map(|u| (sub.0, u)));
+        }
+        batch_matches.sort();
+
+        prop_assert_eq!(&live_matches, &single_matches, "one at a time");
+        prop_assert_eq!(&live_matches, &batch_matches, "as one batch");
+        prop_assert_eq!(rule_results(&live), rule_results(&single), "one at a time");
+        prop_assert_eq!(rule_results(&live), rule_results(&batch), "as one batch");
     }
 
     /// A register → update → delete → re-register sequence over two

@@ -103,6 +103,7 @@
 //! its state table — the per-kind or typed Raft tables of earlier layouts —
 //! fails recovery the same way ("unsupported store layout").
 
+use std::collections::HashSet;
 use std::fmt::Display;
 
 use mdv_rdf::{parse_document, write_document, Document};
@@ -622,22 +623,55 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         Ok(mdp)
     }
 
-    /// Feeds record lines through [`Mdp::apply_record`]; returns
-    /// `(subscriptions, documents)` restored.
+    /// Feeds record lines through [`Mdp::apply_record`], except that a run
+    /// of consecutive `subscription` records registers as one batch
+    /// ([`FilterEngine::register_subscriptions`]): a replayed rule base is
+    /// materialized over the replayed documents by joins, not by one
+    /// backfill per rule. Returns `(subscriptions, documents)` restored.
+    ///
+    /// [`FilterEngine::register_subscriptions`]: mdv_filter::FilterEngine::register_subscriptions
     fn apply_records<'a>(
         &mut self,
         lines: impl Iterator<Item = &'a str>,
         rearm: Option<u64>,
     ) -> Result<(usize, usize)> {
         let (mut subs, mut docs) = (0, 0);
+        let mut run: Vec<(&'a str, u64, String)> = Vec::new();
+        let mut listed: HashSet<(&'a str, u64)> = HashSet::new();
         for line in lines {
-            match self.apply_record(line, rearm)? {
-                "subscription" => subs += 1,
-                "document" => docs += 1,
-                _ => {}
+            let mut f = Fields::of(line);
+            if f.tag == "subscription" {
+                let (lmr, lmr_rule, text) = (f.str()?, f.num()?, f.text()?);
+                f.end()?;
+                self.check_new_rule(lmr, lmr_rule)?;
+                if !listed.insert((lmr, lmr_rule)) {
+                    return Err(listed_twice(lmr, lmr_rule));
+                }
+                run.push((lmr, lmr_rule, text));
+                continue;
+            }
+            subs += self.subscribe_run(std::mem::take(&mut run))?;
+            if self.apply_record(line, rearm)? == "document" {
+                docs += 1;
             }
         }
+        subs += self.subscribe_run(run)?;
         Ok((subs, docs))
+    }
+
+    /// Registers a run of `subscription` records as one batch. No ack and
+    /// no initial fill: the subscribers hold their caches.
+    fn subscribe_run(&mut self, run: Vec<(&str, u64, String)>) -> Result<usize> {
+        if run.is_empty() {
+            return Ok(0);
+        }
+        let texts: Vec<&str> = run.iter().map(|(_, _, text)| text.as_str()).collect();
+        let registered = self.engine.register_subscriptions(&texts)?;
+        for ((lmr, lmr_rule, text), (sub, _initial)) in run.iter().zip(registered) {
+            self.subscribers.insert(sub, lmr, *lmr_rule);
+            self.state_put(|| mdp_records::subscription(lmr, *lmr_rule, text))?;
+        }
+        Ok(run.len())
     }
 
     /// The dispatcher of the MDP grammar: applies one record line to this
@@ -674,14 +708,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 let _pubs = self.engine.register_document(&doc)?;
                 self.state_put(|| rec::document(&doc))?;
             }
-            // no ack and no initial fill: the subscriber holds its cache
-            ("subscription", _) => {
-                let (lmr, lmr_rule, text) = (f.str()?, f.num()?, f.text()?);
-                self.check_new_rule(lmr, lmr_rule)?;
-                let (sub, _initial) = self.engine.register_subscription(&text)?;
-                self.subscribers.insert(sub, lmr, lmr_rule);
-                self.state_put(|| rec::subscription(lmr, lmr_rule, &text))?;
-            }
+            // (`subscription` records register in runs: `apply_records`)
             ("retired", _) => {
                 let (lmr, lmr_rule) = (f.str()?, f.num()?);
                 self.check_new_rule(lmr, lmr_rule)?;
@@ -745,12 +772,14 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// An export lists each `(lmr, rule)` once, live or retired.
     fn check_new_rule(&self, lmr: &str, lmr_rule: u64) -> Result<()> {
         if self.subscribers.knows(lmr, lmr_rule) {
-            return Err(Error::Topology(format!(
-                "rule {lmr_rule} of '{lmr}' listed twice in state"
-            )));
+            return Err(listed_twice(lmr, lmr_rule));
         }
         Ok(())
     }
+}
+
+fn listed_twice(lmr: &str, lmr_rule: u64) -> Error {
+    Error::Topology(format!("rule {lmr_rule} of '{lmr}' listed twice in state"))
 }
 
 // ---------------------------------------------------------------------------

@@ -462,6 +462,85 @@ fn the_mdp_journals_no_filter_row_and_recovery_rebuilds_them() {
     cleanup(&root);
 }
 
+/// Document `i`: a provider whose `serverInformation` is the `info` of
+/// document `info_doc`, and an `info` of its own.
+fn provider_referencing(i: usize, info_doc: usize, host: &str, memory: i64) -> Document {
+    let uri = format!("doc{i}.rdf");
+    Document::new(uri.clone())
+        .with_resource(
+            Resource::new(UriRef::new(&uri, "host"), "CycleProvider")
+                .with("serverHost", Term::literal(host))
+                .with("serverPort", Term::literal("4000"))
+                .with(
+                    "serverInformation",
+                    Term::resource(UriRef::new(&format!("doc{info_doc}.rdf"), "info")),
+                ),
+        )
+        .with_resource(
+            Resource::new(UriRef::new(&uri, "info"), "ServerInformation")
+                .with("memory", Term::literal(memory.to_string()))
+                .with("cpu", Term::literal("600")),
+        )
+}
+
+#[test]
+fn a_replayed_rule_base_rebuilds_the_same_support_counts_and_caches() {
+    // Recovery replays the documents, then the whole rule base as one
+    // batch (`Mdp::reopen`). Half of the rules below were registered
+    // before the data and filtered live, half were backfilled; the
+    // providers reference each other's `info`, so the joins cross
+    // documents. The rebuilt `RuleResults` must hold the support counts the
+    // live engine held, and the LMR must cache the same resources.
+    const BASE: [&str; 8] = [
+        "search CycleProvider c register c where c.serverInformation.memory > 64",
+        "search CycleProvider c register c where c.serverInformation.memory = 96",
+        "search CycleProvider c register c \
+         where c.serverHost contains 'hub' \
+         and c.serverInformation.memory = 96 and c.serverInformation.cpu = 600",
+        "search ServerInformation s register s where s.memory <= 80",
+        "search CycleProvider c register c where c.serverHost contains 'edge'",
+        "search CycleProvider c register c \
+         where c.serverInformation.memory > 200 or c.serverInformation.memory < 50",
+        "search CycleProvider c register c where c = 'doc6.rdf#host'",
+        "search CycleProvider c register c where c.serverInformation.memory > 64",
+    ];
+    let root = scratch("replay");
+    let mut sys = durable_two_tier(&root, NetConfig::default());
+    for rule in &BASE[..4] {
+        sys.subscribe("lmr", rule).unwrap();
+    }
+    for i in 0..10 {
+        let host = if i % 3 == 0 {
+            "a.hub.org"
+        } else {
+            "b.edge.org"
+        };
+        let doc = provider_referencing(i, (i + 3) % 11, host, 32 * (i as i64 % 9));
+        sys.register_document("mdp", &doc).unwrap();
+    }
+    for rule in &BASE[4..] {
+        sys.subscribe("lmr", rule).unwrap();
+    }
+    sys.update_document("mdp", &provider_referencing(4, 7, "c.hub.org", 96))
+        .unwrap();
+    // no provider references `doc2.rdf#info` (`doc10.rdf` is never registered)
+    sys.delete_document("mdp", "doc2.rdf").unwrap();
+    sys.run_to_quiescence().unwrap();
+    let support = |sys: &MdvSystem<DurableEngine>| {
+        rows_of(sys.mdp("mdp").unwrap().engine().db(), "RuleResults")
+    };
+    let (live, cached) = (support(&sys), sys.lmr("lmr").unwrap().cached_uris());
+    assert!(live.len() > 20, "a rule base worth replaying: {live:?}");
+    assert_consistent(&sys, "lmr", "mdp", &BASE, "before the crash");
+
+    sys.crash_and_restart_mdp("mdp").unwrap();
+    sys.run_to_quiescence().unwrap();
+    assert_eq!(support(&sys), live, "rebuilt support counts");
+    assert_eq!(sys.lmr("lmr").unwrap().cached_uris(), cached);
+    assert_consistent(&sys, "lmr", "mdp", &BASE, "after the replay");
+    cleanup(&root);
+}
+
 /// The WAL file a durable MDP is appending to.
 fn mdp_wal(sys: &MdvSystem<DurableEngine>, name: &str) -> Vec<u8> {
     let store = sys.mdp(name).unwrap().engine().storage();

@@ -41,12 +41,12 @@ use mdv::system::PlacementConfig;
 const PIN_LWW_FAILOVER: u64 = 0xff44_3cea_806a_1f2c;
 const PIN_RAFT_LEADER_CHANGE: u64 = 0xf329_8f06_52bf_4c61;
 const PIN_PLACEMENT_R2: u64 = 0xea1f_f8f3_2427_9b61;
-const PIN_DURABLE_CRASH_RESTART: u64 = 0xfe68_99d5_5935_5904;
+const PIN_DURABLE_CRASH_RESTART: u64 = 0x0c6a_ffe2_756d_d849;
 const PIN_BATCH_REJECTED: u64 = 0xad53_0c95_c2d0_9147;
 const PIN_LWW_FAILOVER_LOSSY: u64 = 0xcb3e_f280_af55_6eb8;
 const PIN_PLACEMENT_R2_LOSSY: u64 = 0xea5f_93d7_394a_c86a;
-const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0xf7f0_e0c5_2dae_0fca;
-const PIN_RAFT_INSTALL_LOSSY: u64 = 0xf816_4e40_fbae_7369;
+const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0x7f67_a046_4366_71ff;
+const PIN_RAFT_INSTALL_LOSSY: u64 = 0x7f39_8247_d154_220a;
 const PIN_RAFT_INSTALL_DOCS_LOSSY: u64 = 0x9666_515f_eac1_2da4;
 
 /// Two overlapping subscriptions: a document with memory > 64 and

@@ -259,3 +259,53 @@ fn trigger_op_reconversion_semantics() {
     assert!(TriggerOp::EqNum.matches("0092", "92"));
     assert!(!TriggerOp::EqStr.matches("0092", "92"));
 }
+
+/// `n` providers in one batch; only `doc0` and `doc1` have memory 7.
+fn providers(n: usize) -> Vec<Document> {
+    (0..n)
+        .map(|i| {
+            let uri = format!("doc{i}.rdf");
+            let memory = if i < 2 { 7 } else { 100 + i };
+            Document::new(uri.clone())
+                .with_resource(
+                    Resource::new(UriRef::new(&uri, "host"), "CycleProvider")
+                        .with("serverHost", Term::literal(format!("n{i}.uni-passau.de")))
+                        .with("serverPort", Term::literal("4000"))
+                        .with(
+                            "serverInformation",
+                            Term::resource(UriRef::new(&uri, "info")),
+                        ),
+                )
+                .with_resource(
+                    Resource::new(UriRef::new(&uri, "info"), "ServerInformation")
+                        .with("memory", Term::literal(memory.to_string()))
+                        .with("cpu", Term::literal("600")),
+                )
+        })
+        .collect()
+}
+
+#[test]
+fn backfill_probes_count_the_matches_not_the_store() {
+    // §3.4 evaluates join rules starting from the side that changed; a new
+    // rule's backfill starts from its selective side the same way. A PATH
+    // and a JOIN rule matching two providers probe for counterparts as
+    // often over 500 providers as over 50.
+    const PATH: &str = "search CycleProvider c register c where c.serverInformation.memory = 7";
+    const JOIN: &str = "search CycleProvider c register c \
+                        where c.serverHost contains 'uni-passau.de' \
+                        and c.serverInformation.memory = 7 and c.serverInformation.cpu = 600";
+    let backfill_probes = |n: usize| {
+        let mut engine = FilterEngine::new(paper_schema());
+        engine.register_batch(&providers(n)).unwrap();
+        let before = engine.stats().probes_executed;
+        for rule in [PATH, JOIN] {
+            let (_, initial) = engine.register_subscription(rule).unwrap();
+            assert_eq!(initial, vec!["doc0.rdf#host", "doc1.rdf#host"], "{rule}");
+        }
+        engine.stats().probes_executed - before
+    };
+    let (small, large) = (backfill_probes(50), backfill_probes(500));
+    assert_eq!(small, large, "backfill probes grew with the store");
+    assert_eq!(small, 6, "two matches of two rules, three joins");
+}
