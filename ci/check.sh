@@ -152,10 +152,11 @@ echo "ok: no BENCH_*.json in the repo root"
 # trees, undo-log transactions and file snapshot helpers, and the typed
 # Raft tables with the rebuilt `-r<k>` MDP stores, and the three-pass
 # update protocol's pass modes, candidate passes and referrer run, and the
-# always-left backfill evaluation with its partition copy, may be
-# named only where their removal is recorded —
+# always-left backfill evaluation with its partition copy, and the keyed
+# index stores with their key type and formatted trigger-table names, may
+# be named only where their removal is recorded —
 # DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables|Mode::(Insert|Refresh|Collect)|pass[123]_atoms|referrer_run|result_insert|result_remove|atoms_from_store|check_match_memo|eval_rule_full|BaseStore::partition\b'
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables|Mode::(Insert|Refresh|Collect)|pass[123]_atoms|referrer_run|result_insert|result_remove|atoms_from_store|check_match_memo|eval_rule_full|BaseStore::partition\b|IndexStore|BTreeMap<IndexKey|\bIndexKey\b|filter_table_name|table_suffix'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -345,6 +346,21 @@ for seed in "${CI_SEEDS[@]}"; do
     cargo test -q --offline -p mdv-filter --test properties -- \
     backfill_equals_live >/dev/null
   echo "ok: backfill_equals_live @ MDV_PROP_SEED=$seed"
+done
+
+# ---------------------------------------------------------------------------
+step "index replay: key-less index probes equal filtered scans across fixed seeds"
+# Replays the index property of `crates/relstore/tests/storage_properties.rs`
+# (DESIGN.md §6.1): every probe returns what a filtered scan finds, in
+# filing order, through insert, delete, key-changing and key-keeping
+# updates, truncate, an index built over existing rows and a snapshot
+# replay, over NULL keys, Int/Float-equal keys and distinct keys built to
+# share their full 64-bit hash; unique clashes leave the table unchanged.
+for seed in "${CI_SEEDS[@]}"; do
+  MDV_PROP_SEED="$seed" MDV_PROP_CASES=300 \
+    cargo test -q --offline -p mdv-relstore --test storage_properties \
+    index_probes_equal_filtered_scans >/dev/null
+  echo "ok: index_probes_equal_filtered_scans @ MDV_PROP_SEED=$seed"
 done
 
 # ---------------------------------------------------------------------------

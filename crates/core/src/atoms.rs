@@ -58,21 +58,6 @@ pub enum TriggerOp {
 }
 
 impl TriggerOp {
-    /// The suffix of the `FilterRules*` table this operator's rules live in.
-    pub fn table_suffix(self) -> &'static str {
-        match self {
-            TriggerOp::EqStr => "EQ",
-            TriggerOp::NeStr => "NE",
-            TriggerOp::Contains => "CON",
-            TriggerOp::EqNum => "EQN",
-            TriggerOp::NeNum => "NEN",
-            TriggerOp::Lt => "LT",
-            TriggerOp::Le => "LE",
-            TriggerOp::Gt => "GT",
-            TriggerOp::Ge => "GE",
-        }
-    }
-
     /// Classifies a rule-language operator and constant into a trigger
     /// operator. `numeric` is whether the constant is a numeric literal.
     pub fn classify(op: RuleOp, numeric: bool) -> Option<TriggerOp> {

@@ -655,7 +655,7 @@ impl<S: StorageEngine> FilterEngine<S> {
             .into_iter()
             .filter(|op| {
                 self.db()
-                    .table(&crate::rule_tables::filter_table_name(*op))
+                    .table(crate::rule_tables::trigger_table(*op).table)
                     .map(|t| !t.is_empty())
                     .unwrap_or(false)
             })

@@ -16,6 +16,7 @@ use mdv_relstore::{ColumnDef, DataType, Database, IndexKind, StorageEngine, Tabl
 
 use crate::atoms::{AtomicRule, AtomicRuleKind, RuleId, TriggerOp};
 use crate::error::Result;
+use crate::store::delete_probed;
 
 pub const T_ATOMIC_RULES: &str = "AtomicRules";
 pub const T_RULE_DEPS: &str = "RuleDependencies";
@@ -35,13 +36,42 @@ pub const TRIGGER_OPS: [TriggerOp; 9] = [
     TriggerOp::Ge,
 ];
 
-/// The table name for an operator's triggering rules.
-pub fn filter_table_name(op: TriggerOp) -> String {
-    format!("{T_FILTER_RULES}{}", op.table_suffix())
+const IDX_ATOMIC_BY_RULE: &str = "AtomicRules_by_rule";
+const IDX_FILTER_BY_RULE: &str = "FilterRules_by_rule";
+
+/// The names of one operator's triggering-rule table and of its indexes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TriggerTable {
+    pub table: &'static str,
+    /// `(class, property, value)` for string equality, `(class, property)`
+    /// for every other operator.
+    pub probe_index: &'static str,
+    /// `rule_id`, for retraction.
+    pub by_rule: &'static str,
 }
 
-fn by_rule_index(table: &str) -> String {
-    format!("{table}_by_rule")
+/// The table of an operator's triggering rules and its index names.
+pub fn trigger_table(op: TriggerOp) -> TriggerTable {
+    macro_rules! names {
+        ($suffix:literal, $probe:literal) => {
+            TriggerTable {
+                table: concat!("FilterRules", $suffix),
+                probe_index: concat!("FilterRules", $suffix, $probe),
+                by_rule: concat!("FilterRules", $suffix, "_by_rule"),
+            }
+        };
+    }
+    match op {
+        TriggerOp::EqStr => names!("EQ", "_by_cpv"),
+        TriggerOp::NeStr => names!("NE", "_by_cp"),
+        TriggerOp::Contains => names!("CON", "_by_cp"),
+        TriggerOp::EqNum => names!("EQN", "_by_cp"),
+        TriggerOp::NeNum => names!("NEN", "_by_cp"),
+        TriggerOp::Lt => names!("LT", "_by_cp"),
+        TriggerOp::Le => names!("LE", "_by_cp"),
+        TriggerOp::Gt => names!("GT", "_by_cp"),
+        TriggerOp::Ge => names!("GE", "_by_cp"),
+    }
 }
 
 /// Creates all rule-side tables in `db`.
@@ -58,7 +88,7 @@ pub fn create_rule_tables<S: StorageEngine>(db: &mut S) -> Result<()> {
     )?)?;
     db.create_index(
         T_ATOMIC_RULES,
-        &by_rule_index(T_ATOMIC_RULES),
+        IDX_ATOMIC_BY_RULE,
         IndexKind::Hash,
         &["rule_id"],
         true,
@@ -120,7 +150,7 @@ pub fn create_rule_tables<S: StorageEngine>(db: &mut S) -> Result<()> {
     )?;
     db.create_index(
         T_FILTER_RULES,
-        &by_rule_index(T_FILTER_RULES),
+        IDX_FILTER_BY_RULE,
         IndexKind::Hash,
         &["rule_id"],
         false,
@@ -128,9 +158,9 @@ pub fn create_rule_tables<S: StorageEngine>(db: &mut S) -> Result<()> {
 
     // one table per operator
     for op in TRIGGER_OPS {
-        let name = filter_table_name(op);
+        let names = trigger_table(op);
         db.create_table(TableSchema::new(
-            name.clone(),
+            names.table,
             vec![
                 ColumnDef::new("rule_id", DataType::Int),
                 ColumnDef::new("class", DataType::Str),
@@ -141,8 +171,8 @@ pub fn create_rule_tables<S: StorageEngine>(db: &mut S) -> Result<()> {
         if op == TriggerOp::EqStr {
             // point-probe index: flat cost in rule-base size
             db.create_index(
-                &name,
-                &format!("{name}_by_cpv"),
+                names.table,
+                names.probe_index,
                 IndexKind::Hash,
                 &["class", "property", "value"],
                 false,
@@ -151,16 +181,16 @@ pub fn create_rule_tables<S: StorageEngine>(db: &mut S) -> Result<()> {
             // partition index: probe returns all rules of the partition,
             // values compared after reconversion
             db.create_index(
-                &name,
-                &format!("{name}_by_cp"),
+                names.table,
+                names.probe_index,
                 IndexKind::Hash,
                 &["class", "property"],
                 false,
             )?;
         }
         db.create_index(
-            &name,
-            &by_rule_index(&name),
+            names.table,
+            names.by_rule,
             IndexKind::Hash,
             &["rule_id"],
             false,
@@ -193,7 +223,7 @@ pub fn insert_atomic<S: StorageEngine>(db: &mut S, rule: &AtomicRule, text: &str
             pred: Some(p),
         } => {
             db.insert(
-                filter_table_name(p.op).as_str(),
+                trigger_table(p.op).table,
                 vec![
                     Value::from(rule.id.0 as i64),
                     Value::from(class.as_str()),
@@ -215,12 +245,13 @@ pub fn insert_atomic<S: StorageEngine>(db: &mut S, rule: &AtomicRule, text: &str
                 )?;
             }
             // create the group row if this is its first member
-            let existing = db
+            let first_member = db
                 .database()
                 .table(T_RULE_GROUPS)?
                 .index("RuleGroups_by_id")?
-                .probe(&vec![Value::from(gid.0 as i64)]);
-            if existing.is_empty() {
+                .probe(&[Value::from(gid.0 as i64)])
+                .is_empty();
+            if first_member {
                 db.insert(
                     T_RULE_GROUPS,
                     vec![
@@ -241,56 +272,22 @@ pub fn remove_atomic<S: StorageEngine>(
     rule: &AtomicRule,
     group_emptied: bool,
 ) -> Result<()> {
-    let key = vec![Value::from(rule.id.0 as i64)];
-    let rows = db
-        .database()
-        .table(T_ATOMIC_RULES)?
-        .index(&by_rule_index(T_ATOMIC_RULES))?
-        .probe(&key);
-    for rid in rows {
-        db.delete(T_ATOMIC_RULES, rid)?;
-    }
+    let key = [Value::from(rule.id.0 as i64)];
+    delete_probed(db, T_ATOMIC_RULES, IDX_ATOMIC_BY_RULE, &key)?;
     match &rule.kind {
         AtomicRuleKind::Trigger { pred: None, .. } => {
-            let rows = db
-                .database()
-                .table(T_FILTER_RULES)?
-                .index(&by_rule_index(T_FILTER_RULES))?
-                .probe(&key);
-            for rid in rows {
-                db.delete(T_FILTER_RULES, rid)?;
-            }
+            delete_probed(db, T_FILTER_RULES, IDX_FILTER_BY_RULE, &key)?;
         }
         AtomicRuleKind::Trigger { pred: Some(p), .. } => {
-            let name = filter_table_name(p.op);
-            let rows = db
-                .database()
-                .table(&name)?
-                .index(&by_rule_index(&name))?
-                .probe(&key);
-            for rid in rows {
-                db.delete(&name, rid)?;
-            }
+            let names = trigger_table(p.op);
+            delete_probed(db, names.table, names.by_rule, &key)?;
         }
         AtomicRuleKind::Join(_) => {
-            let rows = db
-                .database()
-                .table(T_RULE_DEPS)?
-                .index("RuleDeps_by_target")?
-                .probe(&key);
-            for rid in rows {
-                db.delete(T_RULE_DEPS, rid)?;
-            }
+            delete_probed(db, T_RULE_DEPS, "RuleDeps_by_target", &key)?;
             if group_emptied {
                 let gid = rule.group.expect("join rules always belong to a group");
-                let rows = db
-                    .database()
-                    .table(T_RULE_GROUPS)?
-                    .index("RuleGroups_by_id")?
-                    .probe(&vec![Value::from(gid.0 as i64)]);
-                for rid in rows {
-                    db.delete(T_RULE_GROUPS, rid)?;
-                }
+                let key = [Value::from(gid.0 as i64)];
+                delete_probed(db, T_RULE_GROUPS, "RuleGroups_by_id", &key)?;
             }
         }
     }
@@ -302,9 +299,9 @@ pub fn class_triggers(db: &Database, class: &str) -> Result<Vec<RuleId>> {
     let t = db.table(T_FILTER_RULES)?;
     let rows = t
         .index("FilterRules_by_class")?
-        .probe(&vec![Value::from(class)]);
-    rows.into_iter()
-        .map(|rid| {
+        .probe(&[Value::from(class)]);
+    rows.iter()
+        .map(|&rid| {
             Ok(RuleId(
                 t.get(rid)?[0].as_int().expect("rule_id is INT") as u64
             ))
@@ -328,17 +325,18 @@ pub fn matching_triggers(
     property: &str,
     doc_value: &str,
 ) -> Result<(Vec<RuleId>, u64)> {
-    let name = filter_table_name(op);
-    let t = db.table(&name)?;
+    let names = trigger_table(op);
+    let t = db.table(names.table)?;
+    let index = t.index(names.probe_index)?;
     if op == TriggerOp::EqStr {
-        let rows = t.index(&format!("{name}_by_cpv"))?.probe(&vec![
+        let rows = index.probe(&[
             Value::from(class),
             Value::from(property),
             Value::from(doc_value),
         ]);
         let hits = rows
-            .into_iter()
-            .map(|rid| {
+            .iter()
+            .map(|&rid| {
                 Ok(RuleId(
                     t.get(rid)?[0].as_int().expect("rule_id is INT") as u64
                 ))
@@ -346,12 +344,10 @@ pub fn matching_triggers(
             .collect::<Result<Vec<_>>>()?;
         return Ok((hits, 0));
     }
-    let rows = t
-        .index(&format!("{name}_by_cp"))?
-        .probe(&vec![Value::from(class), Value::from(property)]);
+    let rows = index.probe(&[Value::from(class), Value::from(property)]);
     let evals = rows.len() as u64;
     let mut out = Vec::new();
-    for rid in rows {
+    for &rid in rows {
         let row = t.get(rid)?;
         let rule_value = row[3].as_str().expect("value is STR");
         if op.matches(doc_value, rule_value) {

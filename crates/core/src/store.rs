@@ -203,7 +203,7 @@ impl BaseStore {
     /// [`BaseStore::insert_resource`] would write for `res`: its registry
     /// row and, as a multiset (row order is not semantic), its atoms.
     pub fn holds_resource(db: &Database, res: &Resource, document_uri: &str) -> Result<bool> {
-        let key = vec![Value::from(res.uri().as_str())];
+        let key = [Value::from(res.uri().as_str())];
         let registry = db.table(T_RESOURCES)?;
         let Some(&rid) = registry.index(IDX_RES_URI)?.probe(&key).first() else {
             return Ok(false);
@@ -218,7 +218,7 @@ impl BaseStore {
             return Ok(false);
         }
         let mut stored = Vec::with_capacity(rids.len());
-        for rid in rids {
+        for &rid in rids {
             let row = statements.get(rid)?;
             stored.push((row[1].as_str(), row[2].as_str(), row[3].as_str()));
         }
@@ -240,23 +240,9 @@ impl BaseStore {
 
     /// Removes a resource's atoms and registry row; a no-op when absent.
     pub fn remove_resource<S: StorageEngine>(db: &mut S, uri: &str) -> Result<()> {
-        let key = vec![Value::from(uri)];
-        let rows: Vec<_> = db
-            .database()
-            .table(T_STATEMENTS)?
-            .index(IDX_STMT_URI)?
-            .probe(&key);
-        for rid in rows {
-            db.delete(T_STATEMENTS, rid)?;
-        }
-        let rows: Vec<_> = db
-            .database()
-            .table(T_RESOURCES)?
-            .index(IDX_RES_URI)?
-            .probe(&key);
-        for rid in rows {
-            db.delete(T_RESOURCES, rid)?;
-        }
+        let key = [Value::from(uri)];
+        delete_probed(db, T_STATEMENTS, IDX_STMT_URI, &key)?;
+        delete_probed(db, T_RESOURCES, IDX_RES_URI, &key)?;
         Ok(())
     }
 
@@ -264,13 +250,13 @@ impl BaseStore {
         Ok(!db
             .table(T_RESOURCES)?
             .index(IDX_RES_URI)?
-            .probe(&vec![Value::from(uri)])
+            .probe(&[Value::from(uri)])
             .is_empty())
     }
 
     pub fn resource_class(db: &Database, uri: &str) -> Result<Option<String>> {
         let t = db.table(T_RESOURCES)?;
-        let rows = t.index(IDX_RES_URI)?.probe(&vec![Value::from(uri)]);
+        let rows = t.index(IDX_RES_URI)?.probe(&[Value::from(uri)]);
         match rows.first() {
             Some(&rid) => Ok(Some(t.get(rid)?[1].to_string())),
             None => Ok(None),
@@ -280,9 +266,9 @@ impl BaseStore {
     /// All resource URIs of a class.
     pub fn resources_of_class(db: &Database, class: &str) -> Result<Vec<String>> {
         let t = db.table(T_RESOURCES)?;
-        let rows = t.index(IDX_RES_CLASS)?.probe(&vec![Value::from(class)]);
-        rows.into_iter()
-            .map(|rid| Ok(t.get(rid)?[0].to_string()))
+        let rows = t.index(IDX_RES_CLASS)?.probe(&[Value::from(class)]);
+        rows.iter()
+            .map(|&rid| Ok(t.get(rid)?[0].to_string()))
             .collect()
     }
 
@@ -292,9 +278,9 @@ impl BaseStore {
             return Ok(vec![uri.to_owned()]);
         }
         let t = db.table(T_STATEMENTS)?;
-        let rows = t.index(IDX_STMT_URI)?.probe(&vec![Value::from(uri)]);
+        let rows = t.index(IDX_STMT_URI)?.probe(&[Value::from(uri)]);
         let mut out = Vec::new();
-        for rid in rows {
+        for &rid in rows {
             let row = t.get(rid)?;
             if row[2].as_str() == Some(property) {
                 out.push(row[3].to_string());
@@ -307,9 +293,9 @@ impl BaseStore {
     /// marker excluded.
     pub fn statements_of(db: &Database, uri: &str) -> Result<Vec<(String, String)>> {
         let t = db.table(T_STATEMENTS)?;
-        let rows = t.index(IDX_STMT_URI)?.probe(&vec![Value::from(uri)]);
+        let rows = t.index(IDX_STMT_URI)?.probe(&[Value::from(uri)]);
         let mut out = Vec::new();
-        for rid in rows {
+        for &rid in rows {
             let row = t.get(rid)?;
             let prop = row[2].to_string();
             if prop != RDF_SUBJECT {
@@ -347,13 +333,13 @@ impl BaseStore {
         value: &str,
     ) -> Result<Vec<String>> {
         let t = db.table(T_STATEMENTS)?;
-        let rows = t.index(IDX_STMT_CPV)?.probe(&vec![
+        let rows = t.index(IDX_STMT_CPV)?.probe(&[
             Value::from(class),
             Value::from(property),
             Value::from(value),
         ]);
-        rows.into_iter()
-            .map(|rid| Ok(t.get(rid)?[0].to_string()))
+        rows.iter()
+            .map(|&rid| Ok(t.get(rid)?[0].to_string()))
             .collect()
     }
 
@@ -392,8 +378,8 @@ impl BaseStore {
         let t = db.table(T_STATEMENTS)?;
         let rows = t
             .index(IDX_STMT_CP)?
-            .probe(&vec![Value::from(class), Value::from(property)]);
-        for rid in rows {
+            .probe(&[Value::from(class), Value::from(property)]);
+        for &rid in rows {
             let row = t.get(rid)?;
             if let (Some(uri), Some(value)) = (row[0].as_str(), row[3].as_str()) {
                 visit(uri, value);
@@ -408,7 +394,7 @@ impl BaseStore {
         let t = db.table(T_RULE_RESULTS)?;
         Ok(!t
             .index(IDX_RR_PAIR)?
-            .probe(&vec![Value::from(rule.0 as i64), Value::from(uri)])
+            .probe(&[Value::from(rule.0 as i64), Value::from(uri)])
             .is_empty())
     }
 
@@ -417,9 +403,9 @@ impl BaseStore {
     /// [`BaseStore::result_contains`] once per group member.
     pub fn rules_containing(db: &Database, uri: &str) -> Result<Vec<RuleId>> {
         let t = db.table(T_RULE_RESULTS)?;
-        let rows = t.index(IDX_RR_URI)?.probe(&vec![Value::from(uri)]);
+        let rows = t.index(IDX_RR_URI)?.probe(&[Value::from(uri)]);
         let mut out = Vec::with_capacity(rows.len());
-        for rid in rows {
+        for &rid in rows {
             if let Some(rule) = t.get(rid)?[0].as_int() {
                 out.push(RuleId(rule as u64));
             }
@@ -461,18 +447,16 @@ impl BaseStore {
         Ok(db
             .table(T_RULE_RESULTS)?
             .index(IDX_RR_RULE)?
-            .probe(&vec![Value::from(rule.0 as i64)])
+            .probe(&[Value::from(rule.0 as i64)])
             .len())
     }
 
     /// All materialized results of a rule, with their support counts.
     pub fn results_of(db: &Database, rule: RuleId) -> Result<BTreeMap<String, i64>> {
         let t = db.table(T_RULE_RESULTS)?;
-        let rows = t
-            .index(IDX_RR_RULE)?
-            .probe(&vec![Value::from(rule.0 as i64)]);
-        rows.into_iter()
-            .map(|rid| {
+        let rows = t.index(IDX_RR_RULE)?.probe(&[Value::from(rule.0 as i64)]);
+        rows.iter()
+            .map(|&rid| {
                 let row = t.get(rid)?;
                 Ok((row[1].to_string(), row[2].as_int().unwrap_or(0)))
             })
@@ -481,17 +465,34 @@ impl BaseStore {
 
     /// Drops every materialized result of a rule (rule retraction).
     pub fn results_drop_rule<S: StorageEngine>(db: &mut S, rule: RuleId) -> Result<usize> {
-        let rows = db
-            .database()
-            .table(T_RULE_RESULTS)?
-            .index(IDX_RR_RULE)?
-            .probe(&vec![Value::from(rule.0 as i64)]);
-        let n = rows.len();
-        for rid in rows {
-            db.delete(T_RULE_RESULTS, rid)?;
-        }
-        Ok(n)
+        delete_probed(
+            db,
+            T_RULE_RESULTS,
+            IDX_RR_RULE,
+            &[Value::from(rule.0 as i64)],
+        )
     }
+}
+
+/// Deletes the rows of `table` that a probe of `index` returns; returns
+/// how many.
+pub(crate) fn delete_probed<S: StorageEngine>(
+    db: &mut S,
+    table: &str,
+    index: &str,
+    key: &[Value],
+) -> Result<usize> {
+    // copied: the probe borrows the table the deletes change
+    let rows = db
+        .database()
+        .table(table)?
+        .index(index)?
+        .probe(key)
+        .to_vec();
+    for &rid in &rows {
+        db.delete(table, rid)?;
+    }
+    Ok(rows.len())
 }
 
 #[cfg(test)]

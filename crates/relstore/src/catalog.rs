@@ -178,6 +178,6 @@ mod tests {
             .insert("t", vec![Value::Int(7), Value::Str("x".into())])
             .unwrap();
         let idx = db.table("t").unwrap().index("by_k").unwrap();
-        assert_eq!(idx.probe(&vec![Value::Int(7)]), vec![id]);
+        assert_eq!(idx.probe(&[Value::Int(7)]), vec![id]);
     }
 }

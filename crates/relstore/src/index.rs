@@ -1,58 +1,88 @@
-//! Secondary indexes: hash and B-tree maps from a composite key (one or
-//! more column values) to the set of live row ids carrying that key. Both
-//! kinds answer point probes; the kind is part of the WAL and snapshot
-//! format.
+//! Secondary indexes: from a composite key (one or more column values) to
+//! the live rows carrying that key, in insertion order.
+//!
+//! An index stores no copy of its keys. It maps the 64-bit hash of a key to
+//! the rows with that hash, kept in one group per distinct key, and a
+//! group's first row stands for its key. Insert, remove, the unique check
+//! and probes hash the key columns where they sit — in the row, or in the
+//! probe key — and compare them against the key columns of that first row
+//! in the table's own slots, so two keys that share a hash keep two groups.
+//! A key held by one row costs no allocation beyond its map entry.
+//!
+//! Every index answers point probes the same way; [`IndexKind`] is a tag
+//! that the WAL and snapshot formats record.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::hash::{BuildHasher, Hash, Hasher};
+
+use mdv_runtime::{MixHashMap, MixState};
 
 use crate::error::{Error, Result};
-use crate::table::RowId;
+use crate::table::{Heap, RowId};
 use crate::value::Value;
 
-/// The physical kind of an index.
+/// The kind an index was declared with, recorded by the WAL and snapshot
+/// formats. Both kinds are stored and probed alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// Hash map; supports equality probes only.
     Hash,
-    /// Ordered map; supports equality probes.
     BTree,
 }
 
-/// Composite index key. `Value`'s total order makes this orderable.
-pub type IndexKey = Vec<Value>;
+/// The hash an index files `key` under: each key column's [`Value`] hash
+/// in key order, through one [`mdv_runtime::MixHasher`].
+pub fn key_hash(key: &[Value]) -> u64 {
+    hash_values(key)
+}
+
+fn hash_values<'v>(values: impl IntoIterator<Item = &'v Value>) -> u64 {
+    let mut h = MixState.build_hasher();
+    for v in values {
+        v.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// Whether two full rows carry the same values in the key columns `cols`.
+fn same_key(cols: &[usize], a: &[Value], b: &[Value]) -> bool {
+    cols.iter().all(|&c| a[c] == b[c])
+}
 
 /// A secondary index over one or more columns of a table.
 #[derive(Debug, Clone)]
 pub struct Index {
     name: String,
+    kind: IndexKind,
     /// Positions of the key columns in the table schema, in key order.
     key_columns: Vec<usize>,
     unique: bool,
-    store: IndexStore,
+    buckets: MixHashMap<u64, Bucket>,
 }
 
+/// The rows of the keys that share one hash.
 #[derive(Debug, Clone)]
-enum IndexStore {
-    Hash(HashMap<IndexKey, Vec<RowId>>),
-    BTree(BTreeMap<IndexKey, Vec<RowId>>),
+enum Bucket {
+    /// One key, held by one row.
+    One(RowId),
+    /// One key, held by several rows.
+    Many(Vec<RowId>),
+    /// Distinct keys, one group each.
+    Collided(Vec<Vec<RowId>>),
 }
 
 impl Index {
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         kind: IndexKind,
         key_columns: Vec<usize>,
         unique: bool,
     ) -> Self {
-        let store = match kind {
-            IndexKind::Hash => IndexStore::Hash(HashMap::new()),
-            IndexKind::BTree => IndexStore::BTree(BTreeMap::new()),
-        };
         Index {
             name: name.into(),
+            kind,
             key_columns,
             unique,
-            store,
+            buckets: MixHashMap::default(),
         }
     }
 
@@ -65,89 +95,178 @@ impl Index {
     }
 
     pub fn kind(&self) -> IndexKind {
-        match self.store {
-            IndexStore::Hash(_) => IndexKind::Hash,
-            IndexStore::BTree(_) => IndexKind::BTree,
-        }
+        self.kind
     }
 
     pub fn is_unique(&self) -> bool {
         self.unique
     }
 
-    /// Extracts this index's key from a full table row.
-    pub fn key_of(&self, row: &[Value]) -> IndexKey {
-        self.key_columns.iter().map(|&i| row[i].clone()).collect()
+    /// Number of distinct keys currently in the index.
+    pub fn distinct_keys(&self) -> usize {
+        self.buckets
+            .values()
+            .map(|b| match b {
+                Bucket::One(_) | Bucket::Many(_) => 1,
+                Bucket::Collided(groups) => groups.len(),
+            })
+            .sum()
     }
 
-    /// Inserts a (key, row) entry. Fails on unique violation without mutating.
-    pub fn insert(&mut self, row: &[Value], rid: RowId) -> Result<()> {
-        let key = self.key_of(row);
-        if self.unique {
-            if let Some(existing) = self.get_bucket(&key) {
-                if !existing.is_empty() {
-                    return Err(Error::UniqueViolation {
-                        index: self.name.clone(),
-                        key: format!("{key:?}"),
-                    });
-                }
-            }
+    /// The hash of `row`'s key, read where its key columns sit.
+    fn row_hash(&self, row: &[Value]) -> u64 {
+        hash_values(self.key_columns.iter().map(|&c| &row[c]))
+    }
+
+    /// The group filed under `hash` whose first row satisfies `is_key`.
+    fn group(&self, hash: u64, is_key: impl Fn(RowId) -> bool) -> &[RowId] {
+        match self.buckets.get(&hash) {
+            Some(Bucket::One(rid)) if is_key(*rid) => std::slice::from_ref(rid),
+            Some(Bucket::Many(rows)) if is_key(rows[0]) => rows,
+            Some(Bucket::Collided(groups)) => groups
+                .iter()
+                .find(|g| is_key(g[0]))
+                .map_or(&[], Vec::as_slice),
+            _ => &[],
         }
-        match &mut self.store {
-            IndexStore::Hash(m) => m.entry(key).or_default().push(rid),
-            IndexStore::BTree(m) => m.entry(key).or_default().push(rid),
+    }
+
+    /// Refuses `row` when this index is unique and another live row holds
+    /// its key.
+    pub(crate) fn check_unique(&self, row: &[Value], heap: &Heap) -> Result<()> {
+        if self.unique
+            && !self
+                .group(self.row_hash(row), |rid| {
+                    same_key(&self.key_columns, row, heap.row(rid))
+                })
+                .is_empty()
+        {
+            let key: Vec<&Value> = self.key_columns.iter().map(|&c| &row[c]).collect();
+            return Err(Error::UniqueViolation {
+                index: self.name.clone(),
+                key: format!("{key:?}"),
+            });
         }
         Ok(())
     }
 
-    /// Removes a (key, row) entry; a no-op if the entry is absent.
-    pub fn remove(&mut self, row: &[Value], rid: RowId) {
-        let key = self.key_of(row);
-        let bucket = match &mut self.store {
-            IndexStore::Hash(m) => m.get_mut(&key),
-            IndexStore::BTree(m) => m.get_mut(&key),
+    /// Whether `a` and `b` file under different keys of this index.
+    pub(crate) fn rekeys(&self, a: &[Value], b: &[Value]) -> bool {
+        !same_key(&self.key_columns, a, b)
+    }
+
+    /// Files `rid`, whose row is `row`, at the end of its key's group. The
+    /// caller has run [`Index::check_unique`].
+    pub(crate) fn insert(&mut self, row: &[Value], rid: RowId, heap: &Heap) {
+        let hash = self.row_hash(row);
+        let cols = &self.key_columns;
+        let same_key = |first: RowId| same_key(cols, row, heap.row(first));
+        let bucket = match self.buckets.entry(hash) {
+            Entry::Vacant(e) => {
+                e.insert(Bucket::One(rid));
+                return;
+            }
+            Entry::Occupied(e) => e.into_mut(),
         };
-        if let Some(bucket) = bucket {
-            bucket.retain(|&r| r != rid);
-            if bucket.is_empty() {
-                match &mut self.store {
-                    IndexStore::Hash(m) => {
-                        m.remove(&key);
-                    }
-                    IndexStore::BTree(m) => {
-                        m.remove(&key);
-                    }
+        match bucket {
+            Bucket::One(first) => {
+                let first = *first;
+                *bucket = if same_key(first) {
+                    Bucket::Many(vec![first, rid])
+                } else {
+                    Bucket::Collided(vec![vec![first], vec![rid]])
+                };
+            }
+            Bucket::Many(rows) if same_key(rows[0]) => rows.push(rid),
+            Bucket::Many(rows) => *bucket = Bucket::Collided(vec![std::mem::take(rows), vec![rid]]),
+            Bucket::Collided(groups) => match groups.iter_mut().find(|g| same_key(g[0])) {
+                Some(group) => group.push(rid),
+                None => groups.push(vec![rid]),
+            },
+        }
+    }
+
+    /// Removes `rid`, whose row is `row`, from its key's group; a no-op if
+    /// it is not filed.
+    pub(crate) fn remove(&mut self, row: &[Value], rid: RowId) {
+        let Entry::Occupied(mut entry) = self.buckets.entry(self.row_hash(row)) else {
+            return;
+        };
+        // a row sits in one group only, so its id finds that group
+        let drop_row = |rows: &mut Vec<RowId>| {
+            if let Some(at) = rows.iter().position(|&r| r == rid) {
+                rows.remove(at);
+            }
+        };
+        let left = match entry.get_mut() {
+            Bucket::One(first) if *first == rid => None,
+            Bucket::One(_) => return,
+            Bucket::Many(rows) => {
+                drop_row(rows);
+                match rows.as_slice() {
+                    [only] => Some(Bucket::One(*only)),
+                    _ => return,
                 }
+            }
+            Bucket::Collided(groups) => {
+                groups.iter_mut().for_each(drop_row);
+                groups.retain(|g| !g.is_empty());
+                match groups.as_mut_slice() {
+                    [] => None,
+                    [only] => Some(match only.as_slice() {
+                        [one] => Bucket::One(*one),
+                        _ => Bucket::Many(std::mem::take(only)),
+                    }),
+                    _ => return,
+                }
+            }
+        };
+        match left {
+            Some(bucket) => *entry.get_mut() = bucket,
+            None => {
+                entry.remove();
             }
         }
     }
 
-    fn get_bucket(&self, key: &IndexKey) -> Option<&Vec<RowId>> {
-        match &self.store {
-            IndexStore::Hash(m) => m.get(key),
-            IndexStore::BTree(m) => m.get(key),
-        }
-    }
-
-    /// Point probe: all row ids with exactly this key.
-    pub fn probe(&self, key: &IndexKey) -> Vec<RowId> {
-        self.get_bucket(key).cloned().unwrap_or_default()
-    }
-
-    /// Number of distinct keys currently in the index.
-    pub fn distinct_keys(&self) -> usize {
-        match &self.store {
-            IndexStore::Hash(m) => m.len(),
-            IndexStore::BTree(m) => m.len(),
-        }
-    }
-
     /// Drops all entries (used when truncating a table).
-    pub fn clear(&mut self) {
-        match &mut self.store {
-            IndexStore::Hash(m) => m.clear(),
-            IndexStore::BTree(m) => m.clear(),
+    pub(crate) fn clear(&mut self) {
+        self.buckets.clear();
+    }
+}
+
+/// An index of a table, able to probe it: what
+/// [`Table::index`](crate::Table::index) returns.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexView<'t> {
+    index: &'t Index,
+    heap: &'t Heap,
+}
+
+impl<'t> IndexView<'t> {
+    pub(crate) fn new(index: &'t Index, heap: &'t Heap) -> Self {
+        IndexView { index, heap }
+    }
+
+    /// Point probe: the live rows with exactly this key, in insertion order
+    /// (a row whose key an update changed sits at the end of its new key).
+    pub fn probe(&self, key: &[Value]) -> &'t [RowId] {
+        let (cols, heap) = (&self.index.key_columns, self.heap);
+        if key.len() != cols.len() {
+            return &[];
         }
+        self.index.group(key_hash(key), |rid| {
+            let row = heap.row(rid);
+            cols.iter().zip(key).all(|(&c, v)| row[c] == *v)
+        })
+    }
+}
+
+impl std::ops::Deref for IndexView<'_> {
+    type Target = Index;
+
+    fn deref(&self) -> &Index {
+        self.index
     }
 }
 
@@ -155,50 +274,22 @@ impl Index {
 mod tests {
     use super::*;
 
-    fn row(vals: &[i64]) -> Vec<Value> {
-        vals.iter().map(|&v| Value::Int(v)).collect()
+    #[test]
+    fn small_integer_keys_spread_over_the_low_bits() {
+        // an Int hashes through its f64 bits, whose low half is zero here
+        let mut counts = vec![0usize; 1024];
+        for i in 0..10_000 {
+            counts[key_hash(&[Value::Int(i)]) as usize & 1023] += 1;
+        }
+        let fullest = counts.into_iter().max().unwrap();
+        assert!(fullest <= 30, "fullest of 1024 buckets holds {fullest}");
     }
 
     #[test]
-    fn hash_index_point_probe() {
-        let mut idx = Index::new("i", IndexKind::Hash, vec![0], false);
-        idx.insert(&row(&[1, 10]), RowId(0)).unwrap();
-        idx.insert(&row(&[1, 20]), RowId(1)).unwrap();
-        idx.insert(&row(&[2, 30]), RowId(2)).unwrap();
-        let mut hits = idx.probe(&vec![Value::Int(1)]);
-        hits.sort();
-        assert_eq!(hits, vec![RowId(0), RowId(1)]);
-        assert!(idx.probe(&vec![Value::Int(9)]).is_empty());
-    }
-
-    #[test]
-    fn unique_violation() {
-        let mut idx = Index::new("u", IndexKind::Hash, vec![0], true);
-        idx.insert(&row(&[1]), RowId(0)).unwrap();
-        let err = idx.insert(&row(&[1]), RowId(1)).unwrap_err();
-        assert!(matches!(err, Error::UniqueViolation { .. }));
-        // after removing, the key can be reused
-        idx.remove(&row(&[1]), RowId(0));
-        idx.insert(&row(&[1]), RowId(2)).unwrap();
-    }
-
-    #[test]
-    fn remove_is_exact() {
-        let mut idx = Index::new("i", IndexKind::Hash, vec![0], false);
-        idx.insert(&row(&[5]), RowId(0)).unwrap();
-        idx.insert(&row(&[5]), RowId(1)).unwrap();
-        idx.remove(&row(&[5]), RowId(0));
-        assert_eq!(idx.probe(&vec![Value::Int(5)]), vec![RowId(1)]);
-        // removing a non-member is a no-op
-        idx.remove(&row(&[5]), RowId(42));
-        assert_eq!(idx.probe(&vec![Value::Int(5)]), vec![RowId(1)]);
-    }
-
-    #[test]
-    fn clear_empties_index() {
-        let mut idx = Index::new("i", IndexKind::Hash, vec![0], false);
-        idx.insert(&row(&[1]), RowId(0)).unwrap();
-        idx.clear();
-        assert_eq!(idx.distinct_keys(), 0);
+    fn equal_values_hash_alike_across_numeric_types() {
+        assert_eq!(
+            key_hash(&[Value::Int(2), Value::from("a")]),
+            key_hash(&[Value::Float(2.0), Value::from("a")])
+        );
     }
 }

@@ -5,7 +5,9 @@
 //! used as the backend of its publish & subscribe filter:
 //!
 //! * typed tables with schemas and nullability ([`TableSchema`], [`Table`]),
-//! * hash and B-tree secondary indexes answering point probes ([`Index`]),
+//! * secondary indexes answering point probes ([`Index`], probed through
+//!   [`Table::index`]): each maps the hash of a key to the rows holding it
+//!   and stores no copy of the key, which it reads in the rows themselves,
 //! * one generic selection, `column = constant` ([`select`]),
 //! * commit groups and checkpoints behind one write surface
 //!   ([`StorageEngine`]), volatile ([`Database`]) or write-ahead logged
@@ -71,7 +73,7 @@ pub mod wal;
 pub use catalog::Database;
 pub use engine::StorageEngine;
 pub use error::{Error, Result};
-pub use index::{Index, IndexKey, IndexKind};
+pub use index::{key_hash, Index, IndexKind, IndexView};
 pub use query::{select, Predicate};
 pub use schema::{ColumnDef, TableSchema};
 pub use snapshot::{read_database, write_database};

@@ -39,10 +39,11 @@ pub fn select(table: &Table, pred: &Predicate) -> Result<Vec<(RowId, Row)>> {
         .iter()
         .find(|i| i.key_columns() == [pred.column]);
     let rows = match index {
-        Some(idx) => idx
-            .probe(&vec![pred.value.clone()])
-            .into_iter()
-            .map(|rid| Ok((rid, table.get(rid)?.clone())))
+        Some(idx) => table
+            .index(idx.name())?
+            .probe(std::slice::from_ref(&pred.value))
+            .iter()
+            .map(|&rid| Ok((rid, table.get(rid)?.clone())))
             .collect::<Result<_>>()?,
         None => table
             .iter()

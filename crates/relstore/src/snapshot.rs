@@ -383,7 +383,7 @@ mod tests {
     fn restored_indexes_answer_queries() {
         let restored = read_database(&write_database(&sample_db())).unwrap();
         let t = restored.table("t").unwrap();
-        let hits = t.index("by_k").unwrap().probe(&vec![Value::Int(2)]);
+        let hits = t.index("by_k").unwrap().probe(&[Value::Int(2)]);
         assert_eq!(hits.len(), 1);
         assert_eq!(t.get(hits[0]).unwrap()[1], Value::Str("plain".into()));
     }

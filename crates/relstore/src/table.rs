@@ -1,9 +1,9 @@
 //! Heap tables: slotted row storage with secondary index maintenance.
 
-use std::collections::HashMap;
+use mdv_runtime::MixHashMap;
 
 use crate::error::{Error, Result};
-use crate::index::{Index, IndexKind};
+use crate::index::{Index, IndexKind, IndexView};
 use crate::schema::TableSchema;
 use crate::value::Value;
 
@@ -23,16 +23,34 @@ struct Slot {
     row: Row,
 }
 
+/// The rows of a table, addressed by id; the indexes read their keys here.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Heap {
+    /// Live slots; `None` marks a hole left by a delete.
+    slots: Vec<Option<Slot>>,
+    /// Maps live row ids to their slot position.
+    by_id: MixHashMap<RowId, usize>,
+    /// Slot positions available for reuse.
+    free: Vec<usize>,
+}
+
+impl Heap {
+    fn get(&self, id: RowId) -> Option<&Row> {
+        let pos = *self.by_id.get(&id)?;
+        self.slots[pos].as_ref().map(|s| &s.row)
+    }
+
+    /// The row of a live id; an index holds live ids only.
+    pub(crate) fn row(&self, id: RowId) -> &Row {
+        self.get(id).expect("an index names live rows only")
+    }
+}
+
 /// An in-memory heap table with optional secondary indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
-    /// Live slots; `None` marks a hole left by a delete.
-    slots: Vec<Option<Slot>>,
-    /// Maps live row ids to their slot position.
-    by_id: HashMap<RowId, usize>,
-    /// Slot positions available for reuse.
-    free: Vec<usize>,
+    heap: Heap,
     next_id: u64,
     indexes: Vec<Index>,
 }
@@ -41,9 +59,7 @@ impl Table {
     pub fn new(schema: TableSchema) -> Self {
         Table {
             schema,
-            slots: Vec::new(),
-            by_id: HashMap::new(),
-            free: Vec::new(),
+            heap: Heap::default(),
             next_id: 0,
             indexes: Vec::new(),
         }
@@ -59,11 +75,18 @@ impl Table {
 
     /// Number of live rows.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.heap.by_id.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.heap.by_id.is_empty()
+    }
+
+    fn invalid_row(&self, id: RowId) -> Error {
+        Error::InvalidRowId {
+            table: self.name().to_owned(),
+            row: id.0,
+        }
     }
 
     /// Creates a secondary index over the named columns and backfills it from
@@ -81,17 +104,20 @@ impl Table {
         }
         let cols = self.schema.column_indices(columns)?;
         let mut idx = Index::new(name, kind, cols, unique);
-        for slot in self.slots.iter().flatten() {
-            idx.insert(&slot.row, slot.id)?;
+        for slot in self.heap.slots.iter().flatten() {
+            idx.check_unique(&slot.row, &self.heap)?;
+            idx.insert(&slot.row, slot.id, &self.heap);
         }
         self.indexes.push(idx);
         Ok(())
     }
 
-    pub fn index(&self, name: &str) -> Result<&Index> {
+    /// The named index, ready to probe this table.
+    pub fn index(&self, name: &str) -> Result<IndexView<'_>> {
         self.indexes
             .iter()
             .find(|i| i.name() == name)
+            .map(|i| IndexView::new(i, &self.heap))
             .ok_or_else(|| Error::UnknownIndex(name.to_owned()))
     }
 
@@ -112,37 +138,30 @@ impl Table {
     pub(crate) fn insert_with_id(&mut self, id: RowId, row: Row) -> Result<()> {
         self.schema.check_row(&row)?;
         // ids at or past the counter were never handed out
-        if id.0 < self.next_id && self.by_id.contains_key(&id) {
-            return Err(Error::InvalidRowId {
-                table: self.name().to_owned(),
-                row: id.0,
-            });
+        if id.0 < self.next_id && self.heap.by_id.contains_key(&id) {
+            return Err(self.invalid_row(id));
         }
         // Validate unique constraints before touching anything.
         for idx in &self.indexes {
-            if idx.is_unique() && !idx.probe(&idx.key_of(&row)).is_empty() {
-                return Err(Error::UniqueViolation {
-                    index: idx.name().to_owned(),
-                    key: format!("{:?}", idx.key_of(&row)),
-                });
-            }
+            idx.check_unique(&row, &self.heap)?;
         }
         self.next_id = self.next_id.max(id.0 + 1);
         for idx in &mut self.indexes {
-            idx.insert(&row, id).expect("uniqueness pre-checked");
+            idx.insert(&row, id, &self.heap);
         }
+        let heap = &mut self.heap;
         let slot = Slot { id, row };
-        let pos = match self.free.pop() {
+        let pos = match heap.free.pop() {
             Some(pos) => {
-                self.slots[pos] = Some(slot);
+                heap.slots[pos] = Some(slot);
                 pos
             }
             None => {
-                self.slots.push(Some(slot));
-                self.slots.len() - 1
+                heap.slots.push(Some(slot));
+                heap.slots.len() - 1
             }
         };
-        self.by_id.insert(id, pos);
+        heap.by_id.insert(id, pos);
         Ok(())
     }
 
@@ -153,25 +172,20 @@ impl Table {
 
     /// Fetches a row by id.
     pub fn get(&self, id: RowId) -> Result<&Row> {
-        self.by_id
-            .get(&id)
-            .and_then(|&pos| self.slots[pos].as_ref())
-            .map(|s| &s.row)
-            .ok_or_else(|| Error::InvalidRowId {
-                table: self.name().to_owned(),
-                row: id.0,
-            })
+        self.heap.get(id).ok_or_else(|| self.invalid_row(id))
     }
 
     /// Deletes a row by id, returning the removed row.
     pub fn delete(&mut self, id: RowId) -> Result<Row> {
-        let pos = *self.by_id.get(&id).ok_or_else(|| Error::InvalidRowId {
-            table: self.name().to_owned(),
-            row: id.0,
-        })?;
-        let slot = self.slots[pos].take().expect("by_id points at live slot");
-        self.by_id.remove(&id);
-        self.free.push(pos);
+        let pos = self
+            .heap
+            .by_id
+            .remove(&id)
+            .ok_or_else(|| self.invalid_row(id))?;
+        let slot = self.heap.slots[pos]
+            .take()
+            .expect("by_id points at live slot");
+        self.heap.free.push(pos);
         for idx in &mut self.indexes {
             idx.remove(&slot.row, id);
         }
@@ -179,48 +193,43 @@ impl Table {
     }
 
     /// Replaces a row in place, keeping its id. Only the indexes whose key
-    /// columns changed are re-keyed; a key change that would break a unique
-    /// index is refused with no change.
+    /// columns changed are re-keyed, and a re-keyed row goes to the end of
+    /// its new key; a key change that would break a unique index is
+    /// refused with no change.
     pub fn update(&mut self, id: RowId, new_row: Row) -> Result<Row> {
         self.schema.check_row(&new_row)?;
-        let pos = *self.by_id.get(&id).ok_or_else(|| Error::InvalidRowId {
-            table: self.name().to_owned(),
-            row: id.0,
-        })?;
-        let old_row = &self.slots[pos].as_ref().expect("live slot").row;
-        let rekeyed: Vec<usize> = (0..self.indexes.len())
-            .filter(|&i| self.indexes[i].key_of(&new_row) != self.indexes[i].key_of(old_row))
-            .collect();
-        for &i in &rekeyed {
-            let idx = &self.indexes[i];
-            let key = idx.key_of(&new_row);
-            if idx.is_unique() && !idx.probe(&key).is_empty() {
-                return Err(Error::UniqueViolation {
-                    index: idx.name().to_owned(),
-                    key: format!("{key:?}"),
-                });
+        let pos = *self
+            .heap
+            .by_id
+            .get(&id)
+            .ok_or_else(|| self.invalid_row(id))?;
+        let heap = &self.heap;
+        let old_row = &heap.slots[pos].as_ref().expect("live slot").row;
+        for idx in &self.indexes {
+            if idx.rekeys(old_row, &new_row) {
+                idx.check_unique(&new_row, heap)?;
             }
         }
-        let slot = self.slots[pos].as_mut().expect("live slot");
-        let old_row = std::mem::replace(&mut slot.row, new_row);
-        for i in rekeyed {
-            let idx = &mut self.indexes[i];
-            idx.remove(&old_row, id);
-            idx.insert(&slot.row, id).expect("uniqueness pre-checked");
+        // `id` leaves its old group before joining the new one, so no
+        // comparison reads its row while the two disagree
+        for idx in &mut self.indexes {
+            if idx.rekeys(old_row, &new_row) {
+                idx.remove(old_row, id);
+                idx.insert(&new_row, id, heap);
+            }
         }
-        Ok(old_row)
+        let slot = self.heap.slots[pos].as_mut().expect("live slot");
+        Ok(std::mem::replace(&mut slot.row, new_row))
     }
 
     /// Iterates over `(id, row)` pairs of live rows in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
-        self.slots.iter().flatten().map(|s| (s.id, &s.row))
+        self.heap.slots.iter().flatten().map(|s| (s.id, &s.row))
     }
 
     /// Removes every row (indexes included) but keeps the schema and indexes.
     pub fn truncate(&mut self) {
-        self.slots.clear();
-        self.by_id.clear();
-        self.free.clear();
+        self.heap = Heap::default();
         for idx in &mut self.indexes {
             idx.clear();
         }
@@ -286,7 +295,7 @@ mod tests {
         assert!(t.insert_with_id(a, row(3, "c")).is_err());
         assert_eq!(t.get(a).unwrap(), &row(1, "a"));
         let idx = t.index("by_name").unwrap();
-        assert_eq!(idx.probe(&vec![Value::Str("b".into())]), vec![RowId(5)]);
+        assert_eq!(idx.probe(&[Value::Str("b".into())]), vec![RowId(5)]);
         // the counter moved past the highest id placed
         assert_eq!(t.insert(row(4, "d")).unwrap(), RowId(6));
     }
@@ -309,14 +318,14 @@ mod tests {
         let a = t.insert(row(1, "a")).unwrap();
         let _b = t.insert(row(2, "b")).unwrap();
         let idx = t.index("by_name").unwrap();
-        assert_eq!(idx.probe(&vec![Value::Str("a".into())]), vec![a]);
+        assert_eq!(idx.probe(&[Value::Str("a".into())]), vec![a]);
         t.update(a, row(1, "z")).unwrap();
         let idx = t.index("by_name").unwrap();
-        assert!(idx.probe(&vec![Value::Str("a".into())]).is_empty());
-        assert_eq!(idx.probe(&vec![Value::Str("z".into())]), vec![a]);
+        assert!(idx.probe(&[Value::Str("a".into())]).is_empty());
+        assert_eq!(idx.probe(&[Value::Str("z".into())]), vec![a]);
         t.delete(a).unwrap();
         let idx = t.index("by_name").unwrap();
-        assert!(idx.probe(&vec![Value::Str("z".into())]).is_empty());
+        assert!(idx.probe(&[Value::Str("z".into())]).is_empty());
     }
 
     #[test]
@@ -325,10 +334,7 @@ mod tests {
         let a = t.insert(row(1, "a")).unwrap();
         t.create_index("by_id", IndexKind::BTree, &["id"], true)
             .unwrap();
-        assert_eq!(
-            t.index("by_id").unwrap().probe(&vec![Value::Int(1)]),
-            vec![a]
-        );
+        assert_eq!(t.index("by_id").unwrap().probe(&[Value::Int(1)]), vec![a]);
     }
 
     #[test]
@@ -379,7 +385,7 @@ mod tests {
                     .filter(|(_, other)| other[column] == key[0])
                     .map(|(id, _)| id)
                     .collect();
-                let mut probed = t.index(idx).unwrap().probe(&key);
+                let mut probed = t.index(idx).unwrap().probe(&key).to_vec();
                 scanned.sort();
                 probed.sort();
                 assert_eq!(probed, scanned, "{idx} probe of {key:?}");

@@ -12,14 +12,18 @@
 //!   cloneable) used by the simulated network transport.
 //! * [`sync`] — a poison-free `Mutex` wrapper (the transport's shared
 //!   network state).
+//! * [`hash`] — a deterministic multiply-rotate hasher ([`MixHashMap`]),
+//!   the storage engine's index buckets and row-id map.
 //!
 //! `DESIGN.md` §4 holds the workspace-wide module map locating this
 //! crate's files.
 
 pub mod channel;
+pub mod hash;
 pub mod rng;
 pub mod sync;
 
 pub use channel::{bounded, unbounded, Receiver, RecvError, SendError, Sender, TryRecvError};
+pub use hash::{MixHashMap, MixHasher, MixState};
 pub use rng::Prng;
 pub use sync::Mutex;

@@ -469,9 +469,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             }
         }
         if replicate {
-            let version = self.doc_meta.get(doc.uri()).map_or(1, |m| m.version);
-            let op = ReplOp::new(ReplKind::Register, doc.uri(), version, write_document(doc));
-            self.replicate_to_peers(op, net)?;
+            self.replicate_to_peers(ReplKind::Register, doc.uri(), || write_document(doc), net)?;
         }
         Ok(())
     }
@@ -493,9 +491,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             this.publish_for(doc.uri(), pubs, true, net)
         })?;
         if replicate {
-            let version = self.doc_meta.get(doc.uri()).map_or(1, |m| m.version);
-            let op = ReplOp::new(ReplKind::Update, doc.uri(), version, write_document(doc));
-            self.replicate_to_peers(op, net)?;
+            self.replicate_to_peers(ReplKind::Update, doc.uri(), || write_document(doc), net)?;
         }
         Ok(())
     }
@@ -513,9 +509,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             this.publish_for(uri, pubs, true, net)
         })?;
         if replicate {
-            let version = self.doc_meta.get(uri).map_or(1, |m| m.version);
-            let op = ReplOp::new(ReplKind::Delete, uri, version, String::new());
-            self.replicate_to_peers(op, net)?;
+            self.replicate_to_peers(ReplKind::Delete, uri, String::new, net)?;
         }
         Ok(())
     }
@@ -535,15 +529,25 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// Queues one replicated operation per backbone peer on the reliable
     /// at-least-once channel and ships the first copy of each. Under a
     /// placement table the fan-out shrinks from every peer to the replica
-    /// set of the operation's document shard.
-    fn replicate_to_peers(&mut self, op: ReplOp, net: &Network) -> Result<()> {
+    /// set of the operation's document shard. The operation carries the
+    /// document's current version and `xml()`, which runs only when there
+    /// is a peer to ship to.
+    fn replicate_to_peers(
+        &mut self,
+        kind: ReplKind,
+        uri: &str,
+        xml: impl FnOnce() -> String,
+        net: &Network,
+    ) -> Result<()> {
         let peers = match &self.placement {
-            Some(table) => table.replica_peers(&self.name, &op.uri),
+            Some(table) => table.replica_peers(&self.name, uri),
             None => self.peers.clone(),
         };
         if peers.is_empty() {
             return Ok(());
         }
+        let version = self.doc_meta.get(uri).map_or(1, |m| m.version);
+        let op = ReplOp::new(kind, uri, version, xml());
         self.with_group(|this| {
             for peer in &peers {
                 let seq = this.repl_seq.take(peer);

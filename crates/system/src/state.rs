@@ -220,10 +220,7 @@ pub(crate) fn create_table<S: StorageEngine>(store: &mut S, table: &str) -> Resu
 fn find<S: StorageEngine>(store: &S, table: &str, key: &str) -> Result<Option<RowId>> {
     let t = store.database().table(table).map_err(store_err)?;
     let index = t.index(KEY_INDEX).map_err(store_err)?;
-    Ok(index
-        .probe(&vec![Value::Str(key.to_owned())])
-        .first()
-        .copied())
+    Ok(index.probe(&[Value::Str(key.to_owned())]).first().copied())
 }
 
 /// Writes `record` into a state table, replacing the fields of its key.
