@@ -144,8 +144,9 @@ echo "ok: no BENCH_*.json in the repo root"
 # the matching knobs, the second grouped join body, the filter's thread
 # pool, the stored Raft snapshot table, the SQL text query path with its
 # join executors, the filter's config struct, and the hand-written
-# per-node retry, outbox, reorder-buffer and floor state that `channel.rs`
-# replaced, and the five logical-time studies with the `--backend` knob, the
+# per-node retry and outbox state that `channel.rs` replaced, and the
+# receivers' reorder buffers with their records, the replication floors
+# and the second publication receive path, and the five logical-time studies with the `--backend` knob, the
 # second bench runner and their result files, and the Raft snapshot codec
 # and Raft placement entry, and the per-kind mirror tables with their
 # key-index upgrade, and the relstore planner, range probes, predicate
@@ -156,7 +157,7 @@ echo "ok: no BENCH_*.json in the repo root"
 # index stores with their key type and formatted trigger-table names, may
 # be named only where their removal is recorded —
 # DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables|Mode::(Insert|Refresh|Collect)|pass[123]_atoms|referrer_run|result_insert|result_remove|atoms_from_store|check_match_memo|eval_rule_full|BaseStore::partition\b|IndexStore|BTreeMap<IndexKey|\bIndexKey\b|filter_table_name|table_suffix'
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables|Mode::(Insert|Refresh|Collect)|pass[123]_atoms|referrer_run|result_insert|result_remove|atoms_from_store|check_match_memo|eval_rule_full|BaseStore::partition\b|IndexStore|BTreeMap<IndexKey|\bIndexKey\b|filter_table_name|table_suffix|pubbuf|replbuf|replfloor|buffered_publications|receive_alt_publication|parked_keys|Inbox::deliver'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -199,9 +200,10 @@ done
 step "channel replay: the at-least-once channel alone across fixed seeds"
 # Replays the properties of `crates/system/src/channel.rs` (DESIGN.md §3b)
 # under the pinned seeds: seeded drop / duplicate / reorder / ack-loss
-# schedules over 1-3 senders deliver every sequence number once and in
-# order and drain every outbox, backoff doubles to its cap, parked
-# destinations are skipped and restored entries are due at once.
+# schedules over 1-3 senders and a receiver that withholds early arrivals
+# deliver every sequence number once and in order and drain every outbox
+# (and the cases still draw early arrivals), backoff doubles to its cap,
+# held-back destinations are skipped and restored entries are due at once.
 for seed in "${CI_SEEDS[@]}"; do
   MDV_PROP_SEED="$seed" MDV_PROP_CASES=200 \
     cargo test -q --offline -p mdv-system --lib channel:: >/dev/null
@@ -428,8 +430,8 @@ if [[ "$QUICK" == "0" ]]; then
   step "mdvbench exact counts: replicated-churn logs only what recovery reads"
   # A durable MDP journals its state table, not its filter tables: those
   # are derived state, rebuilt from its document and subscription records
-  # at recovery (DESIGN.md §6.4); and an in-order arrival writes no
-  # reorder-buffer record. (Journaling every filter row and a buffer row per
+  # at recovery (DESIGN.md §6.4); and no receiver writes a copy of what
+  # is in flight to it. (Journaling every filter row and a buffer row per
   # arrival measured 16 978 - 18 000 WAL bytes per document operation
   # here at smoke size; unlogged filter tables and the elision 7 549 -
   # 8 198.)

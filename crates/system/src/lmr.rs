@@ -6,6 +6,7 @@
 //! metadata that is never forwarded to the backbone, and answers queries
 //! from local clients against the cache only.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use mdv_filter::{query_eval, store::create_base_tables, BaseStore};
@@ -13,7 +14,7 @@ use mdv_rdf::{Document, RdfSchema, RefKind, Resource};
 use mdv_relstore::{Database, StorageEngine};
 use mdv_rulelang::{normalize, parse_rule, split_or, typecheck};
 
-use crate::channel::{Arrival, Inbox, Outbox};
+use crate::channel::{Inbox, Outbox};
 use crate::error::{store_err, Error, Result};
 use crate::gc::RefTracker;
 use crate::message::{Message, PublishMsg, RuleDelta};
@@ -75,9 +76,9 @@ pub struct Lmr<S: StorageEngine = Database> {
     pub(crate) rules: BTreeMap<u64, LmrRule>,
     pub(crate) next_rule: u64,
     pub(crate) local_docs: HashMap<String, Document>,
-    /// The publication stream of the home MDP: one floor (whichever MDP is
-    /// home) and the envelopes parked above it.
-    pub(crate) home: Inbox<(), PublishMsg>,
+    /// The floor of the home MDP's publication stream (whichever MDP is
+    /// home): the next sequence number expected from it.
+    pub(crate) home_floor: u64,
     /// Rules retracted locally: late/duplicated publications for them are
     /// acked and discarded instead of resurrecting cache entries.
     pub(crate) dead_rules: HashSet<u64>,
@@ -90,11 +91,11 @@ pub struct Lmr<S: StorageEngine = Database> {
     /// from every shard primary, not only the home MDP, each on its own
     /// per-sender sequence stream.
     pub(crate) placement: bool,
-    /// The per-sender streams of non-home primaries (placement mode only).
-    /// Nothing is parked here: an arrival above a floor is dropped unacked,
-    /// and the sender's in-order retransmission redelivers it once the gap
-    /// closes.
-    pub(crate) alt: Inbox<String, PublishMsg>,
+    /// The floors of the per-sender streams of non-home primaries
+    /// (placement mode only).
+    pub(crate) alt: Inbox<String>,
+    /// Envelopes withheld so far: arrivals ahead of their stream's floor.
+    pub(crate) withheld: u64,
 }
 
 impl Lmr {
@@ -143,11 +144,12 @@ impl<S: StorageEngine> Lmr<S> {
             rules: BTreeMap::new(),
             next_rule: 0,
             local_docs: HashMap::new(),
-            home: Inbox::default(),
+            home_floor: 0,
             dead_rules: HashSet::new(),
             control: Outbox::default(),
             placement: false,
             alt: Inbox::default(),
+            withheld: 0,
         }
     }
 
@@ -245,7 +247,7 @@ impl<S: StorageEngine> Lmr<S> {
 
     /// The next publication sequence number expected from the home MDP.
     pub(crate) fn next_pub_seq(&self) -> u64 {
-        self.home.floor(&())
+        self.home_floor
     }
 
     // ---- state-table writes (no-ops on memory-backed nodes) --------------
@@ -507,9 +509,8 @@ impl<S: StorageEngine> Lmr<S> {
 
     /// Completes the failover handshake: the new home reports the next
     /// publication sequence it will assign, the LMR adopts it as its dedup
-    /// floor, drops parked publications from the old stream, and re-registers
-    /// every live rule at the new home as a snapshot-requesting Resubscribe
-    /// (DESIGN.md §7). Syncing the floor *before* resubscribing is what lets
+    /// floor and re-registers every live rule at the new home as a
+    /// snapshot-requesting Resubscribe (DESIGN.md §7). Syncing the floor *before* resubscribing is what lets
     /// the snapshots flow as ordinary in-order sequenced publications.
     fn receive_welcome(&mut self, from: &str, next_seq: u64, net: &Network) -> Result<()> {
         if from != self.mdp || !self.awaiting_welcome {
@@ -517,13 +518,7 @@ impl<S: StorageEngine> Lmr<S> {
         }
         self.control.ack(&Control::Hello);
         self.awaiting_welcome = false;
-        // a new stream: what was parked came from the previous home
-        let parked: Vec<u64> = self.home.parked_keys().map(|((), seq)| *seq).collect();
-        for seq in parked {
-            self.state_delete(|| rec::pubbuf_key(seq))?;
-        }
-        self.home = Inbox::default();
-        self.home.set_floor((), next_seq);
+        self.home_floor = next_seq;
         self.state_put(|| rec::pubseq(next_seq))?;
         self.mirror_home()?;
         let live = self.rule_ids(|r| !matches!(r.status, RuleStatus::Failed(_)));
@@ -537,18 +532,22 @@ impl<S: StorageEngine> Lmr<S> {
         Ok(())
     }
 
-    /// The receiving half of the at-least-once protocol: acks every copy,
-    /// discards duplicates by sequence number, parks out-of-order arrivals,
-    /// and applies envelopes exactly once in sequence order. Envelopes from
-    /// a node other than the current home (a previous home still
-    /// retransmitting after a failover) are acked and discarded, and the
-    /// sender is told to retire every subscription they list.
+    /// The receiving half of the at-least-once protocol, one path for the
+    /// home stream and, in placement mode, the stream of every other shard
+    /// primary (DESIGN.md §3b, §11.4). An envelope below its stream's floor
+    /// is acked and discarded; one ahead of it is neither acked nor kept,
+    /// and the sender's in-order retransmission brings it back once the
+    /// gap closes; the one at the floor is acked, moves the floor past
+    /// itself and is applied. Envelopes thus apply exactly once, in
+    /// sequence order. An envelope from a node other than the home while
+    /// the LMR is not placed (a previous home still retransmitting after a
+    /// failover) is acked and discarded, and the sender is told to retire
+    /// every subscription it lists.
     fn receive_publication(&mut self, from: &str, msg: PublishMsg, net: &Network) -> Result<()> {
-        if self.placement && from != self.mdp {
-            return self.receive_alt_publication(from, msg, net);
-        }
-        net.send(&self.name, from, Message::PublishAck { seq: msg.seq })?;
-        if from != self.mdp {
+        let ack = Message::PublishAck { seq: msg.seq };
+        let home = from == self.mdp;
+        if !home && !self.placement {
+            net.send(&self.name, from, ack)?;
             // One-shot cleanup unsubscribe, deliberately not retried:
             // further strays re-trigger it. Suppressed while a failover
             // handshake is open, so a delayed cleanup can never race a
@@ -566,83 +565,45 @@ impl<S: StorageEngine> Lmr<S> {
             }
             return Ok(());
         }
-        if self.awaiting_welcome {
+        if home && self.awaiting_welcome {
             // Floor not synced with the new home yet; the Resubscribe
             // snapshot that follows the welcome supersedes this.
-            return Ok(());
+            return net.send(&self.name, from, ack);
         }
-        match self.home.arrival(&(), msg.seq) {
-            // a retransmission or an injected copy
-            Arrival::Duplicate => Ok(()),
-            // Only a parked envelope gets a `pubbuf` record: one at the
-            // floor is applied in this commit group, so a record of it
-            // would be deleted before it became durable.
-            Arrival::Ahead => {
-                self.state_put(|| rec::pubbuf(&msg))?;
-                self.home.park((), msg.seq, msg);
+        let floor = if home {
+            self.home_floor
+        } else {
+            self.alt.floor(from)
+        };
+        match msg.seq.cmp(&floor) {
+            Ordering::Greater => {
+                self.withheld += 1;
                 Ok(())
             }
-            // each envelope moves the floor past itself; a parked one also
-            // drops its buffer record
-            Arrival::Next => Inbox::deliver(
-                self,
-                |this| &mut this.home,
-                &(),
-                msg.seq,
-                msg,
-                |this, seq, msg, parked| {
-                    this.state_put(|| rec::pubseq(seq + 1))?;
-                    if parked {
-                        this.state_delete(|| rec::pubbuf_key(seq))?;
-                    }
-                    this.apply_envelope(msg)
-                },
-            ),
+            Ordering::Less => net.send(&self.name, from, ack),
+            Ordering::Equal => {
+                net.send(&self.name, from, ack)?;
+                let next = msg.seq + 1;
+                if home {
+                    self.home_floor = next;
+                    self.state_put(|| rec::pubseq(next))?;
+                } else {
+                    self.alt.set_floor(from.to_owned(), next);
+                    self.state_put(|| rec::altseq(from, next))?;
+                }
+                self.apply_envelope(msg)
+            }
         }
-    }
-
-    /// The placement-mode receive path for an envelope from a non-home
-    /// shard primary. Each sender has its own sequence stream; there is no
-    /// reorder buffer — an arrival above the expected sequence is dropped
-    /// *without* an ack, and the sender's in-order outbox retransmission
-    /// redelivers it after the gap closes. Duplicates below the floor are
-    /// acked and discarded like on the home stream.
-    fn receive_alt_publication(
-        &mut self,
-        from: &str,
-        msg: PublishMsg,
-        net: &Network,
-    ) -> Result<()> {
-        let sender = from.to_owned();
-        let arrival = self.alt.arrival(&sender, msg.seq);
-        if arrival == Arrival::Ahead {
-            return Ok(()); // gap: withhold the ack, let retransmission reorder
-        }
-        net.send(&self.name, from, Message::PublishAck { seq: msg.seq })?;
-        if arrival == Arrival::Duplicate {
-            return Ok(());
-        }
-        // nothing is parked, so nothing follows it; alt streams never carry
-        // snapshots (resubscription is a failover feature, and placement +
-        // backup failover is rejected upstream)
-        self.alt.set_floor(sender, msg.seq + 1);
-        self.state_put(|| rec::altseq(from, msg.seq + 1))?;
-        self.apply_envelope(msg)
-    }
-
-    /// Publications parked behind a sequence gap.
-    pub fn buffered_publications(&self) -> usize {
-        self.home.parked()
     }
 
     /// Earliest scheduled control-message retransmission, if any. Entries
-    /// parked against a down home with no failover target are excluded, so
-    /// that a stranded LMR does not drive the clock while nothing can make
-    /// progress; they resume automatically once the home heals.
+    /// held back against a down home with no failover target are excluded,
+    /// so that a stranded LMR does not drive the clock while nothing can
+    /// make progress; they resume automatically once the home heals.
     pub fn next_retry_at(&self, net: &Network) -> Option<u64> {
-        let parked = self.parked_after(net);
+        let held = self.held_after(net);
         self.control
-            .next_retry_at(|_, p| parked.is_some_and(|n| p.attempts >= n))
+            .next_retry_at(|_, p| held.is_some_and(|n| p.attempts >= n))
     }
 
     /// Whether the home MDP can be failed away from: a backup is configured
@@ -653,10 +614,10 @@ impl<S: StorageEngine> Lmr<S> {
             .is_some_and(|b| *b != self.mdp && !net.is_down(b))
     }
 
-    /// The attempt count from which control messages are parked, if any:
+    /// The attempt count from which control messages are held back, if any:
     /// entries to a silent home with no failover target stop retrying once
     /// the budget is spent, and resume when the home heals.
-    fn parked_after(&self, net: &Network) -> Option<u32> {
+    fn held_after(&self, net: &Network) -> Option<u32> {
         (net.is_down(&self.mdp) && !self.can_fail_over(net)).then(|| net.config().failover_attempts)
     }
 
@@ -667,14 +628,14 @@ impl<S: StorageEngine> Lmr<S> {
     /// reachable (DESIGN.md §7).
     pub fn retransmit_due(&mut self, net: &Network) -> Result<bool> {
         let budget = net.config().failover_attempts;
-        let parked = self.parked_after(net);
+        let held = self.held_after(net);
         let can_fail_over = self.can_fail_over(net);
         let mut exhausted = false;
         let (name, home) = (&self.name, &self.mdp);
         let resent = self.control.retransmit_due(
             net.now_ms(),
             net.config().retry_max_ms,
-            |_, p| parked.is_some_and(|n| p.attempts >= n),
+            |_, p| held.is_some_and(|n| p.attempts >= n),
             |_, msg, attempts| {
                 exhausted |= attempts >= budget;
                 net.send_retry(name, home, msg.clone())

@@ -12,7 +12,7 @@ use mdv_filter::{BaseStore, FilterEngine, Publication, SubscriptionId};
 use mdv_rdf::{parse_document, write_document, Document, RdfSchema, Resource};
 use mdv_relstore::{Database, StorageEngine};
 
-use crate::channel::{Arrival, Inbox, Outbox, SeqCounters};
+use crate::channel::{Outbox, SeqCounters};
 use crate::error::{store_err, Error, Result};
 use crate::message::{DigestEntry, Message, PublishMsg, RepairDoc, RuleDelta};
 use crate::placement::PlacementTable;
@@ -87,7 +87,7 @@ pub(crate) struct DocMeta {
 }
 
 /// One replicated document operation, as carried by the backbone
-/// at-least-once channel and its `replout` / `replbuf` records. A deletion
+/// at-least-once channel and its `replout` records. A deletion
 /// carries no XML.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ReplOp {
@@ -203,9 +203,6 @@ pub struct Mdp<S: StorageEngine = Database> {
     pub(crate) repl_seq: SeqCounters,
     /// Unacked replicated operations keyed `(peer, seq)`.
     pub(crate) repl_out: Outbox<(String, u64), ReplOp>,
-    /// Incoming replication streams: a floor per backbone peer and the
-    /// operations parked above it.
-    pub(crate) repl_in: Inbox<String, ReplOp>,
     /// Raft consensus state when the backbone runs in
     /// [`crate::raft::ReplicationMode::Raft`]; `None` in LWW mode, where the
     /// replication fields above carry the backbone instead.
@@ -274,7 +271,6 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             doc_meta: BTreeMap::new(),
             repl_seq: SeqCounters::default(),
             repl_out: Outbox::default(),
-            repl_in: Inbox::default(),
             raft: None,
             placement: None,
         }
@@ -552,7 +548,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
             for peer in &peers {
                 let seq = this.repl_seq.take(peer);
                 this.state_put(|| rec::counter("replseq", peer, seq + 1))?;
-                this.state_put(|| rec::repl("replout", peer, seq, &op))?;
+                this.state_put(|| rec::replout(peer, seq, &op))?;
                 let key = (peer.clone(), seq);
                 let initial = net.config().retry_initial_ms;
                 this.repl_out.push(key, op.clone(), net.now_ms(), initial);
@@ -727,11 +723,11 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         }
     }
 
-    /// Receives one sequenced replicated operation: ack every copy, dedup
-    /// below the floor, park out-of-order arrivals, and apply in sequence
-    /// order as the floor closes. Only a parked operation gets a `replbuf`
-    /// record: one at the floor is applied in the same commit group, so a
-    /// record of it would be deleted before it became durable.
+    /// Receives one replicated operation: acks every copy and hands it
+    /// straight to [`Mdp::apply_remote_doc`], whose `(version, deleted,
+    /// hash)` gate skips stale copies and duplicates, so operations apply
+    /// in whatever order they arrive (DESIGN.md §3b). The sequence number
+    /// only names the ack.
     fn receive_replicated(
         &mut self,
         peer: &str,
@@ -740,33 +736,9 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         net: &Network,
     ) -> Result<()> {
         net.send(&self.name, peer, Message::ReplicateAck { seq })?;
-        let from = peer.to_owned();
-        match self.repl_in.arrival(&from, seq) {
-            Arrival::Duplicate => Ok(()),
-            Arrival::Ahead => {
-                self.state_put(|| rec::repl("replbuf", peer, seq, &op))?;
-                self.repl_in.park(from, seq, op);
-                Ok(())
-            }
-            // each operation moves the floor past itself; a parked one
-            // also drops its buffer record
-            Arrival::Next => Inbox::deliver(
-                self,
-                |this| &mut this.repl_in,
-                &from,
-                seq,
-                op,
-                |this, seq, op, parked| {
-                    if parked {
-                        this.state_delete(|| rec::seq_key("replbuf", peer, seq))?;
-                    }
-                    this.state_put(|| rec::counter("replfloor", peer, seq + 1))?;
-                    let xml = (op.kind != ReplKind::Delete).then_some(op.xml.as_str());
-                    this.apply_remote_doc(&op.uri, op.version, xml, net)
-                        .map(|_| ())
-                },
-            ),
-        }
+        let xml = (op.kind != ReplKind::Delete).then_some(op.xml.as_str());
+        self.apply_remote_doc(&op.uri, op.version, xml, net)
+            .map(|_| ())
     }
 
     /// The `(version, deleted, hash)` conflict-resolution key of this
@@ -1296,7 +1268,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     }
 
     /// Earliest scheduled retransmission over both outboxes. Entries whose
-    /// destination is marked down are parked (excluded), so quiescence is
+    /// destination is marked down are held back (excluded), so quiescence is
     /// reachable while a node is failed; they become due again on heal.
     pub fn next_retry_at(&self, net: &Network) -> Option<u64> {
         let pubs = self.outbox.next_retry_at(|(lmr, _), _| net.is_down(lmr));
@@ -1571,8 +1543,7 @@ mod tests {
         assert!(mdp2.engine().document("doc1.rdf").is_some());
     }
 
-    fn replicate_env(seq: u64, message: Message) -> Envelope {
-        let _ = seq;
+    fn replicate_env(message: Message) -> Envelope {
         Envelope {
             from: "mdp1".into(),
             to: "mdp2".into(),
@@ -1592,29 +1563,23 @@ mod tests {
         let v1 = write_document(&doc(1, "a.org", 1));
         let v3 = write_document(&doc(1, "b.org", 9));
         let register = |seq, version, xml: &str| {
-            replicate_env(
+            replicate_env(Message::ReplicateRegister {
                 seq,
-                Message::ReplicateRegister {
-                    seq,
-                    version,
-                    document_uri: "doc1.rdf".into(),
-                    xml: xml.to_owned(),
-                },
-            )
+                version,
+                document_uri: "doc1.rdf".into(),
+                xml: xml.to_owned(),
+            })
         };
         let delete = |seq, version| {
-            replicate_env(
+            replicate_env(Message::ReplicateDelete {
                 seq,
-                Message::ReplicateDelete {
-                    seq,
-                    version,
-                    document_uri: "doc1.rdf".into(),
-                },
-            )
+                version,
+                document_uri: "doc1.rdf".into(),
+            })
         };
         mdp2.handle(register(0, 1, &v1), &net).unwrap();
         mdp2.handle(delete(1, 2), &net).unwrap();
-        // duplicate of the delete (below the floor): acked, not re-applied
+        // duplicate of the delete: acked, and the version gate skips it
         mdp2.handle(delete(1, 2), &net).unwrap();
         // recreation of the same URI wins over the tombstone
         mdp2.handle(register(2, 3, &v3), &net).unwrap();
@@ -1628,43 +1593,42 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_replication_is_parked_until_the_floor_closes() {
+    fn a_delete_overtaking_its_register_leaves_the_tombstone() {
         let net = Network::new(NetConfig::default());
         let _rx = net.register("mdp1").unwrap();
+        let lmr_mail = net.register("lmr1").unwrap();
         let mut mdp2 = Mdp::new("mdp2", schema());
-        let xml = write_document(&doc(1, "a.org", 1));
-        // seq 1 (an update) arrives before seq 0 (the registration)
-        mdp2.handle(
-            replicate_env(
-                1,
-                Message::ReplicateUpdate {
-                    seq: 1,
-                    version: 2,
-                    document_uri: "doc1.rdf".into(),
-                    xml: write_document(&doc(1, "b.org", 2)),
-                },
-            ),
-            &net,
-        )
-        .unwrap();
+        let rule = "search CycleProvider c register c";
+        mdp2.subscribe_rule("lmr1", 1, rule, true, &net).unwrap();
+        let publications = || {
+            let mail = std::iter::from_fn(|| lmr_mail.try_recv().ok());
+            mail.filter(|env| matches!(env.message, Message::Publish(_)))
+                .count()
+        };
+        assert_eq!(publications(), 0);
+        let register = |seq, version| Message::ReplicateRegister {
+            seq,
+            version,
+            document_uri: "doc1.rdf".into(),
+            xml: write_document(&doc(1, "a.org", 1)),
+        };
+        let delete = Message::ReplicateDelete {
+            seq: 1,
+            version: 2,
+            document_uri: "doc1.rdf".into(),
+        };
+        // seq 1 (the delete, v2) arrives before seq 0 (its register, v1),
+        // and each arrives twice
+        for message in [&delete, &delete, &register(0, 1), &register(0, 1)] {
+            mdp2.handle(replicate_env(message.clone()), &net).unwrap();
+        }
         assert!(mdp2.engine().document("doc1.rdf").is_none());
-        mdp2.handle(
-            replicate_env(
-                0,
-                Message::ReplicateRegister {
-                    seq: 0,
-                    version: 1,
-                    document_uri: "doc1.rdf".into(),
-                    xml,
-                },
-            ),
-            &net,
-        )
-        .unwrap();
-        // both applied, in order: the update's content won
-        let doc1 = mdp2.engine().document("doc1.rdf").unwrap();
-        assert_eq!(write_document(doc1), write_document(&doc(1, "b.org", 2)));
-        assert_eq!(mdp2.local_doc_key("doc1.rdf").0, 2);
+        assert_eq!(mdp2.local_doc_key("doc1.rdf"), (2, 1, 0), "the tombstone");
+        assert_eq!(net.traffic_by_kind()["replicate-ack"], 4);
+        // the stale register published nothing; a newer one does
+        assert_eq!(publications(), 0);
+        mdp2.handle(replicate_env(register(2, 3)), &net).unwrap();
+        assert_eq!(publications(), 1);
     }
 
     #[test]

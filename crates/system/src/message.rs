@@ -336,8 +336,7 @@ impl PublishMsg {
     }
 
     /// Serializes the envelope into the line-oriented wire form the
-    /// `outbox` and `pubbuf` state records hold (`crate::state`). One
-    /// record per line:
+    /// `outbox` state records hold (`crate::state`). One record per line:
     ///
     /// ```text
     /// envelope <seq>

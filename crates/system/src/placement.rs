@@ -30,6 +30,11 @@ use crate::message::{escape, unescape};
 /// the deployment's lifetime and only its *assignment* to nodes changes.
 pub const DEFAULT_PLACEMENT_SHARDS: usize = 64;
 
+/// The largest shard space a table may have. A table holds one assignment
+/// per shard, so a count read off the wire or a disk is refused above this
+/// bound instead of being allocated.
+pub const MAX_PLACEMENT_SHARDS: usize = 1 << 16;
+
 /// System-tier placement settings (see [`crate::system::MdvSystem`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementConfig {
@@ -205,6 +210,9 @@ impl PlacementTable {
         if shards == 0 {
             return Err(bad("zero shards"));
         }
+        if shards > MAX_PLACEMENT_SHARDS {
+            return Err(bad("shard count above MAX_PLACEMENT_SHARDS"));
+        }
         let mdps: Vec<String> = fields.map(unescape).collect();
         if mdps.is_empty() {
             return Err(bad("empty mdp set"));
@@ -308,5 +316,7 @@ mod tests {
         assert!(PlacementTable::from_wire("1\t2").is_err());
         assert!(PlacementTable::from_wire("1\t2\t0\tm1").is_err());
         assert!(PlacementTable::from_wire("1\t2\t8").is_err());
+        let huge = format!("1\t2\t{}\tm1", u64::MAX);
+        assert!(PlacementTable::from_wire(&huge).is_err());
     }
 }

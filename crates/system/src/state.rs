@@ -25,11 +25,10 @@
 //! the data of a Raft InstallSnapshot (DESIGN.md §9.2).
 //!
 //! ```text
-//! #mdv-mdp-state v2
+//! #mdv-mdp-state v3
 //! pubseq <lmr>\t<next publication sequence>
 //! docver <uri>\t<version>\t<deleted 0|1>
 //! replseq <peer>\t<next replication sequence>
-//! replfloor <peer>\t<next expected replication sequence>
 //! placement <escaped placement table wire form>
 //! document <escaped uri>\t<escaped RDF/XML>
 //! subscription <lmr>\t<lmr_rule>\t<escaped rule text>
@@ -41,26 +40,25 @@
 //! numbering where it left off, otherwise live LMRs would discard its
 //! publications as duplicates. The `docver` records carry the per-URI
 //! convergence keys of the reliable backbone (including tombstones of
-//! deleted documents), and `replseq`/`replfloor` the per-peer replication
-//! stream counters, for the same reason. The `retired` records are the
-//! tombstones of retracted rules: without them a late duplicate Subscribe
-//! would bring a retracted rule back. Documents come before subscriptions,
+//! deleted documents), and `replseq` the per-peer replication stream
+//! counters, for the same reason. A receiver keeps no replication floor:
+//! the `docver` gate decides every arrival (DESIGN.md §3b). The `retired`
+//! records are the tombstones of retracted rules: without them a late
+//! duplicate Subscribe would bring a retracted rule back. Documents come before subscriptions,
 //! the order a Raft install has always replayed, so an installed voter's
 //! filter tables and statistics match the leader's.
 //!
-//! Five more MDP kinds are durable-only: only crash recovery reads them,
-//! a quiescent export never holds one, and import rejects them. Three hold
-//! messages in flight — unacked publications, unacked replicated
-//! operations, and replicated operations parked ahead of their stream's
-//! floor — and recovery re-arms each. Two are a Raft voter's: its hard
-//! state and one record per retained log entry, replayed in index order (a
-//! gap is an error) for `raft_enable` to re-seat the voter (DESIGN.md
-//! §9.3).
+//! Four more MDP kinds are durable-only: only crash recovery reads them,
+//! a quiescent export never holds one, and import rejects them. Two hold
+//! the sender's messages in flight — unacked publications and unacked
+//! replicated operations — and recovery re-arms each. Two are a Raft
+//! voter's: its hard state and one record per retained log entry, replayed
+//! in index order (a gap is an error) for `raft_enable` to re-seat the
+//! voter (DESIGN.md §9.3).
 //!
 //! ```text
 //! outbox <lmr>\t<seq>\t<escaped envelope wire form>
 //! replout <peer>\t<seq>\t<register|update|delete>\t<version>\t<escaped uri>\t<escaped RDF/XML>
-//! replbuf <peer>\t<seq>\t<register|update|delete>\t<version>\t<escaped uri>\t<escaped RDF/XML>
 //! raft <term>\t<vote, or empty>\t<led terms, comma-separated>\t<applied>\t<hash chain>\t<offset>\t<offset term>
 //! raftlog <index>\t<term>\t<escaped command wire form>
 //! ```
@@ -88,20 +86,20 @@
 //! the id of a retracted rule, which the MDP's tombstone would swallow.
 //! `placement` (present or not) is the alternate-stream mode of a placed
 //! LMR (DESIGN.md §11), and the `altseq` records are the floors of those
-//! streams, one per non-home shard primary that has published to it. The
-//! in-flight kind is an envelope parked ahead of the home stream's floor:
-//!
-//! ```text
-//! pubbuf <seq>\t<escaped envelope wire form>
-//! ```
+//! streams, one per non-home shard primary that has published to it. An
+//! LMR has no kind in flight: it keeps no early arrival, so what is in
+//! flight to it is in its senders' `outbox` records.
 //!
 //! Earlier versions are not read and fail with the "unsupported header"
 //! error: MDP v1 framed each document as RDF/XML lines closed by a `.`
 //! line, which a literal holding such a line cut short, and dropped the
-//! rule tombstones; LMR v2 dropped `nextrule`, `dead`, `home` and
-//! `placement`. A durable store holding any table beside the node's own and
-//! its state table — the per-kind or typed Raft tables of earlier layouts —
-//! fails recovery the same way ("unsupported store layout").
+//! rule tombstones; MDP v2 carried a replication floor per peer; LMR v2
+//! dropped `nextrule`, `dead`, `home` and `placement`. A state table
+//! holding a kind no longer written — the floors and early arrivals the
+//! receivers once kept — fails recovery as an unknown record. A durable
+//! store holding any table beside the node's own and its state table — the
+//! per-kind or typed Raft tables of earlier layouts — fails recovery the
+//! same way ("unsupported store layout").
 
 use std::collections::HashSet;
 use std::fmt::Display;
@@ -118,31 +116,28 @@ use crate::message::{escape, unescape, PublishMsg};
 use crate::placement::PlacementTable;
 use crate::raft::RaftState;
 
-const HEADER: &str = "#mdv-mdp-state v2";
+const HEADER: &str = "#mdv-mdp-state v3";
 const LMR_HEADER: &str = "#mdv-lmr-state v3";
 
 /// The tags of the MDP grammar in export (and recovery) order; the last
-/// five are durable-only: three in flight, then a Raft voter's hard state
+/// four are durable-only: two in flight, then a Raft voter's hard state
 /// and log.
-const MDP_TAGS: [&str; 13] = [
+const MDP_TAGS: [&str; 11] = [
     "pubseq",
     "docver",
     "replseq",
-    "replfloor",
     "placement",
     "document",
     "subscription",
     "retired",
     "outbox",
     "replout",
-    "replbuf",
     "raft",
     "raftlog",
 ];
 
-/// The tags of the LMR grammar in export (and recovery) order; `pubbuf`
-/// is in flight.
-const LMR_TAGS: [&str; 10] = [
+/// The tags of the LMR grammar in export (and recovery) order.
+const LMR_TAGS: [&str; 9] = [
     "pubseq",
     "nextrule",
     "home",
@@ -152,7 +147,6 @@ const LMR_TAGS: [&str; 10] = [
     "dead",
     "local",
     "match",
-    "pubbuf",
 ];
 
 // ---------------------------------------------------------------------------
@@ -262,7 +256,7 @@ fn rows(db: &Database, table: &str) -> Result<Option<Vec<Record>>> {
 pub(crate) mod mdp_records {
     use super::*;
 
-    /// `pubseq`, `replseq` or `replfloor`: a stream counter per node.
+    /// `pubseq` or `replseq`: a stream counter per node.
     pub(crate) fn counter(tag: &str, node: &str, next_seq: u64) -> Record {
         Record::new(key(tag, &[&node]), next_seq.to_string())
     }
@@ -298,7 +292,7 @@ pub(crate) mod mdp_records {
         Record::new(rule_key("retired", lmr, rule), "")
     }
 
-    /// `outbox`, `replout` or `replbuf`: the key of a message in flight.
+    /// `outbox` or `replout`: the key of a message in flight.
     pub(crate) fn seq_key(tag: &str, node: &str, seq: u64) -> String {
         key(tag, &[&node, &seq])
     }
@@ -307,8 +301,7 @@ pub(crate) mod mdp_records {
         Record::new(seq_key("outbox", lmr, msg.seq), escape(&msg.to_wire()))
     }
 
-    /// `replout` or `replbuf`.
-    pub(crate) fn repl(tag: &str, peer: &str, seq: u64, op: &ReplOp) -> Record {
+    pub(crate) fn replout(peer: &str, seq: u64, op: &ReplOp) -> Record {
         let kind = match op.kind {
             ReplKind::Register => "register",
             ReplKind::Update => "update",
@@ -320,7 +313,7 @@ pub(crate) mod mdp_records {
             escape(&op.uri),
             escape(&op.xml)
         );
-        Record::new(seq_key(tag, peer, seq), fields)
+        Record::new(seq_key("replout", peer, seq), fields)
     }
 
     /// A Raft voter's hard state.
@@ -403,14 +396,6 @@ pub(crate) mod lmr_records {
     /// A match anchor.
     pub(crate) fn anchor(uri: &str, rule: u64) -> Record {
         Record::new(key("match", &[&uri, &rule]), "")
-    }
-
-    pub(crate) fn pubbuf_key(seq: u64) -> String {
-        key("pubbuf", &[&seq])
-    }
-
-    pub(crate) fn pubbuf(msg: &PublishMsg) -> Record {
-        Record::new(pubbuf_key(msg.seq), escape(&msg.to_wire()))
     }
 }
 
@@ -540,9 +525,6 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         for (peer, next_seq) in self.repl_seq.sorted() {
             out.push(rec::counter("replseq", &peer, next_seq));
         }
-        for (peer, next_seq) in self.repl_in.floors() {
-            out.push(rec::counter("replfloor", peer, next_seq));
-        }
         if let Some(table) = self.placement() {
             out.push(rec::placement(table));
         }
@@ -596,8 +578,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
     /// refilling memory and the filter tables without writing a record
     /// back; the messages that were in flight re-enter their outboxes, due
     /// for retransmission after `retry_backoff_ms` (the receiver tolerates
-    /// the duplicate), and the parked replicated operations their reorder
-    /// buffer. A Raft voter's hard state and log come back for
+    /// the duplicate). A Raft voter's hard state and log come back for
     /// `raft_enable` to re-seat. A record that does not decode is an error,
     /// never a partial guess.
     pub fn reopen(
@@ -681,12 +662,11 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         let mut f = Fields::of(line);
         let tag = f.tag;
         match (tag, rearm) {
-            ("pubseq" | "replseq" | "replfloor", _) => {
+            ("pubseq" | "replseq", _) => {
                 let (node, next_seq) = (f.str()?, f.num()?);
                 match tag {
                     "pubseq" => self.next_pub_seq.set(node, next_seq),
-                    "replseq" => self.repl_seq.set(node, next_seq),
-                    _ => self.repl_in.set_floor(node.to_owned(), next_seq),
+                    _ => self.repl_seq.set(node, next_seq),
                 }
                 self.state_put(|| rec::counter(tag, node, next_seq))?;
             }
@@ -718,7 +698,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 self.state_put(|| rec::outbox(lmr, &msg))?;
                 self.outbox.restore((lmr.to_owned(), seq), msg, backoff);
             }
-            ("replout" | "replbuf", Some(backoff)) => {
+            ("replout", Some(backoff)) => {
                 let (peer, seq) = (f.str()?, f.num()?);
                 let kind = match f.str()? {
                     "register" => ReplKind::Register,
@@ -728,12 +708,8 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 };
                 let (version, uri, xml) = (f.num()?, f.text()?, f.text()?);
                 let op = ReplOp::new(kind, uri, version, xml);
-                self.state_put(|| rec::repl(tag, peer, seq, &op))?;
-                if tag == "replout" {
-                    self.repl_out.restore((peer.to_owned(), seq), op, backoff);
-                } else {
-                    self.repl_in.park(peer.to_owned(), seq, op);
-                }
+                self.state_put(|| rec::replout(peer, seq, &op))?;
+                self.repl_out.restore((peer.to_owned(), seq), op, backoff);
             }
             // seed and election deadline: `raft_enable` re-seats the voter
             ("raft", Some(_)) => {
@@ -848,7 +824,7 @@ impl<S: StorageEngine> Lmr<S> {
         })?;
         let mut lmr = Self::from_store(name, mdp, schema, store, true);
         for line in &lines {
-            lmr.apply_record(line, true)?;
+            lmr.apply_record(line)?;
         }
         lmr.restore_anchors()?;
         Ok(lmr)
@@ -856,26 +832,26 @@ impl<S: StorageEngine> Lmr<S> {
 
     /// The dispatcher of the LMR grammar: applies one record line to this
     /// node's memory (the records it reads are in its state table already,
-    /// or the node has none). The in-flight `pubbuf` is accepted only in
-    /// `recovery`. Match anchors go to the tracker, whose strong counts and
-    /// local marks [`Lmr::restore_anchors`] adds once the cache is in place.
-    fn apply_record(&mut self, line: &str, recovery: bool) -> Result<()> {
+    /// or the node has none). Match anchors go to the tracker, whose strong
+    /// counts and local marks [`Lmr::restore_anchors`] adds once the cache
+    /// is in place.
+    fn apply_record(&mut self, line: &str) -> Result<()> {
         let mut f = Fields::of(line);
-        match (f.tag, recovery) {
-            ("pubseq", _) => self.home.set_floor((), f.num()?),
-            ("nextrule", _) => self.next_rule = self.next_rule.max(f.num()?),
-            ("home", _) => {
+        match f.tag {
+            "pubseq" => self.home_floor = f.num()?,
+            "nextrule" => self.next_rule = self.next_rule.max(f.num()?),
+            "home" => {
                 self.mdp = f.str()?.to_owned();
                 let backup = f.str()?;
                 self.backup = (!backup.is_empty()).then(|| backup.to_owned());
                 self.awaiting_welcome = f.flag()?;
             }
-            ("placement", _) => self.placement = true,
-            ("altseq", _) => {
+            "placement" => self.placement = true,
+            "altseq" => {
                 let mdp = f.str()?.to_owned();
                 self.alt.set_floor(mdp, f.num()?);
             }
-            ("rule", _) => {
+            "rule" => {
                 let id = f.num()?;
                 let status = match f.str()? {
                     "pending" => RuleStatus::Pending,
@@ -889,21 +865,16 @@ impl<S: StorageEngine> Lmr<S> {
                 self.rules.insert(id, LmrRule { text, status });
                 self.next_rule = self.next_rule.max(id + 1);
             }
-            ("dead", _) => {
+            "dead" => {
                 self.dead_rules.insert(f.num()?);
             }
-            ("local", _) => {
+            "local" => {
                 let doc = f.document()?;
                 self.local_docs.insert(doc.uri().to_owned(), doc);
             }
-            ("match", _) => {
+            "match" => {
                 let (uri, rule) = (f.str()?, f.num()?);
                 self.tracker.add_match(uri, rule);
-            }
-            ("pubbuf", true) => {
-                let seq = f.num()?;
-                let msg = f.envelope(seq)?;
-                self.home.park((), seq, msg);
             }
             _ => return Err(Error::Topology(format!("unknown LMR state record: {line}"))),
         }
@@ -929,7 +900,7 @@ impl Lmr {
                 break;
             }
             if !line.is_empty() {
-                self.apply_record(line, false)?;
+                self.apply_record(line)?;
             }
         }
         self.restore_anchors()
@@ -1042,25 +1013,27 @@ mod tests {
         let mut mdp = Mdp::new("m", schema());
         assert!(mdp.import_state("garbage").is_err());
         assert!(
-            mdp.import_state("#mdv-mdp-state v2\ndocument d.rdf\n")
+            mdp.import_state("#mdv-mdp-state v3\ndocument d.rdf\n")
                 .is_err(),
             "a document record without its XML"
         );
-        assert!(mdp.import_state("#mdv-mdp-state v2\nwat\n").is_err());
-        let twice = "#mdv-mdp-state v2\nretired l\t1\nretired l\t1\n";
+        assert!(mdp.import_state("#mdv-mdp-state v3\nwat\n").is_err());
+        let twice = "#mdv-mdp-state v3\nretired l\t1\nretired l\t1\n";
         assert!(mdp.import_state(twice).is_err(), "a rule listed twice");
     }
 
     #[test]
-    fn version_one_is_rejected() {
+    fn earlier_versions_are_rejected() {
         let net = Network::new(NetConfig::default());
         let _rx = net.register("lmr1").unwrap();
-        let v1 = populated_mdp(&net).export_state().replacen("v2", "v1", 1);
-        let err = Mdp::new("m", schema()).import_state(&v1).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported MDP state header"),
-            "{err}"
-        );
+        for old in ["v1", "v2"] {
+            let text = populated_mdp(&net).export_state().replacen("v3", old, 1);
+            let err = Mdp::new("m", schema()).import_state(&text).unwrap_err();
+            assert!(
+                err.to_string().contains("unsupported MDP state header"),
+                "{old}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1321,7 +1294,6 @@ mod lmr_state_tests {
         assert!(l.import_state("nope").is_err());
         assert!(l.import_state("#mdv-lmr-state v3\nwat\n").is_err());
         assert!(l.import_state("#mdv-lmr-state v3\nlocal d.rdf\n").is_err());
-        assert!(l.import_state("#mdv-lmr-state v3\npubbuf 0\tx\n").is_err());
         assert!(l.import_state("#mdv-lmr-state v3\nplacement x\n").is_err());
         for old in ["v1", "v2"] {
             let text = populated_lmr().export_state().replacen("v3", old, 1);
@@ -1683,7 +1655,7 @@ mod drift_tests {
                 let export = mdp.export_state();
                 let db = mdp.engine().storage().database();
                 prop_assert_eq!(
-                    table_lines(db, crate::mdp::T_STATE, &MDP_TAGS[8..]),
+                    table_lines(db, crate::mdp::T_STATE, &MDP_TAGS[7..]),
                     export_lines(&export),
                     "step {step}: {what}: the MDP's table"
                 );
@@ -1695,7 +1667,7 @@ mod drift_tests {
                     let export = lmr.export_state();
                     let db = lmr.storage().database();
                     prop_assert_eq!(
-                        table_lines(db, crate::lmr::T_STATE, &LMR_TAGS[9..]),
+                        table_lines(db, crate::lmr::T_STATE, &[]),
                         export_lines(&export),
                         "step {step}: {what}: {l}'s table"
                     );
@@ -1819,7 +1791,7 @@ mod drift_tests {
                     prop_assert_eq!(hard, want, "step {step}: {what}: {m}'s raft record");
                     prop_assert_eq!(log, p.log, "step {step}: {what}: {m}'s raftlog records");
                     prop_assert_eq!(
-                        table_lines(mdp.engine().storage().database(), crate::mdp::T_STATE, &MDP_TAGS[8..]),
+                        table_lines(mdp.engine().storage().database(), crate::mdp::T_STATE, &MDP_TAGS[7..]),
                         export_lines(&mdp.export_state()),
                         "step {step}: {what}: {m}'s table"
                     );

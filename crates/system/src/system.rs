@@ -12,16 +12,21 @@ use mdv_runtime::channel::Receiver;
 use crate::error::{store_err, Error, Result};
 use crate::lmr::{Lmr, RuleStatus};
 use crate::mdp::{doc_uri_of, Mdp};
-use crate::placement::{PlacementConfig, PlacementTable, DEFAULT_PLACEMENT_SHARDS};
+use crate::placement::{
+    PlacementConfig, PlacementTable, DEFAULT_PLACEMENT_SHARDS, MAX_PLACEMENT_SHARDS,
+};
 use crate::raft::{
     RaftCmd, RaftProbe, RaftRole, ReplicationMode, DEFAULT_COMPACT_THRESHOLD, HEARTBEAT_MS,
 };
 use crate::transport::{Envelope, NetConfig, NetStats, Network};
 
 /// Consecutive quiescence rounds without a single mailbox delivery before
-/// the loop declares the remaining work parked and returns (DESIGN.md §9):
+/// the loop declares the remaining work held back and returns (DESIGN.md §9):
 /// a permanently partitioned minority can retransmit forever, and without
-/// this cap [`MdvSystem::run_to_quiescence`] would spin on it.
+/// this cap [`MdvSystem::run_to_quiescence`] would spin on it. An envelope
+/// an LMR withholds (ahead of its floor) is no delivery: a retransmission
+/// that keeps arriving ahead of a floor its sender can no longer close
+/// would otherwise reset the count forever.
 const STALL_ROUND_BUDGET: u32 = 256;
 /// Per-quiescence-call caps on consensus activity, so a leader that can
 /// never reach a quorum (or a candidate that can never win) stops driving
@@ -483,7 +488,7 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
         Ok(())
     }
 
-    /// Brings a failed MDP back: parked retransmissions against it resume,
+    /// Brings a failed MDP back: held-back retransmissions against it resume,
     /// the system runs to quiescence, and the backbone is then repaired by
     /// anti-entropy rounds until every live MDP holds a byte-identical
     /// document set (messages lost while the node was down cannot be
@@ -564,10 +569,10 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
                 "replication factor must be at least 1".into(),
             ));
         }
-        if config.shards == 0 {
-            return Err(Error::Config(
-                "placement shard count must be at least 1".into(),
-            ));
+        if config.shards == 0 || config.shards > MAX_PLACEMENT_SHARDS {
+            return Err(Error::Config(format!(
+                "placement shard count must be between 1 and {MAX_PLACEMENT_SHARDS}"
+            )));
         }
         if self.mdps.is_empty() {
             return Err(Error::Config(
@@ -790,12 +795,8 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
     /// RepairRequest/RepairDocs (DESIGN.md §7). Runs to quiescence. The
     /// round itself is best-effort — under an active fault plan its messages
     /// can drop; [`MdvSystem::repair_backbone`] loops rounds to convergence.
-    pub fn anti_entropy_round(&mut self) -> Result<()> {
-        if self.mode == ReplicationMode::Raft {
-            // digest/repair would bypass the replicated log; the leader's
-            // AppendEntries/InstallSnapshot pump replaces it wholesale
-            return self.run_to_quiescence();
-        }
+    /// LWW only: under Raft digest/repair would bypass the replicated log.
+    fn anti_entropy_round(&mut self) -> Result<()> {
         let alive: Vec<String> = self
             .mdps
             .keys()
@@ -1230,8 +1231,9 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
                         progressed = true;
                         mdp.handle(env, network)?;
                     } else if let Some(lmr) = lmrs.get_mut(name) {
-                        progressed = true;
+                        let withheld = lmr.withheld;
                         lmr.handle(env, network)?;
+                        progressed |= lmr.withheld == withheld;
                     }
                 }
             }
@@ -1274,7 +1276,7 @@ impl<S: StorageEngine + Send + Sync> MdvSystem<S> {
                 .chain(raft_wake)
                 .min();
             match next_retry {
-                // nothing in flight, nothing unacked (entries parked against
+                // nothing in flight, nothing unacked (entries held against
                 // a down peer don't count — they cannot progress until a
                 // heal): quiescent
                 None => return Ok(()),

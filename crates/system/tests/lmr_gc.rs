@@ -6,13 +6,13 @@
 //! anchors of each delta, and hands the collector only the URIs it touched.
 //! The first property drives one LMR with arbitrary envelope streams — far
 //! looser than what an MDP builds: resources nobody references, removals of
-//! what was never matched, snapshots, stale and reordered sequence numbers
-//! — and after **every** step requires that a full sweep finds nothing left
-//! to evict, that the cache holds exactly what a model recomputing every
-//! anchor from the cached rows keeps, and that the tracker's incrementally
-//! kept counts equal the recomputed ones. The second sends every envelope
-//! whole to one LMR and one delta at a time to a twin, and requires the
-//! two to agree after every step.
+//! what was never matched, snapshots, stale sequence numbers and early
+//! arrivals the LMR must withhold — and after **every** step requires that
+//! a full sweep finds nothing left to evict, that the cache holds exactly
+//! what a model recomputing every anchor from the cached rows keeps, and
+//! that the tracker's incrementally kept counts equal the recomputed ones.
+//! The second sends every envelope whole to one LMR and one delta at a
+//! time to a twin, and requires the two to agree after every step.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -20,7 +20,7 @@ use mdv_rdf::{Document, RdfSchema, Resource, Term, UriRef};
 use mdv_relstore::{Database, DurableEngine};
 use mdv_runtime::channel::Receiver;
 use mdv_system::{Envelope, Lmr, MdvSystem, Message, NetConfig, Network, PublishMsg, RuleDelta};
-use mdv_testkit::{prop_assert_eq, property, Source, TestResult};
+use mdv_testkit::{prop_assert_eq, property, run_property, Config, Source, TestResult};
 
 const UNIVERSE: usize = 7;
 const RULES: u64 = 4;
@@ -260,10 +260,11 @@ impl Model {
 }
 
 /// One LMR under test, the envelopes sent to it so far (index = sequence
-/// number) and the model, which applies them in sequence order as soon as
-/// the delivered prefix is contiguous — like the LMR's reorder buffer. The
-/// LMR mirrors its state into its state table (in memory), so the `match`
-/// records can be compared too.
+/// number) and the model, which applies an envelope when it arrives at the
+/// floor, as the LMR does. An early arrival is neither acked nor applied;
+/// the harness delivers it again once the gap closes, as the sender's
+/// retransmission would. The LMR mirrors its state into its state table (in
+/// memory), so the `match` records can be compared too.
 struct Harness {
     net: Network,
     /// Where the LMR's acks land; nobody reads it.
@@ -271,8 +272,10 @@ struct Harness {
     lmr: Lmr,
     model: Model,
     sent: Vec<PublishMsg>,
-    delivered: BTreeSet<u64>,
+    /// The floor: envelopes below it are applied.
     applied: usize,
+    /// Early arrivals withheld so far.
+    early: usize,
     locals: usize,
 }
 
@@ -290,8 +293,8 @@ impl Harness {
             lmr,
             model: Model::default(),
             sent: Vec::new(),
-            delivered: BTreeSet::new(),
             applied: 0,
+            early: 0,
             locals: 0,
         }
     }
@@ -311,10 +314,12 @@ impl Harness {
             deliver_at_ms: 0,
         };
         self.lmr.handle(env, &self.net).unwrap();
-        self.delivered.insert(seq);
-        while self.delivered.contains(&(self.applied as u64)) {
+        let floor = self.applied as u64;
+        if seq == floor {
             self.model.apply(&self.sent[self.applied]);
             self.applied += 1;
+        } else if seq > floor {
+            self.early += 1;
         }
     }
 
@@ -447,56 +452,78 @@ fn agree(whole: &mut Harness, split: &mut Harness, step: &str) -> TestResult {
     Ok(())
 }
 
-property! {
-    /// Arbitrary streams: the worklist collector leaves exactly what a full
-    /// sweep and the from-scratch model leave, after every step.
-    fn incremental_gc_matches_full_sweep_and_model(src) {
-        let mut h = Harness::new();
-        let steps = src.usize_in(5..60);
-        for step in 0..steps {
-            match src.weighted(&[10, 3, 2, 2, 1, 1]) {
-                0 => {
-                    h.publish(any_envelope(src));
-                    h.check(&format!("step {step}: envelope"))?;
-                }
-                1 if !h.sent.is_empty() => {
-                    // the same content again under a fresh sequence number:
-                    // every upsert meets a byte-equal copy unless something
-                    // in between replaced or evicted it
-                    let again = h.sent[src.usize_in(0..h.sent.len())].clone();
-                    h.publish(again);
-                    h.check(&format!("step {step}: identical re-publication"))?;
-                }
-                2 if !h.delivered.is_empty() => {
-                    // a retransmitted copy: acked and discarded
-                    let old = src.u64_in(0..h.applied as u64);
-                    h.deliver(old);
-                    h.check(&format!("step {step}: duplicate of seq {old}"))?;
-                }
-                3 => {
-                    // two envelopes overtaking each other: the later one
-                    // parks in the reorder buffer and changes nothing yet
-                    let first = h.number(any_envelope(src));
-                    let second = h.number(any_envelope(src));
-                    h.deliver(second);
-                    h.check(&format!("step {step}: parked seq {second}"))?;
-                    h.deliver(first);
-                    h.check(&format!("step {step}: gap closed by seq {first}"))?;
-                }
-                4 => {
-                    let rule = src.u64_in(0..RULES);
-                    h.unsubscribe(rule);
-                    h.check(&format!("step {step}: unsubscribe of rule {rule}"))?;
-                }
-                5 => {
-                    h.register_local(src.usize_in(0..UNIVERSE));
-                    h.check(&format!("step {step}: local metadata"))?;
-                }
-                _ => {}
+/// Arbitrary streams: the worklist collector leaves exactly what a full
+/// sweep and the from-scratch model leave, after every step. Returns the
+/// early arrivals the LMR withheld.
+fn gc_matches_full_sweep_and_model(src: &mut Source) -> Result<usize, String> {
+    let mut h = Harness::new();
+    let steps = src.usize_in(5..60);
+    for step in 0..steps {
+        match src.weighted(&[10, 3, 2, 2, 1, 1]) {
+            0 => {
+                h.publish(any_envelope(src));
+                h.check(&format!("step {step}: envelope"))?;
             }
+            1 if !h.sent.is_empty() => {
+                // the same content again under a fresh sequence number:
+                // every upsert meets a byte-equal copy unless something
+                // in between replaced or evicted it
+                let again = h.sent[src.usize_in(0..h.sent.len())].clone();
+                h.publish(again);
+                h.check(&format!("step {step}: identical re-publication"))?;
+            }
+            2 if h.applied > 0 => {
+                // a retransmitted copy: acked and discarded
+                let old = src.u64_in(0..h.applied as u64);
+                h.deliver(old);
+                h.check(&format!("step {step}: duplicate of seq {old}"))?;
+            }
+            3 => {
+                // two envelopes overtaking each other: the later one is
+                // withheld and changes nothing, and comes again once the
+                // earlier one closed the gap
+                let first = h.number(any_envelope(src));
+                let second = h.number(any_envelope(src));
+                h.deliver(second);
+                h.check(&format!("step {step}: early seq {second}"))?;
+                h.deliver(first);
+                h.check(&format!("step {step}: gap closed by seq {first}"))?;
+                h.deliver(second);
+                h.check(&format!("step {step}: seq {second} again"))?;
+            }
+            4 => {
+                let rule = src.u64_in(0..RULES);
+                h.unsubscribe(rule);
+                h.check(&format!("step {step}: unsubscribe of rule {rule}"))?;
+            }
+            5 => {
+                h.register_local(src.usize_in(0..UNIVERSE));
+                h.check(&format!("step {step}: local metadata"))?;
+            }
+            _ => {}
         }
     }
+    Ok(h.early)
+}
 
+/// [`gc_matches_full_sweep_and_model`] over many cases, which between them
+/// must still draw early arrivals.
+#[test]
+fn incremental_gc_matches_full_sweep_and_model() {
+    let early = std::cell::Cell::new(0);
+    let config = Config::from_env();
+    run_property(
+        "incremental_gc_matches_full_sweep_and_model",
+        config,
+        |src| {
+            early.set(early.get() + gc_matches_full_sweep_and_model(src)?);
+            Ok(())
+        },
+    );
+    assert!(early.get() > 0, "no case drew an early arrival");
+}
+
+property! {
     /// Envelopes whose deltas each ship the strong closure of what they
     /// match and update — the ones an MDP builds — go whole to one LMR and
     /// one delta at a time to a twin: a URI matched in one delta and

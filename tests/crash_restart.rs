@@ -12,8 +12,8 @@
 //!
 //! Deterministic companions pin the torn-tail case, GC no-resurrection
 //! through recovery, snapshot-as-compaction, what an MDP journals (its
-//! mirrors, not its filter tables), and out-of-order arrivals parked
-//! durably across a crash of the receiver.
+//! mirrors, not its filter tables), and early arrivals: the receiver keeps
+//! none, and the sender's durable record carries each across a crash.
 
 mod common;
 
@@ -186,7 +186,6 @@ property! {
                 }
             }
             prop_assert_eq!(sys.mdp("mdp").unwrap().unacked_publications(), 0);
-            prop_assert_eq!(sys.lmr("lmr").unwrap().buffered_publications(), 0);
             let texts: Vec<&str> = active.iter().map(|(_, idx)| RULES[*idx]).collect();
             assert_consistent(&sys, "lmr", "mdp", &texts, &format!("after step {step}"));
         }
@@ -391,7 +390,7 @@ fn record_keys(db: &Database, table: &str, tag: &str) -> Vec<String> {
 }
 
 /// A stream counter of a node's state table: the number in the fields of
-/// the record `key` (`pubseq` of an LMR, `replfloor <peer>` of an MDP).
+/// the record `key` (`pubseq` of an LMR).
 fn counter(db: &Database, table: &str, key: &str) -> Option<i64> {
     db.table(table)
         .unwrap()
@@ -607,8 +606,7 @@ const HEAL_MS: u64 = 1_000_000_000;
 
 /// A fixed schedule that reorders one link: sequence number `n` is lost
 /// while its receiver is down, `n + 1` arrives, and every retransmission
-/// of `n` falls into a partition — so `n + 1` waits in the reorder buffer
-/// across the receiver's crash.
+/// of `n` falls into a partition — so the gap stays open across a crash.
 fn reordering(from: &str, to: &str) -> NetConfig {
     NetConfig {
         retry_initial_ms: 2 * CUT_MS,
@@ -626,8 +624,8 @@ fn reordering(from: &str, to: &str) -> NetConfig {
 }
 
 #[test]
-fn out_of_order_publication_stays_parked_across_an_lmr_crash() {
-    let root = scratch("lmr-park");
+fn an_early_publication_waits_in_the_senders_outbox_across_a_crash() {
+    let root = scratch("lmr-early");
     let mut sys = durable_two_tier(&root, reordering("mdp", "lmr"));
     sys.subscribe("lmr", RULES[1]).unwrap();
     let floor = |sys: &MdvSystem<DurableEngine>| {
@@ -637,47 +635,53 @@ fn out_of_order_publication_stays_parked_across_an_lmr_crash() {
             "pubseq",
         )
     };
+    let outbox = |sys: &MdvSystem<DurableEngine>| {
+        let db = sys.mdp("mdp").unwrap().engine().storage().database();
+        record_keys(db, "SysState", "outbox")
+    };
     let n = floor(&sys).unwrap();
 
-    // publication n is lost while the LMR is down, n + 1 arrives first
+    // publication n is lost while the LMR is down; n + 1 arrives first,
+    // and the LMR neither acks it nor writes a record for it
     sys.network().set_down("lmr", true);
     sys.register_document("mdp", &provider(1, "a.hub.org", 128, 700))
         .unwrap();
     sys.network().set_down("lmr", false);
+    let lmr_wal = sys.lmr("lmr").unwrap().storage().wal_bytes();
     sys.register_document("mdp", &provider(2, "b.hub.org", 128, 700))
         .unwrap();
-    assert_eq!(sys.mdp("mdp").unwrap().unacked_publications(), 1);
-    assert_eq!(sys.lmr("lmr").unwrap().buffered_publications(), 1);
-    assert!(!sys.lmr("lmr").unwrap().is_cached("doc2.rdf#host"));
-
-    // the crash keeps the parked publication and the floor
-    sys.crash_and_restart_lmr("lmr").unwrap();
     let lmr = sys.lmr("lmr").unwrap();
     assert_eq!(
-        lmr.buffered_publications(),
-        1,
-        "the parked publication was lost"
+        lmr.storage().wal_bytes(),
+        lmr_wal,
+        "the LMR logged the early arrival"
     );
-    assert_eq!(
-        record_keys(lmr.storage().database(), "LmrState", "pubbuf").len(),
-        1
-    );
-    assert_eq!(floor(&sys), Some(n));
+    assert!(!lmr.is_cached("doc2.rdf#host"));
+    assert_eq!(sys.mdp("mdp").unwrap().unacked_publications(), 2);
+    let held = vec![format!("outbox lmr\t{n}"), format!("outbox lmr\t{}", n + 1)];
+    assert_eq!(outbox(&sys), held);
 
-    // the gap closes: n, then the parked n + 1, each applied once
+    // both nodes crash: the LMR keeps its floor, the MDP its outbox
+    sys.crash_and_restart_lmr("lmr").unwrap();
+    sys.crash_and_restart_mdp("mdp").unwrap();
+    assert_eq!(floor(&sys), Some(n));
+    assert_eq!(outbox(&sys), held, "the sender lost what was in flight");
+    assert_eq!(sys.mdp("mdp").unwrap().unacked_publications(), 2);
+
+    // the gap closes: n, then n + 1, each applied once — the floor moves
+    // past each exactly once
     sys.network().advance_clock(HEAL_MS);
     sys.run_to_quiescence().unwrap();
     let lmr = sys.lmr("lmr").unwrap();
-    assert_eq!(lmr.buffered_publications(), 0);
-    assert!(record_keys(lmr.storage().database(), "LmrState", "pubbuf").is_empty());
     assert_eq!(floor(&sys), Some(n + 2));
+    assert!(outbox(&sys).is_empty());
     assert_eq!(sys.mdp("mdp").unwrap().unacked_publications(), 0);
     assert!(lmr.is_cached("doc1.rdf#host") && lmr.is_cached("doc2.rdf#host"));
     assert_consistent(&sys, "lmr", "mdp", &RULES[1..2], "after the gap closed");
 
     // an in-order publication costs the LMR's log less than its own wire
     // form: the initial fill of a second rule over a cached document with
-    // a 4 KiB host name writes no cache row and no buffer row
+    // a 4 KiB host name writes no cache row and no copy of the envelope
     let host = format!("c.hub.{}.org", "x".repeat(4096));
     sys.register_document("mdp", &provider(3, &host, 128, 700))
         .unwrap();
@@ -710,49 +714,64 @@ fn out_of_order_publication_stays_parked_across_an_lmr_crash() {
 }
 
 #[test]
-fn out_of_order_replication_stays_parked_across_an_mdp_crash() {
-    let root = scratch("mdp-park");
+fn an_early_replication_waits_in_the_senders_replout_across_a_crash() {
+    let root = scratch("mdp-early");
     let mut sys = MdvSystem::durable_with_net_config(schema(), reordering("m1", "m2"));
     sys.add_mdp_durable("m1", root.join("m1")).unwrap();
     sys.add_mdp_durable("m2", root.join("m2")).unwrap();
     sys.add_lmr_durable("lmr", "m2", root.join("lmr")).unwrap();
     sys.subscribe("lmr", RULES[1]).unwrap();
-    let floor = |sys: &MdvSystem<DurableEngine>| {
-        let db = sys.mdp("m2").unwrap().engine().storage().database();
-        counter(db, "SysState", "replfloor m1")
+    let replout = |sys: &MdvSystem<DurableEngine>| {
+        let db = sys.mdp("m1").unwrap().engine().storage().database();
+        record_keys(db, "SysState", "replout")
     };
-    let buffered = |sys: &MdvSystem<DurableEngine>| {
+    // m2's state records that name its peer m1: none, ever
+    let about_m1 = |sys: &MdvSystem<DurableEngine>| -> Vec<String> {
         let db = sys.mdp("m2").unwrap().engine().storage().database();
-        record_keys(db, "SysState", "replbuf").len()
+        let rows = db
+            .table("SysState")
+            .unwrap()
+            .iter()
+            .map(|(_, r)| format!("{r:?}"));
+        rows.filter(|r| r.contains("m1")).collect()
     };
+    // what m2 applies it publishes to the LMR, once per first send
+    let applied_at_m2 = |sys: &MdvSystem<DurableEngine>| {
+        let log = sys.network().log();
+        let first = log
+            .iter()
+            .filter(|r| r.from == "m2" && r.to == "lmr" && !r.retry);
+        first.filter(|r| r.kind == "publish").count()
+    };
+    let before = applied_at_m2(&sys);
 
-    // replicated op 0 is lost while m2 is down, op 1 arrives first
+    // replicated op 0 is lost while m2 is down; op 1 arrives first and is
+    // acked and applied on arrival
     sys.fail_mdp("m2").unwrap();
     sys.register_document("m1", &provider(1, "a.hub.org", 128, 700))
         .unwrap();
     sys.network().set_down("m2", false);
     sys.register_document("m1", &provider(2, "b.hub.org", 128, 700))
         .unwrap();
+    let m2 = sys.mdp("m2").unwrap().engine();
+    assert!(m2.document("doc1.rdf").is_none() && m2.document("doc2.rdf").is_some());
+    assert_eq!(applied_at_m2(&sys), before + 1);
+    assert!(about_m1(&sys).is_empty(), "{:?}", about_m1(&sys));
     assert_eq!(sys.mdp("m1").unwrap().unacked_replications(), 1);
-    assert_eq!(buffered(&sys), 1);
-    assert_eq!(floor(&sys), None, "nothing applied from m1 yet");
-    assert!(sys
-        .mdp("m2")
-        .unwrap()
-        .engine()
-        .document("doc2.rdf")
-        .is_none());
+    assert_eq!(replout(&sys), ["replout m2\t0"]);
 
-    // the crash keeps the parked operation
-    sys.crash_and_restart_mdp("m2").unwrap();
-    assert_eq!(buffered(&sys), 1, "the parked operation was lost");
+    // the sender crashes and keeps op 0 in its `replout` record
+    sys.crash_and_restart_mdp("m1").unwrap();
+    assert_eq!(replout(&sys), ["replout m2\t0"], "the sender lost op 0");
+    assert_eq!(sys.mdp("m1").unwrap().unacked_replications(), 1);
 
-    // the gap closes: op 0, then the parked op 1, each applied once
+    // the gap closes: op 0 is applied, once; nothing is applied twice
     sys.network().advance_clock(HEAL_MS);
     sys.run_to_quiescence().unwrap();
-    assert_eq!(buffered(&sys), 0);
-    assert_eq!(floor(&sys), Some(2));
+    assert!(replout(&sys).is_empty());
     assert_eq!(sys.mdp("m1").unwrap().unacked_replications(), 0);
+    assert_eq!(applied_at_m2(&sys), before + 2);
+    assert!(about_m1(&sys).is_empty(), "{:?}", about_m1(&sys));
     let m2 = sys.mdp("m2").unwrap().engine();
     assert!(m2.document("doc1.rdf").is_some() && m2.document("doc2.rdf").is_some());
     assert!(sys.backbone_converged());

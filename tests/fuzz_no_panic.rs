@@ -12,7 +12,7 @@ use mdv::relstore::{
     CrashMode, Database, DiskFaultPlan, DurableEngine, FaultVfs, Value, Vfs, VfsFile, CRASH_MODES,
 };
 use mdv::system::transport::{FaultPlan, LinkFaults};
-use mdv::system::{MdvSystem, PublishMsg, RuleDelta};
+use mdv::system::{MdvSystem, PlacementTable, PublishMsg, RuleDelta};
 use mdv::workload::benchmark_schema;
 use mdv_testkit::{prop_assert, property, Source};
 
@@ -209,9 +209,9 @@ property! {
         let _ = lmr.query(&input);
     }
 
-    /// A truncated or garbled envelope wire form — what the `outbox` and
-    /// `pubbuf` state records hold — is an error: decoded directly, or
-    /// reopened into an MDP or an LMR.
+    /// A truncated or garbled envelope wire form — what the `outbox` state
+    /// records hold — is an error: decoded directly, or reopened into an
+    /// MDP.
     fn damaged_envelope_rows_are_errors(src) cases = 256; {
         let msg = arb_envelope(src);
         let wire = msg.to_wire();
@@ -221,10 +221,25 @@ property! {
 
         let outbox = format!("outbox l\t{}", msg.seq);
         let rebuilds = |wire: &str| reopen_mdp_with(&[(&outbox, &escaped(wire))]).is_ok();
-        let reopens = |wire: &str| reopen_lmr_with(&format!("pubbuf {}", msg.seq), &escaped(wire)).is_ok();
-        prop_assert!(rebuilds(&wire) && reopens(&wire));
+        prop_assert!(rebuilds(&wire));
         prop_assert!(!rebuilds(&damaged), "an MDP reopened over {damaged:?}");
-        prop_assert!(!reopens(&damaged), "an LMR reopened over {damaged:?}");
+    }
+
+    /// A placement table whose shard count is `u64::MAX` — what a damaged
+    /// `placement` record or export line may hold — is an error: decoded
+    /// directly, imported or reopened into an MDP.
+    fn damaged_placement_wire_is_an_error(src) cases = 64; {
+        let mdps: Vec<String> = (0..src.usize_in(1..5)).map(|i| format!("m{i}")).collect();
+        let (shards, factor, epoch) = (src.usize_in(1..128), src.usize_in(1..4), src.u64_in(0..100));
+        let wire = PlacementTable::compute(&mdps, shards, factor, epoch).to_wire();
+        prop_assert!(PlacementTable::from_wire(&wire).is_ok());
+        let (max, mut fields) = (u64::MAX.to_string(), wire.split('\t').collect::<Vec<_>>());
+        fields[2] = &max; // epoch, factor, shards, mdps
+        let damaged = fields.join("\t");
+        prop_assert!(PlacementTable::from_wire(&damaged).is_err(), "decoded {damaged:?}");
+        let export = format!("#mdv-mdp-state v3\nplacement {}\n", escaped(&damaged));
+        prop_assert!(Mdp::new("m", benchmark_schema()).import_state(&export).is_err());
+        prop_assert!(reopen_mdp_with(&[("placement", &escaped(&damaged))]).is_err());
     }
 
     /// State import decodes what a Raft InstallSnapshot carries off the
@@ -248,7 +263,7 @@ property! {
 
         let mdp_input = match src.usize_in(0..3) {
             0 => src.printable(0..80),
-            1 => format!("#mdv-mdp-state v2\n{}", arb_garbage(src)),
+            1 => format!("#mdv-mdp-state v3\n{}", arb_garbage(src)),
             _ => damage(src, &mdp_state),
         };
         let _ = Mdp::new("m", common::schema()).import_state(&mdp_input);
@@ -686,26 +701,30 @@ fn raft_committed_registration_survives_any_single_node_crash() {
     }
 }
 
-/// One damaged record of every tag of both grammars, and an unknown tag,
-/// in a durable node's state table: rebuilding the MDP or reopening the
-/// LMR is a typed error, never a panic and never a partial guess.
+/// One damaged record of every tag of both grammars, an unknown tag, and
+/// well-formed records of the kinds no longer written (the replication
+/// floor and the early arrivals receivers once kept) in a durable node's
+/// state table: rebuilding the MDP or reopening the LMR is a typed error,
+/// never a panic and never a partial guess.
 #[test]
 fn a_damaged_record_of_every_tag_fails_recovery() {
+    let envelope = escaped(&PublishMsg::default().to_wire());
     let mdp = [
         ("pubseq l", "x"),
         ("docver d.rdf", "1\t2"),
         ("replseq m2", ""),
-        ("replfloor m2", "-1"),
         ("placement", "1\tx"),
+        ("placement", "1\t2\t18446744073709551615\tm"),
         ("document d.rdf", "<rdf"),
         ("subscription l\t0", "search Nope n register n"),
         ("retired l\tx", ""),
         ("outbox l\t0", "envelope 0"),
         ("replout m2\t0", "move\t1\td.rdf\t"),
-        ("replbuf m2\t0", "register\tx\td.rdf\t"),
         ("raft", "1\tm2\tx\t0\t0\t0\t0"),
         ("raftlog 1", "1\tnoop"),
         ("wat", ""),
+        ("replfloor m2", "3"),
+        ("replbuf m2\t0", "register\t1\td.rdf\t<rdf:RDF/>"),
     ];
     for (key, fields) in mdp {
         assert!(
@@ -737,8 +756,8 @@ fn a_damaged_record_of_every_tag_fails_recovery() {
         ("dead x", ""),
         ("local d.rdf", "<rdf"),
         ("match d.rdf#h\tx", ""),
-        ("pubbuf 0", "envelope 0"),
         ("wat", ""),
+        ("pubbuf 0", envelope.as_str()),
     ];
     for (key, fields) in lmr {
         assert!(

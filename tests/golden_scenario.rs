@@ -17,10 +17,16 @@
 //! scripts run a second time over a seeded lossy transport (drops,
 //! duplicates, jitter and latency spikes), so the pins also cover the
 //! at-least-once machinery the inert runs never reach: retransmission
-//! backoff, reorder buffers and the placement alternate-stream gap policy.
-//! A sixth lossy script catches a Raft follower up by InstallSnapshot
-//! behind a log compacted every two entries, and a seventh does the same
-//! to a follower that holds documents when it fails.
+//! backoff and duplicate suppression. A sixth lossy script catches a Raft
+//! follower up by InstallSnapshot behind a log compacted every two
+//! entries, and a seventh does the same to a follower that holds documents
+//! when it fails.
+//!
+//! None of those ten scripts delivers a message ahead of its stream's
+//! floor: every operation runs to quiescence, so a gap closes before the
+//! next operation can open another. The eleventh makes one early arrival on
+//! a publication link and one on a replication link, and pins the
+//! retransmissions that close both gaps.
 //!
 //! A change meant to alter no behaviour (a refactor, a deletion, a
 //! speed-up) must leave every pin untouched; that is its proof of "same
@@ -35,7 +41,7 @@ mod common;
 use common::{provider, schema};
 use mdv::prelude::*;
 use mdv::relstore::{Database, DurableEngine, FaultVfs, StorageEngine};
-use mdv::system::transport::{LinkFaults, NetConfig, NetStats};
+use mdv::system::transport::{FaultPlan, FaultTag, LinkFaults, NetConfig, NetStats, Partition};
 use mdv::system::PlacementConfig;
 
 const PIN_LWW_FAILOVER: u64 = 0xff44_3cea_806a_1f2c;
@@ -48,6 +54,7 @@ const PIN_PLACEMENT_R2_LOSSY: u64 = 0xea5f_93d7_394a_c86a;
 const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0x7f67_a046_4366_71ff;
 const PIN_RAFT_INSTALL_LOSSY: u64 = 0x7f39_8247_d154_220a;
 const PIN_RAFT_INSTALL_DOCS_LOSSY: u64 = 0x9666_515f_eac1_2da4;
+const PIN_EARLY_ARRIVALS: u64 = 0x0486_63ca_2779_a0f9;
 
 /// Two overlapping subscriptions: a document with memory > 64 and
 /// cpu >= 600 is published to both LMRs in the same operation, so the
@@ -460,4 +467,69 @@ fn batch_of_one_hundred_with_a_rejected_batch() {
 
     digest(&sys, &mut h);
     check("batch", h.0, PIN_BATCH_REJECTED);
+}
+
+/// m1 sends publication `n` to l1 and replicated operation 0 to m2 while
+/// both are down; both come back, and m1's next operation arrives first on
+/// each link. l1 withholds its early envelope; m2 applies its early
+/// operation, which the version gate allows. m1's first retransmission is
+/// due inside a partition of both links that outlasts the stall budget of
+/// `run_to_quiescence`, so each gap stays open until the script moves the
+/// clock past `HEAL_MS`; the retransmissions then close both.
+#[test]
+fn early_arrivals_on_a_publication_and_a_replication_link() {
+    const CUT_MS: u64 = 10_000;
+    const HEAL_MS: u64 = 1_000_000_000;
+    let partition = |to: &str| Partition {
+        from: "m1".into(),
+        to: to.into(),
+        from_ms: CUT_MS,
+        until_ms: HEAL_MS,
+    };
+    let config = NetConfig {
+        retry_initial_ms: 2 * CUT_MS,
+        faults: FaultPlan {
+            partitions: vec![partition("l1"), partition("m2")],
+            ..FaultPlan::default()
+        },
+        ..NetConfig::default()
+    };
+    let mut sys = MdvSystem::with_net_config(schema(), config);
+    sys.add_mdp("m1").unwrap();
+    sys.add_mdp("m2").unwrap();
+    sys.add_lmr("l1", "m1").unwrap();
+    sys.subscribe("l1", RULES[0]).unwrap();
+
+    for (down, doc) in [(true, 0), (false, 1)] {
+        for node in ["l1", "m2"] {
+            sys.network().set_down(node, down);
+        }
+        sys.register_document("m1", &provider(doc, "a.hub.org", 128, 700))
+            .unwrap();
+    }
+    let (l1, m2) = (sys.lmr("l1").unwrap(), sys.mdp("m2").unwrap().engine());
+    assert!(
+        !l1.is_cached("doc1.rdf#host"),
+        "l1 applied its early arrival"
+    );
+    assert!(m2.document("doc0.rdf").is_none() && m2.document("doc1.rdf").is_some());
+
+    sys.network().advance_clock(HEAL_MS);
+    sys.run_to_quiescence().unwrap();
+    let l1 = sys.lmr("l1").unwrap();
+    assert!(l1.is_cached("doc0.rdf#host") && l1.is_cached("doc1.rdf#host"));
+    assert!(sys.backbone_converged());
+    for (to, kind) in [("l1", "publish"), ("m2", "replicate-register")] {
+        let closed = sys.network().log().into_iter().any(|r| {
+            (r.from.as_str(), r.to.as_str(), r.kind) == ("m1", to, kind)
+                && r.retry
+                && r.fault == FaultTag::None
+                && r.sent_at_ms >= HEAL_MS
+        });
+        assert!(closed, "no retransmission closed the gap on m1 -> {to}");
+    }
+
+    let mut h = Fnv::new();
+    digest(&sys, &mut h);
+    check("early-arrivals", h.0, PIN_EARLY_ARRIVALS);
 }
