@@ -154,10 +154,11 @@ echo "ok: no BENCH_*.json in the repo root"
 # Raft tables with the rebuilt `-r<k>` MDP stores, and the three-pass
 # update protocol's pass modes, candidate passes and referrer run, and the
 # always-left backfill evaluation with its partition copy, and the keyed
-# index stores with their key type and formatted trigger-table names, may
+# index stores with their key type and formatted trigger-table names, and
+# the filter run's `String` tuples with their tally and trace copy, may
 # be named only where their removal is recorded —
 # DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables|Mode::(Insert|Refresh|Collect)|pass[123]_atoms|referrer_run|result_insert|result_remove|atoms_from_store|check_match_memo|eval_rule_full|BaseStore::partition\b|IndexStore|BTreeMap<IndexKey|\bIndexKey\b|filter_table_name|table_suffix|pubbuf|replbuf|replfloor|buffered_publications|receive_alt_publication|parked_keys|Inbox::deliver'
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables|Mode::(Insert|Refresh|Collect)|pass[123]_atoms|referrer_run|result_insert|result_remove|atoms_from_store|check_match_memo|eval_rule_full|BaseStore::partition\b|IndexStore|BTreeMap<IndexKey|\bIndexKey\b|filter_table_name|table_suffix|pubbuf|replbuf|replfloor|buffered_publications|receive_alt_publication|parked_keys|Inbox::deliver|HashMap<\(RuleId, String\)|HashSet<\(RuleId, String\)|Vec<\(String, RuleId\)>|record_iteration'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -165,6 +166,23 @@ if grep -nE "$REMOVED" README.md \
   exit 1
 fi
 echo "ok: no removed mechanism named outside DESIGN.md §8 / EXPERIMENTS.md \"Removed studies\""
+
+# ---------------------------------------------------------------------------
+step "filter-run tuples: no String per tuple in crates/core/src"
+# A filter run holds its resources by number (DESIGN.md §10.1): a tuple is
+# `(RuleId, Res)`, and a URI string is built only for a publication and for
+# the rendered Figure-9 trace (`FilterRun`, `trace.rs`). Outside the test
+# modules, no other source file of the filter may key a tally by
+# `(RuleId, String)` or carry tuples as `Vec<(String, RuleId)>`.
+STRING_TUPLES='\(RuleId, String\)|\(String, RuleId\)'
+for f in crates/core/src/*.rs; do
+  [[ "$f" == crates/core/src/trace.rs ]] && continue
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$STRING_TUPLES"; then
+    echo "ERROR: $f carries filter-run tuples as strings (see above)." >&2
+    exit 1
+  fi
+done
+echo "ok: filter-run tuples are numbered outside trace.rs"
 
 # ---------------------------------------------------------------------------
 step "cargo fmt --check"
@@ -184,6 +202,16 @@ echo "ok: clippy clean"
 # ---------------------------------------------------------------------------
 step "cargo test (offline, whole workspace)"
 cargo test -q --offline --workspace
+
+# ---------------------------------------------------------------------------
+step "allocation gate: a filter run allocates per publication, not per tuple"
+# `crates/core/tests/allocations.rs` counts heap allocations with an in-tree
+# counting global allocator: a document firing 100 trigger-only end rules
+# may cost at most 3 allocations per rule more than one firing 10, in a
+# registration and in an update. Counts repeat exactly, whatever the host.
+cargo test -q --offline -p mdv-filter --test allocations \
+  a_filter_run_allocates_per_publication_not_per_tuple -- --exact --nocapture
+echo "ok: allocation gate"
 
 # ---------------------------------------------------------------------------
 step "fault-matrix smoke: fault_sim across fixed seeds"
@@ -335,6 +363,19 @@ for seed in "${CI_SEEDS[@]}"; do
     cargo test -q --offline -p mdv-filter --test properties -- \
     update_publications_match_their_definition update_converges_to_fresh_state >/dev/null
   echo "ok: update properties @ MDV_PROP_SEED=$seed"
+done
+
+# ---------------------------------------------------------------------------
+step "trace replay: traced and untraced registration agree across fixed seeds"
+# Replays `traced_and_untraced_registration_agree` (DESIGN.md §10.1): over
+# batches of cross-referencing documents, `register_batch` and
+# `register_batch_traced` return the same publications, statistics and
+# support counts, and the trace's end matches are the publications' adds.
+for seed in "${CI_SEEDS[@]}"; do
+  MDV_PROP_SEED="$seed" MDV_PROP_CASES=200 \
+    cargo test -q --offline -p mdv-filter --test properties -- \
+    traced_and_untraced_registration_agree >/dev/null
+  echo "ok: traced_and_untraced_registration_agree @ MDV_PROP_SEED=$seed"
 done
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@
 //! * the subscription registry,
 //! * the registry of documents (for update/delete diffing, §3.5).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use mdv_rdf::{Document, Range, RdfSchema, RefKind, Resource, RDF_SUBJECT};
 use mdv_relstore::{Database, StorageEngine};
 use mdv_rulelang::{normalize, parse_rule, split_or, typecheck, RuleOp};
+use mdv_runtime::MixHashMap;
 
 use crate::atoms::{
     AtomicRuleKind, GroupId, GroupKey, JoinPred, JoinSpec, RuleId, Side, TriggerOp, TriggerPred,
@@ -30,14 +32,24 @@ use crate::store::{create_base_tables, Atom, BaseStore, T_STATEMENTS};
 use crate::trace::{FilterRun, FilterStats};
 use crate::trigger_index::TriggerIndex;
 
+/// A resource's number in a filter run's [`Names`].
+pub(crate) type Res = usize;
+
+/// A tuple of a filter run: a rule and the resource it holds, by number.
+pub(crate) type Tuple = (RuleId, Res);
+
 /// Signed derivation counts of end-rule tuples, summed over one filter run.
-pub(crate) type Tally = HashMap<(RuleId, String), i64>;
+pub(crate) type Tally = MixHashMap<Tuple, i64>;
 
 /// Resources matching a rule, each with its support count.
 pub(crate) type Counts = BTreeMap<String, i64>;
 
 /// Full results of rules evaluated ahead of their materialization.
 type Filled = HashMap<RuleId, Counts>;
+
+/// Support counts of one point query, by rule and then resource, so that
+/// a hit is looked up by the borrowed URI.
+type Memo = HashMap<RuleId, HashMap<String, i64>>;
 
 /// The MDV filter engine, generic over its storage backend (DESIGN.md §6).
 ///
@@ -506,7 +518,7 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// assert_eq!(pubs[0].added, vec!["doc0.rdf#host", "doc1.rdf#host"]);
     /// ```
     pub fn register_batch(&mut self, docs: &[Document]) -> Result<Vec<Publication>> {
-        Ok(self.register_batch_traced(docs)?.0)
+        self.register_batch_into(docs, None)
     }
 
     /// Like [`FilterEngine::register_batch`], also returning the iteration
@@ -515,20 +527,33 @@ impl<S: StorageEngine> FilterEngine<S> {
         &mut self,
         docs: &[Document],
     ) -> Result<(Vec<Publication>, FilterRun)> {
+        let mut run = FilterRun::default();
+        let pubs = self.register_batch_into(docs, Some(&mut run))?;
+        Ok((pubs, run))
+    }
+
+    /// Registers the batch, rendering the run's trace into `trace` when
+    /// one is asked for.
+    fn register_batch_into(
+        &mut self,
+        docs: &[Document],
+        trace: Option<&mut FilterRun>,
+    ) -> Result<Vec<Publication>> {
         // one commit group per batch (group commit): a durable backend
         // syncs its log once per batch, not once per row
         // (`properties.rs::durable_filter_publishes_like_memory_in_one_commit_group`
         // holds it to one group)
         self.store.begin();
-        let out = self.register_batch_traced_inner(docs);
+        let out = self.register_batch_inner(docs, trace);
         self.store.commit()?;
         out
     }
 
-    fn register_batch_traced_inner(
+    fn register_batch_inner(
         &mut self,
         docs: &[Document],
-    ) -> Result<(Vec<Publication>, FilterRun)> {
+        trace: Option<&mut FilterRun>,
+    ) -> Result<Vec<Publication>> {
         // validate everything before touching state: a rejected batch
         // registers nothing and reports its first failing document
         for doc in docs {
@@ -558,17 +583,23 @@ impl<S: StorageEngine> FilterEngine<S> {
             self.documents.insert(doc.uri().to_owned(), doc.clone());
             self.stats.documents_registered += 1;
         }
-        let (run, _) = self.run_filter(&atoms, 1)?;
+        let mut names = Names::default();
+        let (iterations, _) = self.run_filter(&atoms, 1, &mut names)?;
         let mut pubs: BTreeMap<SubscriptionId, Publication> = BTreeMap::new();
-        for (end, uri) in &run.end_matches {
-            for sub in self.end_subs.get(end).into_iter().flatten() {
+        for &(end, res) in iterations.iter().flatten() {
+            for sub in self.end_subs.get(&end).into_iter().flatten() {
                 pubs.entry(*sub)
                     .or_insert_with(|| Publication::new(*sub))
                     .added
-                    .push(uri.clone());
+                    .push(names.uri(res).to_owned());
             }
         }
-        Ok((assemble_publications(pubs), run))
+        if let Some(run) = trace {
+            *run = FilterRun::resolve(&iterations, &names, |rule| {
+                self.end_subs.contains_key(&rule)
+            });
+        }
+        Ok(assemble_publications(pubs))
     }
 
     // ------------------------------------------------------------------
@@ -579,62 +610,59 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// affected triggering rules are determined, then dependent join rules
     /// are evaluated iteratively along the dependency graph. Each derivation
     /// counts `sign` (+1 for added atoms, −1 for retracted ones still in the
-    /// base tables); returns the Figure-9 trace and the signed count of
-    /// every end-rule tuple.
-    pub(crate) fn run_filter(&mut self, atoms: &[Atom], sign: i64) -> Result<(FilterRun, Tally)> {
-        let mut run = FilterRun::default();
-        let mut tally = Tally::new();
+    /// base tables). Resources are numbered in `names`. Returns the tuples
+    /// each iteration changed (the rows of Figure 9) and the signed count
+    /// of every end-rule tuple.
+    pub(crate) fn run_filter<'a>(
+        &mut self,
+        atoms: &'a [Atom],
+        sign: i64,
+        names: &mut Names<'a>,
+    ) -> Result<(Vec<Vec<Tuple>>, Tally)> {
+        let mut tally = Tally::default();
         self.stats.atoms_processed += atoms.len() as u64;
 
         // iteration 0: affected triggering rules
-        let (matches, evals) = self.match_triggers(atoms)?;
+        let (matches, evals) = self.match_triggers(atoms, names)?;
         self.stats.trigger_matches += matches.len() as u64;
         self.stats.trigger_evals += evals;
-        let mut current: Vec<(String, RuleId)> = Vec::new();
-        for (uri, rule) in matches {
-            if self.offer(rule, &uri, sign, &mut tally)? {
-                current.push((uri, rule));
+        let mut current = Vec::with_capacity(matches.len());
+        for tuple in matches {
+            if self.offer(tuple, sign, &mut tally, names)? {
+                current.push(tuple);
             }
         }
-        self.record_iteration(&mut run, &current);
 
         // iterations 1..: dependent join rules
-        while !current.is_empty() {
-            let next = self.eval_join_iteration(&current, sign, &mut tally)?;
+        let mut iterations = Vec::new();
+        loop {
+            self.stats.iterations += 1;
+            let next = self.eval_join_iteration(&current, sign, &mut tally, names)?;
+            iterations.push(current);
+            if next.is_empty() {
+                return Ok((iterations, tally));
+            }
             current = next;
-            if !current.is_empty() {
-                self.record_iteration(&mut run, &current);
-            }
         }
-        Ok((run, tally))
     }
 
-    fn record_iteration(&mut self, run: &mut FilterRun, results: &[(String, RuleId)]) {
-        self.stats.iterations += 1;
-        for (uri, rule) in results {
-            if self.end_subs.contains_key(rule) {
-                run.end_matches.push((*rule, uri.clone()));
-            }
-        }
-        run.iterations.push(results.to_vec());
-    }
-
-    /// Counts one derivation of `(rule, uri)` with `sign` and says whether
-    /// the tuple propagates. A rule with dependents keeps its support in
+    /// Counts one derivation of a tuple with `sign` and says whether it
+    /// propagates. A rule with dependents keeps its support in
     /// `RuleResults` and propagates when that count leaves or reaches zero;
     /// an end rule without dependents is materialized nowhere, so only this
     /// run's tally counts it, and it is reported on its first derivation.
-    fn offer(&mut self, rule: RuleId, uri: &str, sign: i64, tally: &mut Tally) -> Result<bool> {
+    fn offer(&mut self, tuple: Tuple, sign: i64, tally: &mut Tally, names: &Names) -> Result<bool> {
+        let (rule, res) = tuple;
         let mut first = false;
         if self.end_subs.contains_key(&rule) {
-            let n = tally.entry((rule, uri.to_owned())).or_insert(0);
+            let n = tally.entry(tuple).or_insert(0);
             first = *n == 0;
             *n += sign;
         }
         if self.graph.dependents_of(rule).is_empty() {
             Ok(first)
         } else {
-            BaseStore::result_add(&mut self.store, rule, uri, sign)
+            BaseStore::result_add(&mut self.store, rule, names.uri(res), sign)
         }
     }
 
@@ -649,7 +677,11 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// inequalities scan their `(class, property)` partition. All routes
     /// emit matches in ascending rule-id order, the order a scan of the
     /// partition would produce.
-    fn match_triggers(&self, atoms: &[Atom]) -> Result<(Vec<(String, RuleId)>, u64)> {
+    fn match_triggers<'a>(
+        &self,
+        atoms: &'a [Atom],
+        names: &mut Names<'a>,
+    ) -> Result<(Vec<Tuple>, u64)> {
         // probe only operator tables that currently hold rules
         let active_ops: Vec<TriggerOp> = TRIGGER_OPS
             .into_iter()
@@ -669,11 +701,14 @@ impl<S: StorageEngine> FilterEngine<S> {
         let mut out = Vec::new();
         let mut evals = 0u64;
         for atom in atoms {
+            let hits_from = out.len();
             for class in self.ancestors_of(&atom.class) {
                 if atom.property == RDF_SUBJECT && class_table_active {
-                    for rule in class_triggers(self.db(), class)? {
-                        out.push((atom.uri.clone(), rule));
-                    }
+                    out.extend(
+                        class_triggers(self.db(), class)?
+                            .into_iter()
+                            .map(|rule| (rule, 0)),
+                    );
                 }
                 for op in &active_ops {
                     let (hits, n) = match *op {
@@ -692,10 +727,13 @@ impl<S: StorageEngine> FilterEngine<S> {
                         _ => matching_triggers(self.db(), *op, class, &atom.property, &atom.value)?,
                     };
                     evals += n;
-                    for rule in hits {
-                        out.push((atom.uri.clone(), rule));
-                    }
+                    out.extend(hits.into_iter().map(|rule| (rule, 0)));
                 }
+            }
+            // an atom's resource is numbered only when the atom matched
+            if out.len() > hits_from {
+                let res = names.number(atom.uri.as_str());
+                out[hits_from..].iter_mut().for_each(|hit| hit.1 = res);
             }
         }
         Ok((out, evals))
@@ -705,29 +743,38 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// which is in the current results is evaluated; the candidates are
     /// then offered, which writes support counts — the only mutating step.
     /// A pair whose two inputs both changed counts once: the delta splits
-    /// semi-naively, Δ(L⋈R) = ΔL⋈R_after + L_before⋈ΔR.
+    /// semi-naively, Δ(L⋈R) = ΔL⋈R_after + L_before⋈ΔR. A tuple of a rule
+    /// without dependents feeds no join, so it stays out of the delta; with
+    /// none left, the iteration is empty at once.
     fn eval_join_iteration(
         &mut self,
-        current: &[(String, RuleId)],
+        current: &[Tuple],
         sign: i64,
         tally: &mut Tally,
-    ) -> Result<Vec<(String, RuleId)>> {
+        names: &mut Names,
+    ) -> Result<Vec<Tuple>> {
         // delta keyed by producing rule, and by resource
-        let mut delta: BTreeMap<RuleId, Vec<String>> = BTreeMap::new();
+        let mut delta: BTreeMap<RuleId, Vec<Res>> = BTreeMap::new();
         let mut flipped = Flipped::new();
-        for (uri, rule) in current {
-            delta.entry(*rule).or_default().push(uri.clone());
-            flipped.entry(uri.as_str()).or_default().push(*rule);
+        for &(rule, res) in current {
+            if !self.graph.dependents_of(rule).is_empty() {
+                delta.entry(rule).or_default().push(res);
+                flipped.push((res, rule));
+            }
         }
+        if delta.is_empty() {
+            return Ok(Vec::new());
+        }
+        flipped.sort_unstable();
         let candidates = if self.use_rule_groups {
-            self.join_candidates_grouped(&delta, &flipped)?
+            self.join_candidates_grouped(&delta, &flipped, names)?
         } else {
-            self.join_candidates_per_member(&delta, &flipped)?
+            self.join_candidates_per_member(&delta, &flipped, names)?
         };
         let mut next = Vec::new();
-        for (uri, rule) in candidates {
-            if self.offer(rule, &uri, sign, tally)? {
-                next.push((uri, rule));
+        for tuple in candidates {
+            if self.offer(tuple, sign, tally, names)? {
+                next.push(tuple);
             }
         }
         Ok(next)
@@ -744,38 +791,37 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// [`FilterEngine::join_candidates_per_member`] emits them.
     fn join_candidates_grouped(
         &mut self,
-        delta: &BTreeMap<RuleId, Vec<String>>,
+        delta: &BTreeMap<RuleId, Vec<Res>>,
         flipped: &Flipped,
-    ) -> Result<Vec<(String, RuleId)>> {
+        names: &mut Names,
+    ) -> Result<Vec<Tuple>> {
         struct Feed<'a> {
             gid: GroupId,
             key: &'a GroupKey,
             side: Side,
             rule: RuleId,
-            uris: &'a [String],
+            delta: &'a [Res],
             /// Index into `probes`, per delta resource.
             probe_of: Vec<usize>,
         }
         let mut feeds: Vec<Feed> = Vec::new();
-        let mut probes: Vec<(&GroupKey, Side, &str)> = Vec::new();
-        let mut probe_index: HashMap<(GroupId, Side, &str), usize> = HashMap::new();
+        let mut probes: Vec<(&GroupKey, Side, Res)> = Vec::new();
+        let mut probe_index: HashMap<(GroupId, Side, Res), usize> = HashMap::new();
         let mut lookups = 0u64;
-        for (rule, uris) in delta {
+        for (rule, resources) in delta {
             for side in [Side::Left, Side::Right] {
                 for gid in self.graph.fed_groups(*rule, side) {
                     let Some(key) = self.graph.group_key(gid) else {
                         continue;
                     };
-                    lookups += uris.len() as u64;
-                    let probe_of = uris
+                    lookups += resources.len() as u64;
+                    let probe_of = resources
                         .iter()
-                        .map(|uri| {
-                            *probe_index
-                                .entry((gid, side, uri.as_str()))
-                                .or_insert_with(|| {
-                                    probes.push((key, side, uri.as_str()));
-                                    probes.len() - 1
-                                })
+                        .map(|&res| {
+                            *probe_index.entry((gid, side, res)).or_insert_with(|| {
+                                probes.push((key, side, res));
+                                probes.len() - 1
+                            })
                         })
                         .collect();
                     feeds.push(Feed {
@@ -783,31 +829,35 @@ impl<S: StorageEngine> FilterEngine<S> {
                         key,
                         side,
                         rule: *rule,
-                        uris,
+                        delta: resources,
                         probe_of,
                     });
                 }
             }
         }
 
-        let counterparts = probes
-            .iter()
-            .map(|(key, side, uri)| {
-                let other_class = match side {
-                    Side::Left => &key.right_class,
-                    Side::Right => &key.left_class,
-                };
-                self.probe_counterparts(&key.pred, *side, uri, other_class)
-            })
-            .collect::<Result<Vec<Vec<String>>>>()?;
+        let mut counterparts = Vec::with_capacity(probes.len());
+        for (key, side, res) in &probes {
+            let other_class = match side {
+                Side::Left => &key.right_class,
+                Side::Right => &key.left_class,
+            };
+            let found = self.probe_counterparts(&key.pred, *side, names.uri(*res), other_class)?;
+            counterparts.push(
+                found
+                    .into_iter()
+                    .map(|cu| names.number(cu))
+                    .collect::<Vec<_>>(),
+            );
+        }
 
         // (sort key, resource to register); the key is (group, member,
         // right side?, delta position, counterpart position)
         let mut found = Vec::new();
         for feed in &feeds {
-            for (pos, uri) in feed.uris.iter().enumerate() {
-                for (cpos, cu) in counterparts[feed.probe_of[pos]].iter().enumerate() {
-                    let mut holders = BaseStore::rules_containing(self.db(), cu)?;
+            for (pos, &res) in feed.delta.iter().enumerate() {
+                for (cpos, &cu) in counterparts[feed.probe_of[pos]].iter().enumerate() {
+                    let mut holders = BaseStore::rules_containing(self.db(), names.uri(cu))?;
                     if feed.side == Side::Right {
                         holders = holders_before(flipped, holders, cu);
                     }
@@ -818,22 +868,19 @@ impl<S: StorageEngine> FilterEngine<S> {
                         };
                         if let Some(member) = member {
                             let reg = if feed.key.register == feed.side {
-                                uri
+                                res
                             } else {
                                 cu
                             };
                             let order = (feed.gid, member, feed.side == Side::Right, pos, cpos);
-                            found.push((order, reg));
+                            found.push((order, (member, reg)));
                         }
                     }
                 }
             }
         }
         found.sort_unstable_by_key(|(order, _)| *order);
-        let candidates = found
-            .into_iter()
-            .map(|((_, member, ..), reg)| (reg.clone(), member))
-            .collect();
+        let candidates = found.into_iter().map(|(_, tuple)| tuple).collect();
 
         let distinct = probes.len() as u64;
         self.stats.join_evaluations += lookups;
@@ -848,9 +895,10 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// against.
     fn join_candidates_per_member(
         &mut self,
-        delta: &BTreeMap<RuleId, Vec<String>>,
+        delta: &BTreeMap<RuleId, Vec<Res>>,
         flipped: &Flipped,
-    ) -> Result<Vec<(String, RuleId)>> {
+        names: &mut Names,
+    ) -> Result<Vec<Tuple>> {
         // affected join rules, in canonical order: group id, member id
         let mut members: BTreeSet<(GroupId, RuleId)> = BTreeSet::new();
         for rule in delta.keys() {
@@ -860,33 +908,32 @@ impl<S: StorageEngine> FilterEngine<S> {
                 }
             }
         }
-        let mut candidates: Vec<(String, RuleId)> = Vec::new();
+        let mut candidates = Vec::new();
         for (_, member) in members {
             let Some(AtomicRuleKind::Join(spec)) = self.graph.rule(member).map(|r| r.kind.clone())
             else {
                 continue;
             };
             for side in [Side::Left, Side::Right] {
-                let Some(uris) = delta.get(&spec.input(side).rule) else {
+                let Some(resources) = delta.get(&spec.input(side).rule) else {
                     continue;
                 };
                 let other = spec.input(side.other());
-                for uri in uris {
+                for &res in resources {
                     self.stats.join_evaluations += 1;
                     self.stats.probes_executed += 1;
-                    for cu in self.probe_counterparts(&spec.pred, side, uri, &other.class)? {
+                    let found =
+                        self.probe_counterparts(&spec.pred, side, names.uri(res), &other.class)?;
+                    for cu in found {
+                        let cu = names.number(cu);
                         // a right-side delta sees the left input before it
-                        let flips = side == Side::Right
-                            && flipped
-                                .get(cu.as_str())
-                                .is_some_and(|r| r.contains(&other.rule));
-                        if BaseStore::result_contains(self.db(), other.rule, &cu)? != flips {
-                            let reg = if spec.register == side {
-                                uri.clone()
-                            } else {
-                                cu
-                            };
-                            candidates.push((reg, member));
+                        let flips =
+                            side == Side::Right && rules_of(flipped, cu).any(|r| r == other.rule);
+                        if BaseStore::result_contains(self.db(), other.rule, names.uri(cu))?
+                            != flips
+                        {
+                            let reg = if spec.register == side { res } else { cu };
+                            candidates.push((member, reg));
                         }
                     }
                 }
@@ -1100,22 +1147,16 @@ impl<S: StorageEngine> FilterEngine<S> {
     /// register input), inputs evaluated the same way rather than read
     /// from the materializations.
     pub(crate) fn support(&mut self, rule: RuleId, uri: &str) -> Result<i64> {
-        let mut memo = HashMap::new();
-        self.support_memo(rule, uri, &mut memo)
+        self.support_memo(rule, uri, &mut Memo::new())
     }
 
-    fn support_memo(
-        &mut self,
-        rule: RuleId,
-        uri: &str,
-        memo: &mut HashMap<(RuleId, String), i64>,
-    ) -> Result<i64> {
-        if let Some(&hit) = memo.get(&(rule, uri.to_owned())) {
+    fn support_memo(&mut self, rule: RuleId, uri: &str, memo: &mut Memo) -> Result<i64> {
+        if let Some(&hit) = memo.get(&rule).and_then(|m| m.get(uri)) {
             return Ok(hit);
         }
         // seed to break cycles defensively (the graph is acyclic by
         // construction, but memoization makes this loop-proof)
-        memo.insert((rule, uri.to_owned()), 0);
+        memo.entry(rule).or_default().insert(uri.to_owned(), 0);
         let kind = self
             .graph
             .rule(rule)
@@ -1154,7 +1195,9 @@ impl<S: StorageEngine> FilterEngine<S> {
                 n
             }
         };
-        memo.insert((rule, uri.to_owned()), support);
+        if let Some(slot) = memo.get_mut(&rule).and_then(|m| m.get_mut(uri)) {
+            *slot = support;
+        }
         Ok(support)
     }
 
@@ -1202,22 +1245,74 @@ impl<S: StorageEngine> FilterEngine<S> {
     }
 }
 
-/// One join iteration's delta by resource: the tuples that appeared (in a
-/// +1 run) or disappeared (in a −1 run) in the iteration before.
-type Flipped<'a> = HashMap<&'a str, Vec<RuleId>>;
+/// One join iteration's delta by resource, sorted: the tuples that
+/// appeared (in a +1 run) or disappeared (in a −1 run) in the iteration
+/// before, as `(resource, rule)`.
+type Flipped = Vec<(Res, RuleId)>;
 
-/// The rules whose materialized results held `uri` before the delta, given
+/// The rules paired with resource `res` in a list of `(resource, rule)`
+/// pairs sorted by resource.
+pub(crate) fn rules_of(pairs: &[(Res, RuleId)], res: Res) -> impl Iterator<Item = RuleId> + '_ {
+    let from = pairs.partition_point(|&(r, _)| r < res);
+    pairs[from..]
+        .iter()
+        .take_while(move |&&(r, _)| r == res)
+        .map(|&(_, rule)| rule)
+}
+
+/// The rules whose materialized results held `res` before the delta, given
 /// those that hold it now: a tuple in the delta flips back.
-fn holders_before(flipped: &Flipped, mut holders: Vec<RuleId>, uri: &str) -> Vec<RuleId> {
-    for rule in flipped.get(uri).into_iter().flatten() {
-        match holders.iter().position(|h| h == rule) {
+fn holders_before(flipped: &Flipped, mut holders: Vec<RuleId>, res: Res) -> Vec<RuleId> {
+    for rule in rules_of(flipped, res) {
+        match holders.iter().position(|h| *h == rule) {
             Some(i) => {
                 holders.remove(i);
             }
-            None => holders.push(*rule),
+            None => holders.push(rule),
         }
     }
     holders
+}
+
+/// The resources one filter run touches, numbered in first-seen order (an
+/// update's −1 and +1 runs share one table). A tuple of the run holds its
+/// resource by number; a URI is read back only to probe or write the store
+/// and where a publication or the Figure-9 trace names it. A matched
+/// atom's subject is borrowed from the atom, a counterpart a join probe
+/// finds is moved in.
+#[derive(Default)]
+pub(crate) struct Names<'a> {
+    uris: Vec<Cow<'a, str>>,
+    number_of: MixHashMap<Cow<'a, str>, Res>,
+}
+
+impl<'a> Names<'a> {
+    /// The number of `uri`, if the run has met it.
+    pub(crate) fn find(&self, uri: &str) -> Option<Res> {
+        self.number_of.get(uri).copied()
+    }
+
+    /// The number of `uri`, numbering it if the run has not met it.
+    pub(crate) fn number(&mut self, uri: impl Into<Cow<'a, str>>) -> Res {
+        let uri = uri.into();
+        if let Some(n) = self.find(&uri) {
+            return n;
+        }
+        let n = self.uris.len();
+        self.number_of.insert(uri.clone(), n);
+        self.uris.push(uri);
+        n
+    }
+
+    /// The URI numbered `n`.
+    pub(crate) fn uri(&self, n: Res) -> &str {
+        &self.uris[n]
+    }
+
+    /// How many resources are numbered.
+    pub(crate) fn len(&self) -> usize {
+        self.uris.len()
+    }
 }
 
 #[cfg(test)]

@@ -69,8 +69,9 @@ pub fn assemble_publications(
                 list.dedup();
             }
             // a resource that is re-added must not simultaneously be removed
-            p.removed
-                .retain(|r| !p.added.contains(r) && !p.updated.contains(r));
+            p.removed.retain(|r| {
+                p.added.binary_search(r).is_err() && p.updated.binary_search(r).is_err()
+            });
             p
         })
         .filter(|p| !p.is_empty())
@@ -106,5 +107,36 @@ mod tests {
         assert_eq!(out[0].added, vec!["a".to_owned(), "b".to_owned()]);
         // "a" was re-added, so it is not removed
         assert_eq!(out[0].removed, vec!["z".to_owned()]);
+    }
+
+    #[test]
+    fn assemble_drops_the_re_added_from_large_lists_as_a_scan_would() {
+        let mut rng = mdv_runtime::Prng::seed_from_u64(20020226);
+        for round in 0..5 {
+            let mut list = |len: usize| -> Vec<String> {
+                (0..len)
+                    .map(|_| format!("doc{}.rdf#r", rng.below(3_000)))
+                    .collect()
+            };
+            let mut p = Publication::new(SubscriptionId(round));
+            p.added = list(2_000);
+            p.updated = list(500);
+            p.removed = list(2_000);
+            // the formula of a linear scan over the sorted, deduplicated lists
+            let sorted = |mut l: Vec<String>| {
+                l.sort();
+                l.dedup();
+                l
+            };
+            let (added, updated) = (sorted(p.added.clone()), sorted(p.updated.clone()));
+            let mut removed = sorted(p.removed.clone());
+            removed.retain(|r| !added.contains(r) && !updated.contains(r));
+
+            let out = assemble_publications(BTreeMap::from([(p.subscription, p)]));
+            assert_eq!(out[0].added, added);
+            assert_eq!(out[0].updated, updated);
+            assert_eq!(out[0].removed, removed, "round {round}");
+            assert!(!removed.is_empty());
+        }
     }
 }

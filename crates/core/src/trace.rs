@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::atoms::RuleId;
+use crate::engine::{Names, Tuple};
 
 /// The trace of one filter execution: the contents of `ResultObjects` after
 /// each iteration (paper Figure 9).
@@ -17,6 +18,29 @@ pub struct FilterRun {
 }
 
 impl FilterRun {
+    /// The trace of a run's numbered tuples, iteration by iteration, with
+    /// every URI resolved; `is_end` says which rules are end rules.
+    pub(crate) fn resolve(
+        iterations: &[Vec<Tuple>],
+        names: &Names,
+        is_end: impl Fn(RuleId) -> bool,
+    ) -> FilterRun {
+        let mut run = FilterRun::default();
+        for tuples in iterations {
+            let rows: Vec<(String, RuleId)> = tuples
+                .iter()
+                .map(|&(rule, res)| (names.uri(res).to_owned(), rule))
+                .collect();
+            run.end_matches.extend(
+                rows.iter()
+                    .filter(|(_, rule)| is_end(*rule))
+                    .map(|(uri, rule)| (*rule, uri.clone())),
+            );
+            run.iterations.push(rows);
+        }
+        run
+    }
+
     /// Renders the trace in the style of Figure 9.
     pub fn render(&self) -> String {
         let mut out = String::new();

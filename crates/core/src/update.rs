@@ -21,13 +21,14 @@
 //! subscription one of its strong referrers (itself included) matches
 //! after the change, as the +1 run reports.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use mdv_rdf::{diff, diff_delete_all, Document, DocumentDiff, Resource};
 use mdv_relstore::StorageEngine;
+use mdv_runtime::MixHashMap;
 
 use crate::atoms::RuleId;
-use crate::engine::FilterEngine;
+use crate::engine::{rules_of, FilterEngine, Names, Res, Tuple};
 use crate::error::{Error, Result};
 use crate::registry::{assemble_publications, Publication, SubscriptionId};
 use crate::store::{Atom, BaseStore};
@@ -117,18 +118,28 @@ impl<S: StorageEngine> FilterEngine<S> {
             let walk = self.strong_referrers(res.uri().as_str())?;
             referrers.extend(walk.into_iter().filter(|r| !changed.contains(r.as_str())));
         }
-        let mut unchanged_atoms = Vec::new();
+        let mut old_atoms = Vec::new();
         for uri in &referrers {
             if let Some(res) = self.resource(uri)? {
-                unchanged_atoms.extend(Atom::from_resource(&res));
+                old_atoms.extend(Atom::from_resource(&res));
             }
         }
-        let touched = |uri: &str| changed.contains(uri) || referrers.contains(uri);
+        let mut new_atoms = old_atoms.clone();
+        old_atoms.extend(old.iter().flat_map(|res| Atom::from_resource(res)));
+        new_atoms.extend(new.iter().flat_map(|res| Atom::from_resource(res)));
+        // both runs number resources in one table, the touched ones first:
+        // a resource is touched when its number is below `touched`
+        let mut names = Names::default();
+        for uri in old.iter().chain(&new).map(|r| r.uri().as_str()) {
+            names.number(uri);
+        }
+        for uri in &referrers {
+            names.number(uri.as_str());
+        }
+        let touched = names.len();
 
         // ---- 1. retract the touched atoms from the old state ----
-        let mut old_atoms = unchanged_atoms.clone();
-        old_atoms.extend(old.iter().flat_map(|res| Atom::from_resource(res)));
-        let (_, lost) = self.run_filter(&old_atoms, -1)?;
+        let (_, lost) = self.run_filter(&old_atoms, -1, &mut names)?;
 
         // ---- 2. apply the changes to the base tables ----
         for res in &d.deleted {
@@ -146,36 +157,36 @@ impl<S: StorageEngine> FilterEngine<S> {
         self.set_document(doc_uri, new_doc);
 
         // ---- 3. re-add the touched atoms on the new state ----
-        let mut new_atoms = unchanged_atoms;
-        new_atoms.extend(new.iter().flat_map(|res| Atom::from_resource(res)));
-        let (_, gained) = self.run_filter(&new_atoms, 1)?;
+        let (_, gained) = self.run_filter(&new_atoms, 1, &mut names)?;
 
         // ---- whether each end-rule tuple held before and holds after ----
-        let mut deltas: BTreeMap<(RuleId, String), (i64, i64)> = BTreeMap::new();
+        let mut deltas: MixHashMap<Tuple, (i64, i64)> = MixHashMap::default();
         for (tuple, n) in lost {
             deltas.entry(tuple).or_default().0 += n;
         }
-        for (tuple, n) in &gained {
-            deltas.entry(tuple.clone()).or_default().1 += n;
+        for (&tuple, &n) in &gained {
+            deltas.entry(tuple).or_default().1 += n;
         }
-        let mut held: HashMap<(RuleId, String), (bool, bool)> = HashMap::new();
-        let mut flipped: BTreeSet<(SubscriptionId, String)> = BTreeSet::new();
-        for ((rule, uri), (lost, gained)) in deltas {
-            let (before, after) = if touched(&uri) {
+        let mut held: MixHashMap<Tuple, (bool, bool)> = MixHashMap::default();
+        let mut flipped: Vec<(SubscriptionId, Res)> = Vec::new();
+        for ((rule, res), (lost, gained)) in deltas {
+            let (before, after) = if res < touched {
                 (-lost, gained)
             } else if lost + gained == 0 {
                 continue; // same support, same answer
             } else {
-                let after = self.support(rule, &uri)?;
+                let after = self.support(rule, names.uri(res))?;
                 (after - lost - gained, after)
             };
             if (before > 0) != (after > 0) {
                 for sub in self.end_subs.get(&rule).into_iter().flatten() {
-                    flipped.insert((*sub, uri.clone()));
+                    flipped.push((*sub, res));
                 }
             }
-            held.insert((rule, uri), (before > 0, after > 0));
+            held.insert((rule, res), (before > 0, after > 0));
         }
+        flipped.sort_unstable();
+        flipped.dedup();
 
         // ---- classify per subscription ----
         fn entry(
@@ -187,18 +198,19 @@ impl<S: StorageEngine> FilterEngine<S> {
         let mut pubs: BTreeMap<SubscriptionId, Publication> = BTreeMap::new();
         // a subscription matches a resource when any of its end rules does;
         // an end rule no run changed for it answers the same before and after
-        for (sub, uri) in flipped {
+        for (sub, res) in flipped {
             let ends = self
                 .subscription(sub)
                 .map(|s| s.end_rules.clone())
                 .unwrap_or_default();
+            let uri = names.uri(res);
             let (mut before, mut after) = (false, false);
             for end in ends {
-                let (b, a) = match held.get(&(end, uri.clone())) {
+                let (b, a) = match held.get(&(end, res)) {
                     Some(&answer) => answer,
-                    None if touched(&uri) => (false, false),
+                    None if res < touched => (false, false),
                     None => {
-                        let holds = self.support(end, &uri)? > 0;
+                        let holds = self.support(end, uri)? > 0;
                         (holds, holds)
                     }
                 };
@@ -206,8 +218,8 @@ impl<S: StorageEngine> FilterEngine<S> {
                 after |= a;
             }
             match (before, after) {
-                (true, false) => entry(&mut pubs, sub).removed.push(uri),
-                (false, true) => entry(&mut pubs, sub).added.push(uri),
+                (true, false) => entry(&mut pubs, sub).removed.push(uri.to_owned()),
+                (false, true) => entry(&mut pubs, sub).added.push(uri.to_owned()),
                 _ => {}
             }
         }
@@ -215,15 +227,17 @@ impl<S: StorageEngine> FilterEngine<S> {
         // subscription whose matched resources reach it over strong
         // references (it sits in their cached closure, §2.4). Every such
         // referrer is touched, so the +1 run counted its end matches.
-        let mut ends_of: HashMap<&str, Vec<RuleId>> = HashMap::new();
-        for (rule, uri) in gained.keys() {
-            ends_of.entry(uri).or_default().push(*rule);
-        }
+        let mut ends_of: Vec<(Res, RuleId)> =
+            gained.keys().map(|&(rule, res)| (res, rule)).collect();
+        ends_of.sort_unstable();
         for (_, new_res) in &d.updated {
             let u = new_res.uri().to_string();
             for r in self.strong_referrers(&u)? {
-                for end in ends_of.get(r.as_str()).into_iter().flatten() {
-                    for sub in self.end_subs.get(end).into_iter().flatten() {
+                let Some(res) = names.find(&r) else {
+                    continue;
+                };
+                for end in rules_of(&ends_of, res) {
+                    for sub in self.end_subs.get(&end).into_iter().flatten() {
                         entry(&mut pubs, *sub).updated.push(u.clone());
                     }
                 }

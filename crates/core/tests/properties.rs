@@ -763,6 +763,47 @@ property! {
         );
     }
 
+    /// Tracing is a rendering, not a second filter: fed the same batches,
+    /// documents whose providers reference the `info` of another batch's
+    /// document (or of one never registered) included, `register_batch`
+    /// and `register_batch_traced` return the same publications and leave
+    /// the same statistics and support counts; and the trace's end matches
+    /// name exactly the publications' additions.
+    fn traced_and_untraced_registration_agree(src) {
+        let rules = arb_rules(src, 8);
+        let mut plain = FilterEngine::new(schema());
+        let mut traced = FilterEngine::new(schema());
+        for r in &rules {
+            plain.register_subscription(r).unwrap();
+            traced.register_subscription(r).unwrap();
+        }
+        let batches: Vec<Vec<DocSpec>> = src.vec(1..4, |src| src.vec(1..6, arb_doc_spec));
+        let total: usize = batches.iter().map(Vec::len).sum();
+        let mut next_doc = 0;
+        for (step, specs) in batches.iter().enumerate() {
+            let batch: Vec<Document> = specs
+                .iter()
+                .enumerate()
+                .map(|(k, s)| make_doc_referencing(next_doc + k, s, src.usize_in(0..total + 1)))
+                .collect();
+            next_doc += batch.len();
+            let pubs = plain.register_batch(&batch).unwrap();
+            let (traced_pubs, run) = traced.register_batch_traced(&batch).unwrap();
+            prop_assert_eq!(&pubs, &traced_pubs, "step {}: publications", step);
+            prop_assert_eq!(plain.stats(), traced.stats(), "step {}: statistics", step);
+            prop_assert_eq!(rule_results(&plain), rule_results(&traced), "step {}: support", step);
+            let mut ends: Vec<(u64, String)> = Vec::new();
+            for (rule, uri) in &run.end_matches {
+                for sub in traced.subscriptions().filter(|s| s.end_rules.contains(rule)) {
+                    ends.push((sub.id.0, uri.clone()));
+                }
+            }
+            ends.sort();
+            ends.dedup();
+            prop_assert_eq!(ends, added_matches(&pubs), "step {}: trace end matches", step);
+        }
+    }
+
     /// Unregistering everything leaves an empty graph and empty rule tables.
     fn unregister_all_is_clean(src) {
         let rules = arb_rules(src, 6);
