@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use mdv_rdf::{Resource, Term, UriRef};
+use mdv_rdf::{parse_document, Document, Resource, Term, UriRef};
 
 use crate::mdp::fnv1a64;
 
@@ -32,31 +32,13 @@ pub enum Message {
     /// LMR → MDP: confirms receipt of the envelope with sequence `seq`,
     /// completing the at-least-once delivery handshake.
     PublishAck { seq: u64 },
-    /// MDP → MDP backbone replication: a newly registered document.
-    /// `seq` is the per-(origin, peer) replication sequence number of the
-    /// at-least-once handshake; `version` is the origin's per-URI document
+    /// MDP → MDP backbone replication: one document put. `seq` is the
+    /// per-(origin, peer) replication sequence number of the at-least-once
+    /// handshake; the put's `version` is the origin's per-URI document
     /// version used for conflict resolution (DESIGN.md §7).
-    ReplicateRegister {
-        seq: u64,
-        version: u64,
-        document_uri: String,
-        xml: String,
-    },
-    /// MDP → MDP: an updated document (re-registration).
-    ReplicateUpdate {
-        seq: u64,
-        version: u64,
-        document_uri: String,
-        xml: String,
-    },
-    /// MDP → MDP: a deleted document.
-    ReplicateDelete {
-        seq: u64,
-        version: u64,
-        document_uri: String,
-    },
-    /// MDP → MDP: confirms receipt of the replication operation with
-    /// sequence `seq`, completing the at-least-once handshake.
+    Replicate { seq: u64, put: Put },
+    /// MDP → MDP: confirms receipt of the replicated put with sequence
+    /// `seq`, completing the at-least-once handshake.
     ReplicateAck { seq: u64 },
     /// MDP → MDP anti-entropy: a digest of the sender's whole document set
     /// (per-URI version + content hash; deletions appear as tombstones).
@@ -76,7 +58,7 @@ pub enum Message {
     RepairRequest { uris: Vec<String> },
     /// MDP → MDP anti-entropy: repair payload answering a
     /// [`Message::RepairRequest`].
-    RepairDocs { docs: Vec<RepairDoc> },
+    RepairDocs { docs: Vec<Put> },
     /// LMR → MDP failover handshake: "you are my home MDP now; the last
     /// publication sequence I applied was `last_seq - 1`".
     FailoverHello { last_seq: u64 },
@@ -149,14 +131,36 @@ pub struct DigestEntry {
     pub hash: u64,
 }
 
-/// One document shipped in an anti-entropy repair.
+/// One document state, the value every document write path carries: a
+/// replicated operation, an anti-entropy repair, a Raft log entry and the
+/// `doc` / `replout` state records (DESIGN.md §7.1). A register, an update
+/// and a delete are all puts; `xml` of `None` is a tombstone.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RepairDoc {
+pub struct Put {
     pub uri: String,
+    /// Per-URI document version (monotone across the backbone; a Raft
+    /// entry's is its log index, assigned at apply).
     pub version: u64,
-    pub deleted: bool,
-    /// Canonical RDF/XML content; empty for tombstones.
-    pub xml: String,
+    /// Canonical RDF/XML content; `None` for a tombstone.
+    pub xml: Option<String>,
+}
+
+impl Put {
+    /// The content half of the `(version, deleted, hash)` order: FNV-1a
+    /// over the XML, 0 for a tombstone.
+    pub(crate) fn hash(&self) -> u64 {
+        self.xml.as_ref().map_or(0, |x| fnv1a64(x.as_bytes()))
+    }
+
+    /// The document the put carries, parsed; `None` for a tombstone.
+    pub(crate) fn document(&self) -> Result<Option<Document>, mdv_rdf::Error> {
+        let parse = |xml: &String| parse_document(&self.uri, xml);
+        self.xml.as_ref().map(parse).transpose()
+    }
+
+    fn xml_len(&self) -> usize {
+        self.xml.as_ref().map_or(0, String::len)
+    }
 }
 
 impl Message {
@@ -169,9 +173,7 @@ impl Message {
             Message::UnsubscribeAck { .. } => "unsubscribe-ack",
             Message::Publish(_) => "publish",
             Message::PublishAck { .. } => "publish-ack",
-            Message::ReplicateRegister { .. } => "replicate-register",
-            Message::ReplicateUpdate { .. } => "replicate-update",
-            Message::ReplicateDelete { .. } => "replicate-delete",
+            Message::Replicate { .. } => "replicate",
             Message::ReplicateAck { .. } => "replicate-ack",
             Message::ReplicaDigest { .. } => "replica-digest",
             Message::PlacementDigest { .. } => "placement-digest",
@@ -215,13 +217,7 @@ impl Message {
                         })
                         .sum::<usize>()
             }
-            Message::ReplicateRegister {
-                xml, document_uri, ..
-            }
-            | Message::ReplicateUpdate {
-                xml, document_uri, ..
-            } => xml.len() + document_uri.len() + 16,
-            Message::ReplicateDelete { document_uri, .. } => document_uri.len() + 16,
+            Message::Replicate { put, .. } => put.xml_len() + put.uri.len() + 16,
             Message::ReplicateAck { .. } => 8,
             Message::ReplicaDigest { entries } => {
                 entries.iter().map(|e| e.uri.len() + 17).sum::<usize>()
@@ -232,7 +228,7 @@ impl Message {
             Message::RepairRequest { uris } => uris.iter().map(String::len).sum::<usize>(),
             Message::RepairDocs { docs } => docs
                 .iter()
-                .map(|d| d.uri.len() + d.xml.len() + 9)
+                .map(|d| d.uri.len() + d.xml_len() + 9)
                 .sum::<usize>(),
             Message::FailoverHello { .. } => 8,
             Message::FailoverWelcome { .. } => 8,

@@ -25,12 +25,11 @@
 //! the data of a Raft InstallSnapshot (DESIGN.md §9.2).
 //!
 //! ```text
-//! #mdv-mdp-state v3
+//! #mdv-mdp-state v4
 //! pubseq <lmr>\t<next publication sequence>
-//! docver <uri>\t<version>\t<deleted 0|1>
 //! replseq <peer>\t<next replication sequence>
 //! placement <escaped placement table wire form>
-//! document <escaped uri>\t<escaped RDF/XML>
+//! doc <escaped uri>\t<version>\t<deleted 0|1>\t<escaped RDF/XML, only when deleted is 0>
 //! subscription <lmr>\t<lmr_rule>\t<escaped rule text>
 //! retired <lmr>\t<lmr_rule>
 //! ```
@@ -38,15 +37,15 @@
 //! The `pubseq` records carry the at-least-once publication counters (one
 //! per subscriber LMR): a recovered MDP must continue the per-LMR sequence
 //! numbering where it left off, otherwise live LMRs would discard its
-//! publications as duplicates. The `docver` records carry the per-URI
-//! convergence keys of the reliable backbone (including tombstones of
-//! deleted documents), and `replseq` the per-peer replication stream
-//! counters, for the same reason. A receiver keeps no replication floor:
-//! the `docver` gate decides every arrival (DESIGN.md §3b). The `retired`
-//! records are the tombstones of retracted rules: without them a late
-//! duplicate Subscribe would bring a retracted rule back. Documents come before subscriptions,
-//! the order a Raft install has always replayed, so an installed voter's
-//! filter tables and statistics match the leader's.
+//! publications as duplicates; `replseq` holds the per-peer replication
+//! stream counters for the same reason. A `doc` record is one document
+//! put: a document with its per-URI convergence key, or the tombstone of
+//! a deleted one. A receiver keeps no replication floor: the `doc`
+//! versions gate every arrival (DESIGN.md §3b). The `retired` records are
+//! the tombstones of retracted rules: without them a late duplicate
+//! Subscribe would bring a retracted rule back. Documents come before
+//! subscriptions, the order a Raft install has always replayed, so an
+//! installed voter's filter tables and statistics match the leader's.
 //!
 //! Four more MDP kinds are durable-only: only crash recovery reads them,
 //! a quiescent export never holds one, and import rejects them. Two hold
@@ -58,7 +57,7 @@
 //!
 //! ```text
 //! outbox <lmr>\t<seq>\t<escaped envelope wire form>
-//! replout <peer>\t<seq>\t<register|update|delete>\t<version>\t<escaped uri>\t<escaped RDF/XML>
+//! replout <peer>\t<seq>\t<escaped uri>\t<version>\t<deleted 0|1>\t<escaped RDF/XML, only when deleted is 0>
 //! raft <term>\t<vote, or empty>\t<led terms, comma-separated>\t<applied>\t<hash chain>\t<offset>\t<offset term>
 //! raftlog <index>\t<term>\t<escaped command wire form>
 //! ```
@@ -93,13 +92,14 @@
 //! Earlier versions are not read and fail with the "unsupported header"
 //! error: MDP v1 framed each document as RDF/XML lines closed by a `.`
 //! line, which a literal holding such a line cut short, and dropped the
-//! rule tombstones; MDP v2 carried a replication floor per peer; LMR v2
+//! rule tombstones; MDP v2 carried a replication floor per peer; MDP v3
+//! split a document into a `docver` and a `document` record; LMR v2
 //! dropped `nextrule`, `dead`, `home` and `placement`. A state table
 //! holding a kind no longer written — the floors and early arrivals the
-//! receivers once kept — fails recovery as an unknown record. A durable
-//! store holding any table beside the node's own and its state table — the
-//! per-kind or typed Raft tables of earlier layouts — fails recovery the
-//! same way ("unsupported store layout").
+//! receivers once kept, the split document records — fails recovery as an
+//! unknown record. A durable store holding any table beside the node's own
+//! and its state table — the per-kind or typed Raft tables of earlier
+//! layouts — fails recovery the same way ("unsupported store layout").
 
 use std::collections::HashSet;
 use std::fmt::Display;
@@ -111,23 +111,22 @@ use mdv_relstore::{
 
 use crate::error::{store_err, Error, Result};
 use crate::lmr::{Lmr, LmrRule, RuleStatus};
-use crate::mdp::{DocMeta, Mdp, ReplKind, ReplOp};
-use crate::message::{escape, unescape, PublishMsg};
+use crate::mdp::Mdp;
+use crate::message::{escape, unescape, PublishMsg, Put};
 use crate::placement::PlacementTable;
 use crate::raft::RaftState;
 
-const HEADER: &str = "#mdv-mdp-state v3";
+const HEADER: &str = "#mdv-mdp-state v4";
 const LMR_HEADER: &str = "#mdv-lmr-state v3";
 
 /// The tags of the MDP grammar in export (and recovery) order; the last
 /// four are durable-only: two in flight, then a Raft voter's hard state
 /// and log.
-const MDP_TAGS: [&str; 11] = [
+const MDP_TAGS: [&str; 10] = [
     "pubseq",
-    "docver",
     "replseq",
     "placement",
-    "document",
+    "doc",
     "subscription",
     "retired",
     "outbox",
@@ -261,22 +260,19 @@ pub(crate) mod mdp_records {
         Record::new(key(tag, &[&node]), next_seq.to_string())
     }
 
-    pub(crate) fn docver(uri: &str, meta: DocMeta) -> Record {
-        let fields = format!("{}\t{}", meta.version, u8::from(meta.deleted));
-        Record::new(key("docver", &[&uri]), fields)
-    }
-
     pub(crate) fn placement(table: &PlacementTable) -> Record {
         Record::new(key("placement", &[]), escape(&table.to_wire()))
     }
 
-    pub(crate) fn document_key(uri: &str) -> String {
-        key("document", &[&escape(uri)])
+    pub(crate) fn doc_key(uri: &str) -> String {
+        key("doc", &[&escape(uri)])
     }
 
-    pub(crate) fn document(doc: &Document) -> Record {
-        let xml = escape(&write_document(doc));
-        Record::new(document_key(doc.uri()), xml)
+    /// One document put: version `version` of `uri`, `doc` of `None` its
+    /// tombstone.
+    pub(crate) fn doc(uri: &str, version: u64, doc: Option<&Document>) -> Record {
+        let xml = doc.map(write_document);
+        Record::new(doc_key(uri), put_fields(version, xml.as_deref()))
     }
 
     /// `subscription` or `retired`: the key of an LMR's rule.
@@ -301,19 +297,20 @@ pub(crate) mod mdp_records {
         Record::new(seq_key("outbox", lmr, msg.seq), escape(&msg.to_wire()))
     }
 
-    pub(crate) fn replout(peer: &str, seq: u64, op: &ReplOp) -> Record {
-        let kind = match op.kind {
-            ReplKind::Register => "register",
-            ReplKind::Update => "update",
-            ReplKind::Delete => "delete",
-        };
-        let fields = format!(
-            "{kind}\t{}\t{}\t{}",
-            op.version,
-            escape(&op.uri),
-            escape(&op.xml)
-        );
+    /// A replicated put in flight to `peer`.
+    pub(crate) fn replout(peer: &str, seq: u64, put: &Put) -> Record {
+        let tail = put_fields(put.version, put.xml.as_deref());
+        let fields = format!("{}\t{tail}", escape(&put.uri));
         Record::new(seq_key("replout", peer, seq), fields)
+    }
+
+    /// The fields of a put after its URI: the version, the tombstone flag,
+    /// and the escaped RDF/XML of a live document.
+    fn put_fields(version: u64, xml: Option<&str>) -> String {
+        match xml {
+            Some(xml) => format!("{version}\t0\t{}", escape(xml)),
+            None => format!("{version}\t1"),
+        }
     }
 
     /// A Raft voter's hard state.
@@ -447,7 +444,18 @@ impl<'a> Fields<'a> {
     fn document(&mut self) -> Result<Document> {
         let uri = self.text()?;
         let xml = self.text()?;
-        Ok(parse_document(&uri, &xml).map_err(mdv_filter::Error::from)?)
+        Ok(parse_document(&uri, &xml)?)
+    }
+
+    /// A put: its escaped URI, version and tombstone flag, then the
+    /// escaped RDF/XML exactly when the flag is 0.
+    fn put(&mut self) -> Result<Put> {
+        let (uri, version) = (self.text()?, self.num()?);
+        let xml = match self.flag()? {
+            true => None,
+            false => Some(self.text()?),
+        };
+        Ok(Put { uri, version, xml })
     }
 
     fn envelope(&mut self, seq: u64) -> Result<PublishMsg> {
@@ -519,18 +527,16 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         for (lmr, next_seq) in self.next_pub_seq.sorted() {
             out.push(rec::counter("pubseq", &lmr, next_seq));
         }
-        for (uri, meta) in &self.doc_meta {
-            out.push(rec::docver(uri, *meta));
-        }
         for (peer, next_seq) in self.repl_seq.sorted() {
             out.push(rec::counter("replseq", &peer, next_seq));
         }
         if let Some(table) = self.placement() {
             out.push(rec::placement(table));
         }
-        let mut docs: Vec<&Document> = self.engine().documents().collect();
-        docs.sort_unstable_by(|a, b| a.uri().cmp(b.uri()));
-        out.extend(docs.into_iter().map(rec::document));
+        for (uri, meta) in &self.doc_meta {
+            let doc = self.engine().document(uri).filter(|_| !meta.deleted);
+            out.push(rec::doc(uri, meta.version, doc));
+        }
         for (sub, (lmr, lmr_rule)) in self.subscribers_sorted() {
             let text = self
                 .engine()
@@ -613,7 +619,7 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
         lines: impl Iterator<Item = &'a str>,
         rearm: Option<u64>,
     ) -> Result<(usize, usize)> {
-        let (mut subs, mut docs) = (0, 0);
+        let mut subs = 0;
         let mut run: Vec<(&'a str, u64, String)> = Vec::new();
         let mut listed: HashSet<(&'a str, u64)> = HashSet::new();
         for line in lines {
@@ -629,12 +635,11 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 continue;
             }
             subs += self.subscribe_run(std::mem::take(&mut run))?;
-            if self.apply_record(line, rearm)? == "document" {
-                docs += 1;
-            }
+            self.apply_record(line, rearm)?;
         }
         subs += self.subscribe_run(run)?;
-        Ok((subs, docs))
+        // both callers start from a node holding no document
+        Ok((subs, self.engine.document_count()))
     }
 
     /// Registers a run of `subscription` records as one batch. No ack and
@@ -670,20 +675,17 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 }
                 self.state_put(|| rec::counter(tag, node, next_seq))?;
             }
-            ("docver", _) => {
-                let (uri, version, deleted) = (f.str()?, f.num()?, f.flag()?);
-                self.doc_meta
-                    .insert(uri.to_owned(), DocMeta { version, deleted });
-                self.mirror_docver(uri)?;
-            }
             ("placement", _) => {
                 let table = PlacementTable::from_wire(&f.text()?)?;
                 self.set_placement(Some(table))?;
             }
-            ("document", _) => {
-                let doc = f.document()?;
-                let _pubs = self.engine.register_document(&doc)?;
-                self.state_put(|| rec::document(&doc))?;
+            ("doc", _) => {
+                let put = f.put()?;
+                let doc = put.document()?;
+                if let Some(doc) = &doc {
+                    let _pubs = self.engine.register_document(doc)?;
+                }
+                self.record_put(&put.uri, put.version, doc.as_ref())?;
             }
             // (`subscription` records register in runs: `apply_records`)
             ("retired", _) => {
@@ -699,17 +701,9 @@ impl<S: StorageEngine + Send + Sync> Mdp<S> {
                 self.outbox.restore((lmr.to_owned(), seq), msg, backoff);
             }
             ("replout", Some(backoff)) => {
-                let (peer, seq) = (f.str()?, f.num()?);
-                let kind = match f.str()? {
-                    "register" => ReplKind::Register,
-                    "update" => ReplKind::Update,
-                    "delete" => ReplKind::Delete,
-                    _ => return Err(f.malformed()),
-                };
-                let (version, uri, xml) = (f.num()?, f.text()?, f.text()?);
-                let op = ReplOp::new(kind, uri, version, xml);
-                self.state_put(|| rec::replout(peer, seq, &op))?;
-                self.repl_out.restore((peer.to_owned(), seq), op, backoff);
+                let (peer, seq, put) = (f.str()?, f.num()?, f.put()?);
+                self.state_put(|| rec::replout(peer, seq, &put))?;
+                self.repl_out.restore((peer.to_owned(), seq), put, backoff);
             }
             // seed and election deadline: `raft_enable` re-seats the voter
             ("raft", Some(_)) => {
@@ -969,14 +963,18 @@ mod tests {
     fn export_import_roundtrip() {
         let net = Network::new(NetConfig::default());
         let _rx = net.register("lmr1").unwrap();
-        let mdp = populated_mdp(&net);
+        let mut mdp = populated_mdp(&net);
+        mdp.register_document(&doc(4, 8), &net, false).unwrap();
+        mdp.delete_document("doc4.rdf", &net, false).unwrap();
         let state = mdp.export_state();
+        assert!(state.contains("\ndoc doc4.rdf\t2\t1\n"), "{state}");
 
         let mut restored = Mdp::new("mdp1-recovered", schema());
         let (subs, docs) = restored.import_state(&state).unwrap();
         assert_eq!((subs, docs), (1, 2));
         assert!(restored.engine().document("doc1.rdf").is_some());
         assert!(restored.engine().document("doc2.rdf").is_some());
+        assert_eq!(restored.doc_meta, mdp.doc_meta, "the tombstone too");
         // the exported state of the restored node matches
         assert_eq!(state, restored.export_state());
         // and the rule base is live again: a new registration publishes
@@ -1013,12 +1011,12 @@ mod tests {
         let mut mdp = Mdp::new("m", schema());
         assert!(mdp.import_state("garbage").is_err());
         assert!(
-            mdp.import_state("#mdv-mdp-state v3\ndocument d.rdf\n")
+            mdp.import_state("#mdv-mdp-state v4\ndoc d.rdf\t1\t0\n")
                 .is_err(),
-            "a document record without its XML"
+            "a live doc record without its XML"
         );
-        assert!(mdp.import_state("#mdv-mdp-state v3\nwat\n").is_err());
-        let twice = "#mdv-mdp-state v3\nretired l\t1\nretired l\t1\n";
+        assert!(mdp.import_state("#mdv-mdp-state v4\nwat\n").is_err());
+        let twice = "#mdv-mdp-state v4\nretired l\t1\nretired l\t1\n";
         assert!(mdp.import_state(twice).is_err(), "a rule listed twice");
     }
 
@@ -1026,8 +1024,8 @@ mod tests {
     fn earlier_versions_are_rejected() {
         let net = Network::new(NetConfig::default());
         let _rx = net.register("lmr1").unwrap();
-        for old in ["v1", "v2"] {
-            let text = populated_mdp(&net).export_state().replacen("v3", old, 1);
+        for old in ["v1", "v2", "v3"] {
+            let text = populated_mdp(&net).export_state().replacen("v4", old, 1);
             let err = Mdp::new("m", schema()).import_state(&text).unwrap_err();
             assert!(
                 err.to_string().contains("unsupported MDP state header"),

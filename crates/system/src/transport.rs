@@ -497,10 +497,13 @@ mod tests {
     use super::*;
 
     fn msg() -> Message {
-        Message::ReplicateDelete {
+        Message::Replicate {
             seq: 0,
-            version: 1,
-            document_uri: "doc.rdf".into(),
+            put: crate::message::Put {
+                uri: "doc.rdf".into(),
+                version: 1,
+                xml: None,
+            },
         }
     }
 
@@ -602,7 +605,7 @@ mod tests {
         net.send("a", "b", msg()).unwrap();
         net.send("a", "b", msg()).unwrap();
         assert_eq!(net.log().len(), 2);
-        assert_eq!(net.traffic_by_kind()["replicate-delete"], 2);
+        assert_eq!(net.traffic_by_kind()["replicate"], 2);
         assert!(net
             .log()
             .iter()

@@ -433,16 +433,18 @@ fn the_mdp_journals_no_filter_row_and_recovery_rebuilds_them() {
         assert!(db.table(table).unwrap().is_empty(), "{table} was journaled");
         assert!(!mdp.engine().db().table(table).unwrap().is_empty());
     }
-    let docs = record_keys(db, "SysState", "document");
-    let mut live: Vec<String> = mdp
+    let docs = record_keys(db, "SysState", "doc");
+    let mut known: Vec<String> = mdp
         .engine()
         .documents()
-        .map(|d| format!("document {}", d.uri()))
+        .map(|d| d.uri())
+        .chain(["doc6.rdf"])
+        .map(|uri| format!("doc {uri}"))
         .collect();
-    live.sort_unstable();
+    known.sort_unstable();
     assert_eq!(
-        docs, live,
-        "a document record must hold every live document"
+        docs, known,
+        "a doc record must hold every live document and the tombstone"
     );
     drop(reopened);
 

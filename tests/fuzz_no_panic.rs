@@ -709,22 +709,39 @@ fn raft_committed_registration_survives_any_single_node_crash() {
 #[test]
 fn a_damaged_record_of_every_tag_fails_recovery() {
     let envelope = escaped(&PublishMsg::default().to_wire());
+    let xml = escaped(&write_document(&Document::new("d.rdf")));
+    let live = format!("1\t0\t{xml}");
+    // a live document and a tombstone reopen
+    for doc in [live.as_str(), "2\t1"] {
+        reopen_mdp_with(&[("doc d.rdf", doc)]).unwrap();
+    }
+    let replout = format!("d.rdf\t{live}");
+    reopen_mdp_with(&[("replout m2\t0", &replout)]).unwrap();
+    let on_a_tombstone = format!("2\t1\t{xml}");
     let mdp = [
         ("pubseq l", "x"),
-        ("docver d.rdf", "1\t2"),
         ("replseq m2", ""),
         ("placement", "1\tx"),
         ("placement", "1\t2\t18446744073709551615\tm"),
-        ("document d.rdf", "<rdf"),
+        ("doc d.rdf", "<rdf"),
+        ("doc d.rdf", "x\t0\t<rdf:RDF/>"),
+        ("doc d.rdf", "1\t2\t<rdf:RDF/>"),
+        ("doc d.rdf", "1\t0"),
+        ("doc d.rdf", on_a_tombstone.as_str()),
+        ("doc d.rdf", "1\t0\t<rdf"),
         ("subscription l\t0", "search Nope n register n"),
         ("retired l\tx", ""),
         ("outbox l\t0", "envelope 0"),
+        ("replout m2\t0", "d.rdf\t1\tx"),
         ("replout m2\t0", "move\t1\td.rdf\t"),
         ("raft", "1\tm2\tx\t0\t0\t0\t0"),
         ("raftlog 1", "1\tnoop"),
         ("wat", ""),
         ("replfloor m2", "3"),
         ("replbuf m2\t0", "register\t1\td.rdf\t<rdf:RDF/>"),
+        // the split document records of MDP state v3, well formed
+        ("docver d.rdf", "1\t0"),
+        ("document d.rdf", xml.as_str()),
     ];
     for (key, fields) in mdp {
         assert!(

@@ -44,17 +44,17 @@ use mdv::relstore::{Database, DurableEngine, FaultVfs, StorageEngine};
 use mdv::system::transport::{FaultPlan, FaultTag, LinkFaults, NetConfig, NetStats, Partition};
 use mdv::system::PlacementConfig;
 
-const PIN_LWW_FAILOVER: u64 = 0xff44_3cea_806a_1f2c;
+const PIN_LWW_FAILOVER: u64 = 0x4e35_9ed0_cc72_29d0;
 const PIN_RAFT_LEADER_CHANGE: u64 = 0xf329_8f06_52bf_4c61;
-const PIN_PLACEMENT_R2: u64 = 0xea1f_f8f3_2427_9b61;
-const PIN_DURABLE_CRASH_RESTART: u64 = 0x0c6a_ffe2_756d_d849;
+const PIN_PLACEMENT_R2: u64 = 0x4f07_b04a_72df_3bc6;
+const PIN_DURABLE_CRASH_RESTART: u64 = 0xa05d_2d98_fd2c_b372;
 const PIN_BATCH_REJECTED: u64 = 0xad53_0c95_c2d0_9147;
-const PIN_LWW_FAILOVER_LOSSY: u64 = 0xcb3e_f280_af55_6eb8;
-const PIN_PLACEMENT_R2_LOSSY: u64 = 0xea5f_93d7_394a_c86a;
-const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0x7f67_a046_4366_71ff;
-const PIN_RAFT_INSTALL_LOSSY: u64 = 0x7f39_8247_d154_220a;
-const PIN_RAFT_INSTALL_DOCS_LOSSY: u64 = 0x9666_515f_eac1_2da4;
-const PIN_EARLY_ARRIVALS: u64 = 0x0486_63ca_2779_a0f9;
+const PIN_LWW_FAILOVER_LOSSY: u64 = 0xe6d6_c7fe_f432_0d1a;
+const PIN_PLACEMENT_R2_LOSSY: u64 = 0x4da7_51d3_f6ad_9e9d;
+const PIN_DURABLE_CRASH_RESTART_LOSSY: u64 = 0xfac0_a223_896d_febe;
+const PIN_RAFT_INSTALL_LOSSY: u64 = 0x7d61_c7bc_376d_464c;
+const PIN_RAFT_INSTALL_DOCS_LOSSY: u64 = 0xa94c_54a9_2eb2_2e0b;
+const PIN_EARLY_ARRIVALS: u64 = 0x8e16_35a6_4f73_d2c0;
 
 /// Two overlapping subscriptions: a document with memory > 64 and
 /// cpu >= 600 is published to both LMRs in the same operation, so the
@@ -519,7 +519,7 @@ fn early_arrivals_on_a_publication_and_a_replication_link() {
     let l1 = sys.lmr("l1").unwrap();
     assert!(l1.is_cached("doc0.rdf#host") && l1.is_cached("doc1.rdf#host"));
     assert!(sys.backbone_converged());
-    for (to, kind) in [("l1", "publish"), ("m2", "replicate-register")] {
+    for (to, kind) in [("l1", "publish"), ("m2", "replicate")] {
         let closed = sys.network().log().into_iter().any(|r| {
             (r.from.as_str(), r.to.as_str(), r.kind) == ("m1", to, kind)
                 && r.retry

@@ -463,15 +463,18 @@ fn faulty_two_tier(mdp_vfs: &FaultVfs, lmr_vfs: &FaultVfs) -> MdvSystem<DurableE
     sys
 }
 
-/// URIs of the `document` records in a recovered store's state table
+/// URIs of the live `doc` records in a recovered store's state table
 /// (empty when the table was never created — i.e. a crash image from
 /// before the store finished initializing).
 fn doc_uris(db: &Database) -> BTreeSet<String> {
     match db.table("SysState") {
         Ok(t) => t
             .iter()
-            .filter_map(|(_, r)| match &r[0] {
-                Value::Str(key) => key.strip_prefix("document ").map(str::to_owned),
+            .filter_map(|(_, r)| match (&r[0], &r[1]) {
+                // `doc <uri>` with `<version>\t<deleted>…`: live when 0
+                (Value::Str(key), Value::Str(fields)) if fields.split('\t').nth(1) == Some("0") => {
+                    key.strip_prefix("doc ").map(str::to_owned)
+                }
                 _ => None,
             })
             .collect(),
