@@ -368,12 +368,13 @@ impl BaseStore {
 
     /// Visits every `(uri, value)` row of a `(class, property)` partition —
     /// the scan behind non-equality probes. The strings are borrowed from
-    /// the table, so a scan allocates only for the rows its caller keeps.
-    pub(crate) fn scan_partition(
-        db: &Database,
+    /// the table for as long as `db` is, so a scan allocates only for the
+    /// rows its caller keeps.
+    pub(crate) fn scan_partition<'db>(
+        db: &'db Database,
         class: &str,
         property: &str,
-        mut visit: impl FnMut(&str, &str),
+        mut visit: impl FnMut(&'db str, &'db str),
     ) -> Result<()> {
         let t = db.table(T_STATEMENTS)?;
         let rows = t
