@@ -155,10 +155,12 @@ echo "ok: no BENCH_*.json in the repo root"
 # update protocol's pass modes, candidate passes and referrer run, and the
 # always-left backfill evaluation with its partition copy, and the keyed
 # index stores with their key type and formatted trigger-table names, and
-# the filter run's `String` tuples with their tally and trace copy, may
+# the filter run's `String` tuples with their tally and trace copy, and
+# the second backbone topology (the full-replication digest, the second
+# convergence check, the peers list and the factor shorthand), may
 # be named only where their removal is recorded —
 # DESIGN.md §8 and EXPERIMENTS.md "Removed studies".
-REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables|Mode::(Insert|Refresh|Collect)|pass[123]_atoms|referrer_run|result_insert|result_remove|atoms_from_store|check_match_memo|eval_rule_full|BaseStore::partition\b|IndexStore|BTreeMap<IndexKey|\bIndexKey\b|filter_table_name|table_suffix|pubbuf|replbuf|replfloor|buffered_publications|receive_alt_publication|parked_keys|Inbox::deliver|HashMap<\(RuleId, String\)|HashSet<\(RuleId, String\)|Vec<\(String, RuleId\)>|record_iteration|ReplicateRegister|ReplicateUpdate|ReplicateDelete|ReplKind|\bReplOp\b|\bRepairDoc\b|RaftCmd::(Register|Update|Delete)|docver'
+REMOVED='ShardedFilterEngine|set_filter_shards|use_subsumption|use_trigger_index|shard-scaling|matching-scaling|join_candidates_parallel|Two join bodies|set_filter_threads|set_threads|par_map|parallel_map|thread-scaling|parallel_determinism|with_filter_config|SysRaftSnap|query_sql|sql_translate|evaluate_via_sql|execute_sql|hash_join|nested_loop_join|FilterConfig|ReplOutgoing|hello_retry|unsub_retry|sub_retry|repl_outbox|repl_buffer|alt_next_seq|wal-overhead|recovery-torture|backbone-repair|backbone-consensus|placement-scaling|--backend|BenchGroup|MDV_BENCH_ITERS|BENCH_[a-z_]+\.json|raft_build_snapshot|RaftCmd::Placement|SysDocuments|SysSubscriptions|LmrPubBuffer|LmrDeadRules|ensure_key_index|KEYED_TABLES|PerRuleFormat|select_with_plan|AccessPath|probe_prefix_range|probe_range|sql_cmp|with_commit_group|save_to_path|load_from_path|\bTxn\b|CmpOp|SysRaftHard|SysRaftLog|sibling_dir_on|upsert_where|delete_where|delete_rows|rebuild_from_tables|Mode::(Insert|Refresh|Collect)|pass[123]_atoms|referrer_run|result_insert|result_remove|atoms_from_store|check_match_memo|eval_rule_full|BaseStore::partition\b|IndexStore|BTreeMap<IndexKey|\bIndexKey\b|filter_table_name|table_suffix|pubbuf|replbuf|replfloor|buffered_publications|receive_alt_publication|parked_keys|Inbox::deliver|HashMap<\(RuleId, String\)|HashSet<\(RuleId, String\)|Vec<\(String, RuleId\)>|record_iteration|ReplicateRegister|ReplicateUpdate|ReplicateDelete|ReplKind|\bReplOp\b|\bRepairDoc\b|RaftCmd::(Register|Update|Delete)|docver|ReplicaDigest|replica-digest|backbone_converged_placement|set_peers|rewire_peers|set_replication_factor'
 if grep -nE "$REMOVED" README.md \
     || sed '/^## 8\. /,/^## 9\. /d' DESIGN.md | grep -nE "$REMOVED" \
     || sed '/^## Removed studies/,/^## /d' EXPERIMENTS.md | grep -nE "$REMOVED"; then
@@ -500,7 +502,7 @@ if [[ "$QUICK" == "0" ]]; then
   step "subscribe scaling: one rule costs one rule, not the rule base"
   # Registering a rule must not scan the rules already registered
   # (DESIGN.md §3b, §11.4): the MDP's duplicate check is a look-up in its
-  # subscriber table, and under placement `subscribe` mirrors only the new
+  # subscriber table, and at a numbered R `subscribe` mirrors only the new
   # rule. Best of 3, microseconds per `subscribe`; fails when LWW at 10k
   # rules costs over 2.5x a rule at 2.5k, or placement R=2 over 4 MDPs at
   # 10k over 3x a rule at 500 or over 10 s in all. (A linear scan per

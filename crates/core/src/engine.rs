@@ -554,10 +554,12 @@ impl<S: StorageEngine> FilterEngine<S> {
         docs: &[Document],
         trace: Option<&mut FilterRun>,
     ) -> Result<Vec<Publication>> {
-        // validate everything before touching state: a rejected batch
-        // registers nothing and reports its first failing document
+        // validate everything before touching state, against the engine and
+        // the rest of the batch: a rejected batch registers nothing and
+        // reports its first failing document
+        let (mut batch_docs, mut batch_resources) = (HashSet::new(), HashSet::new());
         for doc in docs {
-            if self.documents.contains_key(doc.uri()) {
+            if self.documents.contains_key(doc.uri()) || !batch_docs.insert(doc.uri()) {
                 return Err(Error::Document(format!(
                     "document '{}' is already registered; use update_document",
                     doc.uri()
@@ -566,7 +568,8 @@ impl<S: StorageEngine> FilterEngine<S> {
             doc.check_internal_references()?;
             self.schema.validate(doc)?;
             for res in doc.resources() {
-                if BaseStore::resource_exists(self.db(), res.uri().as_str())? {
+                let uri = res.uri().as_str();
+                if !batch_resources.insert(uri) || BaseStore::resource_exists(self.db(), uri)? {
                     return Err(Error::Document(format!(
                         "resource '{}' is already registered",
                         res.uri()
@@ -1751,6 +1754,27 @@ mod tests {
         seq_added.sort();
         assert_eq!(batch_added, seq_added);
         assert_eq!(batch_added.len(), 5);
+    }
+
+    #[test]
+    fn a_batch_naming_one_uri_twice_registers_nothing() {
+        let mut e = FilterEngine::new(paper_schema());
+        e.register_subscription("search CycleProvider c register c")
+            .unwrap();
+        let doc7 = provider_doc(7, "a.org", 100, 600);
+        let batch = [provider_doc(6, "a.org", 100, 600), doc7.clone(), doc7];
+        let err = e.register_batch(&batch).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("document 'doc7.rdf' is already registered"),
+            "{err}"
+        );
+        assert_eq!(e.document_count(), 0);
+        assert_eq!(e.stats().documents_registered, 0);
+        assert!(!BaseStore::resource_exists(e.db(), "doc6.rdf#host").unwrap());
+        // the batch without the second copy registers whole
+        let pubs = e.register_batch(&batch[..2]).unwrap();
+        assert_eq!(pubs[0].added, ["doc6.rdf#host", "doc7.rdf#host"]);
     }
 
     #[test]

@@ -87,12 +87,8 @@ pub struct Lmr<S: StorageEngine = Database> {
     /// `failover_attempts` retransmissions of a rule's message counts as
     /// detected silence of the home MDP (DESIGN.md §7).
     control: Outbox<Control, Message>,
-    /// Placement mode (DESIGN.md §11): publications legitimately arrive
-    /// from every shard primary, not only the home MDP, each on its own
-    /// per-sender sequence stream.
-    pub(crate) placement: bool,
-    /// The floors of the per-sender streams of non-home primaries
-    /// (placement mode only).
+    /// The floors of the alternate streams: one per MDP other than the
+    /// home that ships the matches of rules mirrored there (DESIGN.md §11).
     pub(crate) alt: Inbox<String>,
     /// Envelopes withheld so far: arrivals ahead of their stream's floor.
     pub(crate) withheld: u64,
@@ -147,7 +143,6 @@ impl<S: StorageEngine> Lmr<S> {
             home_floor: 0,
             dead_rules: HashSet::new(),
             control: Outbox::default(),
-            placement: false,
             alt: Inbox::default(),
             withheld: 0,
         }
@@ -313,21 +308,6 @@ impl<S: StorageEngine> Lmr<S> {
     /// not yet received).
     pub fn failing_over(&self) -> bool {
         self.awaiting_welcome
-    }
-
-    /// Switches this LMR into placement mode (DESIGN.md §11): publications
-    /// from MDPs other than the home are accepted on per-sender sequence
-    /// streams instead of triggering cleanup unsubscribes. Kept as the
-    /// `placement` record, so a restored LMR keeps accepting its alt
-    /// streams.
-    pub(crate) fn set_placement(&mut self, on: bool) -> Result<()> {
-        self.with_group(|this| {
-            this.placement = on;
-            match on {
-                true => this.state_put(rec::placement),
-                false => this.state_delete(|| rec::placement().key),
-            }
-        })
     }
 
     pub fn rule(&self, id: u64) -> Option<&LmrRule> {
@@ -533,20 +513,20 @@ impl<S: StorageEngine> Lmr<S> {
     }
 
     /// The receiving half of the at-least-once protocol, one path for the
-    /// home stream and, in placement mode, the stream of every other shard
-    /// primary (DESIGN.md §3b, §11.4). An envelope below its stream's floor
-    /// is acked and discarded; one ahead of it is neither acked nor kept,
-    /// and the sender's in-order retransmission brings it back once the
-    /// gap closes; the one at the floor is acked, moves the floor past
-    /// itself and is applied. Envelopes thus apply exactly once, in
-    /// sequence order. An envelope from a node other than the home while
-    /// the LMR is not placed (a previous home still retransmitting after a
+    /// home stream and the alternate stream of every other MDP that ships
+    /// the matches of a mirrored rule (DESIGN.md §3b, §11.4). An envelope
+    /// below its stream's floor is acked and discarded; one ahead of it is
+    /// neither acked nor kept, and the sender's in-order retransmission
+    /// brings it back once the gap closes; the one at the floor is acked,
+    /// moves the floor past itself and is applied. Envelopes thus apply
+    /// exactly once, in sequence order. Any other envelope from a node
+    /// other than the home (a previous home still retransmitting after a
     /// failover) is acked and discarded, and the sender is told to retire
     /// every subscription it lists.
     fn receive_publication(&mut self, from: &str, msg: PublishMsg, net: &Network) -> Result<()> {
         let ack = Message::PublishAck { seq: msg.seq };
         let home = from == self.mdp;
-        if !home && !self.placement {
+        if !home && !msg.alt {
             net.send(&self.name, from, ack)?;
             // One-shot cleanup unsubscribe, deliberately not retried:
             // further strays re-trigger it. Suppressed while a failover

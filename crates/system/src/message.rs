@@ -40,20 +40,18 @@ pub enum Message {
     /// MDP → MDP: confirms receipt of the replicated put with sequence
     /// `seq`, completing the at-least-once handshake.
     ReplicateAck { seq: u64 },
-    /// MDP → MDP anti-entropy: a digest of the sender's whole document set
-    /// (per-URI version + content hash; deletions appear as tombstones).
-    ReplicaDigest { entries: Vec<DigestEntry> },
-    /// MDP → MDP anti-entropy under a placement table (DESIGN.md §11):
-    /// like [`Message::ReplicaDigest`], but stamped with the sender's
-    /// placement epoch. Receivers on a different epoch ignore it, and
-    /// receivers on the same epoch pull only documents in shards they own —
-    /// this is the shard-handoff vehicle of partitioned-with-replicas.
+    /// MDP → MDP anti-entropy (DESIGN.md §7.2, §11): a digest of the
+    /// sender's whole document set (per-URI version + content hash;
+    /// deletions appear as tombstones), stamped with the sender's placement
+    /// epoch. Receivers on a different epoch ignore it, and receivers on
+    /// the same epoch pull only documents in shards they own — which is
+    /// also how shards move when the table changes.
     PlacementDigest {
         epoch: u64,
         entries: Vec<DigestEntry>,
     },
     /// MDP → MDP anti-entropy: pull the listed documents, which the
-    /// requester's diff against a [`Message::ReplicaDigest`] showed to be
+    /// requester's diff against a [`Message::PlacementDigest`] showed to be
     /// missing or stale locally.
     RepairRequest { uris: Vec<String> },
     /// MDP → MDP anti-entropy: repair payload answering a
@@ -175,7 +173,6 @@ impl Message {
             Message::PublishAck { .. } => "publish-ack",
             Message::Replicate { .. } => "replicate",
             Message::ReplicateAck { .. } => "replicate-ack",
-            Message::ReplicaDigest { .. } => "replica-digest",
             Message::PlacementDigest { .. } => "placement-digest",
             Message::RepairRequest { .. } => "repair-request",
             Message::RepairDocs { .. } => "repair-docs",
@@ -219,9 +216,6 @@ impl Message {
             }
             Message::Replicate { put, .. } => put.xml_len() + put.uri.len() + 16,
             Message::ReplicateAck { .. } => 8,
-            Message::ReplicaDigest { entries } => {
-                entries.iter().map(|e| e.uri.len() + 17).sum::<usize>()
-            }
             Message::PlacementDigest { entries, .. } => {
                 8 + entries.iter().map(|e| e.uri.len() + 17).sum::<usize>()
             }
@@ -252,6 +246,10 @@ pub struct PublishMsg {
     /// Per-(MDP, LMR) publication sequence number; the LMR acks it and
     /// applies envelopes in sequence order exactly once.
     pub seq: u64,
+    /// Whether the envelope rides the sender's alternate stream: it serves
+    /// rules mirrored at a sender other than the LMR's home (DESIGN.md
+    /// §11). Any other envelope from a non-home sender is a stray.
+    pub alt: bool,
     /// Every resource a delta ships, each once.
     pub resources: Vec<Resource>,
     /// One delta per matched subscription, in subscription order.
@@ -335,7 +333,7 @@ impl PublishMsg {
     /// `outbox` state records hold (`crate::state`). One record per line:
     ///
     /// ```text
-    /// envelope <seq>
+    /// envelope <seq>[ alt]       -- ` alt` on the alternate stream
     /// r <uri>\t<class>           -- a resource
     /// p <name>\t<R|L>\t<value>   -- property of the preceding resource
     /// rule <lmr_rule>\t<0|1>     -- a delta; 1 marks a snapshot
@@ -345,7 +343,8 @@ impl PublishMsg {
     ///
     /// The trailer makes a truncated or corrupted row fail to decode.
     pub fn to_wire(&self) -> String {
-        let mut out = format!("envelope {}\n", self.seq);
+        let alt = if self.alt { " alt" } else { "" };
+        let mut out = format!("envelope {}{alt}\n", self.seq);
         for r in &self.resources {
             out.push_str(&format!(
                 "r {}\t{}\n",
@@ -391,13 +390,17 @@ impl PublishMsg {
             return Err(bad("checksum mismatch"));
         }
         let mut lines = body.lines();
-        let seq = lines
+        let header = lines
             .next()
             .and_then(|l| l.strip_prefix("envelope "))
-            .and_then(|s| s.parse().ok())
             .ok_or_else(|| bad("no envelope header"))?;
+        let (seq, alt) = match header.strip_suffix(" alt") {
+            Some(seq) => (seq, true),
+            None => (header, false),
+        };
         let mut msg = PublishMsg {
-            seq,
+            seq: seq.parse().map_err(|_| bad("no envelope header"))?,
+            alt,
             ..PublishMsg::default()
         };
         for line in lines {
@@ -534,6 +537,7 @@ mod tests {
             .with("memory", Term::literal("92"));
         PublishMsg {
             seq: 42,
+            alt: true,
             resources: vec![host, info],
             rules: vec![
                 RuleDelta {

@@ -98,10 +98,10 @@ pub struct NetStats {
     pub anti_entropy_rounds: u64,
     /// Documents actually repaired by anti-entropy pulls (`note_repair`).
     pub repairs_applied: u64,
-    /// Placement-protocol send attempts (placement digests; DESIGN.md §11).
-    /// Zero unless a placement table is active.
+    /// Anti-entropy digest send attempts (`placement-digest`; DESIGN.md
+    /// §7.2, §11.3).
     pub placement_messages: u64,
-    /// Bytes of placement-protocol send attempts.
+    /// Bytes of those send attempts.
     pub placement_bytes: u64,
 }
 

@@ -109,6 +109,7 @@ fn any_envelope(src: &mut Source) -> PublishMsg {
         })
         .collect();
     PublishMsg {
+        alt: false,
         seq: 0, // assigned on send
         resources,
         rules,
@@ -164,6 +165,7 @@ fn any_closed_envelope(src: &mut Source) -> PublishMsg {
         });
     }
     PublishMsg {
+        alt: false,
         seq: 0,
         resources: contents.into_values().collect(),
         rules,
@@ -334,6 +336,7 @@ impl Harness {
         for d in &msg.rules {
             let shipped: BTreeSet<&str> = d.shipped().collect();
             self.publish(PublishMsg {
+                alt: false,
                 seq: 0,
                 resources: msg
                     .resources
@@ -572,6 +575,7 @@ fn matched(rule: u64, matched: Vec<Resource>, companions: Vec<Resource>) -> Publ
         ..RuleDelta::default()
     };
     PublishMsg {
+        alt: false,
         seq: 0,
         resources: [matched, companions].concat(),
         rules: vec![delta],
@@ -671,6 +675,7 @@ fn envelope_shapes_agree_with_their_deltas_one_by_one() {
         &mut whole,
         &mut split,
         PublishMsg {
+            alt: false,
             seq: 0,
             resources: vec![
                 node(0, "a", Some(2)),
@@ -692,6 +697,7 @@ fn envelope_shapes_agree_with_their_deltas_one_by_one() {
         &mut whole,
         &mut split,
         PublishMsg {
+            alt: false,
             seq: 0,
             resources: vec![node(0, "b", Some(4)), node(4, "a", None)],
             rules: vec![release, handover],
@@ -710,6 +716,7 @@ fn envelope_shapes_agree_with_their_deltas_one_by_one() {
         &mut whole,
         &mut split,
         PublishMsg {
+            alt: false,
             seq: 0,
             resources: vec![node(4, "b", None), node(5, "a", None), node(6, "a", None)],
             rules: vec![delta(3, &[5], &[], &[4]), delta(2, &[6], &[], &[])],
@@ -727,6 +734,7 @@ fn envelope_shapes_agree_with_their_deltas_one_by_one() {
         &mut whole,
         &mut split,
         PublishMsg {
+            alt: false,
             seq: 0,
             resources: vec![node(6, "a", None)],
             rules: vec![snapshot],

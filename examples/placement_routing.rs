@@ -1,14 +1,16 @@
 //! Placement-aware registration (DESIGN.md §11): instead of replicating
-//! every document on every MDP, the backbone partitions the document shard
-//! space over the nodes with a configurable replication factor, and
-//! `mdp_for_uri` tells a client which MDP is the primary for a URI — the
-//! node whose registration path needs no forwarding hop.
+//! every document on every MDP (the default factor, R = all), the backbone
+//! partitions the document shard space over the nodes with a numbered
+//! replication factor, and `mdp_for_uri` tells a client which MDP is the
+//! primary for a URI — a node that owns it, so its registration path needs
+//! no forwarding hop.
 //!
 //! ```text
 //! cargo run --example placement_routing
 //! ```
 
 use mdv::prelude::*;
+use mdv::system::PlacementConfig;
 
 fn provider(i: usize, host: &str, memory: i64) -> Document {
     parse_document(
@@ -48,10 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "search CycleProvider c register c where c.serverInformation.memory > 64",
     )?;
 
-    // two copies of every document shard, spread over the three MDPs;
-    // subscriptions stay fully replicated, so the LMR still sees every match
-    sys.set_replication_factor(2)?;
-    let table = sys.placement_table().expect("placement is enabled");
+    // two copies of every document shard, spread over the three MDPs; the
+    // LMR's home publishes the documents it owns and each document's
+    // primary the rest, so the LMR still sees every match
+    sys.configure_placement(PlacementConfig::new(2))?;
+    let table = sys.placement_table().expect("an MDP is up");
     println!(
         "placement: {} shards x {} replicas over {} MDPs (epoch {}) — each node stores ~{:.0}% of the corpus",
         table.shard_count(),

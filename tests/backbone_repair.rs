@@ -180,14 +180,15 @@ fn replication_survives_a_lossy_backbone_without_repair() {
 }
 
 #[test]
-fn down_peer_heals_via_parked_retransmission_not_repair() {
-    // a replication dropped against a down peer survives in the sender's
-    // outbox (parked), so the heal converges by ordinary retransmission —
-    // the repair machinery stays cold
-    let mut sys = MdvSystem::new(schema());
+fn partitioned_peer_heals_via_parked_retransmission_not_repair() {
+    // a replication dropped on a partitioned link survives in the sender's
+    // outbox (parked), so the partition's end converges by ordinary
+    // retransmission — the repair machinery stays cold
+    let mut config = NetConfig::default();
+    config.faults.partition_both("m1", "m2", 0, HEAL_MS);
+    let mut sys = MdvSystem::with_net_config(schema(), config);
     sys.add_mdp("m1").unwrap();
     sys.add_mdp("m2").unwrap();
-    sys.fail_mdp("m2").unwrap();
     sys.register_document("m1", &provider(0, "a.hub.org", 128, 700))
         .unwrap();
     assert_eq!(sys.mdp("m1").unwrap().unacked_replications(), 1);
@@ -197,7 +198,8 @@ fn down_peer_heals_via_parked_retransmission_not_repair() {
         .engine()
         .document("doc0.rdf")
         .is_none());
-    sys.heal_mdp("m2").unwrap();
+    sys.network().advance_clock(HEAL_MS);
+    sys.run_to_quiescence().unwrap();
     assert!(sys
         .mdp("m2")
         .unwrap()
@@ -206,24 +208,35 @@ fn down_peer_heals_via_parked_retransmission_not_repair() {
         .is_some());
     assert!(sys.backbone_converged());
     assert_eq!(sys.mdp("m1").unwrap().unacked_replications(), 0);
-    assert_eq!(sys.network_stats().repairs_applied, 0);
+    let stats = sys.network_stats();
+    assert_eq!((stats.anti_entropy_rounds, stats.repairs_applied), (0, 0));
 }
+
+/// The end of the link partitions above: later than the logical time the
+/// stall budget of `run_to_quiescence` lets a retransmitting sender reach.
+const HEAL_MS: u64 = 1_000_000_000;
 
 #[test]
 fn anti_entropy_repairs_what_a_down_origin_cannot_retransmit() {
-    // m3 misses a document whose *origin* (m1) is down when m3 heals: the
-    // only live copy-holder, m2, never had an outbox entry for m3
-    // (replication is origin-to-peers, not gossip) — the digest exchange is
-    // the only path that can restore it
-    let mut sys = MdvSystem::new(schema());
+    // m3 misses a document whose *origin* (m1) is down when m3 can be
+    // reached again: the only live copy-holder, m2, never had an outbox
+    // entry for m3 (replication is origin-to-peers, not gossip) — the
+    // digest exchange is the only path that can restore it
+    let mut config = NetConfig::default();
+    config.faults.partition_both("m1", "m3", 0, HEAL_MS);
+    let mut sys = MdvSystem::with_net_config(schema(), config);
     for m in ["m1", "m2", "m3"] {
         sys.add_mdp(m).unwrap();
     }
-    sys.fail_mdp("m3").unwrap();
     sys.register_document("m1", &provider(0, "a.hub.org", 128, 700))
         .unwrap();
-    sys.fail_mdp("m1").unwrap(); // the origin dies, parked outbox and all
-    sys.heal_mdp("m3").unwrap();
+    assert_eq!(sys.mdp("m1").unwrap().unacked_replications(), 1);
+    assert!(
+        sys.network_stats().dropped > 0,
+        "the partition never dropped the replication to m3"
+    );
+    // the origin dies, parked outbox and all; the survivors rebalance
+    sys.fail_mdp("m1").unwrap();
     assert!(
         sys.mdp("m3")
             .unwrap()
@@ -238,9 +251,9 @@ fn anti_entropy_repairs_what_a_down_origin_cannot_retransmit() {
         "no digest round ran: {stats:?}"
     );
     assert!(stats.repairs_applied > 0, "no repair applied: {stats:?}");
-    assert!(stats.down_dropped > 0, "the down nodes never dropped mail");
-    // the origin comes back; its parked retransmission to m3 is now a
-    // version-gated no-op and the whole backbone is byte-identical
+    // the origin comes back after the partition; its parked retransmission
+    // to m3 is now a version-gated no-op and the whole backbone converges
+    sys.network().advance_clock(HEAL_MS);
     sys.heal_mdp("m1").unwrap();
     assert!(sys.backbone_converged());
     for m in ["m1", "m2", "m3"] {
@@ -355,8 +368,10 @@ fn held(sys: &MdvSystem, mdp: &str, uri: &str) -> Option<String> {
     engine.document(uri).map(write_document)
 }
 
-/// A batch the filter rejects at flush reaches no peer: queued documents
-/// are versioned and replicated only once their batch is accepted.
+/// A document the entry check rejects never joins a batch, so it reaches
+/// no peer: it fails its own `register_document`, and the valid documents
+/// queued around it are versioned, replicated and published once their
+/// batch flushes.
 #[test]
 fn a_rejected_batch_reaches_no_peer() {
     let mut sys = MdvSystem::new(schema());
@@ -374,28 +389,39 @@ fn a_rejected_batch_reaches_no_peer() {
     }
     let original = held(&sys, "m2", "doc0.rdf");
 
-    // doc0 is registered already: the batch it rides in is rejected whole
-    for i in [101, 0, 102] {
-        sys.register_document("m1", &provider(i, "b.hub.org", 150, 850))
-            .unwrap();
-    }
-    let rejected = sys.flush("m1").unwrap_err();
+    // doc0 is registered already: its own register fails, the batch it
+    // would have ridden in flushes without it
+    sys.register_document("m1", &provider(101, "b.hub.org", 150, 850))
+        .unwrap();
+    let rejected = sys
+        .register_document("m1", &provider(0, "b.hub.org", 150, 850))
+        .unwrap_err();
     assert!(
         rejected
             .to_string()
             .contains("'doc0.rdf' is already registered"),
         "{rejected}"
     );
+    sys.register_document("m1", &provider(102, "b.hub.org", 150, 850))
+        .unwrap();
+    assert_eq!(sys.mdp("m1").unwrap().pending_documents(), 2);
     assert_eq!(
         held(&sys, "m2", "doc101.rdf"),
         None,
-        "m2 holds a rejected document"
+        "m2 holds a queued document"
     );
+    sys.flush("m1").unwrap();
     assert_eq!(held(&sys, "m2", "doc0.rdf"), original);
-    assert!(!sys.lmr("l2").unwrap().is_cached("doc101.rdf#host"));
+    for doc in ["doc101", "doc102"] {
+        assert!(
+            held(&sys, "m2", &format!("{doc}.rdf")).is_some(),
+            "{doc} at m2"
+        );
+        assert!(sys.lmr("l2").unwrap().is_cached(&format!("{doc}.rdf#host")));
+    }
     assert!(sys.backbone_converged());
 
-    // an accepted batch replicates
+    // a later batch replicates too
     sys.register_document("m1", &provider(103, "c.hub.org", 99, 777))
         .unwrap();
     sys.flush("m1").unwrap();
@@ -404,6 +430,34 @@ fn a_rejected_batch_reaches_no_peer() {
         assert!(sys.lmr(lmr).unwrap().is_cached("doc103.rdf#host"));
         assert_consistent(&sys, lmr, mdp, &RULES[..1], "after the batches");
     }
+}
+
+/// A batch that would name one URI twice: the second register fails at
+/// entry, the first copy flushes, and the document is versioned,
+/// replicated and published like any other.
+#[test]
+fn a_batch_naming_one_uri_twice_flushes_the_first_copy() {
+    let mut sys = MdvSystem::new(schema());
+    sys.add_mdp("m1").unwrap();
+    sys.add_mdp("m2").unwrap();
+    sys.add_lmr("l2", "m2").unwrap();
+    sys.subscribe("l2", RULES[0]).unwrap();
+    sys.set_batch_size("m1", Some(100)).unwrap();
+    let doc7 = provider(7, "a.hub.org", 128, 700);
+    sys.register_document("m1", &doc7).unwrap();
+    let err = sys.register_document("m1", &doc7).unwrap_err();
+    assert!(
+        err.to_string().contains("'doc7.rdf' is already registered"),
+        "{err}"
+    );
+    sys.flush("m1").unwrap();
+    for m in ["m1", "m2"] {
+        assert!(held(&sys, m, "doc7.rdf").is_some(), "doc7 at {m}");
+        let state = sys.mdp(m).unwrap().export_state();
+        assert!(state.contains("\ndoc doc7.rdf\t1\t0\t"), "{m}: {state}");
+    }
+    assert!(sys.lmr("l2").unwrap().is_cached("doc7.rdf#host"));
+    assert!(sys.backbone_converged());
 }
 
 /// A register of a known document, an update of an unknown one and a

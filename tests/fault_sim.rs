@@ -221,7 +221,7 @@ fn zero_fault_plan_is_byte_identical_to_default_transport() {
     assert_eq!(base_stats.anti_entropy_rounds, 0);
     assert_eq!(base_stats.repairs_applied, 0);
     assert_eq!(base_stats.down_dropped, 0);
-    for kind in ["replica-digest", "repair-request", "repair-docs"] {
+    for kind in ["placement-digest", "repair-request", "repair-docs"] {
         assert!(
             base_log.iter().all(|r| r.kind != kind),
             "inert run carried a {kind} message"

@@ -106,6 +106,7 @@ fn arb_envelope(src: &mut Source) -> PublishMsg {
         .collect();
     PublishMsg {
         seq: src.u64_in(0..1000),
+        alt: src.bool(),
         resources,
         rules,
     }
